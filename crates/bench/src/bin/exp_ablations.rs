@@ -1,10 +1,10 @@
-//! E13 — ablations: text-embedding width, KNN-Shapley k, TMC truncation.
+//! E17 — ablations: text-embedding width, KNN-Shapley k, TMC truncation.
 use nde_bench::experiments::ablations;
 use nde_bench::report::{f, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let r = ablations::run(400, 15)?;
-    println!("E13 — ablations\n");
+    println!("E17 — ablations\n");
     println!("Text-embedding width (accuracy / detection):");
     let mut t = TextTable::new(&["dims", "accuracy", "detection precision"]);
     for p in &r.text_dims {

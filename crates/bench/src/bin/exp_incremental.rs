@@ -1,7 +1,7 @@
 //! E16 driver — incremental maintenance vs full re-execution.
 //!
 //! Times single-tuple fix propagation through a `PipelineSession` per
-//! propagation path (cell patch, splice, rerun fallback) against fresh
+//! propagation path (cell patch, rerun) against fresh
 //! provenance-tracked runs, and the prioritized-cleaning loop under
 //! `MaintenanceMode::Incremental` vs `Rerun`. Bit-identity of tables,
 //! lineage and score traces is asserted inside the experiment before any
@@ -29,8 +29,7 @@ fn parse_args() -> Args {
     let mut rows = None;
     let mut fixes = None;
     let mut rounds = None;
-    // Best-of-5 by default: the splice win is in constants, not
-    // asymptotics, so the smoke assert needs a stable floor.
+    // Best-of-5 by default: the smoke assert needs a stable floor.
     let mut reps = 5usize;
     let mut out = "BENCH_incremental.json".to_string();
     let mut check_pct = None;
@@ -102,13 +101,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if args.smoke {
         // CI criterion: incremental maintenance must win where it claims
-        // to — cell patches and splices beat full re-execution per fix,
-        // and incremental cleaning beats rerun cleaning end-to-end. The
-        // rerun-fallback path is full re-execution plus bookkeeping, so it
-        // is only required to stay in the same ballpark.
+        // to — cell patches beat full re-execution per fix, and
+        // incremental cleaning beats rerun cleaning end-to-end. The rerun
+        // path is full re-execution plus bookkeeping, so it is only
+        // required to stay in the same ballpark.
         for p in &r.fix_paths {
             match p.path.as_str() {
-                "rerun" => assert!(p.speedup > 0.2, "rerun fallback pathologically slow: {p:?}"),
+                "rerun" => assert!(p.speedup > 0.2, "rerun path pathologically slow: {p:?}"),
                 _ => assert!(p.speedup > 1.0, "incremental lost on {p:?}"),
             }
         }
@@ -119,8 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             c.rerun_ms
         );
         println!(
-            "smoke criterion OK: patch {:.1}x, splice {:.1}x, cleaning {:.2}x, all bit-identical",
-            r.fix_paths[0].speedup, r.fix_paths[1].speedup, c.speedup
+            "smoke criterion OK: patch {:.1}x, cleaning {:.2}x, all bit-identical",
+            r.fix_paths[0].speedup, c.speedup
         );
     }
 

@@ -1,4 +1,4 @@
-//! E13 — ablations over the design choices DESIGN.md calls out:
+//! E17 — ablations over the design choices DESIGN.md calls out:
 //!
 //! * **Text-embedding width**: how does the hashed-embedding dimensionality
 //!   affect model accuracy and error-detection quality? (The substitution
@@ -68,7 +68,7 @@ nde_data::json_struct!(TruncationPoint {
     rank_corr_vs_exact
 });
 
-/// Report for E13.
+/// Report for E17.
 #[derive(Debug, Clone)]
 pub struct AblationReport {
     /// Text-width sweep.
@@ -100,7 +100,7 @@ fn encode(
     Ok((train_ds, Dataset::new(vx, vy, labels.n_classes())?))
 }
 
-/// Run E13.
+/// Run E17.
 pub fn run(n: usize, seed: u64) -> Result<AblationReport, NdeError> {
     let scenario = load_recommendation_letters(n, seed);
     let mut dirty = scenario.train.clone();

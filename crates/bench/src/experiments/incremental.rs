@@ -2,7 +2,7 @@
 //!
 //! * **Per-fix propagation** — single-tuple fixes applied to an executed
 //!   hiring pipeline through a [`PipelineSession`], one series per
-//!   propagation path (cell patch, splice, rerun fallback), timed against
+//!   propagation path (cell patch, rerun), timed against
 //!   full provenance-tracked re-execution of the same mutated sources.
 //!   Every maintained table *and* lineage is asserted bit-identical to the
 //!   fresh run before anything is timed — the speedup buys latency, never a
@@ -12,9 +12,9 @@
 //!   `MaintenanceMode::Incremental` (label patches into a cached
 //!   evaluator), with the score traces asserted bit-identical.
 //!
-//! Expected shape: cell patches and splices beat re-execution by an order
-//! of magnitude (they touch only affected rows); the rerun fallback tracks
-//! full re-execution (it *is* one, plus bookkeeping); incremental cleaning
+//! Expected shape: cell patches beat re-execution by an order of magnitude
+//! (they touch only affected rows); the rerun path tracks full
+//! re-execution (it *is* one, plus bookkeeping); incremental cleaning
 //! beats rerun cleaning because per-round evaluation stops scaling with
 //! the training-set size.
 
@@ -31,7 +31,7 @@ use std::time::Instant;
 /// Timing for one propagation path's fix series.
 #[derive(Debug, Clone)]
 pub struct FixPathPoint {
-    /// Propagation path ("cell-patch", "splice", "rerun").
+    /// Propagation path ("cell-patch", "rerun").
     pub path: String,
     /// Fixes applied in the series.
     pub fixes: usize,
@@ -131,13 +131,8 @@ fn series(path: &str, fixes: usize, s: &HiringScenario) -> Vec<Delta> {
                 column: "years_experience".into(),
                 value: Value::Float(i as f64 + 0.5),
             },
-            // Row removal: downstream splice.
-            "splice" => Delta::Delete {
-                source: "train_df".into(),
-                row: 0,
-            },
             // The filter column routes rows, so propagation falls back to a
-            // full re-run — the honest baseline for the other two paths.
+            // full re-run — the honest baseline for the cell patch.
             "rerun" => {
                 let row = referenced[i % referenced.len()];
                 let next = if sector[row] == "healthcare" {
@@ -194,7 +189,6 @@ fn time_path(
     let stats = session.stats();
     match path {
         "cell-patch" => assert_eq!(stats.cell_patches, fixes, "{stats:?}"),
-        "splice" => assert_eq!(stats.splices, fixes, "{stats:?}"),
         "rerun" => assert_eq!(stats.reruns, fixes, "{stats:?}"),
         _ => unreachable!(),
     }
@@ -295,7 +289,7 @@ pub fn run(
     assert!(rows >= 20 && fixes >= 2 && rounds >= 2 && reps >= 1);
     let s = HiringScenario::generate(rows, seed);
     let mut fix_paths = Vec::new();
-    for path in ["cell-patch", "splice", "rerun"] {
+    for path in ["cell-patch", "rerun"] {
         fix_paths.push(time_path(path, &s, fixes, reps)?);
     }
     let cleaning = time_cleaning(rows.max(100), rounds, reps, seed)?;
@@ -316,7 +310,7 @@ mod tests {
     fn report_covers_all_paths_and_cleaning_matches() {
         let r = run(40, 3, 3, 1, 5).unwrap();
         let paths: Vec<&str> = r.fix_paths.iter().map(|p| p.path.as_str()).collect();
-        assert_eq!(paths, ["cell-patch", "splice", "rerun"]);
+        assert_eq!(paths, ["cell-patch", "rerun"]);
         assert!(r.fix_paths.iter().all(|p| p.incremental_us > 0.0));
         assert!(r.cleaning.rerun_ms > 0.0 && r.cleaning.incremental_ms > 0.0);
         let json = r.to_json().to_string();

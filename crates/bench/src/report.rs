@@ -74,17 +74,52 @@ pub fn f(x: f64) -> String {
     format!("{x:.4}")
 }
 
-/// The current short git commit hash, or `"unknown"` outside a repository
-/// (bench records must never fail just because git is unavailable).
-pub fn git_commit() -> String {
+/// Stdout of a successful `git` invocation; `None` when git is missing,
+/// fails, or this is not a repository.
+fn git(args: &[&str]) -> Option<String> {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
+}
+
+/// The short hash of `HEAD`, or `"unknown"` outside a repository (bench
+/// records must never fail just because git is unavailable). On its own
+/// this names the last commit, not necessarily the code that ran: see
+/// [`git_dirty`].
+pub fn git_commit() -> String {
+    git(&["rev-parse", "--short", "HEAD"])
+        .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Whether tracked files differ from `HEAD`, so a record measured
+/// uncommitted changes on top of [`git_commit`]. The `BENCH_*.json`
+/// trajectories the benches append to are ignored. `None` outside a
+/// repository.
+pub fn git_dirty() -> Option<bool> {
+    let status = git(&["status", "--porcelain", "--untracked-files=no"])?;
+    Some(status.lines().any(|line| {
+        let path = line.get(3..).unwrap_or_default();
+        let name = path.rsplit('/').next().unwrap_or_default();
+        !(name.starts_with("BENCH_") && name.ends_with(".json"))
+    }))
+}
+
+/// A record's commit for reports: its `git_commit`, marked when the
+/// record was measured on a dirty tree.
+fn commit_label(record: &Json) -> String {
+    let commit = record
+        .get("git_commit")
+        .and_then(Json::as_str)
+        .unwrap_or("unknown");
+    match record.get("git_dirty").and_then(Json::as_bool) {
+        Some(true) => format!("{commit}+dirty"),
+        _ => commit.to_string(),
+    }
 }
 
 /// The runner class this bench is executing on: `NDE_RUNNER_CLASS` when
@@ -238,11 +273,11 @@ fn is_record(v: &Json) -> bool {
     v.get("git_commit").is_some() && v.get("timestamp").is_some() && v.get("results").is_some()
 }
 
-/// Append one `{git_commit, timestamp, results}` record to the append-only
-/// trajectory file at `path` and return the full record list (oldest
-/// first). A pre-trajectory file holding a bare results object is wrapped
-/// as the first record (commit/timestamp unknown) instead of being thrown
-/// away; unparseable files are replaced.
+/// Append one `{git_commit, git_dirty, timestamp, runner, results}` record
+/// to the append-only trajectory file at `path` and return the full record
+/// list (oldest first). A pre-trajectory file holding a bare results object
+/// is wrapped as the first record (commit/timestamp unknown) instead of
+/// being thrown away; unparseable files are replaced.
 pub fn append_trajectory<T: ToJson>(path: &str, results: &T) -> std::io::Result<Vec<Json>> {
     let mut records: Vec<Json> = match std::fs::read_to_string(path) {
         Ok(text) => match Json::parse(&text) {
@@ -257,18 +292,25 @@ pub fn append_trajectory<T: ToJson>(path: &str, results: &T) -> std::io::Result<
         },
         Err(_) => Vec::new(),
     };
-    records.push(Json::Obj(vec![
-        ("git_commit".into(), Json::Str(git_commit())),
+    let mut record = vec![("git_commit".into(), Json::Str(git_commit()))];
+    if let Some(dirty) = git_dirty() {
+        record.push(("git_dirty".into(), Json::Bool(dirty)));
+    }
+    record.extend([
         ("timestamp".into(), Json::UInt(unix_timestamp())),
         ("runner".into(), Json::Str(runner_class())),
         ("results".into(), results.to_json()),
-    ]));
+    ]);
+    records.push(Json::Obj(record));
     std::fs::write(path, Json::Arr(records.clone()).to_string_pretty())?;
     Ok(records)
 }
 
 /// Flatten every numeric leaf of a JSON tree into `(dotted.path, value)`
-/// pairs, arrays indexed by position.
+/// pairs. Array elements are keyed by their `path` label when they have
+/// one (`fix_paths[rerun].incremental_us`), otherwise by position — so
+/// adding or removing a labelled series never shifts which leaves a
+/// trajectory comparison pairs up.
 fn numeric_leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
     match v {
         Json::UInt(_) | Json::Float(_) => {
@@ -286,7 +328,11 @@ fn numeric_leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
         }
         Json::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
-                numeric_leaves(&format!("{prefix}[{i}]"), child, out);
+                let key = match child.get("path").and_then(Json::as_str) {
+                    Some(label) => format!("{prefix}[{label}]"),
+                    None => format!("{prefix}[{i}]"),
+                };
+                numeric_leaves(&key, child, out);
             }
         }
         _ => {}
@@ -300,19 +346,17 @@ pub fn trajectory_delta(records: &[Json]) -> Option<String> {
     let [.., prev, last] = records else {
         return None;
     };
-    let commit = |r: &Json| {
-        r.get("git_commit")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string()
-    };
     let mut prev_leaves = Vec::new();
     let mut last_leaves = Vec::new();
     numeric_leaves("", prev.get("results")?, &mut prev_leaves);
     numeric_leaves("", last.get("results")?, &mut last_leaves);
     let prev_map: std::collections::BTreeMap<&str, f64> =
         prev_leaves.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let mut out = format!("bench delta {} -> {}:\n", commit(prev), commit(last));
+    let mut out = format!(
+        "bench delta {} -> {}:\n",
+        commit_label(prev),
+        commit_label(last)
+    );
     let mut any = false;
     for (key, cur) in &last_leaves {
         let Some(&old) = prev_map.get(key.as_str()) else {
@@ -360,12 +404,6 @@ pub fn check_trajectory(
             .unwrap_or("unknown")
             .to_string()
     };
-    let commit_of = |r: &Json| -> String {
-        r.get("git_commit")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string()
-    };
     // Option-level comparison: a record predating the runner tag (None)
     // only ever matches another untagged record.
     let Some(baseline) = older.iter().rev().find(|r| {
@@ -407,7 +445,7 @@ pub fn check_trajectory(
     if !violations.is_empty() {
         return Err(format!(
             "bench regression gate FAILED vs {} on {}:\n{}",
-            commit_of(baseline),
+            commit_label(baseline),
             runner_of(last),
             violations.join("\n")
         ));
@@ -416,7 +454,7 @@ pub fn check_trajectory(
         "bench gate: {} tracked metric(s) within +{:.0}% of {} on {}",
         compared,
         max_regression_pct,
-        commit_of(baseline),
+        commit_label(baseline),
         runner_of(last)
     )))
 }
@@ -567,6 +605,84 @@ mod tests {
             0.0,
         )
         .is_ok());
+    }
+
+    /// A record whose results hold a `fix_paths`-style array of labelled
+    /// series with the given `(path, incremental_us)` points.
+    fn series_record(commit: &str, points: &[(&str, f64)]) -> Json {
+        let series = points
+            .iter()
+            .map(|&(path, us)| {
+                Json::Obj(vec![
+                    ("path".to_string(), Json::Str(path.into())),
+                    ("incremental_us".to_string(), Json::Float(us)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("git_commit".to_string(), Json::Str(commit.into())),
+            ("timestamp".to_string(), Json::UInt(1)),
+            ("runner".to_string(), Json::Str("ci".into())),
+            (
+                "results".to_string(),
+                Json::Obj(vec![("fix_paths".to_string(), Json::Arr(series))]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn labelled_array_elements_keep_their_keys_when_a_middle_one_goes() {
+        let before = series_record("a", &[("patch", 10.0), ("splice", 60.0), ("rerun", 120.0)]);
+        let after = series_record("b", &[("patch", 10.0), ("rerun", 125.0)]);
+        let mut leaves = Vec::new();
+        numeric_leaves("", after.get("results").unwrap(), &mut leaves);
+        let keys: Vec<&str> = leaves.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "fix_paths[patch].incremental_us",
+                "fix_paths[rerun].incremental_us"
+            ]
+        );
+        // Keyed by position, the new rerun (index 1) would be held against
+        // the old splice series and flagged as a +108 % regression.
+        let ok = check_trajectory(&[before, after], &["incremental_us"], 40.0)
+            .unwrap()
+            .unwrap();
+        assert!(ok.contains("2 tracked metric"), "{ok}");
+        // Unlabelled elements still fall back to their index.
+        let mut leaves = Vec::new();
+        numeric_leaves("xs", &Json::Arr(vec![Json::UInt(3)]), &mut leaves);
+        assert_eq!(leaves, [("xs[0]".to_string(), 3.0)]);
+    }
+
+    #[test]
+    fn records_name_their_commit_and_dirty_state() {
+        let mut r = record("abc1234", Some("ci"), 1.0);
+        assert_eq!(commit_label(&r), "abc1234");
+        if let Json::Obj(fields) = &mut r {
+            fields.push(("git_dirty".to_string(), Json::Bool(true)));
+        }
+        assert_eq!(commit_label(&r), "abc1234+dirty");
+        let err = check_trajectory(
+            &[r, record("def5678", Some("ci"), 9.0)],
+            &["ms_per_row"],
+            40.0,
+        )
+        .unwrap_err();
+        assert!(err.contains("vs abc1234+dirty"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("nde_traj_dirty_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_dirty.json");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let records = append_trajectory(path, &Point { ms: 1.0, rows: 1 }).unwrap();
+        assert_eq!(
+            records[0].get("git_dirty").and_then(Json::as_bool),
+            git_dirty()
+        );
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

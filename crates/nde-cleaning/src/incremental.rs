@@ -35,13 +35,15 @@ use nde_robust::par::MemoCache;
 /// What one accepted fix did to the session.
 #[derive(Debug, Clone)]
 pub struct FixReport {
-    /// The propagation path the pipeline layer took.
+    /// The propagation path the pipeline layer took: [`DeltaPath::CellPatch`]
+    /// or [`DeltaPath::Rerun`] (see [`IncrementalDebugSession::apply_fix`]).
     pub path: DeltaPath,
     /// Output rows whose encoded content changed (ascending). After a
-    /// structural fix (insert/delete/rerun) this lists every current row.
+    /// rerun (insert, delete, or routing-relevant update) this lists every
+    /// current row.
     pub affected_rows: Vec<usize>,
-    /// `true` when row identity changed and the whole dataset was
-    /// re-encoded (splice or rerun); `false` for an in-place cell patch.
+    /// `true` when the pipeline reran and the whole dataset was
+    /// re-encoded; `false` for an in-place cell patch.
     pub reencoded_all: bool,
     /// Memoized coalition utilities evicted by this fix.
     pub cache_evictions: usize,
@@ -97,10 +99,19 @@ impl<C: Classifier> IncrementalDebugSession<C> {
 
     /// Apply one accepted fix end to end and return what it touched.
     ///
-    /// A non-structural cell fix re-encodes only the affected output rows
-    /// and patches the evaluator; a structural fix (insert/delete, or a
-    /// routing change that forced a rerun) re-encodes the whole dataset —
-    /// row identity moved, so every downstream index is stale.
+    /// The pipeline layer takes one of two paths. A non-structural cell fix
+    /// is a cell patch: only the affected output rows are re-encoded and
+    /// the evaluator is patched. Everything else — an insert, a delete, or
+    /// an update to a routing column — reruns the pipeline, and the whole
+    /// dataset is re-encoded with a fresh evaluator and an empty cache,
+    /// since row identity may have moved.
+    ///
+    /// Inserts and deletes take the rerun because nothing cheaper would
+    /// pay off here: the re-encode and evaluator rebuild that follow any
+    /// structural fix dominate the round (about 60 ms of a ~70 ms round in
+    /// the `debug` workflow benchmark on a 2-vCPU x86-64 Linux host),
+    /// while re-deciding routing around the changed tuple instead of
+    /// rerunning saved about 3 ms.
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
         let outcome = self.session.apply(delta)?;
         self.fixes_applied += 1;
@@ -115,9 +126,9 @@ impl<C: Classifier> IncrementalDebugSession<C> {
                 accuracy: self.accuracy()?,
             });
         }
-        // Splice / rerun: rebuild the encoded state from the maintained
-        // table. The subset fingerprints keyed into the memo cache name
-        // rows by index, and those indices just moved — drop everything.
+        // Rerun: rebuild the encoded state from the maintained table. The
+        // subset fingerprints keyed into the memo cache name rows by index,
+        // and those indices may have moved — drop everything.
         let evictions = self.memo.len();
         self.rebuild()?;
         Ok(FixReport {

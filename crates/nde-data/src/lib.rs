@@ -37,7 +37,7 @@ pub use column::Column;
 pub use dict::Dict;
 pub use error::DataError;
 pub use schema::{DataType, Field, Schema};
-pub use table::{join_key_matches, Table};
+pub use table::Table;
 pub use value::{Value, ValueRef};
 
 /// Convenience result alias used throughout this crate.

@@ -136,6 +136,7 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
+    name: String,
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
@@ -202,11 +203,18 @@ impl WorkerPool {
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
         });
+        // Unique per pool so a pool's own threads can be told apart; at most
+        // 15 bytes, the Linux limit for a thread's `comm` name.
+        static NEXT_POOL: AtomicU64 = AtomicU64::new(0);
+        let name = format!(
+            "nde-pool-{}",
+            NEXT_POOL.fetch_add(1, Ordering::Relaxed) % 1_000_000
+        );
         let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name("nde-pool".into())
+                    .name(name.clone())
                     .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker thread")
             })
@@ -215,6 +223,7 @@ impl WorkerPool {
             shared,
             handles,
             workers,
+            name,
         }
     }
 
@@ -227,6 +236,13 @@ impl WorkerPool {
     /// Number of resident worker threads.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// The name every worker thread of this pool carries, unique within
+    /// the process (`nde-pool-<n>`, at most 15 bytes, so it is also the
+    /// thread's `comm` name on Linux).
+    pub fn thread_name(&self) -> &str {
+        &self.name
     }
 
     /// Snapshot of the activity counters.

@@ -1062,18 +1062,6 @@ impl JoinKey {
     }
 }
 
-/// Whether two cell values match under hash-join key equality: nulls never
-/// match (SQL semantics), floats compare by bit pattern, everything else by
-/// value — exactly the `JoinKey` relation the join kernels hash on. Used
-/// by incremental join maintenance to re-derive match decisions for single
-/// inserted/deleted tuples without rebuilding a hash table.
-pub fn join_key_matches(a: &Value, b: &Value) -> bool {
-    match (JoinKey::from_value(a), JoinKey::from_value(b)) {
-        (Some(ka), Some(kb)) => ka == kb,
-        _ => false,
-    }
-}
-
 /// Grouping key for [`Table::value_counts`]: like [`JoinKey`] but floats
 /// canonicalize `-0.0` to `0.0`, so grouping matches `total_cmp == Equal`
 /// (which treats the two zero representations as the same value).

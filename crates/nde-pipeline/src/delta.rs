@@ -5,35 +5,42 @@
 //! after each. Re-running the whole pipeline per fix costs milliseconds for
 //! work whose footprint is a handful of rows. A [`PipelineSession`] keeps
 //! the executed run alive (every operator's table, routing trace, and
-//! provenance) and applies a single-tuple [`Delta`] by pushing it *forward*
-//! through the operator DAG:
+//! provenance) and applies a single-tuple [`Delta`] on one of two paths:
 //!
 //! - **Cell patch** ([`DeltaPath::CellPatch`]): an [`Delta::Update`] that
 //!   cannot change any routing decision (join keys, filter predicates,
 //!   distinct keys untouched) patches the changed cells of affected rows in
 //!   place. Provenance is untouched — routing is identical by construction.
-//! - **Splice** ([`DeltaPath::Splice`]): an [`Delta::Insert`] or
-//!   [`Delta::Delete`] re-decides routing only where the changed tuple can
-//!   reach, carrying a per-node row map (old row → new row). The provenance
-//!   arena is then rebuilt by replaying interning in the recorded evaluation
-//!   order, which reproduces the arena a fresh run would build *bit for
-//!   bit* (hash-consing is deterministic in interning order).
-//! - **Rerun** ([`DeltaPath::Rerun`]): anything the incremental paths
-//!   cannot prove safe (a join-key update, an operator error on a spliced
-//!   row) falls back to full re-execution — so every apply, whatever path
-//!   it takes, leaves the session in exactly the state a fresh run over the
-//!   mutated inputs would produce.
+//! - **Rerun** ([`DeltaPath::Rerun`]): everything else — every
+//!   [`Delta::Insert`] and [`Delta::Delete`], a routing-relevant update, an
+//!   operator error while patching — re-executes the plan over the mutated
+//!   inputs. It needs no per-operator code: the executor is the only
+//!   definition of routing and provenance interning.
 //!
-//! The differential test suite (`tests/tests/incremental_delta.rs`) holds
-//! the session to that contract: identical output table, identical lineage
-//! (same arena node ids), at every thread count.
+//! Either way an apply leaves the session in exactly the state a fresh run
+//! over the mutated inputs would produce. The differential test suite
+//! (`tests/tests/incremental_delta.rs`) holds the session to that
+//! contract: identical output table, identical lineage (same arena node
+//! ids), at every thread count.
+//!
+//! Why only two paths: inserts and deletes once had a third, *splice*
+//! path that re-decided join, filter, distinct and concat routing around
+//! the changed tuple and replayed arena interning. It kept a second copy
+//! of the executor's operator semantics, and it did not pay for itself. In
+//! the `debug` workflow benchmark (`wfbench/`, 2-vCPU x86-64 Linux) a
+//! splice had a median of 3.3 ms against 6.7 ms for a rerun, but every
+//! structural fix is then followed by a full re-encode and an evaluator
+//! rebuild (median 60.5 ms) on either path, so a structural round costs
+//! about 70 ms regardless — splice saved about 2 % of the workflow.
+//! [`DeltaPath::Splice`] and [`DeltaStats::splices`] remain in the API but
+//! are never produced.
 
 use crate::exec::{catch_tuple_panic, Executor, NodeTrace, PanicPolicy};
-use crate::plan::{JoinType, NodeId, Plan, PlanNode};
-use crate::provenance::{Lineage, ProvArena, ProvId, TupleId};
+use crate::plan::{NodeId, Plan, PlanNode};
+use crate::provenance::{Lineage, ProvArena, ProvId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
-use nde_data::{join_key_matches, Column, Field, Table, Value};
+use nde_data::{Table, Value};
 
 /// One single-tuple change to a named source table.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +101,11 @@ pub enum MaintenanceMode {
 pub enum DeltaPath {
     /// Cells patched in place; routing and provenance untouched.
     CellPatch,
-    /// Routing re-decided along the changed tuple's reach; arena replayed.
+    /// Never produced: inserts and deletes take [`DeltaPath::Rerun`] (see
+    /// the module docs). Kept so existing matches keep compiling.
     Splice,
-    /// Full re-execution (routing-relevant update, or an incremental path
-    /// that could not complete).
+    /// Full re-execution (insert, delete, routing-relevant update, or a
+    /// cell patch that could not complete).
     Rerun,
 }
 
@@ -108,12 +116,11 @@ pub struct DeltaStats {
     pub applied: usize,
     /// Applies that took [`DeltaPath::CellPatch`].
     pub cell_patches: usize,
-    /// Applies that took [`DeltaPath::Splice`].
+    /// Always 0: no apply takes [`DeltaPath::Splice`] any more.
     pub splices: usize,
     /// Applies that fell back to [`DeltaPath::Rerun`].
     pub reruns: usize,
-    /// Output rows rewritten incrementally (patched or spliced at the
-    /// root), summed over all applies.
+    /// Root output rows patched in place, summed over all cell patches.
     pub rows_patched: usize,
 }
 
@@ -122,50 +129,9 @@ pub struct DeltaStats {
 pub struct DeltaOutcome {
     /// The propagation path taken.
     pub path: DeltaPath,
-    /// Root output rows whose content changed (cell patch), were newly
-    /// produced (splice), or all rows (rerun). Ascending.
+    /// Root output rows whose content changed (cell patch), or all rows
+    /// (rerun: row identity is not preserved). Ascending.
     pub affected_rows: Vec<usize>,
-    /// For [`DeltaPath::Splice`]: where each *old* root row went
-    /// (`None` = row no longer exists). Absent on the other paths (cell
-    /// patch keeps rows in place; rerun invalidates all row identity).
-    pub row_map: Option<Vec<Option<usize>>>,
-}
-
-/// Per-node row bookkeeping for a splice: how the node's old output rows
-/// map into its new output, which new rows have no old counterpart, and
-/// the new row count. Maps are monotone (old row order is preserved).
-#[derive(Debug, Clone)]
-struct NodeDelta {
-    /// `map[old_row]` = new row, or `None` if the row disappeared.
-    map: Vec<Option<usize>>,
-    /// New rows with no old counterpart, ascending.
-    inserted: Vec<usize>,
-    /// New output length.
-    new_len: usize,
-    /// Fast path: `map` is the identity and nothing was inserted.
-    identity: bool,
-}
-
-impl NodeDelta {
-    fn identity(len: usize) -> NodeDelta {
-        NodeDelta {
-            map: (0..len).map(Some).collect(),
-            inserted: Vec::new(),
-            new_len: len,
-            identity: true,
-        }
-    }
-
-    /// `inv[new_row]` = the old row that became it, if any.
-    fn inverse(&self) -> Vec<Option<usize>> {
-        let mut inv = vec![None; self.new_len];
-        for (old, new) in self.map.iter().enumerate() {
-            if let Some(n) = new {
-                inv[*n] = Some(old);
-            }
-        }
-        inv
-    }
 }
 
 /// Affected-row/tainted-column state one node contributes during a cell
@@ -182,13 +148,6 @@ struct PatchState {
 struct CellPatchPlan {
     new_tables: FxHashMap<usize, Table>,
     root_affected: Vec<usize>,
-}
-
-/// Everything a successful splice walk produced, staged for commit.
-struct SplicePlan {
-    new_tables: FxHashMap<usize, Table>,
-    new_traces: FxHashMap<usize, NodeTrace>,
-    root_delta: NodeDelta,
 }
 
 /// Run `f` under the executor's panic guard, mapping a panic to a typed
@@ -223,22 +182,6 @@ fn table_of<'a>(
         .unwrap_or_else(|| base.get(&idx).expect("node table present"))
 }
 
-/// Best fuzzy match for `lv` over the whole right table: ascending rows,
-/// strict improvement — exactly [`crate::fuzzy::fuzzy_join`]'s kernel
-/// (lowest right row among maximal similarities wins).
-fn fuzzy_best(lv: &str, right: &Table, right_key: &str, threshold: f64) -> Result<Option<usize>> {
-    let mut best: Option<(usize, f64)> = None;
-    for rn in 0..right.n_rows() {
-        if let Value::Str(rv) = right.get(rn, right_key)? {
-            let sim = crate::fuzzy::similarity(lv, &rv);
-            if sim >= threshold && best.is_none_or(|(_, b)| sim > b) {
-                best = Some((rn, sim));
-            }
-        }
-    }
-    Ok(best.map(|(r, _)| r))
-}
-
 /// A live, incrementally maintainable pipeline run.
 ///
 /// [`PipelineSession::build`] executes the plan once (with provenance and
@@ -262,17 +205,17 @@ pub struct PipelineSession {
     provs: FxHashMap<usize, Vec<ProvId>>,
     arena: ProvArena,
     stats: DeltaStats,
-    /// Set when a fallback rerun failed: the cached state no longer matches
+    /// Set when a rerun failed: the cached state no longer matches
     /// the mutated inputs, so further applies are refused.
     poisoned: bool,
 }
 
 impl PipelineSession {
     /// Execute `root` of `plan` over `inputs` and capture the run for
-    /// incremental maintenance. Provenance tracking is forced on (the row
-    /// maps and arena replay depend on it); the executor must use
+    /// incremental maintenance. Provenance tracking is forced on (the
+    /// session maintains lineage); the executor must use
     /// [`PanicPolicy::FailFast`] — quarantining rewrites routing per policy,
-    /// which delta propagation does not model.
+    /// which the cell-patch walk does not model.
     pub fn build(
         executor: &Executor,
         plan: &Plan,
@@ -300,28 +243,44 @@ impl PipelineSession {
                     .ok_or_else(|| PipelineError::MissingInput(n.clone()))
             })
             .collect::<Result<_>>()?;
-        let (out, trace, memo) = executor.run_traced(plan, root, inputs)?;
-        let lineage = out.provenance.expect("provenance forced on");
-        let mut tables = FxHashMap::default();
-        let mut provs = FxHashMap::default();
-        for (idx, (table, prov)) in memo {
-            tables.insert(idx, table);
-            provs.insert(idx, prov.expect("provenance forced on"));
-        }
-        Ok(PipelineSession {
+        let mut session = PipelineSession {
             executor,
             plan: plan.clone(),
             root,
             source_names,
             inputs: owned,
-            order: trace.order,
-            traces: trace.nodes,
-            tables,
-            provs,
-            arena: lineage.arena.clone(),
+            order: Vec::new(),
+            traces: FxHashMap::default(),
+            tables: FxHashMap::default(),
+            provs: FxHashMap::default(),
+            arena: ProvArena::new(),
             stats: DeltaStats::default(),
             poisoned: false,
-        })
+        };
+        session.execute()?;
+        Ok(session)
+    }
+
+    /// Run the plan over the current inputs and capture every node's
+    /// table, routing trace and provenance, replacing the cached state.
+    fn execute(&mut self) -> Result<()> {
+        let refs: Vec<(&str, &Table)> = self
+            .source_names
+            .iter()
+            .map(String::as_str)
+            .zip(self.inputs.iter())
+            .collect();
+        let (out, trace, memo) = self.executor.run_traced(&self.plan, self.root, &refs)?;
+        self.order = trace.order;
+        self.traces = trace.nodes;
+        self.tables.clear();
+        self.provs.clear();
+        for (idx, (table, prov)) in memo {
+            self.tables.insert(idx, table);
+            self.provs.insert(idx, prov.expect("provenance forced on"));
+        }
+        self.arena = out.provenance.expect("provenance forced on").arena;
+        Ok(())
     }
 
     /// The root output table, as maintained.
@@ -349,7 +308,7 @@ impl PipelineSession {
         Some(&self.inputs[i])
     }
 
-    /// Source names in [`TupleId::source`] order.
+    /// Source names in [`crate::provenance::TupleId::source`] order.
     pub fn source_names(&self) -> &[String] {
         &self.source_names
     }
@@ -395,90 +354,44 @@ impl PipelineSession {
                     // Structural change or an operator failure on the new
                     // value: a full rerun reproduces rerun semantics
                     // (including the error report) exactly.
-                    Ok(None) | Err(_) => self.rerun_fallback(),
+                    Ok(None) | Err(_) => self.rerun(),
                 }
             }
             Delta::Insert { values, .. } => {
-                let old_len = self.inputs[src].n_rows();
                 // `push_row` validates arity and types atomically.
                 self.inputs[src].push_row(values.clone())?;
-                let mut source_delta = NodeDelta::identity(old_len);
-                source_delta.inserted.push(old_len);
-                source_delta.new_len = old_len + 1;
-                source_delta.identity = false;
-                match self.splice_walk(src, &source_delta) {
-                    Ok(Some(plan)) => Ok(self.commit_splice(plan)),
-                    Ok(None) | Err(_) => self.rerun_fallback(),
-                }
+                self.rerun()
             }
             Delta::Delete { row, .. } => {
-                let old_len = self.inputs[src].n_rows();
-                if *row >= old_len {
+                let n = self.inputs[src].n_rows();
+                if *row >= n {
                     return Err(PipelineError::Delta(format!(
-                        "delete row {row} out of bounds for `{}` ({old_len} rows)",
+                        "delete row {row} out of bounds for `{}` ({n} rows)",
                         delta.source(),
                     )));
                 }
-                let survivors: Vec<usize> = (0..old_len).filter(|&i| i != *row).collect();
+                let survivors: Vec<usize> = (0..n).filter(|&i| i != *row).collect();
                 self.inputs[src] = self.inputs[src].take(&survivors)?;
-                let map: Vec<Option<usize>> = (0..old_len)
-                    .map(|i| match i.cmp(row) {
-                        std::cmp::Ordering::Less => Some(i),
-                        std::cmp::Ordering::Equal => None,
-                        std::cmp::Ordering::Greater => Some(i - 1),
-                    })
-                    .collect();
-                let source_delta = NodeDelta {
-                    map,
-                    inserted: Vec::new(),
-                    new_len: old_len - 1,
-                    identity: false,
-                };
-                match self.splice_walk(src, &source_delta) {
-                    Ok(Some(plan)) => Ok(self.commit_splice(plan)),
-                    Ok(None) | Err(_) => self.rerun_fallback(),
-                }
+                self.rerun()
             }
         }
     }
 
-    /// Full re-execution over the mutated inputs: the fallback that makes
-    /// every apply equivalent to rerun semantics. A failure here (e.g. the
-    /// new value makes an operator error) poisons the session — the cached
-    /// state no longer matches the inputs.
-    fn rerun_fallback(&mut self) -> Result<DeltaOutcome> {
-        let refs: Vec<(&str, &Table)> = self
-            .source_names
-            .iter()
-            .map(String::as_str)
-            .zip(self.inputs.iter())
-            .collect();
-        let run = self.executor.run_traced(&self.plan, self.root, &refs);
-        match run {
-            Ok((out, trace, memo)) => {
-                let lineage = out.provenance.expect("provenance forced on");
-                self.order = trace.order;
-                self.traces = trace.nodes;
-                self.tables.clear();
-                self.provs.clear();
-                for (idx, (table, prov)) in memo {
-                    self.tables.insert(idx, table);
-                    self.provs.insert(idx, prov.expect("provenance forced on"));
-                }
-                self.arena = lineage.arena.clone();
-                self.stats.applied += 1;
-                self.stats.reruns += 1;
-                Ok(DeltaOutcome {
-                    path: DeltaPath::Rerun,
-                    affected_rows: (0..self.table().n_rows()).collect(),
-                    row_map: None,
-                })
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
+    /// Full re-execution over the mutated inputs: the generic path for
+    /// every change the cell-patch walk does not cover. A failure here
+    /// (e.g. the new value makes an operator error) poisons the session —
+    /// the cached state no longer matches the inputs.
+    fn rerun(&mut self) -> Result<DeltaOutcome> {
+        if let Err(e) = self.execute() {
+            self.poisoned = true;
+            return Err(e);
         }
+        self.stats.applied += 1;
+        self.stats.reruns += 1;
+        Ok(DeltaOutcome {
+            path: DeltaPath::Rerun,
+            affected_rows: (0..self.table().n_rows()).collect(),
+        })
     }
 
     fn commit_cell_patch(&mut self, plan: CellPatchPlan) -> DeltaOutcome {
@@ -491,88 +404,7 @@ impl PipelineSession {
         DeltaOutcome {
             path: DeltaPath::CellPatch,
             affected_rows: plan.root_affected,
-            row_map: None,
         }
-    }
-
-    fn commit_splice(&mut self, plan: SplicePlan) -> DeltaOutcome {
-        for (idx, t) in plan.new_tables {
-            self.tables.insert(idx, t);
-        }
-        for (idx, tr) in plan.new_traces {
-            self.traces.insert(idx, tr);
-        }
-        self.replay_arena();
-        self.stats.applied += 1;
-        self.stats.splices += 1;
-        self.stats.rows_patched += plan.root_delta.inserted.len();
-        DeltaOutcome {
-            path: DeltaPath::Splice,
-            affected_rows: plan.root_delta.inserted,
-            row_map: Some(plan.root_delta.map),
-        }
-    }
-
-    /// Rebuild the provenance arena by replaying every node's interning in
-    /// the recorded evaluation order. Hash-consing is deterministic in
-    /// interning order, so the result is bit-identical to the arena a fresh
-    /// traced run over the current inputs would build.
-    fn replay_arena(&mut self) {
-        let mut arena = ProvArena::new();
-        let mut provs: FxHashMap<usize, Vec<ProvId>> = FxHashMap::default();
-        for &idx in &self.order {
-            let id = NodeId(idx);
-            let children = self.plan.children(id).expect("node present");
-            let trace = self.traces.get(&idx).expect("trace present");
-            let prov: Vec<ProvId> = match trace {
-                NodeTrace::Source { source } => {
-                    let n = self.tables.get(&idx).expect("table present").n_rows();
-                    (0..n)
-                        .map(|r| arena.var(TupleId::new(*source, r as u32)))
-                        .collect()
-                }
-                NodeTrace::Join { pairs } => {
-                    let lp = &provs[&children[0].index()];
-                    let rp = &provs[&children[1].index()];
-                    pairs
-                        .iter()
-                        .map(|&(l, r)| match r {
-                            Some(r) => arena.times(lp[l], rp[r]),
-                            None => lp[l],
-                        })
-                        .collect()
-                }
-                NodeTrace::FuzzyJoin { pairs } => {
-                    let lp = &provs[&children[0].index()];
-                    let rp = &provs[&children[1].index()];
-                    pairs
-                        .iter()
-                        .map(|&(l, r)| arena.times(lp[l], rp[r]))
-                        .collect()
-                }
-                NodeTrace::Filter { kept } | NodeTrace::Project { kept } => {
-                    let cp = &provs[&children[0].index()];
-                    kept.iter().map(|&k| cp[k]).collect()
-                }
-                NodeTrace::Select => provs[&children[0].index()].clone(),
-                NodeTrace::Distinct { first_of, owner } => {
-                    let cp = &provs[&children[0].index()];
-                    let mut alts: Vec<Vec<ProvId>> = vec![Vec::new(); first_of.len()];
-                    for (row, &slot) in owner.iter().enumerate() {
-                        alts[slot].push(cp[row]);
-                    }
-                    alts.into_iter().map(|a| arena.plus(&a)).collect()
-                }
-                NodeTrace::Concat { .. } => {
-                    let mut lp = provs[&children[0].index()].clone();
-                    lp.extend_from_slice(&provs[&children[1].index()]);
-                    lp
-                }
-            };
-            provs.insert(idx, prov);
-        }
-        self.arena = arena;
-        self.provs = provs;
     }
 
     /// The cell-patch walk: propagate `(source, row, column)` taint through
@@ -753,7 +585,7 @@ impl PipelineSession {
                     }
                     state.tainted = visible;
                 }
-                (PlanNode::Distinct { key, .. }, NodeTrace::Distinct { first_of, .. }) => {
+                (PlanNode::Distinct { key, .. }, NodeTrace::Distinct { first_of }) => {
                     let Some(cs) = states.get(&children[0].index()) else {
                         continue;
                     };
@@ -838,280 +670,6 @@ impl PipelineSession {
             root_affected,
         }))
     }
-
-    /// The splice walk: push a one-row insert/delete at source `src`
-    /// through the DAG, re-deciding routing only where the changed row can
-    /// reach. `Ok(None)` / `Err` mean the walk could not complete (rare
-    /// structural edge or an operator failure on a spliced row); the caller
-    /// falls back to a rerun.
-    fn splice_walk(&self, src: usize, source_delta: &NodeDelta) -> Result<Option<SplicePlan>> {
-        let mut deltas: FxHashMap<usize, NodeDelta> = FxHashMap::default();
-        let mut new_tables: FxHashMap<usize, Table> = FxHashMap::default();
-        let mut new_traces: FxHashMap<usize, NodeTrace> = FxHashMap::default();
-        for &idx in &self.order {
-            let id = NodeId(idx);
-            let trace = self.traces.get(&idx).expect("trace present");
-            let children = self.plan.children(id)?;
-            let old_table = self.tables.get(&idx).expect("table present");
-            let (delta, table, new_trace): (NodeDelta, Option<Table>, Option<NodeTrace>) =
-                match (self.plan.node(id)?, trace) {
-                    (PlanNode::Source { .. }, NodeTrace::Source { source }) => {
-                        if *source as usize == src {
-                            let mut t = self.inputs[src].clone();
-                            t.set_name(old_table.name());
-                            (source_delta.clone(), Some(t), None)
-                        } else {
-                            (NodeDelta::identity(old_table.n_rows()), None, None)
-                        }
-                    }
-                    (
-                        PlanNode::Join {
-                            left_key,
-                            right_key,
-                            how,
-                            ..
-                        },
-                        NodeTrace::Join { pairs },
-                    ) => {
-                        let ld = &deltas[&children[0].index()];
-                        let rd = &deltas[&children[1].index()];
-                        if ld.identity && rd.identity {
-                            (NodeDelta::identity(pairs.len()), None, None)
-                        } else {
-                            let lt = table_of(&new_tables, &self.tables, children[0].index());
-                            let rt = table_of(&new_tables, &self.tables, children[1].index());
-                            let (delta, new_pairs) =
-                                splice_join(pairs, ld, rd, lt, rt, left_key, right_key, *how)?;
-                            let rk = rt.schema().index_of(right_key)?;
-                            let mut t = lt.materialize_join(rt, &new_pairs, rk)?;
-                            t.set_name(old_table.name());
-                            (delta, Some(t), Some(NodeTrace::Join { pairs: new_pairs }))
-                        }
-                    }
-                    (
-                        PlanNode::FuzzyJoin {
-                            left_key,
-                            right_key,
-                            threshold,
-                            ..
-                        },
-                        NodeTrace::FuzzyJoin { pairs },
-                    ) => {
-                        let ld = &deltas[&children[0].index()];
-                        let rd = &deltas[&children[1].index()];
-                        if ld.identity && rd.identity {
-                            (NodeDelta::identity(pairs.len()), None, None)
-                        } else {
-                            let lt = table_of(&new_tables, &self.tables, children[0].index());
-                            let rt = table_of(&new_tables, &self.tables, children[1].index());
-                            let (delta, new_pairs) = splice_fuzzy(
-                                pairs, ld, rd, lt, rt, left_key, right_key, *threshold,
-                            )?;
-                            let rk = rt.schema().index_of(right_key)?;
-                            let opt: Vec<(usize, Option<usize>)> =
-                                new_pairs.iter().map(|&(l, r)| (l, Some(r))).collect();
-                            let mut t = lt.materialize_join(rt, &opt, rk)?;
-                            t.set_name(old_table.name());
-                            (
-                                delta,
-                                Some(t),
-                                Some(NodeTrace::FuzzyJoin { pairs: new_pairs }),
-                            )
-                        }
-                    }
-                    (PlanNode::Filter { predicate, .. }, NodeTrace::Filter { kept }) => {
-                        let cd = &deltas[&children[0].index()];
-                        if cd.identity {
-                            (NodeDelta::identity(kept.len()), None, None)
-                        } else {
-                            let ct = table_of(&new_tables, &self.tables, children[0].index());
-                            let inv = cd.inverse();
-                            let mut new_kept = Vec::with_capacity(kept.len() + 1);
-                            let mut map = vec![None; kept.len()];
-                            let mut inserted = Vec::new();
-                            let mut kp = 0usize;
-                            for (cn, old) in inv.iter().enumerate() {
-                                match old {
-                                    Some(co) => {
-                                        while kp < kept.len() && kept[kp] < *co {
-                                            kp += 1;
-                                        }
-                                        if kp < kept.len() && kept[kp] == *co {
-                                            map[kp] = Some(new_kept.len());
-                                            new_kept.push(cn);
-                                            kp += 1;
-                                        }
-                                    }
-                                    None => {
-                                        // A spliced-in row: the predicate
-                                        // decides fresh, under the guard.
-                                        if guarded(|| predicate.eval_predicate(ct, cn))? {
-                                            inserted.push(new_kept.len());
-                                            new_kept.push(cn);
-                                        }
-                                    }
-                                }
-                            }
-                            let mut t = ct.take(&new_kept)?;
-                            t.set_name(old_table.name());
-                            let delta = NodeDelta {
-                                map,
-                                inserted,
-                                new_len: new_kept.len(),
-                                identity: false,
-                            };
-                            (delta, Some(t), Some(NodeTrace::Filter { kept: new_kept }))
-                        }
-                    }
-                    (PlanNode::Project { column, expr, .. }, NodeTrace::Project { kept }) => {
-                        let cd = &deltas[&children[0].index()];
-                        if cd.identity {
-                            (NodeDelta::identity(kept.len()), None, None)
-                        } else {
-                            let ct = table_of(&new_tables, &self.tables, children[0].index());
-                            // Under FailFast a projection keeps every row.
-                            debug_assert!(kept.iter().enumerate().all(|(i, &k)| i == k));
-                            if old_table.n_rows() == 0 || ct.n_rows() == 0 {
-                                // Empty-side dtype inference diverges from
-                                // the recorded column type; let rerun decide.
-                                return Ok(None);
-                            }
-                            let dtype = old_table.schema().field(column)?.dtype;
-                            let inv = cd.inverse();
-                            let mut col = Column::with_capacity(dtype, ct.n_rows());
-                            for (cn, old) in inv.iter().enumerate() {
-                                let v = match old {
-                                    Some(co) => old_table.get(*co, column)?,
-                                    None => guarded(|| expr.eval(ct, cn))?,
-                                };
-                                col.push(v)
-                                    .map_err(|e| PipelineError::Expr(e.to_string()))?;
-                            }
-                            let mut t = ct.clone();
-                            t.add_column(Field::new(column.clone(), dtype), col)?;
-                            t.set_name(old_table.name());
-                            let delta = cd.clone();
-                            let kept_new = (0..t.n_rows()).collect();
-                            (delta, Some(t), Some(NodeTrace::Project { kept: kept_new }))
-                        }
-                    }
-                    (PlanNode::SelectColumns { columns, .. }, NodeTrace::Select) => {
-                        let cd = &deltas[&children[0].index()];
-                        if cd.identity {
-                            (NodeDelta::identity(old_table.n_rows()), None, None)
-                        } else {
-                            let ct = table_of(&new_tables, &self.tables, children[0].index());
-                            let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                            let mut t = ct.select(&cols)?;
-                            t.set_name(old_table.name());
-                            (cd.clone(), Some(t), Some(NodeTrace::Select))
-                        }
-                    }
-                    (PlanNode::Distinct { key, .. }, NodeTrace::Distinct { first_of, .. }) => {
-                        let cd = &deltas[&children[0].index()];
-                        if cd.identity {
-                            (NodeDelta::identity(first_of.len()), None, None)
-                        } else {
-                            let ct = table_of(&new_tables, &self.tables, children[0].index());
-                            let (first_new, owner_new) =
-                                ct.distinct_by(key, self.executor.threads())?;
-                            let mut t = ct.take(&first_new)?;
-                            t.set_name(old_table.name());
-                            // An old slot survives iff its first occurrence
-                            // is still the first occurrence of its group.
-                            let mut old_slot_of: FxHashMap<usize, usize> = FxHashMap::default();
-                            for (slot, &f) in first_of.iter().enumerate() {
-                                old_slot_of.insert(f, slot);
-                            }
-                            let inv = cd.inverse();
-                            let mut map = vec![None; first_of.len()];
-                            let mut inserted = Vec::new();
-                            for (s_new, &f_new) in first_new.iter().enumerate() {
-                                match inv[f_new].and_then(|f_old| old_slot_of.get(&f_old)) {
-                                    Some(&s_old) => map[s_old] = Some(s_new),
-                                    None => inserted.push(s_new),
-                                }
-                            }
-                            let delta = NodeDelta {
-                                map,
-                                inserted,
-                                new_len: first_new.len(),
-                                identity: false,
-                            };
-                            (
-                                delta,
-                                Some(t),
-                                Some(NodeTrace::Distinct {
-                                    first_of: first_new,
-                                    owner: owner_new,
-                                }),
-                            )
-                        }
-                    }
-                    (PlanNode::Concat { .. }, NodeTrace::Concat { left_rows }) => {
-                        let ld = &deltas[&children[0].index()];
-                        let rd = &deltas[&children[1].index()];
-                        if ld.identity && rd.identity {
-                            (NodeDelta::identity(old_table.n_rows()), None, None)
-                        } else {
-                            let lt = table_of(&new_tables, &self.tables, children[0].index());
-                            let rt = table_of(&new_tables, &self.tables, children[1].index());
-                            let mut t = lt.clone();
-                            t.append(rt)?;
-                            t.set_name(old_table.name());
-                            let mut map = Vec::with_capacity(old_table.n_rows());
-                            for i in 0..*left_rows {
-                                map.push(ld.map[i]);
-                            }
-                            for i in *left_rows..old_table.n_rows() {
-                                map.push(rd.map[i - left_rows].map(|n| n + ld.new_len));
-                            }
-                            let mut inserted = ld.inserted.clone();
-                            inserted.extend(rd.inserted.iter().map(|&n| n + ld.new_len));
-                            let delta = NodeDelta {
-                                map,
-                                inserted,
-                                new_len: ld.new_len + rd.new_len,
-                                identity: false,
-                            };
-                            (
-                                delta,
-                                Some(t),
-                                Some(NodeTrace::Concat {
-                                    left_rows: ld.new_len,
-                                }),
-                            )
-                        }
-                    }
-                    (node, trace) => {
-                        return Err(PipelineError::Delta(format!(
-                            "trace/plan mismatch at node {idx}: {node:?} vs {trace:?}"
-                        )))
-                    }
-                };
-            debug_assert!(
-                delta.map.windows(2).all(|w| match (w[0], w[1]) {
-                    (Some(a), Some(b)) => a < b,
-                    _ => true,
-                }),
-                "node {idx}: row map must stay monotone"
-            );
-            if let Some(t) = table {
-                debug_assert_eq!(t.n_rows(), delta.new_len, "node {idx}");
-                new_tables.insert(idx, t);
-            }
-            if let Some(tr) = new_trace {
-                new_traces.insert(idx, tr);
-            }
-            deltas.insert(idx, delta);
-        }
-        let root_delta = deltas.remove(&self.root.index()).expect("root visited");
-        Ok(Some(SplicePlan {
-            new_tables,
-            new_traces,
-            root_delta,
-        }))
-    }
 }
 
 /// `mask[child_row]` = the row is affected (empty state = all false).
@@ -1125,227 +683,6 @@ fn affected_mask(state: Option<&PatchState>, len: usize) -> Vec<bool> {
         }
     }
     mask
-}
-
-/// A join's match list: `(left_row, Option<right_row>)`, l-major, right
-/// rows ascending within a left group, `None` padding under left join.
-type JoinPairs = Vec<(usize, Option<usize>)>;
-
-/// Re-decide a hash/left join's pairs after its children changed. Old
-/// matches are remapped (preserving their ascending right-row order);
-/// spliced-in right rows are key-tested against every surviving left row
-/// and merged by row index; spliced-in left rows probe the whole right
-/// side — reproducing the executor's "all matches ascending by right row,
-/// pad unmatched under left join" contract exactly.
-#[allow(clippy::too_many_arguments)]
-fn splice_join(
-    pairs: &[(usize, Option<usize>)],
-    ld: &NodeDelta,
-    rd: &NodeDelta,
-    lt: &Table,
-    rt: &Table,
-    left_key: &str,
-    right_key: &str,
-    how: JoinType,
-) -> Result<(NodeDelta, JoinPairs)> {
-    let outer = how == JoinType::Left;
-    let l_inv = ld.inverse();
-    let ins_right: Vec<(usize, Value)> = rd
-        .inserted
-        .iter()
-        .map(|&r| Ok((r, rt.get(r, right_key)?)))
-        .collect::<Result<_>>()?;
-    let mut new_pairs: Vec<(usize, Option<usize>)> = Vec::with_capacity(pairs.len() + 1);
-    let mut map = vec![None; pairs.len()];
-    let mut inserted = Vec::new();
-    let mut p = 0usize; // cursor over the l-major old pair list
-    for (ln, old_left) in l_inv.iter().enumerate() {
-        match old_left {
-            Some(lo) => {
-                while p < pairs.len() && pairs[p].0 < *lo {
-                    p += 1; // pairs of left rows that no longer exist
-                }
-                let gstart = p;
-                while p < pairs.len() && pairs[p].0 == *lo {
-                    p += 1;
-                }
-                // Surviving old matches, remapped; order stays ascending
-                // because row maps are monotone.
-                let mut matches: Vec<(usize, Option<usize>)> = Vec::new();
-                for (oi, &(_, right)) in pairs.iter().enumerate().take(p).skip(gstart) {
-                    if let Some(ro) = right {
-                        if let Some(rn) = rd.map[ro] {
-                            matches.push((rn, Some(oi)));
-                        }
-                    }
-                }
-                if !ins_right.is_empty() {
-                    let lkey = lt.get(ln, left_key)?;
-                    for (rn, rv) in &ins_right {
-                        if join_key_matches(&lkey, rv) {
-                            let pos = matches.partition_point(|&(m, _)| m < *rn);
-                            matches.insert(pos, (*rn, None));
-                        }
-                    }
-                }
-                if matches.is_empty() {
-                    if outer {
-                        let ni = new_pairs.len();
-                        new_pairs.push((ln, None));
-                        // The pad is value-preserving only if the old row
-                        // was already a pad (its right side stays null).
-                        if p - gstart == 1 && pairs[gstart].1.is_none() {
-                            map[gstart] = Some(ni);
-                        } else {
-                            inserted.push(ni);
-                        }
-                    }
-                } else {
-                    for (rn, oi) in matches {
-                        let ni = new_pairs.len();
-                        new_pairs.push((ln, Some(rn)));
-                        match oi {
-                            Some(oi) => map[oi] = Some(ni),
-                            None => inserted.push(ni),
-                        }
-                    }
-                }
-            }
-            None => {
-                // A spliced-in left row probes the whole right side.
-                let lkey = lt.get(ln, left_key)?;
-                let mut any = false;
-                for rn in 0..rt.n_rows() {
-                    if join_key_matches(&lkey, &rt.get(rn, right_key)?) {
-                        inserted.push(new_pairs.len());
-                        new_pairs.push((ln, Some(rn)));
-                        any = true;
-                    }
-                }
-                if !any && outer {
-                    inserted.push(new_pairs.len());
-                    new_pairs.push((ln, None));
-                }
-            }
-        }
-    }
-    let delta = NodeDelta {
-        map,
-        inserted,
-        new_len: new_pairs.len(),
-        identity: false,
-    };
-    Ok((delta, new_pairs))
-}
-
-/// Re-decide a fuzzy join's best-match pairs. A surviving old winner stays
-/// maximal among surviving candidates (relative order is preserved, so the
-/// lowest-row maximal match cannot change by deletion of other rows); it
-/// is only challenged by spliced-in right rows, compared with the kernel's
-/// strict-improvement rule (higher similarity wins; equal similarity goes
-/// to the lower row index). A dead winner or spliced-in left row triggers
-/// a full rescan of the right side.
-#[allow(clippy::too_many_arguments)]
-fn splice_fuzzy(
-    pairs: &[(usize, usize)],
-    ld: &NodeDelta,
-    rd: &NodeDelta,
-    lt: &Table,
-    rt: &Table,
-    left_key: &str,
-    right_key: &str,
-    threshold: f64,
-) -> Result<(NodeDelta, Vec<(usize, usize)>)> {
-    use crate::fuzzy::similarity;
-    let l_inv = ld.inverse();
-    let ins_right: Vec<(usize, String)> = rd
-        .inserted
-        .iter()
-        .filter_map(|&r| match rt.get(r, right_key) {
-            Ok(Value::Str(s)) => Some(Ok((r, s))),
-            Ok(_) => None, // null keys are never candidates
-            Err(e) => Some(Err(PipelineError::from(e))),
-        })
-        .collect::<Result<_>>()?;
-    // Challenge `best` with the spliced-in right rows under the kernel's
-    // visit-ascending, strict-improvement rule.
-    let challenge = |lv: &str, best: Option<usize>| -> Result<Option<usize>> {
-        let mut best: Option<(usize, f64)> = match best {
-            Some(rn) => match rt.get(rn, right_key)? {
-                Value::Str(rv) => Some((rn, similarity(lv, &rv))),
-                _ => None,
-            },
-            None => None,
-        };
-        for (rn, rv) in &ins_right {
-            let sim = similarity(lv, rv);
-            if sim < threshold {
-                continue;
-            }
-            best = match best {
-                None => Some((*rn, sim)),
-                Some((bn, bs)) => {
-                    if sim > bs || (sim == bs && *rn < bn) {
-                        Some((*rn, sim))
-                    } else {
-                        Some((bn, bs))
-                    }
-                }
-            };
-        }
-        Ok(best.map(|(rn, _)| rn))
-    };
-    let mut new_pairs: Vec<(usize, usize)> = Vec::with_capacity(pairs.len() + 1);
-    let mut map = vec![None; pairs.len()];
-    let mut inserted = Vec::new();
-    let mut p = 0usize; // cursor over the left-ascending old pair list
-    for (ln, old_left) in l_inv.iter().enumerate() {
-        let lv = match lt.get(ln, left_key)? {
-            Value::Str(s) => s,
-            _ => continue, // null left keys never match
-        };
-        let winner = match old_left {
-            Some(lo) => {
-                while p < pairs.len() && pairs[p].0 < *lo {
-                    p += 1;
-                }
-                let old_pair = (p < pairs.len() && pairs[p].0 == *lo).then(|| {
-                    let oi = p;
-                    p += 1;
-                    oi
-                });
-                match old_pair {
-                    Some(oi) => match rd.map[pairs[oi].1] {
-                        // Old winner survived: only new rows can beat it.
-                        Some(rn) => challenge(&lv, Some(rn))?.map(|w| (w, Some(oi), rn)),
-                        // Old winner died: rescan.
-                        None => fuzzy_best(&lv, rt, right_key, threshold)?
-                            .map(|w| (w, Some(oi), usize::MAX)),
-                    },
-                    // Previously unmatched: survivors all scored below the
-                    // threshold, so only spliced-in rows can match now.
-                    None => challenge(&lv, None)?.map(|w| (w, None, usize::MAX)),
-                }
-            }
-            None => fuzzy_best(&lv, rt, right_key, threshold)?.map(|w| (w, None, usize::MAX)),
-        };
-        if let Some((rn, old_pair, old_rn)) = winner {
-            let ni = new_pairs.len();
-            new_pairs.push((ln, rn));
-            match old_pair {
-                // Value-preserving only when the partner is unchanged.
-                Some(oi) if rn == old_rn => map[oi] = Some(ni),
-                _ => inserted.push(ni),
-            }
-        }
-    }
-    let delta = NodeDelta {
-        map,
-        inserted,
-        new_len: new_pairs.len(),
-        identity: false,
-    };
-    Ok((delta, new_pairs))
 }
 
 #[cfg(test)]
@@ -1485,13 +822,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_delete_splice_and_match_fresh() {
+    fn insert_and_delete_rerun_and_match_fresh() {
         let s = HiringScenario::generate(80, 13);
         let (plan, root) = Plan::hiring_pipeline();
         let mut session =
             PipelineSession::build(&Executor::new(), &plan, root, &hiring_inputs(&s)).unwrap();
         // Append a social row for a person that exists (left join gains a
-        // real match) — splice.
+        // real match) — rerun.
         let person = s.letters.get(0, "person_id").unwrap();
         let outcome = session
             .apply(&Delta::Insert {
@@ -1499,23 +836,22 @@ mod tests {
                 values: vec![person, Value::Str("@new".into()), Value::Int(10)],
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
-        // Delete a letters row — splice again.
+        // Delete a letters row — rerun again.
         let outcome = session
             .apply(&Delta::Delete {
                 source: "train_df".into(),
                 row: 3,
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
-        assert!(outcome.row_map.is_some());
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
-        assert_eq!(session.stats().splices, 2);
+        assert_eq!(session.stats().reruns, 2);
     }
 
     #[test]
-    fn splice_covers_distinct_concat_select_fuzzy() {
+    fn insert_and_delete_cover_distinct_concat_select_fuzzy() {
         // A plan exercising every remaining operator: fuzzy join, distinct,
         // concat (sharing a subtree), and a column selection.
         let mut companies = Table::empty(
@@ -1565,7 +901,7 @@ mod tests {
                 values: vec!["initech inc".into(), Value::Int(9)],
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
 
         // Insert a company that steals an existing best match (exact
@@ -1576,17 +912,17 @@ mod tests {
                 values: vec!["acme corp.".into(), Value::Float(9.9)],
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
 
-        // Delete the stolen-match company again: dead winners rescan.
+        // Delete the stolen-match company again: its old winners rematch.
         let outcome = session
             .apply(&Delta::Delete {
                 source: "companies".into(),
                 row: 3,
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
 
         // Delete a mention absorbed by distinct.
@@ -1596,12 +932,12 @@ mod tests {
                 row: 2,
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Splice);
+        assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
     }
 
     #[test]
-    fn splice_is_identical_across_thread_counts() {
+    fn structural_fixes_are_identical_across_thread_counts() {
         let s = HiringScenario::generate(120, 17);
         let (plan, root) = Plan::hiring_pipeline();
         let person = s.letters.get(1, "person_id").unwrap();
@@ -1662,8 +998,8 @@ mod tests {
         let f = plan.filter(a, boom);
         let inputs: Vec<(&str, &Table)> = vec![("train_df", &s.letters)];
         let mut session = PipelineSession::build(&Executor::new(), &plan, f, &inputs).unwrap();
-        // Insert a row the predicate panics on: the splice fails, the rerun
-        // fails with the executor's typed report, and the session poisons.
+        // Insert a row the predicate panics on: the rerun fails with the
+        // executor's typed report, and the session poisons.
         let mut values = s.letters.row(0).unwrap();
         values[4] = Value::Float(-1.0); // employer_rating
         let err = session

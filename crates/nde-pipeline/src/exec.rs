@@ -140,8 +140,6 @@ pub enum NodeTrace {
     Distinct {
         /// Surviving input rows in first-occurrence order.
         first_of: Vec<usize>,
-        /// Slot each input row collapsed into.
-        owner: Vec<usize>,
     },
     /// Concat: how many output rows the left input contributed.
     Concat {
@@ -152,8 +150,7 @@ pub enum NodeTrace {
 
 /// Everything a traced run records beyond its output: per-node routing
 /// decisions and the order nodes were first evaluated in (children before
-/// parents — replaying arena interning in this order reproduces the
-/// execution's [`ProvArena`] bit for bit).
+/// parents).
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
     /// Node ids in first-evaluation order.
@@ -182,8 +179,8 @@ fn install_quiet_hook() {
 }
 
 /// Run `f`, converting a panic into its stringified payload. Shared with
-/// [`crate::delta`], which re-evaluates operators on spliced rows under the
-/// same isolation guarantees as the executor.
+/// [`crate::delta`], which re-evaluates projections on patched rows under
+/// the same isolation guarantees as the executor.
 pub(crate) fn catch_tuple_panic<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
     install_quiet_hook();
     SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() + 1));
@@ -722,13 +719,8 @@ impl Executor {
                 record(
                     trace,
                     id,
-                    if tracing {
-                        NodeTrace::Distinct { first_of, owner }
-                    } else {
-                        NodeTrace::Distinct {
-                            first_of: Vec::new(),
-                            owner: Vec::new(),
-                        }
+                    NodeTrace::Distinct {
+                        first_of: if tracing { first_of } else { Vec::new() },
                     },
                 );
                 (table, prov)

@@ -6,27 +6,113 @@
 
 use nde_robust::chaos::FaultSchedule;
 use nde_robust::par::{par_map_indexed_scratch_scoped, CostHint, WorkerFailure, WorkerPool};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-/// Tests that create (and count) pool threads must not overlap — the
-/// harness runs tests concurrently on multi-core machines, and a pool
-/// spawned by a neighboring test would skew `/proc` thread counts.
+/// Tests that create pool threads do not overlap, so each one's timing
+/// and pool activity stay independent of its neighbours.
 static POOL_TESTS: Mutex<()> = Mutex::new(());
 
 fn serialize() -> MutexGuard<'static, ()> {
     POOL_TESTS.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Live threads in this process (Linux `/proc/self/status`); `None` where
-/// the proc filesystem is unavailable, in which case leak checks degrade
-/// to "drop returns" (a deadlocked join would hang the test instead).
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Live threads of this process named `name` (Linux
+/// `/proc/self/task/*/comm`). Each pool names its workers uniquely, so
+/// this counts one pool's workers and nothing else — the test harness's
+/// own threads come and go without affecting it. `None` where the proc
+/// filesystem is unavailable, in which case leak checks degrade to "drop
+/// returns" (a deadlocked join would hang the test instead).
+fn live_workers(name: &str) -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == name)
+            .count(),
+    )
+}
+
+/// How long a pool worker armed by [`slow_exit_on_pool_worker`] takes to
+/// exit.
+const SLOW_EXIT: Duration = Duration::from_millis(300);
+
+/// [`live_workers`] once a pool's drop has returned. A joined thread can
+/// stay listed for a moment while the kernel finishes tearing it down, so
+/// wait up to a third of [`SLOW_EXIT`] for the count to reach zero: far
+/// longer than that teardown takes, far shorter than an unjoined, armed
+/// worker lingers.
+fn workers_left_after_drop(name: &str) -> Option<usize> {
+    let deadline = Instant::now() + SLOW_EXIT / 3;
+    loop {
+        let n = live_workers(name)?;
+        if n == 0 || Instant::now() > deadline {
+            return Some(n);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// On a pool worker, make the thread's exit slow (a thread-local destructor
+/// sleeps) and return `true` the first time this thread gets here. A `Drop`
+/// that joins its workers waits the sleep out; one that returns without
+/// joining leaves them visibly alive, so a leak check cannot pass by luck.
+fn slow_exit_on_pool_worker() -> bool {
+    struct SlowExit(Cell<bool>);
+    impl Drop for SlowExit {
+        fn drop(&mut self) {
+            std::thread::sleep(SLOW_EXIT);
+        }
+    }
+    thread_local! {
+        static ARMED: SlowExit = const { SlowExit(Cell::new(false)) };
+    }
+    let on_worker = std::thread::current()
+        .name()
+        .is_some_and(|n| n.starts_with("nde-pool-"));
+    on_worker && ARMED.with(|s| !s.0.replace(true))
+}
+
+/// Holds job items until `expected` pool workers have each run one, so a
+/// test knows every worker took part and armed its slow exit. Bounded: on a
+/// starved machine the caller's arrival assertion fails instead of the test
+/// hanging.
+struct Arrivals {
+    count: Mutex<usize>,
+    all_in: Condvar,
+    expected: usize,
+    deadline: Instant,
+}
+
+impl Arrivals {
+    fn new(expected: usize) -> Arrivals {
+        Arrivals {
+            count: Mutex::new(0),
+            all_in: Condvar::new(),
+            expected,
+            deadline: Instant::now() + Duration::from_secs(10),
+        }
+    }
+
+    fn gate(&self) {
+        let mut count = self.count.lock().unwrap();
+        if slow_exit_on_pool_worker() {
+            *count += 1;
+            self.all_in.notify_all();
+        }
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        drop(
+            self.all_in
+                .wait_timeout_while(count, left, |n| *n < self.expected)
+                .unwrap(),
+        );
+    }
+
+    fn arrived(&self) -> usize {
+        *self.count.lock().unwrap()
+    }
 }
 
 /// A deterministic, mildly expensive work item: enough arithmetic that
@@ -134,36 +220,42 @@ fn error_results_match_at_every_thread_count() {
 #[test]
 fn dropping_a_pool_joins_all_workers() {
     let _serial = serialize();
-    let before = live_threads();
-    {
+    let name = {
         let pool = WorkerPool::new(4);
         let stop = AtomicBool::new(false);
+        let arrivals = Arrivals::new(4);
         let out = pool
-            .map_indexed::<u64, (), _>(5, 0..200, &stop, CostHint::Unknown, |i| Ok(work(i)))
+            .map_indexed::<u64, (), _>(5, 0..200, &stop, CostHint::PerItemNanos(50_000), |i| {
+                arrivals.gate();
+                Ok(work(i))
+            })
             .unwrap();
         assert_eq!(out.len(), 200);
-        if let (Some(b), Some(d)) = (before, live_threads()) {
-            assert!(d >= b + 4, "pool workers alive while pool exists");
+        assert_eq!(arrivals.arrived(), 4, "every worker ran");
+        if let Some(n) = live_workers(pool.thread_name()) {
+            assert_eq!(n, 4, "pool workers alive while pool exists");
         }
-    }
-    // Drop joined the workers: the thread count is back where it started.
-    if let (Some(b), Some(a)) = (before, live_threads()) {
-        assert_eq!(a, b, "dropped pool leaked worker threads");
+        pool.thread_name().to_string()
+    };
+    // Drop joined the workers: none of them is still alive.
+    if let Some(n) = workers_left_after_drop(&name) {
+        assert_eq!(n, 0, "dropped pool leaked worker threads");
     }
 }
 
 #[test]
 fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
     let _serial = serialize();
-    let before = live_threads();
-    {
+    let name = {
         let pool = Arc::new(WorkerPool::new(3));
         let stop = AtomicBool::new(false);
         let done = AtomicU64::new(0);
+        let arrivals = Arrivals::new(3);
         // The kill switch arms after 64 completions — mid-run, from inside
         // the workers, the way a tripped budget clock does it.
         let out = pool
             .map_indexed::<u64, (), _>(4, 0..10_000, &stop, CostHint::PerItemNanos(30_000), |i| {
+                arrivals.gate();
                 if done.fetch_add(1, Ordering::Relaxed) >= 64 {
                     stop.store(true, Ordering::Relaxed);
                 }
@@ -175,15 +267,17 @@ fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
             "kill switch should truncate the run: {} items",
             out.len()
         );
+        assert_eq!(arrivals.arrived(), 3, "every worker ran");
         // Killed mid-job, the pool still serves the next job in full.
         stop.store(false, Ordering::Relaxed);
         let clean = pool
             .map_indexed::<u64, (), _>(4, 0..128, &stop, CostHint::Unknown, |i| Ok(work(i)))
             .unwrap();
         assert_eq!(clean.len(), 128);
-    }
-    if let (Some(b), Some(a)) = (before, live_threads()) {
-        assert_eq!(a, b, "killed pool leaked worker threads");
+        pool.thread_name().to_string()
+    };
+    if let Some(n) = workers_left_after_drop(&name) {
+        assert_eq!(n, 0, "killed pool leaked worker threads");
     }
 }
 
