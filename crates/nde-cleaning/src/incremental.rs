@@ -106,12 +106,12 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     /// dataset is re-encoded with a fresh evaluator and an empty cache,
     /// since row identity may have moved.
     ///
-    /// Inserts and deletes take the rerun because nothing cheaper would
-    /// pay off here: the re-encode and evaluator rebuild that follow any
-    /// structural fix dominate the round (about 60 ms of a ~70 ms round in
-    /// the `debug` workflow benchmark on a 2-vCPU x86-64 Linux host),
-    /// while re-deciding routing around the changed tuple instead of
-    /// rerunning saved about 3 ms.
+    /// Inserts and deletes take the rerun because the re-encode and
+    /// evaluator rebuild that follow any structural fix take most of the
+    /// round (about 13 ms of a ~20 ms round in the `debug` workflow
+    /// benchmark on a 2-vCPU x86-64 Linux host: re-encode ~3.5 ms,
+    /// evaluator rebuild ~9.5 ms, rerun ~4 ms), while re-deciding routing
+    /// around the changed tuple instead of rerunning saved about 3 ms.
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
         let outcome = self.session.apply(delta)?;
         self.fixes_applied += 1;
@@ -190,6 +190,9 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         let (x, y) = self.pipeline.encode_rows(table, &rows)?;
         let n_classes = self.pipeline.label_encoder()?.n_classes();
         self.dataset = Dataset::new(x, y, n_classes)?;
+        // Drop the old evaluator (its distance table and its copies of the
+        // data) before building the new one, so only one is ever alive.
+        self.evaluator = None;
         self.evaluator = self.template.incremental_eval(&self.dataset, &self.valid);
         self.memo = MemoCache::new();
         Ok(())

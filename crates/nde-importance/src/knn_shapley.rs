@@ -9,6 +9,7 @@ use crate::common::ImportanceScores;
 use crate::{ImportanceError, Result};
 use nde_ml::batch::DistanceTable;
 use nde_ml::dataset::Dataset;
+use nde_ml::models::knn::neighbor_order;
 use nde_robust::par::{CostHint, WorkerFailure, WorkerPool};
 use std::sync::atomic::AtomicBool;
 
@@ -78,10 +79,11 @@ pub(crate) fn knn_engine(
     let stop = AtomicBool::new(false);
     // One chunk ranks every training row for VALID_CHUNK validation points.
     let cost = CostHint::PerItemNanos((VALID_CHUNK * n.max(1)) as u64 * 100);
-    // One distance matrix for the whole run, shared read-only by every
-    // worker (row floats are exactly `squared_distance`'s, so the ordering
-    // is unchanged from the per-chunk computation this replaces).
-    let table = DistanceTable::new(train, valid);
+    // One distance matrix for the whole run, built on the run's pool and
+    // shared read-only by every worker (row floats are exactly
+    // `squared_distance`'s, so the ordering is unchanged from the
+    // per-chunk computation this replaces).
+    let table = DistanceTable::build(train, valid, pool, threads);
 
     let chunk_totals = pool
         .map_indexed_scratch(
@@ -100,12 +102,7 @@ pub(crate) fn knn_engine(
                 for v in start..end {
                     let vy = valid.y[v];
                     let dists = table.row(v);
-                    let by_distance = |&a: &usize, &b: &usize| {
-                        dists[a]
-                            .partial_cmp(&dists[b])
-                            .expect("finite distances")
-                            .then(a.cmp(&b))
-                    };
+                    let by_distance = |&a: &usize, &b: &usize| neighbor_order(dists, a, b);
                     scratch.order.clear();
                     scratch.order.extend(0..n);
                     if k < n {

@@ -27,8 +27,14 @@
 //! optimization only — it must never be observable in the scores.
 
 use crate::dataset::Dataset;
-use crate::linalg::squared_distance;
+use crate::linalg::{squared_distance, squared_distances};
+use crate::models::knn::{k_nearest, majority_vote, neighbor_order};
 use crate::{MlError, Result};
+use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::pool::WorkerPool;
+use std::convert::Infallible;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 
 /// Scores batches of coalitions against a fixed (train, valid) pair in one
 /// validation pass, bit-identical to per-coalition retraining.
@@ -48,6 +54,44 @@ pub trait CoalitionScorer: Send + Sync {
     fn n_train(&self) -> usize;
 }
 
+/// Fill `out`, cut into rows of `width` (`width > 0`), on `pool` with up
+/// to `threads` threads: `fill(scratch, v, row)` writes row `v` in place,
+/// and each worker builds one `scratch` with `init` and reuses it for all
+/// its rows. Row `v`'s content may depend only on `v`, which makes the
+/// result identical for every thread count. `row_nanos` is the rough cost
+/// of one row; small totals run inline on the caller.
+fn fill_rows<T: Send, S>(
+    pool: &WorkerPool,
+    threads: usize,
+    out: &mut [T],
+    width: usize,
+    row_nanos: u64,
+    init: impl Fn() -> S + Sync,
+    fill: impl Fn(&mut S, usize, &mut [T]) + Sync,
+) {
+    let rows: Vec<Mutex<&mut [T]>> = out.chunks_mut(width).map(Mutex::new).collect();
+    let stop = AtomicBool::new(false);
+    let filled = pool.map_indexed_scratch(
+        threads,
+        0..rows.len() as u64,
+        &stop,
+        CostHint::PerItemNanos(row_nanos),
+        init,
+        |scratch, v| {
+            // Each row is claimed by exactly one item, so its lock is never
+            // contended and never seen poisoned.
+            let mut row = rows[v as usize].lock().expect("a row is filled once");
+            fill(scratch, v as usize, &mut row);
+            Ok::<(), Infallible>(())
+        },
+    );
+    match filled {
+        Ok(_) => {}
+        Err(WorkerFailure::Panic(v, msg)) => panic!("filling row {v} panicked: {msg}"),
+        Err(WorkerFailure::Err(_, never)) => match never {},
+    }
+}
+
 /// The train→valid squared-distance matrix, computed once per run.
 ///
 /// Row `v` holds the squared Euclidean distance from validation point `v`
@@ -63,16 +107,54 @@ pub struct DistanceTable {
 }
 
 impl DistanceTable {
-    /// Compute all `train.len() × valid.len()` squared distances.
+    /// Compute all `train.len() × valid.len()` squared distances on the
+    /// shared [`WorkerPool`] at full width; see [`DistanceTable::build`].
+    ///
+    /// # Panics
+    ///
+    /// If `train` and `valid` differ in width ([`Dataset::dim`]).
     pub fn new(train: &Dataset, valid: &Dataset) -> DistanceTable {
+        let pool = WorkerPool::shared();
+        DistanceTable::build(train, valid, &pool, pool.workers() + 1)
+    }
+
+    /// Compute all `train.len() × valid.len()` squared distances on `pool`
+    /// with up to `threads` threads.
+    ///
+    /// Validation rows are split over the threads and each is written in
+    /// place by [`squared_distances`], so every cell is exactly the float
+    /// [`squared_distance`] gives, whatever `threads` is.
+    ///
+    /// # Panics
+    ///
+    /// If `train` and `valid` differ in width ([`Dataset::dim`]): the
+    /// kernel indexes both rows, so mismatched data would otherwise not be
+    /// caught.
+    pub fn build(
+        train: &Dataset,
+        valid: &Dataset,
+        pool: &WorkerPool,
+        threads: usize,
+    ) -> DistanceTable {
+        assert_eq!(
+            train.dim(),
+            valid.dim(),
+            "distance table over train and valid of different widths"
+        );
         let n_train = train.len();
         let n_valid = valid.len();
         let mut dists = vec![0.0; n_train * n_valid];
-        for (v, vx) in valid.x.iter_rows().enumerate() {
-            let row = &mut dists[v * n_train..(v + 1) * n_train];
-            for (i, tx) in train.x.iter_rows().enumerate() {
-                row[i] = squared_distance(tx, vx);
-            }
+        if n_train > 0 {
+            let row_nanos = (n_train * train.dim().max(1)) as u64;
+            fill_rows(
+                pool,
+                threads,
+                &mut dists,
+                n_train,
+                row_nanos,
+                || (),
+                |(), v, row| squared_distances(&train.x, valid.x.row(v), row),
+            );
         }
         DistanceTable {
             n_train,
@@ -196,25 +278,10 @@ impl CoalitionScorer for KnnCoalitionScorer {
                     // Partial selection of the k nearest members; ties break
                     // by global index, which equals the subset-local order
                     // because `members` is ascending.
-                    sel.select_nth_unstable_by(k, |&a, &b| {
-                        row[a]
-                            .partial_cmp(&row[b])
-                            .expect("finite distances")
-                            .then(a.cmp(&b))
-                    });
+                    sel.select_nth_unstable_by(k, |&a, &b| neighbor_order(row, a, b));
                     sel.truncate(k);
                 }
-                votes.iter_mut().for_each(|c| *c = 0);
-                for &i in &sel {
-                    votes[self.train_y[i]] += 1;
-                }
-                let pred = votes
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0);
-                if pred == truth {
+                if majority_vote(&sel, &self.train_y, &mut votes) == truth {
                     correct[ci] += 1;
                 }
             }
@@ -272,38 +339,74 @@ pub trait IncrementalLabelEval: Send {
 /// - a **feature** fix patches the changed distance columns via
 ///   [`DistanceTable::update_rows`] and re-selects neighbors without
 ///   recomputing any unchanged distance.
+///
+/// Building it (and re-selecting after a feature fix) takes the k nearest
+/// per validation point by linear-time partial selection, split over the
+/// shared [`WorkerPool`]; the lists are the same for every thread count.
 #[derive(Debug, Clone)]
 pub struct IncrementalKnnEval {
     table: DistanceTable,
+    /// Neighbors per validation point: the configured k, capped at the
+    /// training-set size (which fixes never change).
     k: usize,
     train: Dataset,
     valid: Dataset,
-    /// Per validation point: the k nearest training rows, closest first,
-    /// ties by index — exactly `KnnClassifier::neighbors`.
-    neighbors: Vec<Vec<usize>>,
-    /// Training row → validation points with it among their neighbors.
-    touching: Vec<Vec<usize>>,
+    /// Row-major [n_valid × k]: per validation point the k nearest
+    /// training rows, closest first, ties by index — exactly
+    /// `KnnClassifier::neighbors`.
+    neighbors: Vec<usize>,
+    /// Inverted index: the validation points with training row `i` among
+    /// their neighbors are `viewers[viewers_at[i]..viewers_at[i + 1]]`.
+    viewers: Vec<usize>,
+    viewers_at: Vec<usize>,
     correct: Vec<bool>,
     n_correct: usize,
+    pool: Arc<WorkerPool>,
+    threads: usize,
 }
 
 impl IncrementalKnnEval {
     /// Prepare the evaluator (computes the distance table and all neighbor
-    /// lists once). Rejects an empty training set, matching
-    /// [`crate::model::Classifier::fit`] for KNN.
+    /// lists once, on the shared [`WorkerPool`]). Rejects an empty training
+    /// set, matching [`crate::model::Classifier::fit`] for KNN, and a
+    /// validation set whose width differs from the training set's.
     pub fn new(k: usize, train: &Dataset, valid: &Dataset) -> Result<IncrementalKnnEval> {
+        let pool = WorkerPool::shared();
+        let threads = pool.workers() + 1;
+        IncrementalKnnEval::on_pool(k, train, valid, pool, threads)
+    }
+
+    /// [`IncrementalKnnEval::new`] on `pool` with up to `threads` threads
+    /// (the tests pin both to prove thread invariance).
+    fn on_pool(
+        k: usize,
+        train: &Dataset,
+        valid: &Dataset,
+        pool: Arc<WorkerPool>,
+        threads: usize,
+    ) -> Result<IncrementalKnnEval> {
         if train.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
+        if train.dim() != valid.dim() {
+            return Err(MlError::InvalidArgument(format!(
+                "train has {} features but valid has {}",
+                train.dim(),
+                valid.dim()
+            )));
+        }
         let mut eval = IncrementalKnnEval {
-            table: DistanceTable::new(train, valid),
-            k: k.max(1),
+            table: DistanceTable::build(train, valid, &pool, threads),
+            k: k.clamp(1, train.len()),
             train: train.clone(),
             valid: valid.clone(),
             neighbors: Vec::new(),
-            touching: Vec::new(),
+            viewers: Vec::new(),
+            viewers_at: Vec::new(),
             correct: vec![false; valid.len()],
             n_correct: 0,
+            pool,
+            threads,
         };
         eval.reselect_all();
         Ok(eval)
@@ -313,52 +416,64 @@ impl IncrementalKnnEval {
     /// the (current) distance table.
     fn reselect_all(&mut self) {
         let n = self.train.len();
-        self.neighbors = (0..self.valid.len())
-            .map(|v| {
-                let row = self.table.row(v);
-                // Full sort by (distance, index), then take k — the same
-                // order `KnnClassifier::neighbors` produces.
-                let mut idx: Vec<usize> = (0..n).collect();
-                idx.sort_by(|&a, &b| {
-                    row[a]
-                        .partial_cmp(&row[b])
-                        .expect("finite distances")
-                        .then(a.cmp(&b))
-                });
-                idx.truncate(self.k.min(n));
-                idx
-            })
-            .collect();
-        self.touching = vec![Vec::new(); n];
-        for (v, nb) in self.neighbors.iter().enumerate() {
+        let k = self.k;
+        let table = &self.table;
+        self.neighbors.resize(self.valid.len() * k, 0);
+        // Selection is a few comparisons per training row.
+        let row_nanos = 10 * n as u64;
+        fill_rows(
+            &self.pool,
+            self.threads,
+            &mut self.neighbors,
+            k,
+            row_nanos,
+            || Vec::with_capacity(n),
+            |nearest, v, row| {
+                k_nearest(table.row(v), k, nearest);
+                row.copy_from_slice(nearest);
+            },
+        );
+        // Inverted index by counting sort: count each row's viewers, turn
+        // the counts into start offsets, place the viewers (ascending `v`)
+        // while advancing each offset to its end, then shift back.
+        self.viewers_at.clear();
+        self.viewers_at.resize(n + 1, 0);
+        for &i in &self.neighbors {
+            self.viewers_at[i] += 1;
+        }
+        let mut start = 0;
+        for at in &mut self.viewers_at {
+            let count = *at;
+            *at = start;
+            start += count;
+        }
+        self.viewers.resize(self.neighbors.len(), 0);
+        for (v, nb) in self.neighbors.chunks_exact(k).enumerate() {
             for &i in nb {
-                self.touching[i].push(v);
+                self.viewers[self.viewers_at[i]] = v;
+                self.viewers_at[i] += 1;
             }
         }
+        self.viewers_at.copy_within(0..n, 1);
+        self.viewers_at[0] = 0;
+        let mut votes = vec![0; self.train.n_classes];
         self.n_correct = 0;
-        for v in 0..self.valid.len() {
-            self.correct[v] = self.vote(v) == self.valid.y[v];
-            self.n_correct += usize::from(self.correct[v]);
+        for (v, nb) in self.neighbors.chunks_exact(k).enumerate() {
+            let ok = majority_vote(nb, &self.train.y, &mut votes) == self.valid.y[v];
+            self.correct[v] = ok;
+            self.n_correct += usize::from(ok);
         }
     }
 
-    /// Majority vote over the cached neighbor list (ties toward the
-    /// smaller class id, like `KnnClassifier::predict_one`).
-    fn vote(&self, v: usize) -> usize {
-        let mut votes = vec![0usize; self.train.n_classes];
-        for &i in &self.neighbors[v] {
-            votes[self.train.y[i]] += 1;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(c, _)| c)
-            .unwrap_or(0)
+    /// Validation point `v`'s neighbors, closest first.
+    fn neighbors(&self, v: usize) -> &[usize] {
+        &self.neighbors[v * self.k..(v + 1) * self.k]
     }
 
-    fn revote(&mut self, v: usize) {
-        let now = self.vote(v) == self.valid.y[v];
+    /// Re-vote validation point `v` (ties toward the smaller class id,
+    /// like `KnnClassifier::predict_one`) and update the correct count.
+    fn revote(&mut self, v: usize, votes: &mut [usize]) {
+        let now = majority_vote(self.neighbors(v), &self.train.y, votes) == self.valid.y[v];
         if now != self.correct[v] {
             self.correct[v] = now;
             if now {
@@ -407,11 +522,10 @@ impl IncrementalLabelEval for IncrementalKnnEval {
         self.train.y[row] = label;
         // Distances are untouched, so neighbor sets are untouched: only
         // the votes of validation points seeing this row can change.
-        let viewers = std::mem::take(&mut self.touching[row]);
-        for &v in &viewers {
-            self.revote(v);
+        let mut votes = vec![0; self.train.n_classes];
+        for p in self.viewers_at[row]..self.viewers_at[row + 1] {
+            self.revote(self.viewers[p], &mut votes);
         }
-        self.touching[row] = viewers;
         Ok(())
     }
 
@@ -439,6 +553,7 @@ mod tests {
     use crate::model::{utility, Classifier};
     use crate::models::knn::KnnClassifier;
     use nde_data::generate::blobs::two_gaussians;
+    use nde_data::rng::Rng;
 
     fn workload(n: usize, m: usize, seed: u64) -> (Dataset, Dataset) {
         let nd = two_gaussians(n + m, 3, 3.0, seed);
@@ -451,6 +566,146 @@ mod tests {
             }
         }
         (train, valid)
+    }
+
+    /// Integer-grid features over a few labels with every row duplicated
+    /// at least once: most distances tie exactly with several others.
+    fn tie_heavy(n: usize, seed: u64) -> Dataset {
+        let mut rng = nde_data::rng::seeded(seed);
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        while rows.len() < n {
+            let row: Vec<f64> = (0..2).map(|_| rng.gen_range(-2i64..3) as f64).collect();
+            let label = rng.gen_range(0..3usize);
+            for _ in 0..rng.gen_range(1..4usize).min(n - rows.len()) {
+                rows.push(row.clone());
+                y.push(label);
+            }
+        }
+        Dataset::from_rows(rows, y, 3).unwrap()
+    }
+
+    /// The neighbor lists by the definition: every training row sorted by
+    /// (distance, index), first `k` kept.
+    fn full_sort_neighbors(train: &Dataset, x: &[f64], k: usize) -> Vec<usize> {
+        let mut all: Vec<(f64, usize)> = train
+            .x
+            .iter_rows()
+            .enumerate()
+            .map(|(i, r)| (squared_distance(r, x), i))
+            .collect();
+        all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        all.into_iter().take(k).map(|(_, i)| i).collect()
+    }
+
+    #[test]
+    fn selection_matches_the_full_sort_under_ties() {
+        for n in [1, 4, 5, 37] {
+            let train = tie_heavy(n, n as u64);
+            let valid = tie_heavy(11, 100 + n as u64);
+            let table = DistanceTable::new(&train, &valid);
+            for k in [1, 3, n - 1, n, n + 5] {
+                let mut knn = KnnClassifier::new(k);
+                knn.fit(&train).unwrap();
+                let eval = IncrementalKnnEval::new(k, &train, &valid).unwrap();
+                let mut nearest = Vec::new();
+                for (v, x) in valid.x.iter_rows().enumerate() {
+                    let want = full_sort_neighbors(&train, x, k);
+                    k_nearest(table.row(v), k, &mut nearest);
+                    assert_eq!(nearest, want, "k_nearest n={n} k={k} v={v}");
+                    // Both models clamp k to at least 1.
+                    let want = full_sort_neighbors(&train, x, k.max(1));
+                    assert_eq!(knn.neighbors(x), want, "classifier n={n} k={k} v={v}");
+                    assert_eq!(eval.neighbors(v), want, "evaluator n={n} k={k} v={v}");
+                }
+                assert_eq!(eval.accuracy(), knn.accuracy(&valid), "n={n} k={k}");
+                // No validation points: nothing to select, accuracy 0.0.
+                let empty = valid.subset(&[]);
+                let eval = IncrementalKnnEval::new(k, &train, &empty).unwrap();
+                assert!(eval.neighbors.is_empty());
+                assert_eq!(eval.accuracy(), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn build_and_selection_are_thread_invariant() {
+        // Large enough that the cost hints engage the pool.
+        let (train, valid) = workload(240, 120, 11);
+        let (mut moved, _) = workload(240, 120, 12);
+        moved.y = train.y.clone();
+        let changed: Vec<usize> = (0..240).step_by(7).collect();
+        let mut rows: Vec<Vec<f64>> = train.x.iter_rows().map(<[f64]>::to_vec).collect();
+        for &i in &changed {
+            rows[i] = moved.x.row(i).to_vec();
+        }
+        moved.x = crate::linalg::Matrix::from_rows(rows).unwrap();
+        let run = |workers: usize| {
+            let pool = Arc::new(WorkerPool::new(workers));
+            let threads = workers + 1;
+            let table = DistanceTable::build(&train, &valid, &pool, threads);
+            let mut eval =
+                IncrementalKnnEval::on_pool(5, &train, &valid, Arc::clone(&pool), threads).unwrap();
+            let built = (eval.neighbors.clone(), eval.accuracy().to_bits());
+            eval.update_features(&changed, &moved).unwrap();
+            if workers > 0 {
+                assert!(
+                    pool.stats().jobs > 0,
+                    "{threads} threads never used the pool"
+                );
+            }
+            let bits: Vec<u64> = table.dists.iter().map(|d| d.to_bits()).collect();
+            (
+                bits,
+                built,
+                eval.neighbors.clone(),
+                eval.accuracy().to_bits(),
+            )
+        };
+        let inline = run(0);
+        let refit = |train: &Dataset| utility(&KnnClassifier::new(5), train, &valid).unwrap();
+        assert_eq!(f64::from_bits(inline.1 .1), refit(&train));
+        assert_eq!(f64::from_bits(inline.3), refit(&moved));
+        for workers in [1, 3, 6] {
+            assert!(
+                run(workers) == inline,
+                "{} threads differ from 1",
+                workers + 1
+            );
+        }
+    }
+
+    #[test]
+    fn mismatched_widths_are_rejected() {
+        let (train, valid) = workload(8, 4, 13);
+        let narrow = Dataset::from_rows(vec![vec![0.0, 1.0]; 4], vec![0, 1, 0, 1], 2).unwrap();
+        assert!(matches!(
+            IncrementalKnnEval::new(3, &train, &narrow),
+            Err(MlError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            IncrementalKnnEval::new(3, &narrow, &valid),
+            Err(MlError::InvalidArgument(_))
+        ));
+        assert!(KnnClassifier::new(3)
+            .incremental_eval(&train, &narrow)
+            .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "different widths")]
+    fn distance_table_panics_on_mismatched_widths() {
+        let (train, _) = workload(8, 4, 14);
+        let narrow = Dataset::from_rows(vec![vec![0.0, 1.0]; 4], vec![0, 1, 0, 1], 2).unwrap();
+        DistanceTable::new(&train, &narrow);
+    }
+
+    #[test]
+    #[should_panic(expected = "different widths")]
+    fn distance_table_build_panics_on_mismatched_widths() {
+        let (train, _) = workload(8, 4, 15);
+        let narrow = Dataset::from_rows(vec![vec![0.0, 1.0]; 4], vec![0, 1, 0, 1], 2).unwrap();
+        DistanceTable::build(&narrow, &train, &WorkerPool::new(0), 1);
     }
 
     #[test]

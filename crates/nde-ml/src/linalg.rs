@@ -168,6 +168,51 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
+/// Squared Euclidean distances from `x` to every row of `rows`, written to
+/// `out` (entry `i` for row `i`).
+///
+/// Bit-identical to calling [`squared_distance`]`(rows.row(i), x)` for each
+/// row: rows are taken four at a time with four independent accumulators,
+/// and each accumulator sums its own row's terms in `squared_distance`'s
+/// order, starting from `-0.0` like `f64`'s `Sum` (so a zero-width row
+/// gives `-0.0` too). The trailing `rows % 4` rows call `squared_distance`.
+///
+/// # Panics
+///
+/// If `x.len() != rows.cols()` or `out.len() != rows.rows()`: the blocked
+/// loop indexes both rows, so a width mismatch is a caller bug, not a
+/// shorter distance.
+pub fn squared_distances(rows: &Matrix, x: &[f64], out: &mut [f64]) {
+    assert_eq!(x.len(), rows.cols(), "point and rows differ in width");
+    assert_eq!(out.len(), rows.rows(), "one output per row");
+    let mut blocks = out.chunks_exact_mut(4);
+    for (b, cell) in (&mut blocks).enumerate() {
+        let i = 4 * b;
+        let (r0, r1, r2, r3) = (
+            rows.row(i),
+            rows.row(i + 1),
+            rows.row(i + 2),
+            rows.row(i + 3),
+        );
+        let mut s = [-0.0f64; 4];
+        for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let d0 = a0 - xj;
+            let d1 = a1 - xj;
+            let d2 = a2 - xj;
+            let d3 = a3 - xj;
+            s[0] += d0 * d0;
+            s[1] += d1 * d1;
+            s[2] += d2 * d2;
+            s[3] += d3 * d3;
+        }
+        cell.copy_from_slice(&s);
+    }
+    let tail = rows.rows() - rows.rows() % 4;
+    for (i, cell) in (tail..).zip(blocks.into_remainder()) {
+        *cell = squared_distance(rows.row(i), x);
+    }
+}
+
 /// Euclidean norm.
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
@@ -325,6 +370,59 @@ mod tests {
         assert_eq!(y, vec![3.0, 7.0]);
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
+    }
+
+    /// Rows whose squared differences round differently depending on the
+    /// summation order, plus signed zeros and a subnormal.
+    fn awkward_rows(n: usize, d: usize) -> Matrix {
+        let mut data = Vec::with_capacity(n * d);
+        for i in 0..n {
+            for j in 0..d {
+                let v = match (i + j) % 5 {
+                    0 => 1e16 + (i * j) as f64,
+                    1 => -0.0,
+                    2 => 0.1 * (i as f64 - j as f64),
+                    3 => f64::MIN_POSITIVE / 4.0,
+                    _ => -3.0e-8 * (j + 1) as f64,
+                };
+                data.push(v);
+            }
+        }
+        Matrix::from_vec(data, n, d).unwrap()
+    }
+
+    #[test]
+    fn squared_distances_match_squared_distance_bit_for_bit() {
+        // n not a multiple of 4 exercises the tail; d = 0 the empty sum.
+        for n in [0, 1, 3, 4, 5, 8, 11] {
+            for d in [0, 1, 2, 7] {
+                let rows = awkward_rows(n, d);
+                let points = awkward_rows(3, d);
+                for p in 0..points.rows() {
+                    let x = points.row(p);
+                    let mut out = vec![f64::NAN; n];
+                    squared_distances(&rows, x, &mut out);
+                    for (i, got) in out.iter().enumerate() {
+                        let want = squared_distance(rows.row(i), x);
+                        assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} row {i}");
+                    }
+                }
+            }
+        }
+        // Zero-width rows give `f64`'s empty sum, -0.0, in the blocked
+        // loop as well as in the tail.
+        let mut out = [1.0; 5];
+        squared_distances(&Matrix::zeros(5, 0), &[], &mut out);
+        let empty = squared_distance(&[], &[]);
+        assert_eq!(empty.to_bits(), (-0.0f64).to_bits());
+        assert!(out.iter().all(|v| v.to_bits() == empty.to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in width")]
+    fn squared_distances_rejects_a_width_mismatch() {
+        let mut out = [0.0; 2];
+        squared_distances(&Matrix::zeros(2, 3), &[1.0, 2.0], &mut out);
     }
 
     #[test]

@@ -5,9 +5,59 @@
 //! (KNN-Shapley, paper §2.1; Datascope, §2.2).
 
 use crate::dataset::Dataset;
-use crate::linalg::squared_distance;
+use crate::linalg::squared_distances;
 use crate::model::Classifier;
 use crate::{MlError, Result};
+use std::cmp::Ordering;
+
+/// The neighbor order over one point's squared distances `dists`: nearer
+/// first, exact distance ties broken by training index.
+///
+/// Indices are distinct, so this is a strict total order and every
+/// selection or sort by it yields the same neighbor list.
+///
+/// # Panics
+///
+/// If either distance is NaN.
+#[inline]
+pub fn neighbor_order(dists: &[f64], a: usize, b: usize) -> Ordering {
+    dists[a]
+        .partial_cmp(&dists[b])
+        .expect("finite distances")
+        .then(a.cmp(&b))
+}
+
+/// Write into `nearest` the indices of the `k` nearest entries of `dists`
+/// in [`neighbor_order`] (all of them when `k >= dists.len()`).
+///
+/// Partial selection splits off the `k` nearest in linear time and only
+/// that prefix is sorted, giving exactly the first `k` of a full sort.
+/// `nearest` is scratch the caller may reuse: it is cleared, then filled.
+pub fn k_nearest(dists: &[f64], k: usize, nearest: &mut Vec<usize>) {
+    let by_distance = |&a: &usize, &b: &usize| neighbor_order(dists, a, b);
+    nearest.clear();
+    nearest.extend(0..dists.len());
+    if k < nearest.len() {
+        nearest.select_nth_unstable_by(k, by_distance);
+        nearest.truncate(k);
+    }
+    nearest.sort_unstable_by(by_distance);
+}
+
+/// Majority label among the training rows `neighbors`, ties toward the
+/// smaller class id; `votes` (one slot per class) is counting scratch.
+pub(crate) fn majority_vote(neighbors: &[usize], labels: &[usize], votes: &mut [usize]) -> usize {
+    votes.fill(0);
+    for &i in neighbors {
+        votes[labels[i]] += 1;
+    }
+    votes
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .map(|(c, _)| c)
+        .unwrap_or(0)
+}
 
 /// A K-nearest-neighbors classifier with Euclidean distance and majority
 /// voting (ties broken toward the smaller class id).
@@ -37,22 +87,19 @@ impl KnnClassifier {
     }
 
     /// Indices of the `k` nearest training examples to `x`, closest first.
-    /// Distance ties are broken by index for determinism.
+    /// Distance ties are broken by index for determinism
+    /// ([`neighbor_order`]).
+    ///
+    /// # Panics
+    ///
+    /// If the model is unfitted or `x` is not as wide as the training rows.
     pub fn neighbors(&self, x: &[f64]) -> Vec<usize> {
         let train = self.train.as_ref().expect("model must be fitted");
-        let mut dists: Vec<(f64, usize)> = train
-            .x
-            .iter_rows()
-            .enumerate()
-            .map(|(i, r)| (squared_distance(r, x), i))
-            .collect();
-        let k = self.k.min(dists.len());
-        dists.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite distances")
-                .then(a.1.cmp(&b.1))
-        });
-        dists.into_iter().take(k).map(|(_, i)| i).collect()
+        let mut dists = vec![0.0; train.len()];
+        squared_distances(&train.x, x, &mut dists);
+        let mut nearest = Vec::with_capacity(train.len());
+        k_nearest(&dists, self.k, &mut nearest);
+        nearest
     }
 }
 
@@ -67,17 +114,8 @@ impl Classifier for KnnClassifier {
 
     fn predict_one(&self, x: &[f64]) -> usize {
         let train = self.train.as_ref().expect("model must be fitted");
-        debug_assert_eq!(x.len(), train.dim());
         let mut votes = vec![0usize; train.n_classes];
-        for i in self.neighbors(x) {
-            votes[train.y[i]] += 1;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(c, _)| c)
-            .unwrap_or(0)
+        majority_vote(&self.neighbors(x), &train.y, &mut votes)
     }
 
     fn predict_proba_one(&self, x: &[f64]) -> Vec<f64> {

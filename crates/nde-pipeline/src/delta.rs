@@ -30,8 +30,10 @@
 //! the `debug` workflow benchmark (`wfbench/`, 2-vCPU x86-64 Linux) a
 //! splice had a median of 3.3 ms against 6.7 ms for a rerun, but every
 //! structural fix is then followed by a full re-encode and an evaluator
-//! rebuild (median 60.5 ms) on either path, so a structural round costs
-//! about 70 ms regardless — splice saved about 2 % of the workflow.
+//! rebuild (then a median 60.5 ms) on either path, so a structural round
+//! cost about 70 ms regardless — splice saved about 2 % of the workflow.
+//! (With the rebuild since made linear-time, a structural round is about
+//! 20 ms, and the rerun and re-encode are its next costs to profile.)
 //! [`DeltaPath::Splice`] and [`DeltaStats::splices`] remain in the API but
 //! are never produced.
 
