@@ -10,6 +10,9 @@
 //! run, and [`KnnCoalitionScorer`] then scores a whole batch of coalitions
 //! by masked partial selection over the shared matrix (KNN-Shapley, Jia et
 //! al., PVLDB 2019; Datascope's KNN proxy, Karlaš et al., PVLDB 2022).
+//! Closed-form KNN-Shapley needs only each validation point's full
+//! neighbor order, which [`neighbor_orders`] writes without building the
+//! matrix.
 //!
 //! The [`CoalitionScorer`] trait is the hook the importance crate batches
 //! through: [`crate::model::Classifier::coalition_scorer`] returns a
@@ -219,6 +222,152 @@ impl DistanceTable {
     }
 }
 
+/// An unsigned integer type that can hold a training-row index inside a
+/// neighbor order (see [`neighbor_orders`]); narrower types halve the
+/// memory of a kept order.
+pub trait OrderIndex: Copy + Send + Sync + 'static {
+    /// The largest training set whose every index fits.
+    const MAX_LEN: usize;
+
+    /// The cell for training row `i` (`i < MAX_LEN`).
+    fn from_index(i: usize) -> Self;
+
+    /// The training row this cell names.
+    fn index(self) -> usize;
+}
+
+impl OrderIndex for u16 {
+    const MAX_LEN: usize = u16::MAX as usize + 1;
+
+    #[inline]
+    fn from_index(i: usize) -> u16 {
+        i as u16
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl OrderIndex for u32 {
+    const MAX_LEN: usize = u32::MAX as usize + 1;
+
+    #[inline]
+    fn from_index(i: usize) -> u32 {
+        i as u32
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Every training row in [`neighbor_order`] per validation point, computed
+/// on `pool` with up to `threads` threads.
+///
+/// Row `v` of the result (`train.len()` cells, row-major) lists all
+/// training indices nearest first, exact distance ties by index — the full
+/// order whose `k`-prefix is [`k_nearest`] for every `k`. Each worker
+/// computes one validation row's distances at a time into its own scratch
+/// row with [`squared_distances`], so the cells order exactly the floats a
+/// [`DistanceTable`] holds, but no `m × n` table is ever built. The result
+/// is the same for every `threads` value.
+///
+/// # Panics
+///
+/// If `train` and `valid` differ in width, if `train` has more than
+/// `T::MAX_LEN` rows, or if a distance is NaN (reject non-finite features
+/// first, e.g. with [`Dataset::first_non_finite`]).
+pub fn neighbor_orders<T: OrderIndex>(
+    train: &Dataset,
+    valid: &Dataset,
+    pool: &WorkerPool,
+    threads: usize,
+) -> Vec<T> {
+    assert_eq!(
+        train.dim(),
+        valid.dim(),
+        "neighbor orders over train and valid of different widths"
+    );
+    let n = train.len();
+    assert!(n <= T::MAX_LEN, "{n} training rows overflow the index type");
+    let mut orders = vec![T::from_index(0); n * valid.len()];
+    if n > 0 {
+        // Distances, then a sort of every training row.
+        let log_n = (usize::BITS - n.leading_zeros()) as usize;
+        let row_nanos = (n * (train.dim() + 2 * log_n)) as u64;
+        fill_rows(
+            pool,
+            threads,
+            &mut orders,
+            n,
+            row_nanos,
+            || (vec![0.0; n], vec![0u128; n]),
+            |(dists, keys), v, row| {
+                squared_distances(&train.x, valid.x.row(v), dists);
+                for (i, (key, &d)) in keys.iter_mut().zip(dists.iter()).enumerate() {
+                    *key = order_key(d, i);
+                }
+                keys.sort_unstable();
+                for (cell, &key) in row.iter_mut().zip(keys.iter()) {
+                    *cell = T::from_index(key as u64 as usize);
+                }
+            },
+        );
+    }
+    orders
+}
+
+/// A key whose integer order is [`neighbor_order`] for squared distance
+/// `d` of training row `i`: the distance's bits above the index.
+///
+/// Squared distances are `+0.0`, positive or `+∞` — plus `−0.0`, the empty
+/// sum of zero-width rows, which `d + 0.0` turns into the `+0.0` it equals
+/// — and the bits of such floats order as the floats do.
+///
+/// # Panics
+///
+/// If `d` is NaN, like [`neighbor_order`].
+#[inline]
+fn order_key(d: f64, i: usize) -> u128 {
+    assert!(!d.is_nan(), "finite distances");
+    (u128::from((d + 0.0).to_bits()) << 64) | i as u128
+}
+
+/// The members `cur` adds to `prev` when `prev ⊆ cur` (both strictly
+/// ascending), found by one merge walk; `None` when `prev` holds a row
+/// `cur` lacks.
+fn added_members(prev: &[usize], cur: &[usize]) -> Option<Vec<usize>> {
+    let mut added = Vec::new();
+    let mut rest = cur.iter();
+    for &p in prev {
+        loop {
+            match rest.next() {
+                Some(&c) if c < p => added.push(c),
+                Some(&c) if c == p => break,
+                _ => return None,
+            }
+        }
+    }
+    added.extend(rest);
+    Some(added)
+}
+
+/// Insert training row `i` into `nearest`, the at most `k` nearest rows so
+/// far sorted in [`neighbor_order`] over `dists`, keeping it the `k`
+/// nearest of the grown set.
+fn insert_nearest(nearest: &mut Vec<usize>, i: usize, k: usize, dists: &[f64]) {
+    let at = nearest.partition_point(|&j| neighbor_order(dists, j, i).is_lt());
+    if at < k {
+        if nearest.len() == k {
+            nearest.pop();
+        }
+        nearest.insert(at, i);
+    }
+}
+
 /// One-pass batch scorer for the KNN utility.
 ///
 /// Reproduces `utility(&KnnClassifier::new(k), &train.subset(S), valid)`
@@ -227,6 +376,16 @@ impl DistanceTable {
 /// members in the same order a subset-local sort would, and majority voting
 /// with ties toward the smaller class id matches
 /// [`crate::models::knn::KnnClassifier`]'s per-point prediction exactly.
+///
+/// **Nested batches.** When a coalition contains the one before it in the
+/// batch (checked by one merge walk per pair, as with TMC's consecutive
+/// prefixes), each validation point keeps its sorted k nearest from the
+/// previous coalition and only the added members are inserted — O(k) per
+/// member instead of a fresh O(|S|) selection. Any other coalition (the
+/// first of a batch, or one after a gap that dropped a member) takes the
+/// full selection. The k nearest under `(distance, index)` are one set
+/// either way, and the vote ignores their order, so the utilities are
+/// bit-identical.
 #[derive(Debug)]
 pub struct KnnCoalitionScorer {
     table: DistanceTable,
@@ -249,7 +408,7 @@ impl KnnCoalitionScorer {
         }
     }
 
-    /// The shared distance table (also useful to closed-form KNN-Shapley).
+    /// The shared distance table.
     pub fn table(&self) -> &DistanceTable {
         &self.table
     }
@@ -262,6 +421,14 @@ impl CoalitionScorer for KnnCoalitionScorer {
             // `Classifier::accuracy` returns 0.0 on an empty eval set.
             return vec![0.0; coalitions.len()];
         }
+        let k = self.k;
+        // Per coalition, the members it adds to a predecessor it contains.
+        let added: Vec<Option<Vec<usize>>> = (0..coalitions.len())
+            .map(|c| {
+                c.checked_sub(1)
+                    .and_then(|p| added_members(coalitions[p], coalitions[c]))
+            })
+            .collect();
         let mut correct = vec![0usize; coalitions.len()];
         let mut sel: Vec<usize> = Vec::new();
         let mut votes = vec![0usize; self.n_classes];
@@ -270,16 +437,25 @@ impl CoalitionScorer for KnnCoalitionScorer {
         for v in 0..m {
             let row = self.table.row(v);
             let truth = self.valid_y[v];
+            let by_distance = |&a: &usize, &b: &usize| neighbor_order(row, a, b);
             for (ci, &members) in coalitions.iter().enumerate() {
-                sel.clear();
-                sel.extend_from_slice(members);
-                let k = self.k.min(sel.len());
-                if k < sel.len() {
-                    // Partial selection of the k nearest members; ties break
-                    // by global index, which equals the subset-local order
-                    // because `members` is ascending.
-                    sel.select_nth_unstable_by(k, |&a, &b| neighbor_order(row, a, b));
-                    sel.truncate(k);
+                if let Some(added) = &added[ci] {
+                    // `sel` holds the predecessor's k nearest, sorted.
+                    for &i in added {
+                        insert_nearest(&mut sel, i, k, row);
+                    }
+                } else {
+                    sel.clear();
+                    sel.extend_from_slice(members);
+                    if k < sel.len() {
+                        // Partial selection of the k nearest members; ties
+                        // break by global index, which equals the
+                        // subset-local order because `members` is ascending.
+                        sel.select_nth_unstable_by(k, by_distance);
+                        sel.truncate(k);
+                    }
+                    // Sorted, so a nested successor can insert into it.
+                    sel.sort_unstable_by(by_distance);
                 }
                 if majority_vote(&sel, &self.train_y, &mut votes) == truth {
                     correct[ci] += 1;
@@ -325,6 +501,17 @@ pub trait IncrementalLabelEval: Send {
     fn update_features(&mut self, changed: &[usize], train: &Dataset) -> Result<()>;
 }
 
+/// `InvalidArgument` naming the first NaN or infinite feature of `data`:
+/// its distances could not be ordered.
+fn reject_non_finite(name: &str, data: &Dataset) -> Result<()> {
+    match data.first_non_finite() {
+        Some((row, col)) => Err(MlError::InvalidArgument(format!(
+            "{name} has a non-finite feature at row {row}, column {col}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// [`IncrementalLabelEval`] for KNN.
 ///
 /// KNN's "fit" only remembers the training set, so its accuracy sweep is
@@ -368,8 +555,9 @@ pub struct IncrementalKnnEval {
 impl IncrementalKnnEval {
     /// Prepare the evaluator (computes the distance table and all neighbor
     /// lists once, on the shared [`WorkerPool`]). Rejects an empty training
-    /// set, matching [`crate::model::Classifier::fit`] for KNN, and a
-    /// validation set whose width differs from the training set's.
+    /// set, matching [`crate::model::Classifier::fit`] for KNN, a
+    /// validation set whose width differs from the training set's, and a
+    /// NaN or infinite feature in either set (naming its row and column).
     pub fn new(k: usize, train: &Dataset, valid: &Dataset) -> Result<IncrementalKnnEval> {
         let pool = WorkerPool::shared();
         let threads = pool.workers() + 1;
@@ -395,6 +583,8 @@ impl IncrementalKnnEval {
                 valid.dim()
             )));
         }
+        reject_non_finite("train", train)?;
+        reject_non_finite("valid", valid)?;
         let mut eval = IncrementalKnnEval {
             table: DistanceTable::build(train, valid, &pool, threads),
             k: k.clamp(1, train.len()),
@@ -538,6 +728,7 @@ impl IncrementalLabelEval for IncrementalKnnEval {
                 "feature update must keep the training set's shape".into(),
             ));
         }
+        reject_non_finite("train", train)?;
         self.table.update_rows(changed, train, &self.valid)?;
         self.train = train.clone();
         // A moved training point can enter or leave any neighbor list;
@@ -740,6 +931,198 @@ mod tests {
                 assert_eq!(got, want, "k={k} coalition={c:?}");
             }
         }
+    }
+
+    /// `score_batch` against a `utility` refit per coalition, bit for bit.
+    fn assert_batch_matches_refit(
+        train: &Dataset,
+        valid: &Dataset,
+        k: usize,
+        batch: &[Vec<usize>],
+    ) {
+        let scorer = KnnCoalitionScorer::new(k, train, valid);
+        let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
+        for (c, got) in batch.iter().zip(scorer.score_batch(&refs)) {
+            let want = utility(&KnnClassifier::new(k), &train.subset(c), valid).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "k={k} coalition={c:?}");
+        }
+    }
+
+    /// The sorted prefixes of a seeded permutation of `0..n`, as a TMC
+    /// permutation walk queues them.
+    fn prefixes(n: usize, seed: u64) -> Vec<Vec<usize>> {
+        use nde_data::rng::SliceRandom;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut nde_data::rng::seeded(seed));
+        (1..=n)
+            .map(|len| {
+                let mut prefix = order[..len].to_vec();
+                prefix.sort_unstable();
+                prefix
+            })
+            .collect()
+    }
+
+    #[test]
+    fn consecutive_prefixes_match_refits() {
+        let (train, valid) = workload(40, 15, 31);
+        for k in [1, 3, 5] {
+            let all = prefixes(40, k as u64);
+            // A whole walk in one batch, and as TMC waves of 16.
+            assert_batch_matches_refit(&train, &valid, k, &all);
+            for wave in all.chunks(16) {
+                assert_batch_matches_refit(&train, &valid, k, wave);
+            }
+        }
+    }
+
+    #[test]
+    fn prefixes_with_gaps_match_refits() {
+        // Prefixes a memo already served are missing from the batch, so a
+        // coalition can add several members to its predecessor.
+        let (train, valid) = workload(30, 12, 32);
+        let all = prefixes(30, 7);
+        let gapped: Vec<Vec<usize>> = all
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !matches!(i % 7, 2 | 3 | 5))
+            .map(|(_, c)| c.clone())
+            .collect();
+        for k in [1, 4] {
+            assert_batch_matches_refit(&train, &valid, k, &gapped);
+        }
+    }
+
+    #[test]
+    fn non_nested_and_repeated_coalitions_match_refits() {
+        let (train, valid) = workload(20, 10, 33);
+        let batch = vec![
+            vec![0, 4, 9, 13],
+            vec![0, 4, 9, 13],
+            vec![0, 4, 9, 13, 17],
+            vec![1, 2, 3],
+            vec![0, 1, 2, 3, 19],
+            vec![1, 2, 3],
+            vec![2, 3],
+            vec![2, 3, 5, 6, 7, 8, 10, 11, 12],
+            vec![2, 3, 5, 6, 7, 8, 10, 11, 12],
+        ];
+        for k in [1, 2, 3] {
+            assert_batch_matches_refit(&train, &valid, k, &batch);
+        }
+    }
+
+    #[test]
+    fn k_at_least_the_coalition_size_matches_refits() {
+        let (train, valid) = workload(12, 8, 34);
+        let all = prefixes(12, 3);
+        for k in [5, 12, 50] {
+            assert_batch_matches_refit(&train, &valid, k, &all);
+        }
+    }
+
+    #[test]
+    fn nested_batches_match_refits_under_ties() {
+        let train = tie_heavy(48, 35);
+        let valid = tie_heavy(17, 36);
+        for k in [1, 2, 3, 5] {
+            let all = prefixes(48, 10 + k as u64);
+            assert_batch_matches_refit(&train, &valid, k, &all);
+            let gapped: Vec<Vec<usize>> = all.iter().step_by(3).cloned().collect();
+            assert_batch_matches_refit(&train, &valid, k, &gapped);
+        }
+    }
+
+    #[test]
+    fn added_members_is_the_difference_of_a_superset() {
+        assert_eq!(added_members(&[], &[1, 2]), Some(vec![1, 2]));
+        assert_eq!(
+            added_members(&[2, 5], &[1, 2, 3, 5, 8]),
+            Some(vec![1, 3, 8])
+        );
+        assert_eq!(added_members(&[2, 5], &[2, 5]), Some(vec![]));
+        assert_eq!(added_members(&[2, 5], &[2, 4]), None);
+        assert_eq!(added_members(&[2, 5], &[1, 2]), None);
+        assert_eq!(added_members(&[0], &[1, 2]), None);
+    }
+
+    #[test]
+    fn neighbor_orders_are_full_sorts_at_every_thread_count() {
+        let train = tie_heavy(37, 37);
+        let valid = tie_heavy(40, 38);
+        let mut want = Vec::new();
+        for x in valid.x.iter_rows() {
+            want.extend(full_sort_neighbors(&train, x, train.len()));
+        }
+        for workers in [0, 1, 3, 6] {
+            let pool = WorkerPool::new(workers);
+            let narrow: Vec<u16> = neighbor_orders(&train, &valid, &pool, workers + 1);
+            let wide: Vec<u32> = neighbor_orders(&train, &valid, &pool, workers + 1);
+            assert!(narrow.iter().map(|&i| i.index()).eq(want.iter().copied()));
+            assert!(wide.iter().map(|&i| i.index()).eq(want.iter().copied()));
+        }
+        let empty: Vec<u16> = neighbor_orders(&train.subset(&[]), &valid, &WorkerPool::new(0), 1);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn order_keys_sort_as_the_neighbor_order() {
+        let dists = [
+            1.0,
+            -0.0,
+            f64::INFINITY,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            f64::MAX,
+            0.25,
+        ];
+        let mut by_key: Vec<usize> = (0..dists.len()).collect();
+        by_key.sort_by_key(|&i| order_key(dists[i], i));
+        let mut by_order = by_key.clone();
+        by_order.sort_by(|&a, &b| neighbor_order(&dists, a, b));
+        assert_eq!(by_key, by_order);
+        assert_eq!(by_key, vec![1, 3, 4, 7, 0, 5, 6, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn order_keys_reject_nan() {
+        order_key(f64::NAN, 0);
+    }
+
+    #[test]
+    fn non_finite_features_are_rejected_with_their_cell() {
+        let (train, valid) = workload(8, 4, 16);
+        let knn = KnnClassifier::new(3);
+        for (bad_train, value) in [(true, f64::NAN), (false, f64::NEG_INFINITY)] {
+            let (mut t, mut v) = (train.clone(), valid.clone());
+            if bad_train {
+                t.x.set(5, 2, value);
+            } else {
+                v.x.set(1, 2, value);
+            }
+            let err = IncrementalKnnEval::new(3, &t, &v).unwrap_err();
+            let cell = if bad_train {
+                "row 5, column 2"
+            } else {
+                "row 1, column 2"
+            };
+            assert!(
+                matches!(&err, MlError::InvalidArgument(msg) if msg.contains(cell)),
+                "{err}"
+            );
+            assert!(knn.incremental_eval(&t, &v).is_none());
+        }
+        // A feature fix that writes a NaN is rejected the same way.
+        let mut eval = IncrementalKnnEval::new(3, &train, &valid).unwrap();
+        let mut moved = train.clone();
+        moved.x.set(6, 0, f64::NAN);
+        assert!(matches!(
+            eval.update_features(&[6], &moved),
+            Err(MlError::InvalidArgument(_))
+        ));
+        assert_eq!(eval.accuracy(), utility(&knn, &train, &valid).unwrap());
     }
 
     #[test]
