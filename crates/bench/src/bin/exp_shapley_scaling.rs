@@ -1,189 +1,32 @@
-//! E6 — runtime scaling of Shapley computation + Monte-Carlo convergence,
-//! plus the parallel-substrate bench (threads × budget × memo cache).
-//!
-//! Flags (all optional; no flags reproduces the classic E6 run):
-//!
-//! ```text
-//! --smoke                  tiny workload + tight budget (CI smoke test)
-//! --threads=1,2,4          thread counts for the parallel bench
-//! --n=200                  training-set size for the parallel bench
-//! --permutations=50        TMC permutation budget
-//! --max-utility-calls=N    RunBudget utility-call cap
-//! --max-iterations=N       RunBudget iteration (permutation) cap
-//! --batch-size=8           wave width for the batched-vs-unbatched bench
-//! --out=BENCH_shapley.json append-only bench trajectory file
-//! ```
-use nde::robust::RunBudget;
+//! E6 — runtime scaling of Shapley computation + Monte-Carlo convergence.
 use nde_bench::experiments::shapley_scaling;
-use nde_bench::report::{append_trajectory, f, trajectory_delta, TextTable};
-
-struct Args {
-    smoke: bool,
-    threads: Vec<usize>,
-    n: usize,
-    permutations: usize,
-    budget: RunBudget,
-    batch_size: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut smoke = false;
-    let mut threads = vec![1, 2, 4];
-    let mut n: Option<usize> = None;
-    let mut permutations: Option<usize> = None;
-    let mut budget = RunBudget::unlimited();
-    let mut batch_size = 8usize;
-    let mut out = "BENCH_shapley.json".to_string();
-    for arg in std::env::args().skip(1) {
-        let (key, value) = match arg.split_once('=') {
-            Some((k, v)) => (k, v),
-            None => (arg.as_str(), ""),
-        };
-        match key {
-            "--smoke" => smoke = true,
-            "--threads" => {
-                threads = value
-                    .split(',')
-                    .map(|t| t.trim().parse().expect("--threads takes integers"))
-                    .collect();
-            }
-            "--n" => n = Some(value.parse().expect("--n takes an integer")),
-            "--permutations" => {
-                permutations = Some(value.parse().expect("--permutations takes an integer"));
-            }
-            "--max-utility-calls" => {
-                budget = budget
-                    .with_max_utility_calls(value.parse().expect("--max-utility-calls: integer"));
-            }
-            "--max-iterations" => {
-                budget =
-                    budget.with_max_iterations(value.parse().expect("--max-iterations: integer"));
-            }
-            "--batch-size" => {
-                batch_size = value.parse().expect("--batch-size takes an integer");
-                assert!(batch_size >= 1, "--batch-size must be >= 1");
-            }
-            "--out" => out = value.to_string(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    // Smoke shrinks the *defaults*; explicit flags still win.
-    if smoke && budget.max_utility_calls.is_none() {
-        budget = budget.with_max_utility_calls(300);
-    }
-    Args {
-        smoke,
-        threads,
-        n: n.unwrap_or(if smoke { 40 } else { 200 }),
-        permutations: permutations.unwrap_or(if smoke { 8 } else { 50 }),
-        budget,
-        batch_size,
-        out,
-    }
-}
+use nde_bench::report::{f, TextTable};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = parse_args();
-
-    if !args.smoke {
-        let r = shapley_scaling::run(&[50, 100, 200, 400], 50, 6)?;
-        println!(
-            "E6 — Shapley runtime scaling ({} TMC permutations)\n",
-            r.permutations
-        );
-        let mut t = TextTable::new(&["n", "knn-shapley s", "loo s", "tmc s", "tmc~exact corr"]);
-        for p in &r.points {
-            t.row(vec![
-                p.n.to_string(),
-                format!("{:.5}", p.knn_shapley_secs),
-                format!("{:.5}", p.loo_secs),
-                format!("{:.5}", p.tmc_secs),
-                f(p.tmc_vs_exact_rank_corr),
-            ]);
-        }
-        println!("{}", t.render());
-
-        let curve = shapley_scaling::convergence(100, &[5, 10, 25, 50, 100, 200], 7)?;
-        println!("Monte-Carlo convergence at n=100 (rank correlation with exact):");
-        let mut t = TextTable::new(&["permutations", "rank corr"]);
-        for (b, c) in &curve {
-            t.row(vec![b.to_string(), f(*c)]);
-        }
-        println!("{}", t.render());
-        println!("{}", nde_bench::report::to_json(&r));
-    }
-
+    let r = shapley_scaling::run(&[50, 100, 200, 400], 50, 6)?;
     println!(
-        "\nParallel substrate bench — n={}, {} permutations, threads {:?}",
-        args.n, args.permutations, args.threads
+        "E6 — Shapley runtime scaling ({} TMC permutations)\n",
+        r.permutations
     );
-    let (mut bench, diagnostics) =
-        shapley_scaling::parallel_bench(args.n, args.permutations, &args.threads, &args.budget, 6)?;
-    let mut t = TextTable::new(&[
-        "method",
-        "threads",
-        "wall ms",
-        "utility calls",
-        "cache hits",
-    ]);
-    for e in &bench.entries {
+    let mut t = TextTable::new(&["n", "knn-shapley s", "loo s", "tmc s", "tmc~exact corr"]);
+    for p in &r.points {
         t.row(vec![
-            e.method.clone(),
-            e.threads.to_string(),
-            format!("{:.2}", e.wall_ms),
-            e.utility_calls.to_string(),
-            e.cache_hits.to_string(),
+            p.n.to_string(),
+            format!("{:.5}", p.knn_shapley_secs),
+            format!("{:.5}", p.loo_secs),
+            format!("{:.5}", p.tmc_secs),
+            f(p.tmc_vs_exact_rank_corr),
         ]);
     }
     println!("{}", t.render());
-    for (threads, d) in &diagnostics {
-        println!(
-            "tmc-shapley diagnostics (threads={threads}): {} permutations, \
-             {} utility calls, {:.1} ms, max marginal SE {}, exhausted: {:?}",
-            d.iterations,
-            d.utility_calls,
-            d.elapsed.as_secs_f64() * 1e3,
-            d.max_marginal_std_error
-                .map_or_else(|| "n/a".to_string(), |se| format!("{se:.4}")),
-            d.exhausted,
-        );
-    }
 
-    println!(
-        "\nBatched utility bench — n={}, {} permutations, batch size {} vs 1",
-        args.n, args.permutations, args.batch_size
-    );
-    bench.batch_comparison =
-        shapley_scaling::batching_bench(args.n, args.permutations, args.batch_size, 6)?;
-    let mut t = TextTable::new(&[
-        "batch size",
-        "wall ms",
-        "utility calls",
-        "ms/call",
-        "batches",
-    ]);
-    for e in &bench.batch_comparison {
-        t.row(vec![
-            e.batch_size.to_string(),
-            format!("{:.2}", e.wall_ms),
-            e.utility_calls.to_string(),
-            format!("{:.5}", e.ms_per_call),
-            e.batches_formed.to_string(),
-        ]);
+    let curve = shapley_scaling::convergence(100, &[5, 10, 25, 50, 100, 200], 7)?;
+    println!("Monte-Carlo convergence at n=100 (rank correlation with exact):");
+    let mut t = TextTable::new(&["permutations", "rank corr"]);
+    for (b, c) in &curve {
+        t.row(vec![b.to_string(), f(*c)]);
     }
     println!("{}", t.render());
-    if let [unbatched, batched] = &bench.batch_comparison[..] {
-        println!(
-            "speedup per utility call: {:.2}x",
-            unbatched.ms_per_call / batched.ms_per_call
-        );
-    }
-
-    let records = append_trajectory(&args.out, &bench)?;
-    println!("\nappended record {} to {}", records.len(), args.out);
-    if let Some(delta) = trajectory_delta(&records) {
-        println!("{delta}");
-    }
+    println!("{}", nde_bench::report::to_json(&r));
     Ok(())
 }

@@ -1,16 +1,14 @@
-//! One module per experiment in the DESIGN.md index (E1–E16).
+//! One module per experiment in the DESIGN.md index (E1–E14 and E17).
 
 pub mod ablations;
 pub mod certain_models;
 pub mod certain_predictions;
 pub mod cleaning;
-pub mod durability;
 pub mod fig1_metrics;
 pub mod fig2_identify;
 pub mod fig3_pipeline;
 pub mod fig4_zorro;
 pub mod importance_compare;
-pub mod incremental;
 pub mod multiplicity;
 pub mod pipeline_scaling;
 pub mod provenance_overhead;

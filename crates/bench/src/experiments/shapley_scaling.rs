@@ -8,11 +8,9 @@
 
 use nde::data::generate::blobs::two_gaussians;
 use nde::importance::loo::loo_importance;
-use nde::importance::{knn_shapley, tmc_shapley, BatchPolicy, ImportanceRun, TmcParams};
+use nde::importance::{knn_shapley, tmc_shapley, ImportanceRun, TmcParams};
 use nde::ml::dataset::Dataset;
 use nde::ml::models::knn::KnnClassifier;
-use nde::robust::par::MemoCache;
-use nde::robust::{ConvergenceDiagnostics, RunBudget};
 use nde::NdeError;
 use std::time::Instant;
 
@@ -110,204 +108,6 @@ pub fn run(sizes: &[usize], permutations: usize, seed: u64) -> Result<ScalingRep
     })
 }
 
-/// One timed configuration of the parallel-substrate bench, recorded in
-/// `BENCH_shapley.json` so the perf trajectory is tracked across PRs.
-#[derive(Debug, Clone)]
-pub struct BenchEntry {
-    /// Estimator under test (`tmc-shapley` or `knn-shapley`).
-    pub method: String,
-    /// Training-set size.
-    pub n: usize,
-    /// Worker threads.
-    pub threads: usize,
-    /// Wall-clock milliseconds for the run.
-    pub wall_ms: f64,
-    /// Logical utility evaluations (cache hits included); 0 for the
-    /// closed-form KNN-Shapley.
-    pub utility_calls: u64,
-    /// Utility evaluations served from the memo cache.
-    pub cache_hits: u64,
-}
-
-nde_data::json_struct!(BenchEntry {
-    method,
-    n,
-    threads,
-    wall_ms,
-    utility_calls,
-    cache_hits
-});
-
-/// Machine-readable report of the parallel-substrate bench.
-#[derive(Debug, Clone)]
-pub struct ShapleyBench {
-    /// TMC permutation budget.
-    pub permutations: usize,
-    /// One entry per (method, thread count).
-    pub entries: Vec<BenchEntry>,
-    /// Batched-vs-unbatched utility comparison (see [`batching_bench`]).
-    pub batch_comparison: Vec<BatchComparisonEntry>,
-}
-
-nde_data::json_struct!(ShapleyBench {
-    permutations,
-    entries,
-    batch_comparison
-});
-
-/// One side of the batched-vs-unbatched utility comparison recorded in
-/// `BENCH_shapley.json`.
-#[derive(Debug, Clone)]
-pub struct BatchComparisonEntry {
-    /// Coalitions per batch (1 = the unbatched legacy path).
-    pub batch_size: usize,
-    /// Wall-clock milliseconds for the whole TMC run.
-    pub wall_ms: f64,
-    /// Logical utility evaluations the run was charged for.
-    pub utility_calls: u64,
-    /// Wall-clock milliseconds per utility call — the headline number the
-    /// batched engine is meant to shrink.
-    pub ms_per_call: f64,
-    /// Grouped passes submitted to the batched scorer (0 when unbatched).
-    pub batches_formed: u64,
-}
-
-nde_data::json_struct!(BatchComparisonEntry {
-    batch_size,
-    wall_ms,
-    utility_calls,
-    ms_per_call,
-    batches_formed
-});
-
-/// Time the same TMC-Shapley-with-KNN run unbatched (`batch_size` 1) and
-/// with `batch_size`-wide waves through the shared-distance-matrix scorer.
-/// Panics if the two runs' scores are not bit-identical — batching must be
-/// a purely physical optimization.
-pub fn batching_bench(
-    n: usize,
-    permutations: usize,
-    batch_size: usize,
-    seed: u64,
-) -> Result<Vec<BatchComparisonEntry>, NdeError> {
-    // 32-dimensional blobs rather than the scaling bench's 4: utility cost
-    // is dominated by train→valid distance computation, which the batched
-    // scorer amortizes into one shared matrix — low-dimensional toy data
-    // would understate what real (wide) feature matrices gain.
-    let nd = two_gaussians(n + 50, 32, 4.0, seed);
-    let all = Dataset::try_from(&nd).expect("blob data is well-formed");
-    let mut train = all.subset(&(0..n).collect::<Vec<_>>());
-    let valid = all.subset(&(n..n + 50).collect::<Vec<_>>());
-    let mut rng = nde::data::rng::seeded(seed ^ 0xf11b);
-    for f in nde::data::rng::sample_indices(n, n / 10, &mut rng) {
-        train.y[f] = 1 - train.y[f];
-    }
-    let params = TmcParams {
-        permutations,
-        truncation_tolerance: 0.01,
-    };
-    let mut entries = Vec::new();
-    let mut baseline: Option<Vec<f64>> = None;
-    for (size, policy) in [
-        (1, BatchPolicy::Unbatched),
-        (batch_size, BatchPolicy::Grouped { size: batch_size }),
-    ] {
-        let run = ImportanceRun::new(seed).with_batch(policy);
-        // Best of three repetitions: the runs are deterministic, so reps
-        // only differ by scheduler/cache noise and min is the clean signal.
-        let mut wall_ms = f64::INFINITY;
-        let mut report = None;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let out = tmc_shapley(&run, &KnnClassifier::new(1), &train, &valid, &params)?;
-            wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            match &baseline {
-                None => baseline = Some(out.scores.values.clone()),
-                Some(base) => assert_eq!(
-                    base, &out.scores.values,
-                    "batched scores diverged from unbatched"
-                ),
-            }
-            report = Some(out.report);
-        }
-        let report = report.expect("three reps ran");
-        let calls = report.utility_calls.max(1);
-        entries.push(BatchComparisonEntry {
-            batch_size: size,
-            wall_ms,
-            utility_calls: calls,
-            ms_per_call: wall_ms / calls as f64,
-            batches_formed: report.batches_formed,
-        });
-    }
-    Ok(entries)
-}
-
-/// Time budgeted+memoized TMC-Shapley and exact KNN-Shapley at each thread
-/// count on the same workload. Scores are bit-identical across thread
-/// counts (the substrate's contract); only the wall clock moves. Returns
-/// the bench report plus per-run [`ConvergenceDiagnostics`] for display.
-pub fn parallel_bench(
-    n: usize,
-    permutations: usize,
-    threads_list: &[usize],
-    budget: &RunBudget,
-    seed: u64,
-) -> Result<(ShapleyBench, Vec<(usize, ConvergenceDiagnostics)>), NdeError> {
-    let (train, valid) = blobs(n, seed);
-    let mut entries = Vec::new();
-    let mut diagnostics = Vec::new();
-    let params = TmcParams {
-        permutations,
-        truncation_tolerance: 0.01,
-    };
-    for &threads in threads_list {
-        let cache = MemoCache::new();
-        let run = ImportanceRun::new(seed)
-            .with_threads(threads)
-            .with_budget(budget.clone())
-            .with_cache(&cache);
-        let t0 = Instant::now();
-        let out = tmc_shapley(&run, &KnnClassifier::new(1), &train, &valid, &params)?;
-        entries.push(BenchEntry {
-            method: "tmc-shapley".into(),
-            n,
-            threads,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            utility_calls: out.report.utility_calls,
-            cache_hits: cache.hits(),
-        });
-        diagnostics.push((
-            threads,
-            out.report.diagnostics.expect("tmc reports diagnostics"),
-        ));
-
-        let t0 = Instant::now();
-        let _ = knn_shapley(
-            &ImportanceRun::new(seed).with_threads(threads),
-            &train,
-            &valid,
-            1,
-        )?;
-        entries.push(BenchEntry {
-            method: "knn-shapley".into(),
-            n,
-            threads,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            utility_calls: 0,
-            cache_hits: 0,
-        });
-    }
-    Ok((
-        ShapleyBench {
-            permutations,
-            entries,
-            batch_comparison: Vec::new(),
-        },
-        diagnostics,
-    ))
-}
-
 /// Monte-Carlo convergence: self-consistency of TMC-Shapley as the budget
 /// grows — the rank correlation between two *independent* TMC runs at the
 /// same budget. Low budgets give noisy, poorly reproducible rankings; the
@@ -351,53 +151,6 @@ mod tests {
             p.tmc_secs
         );
         assert!(p.tmc_vs_exact_rank_corr > 0.1, "{p:?}");
-    }
-
-    #[test]
-    fn parallel_bench_reports_cache_hits_and_diagnostics() {
-        // More permutations than training points: every permutation's first
-        // singleton coalition is evaluated, so the memo cache is guaranteed
-        // repeats by pigeonhole.
-        let budget = RunBudget::unlimited().with_max_utility_calls(400);
-        let (bench, diags) = parallel_bench(20, 30, &[1, 4], &budget, 15).unwrap();
-        assert_eq!(bench.entries.len(), 4); // (tmc + knn) × two thread counts
-        let tmc: Vec<_> = bench
-            .entries
-            .iter()
-            .filter(|e| e.method == "tmc-shapley")
-            .collect();
-        assert_eq!(tmc.len(), 2);
-        // Repeated-coalition workload: the memo cache must see hits, and the
-        // budget trip point (logical utility calls) is thread-invariant.
-        for e in &tmc {
-            assert!(e.cache_hits > 0, "{e:?}");
-            assert_eq!(e.utility_calls, tmc[0].utility_calls);
-        }
-        assert_eq!(diags.len(), 2);
-        assert_eq!(diags[0].1.utility_calls, diags[1].1.utility_calls);
-        // JSON round-trips through the offline serializer.
-        let text = crate::report::to_json(&bench);
-        assert!(text.contains("\"cache_hits\""));
-    }
-
-    #[test]
-    fn batching_bench_records_both_sides_and_serializes() {
-        let comparison = batching_bench(24, 6, 8, 21).unwrap();
-        assert_eq!(comparison.len(), 2);
-        assert_eq!(comparison[0].batch_size, 1);
-        assert_eq!(comparison[1].batch_size, 8);
-        // Batching is physical only: the logical charge is identical.
-        assert_eq!(comparison[0].utility_calls, comparison[1].utility_calls);
-        assert_eq!(comparison[0].batches_formed, 0);
-        assert!(comparison[1].batches_formed > 0);
-        let bench = ShapleyBench {
-            permutations: 6,
-            entries: Vec::new(),
-            batch_comparison: comparison,
-        };
-        let text = crate::report::to_json(&bench);
-        assert!(text.contains("\"batch_comparison\""));
-        assert!(text.contains("\"ms_per_call\""));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! in `src/bin/` are thin wrappers that print the same rows/series the paper
 //! shows, and the wall-clock benches in `benches/` measure the runtime
 //! claims (KNN-Shapley vs Monte-Carlo scaling, provenance overhead).
+//! End-to-end timings of the Identify, Debug and Learn workflows live in
+//! `wfbench/`, not here.
 
 pub mod experiments;
 pub mod report;

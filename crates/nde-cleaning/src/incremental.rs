@@ -233,7 +233,7 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     }
 
     /// `(fixes applied, full re-encodes, rows re-encoded)` — the work
-    /// accounting E16 reports.
+    /// accounting of one session.
     pub fn stats(&self) -> (usize, usize, usize) {
         (self.fixes_applied, self.full_reencodes, self.rows_reencoded)
     }

@@ -106,17 +106,13 @@ pub struct ImportanceRun<'a> {
     /// `(model, train, valid)` triple. Hits still count as logical utility
     /// calls, so budget trip points are cache-independent.
     pub cache: Option<&'a MemoCache>,
-    /// Optional TMC-Shapley checkpoint to resume from. Kept as typed sugar
-    /// for TMC callers; the method-erased [`ImportanceRun::resume`] covers
-    /// every resumable method. Takes precedence over `resume`.
-    pub checkpoint: Option<&'a McCheckpoint>,
-    /// Optional method-erased snapshot to resume from (any Monte-Carlo
-    /// method). Resuming is bit-identical to never stopping.
+    /// Optional snapshot to resume from (any Monte-Carlo method).
+    /// Resuming is bit-identical to never stopping.
     pub resume: Option<&'a EstimatorCheckpoint>,
     /// Optional durable store. When set, checkpoints are persisted as
     /// crash-safe records under the run's [`RunFingerprint`] and the run
     /// auto-resumes from the latest valid record (unless an explicit
-    /// `checkpoint`/`resume` is given, which wins).
+    /// `resume` is given, which wins).
     pub store: Option<&'a RunStore>,
     /// With a store attached: write a record every this-many estimator
     /// steps (permutations / subset samples / points). `None` writes one
@@ -140,7 +136,6 @@ impl<'a> ImportanceRun<'a> {
             threads: 1,
             budget: None,
             cache: None,
-            checkpoint: None,
             resume: None,
             store: None,
             auto_checkpoint_every: None,
@@ -180,17 +175,8 @@ impl<'a> ImportanceRun<'a> {
         self
     }
 
-    /// Resume from a TMC-Shapley checkpoint of an earlier, interrupted run.
-    /// Resuming is bit-identical to never stopping. Non-TMC methods reject
-    /// this with a checkpoint-mismatch error; use
-    /// [`with_resume`](ImportanceRun::with_resume) for them.
-    pub fn with_checkpoint(mut self, checkpoint: &'a McCheckpoint) -> ImportanceRun<'a> {
-        self.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Resume from the method-erased snapshot of an earlier, interrupted
-    /// run (`report.snapshot`). Resuming is bit-identical to never
+    /// Resume from the snapshot of an earlier, interrupted run
+    /// (`report.snapshot`). Resuming is bit-identical to never
     /// stopping; a snapshot written by a different method or run shape is
     /// rejected with [`ImportanceError::Checkpoint`].
     pub fn with_resume(mut self, snapshot: &'a EstimatorCheckpoint) -> ImportanceRun<'a> {
@@ -224,7 +210,7 @@ impl<'a> ImportanceRun<'a> {
     fn reject_resumability(&self, method: &str) -> Result<()> {
         let offending = if self.budget.is_some() {
             Some("budgets")
-        } else if self.checkpoint.is_some() || self.resume.is_some() {
+        } else if self.resume.is_some() {
             Some("checkpoint resume")
         } else if self.store.is_some() || self.auto_checkpoint_every.is_some() {
             Some("a durable store")
@@ -257,11 +243,8 @@ pub struct RunReport {
     pub fallback_evals: u64,
     /// Convergence diagnostics (methods with a budget clock).
     pub diagnostics: Option<ConvergenceDiagnostics>,
-    /// TMC-Shapley snapshot to pass to [`ImportanceRun::with_checkpoint`]
-    /// (TMC runs only; other methods report through `snapshot`).
-    pub checkpoint: Option<McCheckpoint>,
-    /// Method-erased snapshot to pass to [`ImportanceRun::with_resume`] to
-    /// continue this estimation (every Monte-Carlo method).
+    /// Snapshot to pass to [`ImportanceRun::with_resume`] to continue this
+    /// estimation (every Monte-Carlo method).
     pub snapshot: Option<EstimatorCheckpoint>,
     /// Identity the durable records were stored under (runs with a store).
     pub fingerprint: Option<RunFingerprint>,
@@ -276,7 +259,6 @@ impl RunReport {
             batched_evals: stats.batched_evals,
             fallback_evals: stats.fallback_evals,
             diagnostics: None,
-            checkpoint: None,
             snapshot: None,
             fingerprint: None,
         }
@@ -360,24 +342,15 @@ fn data_fingerprint(train: &Dataset, valid: &Dataset) -> u64 {
     h.finish()
 }
 
-/// Resolve what the run resumes from, in precedence order: the typed TMC
-/// checkpoint, the method-erased snapshot, then the store's latest valid
-/// record. A snapshot written by a different method is a typed
-/// [`ImportanceError::Checkpoint`] — never silently ignored.
+/// Resolve what the run resumes from: the explicit snapshot if any, else
+/// the store's latest valid record. A snapshot written by a different
+/// method is a typed [`ImportanceError::Checkpoint`] — never silently
+/// ignored.
 fn resolve_resume(
     run: &ImportanceRun,
     fingerprint: Option<&RunFingerprint>,
     method: &str,
 ) -> Result<Option<EstimatorCheckpoint>> {
-    if let Some(cp) = run.checkpoint {
-        if method != TMC_METHOD {
-            return Err(ImportanceError::Checkpoint(format!(
-                "`with_checkpoint` carries a `{TMC_METHOD}` checkpoint but this run is \
-                 `{method}`; resume it with `with_resume`"
-            )));
-        }
-        return Ok(Some(EstimatorCheckpoint::Tmc(cp.clone())));
-    }
     if let Some(snap) = run.resume {
         if snap.method() != method {
             return Err(ImportanceError::Checkpoint(format!(
@@ -506,9 +479,9 @@ where
 /// Truncated Monte-Carlo Data Shapley through the unified run options.
 ///
 /// Honors every [`ImportanceRun`] option: budgets stop the run per utility
-/// call, `report.checkpoint`/`report.snapshot` resume it bit-identically,
-/// a store makes it crash-safe, and `report.diagnostics` carries the
-/// authoritative clock counters.
+/// call, `report.snapshot` resumes it bit-identically, a store makes it
+/// crash-safe, and `report.diagnostics` carries the authoritative clock
+/// counters.
 pub fn tmc_shapley<C>(
     run: &ImportanceRun,
     template: &C,
@@ -571,7 +544,6 @@ where
     )?;
     let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
     report.diagnostics = Some(diagnostics);
-    report.checkpoint = Some(state.clone());
     report.snapshot = Some(EstimatorCheckpoint::Tmc(state));
     report.fingerprint = fp;
     Ok(ImportanceOutcome { scores, report })
@@ -810,7 +782,10 @@ mod tests {
             unified.report.utility_calls,
             legacy.diagnostics.utility_calls
         );
-        assert_eq!(unified.report.checkpoint.unwrap(), legacy.checkpoint);
+        assert_eq!(
+            unified.report.snapshot.unwrap(),
+            EstimatorCheckpoint::Tmc(legacy.checkpoint)
+        );
     }
 
     #[test]
@@ -831,18 +806,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cut.report.utility_calls, 17);
-        let ckpt = cut.report.checkpoint.unwrap();
-        let resumed = tmc_shapley(
-            &ImportanceRun::new(3).with_checkpoint(&ckpt),
-            &knn,
-            &train,
-            &valid,
-            &params,
-        )
-        .unwrap();
-        assert_eq!(resumed.scores, full.scores);
-        // The method-erased snapshot resumes identically.
         let snap = cut.report.snapshot.unwrap();
+        assert_eq!(snap.method(), TMC_METHOD);
         let resumed = tmc_shapley(
             &ImportanceRun::new(3).with_resume(&snap),
             &knn,
@@ -947,7 +912,7 @@ mod tests {
         assert_eq!(resumed.scores, full.scores);
 
         // A snapshot can never cross methods: the Banzhaf run's snapshot is
-        // rejected by beta_shapley, and a TMC `with_checkpoint` by banzhaf.
+        // rejected by beta_shapley, and a TMC snapshot by banzhaf.
         let banzhaf_snap = full_banzhaf_snapshot(&run, &knn, &train, &valid);
         assert!(matches!(
             beta_shapley(
@@ -959,10 +924,10 @@ mod tests {
             ),
             Err(ImportanceError::Checkpoint(_))
         ));
-        let tmc = McCheckpoint::fresh(TMC_METHOD, 7, train.len());
+        let tmc = EstimatorCheckpoint::Tmc(McCheckpoint::fresh(TMC_METHOD, 7, train.len()));
         assert!(matches!(
             banzhaf(
-                &run.clone().with_checkpoint(&tmc),
+                &run.clone().with_resume(&tmc),
                 &knn,
                 &train,
                 &valid,
@@ -1113,11 +1078,10 @@ mod tests {
             knn_shapley(&ImportanceRun::new(0).with_threads(3), &train, &valid, 2).unwrap();
         assert_eq!(unified.scores, legacy);
         assert_eq!(unified.report.utility_calls, 0);
-        assert!(unified.report.checkpoint.is_none());
         assert!(unified.report.snapshot.is_none());
 
-        let ckpt = McCheckpoint::fresh("tmc-shapley", 0, train.len());
-        let resuming = ImportanceRun::new(0).with_checkpoint(&ckpt);
+        let ckpt = EstimatorCheckpoint::Tmc(McCheckpoint::fresh("tmc-shapley", 0, train.len()));
+        let resuming = ImportanceRun::new(0).with_resume(&ckpt);
         assert!(matches!(
             knn_shapley(&resuming, &train, &valid, 2),
             Err(ImportanceError::Unsupported(_))

@@ -520,14 +520,6 @@ impl Lineage {
         }
     }
 
-    /// Build a lineage from reference trees (test/bench convenience; the
-    /// executor interns directly during execution).
-    pub fn from_exprs(sources: Vec<String>, exprs: &[ProvExpr]) -> Lineage {
-        let mut arena = ProvArena::new();
-        let rows = exprs.iter().map(|e| arena.intern_expr(e)).collect();
-        Lineage::new(sources, arena, rows)
-    }
-
     /// Number of output rows covered.
     pub fn n_rows(&self) -> usize {
         self.rows.len()
@@ -800,9 +792,16 @@ mod tests {
         assert_eq!(index.of(p), &[t(0, 0), t(0, 1), t(1, 0)]);
     }
 
+    /// A lineage interned from reference trees.
+    fn lineage_of(sources: Vec<String>, exprs: &[ProvExpr]) -> Lineage {
+        let mut arena = ProvArena::new();
+        let rows = exprs.iter().map(|e| arena.intern_expr(e)).collect();
+        Lineage::new(sources, arena, rows)
+    }
+
     #[test]
     fn lineage_indexing() {
-        let lineage = Lineage::from_exprs(
+        let lineage = lineage_of(
             vec!["a".into(), "b".into()],
             &[
                 ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
@@ -825,7 +824,7 @@ mod tests {
 
     #[test]
     fn inverted_index_cache_matches_uncached_semantics() {
-        let lineage = Lineage::from_exprs(
+        let lineage = lineage_of(
             vec!["a".into(), "b".into()],
             &[
                 ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
@@ -845,7 +844,7 @@ mod tests {
         let shorter = lineage.outputs_per_source_row(0, 2);
         assert!(shorter.iter().all(Vec::is_empty));
         // Equality ignores whether the cache has been built.
-        let fresh = Lineage::from_exprs(
+        let fresh = lineage_of(
             vec!["a".into(), "b".into()],
             &[
                 ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),

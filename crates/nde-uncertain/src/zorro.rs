@@ -200,29 +200,16 @@ impl ZorroRegressor {
         self.fit_uncertain(x, &targets)
     }
 
-    /// [`Self::fit`] under a [`RunBudget`]: runs at most the budgeted number
-    /// of epochs (each epoch is one budget iteration) and keeps the
-    /// best-so-far weights when a limit trips. See
-    /// [`Self::fit_uncertain_budgeted`].
-    pub fn fit_budgeted(
-        &mut self,
-        x: &SymbolicMatrix,
-        y: &[f64],
-        budget: &RunBudget,
-    ) -> Result<ConvergenceDiagnostics> {
-        let targets: Vec<Interval> = y.iter().map(|&v| Interval::point(v)).collect();
-        self.fit_uncertain_budgeted(x, &targets, budget)
-    }
-
     /// Train with **uncertain labels** as well: every target is itself an
     /// interval (Fig. 4's hands-on session injects "synthetic missing
     /// attributes *and uncertain labels*"). Point targets recover [`Self::fit`].
     pub fn fit_uncertain(&mut self, x: &SymbolicMatrix, y: &[Interval]) -> Result<()> {
-        self.fit_uncertain_budgeted(x, y, &RunBudget::unlimited())
+        self.fit_uncertain_resumable(x, y, &RunBudget::unlimited(), None)
             .map(|_| ())
     }
 
-    /// [`Self::fit_uncertain`] under a [`RunBudget`].
+    /// [`Self::fit_uncertain`] under a [`RunBudget`], optionally resuming
+    /// an earlier fit.
     ///
     /// This is the **SoA engine** path: the symbolic matrix is re-laid into
     /// contiguous `lo`/`hi` planes once, each epoch's gradient is
@@ -238,19 +225,9 @@ impl ZorroRegressor {
     /// best-so-far model (the returned [`ConvergenceDiagnostics`] records how
     /// many epochs ran and which limit tripped). Divergence still fails with
     /// [`UncertainError::Diverged`] — a diverged model is not worth keeping.
-    pub fn fit_uncertain_budgeted(
-        &mut self,
-        x: &SymbolicMatrix,
-        y: &[Interval],
-        budget: &RunBudget,
-    ) -> Result<ConvergenceDiagnostics> {
-        self.fit_uncertain_resumable(x, y, budget, None)
-            .map(|(diag, _)| diag)
-    }
-
-    /// [`Self::fit_uncertain_budgeted`] that can also **resume** a fit cut
-    /// short by an earlier budget trip (or crash): pass the
-    /// [`ZorroCheckpoint`] the interrupted call returned and training
+    ///
+    /// To **resume** a fit cut short by an earlier budget trip (or crash),
+    /// pass the [`ZorroCheckpoint`] the interrupted call returned: training
     /// continues at the next epoch, bit-identical to an uninterrupted run.
     /// A snapshot with the wrong weight dimension or more epochs than this
     /// configuration allows is rejected with
@@ -315,7 +292,7 @@ impl ZorroRegressor {
     /// the symbolic rows, sequential, but with the same
     /// [`GRADIENT_BLOCK`]/[`tree_reduce`] accumulation shape as the SoA
     /// engine — so its weights must be bit-identical to
-    /// [`Self::fit_uncertain_budgeted`] at every thread count. Kept (like
+    /// [`Self::fit_uncertain_resumable`] at every thread count. Kept (like
     /// the provenance engine's recursive `ProvExpr`) as the cross-check
     /// the property tests compare the optimized path against.
     pub fn fit_uncertain_reference(&mut self, x: &SymbolicMatrix, y: &[Interval]) -> Result<()> {
@@ -789,11 +766,12 @@ mod tests {
         let (x, y) = regression_data(40, 10);
         let cfg = ZorroConfig::default();
         let sym = SymbolicMatrix::from_exact(&x);
+        let targets: Vec<Interval> = y.iter().map(|&v| Interval::point(v)).collect();
         let mut plain = ZorroRegressor::new(cfg.clone());
         plain.fit(&sym, &y).unwrap();
         let mut budgeted = ZorroRegressor::new(cfg);
-        let diag = budgeted
-            .fit_budgeted(&sym, &y, &RunBudget::unlimited())
+        let (diag, _) = budgeted
+            .fit_uncertain_resumable(&sym, &targets, &RunBudget::unlimited(), None)
             .unwrap();
         assert!(diag.completed());
         assert_eq!(diag.iterations, 60);
@@ -807,11 +785,13 @@ mod tests {
     fn budget_exhaustion_keeps_best_so_far_weights() {
         let (x, y) = regression_data(40, 11);
         let sym = SymbolicMatrix::from_exact(&x);
+        let targets: Vec<Interval> = y.iter().map(|&v| Interval::point(v)).collect();
         // 60 configured epochs, budget for 10: must stop at 10 with the
         // exact weights a 10-epoch run produces.
         let mut budgeted = ZorroRegressor::new(ZorroConfig::default());
-        let diag = budgeted
-            .fit_budgeted(&sym, &y, &RunBudget::unlimited().with_max_iterations(10))
+        let budget = RunBudget::unlimited().with_max_iterations(10);
+        let (diag, _) = budgeted
+            .fit_uncertain_resumable(&sym, &targets, &budget, None)
             .unwrap();
         assert_eq!(diag.iterations, 10);
         assert_eq!(diag.exhausted, Some(nde_robust::Exhaustion::Iterations));
@@ -826,12 +806,9 @@ mod tests {
         );
         // An immediately-exhausted budget still yields a usable (zero) model.
         let mut instant = ZorroRegressor::new(ZorroConfig::default());
-        let diag = instant
-            .fit_budgeted(
-                &sym,
-                &y,
-                &RunBudget::unlimited().with_wall_clock(std::time::Duration::ZERO),
-            )
+        let budget = RunBudget::unlimited().with_wall_clock(std::time::Duration::ZERO);
+        let (diag, _) = instant
+            .fit_uncertain_resumable(&sym, &targets, &budget, None)
             .unwrap();
         assert_eq!(diag.iterations, 0);
         assert!(!diag.completed());

@@ -8,7 +8,7 @@ use nde_cleaning::{
     prioritized_cleaning_robust, FlakyOracle, LabelOracle, MaintenanceMode, Strategy,
 };
 use nde_data::generate::blobs::two_gaussians;
-use nde_importance::{tmc_shapley, ImportanceRun, TmcParams};
+use nde_importance::{tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::{Executor, PanicPolicy};
@@ -37,7 +37,9 @@ fn main() {
         &params,
     )
     .unwrap();
-    let partial_ckpt = partial.report.checkpoint.unwrap();
+    let Some(EstimatorCheckpoint::Tmc(partial_ckpt)) = partial.report.snapshot else {
+        unreachable!("TMC runs snapshot TMC state");
+    };
     let partial_diag = partial.report.diagnostics.unwrap();
     println!(
         "partial: cursor={} exhausted={:?} max_se={:?}",
@@ -45,9 +47,9 @@ fn main() {
     );
     let ckpt_path = std::env::temp_dir().join("ft_probe.ckpt.json");
     partial_ckpt.save(&ckpt_path).unwrap();
-    let restored = McCheckpoint::load(&ckpt_path).unwrap();
+    let restored = EstimatorCheckpoint::Tmc(McCheckpoint::load(&ckpt_path).unwrap());
     let resumed = tmc_shapley(
-        &ImportanceRun::new(5).with_checkpoint(&restored),
+        &ImportanceRun::new(5).with_resume(&restored),
         &knn,
         &train,
         &valid,
@@ -70,7 +72,7 @@ fn main() {
 
     // Probe: resume into a run with a different seed.
     let err = tmc_shapley(
-        &ImportanceRun::new(6).with_checkpoint(&partial_ckpt),
+        &ImportanceRun::new(6).with_resume(&EstimatorCheckpoint::Tmc(partial_ckpt)),
         &knn,
         &train,
         &valid,

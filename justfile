@@ -6,19 +6,6 @@ verify:
     cargo test -q --offline
     cargo test -q --release --offline -p nde-tests --test parallel_substrate
 
-# Budget-capped bench smoke (what CI runs to keep figure runs bounded).
-bench-smoke:
-    cargo build --release --offline -p nde-bench --bin exp_shapley_scaling
-    ./target/release/exp_shapley_scaling --smoke --threads=1,4 --max-utility-calls=300
-
-# Batched-vs-unbatched utility smoke: runs the scaling bench with 8-wide
-# waves and asserts the machine-readable report carries the comparison.
-bench-batch:
-    cargo build --release --offline -p nde-bench --bin exp_shapley_scaling
-    ./target/release/exp_shapley_scaling --smoke --batch-size=8
-    grep -q '"batch_comparison"' BENCH_shapley.json
-    grep -q '"ms_per_call"' BENCH_shapley.json
-
 # Pipeline-engine smoke: arena + parallel operators vs the sequential tree
 # path, appended to the BENCH_pipeline.json trajectory (prints the
 # last-vs-previous delta when history exists).
@@ -61,29 +48,6 @@ bench-scaling:
     ./target/release/exp_uncertain_scaling --smoke --threads=1,4 --check=40 | tee /tmp/nde_scaling_e14.txt
     grep -q 'scaling gate OK' /tmp/nde_scaling_e14.txt
     cargo test -q --release --offline -p nde-tests --test pool_lifecycle
-
-# Durability smoke: checkpoint overhead + crash recovery (clean and
-# torn-record) with bit-identity asserted, appended to the
-# BENCH_durability.json trajectory with the regression gate armed. Also
-# runs the kill/resume chaos tests.
-bench-durable:
-    cargo build --release --offline -p nde-bench --bin exp_durability
-    ./target/release/exp_durability --smoke --check=40
-    grep -q '"recover_ms"' BENCH_durability.json
-    grep -q '"runner"' BENCH_durability.json
-    cargo test -q --release --offline -p nde-tests --test durability
-
-# Incremental-maintenance smoke: delta propagation vs full re-execution
-# per fix path plus the cleaning loop under both maintenance modes, with
-# bit-identity asserted and the incremental-wins criterion enforced,
-# appended to the BENCH_incremental.json trajectory with the regression
-# gate armed. Also runs the differential property suite.
-bench-incremental:
-    cargo build --release --offline -p nde-bench --bin exp_incremental
-    ./target/release/exp_incremental --smoke --check=40
-    grep -q '"incremental_us"' BENCH_incremental.json
-    grep -q '"runner"' BENCH_incremental.json
-    cargo test -q --release --offline -p nde-tests --test incremental_delta
 
 # Format and lint.
 lint:

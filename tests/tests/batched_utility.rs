@@ -7,7 +7,7 @@
 use nde_data::generate::blobs::two_gaussians;
 use nde_importance::{
     banzhaf, beta_shapley, tmc_shapley, BanzhafParams, BatchPolicy, BetaShapleyParams,
-    ImportanceRun, TmcParams,
+    EstimatorCheckpoint, ImportanceRun, TmcParams,
 };
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
@@ -44,6 +44,10 @@ fn batched_tmc_is_bit_identical_across_threads_without_budget() {
         &tmc_params(),
     )
     .unwrap();
+    assert_eq!(
+        baseline.report.batches_formed, 0,
+        "unbatched forms no batch"
+    );
     for threads in [1, 4] {
         for size in [1, 4, 32] {
             let batched = tmc_shapley(
@@ -62,6 +66,10 @@ fn batched_tmc_is_bit_identical_across_threads_without_budget() {
             );
             assert_eq!(baseline.report.utility_calls, batched.report.utility_calls);
             assert!(batched.report.batched_evals > 0, "scorer must be used");
+            assert!(
+                batched.report.batches_formed > 0,
+                "threads={threads} size={size}"
+            );
         }
     }
 }
@@ -83,7 +91,7 @@ fn batched_tmc_trips_budget_at_the_same_point_across_threads() {
     )
     .unwrap();
     assert!(!baseline.report.diagnostics.as_ref().unwrap().completed());
-    let base_ckpt = baseline.report.checkpoint.as_ref().unwrap();
+    let base_ckpt = baseline.report.snapshot.as_ref().unwrap();
     for threads in [1, 4] {
         let batched = tmc_shapley(
             &ImportanceRun::new(5)
@@ -101,7 +109,7 @@ fn batched_tmc_trips_budget_at_the_same_point_across_threads() {
         assert_eq!(batched.report.utility_calls, 75);
         // The entire checkpoint — cursor, rng state, in-flight walk, float
         // totals — must match the unbatched run's exactly.
-        assert_eq!(base_ckpt, batched.report.checkpoint.as_ref().unwrap());
+        assert_eq!(base_ckpt, batched.report.snapshot.as_ref().unwrap());
     }
 }
 
@@ -127,15 +135,16 @@ fn batched_run_resumes_from_an_unbatched_mid_permutation_checkpoint() {
             &tmc_params(),
         )
         .unwrap();
-        let ckpt = tripped.report.checkpoint.unwrap();
+        let snap = tripped.report.snapshot.unwrap();
+        let EstimatorCheckpoint::Tmc(ckpt) = &snap else {
+            panic!("TMC runs snapshot TMC state, got {snap:?}");
+        };
         assert!(
             ckpt.inflight.is_some(),
             "budget must trip mid-permutation for this test to bite"
         );
         let resumed = tmc_shapley(
-            &ImportanceRun::new(6)
-                .with_checkpoint(&ckpt)
-                .with_batch(second),
+            &ImportanceRun::new(6).with_resume(&snap).with_batch(second),
             &knn,
             &train,
             &valid,
@@ -234,7 +243,7 @@ fn cache_and_batching_compose_without_changing_scores_or_trip_points() {
     assert_eq!(plain.report.utility_calls, cached.report.utility_calls);
     assert!(cached.report.cache_hits > 0);
     assert_eq!(
-        plain.report.checkpoint.unwrap().cursor,
-        cached.report.checkpoint.unwrap().cursor
+        plain.report.snapshot.unwrap().step(),
+        cached.report.snapshot.unwrap().step()
     );
 }

@@ -64,10 +64,15 @@ fn learn_workflow_is_bit_reproducible() {
 #[test]
 fn interrupted_shapley_resumes_bit_identically() {
     use nde_data::generate::blobs::two_gaussians;
-    use nde_importance::{tmc_shapley, ImportanceRun, TmcParams};
+    use nde_importance::{tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
     use nde_ml::dataset::Dataset;
     use nde_ml::models::knn::KnnClassifier;
     use nde_robust::{McCheckpoint, RunBudget};
+
+    let tmc_state = |snapshot: Option<EstimatorCheckpoint>| match snapshot {
+        Some(EstimatorCheckpoint::Tmc(c)) => c,
+        other => panic!("expected a TMC snapshot, got {other:?}"),
+    };
 
     let nd = two_gaussians(80, 3, 1.5, 21);
     let all = Dataset::try_from(&nd).unwrap();
@@ -81,7 +86,7 @@ fn interrupted_shapley_resumes_bit_identically() {
     let full = tmc_shapley(&ImportanceRun::new(3), &knn, &train, &valid, &params)
         .expect("uninterrupted run");
     assert!(full.report.diagnostics.as_ref().unwrap().completed());
-    let full_ckpt = full.report.checkpoint.as_ref().unwrap();
+    let full_ckpt = tmc_state(full.report.snapshot.clone());
 
     // Interrupt after k permutations, persist the checkpoint to disk (a
     // simulated crash + restart), resume, and demand the *exact* floats the
@@ -95,15 +100,16 @@ fn interrupted_shapley_resumes_bit_identically() {
             &params,
         )
         .expect("interrupted run");
-        let partial_ckpt = partial.report.checkpoint.unwrap();
+        let partial_ckpt = tmc_state(partial.report.snapshot);
         assert_eq!(partial_ckpt.cursor, k);
         let path = std::env::temp_dir().join(format!("nde-determinism-ckpt-{k}.json"));
         partial_ckpt.save(&path).expect("save checkpoint");
         let restored = McCheckpoint::load(&path).expect("load checkpoint");
         std::fs::remove_file(&path).ok();
         assert_eq!(restored, partial_ckpt);
+        let restored = EstimatorCheckpoint::Tmc(restored);
         let resumed = tmc_shapley(
-            &ImportanceRun::new(3).with_checkpoint(&restored),
+            &ImportanceRun::new(3).with_resume(&restored),
             &knn,
             &train,
             &valid,
@@ -114,7 +120,7 @@ fn interrupted_shapley_resumes_bit_identically() {
             resumed.scores.values, full.scores.values,
             "resume after {k} permutations must be bit-identical"
         );
-        let resumed_ckpt = resumed.report.checkpoint.unwrap();
+        let resumed_ckpt = tmc_state(resumed.report.snapshot);
         assert_eq!(resumed_ckpt.totals, full_ckpt.totals);
         assert_eq!(resumed_ckpt.totals_sq, full_ckpt.totals_sq);
     }

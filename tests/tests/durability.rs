@@ -121,76 +121,131 @@ fn supervised_tmc_shapley_rides_out_chaos_kills_bit_identically() {
     std::fs::remove_dir_all(store.root()).ok();
 }
 
+/// Runs `method` ("banzhaf" or "tmc-shapley") for 10 steps under `run`.
+fn estimate(
+    method: &str,
+    run: &ImportanceRun,
+    train: &Dataset,
+    valid: &Dataset,
+) -> ImportanceOutcome {
+    let knn = KnnClassifier::new(3);
+    match method {
+        "banzhaf" => banzhaf(run, &knn, train, valid, &BanzhafParams { samples: 10 }),
+        _ => tmc_shapley(
+            run,
+            &knn,
+            train,
+            valid,
+            &TmcParams {
+                permutations: 10,
+                truncation_tolerance: 0.0,
+            },
+        ),
+    }
+    .unwrap()
+}
+
 /// Torn and checksum-corrupted records cost at most one checkpoint
-/// interval: the store-driven Banzhaf run falls back to the last intact
-/// record and still completes bit-identical to an uninterrupted run.
+/// interval: a store-driven Banzhaf or TMC-Shapley run falls back to the
+/// last intact record and still completes bit-identical to an
+/// uninterrupted run. An uncut store-driven run matches it too.
 #[test]
 fn banzhaf_recovers_from_torn_and_corrupt_records_bit_identically() {
     let (train, valid) = gaussian_split();
-    let knn = KnnClassifier::new(3);
-    let params = BanzhafParams { samples: 10 };
-    let full = banzhaf(&ImportanceRun::new(5), &knn, &train, &valid, &params).unwrap();
+    for method in ["banzhaf", "tmc-shapley"] {
+        let full = estimate(method, &ImportanceRun::new(5), &train, &valid);
 
-    // Phase 1: a store-backed run stops after 6 of 10 samples, leaving
-    // records at steps 2, 4, 6.
-    let store = temp_store("banzhaf");
-    let cut = banzhaf(
-        &ImportanceRun::new(5)
-            .with_store(&store)
-            .with_auto_checkpoint(2)
-            .with_budget(RunBudget::unlimited().with_max_iterations(6)),
-        &knn,
-        &train,
-        &valid,
-        &params,
-    )
-    .unwrap();
-    let fp = cut
-        .report
-        .fingerprint
-        .clone()
-        .expect("store runs report it");
-    let records = store.record_paths(&fp).unwrap();
-    assert_eq!(
-        records.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
-        vec![2, 4, 6]
-    );
+        // Checkpointing every 2 steps never changes the answer.
+        let store = temp_store(&format!("{method}-uncut"));
+        let uncut = estimate(
+            method,
+            &ImportanceRun::new(5)
+                .with_store(&store)
+                .with_auto_checkpoint(2),
+            &train,
+            &valid,
+        );
+        assert_bits_eq(
+            &uncut.scores.values,
+            &full.scores.values,
+            &format!("{method} scores with a store"),
+        );
+        let fp = uncut.report.fingerprint.expect("store runs report it");
+        let steps: Vec<u64> = store
+            .record_paths(&fp)
+            .unwrap()
+            .iter()
+            .map(|&(s, _)| s)
+            .collect();
+        assert_eq!(steps, vec![2, 4, 6, 8, 10], "{method}");
+        std::fs::remove_dir_all(store.root()).ok();
 
-    // Chaos: the newest record is torn mid-write, the next one suffers a
-    // checksum bit-flip. Recovery must fall back to step 2.
-    let torn = std::fs::metadata(&records[2].1).unwrap().len() as usize / 2;
-    truncate_record(&records[2].1, torn).unwrap();
-    corrupt_record_checksum(&records[1].1).unwrap();
-    assert_eq!(store.latest_valid(&fp).unwrap().unwrap().step, 2);
+        // Phase 1: a store-backed run stops after 6 of 10 steps, leaving
+        // records at steps 2, 4, 6.
+        let store = temp_store(method);
+        let cut = estimate(
+            method,
+            &ImportanceRun::new(5)
+                .with_store(&store)
+                .with_auto_checkpoint(2)
+                .with_budget(RunBudget::unlimited().with_max_iterations(6)),
+            &train,
+            &valid,
+        );
+        let fp = cut
+            .report
+            .fingerprint
+            .clone()
+            .expect("store runs report it");
+        let records = store.record_paths(&fp).unwrap();
+        assert_eq!(
+            records.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
+            vec![2, 4, 6],
+            "{method}"
+        );
 
-    // Phase 2: a fresh process re-opens the store and auto-resumes from the
-    // surviving record to completion — bit-identical to the uncut run.
-    let reopened = RunStore::open(store.root()).unwrap();
-    let resumed = banzhaf(
-        &ImportanceRun::new(5).with_store(&reopened),
-        &knn,
-        &train,
-        &valid,
-        &params,
-    )
-    .unwrap();
-    assert_bits_eq(
-        &resumed.scores.values,
-        &full.scores.values,
-        "banzhaf scores after record damage",
-    );
-    let diag = resumed.report.diagnostics.as_ref().unwrap();
-    assert!(diag.completed());
-    assert_eq!(diag.iterations, 10);
+        // Chaos: the newest record is torn mid-write, the next one suffers a
+        // checksum bit-flip. Recovery must fall back to step 2.
+        let torn = std::fs::metadata(&records[2].1).unwrap().len() as usize / 2;
+        truncate_record(&records[2].1, torn).unwrap();
+        corrupt_record_checksum(&records[1].1).unwrap();
+        assert_eq!(
+            store.latest_valid(&fp).unwrap().unwrap().step,
+            2,
+            "{method}"
+        );
 
-    // Format drift: staling the final record's version makes recovery skip
-    // it — it is never read back into a current-version process.
-    let records = store.record_paths(&fp).unwrap();
-    let (last_step, last_path) = records.last().unwrap();
-    assert_eq!(*last_step, 10);
-    stale_record_version(last_path, 0).unwrap();
-    assert!(store.latest_valid(&fp).unwrap().unwrap().step < 10);
-    std::fs::remove_dir_all(store.root()).ok();
+        // Phase 2: a fresh process re-opens the store and auto-resumes from
+        // the surviving record to completion — bit-identical to the uncut
+        // run.
+        let reopened = RunStore::open(store.root()).unwrap();
+        let resumed = estimate(
+            method,
+            &ImportanceRun::new(5).with_store(&reopened),
+            &train,
+            &valid,
+        );
+        assert_bits_eq(
+            &resumed.scores.values,
+            &full.scores.values,
+            &format!("{method} scores after record damage"),
+        );
+        let diag = resumed.report.diagnostics.as_ref().unwrap();
+        assert!(diag.completed(), "{method}");
+        assert_eq!(diag.iterations, 10, "{method}");
+
+        // Format drift: staling the final record's version makes recovery
+        // skip it — it is never read back into a current-version process.
+        let records = store.record_paths(&fp).unwrap();
+        let (last_step, last_path) = records.last().unwrap();
+        assert_eq!(*last_step, 10, "{method}");
+        stale_record_version(last_path, 0).unwrap();
+        assert!(
+            store.latest_valid(&fp).unwrap().unwrap().step < 10,
+            "{method}"
+        );
+        std::fs::remove_dir_all(store.root()).ok();
+    }
 }
 
 /// A supervised Zorro interval fit killed mid-training resumes at epoch

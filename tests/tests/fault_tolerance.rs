@@ -187,7 +187,7 @@ fn shapley_budget_exhaustion_yields_best_so_far_plus_diagnostics() {
     let diag = run.report.diagnostics.as_ref().unwrap();
     assert!(!diag.completed());
     assert_eq!(diag.iterations, 6);
-    assert_eq!(run.report.checkpoint.unwrap().cursor, 6);
+    assert_eq!(run.report.snapshot.unwrap().step(), 6);
     assert_eq!(run.scores.values.len(), train.len());
     assert!(run.scores.values.iter().all(|v| v.is_finite()));
     assert!(diag.max_marginal_std_error.is_some());

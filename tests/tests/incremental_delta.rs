@@ -1,5 +1,4 @@
-//! Differential property suite for incremental maintenance (the E16
-//! surface): both fix paths — cell patch and rerun — must be
+//! Differential property suite for incremental maintenance: both fix paths — cell patch and rerun — must be
 //! **bit-identical** to full re-execution (table *and* lineage) at every
 //! thread count; incremental cleaning must produce the same scores and
 //! challenge verdicts as refitting; and a chaos-killed incremental cleaning

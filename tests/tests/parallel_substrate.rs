@@ -6,11 +6,11 @@
 //! Exercised through the unified [`ImportanceRun`] entry points.
 
 use nde_data::generate::blobs::two_gaussians;
-use nde_importance::{knn_shapley, tmc_shapley, ImportanceRun, TmcParams};
+use nde_importance::{knn_shapley, tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
-use nde_robust::RunBudget;
+use nde_robust::{McCheckpoint, RunBudget};
 
 fn workload(n: usize, n_valid: usize, seed: u64) -> (Dataset, Dataset) {
     let nd = two_gaussians(n + n_valid, 3, 4.0, seed);
@@ -22,6 +22,13 @@ fn workload(n: usize, n_valid: usize, seed: u64) -> (Dataset, Dataset) {
         train.y[f] = 1 - train.y[f];
     }
     (train, valid)
+}
+
+fn tmc_state(snapshot: &Option<EstimatorCheckpoint>) -> &McCheckpoint {
+    match snapshot {
+        Some(EstimatorCheckpoint::Tmc(c)) => c,
+        other => panic!("expected a TMC snapshot, got {other:?}"),
+    }
 }
 
 fn params() -> TmcParams {
@@ -77,7 +84,7 @@ fn budgeted_shapley_is_thread_invariant_with_tripped_budget() {
     .unwrap();
     assert!(!seq.report.diagnostics.as_ref().unwrap().completed());
     assert_eq!(seq.report.utility_calls, 100);
-    let seq_ckpt = seq.report.checkpoint.as_ref().unwrap();
+    let seq_ckpt = tmc_state(&seq.report.snapshot);
     for threads in [2, 4] {
         let par = tmc_shapley(
             &ImportanceRun::new(41)
@@ -90,7 +97,7 @@ fn budgeted_shapley_is_thread_invariant_with_tripped_budget() {
         )
         .unwrap();
         assert_eq!(seq.scores, par.scores, "threads={threads}");
-        let par_ckpt = par.report.checkpoint.as_ref().unwrap();
+        let par_ckpt = tmc_state(&par.report.snapshot);
         assert_eq!(seq_ckpt.cursor, par_ckpt.cursor);
         assert_eq!(seq_ckpt.inflight.is_some(), par_ckpt.inflight.is_some());
         assert_eq!(seq.report.utility_calls, par.report.utility_calls);
@@ -122,11 +129,11 @@ fn parallel_interrupt_resume_matches_sequential_uninterrupted() {
         )
         .unwrap();
         assert!(!tripped.report.diagnostics.as_ref().unwrap().completed());
-        let ckpt = tripped.report.checkpoint.unwrap();
+        let snap = tripped.report.snapshot.unwrap();
         let resumed = tmc_shapley(
             &ImportanceRun::new(41)
                 .with_threads(threads)
-                .with_checkpoint(&ckpt),
+                .with_resume(&snap),
             &KnnClassifier::new(1),
             &train,
             &valid,
@@ -137,7 +144,7 @@ fn parallel_interrupt_resume_matches_sequential_uninterrupted() {
             unbudgeted.scores, resumed.scores,
             "threads={threads}: parallel interrupt+resume must be bit-identical"
         );
-        assert!(resumed.report.checkpoint.unwrap().inflight.is_none());
+        assert!(tmc_state(&resumed.report.snapshot).inflight.is_none());
     }
 }
 
@@ -157,41 +164,49 @@ fn memo_cache_is_transparent_and_hits_across_a_resume_cycle() {
     )
     .unwrap();
     // One shared cache across interrupt + resume: the resumed leg replays
-    // coalitions the first leg already evaluated.
-    let cache = MemoCache::new();
-    let tripped = tmc_shapley(
-        &ImportanceRun::new(8)
-            .with_threads(4)
-            .with_cache(&cache)
-            .with_budget(RunBudget::unlimited().with_max_utility_calls(120)),
-        &KnnClassifier::new(1),
-        &train,
-        &valid,
-        &params,
-    )
-    .unwrap();
-    assert!(!tripped.report.diagnostics.as_ref().unwrap().completed());
-    let ckpt = tripped.report.checkpoint.unwrap();
-    let resumed = tmc_shapley(
-        &ImportanceRun::new(8)
-            .with_threads(4)
-            .with_cache(&cache)
-            .with_checkpoint(&ckpt),
-        &KnnClassifier::new(1),
-        &train,
-        &valid,
-        &params,
-    )
-    .unwrap();
-    assert_eq!(uncached.scores, resumed.scores);
-    assert!(cache.hits() > 0, "repeated coalitions must hit the cache");
-    // Logical budget accounting is cache-independent: the resumed run's
-    // total matches the uninterrupted one, plus the one extra U(D) call the
-    // resume re-primes with.
-    assert_eq!(
-        resumed.report.utility_calls,
-        uncached.report.utility_calls + 1
-    );
+    // coalitions the first leg already evaluated. Sequential and parallel
+    // legs must agree on the scores and on every logical count.
+    for threads in [1, 4] {
+        let cache = MemoCache::new();
+        let tripped = tmc_shapley(
+            &ImportanceRun::new(8)
+                .with_threads(threads)
+                .with_cache(&cache)
+                .with_budget(RunBudget::unlimited().with_max_utility_calls(120)),
+            &KnnClassifier::new(1),
+            &train,
+            &valid,
+            &params,
+        )
+        .unwrap();
+        assert!(!tripped.report.diagnostics.as_ref().unwrap().completed());
+        assert_eq!(tripped.report.utility_calls, 120, "threads={threads}");
+        let snap = tripped.report.snapshot.unwrap();
+        let resumed = tmc_shapley(
+            &ImportanceRun::new(8)
+                .with_threads(threads)
+                .with_cache(&cache)
+                .with_resume(&snap),
+            &KnnClassifier::new(1),
+            &train,
+            &valid,
+            &params,
+        )
+        .unwrap();
+        assert_eq!(uncached.scores, resumed.scores, "threads={threads}");
+        assert!(
+            cache.hits() > 0,
+            "threads={threads}: repeated coalitions must hit the cache"
+        );
+        // Logical budget accounting is cache-independent: the resumed run's
+        // total matches the uninterrupted one, plus the one extra U(D) call
+        // the resume re-primes with.
+        assert_eq!(
+            resumed.report.utility_calls,
+            uncached.report.utility_calls + 1,
+            "threads={threads}"
+        );
+    }
 }
 
 #[test]
