@@ -10,11 +10,9 @@
 use nde::cleaning::strategy::Strategy;
 use nde::data::generate::blobs::two_gaussians;
 use nde::importance::aum::AumConfig;
-use nde::importance::banzhaf::BanzhafConfig;
-use nde::importance::beta_shapley::BetaShapleyConfig;
 use nde::importance::confident::ConfidentConfig;
 use nde::importance::influence::InfluenceConfig;
-use nde::importance::shapley_mc::ShapleyConfig;
+use nde::importance::{BanzhafParams, BetaShapleyParams, TmcParams};
 use nde::ml::dataset::Dataset;
 use nde::NdeError;
 
@@ -55,22 +53,24 @@ pub fn lineup() -> Vec<Strategy> {
         Strategy::Random { seed: 77 },
         Strategy::Loo,
         Strategy::KnnShapley { k: 1 },
-        Strategy::TmcShapley(ShapleyConfig {
-            permutations: 60,
-            truncation_tolerance: 0.01,
+        Strategy::TmcShapley {
             seed: 1,
-            threads: 1,
-        }),
-        Strategy::Banzhaf(BanzhafConfig {
-            samples: 120,
+            params: TmcParams {
+                permutations: 60,
+                truncation_tolerance: 0.01,
+            },
+        },
+        Strategy::Banzhaf {
             seed: 2,
-            threads: 1,
-        }),
-        Strategy::BetaShapley(BetaShapleyConfig {
-            samples_per_point: 12,
+            params: BanzhafParams { samples: 120 },
+        },
+        Strategy::BetaShapley {
             seed: 3,
-            ..Default::default()
-        }),
+            params: BetaShapleyParams {
+                samples_per_point: 12,
+                ..Default::default()
+            },
+        },
         Strategy::Aum(AumConfig::default()),
         Strategy::ConfidentLearning(ConfidentConfig::default()),
         Strategy::Influence(InfluenceConfig::default()),

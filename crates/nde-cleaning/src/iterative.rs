@@ -9,7 +9,7 @@
 use crate::oracle::{CleaningOracle, LabelOracle};
 use crate::strategy::Strategy;
 use crate::{CleaningError, Result};
-use nde_data::json::{Json, ToJson};
+use nde_data::json::{array, check_method, finite_vec, text, uint, uint_vec, Json, ToJson};
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
@@ -176,64 +176,30 @@ impl CleaningCheckpoint {
 
     /// Reconstruct and validate a snapshot from a durable-store payload.
     pub fn from_payload(doc: &Json) -> Result<CleaningCheckpoint> {
-        let text = |name: &str| -> Result<String> {
-            doc.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not a string")))
+        let indices = |name: &str| -> std::result::Result<Vec<usize>, String> {
+            Ok(uint_vec(doc, name)?
+                .into_iter()
+                .map(|u| u as usize)
+                .collect())
         };
-        if text("method")? != "prioritized-cleaning" {
-            return Err(CleaningError::Checkpoint(format!(
-                "snapshot written by `{}`, expected `prioritized-cleaning`",
-                text("method")?
-            )));
-        }
-        let uint = |name: &str| -> Result<u64> {
-            doc.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not an integer")))
+        let read = || -> std::result::Result<CleaningCheckpoint, String> {
+            check_method(doc, "prioritized-cleaning")?;
+            Ok(CleaningCheckpoint {
+                strategy: text(doc, "strategy")?.to_string(),
+                rounds_done: uint(doc, "rounds_done")?,
+                utility_calls: uint(doc, "utility_calls")?,
+                oracle_retries: uint(doc, "oracle_retries")?,
+                y: indices("y")?,
+                cleaned_set: array(doc, "cleaned_set")?
+                    .iter()
+                    .map(|v| v.as_bool().ok_or("`cleaned_set` holds a non-boolean"))
+                    .collect::<std::result::Result<_, _>>()?,
+                order: indices("order")?,
+                cleaned: indices("cleaned")?,
+                accuracy: finite_vec(doc, "accuracy")?,
+            })
         };
-        let arr = |name: &str| -> Result<&[Json]> {
-            doc.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| CleaningError::Checkpoint(format!("`{name}` is not an array")))
-        };
-        let uints = |name: &str| -> Result<Vec<usize>> {
-            arr(name)?
-                .iter()
-                .map(|v| {
-                    v.as_u64().map(|u| u as usize).ok_or_else(|| {
-                        CleaningError::Checkpoint(format!("`{name}` holds a non-integer"))
-                    })
-                })
-                .collect()
-        };
-        let ckpt = CleaningCheckpoint {
-            strategy: text("strategy")?,
-            rounds_done: uint("rounds_done")?,
-            utility_calls: uint("utility_calls")?,
-            oracle_retries: uint("oracle_retries")?,
-            y: uints("y")?,
-            cleaned_set: arr("cleaned_set")?
-                .iter()
-                .map(|v| match v {
-                    Json::Bool(b) => Ok(*b),
-                    _ => Err(CleaningError::Checkpoint(
-                        "`cleaned_set` holds a non-boolean".into(),
-                    )),
-                })
-                .collect::<Result<Vec<bool>>>()?,
-            order: uints("order")?,
-            cleaned: uints("cleaned")?,
-            accuracy: arr("accuracy")?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        CleaningError::Checkpoint("`accuracy` holds a non-number".into())
-                    })
-                })
-                .collect::<Result<Vec<f64>>>()?,
-        };
+        let ckpt = read().map_err(CleaningError::Checkpoint)?;
         ckpt.validate()?;
         Ok(ckpt)
     }

@@ -12,8 +12,8 @@ use nde_importance::confident::{confident_learning, ConfidentConfig};
 use nde_importance::influence::{influence_importance, InfluenceConfig};
 use nde_importance::loo::loo_importance;
 use nde_importance::{
-    banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafConfig, BanzhafParams,
-    BetaShapleyConfig, BetaShapleyParams, ImportanceRun, ShapleyConfig, TmcParams,
+    banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
+    ImportanceRun, TmcParams,
 };
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
@@ -35,11 +35,26 @@ pub enum Strategy {
     /// Leave-one-out with a 1-NN utility model.
     Loo,
     /// Truncated Monte-Carlo Shapley with a 1-NN utility model.
-    TmcShapley(ShapleyConfig),
+    TmcShapley {
+        /// Base seed of the run.
+        seed: u64,
+        /// Estimator parameters.
+        params: TmcParams,
+    },
     /// Data Banzhaf (MSR) with a 1-NN utility model.
-    Banzhaf(BanzhafConfig),
+    Banzhaf {
+        /// Base seed of the run.
+        seed: u64,
+        /// Estimator parameters.
+        params: BanzhafParams,
+    },
     /// Beta Shapley with a 1-NN utility model.
-    BetaShapley(BetaShapleyConfig),
+    BetaShapley {
+        /// Base seed of the run.
+        seed: u64,
+        /// Estimator parameters.
+        params: BetaShapleyParams,
+    },
     /// Area-under-the-margin (logistic regression margins).
     Aum(AumConfig),
     /// Confident learning with a Gaussian naive Bayes probe model.
@@ -55,9 +70,9 @@ impl Strategy {
             Strategy::Random { .. } => "random",
             Strategy::KnnShapley { .. } => "knn-shapley",
             Strategy::Loo => "loo",
-            Strategy::TmcShapley(_) => "tmc-shapley",
-            Strategy::Banzhaf(_) => "banzhaf",
-            Strategy::BetaShapley(_) => "beta-shapley",
+            Strategy::TmcShapley { .. } => "tmc-shapley",
+            Strategy::Banzhaf { .. } => "banzhaf",
+            Strategy::BetaShapley { .. } => "beta-shapley",
             Strategy::Aum(_) => "aum",
             Strategy::ConfidentLearning(_) => "confident-learning",
             Strategy::Influence(_) => "influence",
@@ -77,36 +92,33 @@ impl Strategy {
             Strategy::Loo => {
                 loo_importance(&KnnClassifier::new(1), train, valid)?.ascending_indices()
             }
-            Strategy::TmcShapley(cfg) => {
-                let run = ImportanceRun::new(cfg.seed).with_threads(cfg.threads);
-                let params = TmcParams {
-                    permutations: cfg.permutations,
-                    truncation_tolerance: cfg.truncation_tolerance,
-                };
-                tmc_shapley(&run, &KnnClassifier::new(1), train, valid, &params)?
-                    .scores
-                    .ascending_indices()
-            }
-            Strategy::Banzhaf(cfg) => {
-                let run = ImportanceRun::new(cfg.seed).with_threads(cfg.threads);
-                let params = BanzhafParams {
-                    samples: cfg.samples,
-                };
-                banzhaf(&run, &KnnClassifier::new(1), train, valid, &params)?
-                    .scores
-                    .ascending_indices()
-            }
-            Strategy::BetaShapley(cfg) => {
-                let run = ImportanceRun::new(cfg.seed).with_threads(cfg.threads);
-                let params = BetaShapleyParams {
-                    alpha: cfg.alpha,
-                    beta: cfg.beta,
-                    samples_per_point: cfg.samples_per_point,
-                };
-                beta_shapley(&run, &KnnClassifier::new(1), train, valid, &params)?
-                    .scores
-                    .ascending_indices()
-            }
+            Strategy::TmcShapley { seed, params } => tmc_shapley(
+                &ImportanceRun::new(*seed),
+                &KnnClassifier::new(1),
+                train,
+                valid,
+                params,
+            )?
+            .scores
+            .ascending_indices(),
+            Strategy::Banzhaf { seed, params } => banzhaf(
+                &ImportanceRun::new(*seed),
+                &KnnClassifier::new(1),
+                train,
+                valid,
+                params,
+            )?
+            .scores
+            .ascending_indices(),
+            Strategy::BetaShapley { seed, params } => beta_shapley(
+                &ImportanceRun::new(*seed),
+                &KnnClassifier::new(1),
+                train,
+                valid,
+                params,
+            )?
+            .scores
+            .ascending_indices(),
             Strategy::Aum(cfg) => aum_importance(train, cfg)?.ascending_indices(),
             Strategy::ConfidentLearning(cfg) => confident_learning(&GaussianNb::new(), train, cfg)?
                 .scores
@@ -146,19 +158,24 @@ mod tests {
             Strategy::Aum(AumConfig::default()),
             Strategy::ConfidentLearning(ConfidentConfig::default()),
             Strategy::Influence(InfluenceConfig::default()),
-            Strategy::Banzhaf(BanzhafConfig {
-                samples: 50,
+            Strategy::Banzhaf {
                 seed: 2,
-                threads: 1,
-            }),
-            Strategy::BetaShapley(BetaShapleyConfig {
-                samples_per_point: 5,
-                ..Default::default()
-            }),
-            Strategy::TmcShapley(ShapleyConfig {
-                permutations: 10,
-                ..Default::default()
-            }),
+                params: BanzhafParams { samples: 50 },
+            },
+            Strategy::BetaShapley {
+                seed: 0,
+                params: BetaShapleyParams {
+                    samples_per_point: 5,
+                    ..Default::default()
+                },
+            },
+            Strategy::TmcShapley {
+                seed: 0,
+                params: TmcParams {
+                    permutations: 10,
+                    ..Default::default()
+                },
+            },
         ];
         for s in strategies {
             let order = s.rank(&train, &valid).unwrap();

@@ -514,6 +514,79 @@ macro_rules! json_struct {
     };
 }
 
+// Typed field readers for checkpoint payloads. Each error is a message that
+// names the field; every crate wraps it in its own `Checkpoint` error.
+
+/// Field `name` of an object.
+pub fn field<'a>(doc: &'a Json, name: &str) -> Result<&'a Json, String> {
+    doc.get(name)
+        .ok_or_else(|| format!("missing field `{name}`"))
+}
+
+/// Field `name` as an exact `u64`.
+pub fn uint(doc: &Json, name: &str) -> Result<u64, String> {
+    field(doc, name)?
+        .as_u64()
+        .ok_or_else(|| format!("`{name}` is not an integer"))
+}
+
+/// Field `name` as a string.
+pub fn text<'a>(doc: &'a Json, name: &str) -> Result<&'a str, String> {
+    field(doc, name)?
+        .as_str()
+        .ok_or_else(|| format!("`{name}` is not a string"))
+}
+
+/// Field `name` as an array.
+pub fn array<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], String> {
+    field(doc, name)?
+        .as_arr()
+        .ok_or_else(|| format!("`{name}` is not an array"))
+}
+
+/// Field `name` as a finite `f64`. A permissive parse turns `1e999` into
+/// infinity; refusing it here keeps it out of any resumed fold.
+pub fn finite(doc: &Json, name: &str) -> Result<f64, String> {
+    match field(doc, name)?.as_f64() {
+        Some(v) if v.is_finite() => Ok(v),
+        _ => Err(format!("`{name}` is not a finite number")),
+    }
+}
+
+/// Field `name` as an array of finite `f64`s.
+pub fn finite_vec(doc: &Json, name: &str) -> Result<Vec<f64>, String> {
+    array(doc, name)?
+        .iter()
+        .enumerate()
+        .map(|(i, v)| match v.as_f64() {
+            Some(v) if v.is_finite() => Ok(v),
+            _ => Err(format!("`{name}[{i}]` is not a finite number")),
+        })
+        .collect()
+}
+
+/// Field `name` as an array of exact `u64`s.
+pub fn uint_vec(doc: &Json, name: &str) -> Result<Vec<u64>, String> {
+    array(doc, name)?
+        .iter()
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("`{name}` holds a non-integer"))
+        })
+        .collect()
+}
+
+/// Refuse a payload whose `method` tag is not `expected`.
+pub fn check_method(doc: &Json, expected: &str) -> Result<(), String> {
+    let method = text(doc, "method")?;
+    if method != expected {
+        return Err(format!(
+            "snapshot written by `{method}`, expected `{expected}`"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

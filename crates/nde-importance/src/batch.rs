@@ -98,15 +98,6 @@ impl BatchStats {
     pub fn evals(&self) -> u64 {
         self.batched_evals + self.fallback_evals + self.cache_hits
     }
-
-    /// Accumulate another segment's counters into this one (used when a
-    /// run is driven in auto-checkpointed segments).
-    pub fn merge(&mut self, other: &BatchStats) {
-        self.batches_formed += other.batches_formed;
-        self.batched_evals += other.batched_evals;
-        self.fallback_evals += other.fallback_evals;
-        self.cache_hits += other.cache_hits;
-    }
 }
 
 /// Groups coalition evaluations and answers them cache-first, batched when

@@ -9,42 +9,36 @@
 //! from the normalized Beta weights, draw a random subset of that size not
 //! containing `i`, and average the marginal contribution `U(S ∪ i) − U(S)`.
 
-use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
-use crate::common::ImportanceScores;
-use crate::snapshot::BetaShapleyCheckpoint;
+use crate::run::{Estimator, Segment};
+use crate::snapshot::{BetaShapleyCheckpoint, EstimatorCheckpoint};
 use crate::{ImportanceError, Result};
 use nde_data::rng::Rng;
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::{CostHint, MemoCache, WorkerFailure, WorkerPool};
-use nde_robust::{ConvergenceDiagnostics, RunBudget};
+use nde_robust::par::CostHint;
+use nde_robust::BudgetClock;
 use std::sync::atomic::AtomicBool;
 
-/// Configuration for the Beta Shapley estimator.
+/// Method parameters for the Beta(α, β) semivalue estimator.
 #[derive(Debug, Clone)]
-pub struct BetaShapleyConfig {
+pub struct BetaShapleyParams {
     /// Beta distribution α parameter (> 0).
     pub alpha: f64,
-    /// Beta distribution β parameter (> 0). β > α emphasizes small coalitions.
+    /// Beta distribution β parameter (> 0). β > α emphasizes small
+    /// coalitions.
     pub beta: f64,
     /// Monte-Carlo samples *per training example*.
     pub samples_per_point: usize,
-    /// Base seed (each example's sampling stream uses a derived child seed).
-    pub seed: u64,
-    /// Worker threads (1 = sequential; results are identical either way).
-    pub threads: usize,
 }
 
-impl Default for BetaShapleyConfig {
+impl Default for BetaShapleyParams {
     fn default() -> Self {
-        BetaShapleyConfig {
+        BetaShapleyParams {
             alpha: 1.0,
             beta: 16.0,
             samples_per_point: 50,
-            seed: 0,
-            threads: 1,
         }
     }
 }
@@ -109,64 +103,16 @@ fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// The batch-capable Beta Shapley engine behind the
-/// [`beta_shapley()`](crate::run::beta_shapley) entry point.
-///
-/// Each example's sampling stream is `child_seed(config.seed, i)` and the
-/// per-example values are written back by index, so scores are bit-identical
-/// for every thread count (and with or without a memo cache).
-///
-/// A point's random draws never depend on utility values, so the engine
-/// materializes all of a point's `(S, S ∪ i)` coalition pairs up front
-/// (preserving the exact RNG stream of the legacy one-at-a-time loop) and
-/// evaluates them in waves of up to [`BatchPolicy::width`] coalitions
-/// through the [`UtilityBatcher`]. Marginals are folded in sample order, so
-/// every float is independent of the batching policy.
-#[cfg_attr(not(test), allow(dead_code))] // exercised by the equivalence tests
-pub(crate) fn beta_shapley_engine<C>(
-    template: &C,
-    train: &Dataset,
-    valid: &Dataset,
-    config: &BetaShapleyConfig,
-    cache: Option<&MemoCache>,
-    policy: BatchPolicy,
-    pool: &WorkerPool,
-) -> Result<(ImportanceScores, BatchStats)>
-where
-    C: Classifier + Send + Sync,
-{
-    beta_shapley_engine_budgeted(
-        template,
-        train,
-        valid,
-        config,
-        &RunBudget::unlimited(),
-        None,
-        cache,
-        policy,
-        pool,
-    )
-    .map(|(run, stats)| (run.scores, stats))
-}
-
-/// Output of [`beta_shapley_engine_budgeted`]: best-so-far scores, budget
-/// diagnostics, and a resumable point-granular snapshot.
-pub(crate) struct BetaShapleyRun {
-    pub scores: ImportanceScores,
-    pub diagnostics: ConvergenceDiagnostics,
-    pub checkpoint: BetaShapleyCheckpoint,
-}
-
 /// One point's logical utility cost, by pure RNG replay of its sampling
 /// stream: every sample's `S ∪ i` coalition costs one call; its `S` costs
 /// one more unless the drawn size is 0 (`U(∅) = 0` is free). The replay
 /// shuffles a dummy pool because a Fisher-Yates shuffle consumes RNG draws
 /// as a function of length only — keeping later size draws stream-aligned.
-fn point_cost(config: &BetaShapleyConfig, idx: u64, n: usize, cdf: &[f64]) -> u64 {
-    let mut rng = seeded(child_seed(config.seed, idx));
+fn point_cost(samples_per_point: usize, seed: u64, idx: u64, n: usize, cdf: &[f64]) -> u64 {
+    let mut rng = seeded(child_seed(seed, idx));
     let mut pool: Vec<usize> = (0..n.saturating_sub(1)).collect();
     let mut cost = 0;
-    for _ in 0..config.samples_per_point {
+    for _ in 0..samples_per_point {
         let u: f64 = rng.gen();
         let j = cdf.partition_point(|&c| c < u).min(n - 1);
         pool.shuffle(&mut rng);
@@ -175,7 +121,19 @@ fn point_cost(config: &BetaShapleyConfig, idx: u64, n: usize, cdf: &[f64]) -> u6
     cost
 }
 
-/// The budget- and resume-capable Beta Shapley engine.
+/// Beta Shapley under the shared driver behind
+/// [`beta_shapley()`](crate::run::beta_shapley).
+///
+/// Each example's sampling stream is `child_seed(seed, i)` and the
+/// per-example values are written back by index, so scores are bit-identical
+/// for every thread count (and with or without a memo cache).
+///
+/// A point's random draws never depend on utility values, so a point's
+/// `(S, S ∪ i)` coalition pairs are all materialized up front (preserving
+/// the exact RNG stream of the legacy one-at-a-time loop) and evaluated in
+/// waves of up to [`BatchPolicy::width`](crate::batch::BatchPolicy::width)
+/// coalitions. Marginals are folded in sample order, so every float is
+/// independent of the batching policy.
 ///
 /// Budgeting is **point-granular**: whole points are scored until a limit
 /// trips (one iteration = one point; the utility budget may overshoot by at
@@ -183,80 +141,89 @@ fn point_cost(config: &BetaShapleyConfig, idx: u64, n: usize, cdf: &[f64]) -> u6
 /// boundaries). Each point's draws come from an independent child-seeded
 /// stream, so a resumed run picks up at [`BetaShapleyCheckpoint::cursor`]
 /// and is bit-identical to an uninterrupted one.
-#[allow(clippy::too_many_arguments)] // mirrors tmc_engine's run surface
-pub(crate) fn beta_shapley_engine_budgeted<C>(
-    template: &C,
-    train: &Dataset,
-    valid: &Dataset,
-    config: &BetaShapleyConfig,
-    budget: &RunBudget,
-    resume: Option<&BetaShapleyCheckpoint>,
-    cache: Option<&MemoCache>,
-    policy: BatchPolicy,
-    pool: &WorkerPool,
-) -> Result<(BetaShapleyRun, BatchStats)>
-where
-    C: Classifier + Send + Sync,
-{
-    if config.alpha <= 0.0 || config.beta <= 0.0 {
-        return Err(ImportanceError::InvalidArgument(
-            "alpha and beta must be > 0".into(),
-        ));
-    }
-    if config.samples_per_point == 0 {
-        return Err(ImportanceError::InvalidArgument(
-            "need at least one sample per point".into(),
-        ));
-    }
-    if train.is_empty() {
-        return Err(ImportanceError::InvalidArgument(
-            "empty training set".into(),
-        ));
-    }
-    let n = train.len();
-    let weights = beta_size_weights(n, config.alpha, config.beta);
-    // Cumulative distribution for size sampling.
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w;
-        cdf.push(acc);
+impl Estimator for BetaShapleyParams {
+    const METHOD: &'static str = "beta-shapley";
+    type State = BetaShapleyCheckpoint;
+
+    fn config(&self) -> String {
+        format!(
+            "alpha={};beta={};samples_per_point={}",
+            self.alpha, self.beta, self.samples_per_point
+        )
     }
 
-    let mut state = match resume {
-        Some(ckpt) => {
-            ckpt.validate_against(config, n)?;
-            ckpt.clone()
-        }
-        None => BetaShapleyCheckpoint::fresh(config, n),
-    };
-    let mut clock = budget.resume(state.cursor, state.utility_calls);
-    // Plan the segment deterministically before evaluating anything: walk
-    // whole points, charging each point's replayed cost, until a limit
-    // trips or every point is scored.
-    let start = state.cursor;
-    let mut end = start;
-    while end < n as u64 && clock.exhausted().is_none() {
-        clock.record_iteration();
-        clock.record_utility_calls(point_cost(config, end, n, &cdf));
-        end += 1;
+    fn steps(&self, n: usize) -> u64 {
+        n as u64
     }
 
-    let batcher = UtilityBatcher::new(template, train, valid, cache, policy);
-    if end > start {
-        // Per-worker reusable buffers: the candidate pool and the queued
-        // coalition pairs (without, with) for one point.
-        struct Scratch {
-            pool: Vec<usize>,
-            pairs: Vec<Vec<usize>>,
-            utilities: Vec<f64>,
+    fn check(&self, _train: &Dataset, _valid: &Dataset) -> Result<()> {
+        if self.alpha <= 0.0 || self.beta <= 0.0 {
+            return Err(ImportanceError::InvalidArgument(
+                "alpha and beta must be > 0".into(),
+            ));
         }
-        let stop = AtomicBool::new(false);
-        // Each point evaluates 2·samples_per_point coalition utilities.
-        let cost = CostHint::PerItemNanos(1_000_000);
-        let per_point = pool
-            .map_indexed_scratch(
-                config.threads,
+        if self.samples_per_point == 0 {
+            return Err(ImportanceError::InvalidArgument(
+                "need at least one sample per point".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    fn fresh(&self, seed: u64, n: usize) -> EstimatorCheckpoint {
+        EstimatorCheckpoint::BetaShapley(BetaShapleyCheckpoint::fresh(self, seed, n))
+    }
+
+    fn validate(&self, state: &BetaShapleyCheckpoint, seed: u64, n: usize) -> Result<()> {
+        state.validate_against(self, seed, n)
+    }
+
+    fn state(snapshot: &mut EstimatorCheckpoint) -> Option<&mut BetaShapleyCheckpoint> {
+        match snapshot {
+            EstimatorCheckpoint::BetaShapley(state) => Some(state),
+            _ => None,
+        }
+    }
+
+    fn segment<C: Classifier + Send + Sync>(
+        &self,
+        seg: &Segment<'_, C>,
+        state: &mut BetaShapleyCheckpoint,
+        clock: &mut BudgetClock,
+    ) -> Result<(Vec<f64>, Option<f64>)> {
+        let n = state.n;
+        let spp = self.samples_per_point;
+        let weights = beta_size_weights(n, self.alpha, self.beta);
+        // Cumulative distribution for size sampling.
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for w in &weights {
+            acc += w;
+            cdf.push(acc);
+        }
+        // Plan the segment deterministically before evaluating anything:
+        // walk whole points, charging each point's replayed cost, until a
+        // limit trips or every point is scored.
+        let start = state.cursor;
+        let mut end = start;
+        while end < n as u64 && clock.exhausted().is_none() {
+            clock.record_iteration();
+            clock.record_utility_calls(point_cost(spp, seg.seed, end, n, &cdf));
+            end += 1;
+        }
+        if end > start {
+            // Per-worker reusable buffers: the candidate pool and the queued
+            // coalition pairs (without, with) for one point.
+            struct Scratch {
+                pool: Vec<usize>,
+                pairs: Vec<Vec<usize>>,
+                utilities: Vec<f64>,
+            }
+            let stop = AtomicBool::new(false);
+            // Each point evaluates 2·samples_per_point coalition utilities.
+            let cost = CostHint::PerItemNanos(1_000_000);
+            let per_point = seg.pool.map_indexed_scratch(
+                seg.threads,
                 start..end,
                 &stop,
                 cost,
@@ -267,17 +234,18 @@ where
                 },
                 |scratch, idx| {
                     let i = idx as usize;
-                    let mut rng = seeded(child_seed(config.seed, idx));
+                    let mut rng = seeded(child_seed(seg.seed, idx));
                     scratch.pool.clear();
                     scratch.pool.extend((0..n).filter(|&j| j != i));
-                    // Draw every sample first (the RNG stream never depends on
-                    // utilities, so this consumes exactly the legacy draw order),
-                    // queueing each sample's (S, S ∪ i) pair back to back.
-                    let total_coalitions = 2 * config.samples_per_point;
+                    // Draw every sample first (the RNG stream never depends
+                    // on utilities, so this consumes exactly the legacy draw
+                    // order), queueing each sample's (S, S ∪ i) pair back to
+                    // back.
+                    let total_coalitions = 2 * spp;
                     while scratch.pairs.len() < total_coalitions {
                         scratch.pairs.push(Vec::with_capacity(n));
                     }
-                    for s in 0..config.samples_per_point {
+                    for s in 0..spp {
                         // Sample coalition size j from the Beta weights.
                         let u: f64 = rng.gen();
                         let j = cdf.partition_point(|&c| c < u).min(n - 1);
@@ -296,70 +264,76 @@ where
                     }
                     // Evaluate in waves, then fold marginals in sample order.
                     scratch.utilities.clear();
-                    for chunk in scratch.pairs[..total_coalitions].chunks(batcher.width()) {
-                        scratch.utilities.extend(batcher.eval_batch(chunk)?);
+                    for chunk in scratch.pairs[..total_coalitions].chunks(seg.batcher.width()) {
+                        scratch.utilities.extend(seg.batcher.eval_batch(chunk)?);
                     }
                     let mut total = 0.0;
-                    for s in 0..config.samples_per_point {
+                    for s in 0..spp {
                         total += scratch.utilities[2 * s + 1] - scratch.utilities[2 * s];
                     }
-                    Ok::<_, ImportanceError>(total / config.samples_per_point as f64)
+                    Ok::<_, ImportanceError>(total / spp as f64)
                 },
-            )
-            .map_err(|fail| match fail {
-                WorkerFailure::Err(_, e) => e,
-                WorkerFailure::Panic(_, msg) => ImportanceError::WorkerPanic(msg),
-            })?;
+            )?;
 
-        for (idx, v) in per_point {
-            state.values[idx as usize] = v;
+            for (idx, v) in per_point {
+                state.values[idx as usize] = v;
+            }
+            state.cursor = end;
+            state.utility_calls = clock.utility_calls();
         }
-        state.cursor = end;
-        state.utility_calls = clock.utility_calls();
+        Ok((state.values.clone(), None))
     }
-    Ok((
-        BetaShapleyRun {
-            scores: ImportanceScores::new("beta-shapley", state.values.clone()),
-            diagnostics: clock.diagnostics(None),
-            checkpoint: state,
-        },
-        batcher.stats(),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchPolicy;
+    use crate::common::ImportanceScores;
+    use crate::run::{beta_shapley, ImportanceOutcome, ImportanceRun};
     use nde_ml::models::knn::KnnClassifier;
+    use nde_robust::par::MemoCache;
+    use nde_robust::RunBudget;
 
-    // The behavioral suite pins the engine through thin one-at-a-time
-    // wrappers (the physical behavior of the removed free functions).
-    fn beta_shapley<C: Classifier + Send + Sync>(
-        template: &C,
-        train: &Dataset,
-        valid: &Dataset,
-        config: &BetaShapleyConfig,
-    ) -> Result<ImportanceScores> {
-        beta_shapley_cached(template, train, valid, config, None)
+    // The behavioral suite pins the estimator through the public entry
+    // point, scoring one coalition at a time unless a test sets another
+    // batch policy.
+    fn run(seed: u64, threads: usize) -> ImportanceRun<'static> {
+        ImportanceRun::new(seed)
+            .with_threads(threads)
+            .with_batch(BatchPolicy::Unbatched)
     }
 
-    fn beta_shapley_cached<C: Classifier + Send + Sync>(
-        template: &C,
+    fn spp(samples_per_point: usize) -> BetaShapleyParams {
+        BetaShapleyParams {
+            samples_per_point,
+            ..Default::default()
+        }
+    }
+
+    fn estimate(
+        run: &ImportanceRun,
         train: &Dataset,
         valid: &Dataset,
-        config: &BetaShapleyConfig,
-        cache: Option<&MemoCache>,
-    ) -> Result<ImportanceScores> {
-        beta_shapley_engine(
-            template,
-            train,
-            valid,
-            config,
-            cache,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .map(|(scores, _)| scores)
+        params: &BetaShapleyParams,
+    ) -> ImportanceOutcome {
+        beta_shapley(run, &KnnClassifier::new(1), train, valid, params).unwrap()
+    }
+
+    fn scores(
+        run: &ImportanceRun,
+        train: &Dataset,
+        valid: &Dataset,
+        params: &BetaShapleyParams,
+    ) -> ImportanceScores {
+        estimate(run, train, valid, params).scores
+    }
+
+    fn state(out: &ImportanceOutcome) -> &BetaShapleyCheckpoint {
+        match &out.report.snapshot {
+            Some(EstimatorCheckpoint::BetaShapley(state)) => state,
+            other => panic!("expected a Beta Shapley snapshot, got {other:?}"),
+        }
     }
 
     fn toy() -> (Dataset, Dataset) {
@@ -411,49 +385,24 @@ mod tests {
     #[test]
     fn mislabelled_point_detected() {
         let (train, valid) = toy();
-        let cfg = BetaShapleyConfig {
-            samples_per_point: 80,
-            seed: 2,
-            ..Default::default()
-        };
-        let scores = beta_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let scores = scores(&run(2, 1), &train, &valid, &spp(80));
         assert_eq!(scores.bottom_k(1), vec![4]);
     }
 
     #[test]
     fn batched_waves_are_bit_identical_to_unbatched() {
         let (train, valid) = toy();
-        let knn = KnnClassifier::new(1);
         for threads in [1, 4] {
-            let cfg = BetaShapleyConfig {
-                samples_per_point: 30,
-                seed: 11,
-                threads,
-                ..Default::default()
-            };
-            let (plain, _) = beta_shapley_engine(
-                &knn,
-                &train,
-                &valid,
-                &cfg,
-                None,
-                BatchPolicy::Unbatched,
-                &WorkerPool::shared(),
-            )
-            .unwrap();
+            let plain = scores(&run(11, threads), &train, &valid, &spp(30));
             for size in [1, 2, 5, 64] {
-                let (batched, stats) = beta_shapley_engine(
-                    &knn,
+                let batched = estimate(
+                    &run(11, threads).with_batch(BatchPolicy::Grouped { size }),
                     &train,
                     &valid,
-                    &cfg,
-                    None,
-                    BatchPolicy::Grouped { size },
-                    &WorkerPool::shared(),
-                )
-                .unwrap();
-                assert_eq!(batched, plain, "threads={threads} size={size}");
-                assert!(stats.batched_evals > 0);
+                    &spp(30),
+                );
+                assert_eq!(batched.scores, plain, "threads={threads} size={size}");
+                assert!(batched.report.batched_evals > 0);
             }
         }
     }
@@ -461,72 +410,32 @@ mod tests {
     #[test]
     fn budgeted_cut_and_resume_is_bit_identical() {
         let (train, valid) = toy();
-        let knn = KnnClassifier::new(1);
-        let cfg = BetaShapleyConfig {
-            samples_per_point: 20,
-            seed: 13,
-            threads: 2,
-            ..Default::default()
-        };
-        let (full, _) = beta_shapley_engine(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            None,
-            BatchPolicy::default(),
-            &WorkerPool::shared(),
-        )
-        .unwrap();
+        let run = || ImportanceRun::new(13).with_threads(2);
+        let full = scores(&run(), &train, &valid, &spp(20));
         // Trip the iteration (= point) budget mid-run, then resume.
         let budget = RunBudget::unlimited().with_max_iterations(2);
-        let (cut, _) = beta_shapley_engine_budgeted(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &budget,
-            None,
-            None,
-            BatchPolicy::default(),
-            &WorkerPool::shared(),
-        )
-        .unwrap();
-        assert!(!cut.diagnostics.completed());
-        assert_eq!(cut.checkpoint.cursor, 2);
+        let cut = estimate(&run().with_budget(budget), &train, &valid, &spp(20));
+        assert!(!cut.report.diagnostics.as_ref().unwrap().completed());
+        assert_eq!(state(&cut).cursor, 2);
         assert_eq!(cut.scores.values[3], 0.0, "unscored points stay zero");
-        let (resumed, _) = beta_shapley_engine_budgeted(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            Some(&cut.checkpoint),
-            None,
-            BatchPolicy::default(),
-            &WorkerPool::shared(),
-        )
-        .unwrap();
-        assert!(resumed.diagnostics.completed());
-        assert_eq!(resumed.checkpoint.cursor, 5);
+        let snapshot = cut.report.snapshot.clone().unwrap();
+        let resumed = estimate(&run().with_resume(&snapshot), &train, &valid, &spp(20));
+        assert!(resumed.report.diagnostics.as_ref().unwrap().completed());
+        assert_eq!(state(&resumed).cursor, 5);
         for (a, b) in full.values.iter().zip(&resumed.scores.values) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // A checkpoint from a differently-parameterized run is refused.
-        let other = BetaShapleyConfig {
+        let other = BetaShapleyParams {
             beta: 8.0,
-            ..cfg.clone()
+            ..spp(20)
         };
-        assert!(beta_shapley_engine_budgeted(
-            &knn,
+        assert!(beta_shapley(
+            &run().with_resume(&snapshot),
+            &KnnClassifier::new(1),
             &train,
             &valid,
-            &other,
-            &RunBudget::unlimited(),
-            Some(&cut.checkpoint),
-            None,
-            BatchPolicy::default(),
-            &WorkerPool::shared(),
+            &other
         )
         .is_err());
     }
@@ -534,39 +443,20 @@ mod tests {
     #[test]
     fn deterministic_and_validated() {
         let (train, valid) = toy();
-        let cfg = BetaShapleyConfig {
-            samples_per_point: 20,
-            seed: 3,
-            ..Default::default()
-        };
-        let a = beta_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
-        let b = beta_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let a = scores(&run(3, 1), &train, &valid, &spp(20));
+        let b = scores(&run(3, 1), &train, &valid, &spp(20));
         assert_eq!(a, b);
         // Thread-count invariance and cache transparency.
-        let par_cfg = BetaShapleyConfig {
-            threads: 4,
-            ..cfg.clone()
-        };
         let cache = MemoCache::new();
-        let c = beta_shapley_cached(
-            &KnnClassifier::new(1),
-            &train,
-            &valid,
-            &par_cfg,
-            Some(&cache),
-        )
-        .unwrap();
+        let c = scores(&run(3, 4).with_cache(&cache), &train, &valid, &spp(20));
         assert_eq!(a, c);
         assert!(cache.hits() > 0);
-        let bad = BetaShapleyConfig {
+        let knn = KnnClassifier::new(1);
+        let bad = BetaShapleyParams {
             alpha: 0.0,
             ..Default::default()
         };
-        assert!(beta_shapley(&KnnClassifier::new(1), &train, &valid, &bad).is_err());
-        let zero = BetaShapleyConfig {
-            samples_per_point: 0,
-            ..Default::default()
-        };
-        assert!(beta_shapley(&KnnClassifier::new(1), &train, &valid, &zero).is_err());
+        assert!(beta_shapley(&run(0, 1), &knn, &train, &valid, &bad).is_err());
+        assert!(beta_shapley(&run(0, 1), &knn, &train, &valid, &spp(0)).is_err());
     }
 }

@@ -3,7 +3,7 @@
 
 use nde_ml::dataset::Dataset;
 use nde_ml::model::{utility, Classifier};
-use nde_robust::par::{subset_fingerprint_sorted, MemoCache};
+use nde_robust::par::{subset_fingerprint_sorted, MemoCache, WorkerFailure};
 use std::fmt;
 
 /// Utility of the coalition named by a **sorted** index set, optionally
@@ -101,6 +101,15 @@ impl From<nde_data::DataError> for ImportanceError {
 impl From<nde_pipeline::PipelineError> for ImportanceError {
     fn from(e: nde_pipeline::PipelineError) -> Self {
         ImportanceError::Pipeline(e.to_string())
+    }
+}
+
+impl From<WorkerFailure<ImportanceError>> for ImportanceError {
+    fn from(fail: WorkerFailure<ImportanceError>) -> Self {
+        match fail {
+            WorkerFailure::Err(_, e) => e,
+            WorkerFailure::Panic(_, msg) => ImportanceError::WorkerPanic(msg),
+        }
     }
 }
 

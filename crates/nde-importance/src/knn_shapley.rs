@@ -37,7 +37,7 @@ use nde_data::fxhash::FxHasher;
 use nde_ml::batch::{neighbor_orders, OrderIndex};
 use nde_ml::dataset::Dataset;
 use nde_ml::linalg::Matrix;
-use nde_robust::par::{CostHint, WorkerFailure, WorkerPool};
+use nde_robust::par::{CostHint, WorkerPool};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -269,39 +269,34 @@ fn shapley_totals<T: OrderIndex>(
     let stop = AtomicBool::new(false);
     // One chunk runs the linear recursion for VALID_CHUNK validation points.
     let cost = CostHint::PerItemNanos((VALID_CHUNK * n) as u64 * 2);
-    let chunk_totals = pool
-        .map_indexed(threads, 0..chunks, &stop, cost, |c| {
-            let mut totals = vec![0.0; n];
-            let start = c as usize * VALID_CHUNK;
-            let end = (start + VALID_CHUNK).min(m);
-            for v in start..end {
-                let vy = valid.y[v];
-                let order = &orders[v * n..(v + 1) * n];
-                // Walk from the farthest point inward. Each training point
-                // gets exactly one addition per validation point, so adding
-                // while walking sums the same floats as a second pass.
-                let last = order[n - 1].index();
-                let mut hit = train.y[last] == vy;
-                let mut s = f64::from(u8::from(hit)) / n as f64;
-                totals[last] += s;
-                for p in (0..n - 1).rev() {
-                    let i = order[p].index();
-                    let next = hit;
-                    hit = train.y[i] == vy;
-                    s += match (hit, next) {
-                        (true, false) => step[p],
-                        (false, true) => -step[p],
-                        _ => 0.0,
-                    };
-                    totals[i] += s;
-                }
+    let chunk_totals = pool.map_indexed(threads, 0..chunks, &stop, cost, |c| {
+        let mut totals = vec![0.0; n];
+        let start = c as usize * VALID_CHUNK;
+        let end = (start + VALID_CHUNK).min(m);
+        for v in start..end {
+            let vy = valid.y[v];
+            let order = &orders[v * n..(v + 1) * n];
+            // Walk from the farthest point inward. Each training point
+            // gets exactly one addition per validation point, so adding
+            // while walking sums the same floats as a second pass.
+            let last = order[n - 1].index();
+            let mut hit = train.y[last] == vy;
+            let mut s = f64::from(u8::from(hit)) / n as f64;
+            totals[last] += s;
+            for p in (0..n - 1).rev() {
+                let i = order[p].index();
+                let next = hit;
+                hit = train.y[i] == vy;
+                s += match (hit, next) {
+                    (true, false) => step[p],
+                    (false, true) => -step[p],
+                    _ => 0.0,
+                };
+                totals[i] += s;
             }
-            Ok::<_, ImportanceError>(totals)
-        })
-        .map_err(|fail| match fail {
-            WorkerFailure::Err(_, e) => e,
-            WorkerFailure::Panic(_, msg) => ImportanceError::WorkerPanic(msg),
-        })?;
+        }
+        Ok::<_, ImportanceError>(totals)
+    })?;
 
     // Fold partial sums in chunk order (schedule-independent).
     let mut totals = vec![0.0; n];

@@ -61,9 +61,7 @@ pub mod run;
 pub mod shapley_mc;
 pub mod snapshot;
 
-pub use banzhaf::BanzhafConfig;
 pub use batch::{BatchPolicy, BatchStats};
-pub use beta_shapley::BetaShapleyConfig;
 pub use common::{
     bottom_k, coalition_utility, detection_precision_at_k, ImportanceError, ImportanceScores,
 };
@@ -71,8 +69,10 @@ pub use run::{
     banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
     ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
 };
-pub use shapley_mc::{BudgetedShapley, ShapleyConfig};
-pub use snapshot::{BanzhafCheckpoint, BetaShapleyCheckpoint, EstimatorCheckpoint};
+pub use snapshot::{
+    BanzhafCheckpoint, BetaShapleyCheckpoint, EstimatorCheckpoint, InflightPermutation,
+    McCheckpoint,
+};
 
 /// Everything needed to run an importance method, in one import.
 pub mod prelude {
@@ -85,12 +85,10 @@ pub mod prelude {
         banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
         ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
     };
-    pub use crate::snapshot::EstimatorCheckpoint;
-    pub use crate::{BanzhafConfig, BetaShapleyConfig, BudgetedShapley, Result, ShapleyConfig};
+    pub use crate::snapshot::{EstimatorCheckpoint, McCheckpoint};
+    pub use crate::Result;
     pub use nde_robust::par::MemoCache;
-    pub use nde_robust::{
-        ConvergenceDiagnostics, McCheckpoint, RunBudget, RunFingerprint, RunStore,
-    };
+    pub use nde_robust::{ConvergenceDiagnostics, RunBudget, RunFingerprint, RunStore};
 }
 
 /// Convenience result alias for this crate.

@@ -58,29 +58,32 @@
 //! bit-identically. [`with_auto_checkpoint`](ImportanceRun::with_auto_checkpoint)
 //! sets how many estimator steps may elapse between records.
 //!
-//! Each entry point delegates to its method module's crate-private engine
-//! (`tmc_engine`, `banzhaf_engine_budgeted`, `beta_shapley_engine_budgeted`,
-//! `knn_engine`); the run API is the only public surface.
+//! The Monte-Carlo entry points are thin wrappers over one crate-private
+//! driver: it fingerprints the run, resolves the resume snapshot, warms the
+//! memo cache, drives the method's segments under the budget and the store,
+//! and assembles the report. Each method module supplies only what is its
+//! own — tag, fingerprint config, step count, snapshot shape and segment
+//! loop. The run API is the only public surface.
 
-use crate::banzhaf::{banzhaf_engine_budgeted, BanzhafConfig};
-use crate::batch::{BatchPolicy, BatchStats};
-use crate::beta_shapley::{beta_shapley_engine_budgeted, BetaShapleyConfig};
+use crate::batch::{BatchPolicy, UtilityBatcher};
 use crate::common::ImportanceScores;
 use crate::knn_shapley::knn_engine;
-use crate::shapley_mc::{tmc_engine, ShapleyConfig, TMC_METHOD};
 use crate::snapshot::EstimatorCheckpoint;
 use crate::{ImportanceError, Result};
 use nde_data::fxhash::FxHasher;
-use nde_data::json::Json;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{MemoCache, WorkerPool};
 use nde_robust::{
-    ConvergenceDiagnostics, Exhaustion, McCheckpoint, RunBudget, RunFingerprint, RunStore,
+    BudgetClock, ConvergenceDiagnostics, Exhaustion, RunBudget, RunFingerprint, RunStore,
 };
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use crate::banzhaf::BanzhafParams;
+pub use crate::beta_shapley::BetaShapleyParams;
+pub use crate::shapley_mc::TmcParams;
 
 /// Run-wide options shared by every importance method.
 ///
@@ -250,21 +253,6 @@ pub struct RunReport {
     pub fingerprint: Option<RunFingerprint>,
 }
 
-impl RunReport {
-    fn from_stats(utility_calls: u64, stats: BatchStats) -> RunReport {
-        RunReport {
-            utility_calls,
-            cache_hits: stats.cache_hits,
-            batches_formed: stats.batches_formed,
-            batched_evals: stats.batched_evals,
-            fallback_evals: stats.fallback_evals,
-            diagnostics: None,
-            snapshot: None,
-            fingerprint: None,
-        }
-    }
-}
-
 /// What every importance entry point returns: the scores plus a uniform
 /// [`RunReport`].
 #[derive(Debug, Clone)]
@@ -273,64 +261,6 @@ pub struct ImportanceOutcome {
     pub scores: ImportanceScores,
     /// How the run got there.
     pub report: RunReport,
-}
-
-/// Method parameters for TMC-Shapley (run-wide knobs live on
-/// [`ImportanceRun`]).
-#[derive(Debug, Clone)]
-pub struct TmcParams {
-    /// Number of sampled permutations.
-    pub permutations: usize,
-    /// Truncate a permutation once `|U(prefix) − U(full)|` falls below this.
-    pub truncation_tolerance: f64,
-}
-
-impl Default for TmcParams {
-    fn default() -> Self {
-        let d = ShapleyConfig::default();
-        TmcParams {
-            permutations: d.permutations,
-            truncation_tolerance: d.truncation_tolerance,
-        }
-    }
-}
-
-/// Method parameters for the Banzhaf MSR estimator.
-#[derive(Debug, Clone)]
-pub struct BanzhafParams {
-    /// Number of sampled subsets (each point included with probability 1/2).
-    pub samples: usize,
-}
-
-impl Default for BanzhafParams {
-    fn default() -> Self {
-        BanzhafParams {
-            samples: BanzhafConfig::default().samples,
-        }
-    }
-}
-
-/// Method parameters for the Beta(α, β) semivalue estimator.
-#[derive(Debug, Clone)]
-pub struct BetaShapleyParams {
-    /// Beta distribution α parameter (> 0).
-    pub alpha: f64,
-    /// Beta distribution β parameter (> 0). β > α emphasizes small
-    /// coalitions.
-    pub beta: f64,
-    /// Monte-Carlo samples *per training example*.
-    pub samples_per_point: usize,
-}
-
-impl Default for BetaShapleyParams {
-    fn default() -> Self {
-        let d = BetaShapleyConfig::default();
-        BetaShapleyParams {
-            alpha: d.alpha,
-            beta: d.beta,
-            samples_per_point: d.samples_per_point,
-        }
-    }
 }
 
 /// 64-bit identity of the run's input data: both datasets' fingerprints
@@ -351,26 +281,17 @@ fn resolve_resume(
     fingerprint: Option<&RunFingerprint>,
     method: &str,
 ) -> Result<Option<EstimatorCheckpoint>> {
-    if let Some(snap) = run.resume {
-        if snap.method() != method {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `{method}`",
-                snap.method()
-            )));
-        }
-        return Ok(Some(snap.clone()));
-    }
-    let (Some(store), Some(fp)) = (run.store, fingerprint) else {
-        return Ok(None);
+    let snap = match (run.resume, run.store, fingerprint) {
+        (Some(snap), _, _) => snap.clone(),
+        (None, Some(store), Some(fp)) => match store.latest_valid(fp)? {
+            Some(record) => EstimatorCheckpoint::from_payload(&record.payload)?,
+            None => return Ok(None),
+        },
+        _ => return Ok(None),
     };
-    let Some(record) = store.latest_valid(fp)? else {
-        return Ok(None);
-    };
-    let snap = EstimatorCheckpoint::from_payload(&record.payload)?;
     if snap.method() != method {
         return Err(ImportanceError::Checkpoint(format!(
-            "store record at step {} was written by `{}` but this run is `{method}`",
-            record.step,
+            "resume snapshot was written by `{}` but this run is `{method}`",
             snap.method()
         )));
     }
@@ -413,66 +334,153 @@ fn base_exhaustion(
     None
 }
 
-/// Drive an engine to completion in durable segments.
+/// What one Monte-Carlo estimator supplies to the shared driver: its method
+/// tag, fingerprint config, step count, snapshot shape and segment loop.
+/// Implemented by each method's parameter struct, in the method's module.
+pub(crate) trait Estimator {
+    /// Method tag carried by the scores, the fingerprint and the snapshot.
+    const METHOD: &'static str;
+    /// The method's own state inside an [`EstimatorCheckpoint`].
+    type State;
+    /// Every parameter that changes the trajectory, for the fingerprint.
+    fn config(&self) -> String;
+    /// Steps in a complete run over `n` training points.
+    fn steps(&self, n: usize) -> u64;
+    /// Reject parameters (or data) the method cannot run on.
+    fn check(&self, train: &Dataset, valid: &Dataset) -> Result<()>;
+    /// A zeroed snapshot for this run shape.
+    fn fresh(&self, seed: u64, n: usize) -> EstimatorCheckpoint;
+    /// Reject a snapshot written by a differently-shaped run.
+    fn validate(&self, state: &Self::State, seed: u64, n: usize) -> Result<()>;
+    /// The method's state, if `snapshot` was written by this method.
+    fn state(snapshot: &mut EstimatorCheckpoint) -> Option<&mut Self::State>;
+    /// Advance `state` until `clock` trips or the run completes. Returns
+    /// the best-so-far values and, where the method tracks it, the largest
+    /// per-example marginal standard error.
+    fn segment<C: Classifier + Send + Sync>(
+        &self,
+        seg: &Segment<'_, C>,
+        state: &mut Self::State,
+        clock: &mut BudgetClock,
+    ) -> Result<(Vec<f64>, Option<f64>)>;
+}
+
+/// What one segment runs against: the run's batcher and worker pool, the
+/// segment's budget, and the run's seed and thread count.
+pub(crate) struct Segment<'a, C: Classifier> {
+    pub batcher: &'a UtilityBatcher<'a, C>,
+    pub budget: &'a RunBudget,
+    pub pool: &'a WorkerPool,
+    pub seed: u64,
+    pub threads: usize,
+}
+
+/// The method's own state inside a snapshot the driver holds.
+fn state_of<E: Estimator>(snapshot: &mut EstimatorCheckpoint) -> &mut E::State {
+    E::state(snapshot).expect("the driver only holds snapshots of the run's own method")
+}
+
+/// The one driver behind every Monte-Carlo entry point.
 ///
-/// Each segment runs the engine under the caller's budget — clamped to
-/// `auto_checkpoint_every` additional iterations — then persists the
-/// returned state (and memo cache) to the store before starting the next
-/// segment. Without a cadence the engine runs once and the final state is
-/// persisted; without a store the segments merely bound how much work a
-/// budget overshoot can lose. Termination: every segment either advances
-/// the cursor by at least one step or trips a base-budget limit, and both
-/// paths exit the loop.
-#[allow(clippy::too_many_arguments)] // one slot per engine-surface concern
-fn drive<S, F>(
+/// Fingerprints the run, resolves its resume snapshot and warms the memo
+/// cache, then runs the method in durable segments. Each segment runs
+/// under the caller's budget — clamped to `auto_checkpoint_every`
+/// additional steps — and its state (and memo cache) is persisted to the
+/// store before the next starts. Without a cadence one segment runs and
+/// its final state is persisted; without a store the segments merely bound
+/// how much work a budget overshoot can lose. Termination: every segment
+/// either advances the cursor by at least one step or trips a base-budget
+/// limit, and both paths exit the loop.
+fn estimate<E, C>(
     run: &ImportanceRun,
-    fingerprint: Option<&RunFingerprint>,
-    total: u64,
-    cursor_of: impl Fn(&S) -> u64,
-    payload_of: impl Fn(&S) -> Json,
-    mut resume: Option<S>,
-    mut segment: F,
-) -> Result<(ImportanceScores, ConvergenceDiagnostics, S, BatchStats)>
+    template: &C,
+    train: &Dataset,
+    valid: &Dataset,
+    params: &E,
+) -> Result<ImportanceOutcome>
 where
-    F: FnMut(
-        &RunBudget,
-        Option<&S>,
-    ) -> Result<(ImportanceScores, ConvergenceDiagnostics, S, BatchStats)>,
+    E: Estimator,
+    C: Classifier + Send + Sync,
 {
+    let fp = run.store.map(|_| {
+        RunFingerprint::new(
+            E::METHOD,
+            run.seed,
+            params.config(),
+            data_fingerprint(train, valid),
+        )
+    });
+    let resume = resolve_resume(run, fp.as_ref(), E::METHOD)?;
+    preload_memo(run, fp.as_ref())?;
+    params.check(train, valid)?;
+    if train.is_empty() {
+        return Err(ImportanceError::InvalidArgument(
+            "empty training set".into(),
+        ));
+    }
+    let n = train.len();
+    let mut snapshot = match resume {
+        Some(mut snapshot) => {
+            params.validate(state_of::<E>(&mut snapshot), run.seed, n)?;
+            snapshot
+        }
+        None => params.fresh(run.seed, n),
+    };
+    let batcher = UtilityBatcher::new(template, train, valid, run.cache, run.batch);
+    let pool = run.pool_handle();
+    let total = params.steps(n);
     let unlimited = RunBudget::unlimited();
     let base = run.budget.as_ref().unwrap_or(&unlimited);
     let started = Instant::now();
-    let mut stats_total = BatchStats::default();
     loop {
-        let done = resume.as_ref().map_or(0, &cursor_of);
-        let mut seg_budget = base.clone();
+        let mut budget = base.clone();
         if let Some(every) = run.auto_checkpoint_every {
-            let cap = done.saturating_add(every.max(1));
-            seg_budget.max_iterations = Some(base.max_iterations.map_or(cap, |m| m.min(cap)));
+            let cap = snapshot.step().saturating_add(every.max(1));
+            budget.max_iterations = Some(base.max_iterations.map_or(cap, |m| m.min(cap)));
         }
         if let Some(wall) = base.wall_clock {
-            seg_budget.wall_clock = Some(wall.saturating_sub(started.elapsed()));
+            budget.wall_clock = Some(wall.saturating_sub(started.elapsed()));
         }
-        let (scores, mut diagnostics, state, stats) = segment(&seg_budget, resume.as_ref())?;
-        stats_total.merge(&stats);
-        if let (Some(store), Some(fp)) = (run.store, fingerprint) {
-            store.save_checkpoint(fp, cursor_of(&state), &payload_of(&state))?;
+        let mut clock = budget.resume(snapshot.step(), snapshot.utility_calls());
+        let seg = Segment {
+            batcher: &batcher,
+            budget: &budget,
+            pool: &pool,
+            seed: run.seed,
+            threads: run.threads,
+        };
+        let (values, max_se) = params.segment(&seg, state_of::<E>(&mut snapshot), &mut clock)?;
+        let mut diagnostics = clock.diagnostics(max_se);
+        if let (Some(store), Some(fp)) = (run.store, fp.as_ref()) {
+            store.save_checkpoint(fp, snapshot.step(), &snapshot.to_payload())?;
             if let Some(cache) = run.cache {
                 store.save_memo(fp, cache)?;
             }
         }
-        let finished = cursor_of(&state) >= total;
         let tripped = base_exhaustion(base, &diagnostics, started.elapsed());
-        if finished || tripped.is_some() || run.auto_checkpoint_every.is_none() {
+        if snapshot.step() >= total || tripped.is_some() || run.auto_checkpoint_every.is_none() {
             if run.auto_checkpoint_every.is_some() {
                 // The last segment's clock saw a clamped budget and only its
                 // own slice of wall time; report against the caller's budget.
                 diagnostics.exhausted = tripped;
                 diagnostics.elapsed = started.elapsed();
             }
-            return Ok((scores, diagnostics, state, stats_total));
+            let stats = batcher.stats();
+            let report = RunReport {
+                utility_calls: diagnostics.utility_calls,
+                cache_hits: stats.cache_hits,
+                batches_formed: stats.batches_formed,
+                batched_evals: stats.batched_evals,
+                fallback_evals: stats.fallback_evals,
+                diagnostics: Some(diagnostics),
+                snapshot: Some(snapshot),
+                fingerprint: fp,
+            };
+            return Ok(ImportanceOutcome {
+                scores: ImportanceScores::new(E::METHOD, values),
+                report,
+            });
         }
-        resume = Some(state);
     }
 }
 
@@ -492,61 +500,7 @@ pub fn tmc_shapley<C>(
 where
     C: Classifier + Send + Sync,
 {
-    let config = ShapleyConfig {
-        permutations: params.permutations,
-        truncation_tolerance: params.truncation_tolerance,
-        seed: run.seed,
-        threads: run.threads,
-    };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            TMC_METHOD,
-            run.seed,
-            format!(
-                "permutations={};truncation_tolerance={}",
-                params.permutations, params.truncation_tolerance
-            ),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), TMC_METHOD)? {
-        Some(EstimatorCheckpoint::Tmc(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `{TMC_METHOD}`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
-        run,
-        fp.as_ref(),
-        params.permutations as u64,
-        |s: &McCheckpoint| s.cursor,
-        McCheckpoint::to_payload,
-        resume,
-        |budget, resume| {
-            let (result, stats) = tmc_engine(
-                template,
-                train,
-                valid,
-                &config,
-                budget,
-                resume,
-                run.cache,
-                run.batch,
-                &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
-        },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.snapshot = Some(EstimatorCheckpoint::Tmc(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    estimate(run, template, train, valid, params)
 }
 
 /// Data Banzhaf (maximum-sample-reuse estimator) through the unified run
@@ -562,57 +516,7 @@ pub fn banzhaf<C>(
 where
     C: Classifier + Send + Sync,
 {
-    let config = BanzhafConfig {
-        samples: params.samples,
-        seed: run.seed,
-        threads: run.threads,
-    };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            "banzhaf",
-            run.seed,
-            format!("samples={}", params.samples),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), "banzhaf")? {
-        Some(EstimatorCheckpoint::Banzhaf(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `banzhaf`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
-        run,
-        fp.as_ref(),
-        params.samples as u64,
-        |s: &crate::snapshot::BanzhafCheckpoint| s.cursor,
-        crate::snapshot::BanzhafCheckpoint::to_payload,
-        resume,
-        |budget, resume| {
-            let (result, stats) = banzhaf_engine_budgeted(
-                template,
-                train,
-                valid,
-                &config,
-                budget,
-                resume,
-                run.cache,
-                run.batch,
-                &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
-        },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.snapshot = Some(EstimatorCheckpoint::Banzhaf(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    estimate(run, template, train, valid, params)
 }
 
 /// Beta(α, β) semivalues through the unified run options. Budgets stop the
@@ -628,62 +532,7 @@ pub fn beta_shapley<C>(
 where
     C: Classifier + Send + Sync,
 {
-    let config = BetaShapleyConfig {
-        alpha: params.alpha,
-        beta: params.beta,
-        samples_per_point: params.samples_per_point,
-        seed: run.seed,
-        threads: run.threads,
-    };
-    let fp = run.store.map(|_| {
-        RunFingerprint::new(
-            "beta-shapley",
-            run.seed,
-            format!(
-                "alpha={};beta={};samples_per_point={}",
-                params.alpha, params.beta, params.samples_per_point
-            ),
-            data_fingerprint(train, valid),
-        )
-    });
-    let resume = match resolve_resume(run, fp.as_ref(), "beta-shapley")? {
-        Some(EstimatorCheckpoint::BetaShapley(c)) => Some(c),
-        Some(other) => {
-            return Err(ImportanceError::Checkpoint(format!(
-                "resume snapshot was written by `{}` but this run is `beta-shapley`",
-                other.method()
-            )))
-        }
-        None => None,
-    };
-    preload_memo(run, fp.as_ref())?;
-    let (scores, diagnostics, state, stats) = drive(
-        run,
-        fp.as_ref(),
-        train.len() as u64,
-        |s: &crate::snapshot::BetaShapleyCheckpoint| s.cursor,
-        crate::snapshot::BetaShapleyCheckpoint::to_payload,
-        resume,
-        |budget, resume| {
-            let (result, stats) = beta_shapley_engine_budgeted(
-                template,
-                train,
-                valid,
-                &config,
-                budget,
-                resume,
-                run.cache,
-                run.batch,
-                &run.pool_handle(),
-            )?;
-            Ok((result.scores, result.diagnostics, result.checkpoint, stats))
-        },
-    )?;
-    let mut report = RunReport::from_stats(diagnostics.utility_calls, stats);
-    report.diagnostics = Some(diagnostics);
-    report.snapshot = Some(EstimatorCheckpoint::BetaShapley(state));
-    report.fingerprint = fp;
-    Ok(ImportanceOutcome { scores, report })
+    estimate(run, template, train, valid, params)
 }
 
 /// Exact, closed-form KNN-Shapley through the unified run options.
@@ -709,10 +558,11 @@ pub fn knn_shapley(
 
 #[cfg(test)]
 mod tests {
-    // The equivalence tests pin the entry points against the engines they
-    // delegate to: the run API must match the engine output bit-for-bit.
+    // The equivalence tests pin the default (batched, multi-threaded) run
+    // against the one-coalition-at-a-time reference path bit-for-bit.
     use super::*;
-    use crate::shapley_mc::tmc_engine;
+    use crate::shapley_mc::TMC_METHOD;
+    use crate::snapshot::McCheckpoint;
     use nde_ml::models::knn::KnnClassifier;
 
     fn toy() -> (Dataset, Dataset) {
@@ -747,45 +597,25 @@ mod tests {
     fn tmc_matches_engine_bit_for_bit() {
         let (train, valid) = toy();
         let knn = KnnClassifier::new(1);
-        let cfg = ShapleyConfig {
+        let params = TmcParams {
             permutations: 40,
             truncation_tolerance: 0.0,
-            seed: 9,
-            threads: 4,
         };
-        let (legacy, _) = tmc_engine(
+        let legacy = tmc_shapley(
+            &ImportanceRun::new(9)
+                .with_threads(4)
+                .with_batch(BatchPolicy::Unbatched),
             &knn,
             &train,
             &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            None,
-            None,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
+            &params,
         )
         .unwrap();
         let run = ImportanceRun::new(9).with_threads(4);
-        let unified = tmc_shapley(
-            &run,
-            &knn,
-            &train,
-            &valid,
-            &TmcParams {
-                permutations: 40,
-                truncation_tolerance: 0.0,
-            },
-        )
-        .unwrap();
+        let unified = tmc_shapley(&run, &knn, &train, &valid, &params).unwrap();
         assert_eq!(unified.scores, legacy.scores);
-        assert_eq!(
-            unified.report.utility_calls,
-            legacy.diagnostics.utility_calls
-        );
-        assert_eq!(
-            unified.report.snapshot.unwrap(),
-            EstimatorCheckpoint::Tmc(legacy.checkpoint)
-        );
+        assert_eq!(unified.report.utility_calls, legacy.report.utility_calls);
+        assert_eq!(unified.report.snapshot, legacy.report.snapshot);
     }
 
     #[test]
@@ -825,21 +655,11 @@ mod tests {
         let knn = KnnClassifier::new(1);
         let run = ImportanceRun::new(7).with_threads(2);
 
-        let (legacy, _) = crate::banzhaf::banzhaf_engine(
-            &knn,
-            &train,
-            &valid,
-            &BanzhafConfig {
-                samples: 100,
-                seed: 7,
-                threads: 2,
-            },
-            None,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .unwrap();
+        let unbatched = run.clone().with_batch(BatchPolicy::Unbatched);
         let params = BanzhafParams { samples: 100 };
+        let legacy = banzhaf(&unbatched, &knn, &train, &valid, &params)
+            .unwrap()
+            .scores;
         let full = banzhaf(&run, &knn, &train, &valid, &params).unwrap();
         assert_eq!(full.scores, legacy);
         assert!(full.report.utility_calls > 0);
@@ -867,25 +687,13 @@ mod tests {
         .unwrap();
         assert_eq!(resumed.scores, full.scores);
 
-        let (legacy, _) = crate::beta_shapley::beta_shapley_engine(
-            &knn,
-            &train,
-            &valid,
-            &BetaShapleyConfig {
-                samples_per_point: 20,
-                seed: 7,
-                threads: 2,
-                ..BetaShapleyConfig::default()
-            },
-            None,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .unwrap();
         let params = BetaShapleyParams {
             samples_per_point: 20,
             ..BetaShapleyParams::default()
         };
+        let legacy = beta_shapley(&unbatched, &knn, &train, &valid, &params)
+            .unwrap()
+            .scores;
         let full = beta_shapley(&run, &knn, &train, &valid, &params).unwrap();
         assert_eq!(full.scores, legacy);
         // Point-granular cut after 2 of 5 points, then a bit-identical
@@ -924,7 +732,8 @@ mod tests {
             ),
             Err(ImportanceError::Checkpoint(_))
         ));
-        let tmc = EstimatorCheckpoint::Tmc(McCheckpoint::fresh(TMC_METHOD, 7, train.len()));
+        let tmc =
+            EstimatorCheckpoint::Tmc(McCheckpoint::fresh(&TmcParams::default(), 7, train.len()));
         assert!(matches!(
             banzhaf(
                 &run.clone().with_resume(&tmc),
@@ -1080,7 +889,8 @@ mod tests {
         assert_eq!(unified.report.utility_calls, 0);
         assert!(unified.report.snapshot.is_none());
 
-        let ckpt = EstimatorCheckpoint::Tmc(McCheckpoint::fresh("tmc-shapley", 0, train.len()));
+        let ckpt =
+            EstimatorCheckpoint::Tmc(McCheckpoint::fresh(&TmcParams::default(), 0, train.len()));
         let resuming = ImportanceRun::new(0).with_resume(&ckpt);
         assert!(matches!(
             knn_shapley(&resuming, &train, &valid, 2),

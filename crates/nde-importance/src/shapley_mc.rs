@@ -8,7 +8,7 @@
 //!
 //! # Determinism
 //!
-//! Permutation `p` depends only on `child_seed(config.seed, p)`, and every
+//! Permutation `p` depends only on `child_seed(seed, p)`, and every
 //! coalition is evaluated in **sorted index order**, so its utility is a
 //! pure function of the index set. Parallel runs go through the
 //! speculative-execution + sequential-settlement scheme of
@@ -20,10 +20,12 @@
 //!
 //! # Batched waves
 //!
-//! A permutation walk queues up to [`BatchPolicy::width`] consecutive
+//! A permutation walk queues up to
+//! [`BatchPolicy::width`](crate::batch::BatchPolicy::width) consecutive
 //! prefix coalitions as one *wave* and evaluates them through the
-//! [`UtilityBatcher`] in a single validation pass (for the KNN utility this
-//! reuses one shared train→valid distance matrix per run). The wave is then
+//! [`UtilityBatcher`](crate::batch::UtilityBatcher) in a single validation
+//! pass (for the KNN utility this reuses one shared train→valid distance
+//! matrix per run). The wave is then
 //! folded **sequentially**: the truncation rule and the per-call budget
 //! accounting fire in exactly the order the unbatched walk would, so
 //! batching changes physical cost only — scores, trip points and
@@ -44,189 +46,151 @@
 //! schedule-dependent, so it is never allowed to decide a mid-permutation
 //! split).
 
-use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
-use crate::common::ImportanceScores;
+use crate::run::{Estimator, Segment};
+use crate::snapshot::{EstimatorCheckpoint, InflightPermutation, McCheckpoint};
 use crate::{ImportanceError, Result};
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::{AtomicBudgetClock, CostHint, MemoCache, WorkerFailure, WorkerPool};
-use nde_robust::{
-    BudgetClock, ConvergenceDiagnostics, InflightPermutation, McCheckpoint, RunBudget,
-};
+use nde_robust::par::{AtomicBudgetClock, CostHint};
+use nde_robust::BudgetClock;
 use std::sync::atomic::AtomicBool;
 
-/// Configuration for the TMC-Shapley estimator.
+/// Method parameters for TMC-Shapley (run-wide knobs live on
+/// [`ImportanceRun`](crate::run::ImportanceRun)).
 #[derive(Debug, Clone)]
-pub struct ShapleyConfig {
+pub struct TmcParams {
     /// Number of sampled permutations.
     pub permutations: usize,
     /// Truncate a permutation once `|U(prefix) − U(full)|` falls below this.
     pub truncation_tolerance: f64,
-    /// Base seed (each permutation uses a derived child seed).
-    pub seed: u64,
-    /// Worker threads (1 = sequential; results are identical either way).
-    pub threads: usize,
 }
 
-impl Default for ShapleyConfig {
+impl Default for TmcParams {
     fn default() -> Self {
-        ShapleyConfig {
+        TmcParams {
             permutations: 100,
             truncation_tolerance: 0.01,
-            seed: 0,
-            threads: 1,
         }
     }
 }
 
-/// Result of a budget-aware TMC-Shapley run: the (possibly best-so-far)
-/// scores, how far the run got, and a checkpoint to resume from.
-#[derive(Debug, Clone)]
-pub struct BudgetedShapley {
-    /// Shapley estimates, averaged over the permutations completed so far.
-    pub scores: ImportanceScores,
-    /// How much work was done and whether a budget limit stopped the run.
-    pub diagnostics: ConvergenceDiagnostics,
-    /// Snapshot to pass back as `resume` to continue the same estimation.
-    /// Resuming an interrupted run is bit-identical to never interrupting.
-    pub checkpoint: McCheckpoint,
-}
-
-/// Method tag used in budgeted TMC-Shapley checkpoints.
+/// Method tag of TMC-Shapley scores, fingerprints and snapshots.
 pub(crate) const TMC_METHOD: &str = "tmc-shapley";
 
-/// The budget-aware, resumable, batch-capable TMC-Shapley engine behind
-/// the [`tmc_shapley()`](crate::run::tmc_shapley) entry point.
+/// TMC-Shapley under the shared driver behind
+/// [`tmc_shapley()`](crate::run::tmc_shapley).
 ///
 /// On exhaustion it **degrades gracefully**: the scores averaged over the
-/// permutations finished so far are returned, tagged with
-/// [`ConvergenceDiagnostics`] (including the largest per-example marginal
-/// standard error) and a [`McCheckpoint`] that a later call can resume
-/// from — including mid-permutation, via the checkpoint's in-flight state.
+/// permutations finished so far are returned with the largest per-example
+/// marginal standard error, and the [`McCheckpoint`] resumes the run —
+/// including mid-permutation, via its in-flight state.
 ///
 /// Cache hits still count as (logical) utility calls against the budget, so
 /// a cached run trips its budget at exactly the same point as an uncached
 /// one and stays bit-identical to it — the cache only removes *physical*
-/// model retrains. The cache must be dedicated to this
-/// `(template, train, valid)` triple.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tmc_engine<C>(
-    template: &C,
-    train: &Dataset,
-    valid: &Dataset,
-    config: &ShapleyConfig,
-    budget: &RunBudget,
-    resume: Option<&McCheckpoint>,
-    cache: Option<&MemoCache>,
-    policy: BatchPolicy,
-    pool: &WorkerPool,
-) -> Result<(BudgetedShapley, BatchStats)>
-where
-    C: Classifier + Send + Sync,
-{
-    if config.permutations == 0 {
-        return Err(ImportanceError::InvalidArgument(
-            "need at least one permutation".into(),
-        ));
+/// model retrains.
+impl Estimator for TmcParams {
+    const METHOD: &'static str = TMC_METHOD;
+    type State = McCheckpoint;
+
+    fn config(&self) -> String {
+        format!(
+            "permutations={};truncation_tolerance={}",
+            self.permutations, self.truncation_tolerance
+        )
     }
-    if train.is_empty() {
-        return Err(ImportanceError::InvalidArgument(
-            "empty training set".into(),
-        ));
+
+    fn steps(&self, _n: usize) -> u64 {
+        self.permutations as u64
     }
-    // Corrupt features would silently poison every marginal; fail with the
-    // offending cell before spending any budget.
-    for (name, data) in [("training", train), ("validation", valid)] {
-        if let Some((row, col)) = data.first_non_finite() {
-            return Err(ImportanceError::Ml(format!(
-                "{name} data holds a non-finite feature at row {row}, column {col}"
-            )));
+
+    fn check(&self, train: &Dataset, valid: &Dataset) -> Result<()> {
+        if self.permutations == 0 {
+            return Err(ImportanceError::InvalidArgument(
+                "need at least one permutation".into(),
+            ));
         }
-    }
-    let n = train.len();
-    let total = config.permutations as u64;
-    let mut state = match resume {
-        Some(cp) => {
-            cp.validate()
-                .map_err(|e| ImportanceError::Checkpoint(e.to_string()))?;
-            if cp.method != TMC_METHOD {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "checkpoint is for method `{}`, not `{TMC_METHOD}`",
-                    cp.method
+        // Corrupt features would silently poison every marginal; fail with
+        // the offending cell before spending any budget.
+        for (name, data) in [("training", train), ("validation", valid)] {
+            if let Some((row, col)) = data.first_non_finite() {
+                return Err(ImportanceError::Ml(format!(
+                    "{name} data holds a non-finite feature at row {row}, column {col}"
                 )));
             }
-            if cp.seed != config.seed || cp.n != n {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "checkpoint (seed {}, n {}) does not match run (seed {}, n {n})",
-                    cp.seed, cp.n, config.seed
-                )));
-            }
-            if cp.cursor > total || (cp.cursor == total && cp.inflight.is_some()) {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "checkpoint cursor {} exceeds configured permutations {}",
-                    cp.cursor, config.permutations
-                )));
-            }
-            cp.clone()
         }
-        None => McCheckpoint::fresh(TMC_METHOD, config.seed, n),
-    };
+        Ok(())
+    }
 
-    let batcher = UtilityBatcher::new(template, train, valid, cache, policy);
-    let mut clock = budget.resume(state.cursor, state.utility_calls);
-    if clock.exhausted().is_none() {
-        // Re-prime the full-data utility (one honestly-accounted call; a
-        // cache hit on resume still counts).
-        let all: Vec<usize> = (0..n).collect();
-        let full_utility = batcher.eval_one(&all)?;
-        clock.record_utility_calls(1);
-        let mut scratch = WalkScratch::new(n);
+    fn fresh(&self, seed: u64, n: usize) -> EstimatorCheckpoint {
+        EstimatorCheckpoint::Tmc(McCheckpoint::fresh(self, seed, n))
+    }
 
-        // Finish an interrupted permutation walk before anything else.
-        if let Some(inflight) = state.inflight.take() {
-            let expected_rng = state.rng_state.take();
-            let outcome = walk_permutation(
-                &batcher,
-                full_utility,
-                config,
-                state.cursor,
-                &mut scratch,
-                Some(&inflight),
-                expected_rng,
-                Some(&mut clock),
-            )?;
-            settle(&mut state, &mut clock, outcome);
+    fn validate(&self, state: &McCheckpoint, seed: u64, n: usize) -> Result<()> {
+        state.validate_against(self, seed, n)
+    }
+
+    fn state(snapshot: &mut EstimatorCheckpoint) -> Option<&mut McCheckpoint> {
+        match snapshot {
+            EstimatorCheckpoint::Tmc(state) => Some(state),
+            _ => None,
         }
+    }
 
-        // Speculative parallel rounds + authoritative sequential settlement.
-        // A permutation walk retrains a model per coalition: firmly past
-        // the sequential cutoff, so hint "expensive" instead of probing.
-        let cost = CostHint::PerItemNanos(1_000_000);
-        while state.inflight.is_none() && state.cursor < total && clock.exhausted().is_none() {
-            let shared =
-                AtomicBudgetClock::resume(budget, clock.iterations(), clock.utility_calls());
-            let stop = AtomicBool::new(false);
-            let round = pool
-                .map_indexed_scratch(
-                    config.threads,
+    fn segment<C: Classifier + Send + Sync>(
+        &self,
+        seg: &Segment<'_, C>,
+        state: &mut McCheckpoint,
+        clock: &mut BudgetClock,
+    ) -> Result<(Vec<f64>, Option<f64>)> {
+        let n = state.n;
+        let total = self.permutations as u64;
+        if clock.exhausted().is_none() {
+            // Re-prime the full-data utility (one honestly-accounted call; a
+            // cache hit on resume still counts).
+            let all: Vec<usize> = (0..n).collect();
+            let full_utility = seg.batcher.eval_one(&all)?;
+            clock.record_utility_calls(1);
+            let mut scratch = WalkScratch::new(n);
+
+            // Finish an interrupted permutation walk before anything else.
+            if let Some(inflight) = state.inflight.take() {
+                let expected_rng = state.rng_state.take();
+                let outcome = walk_permutation(
+                    seg,
+                    self,
+                    full_utility,
+                    state.cursor,
+                    &mut scratch,
+                    Some(&inflight),
+                    expected_rng,
+                    Some(clock),
+                )?;
+                settle(state, clock, outcome);
+            }
+
+            // Speculative parallel rounds + authoritative sequential
+            // settlement. A permutation walk retrains a model per coalition:
+            // firmly past the sequential cutoff, so hint "expensive" instead
+            // of probing.
+            let cost = CostHint::PerItemNanos(1_000_000);
+            while state.inflight.is_none() && state.cursor < total && clock.exhausted().is_none() {
+                let shared = AtomicBudgetClock::resume(
+                    seg.budget,
+                    clock.iterations(),
+                    clock.utility_calls(),
+                );
+                let stop = AtomicBool::new(false);
+                let round = seg.pool.map_indexed_scratch(
+                    seg.threads,
                     state.cursor..total,
                     &stop,
                     cost,
                     || WalkScratch::new(n),
                     |ws, p| -> Result<(Vec<f64>, u64)> {
-                        let outcome = walk_permutation(
-                            &batcher,
-                            full_utility,
-                            config,
-                            p,
-                            ws,
-                            None,
-                            None,
-                            None,
-                        )?;
-                        match outcome {
+                        match walk_permutation(seg, self, full_utility, p, ws, None, None, None)? {
                             WalkOutcome::Complete { marginals, calls } => {
                                 shared.record_iteration();
                                 shared.record_utility_calls(calls);
@@ -238,58 +202,50 @@ where
                             }
                         }
                     },
-                )
-                .map_err(|fail| match fail {
-                    WorkerFailure::Err(_, e) => e,
-                    WorkerFailure::Panic(_, msg) => ImportanceError::WorkerPanic(msg),
-                })?;
+                )?;
 
-            for (p, (marginals, calls)) in round {
-                if p != state.cursor || clock.exhausted().is_some() {
-                    // A gap after an early stop (the next round re-claims
-                    // it), or a boundary-granular budget stop.
-                    break;
+                for (p, (marginals, calls)) in round {
+                    if p != state.cursor || clock.exhausted().is_some() {
+                        // A gap after an early stop (the next round re-claims
+                        // it), or a boundary-granular budget stop.
+                        break;
+                    }
+                    if clock.would_exceed_utility(calls) {
+                        // The deterministic stopping point is inside this
+                        // permutation: re-walk it under the authoritative
+                        // clock to construct the exact mid-permutation state
+                        // (served from cache when one is attached).
+                        let outcome = walk_permutation(
+                            seg,
+                            self,
+                            full_utility,
+                            p,
+                            &mut scratch,
+                            None,
+                            None,
+                            Some(clock),
+                        )?;
+                        settle(state, clock, outcome);
+                        break;
+                    }
+                    fold_marginals(state, &marginals);
+                    state.cursor += 1;
+                    clock.record_iteration();
+                    clock.record_utility_calls(calls);
                 }
-                if clock.would_exceed_utility(calls) {
-                    // The deterministic stopping point is inside this
-                    // permutation: re-walk it under the authoritative clock
-                    // to construct the exact mid-permutation state (served
-                    // from cache when one is attached).
-                    let outcome = walk_permutation(
-                        &batcher,
-                        full_utility,
-                        config,
-                        p,
-                        &mut scratch,
-                        None,
-                        None,
-                        Some(&mut clock),
-                    )?;
-                    settle(&mut state, &mut clock, outcome);
-                    break;
-                }
-                fold_marginals(&mut state, &marginals);
-                state.cursor += 1;
-                clock.record_iteration();
-                clock.record_utility_calls(calls);
             }
         }
-    }
-    state.utility_calls = clock.utility_calls();
+        state.utility_calls = clock.utility_calls();
 
-    // Scores average only fully-folded permutations; in-flight partial
-    // marginals live solely in the checkpoint.
-    let done = state.cursor;
-    let values: Vec<f64> = if done == 0 {
-        vec![0.0; n]
-    } else {
-        state.totals.iter().map(|t| t / done as f64).collect()
-    };
-    let max_se = if done == 0 {
-        None
-    } else {
+        // Scores average only fully-folded permutations; in-flight partial
+        // marginals live solely in the checkpoint.
+        let done = state.cursor;
+        if done == 0 {
+            return Ok((vec![0.0; n], None));
+        }
         let p = done as f64;
-        state
+        let values = state.totals.iter().map(|t| t / p).collect();
+        let max_se = state
             .totals
             .iter()
             .zip(&state.totals_sq)
@@ -300,18 +256,9 @@ where
             })
             .fold(None, |acc: Option<f64>, se| {
                 Some(acc.map_or(se, |a| a.max(se)))
-            })
-    };
-
-    let stats = batcher.stats();
-    Ok((
-        BudgetedShapley {
-            scores: ImportanceScores::new(TMC_METHOD, values),
-            diagnostics: clock.diagnostics(max_se),
-            checkpoint: state,
-        },
-        stats,
-    ))
+            });
+        Ok((values, max_se))
+    }
 }
 
 /// Fold one permutation's marginals into the running checkpoint sums.
@@ -372,7 +319,7 @@ enum WalkOutcome {
 
 /// Walk one permutation's prefix chain, from scratch or resumed from an
 /// in-flight snapshot. Permutation `p` depends only on
-/// `child_seed(config.seed, p)`; coalitions are evaluated in sorted index
+/// `child_seed(seg.seed, p)`; coalitions are evaluated in sorted index
 /// order, queued in waves of up to `batcher.width()` consecutive prefixes
 /// and scored per wave. Waves are *folded* strictly sequentially, so
 /// truncation and budget enforcement behave exactly as in a one-at-a-time
@@ -382,17 +329,18 @@ enum WalkOutcome {
 /// to completion and reports its call count.
 #[allow(clippy::too_many_arguments)]
 fn walk_permutation<C: Classifier>(
-    batcher: &UtilityBatcher<'_, C>,
+    seg: &Segment<'_, C>,
+    params: &TmcParams,
     full_utility: f64,
-    config: &ShapleyConfig,
     p: u64,
     scratch: &mut WalkScratch,
     resume_from: Option<&InflightPermutation>,
     expected_rng: Option<[u64; 4]>,
     mut clock: Option<&mut BudgetClock>,
 ) -> Result<WalkOutcome> {
+    let batcher = seg.batcher;
     let n = batcher.train_len();
-    let mut rng = seeded(child_seed(config.seed, p));
+    let mut rng = seeded(child_seed(seg.seed, p));
     scratch.order.clear();
     scratch.order.extend(0..n);
     scratch.order.shuffle(&mut rng);
@@ -401,7 +349,7 @@ fn walk_permutation<C: Classifier>(
         if expected != rng_state {
             return Err(ImportanceError::Checkpoint(format!(
                 "checkpoint rng_state does not match permutation {p} of seed {}",
-                config.seed
+                seg.seed
             )));
         }
     }
@@ -461,7 +409,7 @@ fn walk_permutation<C: Classifier>(
             }
             marginals[i] = u - prev_u;
             prev_u = u;
-            if (full_utility - u).abs() < config.truncation_tolerance {
+            if (full_utility - u).abs() < params.truncation_tolerance {
                 // Remaining marginals stay 0; any already-evaluated wave
                 // tail is discarded (its values are pure, so the physical
                 // overshoot is unobservable).
@@ -476,61 +424,53 @@ fn walk_permutation<C: Classifier>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchPolicy;
+    use crate::run::{tmc_shapley, ImportanceOutcome, ImportanceRun};
+    use nde_data::json::Json;
     use nde_ml::models::knn::KnnClassifier;
+    use nde_robust::par::MemoCache;
+    use nde_robust::RunBudget;
 
-    // The long-standing behavioral suite pins the engine through thin
-    // one-at-a-time wrappers (the physical behavior of the removed legacy
-    // free functions).
-    fn tmc_shapley<C: Classifier + Send + Sync>(
-        template: &C,
-        train: &Dataset,
-        valid: &Dataset,
-        config: &ShapleyConfig,
-    ) -> Result<ImportanceScores> {
-        tmc_shapley_budgeted(
-            template,
-            train,
-            valid,
-            config,
-            &RunBudget::unlimited(),
-            None,
-        )
-        .map(|run| run.scores)
+    // The behavioral suite pins the estimator through the public entry
+    // point, scoring one coalition at a time unless a test sets another
+    // batch policy.
+    fn run(seed: u64) -> ImportanceRun<'static> {
+        ImportanceRun::new(seed).with_batch(BatchPolicy::Unbatched)
     }
 
-    fn tmc_shapley_budgeted<C: Classifier + Send + Sync>(
-        template: &C,
-        train: &Dataset,
-        valid: &Dataset,
-        config: &ShapleyConfig,
-        budget: &RunBudget,
-        resume: Option<&McCheckpoint>,
-    ) -> Result<BudgetedShapley> {
-        tmc_shapley_budgeted_cached(template, train, valid, config, budget, resume, None)
+    fn params(permutations: usize, truncation_tolerance: f64) -> TmcParams {
+        TmcParams {
+            permutations,
+            truncation_tolerance,
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn tmc_shapley_budgeted_cached<C: Classifier + Send + Sync>(
-        template: &C,
+    fn tmc(
+        run: &ImportanceRun,
         train: &Dataset,
         valid: &Dataset,
-        config: &ShapleyConfig,
-        budget: &RunBudget,
-        resume: Option<&McCheckpoint>,
-        cache: Option<&MemoCache>,
-    ) -> Result<BudgetedShapley> {
-        tmc_engine(
-            template,
-            train,
-            valid,
-            config,
-            budget,
-            resume,
-            cache,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .map(|(run, _)| run)
+        params: &TmcParams,
+    ) -> ImportanceOutcome {
+        tmc_shapley(run, &KnnClassifier::new(1), train, valid, params).unwrap()
+    }
+
+    fn state(out: &ImportanceOutcome) -> &McCheckpoint {
+        match &out.report.snapshot {
+            Some(EstimatorCheckpoint::Tmc(state)) => state,
+            other => panic!("expected a TMC snapshot, got {other:?}"),
+        }
+    }
+
+    /// Round-trip a snapshot through its JSON text, as a store record does.
+    fn through_json(out: &ImportanceOutcome) -> EstimatorCheckpoint {
+        let text = out
+            .report
+            .snapshot
+            .as_ref()
+            .unwrap()
+            .to_payload()
+            .to_string_pretty();
+        EstimatorCheckpoint::from_payload(&Json::parse(&text).unwrap()).unwrap()
     }
 
     fn toy() -> (Dataset, Dataset) {
@@ -558,13 +498,7 @@ mod tests {
     #[test]
     fn mislabelled_point_has_lowest_shapley_value() {
         let (train, valid) = toy();
-        let cfg = ShapleyConfig {
-            permutations: 200,
-            truncation_tolerance: 0.0,
-            seed: 1,
-            threads: 1,
-        };
-        let scores = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let scores = tmc(&run(1), &train, &valid, &params(200, 0.0)).scores;
         assert_eq!(scores.bottom_k(1), vec![4]);
         assert!(scores.values[4] < 0.0);
         // Clean points have positive value.
@@ -576,13 +510,7 @@ mod tests {
     fn efficiency_axiom_approximately_holds() {
         // Sum of Shapley values = U(full) − U(∅) = U(full).
         let (train, valid) = toy();
-        let cfg = ShapleyConfig {
-            permutations: 500,
-            truncation_tolerance: 0.0,
-            seed: 2,
-            threads: 1,
-        };
-        let scores = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let scores = tmc(&run(2), &train, &valid, &params(500, 0.0)).scores;
         let sum: f64 = scores.values.iter().sum();
         let full = nde_ml::model::utility(&KnnClassifier::new(1), &train, &valid).unwrap();
         // With no truncation, every permutation's marginals telescope to
@@ -593,83 +521,47 @@ mod tests {
     #[test]
     fn deterministic_and_parallel_bit_identical() {
         let (train, valid) = toy();
-        let mut cfg = ShapleyConfig {
-            permutations: 60,
-            truncation_tolerance: 0.0,
-            seed: 3,
-            threads: 1,
-        };
-        let a = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
-        let b = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let p = params(60, 0.0);
+        let a = tmc(&run(3), &train, &valid, &p).scores;
+        let b = tmc(&run(3), &train, &valid, &p).scores;
         assert_eq!(a, b);
         // Bit-identical regardless of thread count (work is seed-partitioned
         // and settled in index order).
-        cfg.threads = 4;
-        let c = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).unwrap();
+        let c = tmc(&run(3).with_threads(4), &train, &valid, &p).scores;
         assert_eq!(a, c);
     }
 
     #[test]
     fn batched_waves_are_bit_identical_to_unbatched() {
         let (train, valid) = toy();
-        let knn = KnnClassifier::new(1);
-        let cfg = ShapleyConfig {
-            permutations: 40,
-            truncation_tolerance: 0.02, // exercise mid-wave truncation
-            seed: 9,
-            threads: 1,
-        };
-        let (plain, plain_stats) = tmc_engine(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            None,
-            None,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .unwrap();
-        assert_eq!(plain_stats.batched_evals, 0);
+        let p = params(40, 0.02); // exercise mid-wave truncation
+        let plain = tmc(&run(9), &train, &valid, &p);
+        assert_eq!(plain.report.batched_evals, 0);
         for size in [1, 2, 3, 8, 64] {
-            let (batched, stats) = tmc_engine(
-                &knn,
+            let batched = tmc(
+                &run(9).with_batch(BatchPolicy::Grouped { size }),
                 &train,
                 &valid,
-                &cfg,
-                &RunBudget::unlimited(),
-                None,
-                None,
-                BatchPolicy::Grouped { size },
-                &WorkerPool::shared(),
-            )
-            .unwrap();
+                &p,
+            );
             assert_eq!(batched.scores, plain.scores, "size={size}");
-            assert_eq!(batched.checkpoint, plain.checkpoint, "size={size}");
+            assert_eq!(state(&batched), state(&plain), "size={size}");
             assert_eq!(
-                batched.diagnostics.utility_calls, plain.diagnostics.utility_calls,
+                batched.report.utility_calls, plain.report.utility_calls,
                 "size={size}"
             );
-            assert!(stats.batched_evals > 0, "size={size} must use the scorer");
+            assert!(
+                batched.report.batched_evals > 0,
+                "size={size} must use the scorer"
+            );
         }
     }
 
     #[test]
     fn truncation_reduces_no_worse_than_tolerance() {
         let (train, valid) = toy();
-        let exact_cfg = ShapleyConfig {
-            permutations: 300,
-            truncation_tolerance: 0.0,
-            seed: 4,
-            threads: 1,
-        };
-        let trunc_cfg = ShapleyConfig {
-            truncation_tolerance: 0.05,
-            ..exact_cfg.clone()
-        };
-        let exact = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &exact_cfg).unwrap();
-        let trunc = tmc_shapley(&KnnClassifier::new(1), &train, &valid, &trunc_cfg).unwrap();
+        let exact = tmc(&run(4), &train, &valid, &params(300, 0.0)).scores;
+        let trunc = tmc(&run(4), &train, &valid, &params(300, 0.05)).scores;
         // Rankings agree on the harmful point.
         assert_eq!(exact.bottom_k(1), trunc.bottom_k(1));
     }
@@ -677,219 +569,144 @@ mod tests {
     #[test]
     fn validates_arguments() {
         let (train, valid) = toy();
-        let cfg = ShapleyConfig {
-            permutations: 0,
-            ..Default::default()
-        };
-        assert!(tmc_shapley(&KnnClassifier::new(1), &train, &valid, &cfg).is_err());
+        let knn = KnnClassifier::new(1);
+        assert!(tmc_shapley(&run(0), &knn, &train, &valid, &params(0, 0.01)).is_err());
         let empty = train.subset(&[]);
-        assert!(tmc_shapley(
-            &KnnClassifier::new(1),
-            &empty,
-            &valid,
-            &ShapleyConfig::default()
-        )
-        .is_err());
-    }
-
-    fn budget_cfg(permutations: usize) -> ShapleyConfig {
-        ShapleyConfig {
-            permutations,
-            truncation_tolerance: 0.0,
-            seed: 7,
-            threads: 1,
-        }
+        assert!(tmc_shapley(&run(0), &knn, &empty, &valid, &TmcParams::default()).is_err());
     }
 
     #[test]
     fn budgeted_with_unlimited_budget_matches_plain_tmc() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(40);
-        let knn = KnnClassifier::new(1);
-        let plain = tmc_shapley(&knn, &train, &valid, &cfg).unwrap();
-        let run = tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &RunBudget::unlimited(), None)
-            .unwrap();
-        assert_eq!(run.scores.values, plain.values);
-        assert!(run.diagnostics.completed());
-        assert_eq!(run.diagnostics.iterations, 40);
-        assert_eq!(run.checkpoint.cursor, 40);
-        assert!(run.checkpoint.inflight.is_none());
-        assert!(run.diagnostics.max_marginal_std_error.unwrap() >= 0.0);
+        let p = params(40, 0.0);
+        let plain = tmc(&run(7), &train, &valid, &p);
+        let out = tmc(
+            &run(7).with_budget(RunBudget::unlimited()),
+            &train,
+            &valid,
+            &p,
+        );
+        let diagnostics = out.report.diagnostics.as_ref().unwrap();
+        assert_eq!(out.scores.values, plain.scores.values);
+        assert!(diagnostics.completed());
+        assert_eq!(diagnostics.iterations, 40);
+        assert_eq!(state(&out).cursor, 40);
+        assert!(state(&out).inflight.is_none());
+        assert!(diagnostics.max_marginal_std_error.unwrap() >= 0.0);
     }
 
     #[test]
     fn budget_exhaustion_degrades_gracefully() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(50);
-        let knn = KnnClassifier::new(1);
+        let p = params(50, 0.0);
         let budget = RunBudget::unlimited().with_max_iterations(5);
-        let run = tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &budget, None).unwrap();
-        assert!(!run.diagnostics.completed());
+        let out = tmc(&run(7).with_budget(budget), &train, &valid, &p);
+        let diagnostics = out.report.diagnostics.as_ref().unwrap();
+        assert!(!diagnostics.completed());
         assert_eq!(
-            run.diagnostics.exhausted,
+            diagnostics.exhausted,
             Some(nde_robust::Exhaustion::Iterations)
         );
-        assert_eq!(run.checkpoint.cursor, 5);
+        assert_eq!(state(&out).cursor, 5);
         // Iteration budgets stop on permutation boundaries.
-        assert!(run.checkpoint.inflight.is_none());
+        assert!(state(&out).inflight.is_none());
         // Best-so-far estimate is still a usable average.
-        assert!(run.scores.values.iter().all(|v| v.is_finite()));
+        assert!(out.scores.values.iter().all(|v| v.is_finite()));
         let budget = RunBudget::unlimited().with_max_utility_calls(8);
-        let run = tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &budget, None).unwrap();
+        let out = tmc(&run(7).with_budget(budget), &train, &valid, &p);
         assert_eq!(
-            run.diagnostics.exhausted,
+            out.report.diagnostics.as_ref().unwrap().exhausted,
             Some(nde_robust::Exhaustion::UtilityCalls)
         );
-        assert!(run.checkpoint.cursor < 50);
-        assert_eq!(run.checkpoint.utility_calls, 8);
+        let checkpoint = state(&out);
+        assert!(checkpoint.cursor < 50);
+        assert_eq!(checkpoint.utility_calls, 8);
         // n=5 per permutation: 1 (full) + 5 (perm 0) + 2 = 8 calls puts the
         // deterministic stopping point two positions into permutation 1.
-        assert_eq!(run.checkpoint.cursor, 1);
-        let inflight = run.checkpoint.inflight.as_ref().unwrap();
+        assert_eq!(checkpoint.cursor, 1);
+        let inflight = checkpoint.inflight.as_ref().unwrap();
         assert_eq!(inflight.pos, 2);
-        assert!(run.checkpoint.rng_state.is_some());
+        assert!(checkpoint.rng_state.is_some());
     }
 
     #[test]
     fn interrupted_plus_resumed_is_bit_identical_to_uninterrupted() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(30);
-        let knn = KnnClassifier::new(1);
-        let uninterrupted =
-            tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &RunBudget::unlimited(), None)
-                .unwrap();
+        let p = params(30, 0.0);
+        let uninterrupted = tmc(&run(7), &train, &valid, &p);
         // Stop after 11 permutations, round-trip the checkpoint through
         // JSON, then finish the remaining 19.
-        let first = tmc_shapley_budgeted(
-            &knn,
+        let first = tmc(
+            &run(7).with_budget(RunBudget::unlimited().with_max_iterations(11)),
             &train,
             &valid,
-            &cfg,
-            &RunBudget::unlimited().with_max_iterations(11),
-            None,
-        )
-        .unwrap();
-        assert_eq!(first.checkpoint.cursor, 11);
-        let restored = McCheckpoint::from_json(&first.checkpoint.to_json()).unwrap();
-        assert_eq!(restored, first.checkpoint);
-        let resumed = tmc_shapley_budgeted(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            Some(&restored),
-        )
-        .unwrap();
-        assert_eq!(resumed.scores.values, uninterrupted.scores.values);
-        assert_eq!(resumed.checkpoint.cursor, uninterrupted.checkpoint.cursor);
-        assert_eq!(resumed.checkpoint.totals, uninterrupted.checkpoint.totals);
-        assert_eq!(
-            resumed.checkpoint.totals_sq,
-            uninterrupted.checkpoint.totals_sq
+            &p,
         );
+        assert_eq!(state(&first).cursor, 11);
+        let restored = through_json(&first);
+        assert_eq!(Some(&restored), first.report.snapshot.as_ref());
+        let resumed = tmc(&run(7).with_resume(&restored), &train, &valid, &p);
+        assert_eq!(resumed.scores.values, uninterrupted.scores.values);
+        let (resumed, uninterrupted) = (state(&resumed), state(&uninterrupted));
+        assert_eq!(resumed.cursor, uninterrupted.cursor);
+        assert_eq!(resumed.totals, uninterrupted.totals);
+        assert_eq!(resumed.totals_sq, uninterrupted.totals_sq);
         // Resuming re-primes the full-utility value, so the resumed run
         // honestly accounts one extra utility call.
-        assert_eq!(
-            resumed.checkpoint.utility_calls,
-            uninterrupted.checkpoint.utility_calls + 1
-        );
+        assert_eq!(resumed.utility_calls, uninterrupted.utility_calls + 1);
     }
 
     #[test]
     fn mid_permutation_resume_is_bit_identical() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(12);
-        let knn = KnnClassifier::new(1);
-        let uninterrupted =
-            tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &RunBudget::unlimited(), None)
-                .unwrap();
-        let full_calls = uninterrupted.checkpoint.utility_calls;
+        let p = params(12, 0.0);
+        let uninterrupted = tmc(&run(7), &train, &valid, &p);
+        let full_calls = state(&uninterrupted).utility_calls;
         // Trip the utility budget at every possible call count; each stop
         // lands at a different mid-permutation position. Resume must always
         // reconverge to the exact uninterrupted floats.
         for max_calls in 2..full_calls {
-            let partial = tmc_shapley_budgeted(
-                &knn,
+            let partial = tmc(
+                &run(7).with_budget(RunBudget::unlimited().with_max_utility_calls(max_calls)),
                 &train,
                 &valid,
-                &cfg,
-                &RunBudget::unlimited().with_max_utility_calls(max_calls),
-                None,
-            )
-            .unwrap();
-            assert_eq!(partial.checkpoint.utility_calls, max_calls);
-            let restored = McCheckpoint::from_json(&partial.checkpoint.to_json()).unwrap();
-            let resumed = tmc_shapley_budgeted(
-                &knn,
-                &train,
-                &valid,
-                &cfg,
-                &RunBudget::unlimited(),
-                Some(&restored),
-            )
-            .unwrap();
+                &p,
+            );
+            assert_eq!(state(&partial).utility_calls, max_calls);
+            let restored = through_json(&partial);
+            let resumed = tmc(&run(7).with_resume(&restored), &train, &valid, &p);
             assert_eq!(
                 resumed.scores.values, uninterrupted.scores.values,
                 "resume after {max_calls} utility calls must be bit-identical"
             );
-            assert_eq!(resumed.checkpoint.totals, uninterrupted.checkpoint.totals);
-            assert_eq!(
-                resumed.checkpoint.totals_sq,
-                uninterrupted.checkpoint.totals_sq
-            );
-            assert!(resumed.checkpoint.inflight.is_none());
+            assert_eq!(state(&resumed).totals, state(&uninterrupted).totals);
+            assert_eq!(state(&resumed).totals_sq, state(&uninterrupted).totals_sq);
+            assert!(state(&resumed).inflight.is_none());
         }
     }
 
     #[test]
     fn batched_budget_trips_at_the_same_call_counts() {
-        // The wave engine must reproduce the unbatched trip points exactly:
+        // The wave walk must reproduce the unbatched trip points exactly:
         // same checkpoint cursor, same in-flight position, same floats.
         let (train, valid) = toy();
-        let cfg = budget_cfg(6);
-        let knn = KnnClassifier::new(1);
-        let (uninterrupted, _) = tmc_engine(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            None,
-            None,
-            BatchPolicy::Unbatched,
-            &WorkerPool::shared(),
-        )
-        .unwrap();
-        let full_calls = uninterrupted.checkpoint.utility_calls;
+        let p = params(6, 0.0);
+        let uninterrupted = tmc(&run(7), &train, &valid, &p);
+        let full_calls = state(&uninterrupted).utility_calls;
         for max_calls in 2..full_calls {
             let budget = RunBudget::unlimited().with_max_utility_calls(max_calls);
-            let (plain, _) = tmc_engine(
-                &knn,
+            let plain = tmc(&run(7).with_budget(budget.clone()), &train, &valid, &p);
+            let batched = tmc(
+                &run(7)
+                    .with_budget(budget)
+                    .with_batch(BatchPolicy::Grouped { size: 4 }),
                 &train,
                 &valid,
-                &cfg,
-                &budget,
-                None,
-                None,
-                BatchPolicy::Unbatched,
-                &WorkerPool::shared(),
-            )
-            .unwrap();
-            let (batched, _) = tmc_engine(
-                &knn,
-                &train,
-                &valid,
-                &cfg,
-                &budget,
-                None,
-                None,
-                BatchPolicy::Grouped { size: 4 },
-                &WorkerPool::shared(),
-            )
-            .unwrap();
+                &p,
+            );
             assert_eq!(
-                batched.checkpoint, plain.checkpoint,
+                state(&batched),
+                state(&plain),
                 "trip state at max_calls={max_calls}"
             );
             assert_eq!(batched.scores, plain.scores);
@@ -899,87 +716,51 @@ mod tests {
     #[test]
     fn memoized_run_is_bit_identical_and_hits() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(25);
-        let knn = KnnClassifier::new(1);
-        let plain = tmc_shapley_budgeted(&knn, &train, &valid, &cfg, &RunBudget::unlimited(), None)
-            .unwrap();
+        let p = params(25, 0.0);
+        let plain = tmc(&run(7), &train, &valid, &p);
         let cache = MemoCache::new();
-        let cached = tmc_shapley_budgeted_cached(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            None,
-            Some(&cache),
-        )
-        .unwrap();
+        let cached = tmc(&run(7).with_cache(&cache), &train, &valid, &p);
         assert_eq!(cached.scores.values, plain.scores.values);
         // Logical budget accounting is cache-independent.
-        assert_eq!(
-            cached.checkpoint.utility_calls,
-            plain.checkpoint.utility_calls
-        );
+        assert_eq!(state(&cached).utility_calls, state(&plain).utility_calls);
         // 25 permutations over 5 examples revisit coalitions constantly.
         assert!(cache.hits() > 0, "expected repeated coalitions to hit");
-        assert!(cache.len() as u64 <= plain.checkpoint.utility_calls);
+        assert!(cache.len() as u64 <= state(&plain).utility_calls);
     }
 
     #[test]
     fn rejects_mismatched_checkpoints_and_corrupt_features() {
         let (train, valid) = toy();
-        let cfg = budget_cfg(10);
+        let p = params(10, 0.0);
         let knn = KnnClassifier::new(1);
-        let other = McCheckpoint::fresh("tmc-shapley", 999, train.len());
-        let err = tmc_shapley_budgeted(
-            &knn,
-            &train,
-            &valid,
-            &cfg,
-            &RunBudget::unlimited(),
-            Some(&other),
-        );
-        assert!(matches!(err, Err(ImportanceError::Checkpoint(_))));
-        let wrong_method = McCheckpoint::fresh("zorro", cfg.seed, train.len());
-        assert!(matches!(
-            tmc_shapley_budgeted(
-                &knn,
-                &train,
-                &valid,
-                &cfg,
-                &RunBudget::unlimited(),
-                Some(&wrong_method)
-            ),
-            Err(ImportanceError::Checkpoint(_))
+        let rejected = |resume: &EstimatorCheckpoint| {
+            matches!(
+                tmc_shapley(&run(7).with_resume(resume), &knn, &train, &valid, &p),
+                Err(ImportanceError::Checkpoint(_))
+            )
+        };
+        let other = EstimatorCheckpoint::Tmc(McCheckpoint::fresh(&p, 999, train.len()));
+        assert!(rejected(&other));
+        let wrong_method = EstimatorCheckpoint::Banzhaf(crate::snapshot::BanzhafCheckpoint::fresh(
+            &crate::banzhaf::BanzhafParams::default(),
+            7,
+            train.len(),
         ));
+        assert!(rejected(&wrong_method));
         // An in-flight snapshot whose rng_state does not belong to the run's
         // seed is refused instead of silently corrupting the estimate.
-        let trip = tmc_shapley_budgeted(
-            &knn,
+        let trip = tmc(
+            &run(7).with_budget(RunBudget::unlimited().with_max_utility_calls(8)),
             &train,
             &valid,
-            &cfg,
-            &RunBudget::unlimited().with_max_utility_calls(8),
-            None,
-        )
-        .unwrap();
-        let mut forged = trip.checkpoint.clone();
+            &p,
+        );
+        let mut forged = state(&trip).clone();
         forged.rng_state = Some([1, 2, 3, 4]);
-        assert!(matches!(
-            tmc_shapley_budgeted(
-                &knn,
-                &train,
-                &valid,
-                &cfg,
-                &RunBudget::unlimited(),
-                Some(&forged)
-            ),
-            Err(ImportanceError::Checkpoint(_))
-        ));
+        assert!(rejected(&EstimatorCheckpoint::Tmc(forged)));
         let mut poisoned = train.clone();
         poisoned.x.set(1, 0, f64::NAN);
-        let err =
-            tmc_shapley_budgeted(&knn, &poisoned, &valid, &cfg, &RunBudget::unlimited(), None);
+        let err = tmc_shapley(&run(7), &knn, &poisoned, &valid, &p);
         assert!(matches!(err, Err(ImportanceError::Ml(m)) if m.contains("row 1")));
     }
 }

@@ -1,87 +1,225 @@
-//! Resumable snapshots for the non-TMC Monte-Carlo estimators.
+//! Resumable snapshots of the Monte-Carlo estimators.
 //!
-//! [`McCheckpoint`] covers the permutation-walk
-//! state of TMC-Shapley; Banzhaf MSR and Beta Shapley accumulate different
-//! partial state (subset-sample sums, per-point values). These types give
-//! them the same durable form: a validated struct that converts to and from
-//! a [`Json`] payload so every estimator checkpoints through the same
+//! TMC-Shapley checkpoints its permutation walk ([`McCheckpoint`]), Banzhaf
+//! MSR its subset-sample sums ([`BanzhafCheckpoint`]) and Beta Shapley its
+//! per-point values ([`BetaShapleyCheckpoint`]). Each is a validated struct
+//! that converts to and from a [`Json`] payload, and [`EstimatorCheckpoint`]
+//! erases the method so every estimator checkpoints through the same
 //! [`RunStore`](nde_robust::RunStore) records.
 //!
 //! All float fields round-trip bit-identically (shortest-round-trip
-//! serialization via [`nde_data::json`]) and are rejected when non-finite —
-//! the same hardening contract as `McCheckpoint`: a `1e999` smuggled into a
-//! running sum must fail parsing, never poison a resumed fold.
+//! serialization via [`nde_data::json`]) and are rejected when non-finite:
+//! a `1e999` smuggled into a running sum must fail parsing, never poison a
+//! resumed fold.
 
-use crate::banzhaf::BanzhafConfig;
-use crate::beta_shapley::BetaShapleyConfig;
+use crate::banzhaf::BanzhafParams;
+use crate::beta_shapley::BetaShapleyParams;
+use crate::shapley_mc::{TmcParams, TMC_METHOD};
 use crate::{ImportanceError, Result};
-use nde_data::json::{Json, ToJson};
-use nde_robust::McCheckpoint;
+use nde_data::json::{check_method, field, finite, finite_vec, text, uint, uint_vec, Json, ToJson};
 
-fn field<'a>(doc: &'a Json, name: &str) -> Result<&'a Json> {
-    doc.get(name)
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("missing field `{name}`")))
+/// Read a payload with the [`nde_data::json`] field readers.
+fn read<T>(fields: impl FnOnce() -> std::result::Result<T, String>) -> Result<T> {
+    fields().map_err(ImportanceError::Checkpoint)
 }
 
-fn uint(doc: &Json, name: &str) -> Result<u64> {
-    field(doc, name)?
-        .as_u64()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an integer")))
-}
-
-fn finite(doc: &Json, name: &str) -> Result<f64> {
-    let v = field(doc, name)?
-        .as_f64()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not a number")))?;
-    if !v.is_finite() {
-        return Err(ImportanceError::Checkpoint(format!(
-            "`{name}` is not a finite number"
-        )));
+fn all_finite(name: &str, values: &[f64]) -> Result<()> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ImportanceError::Checkpoint(format!(
+            "`{name}[{i}]` is not a finite number"
+        ))),
+        None => Ok(()),
     }
-    Ok(v)
 }
 
-fn finite_vec(doc: &Json, name: &str) -> Result<Vec<f64>> {
-    let arr = field(doc, name)?
-        .as_arr()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an array")))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, v) in arr.iter().enumerate() {
-        let v = v
-            .as_f64()
-            .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}[{i}]` is not a number")))?;
-        if !v.is_finite() {
+/// Progress inside a single interrupted permutation walk.
+///
+/// When a utility-call budget trips partway through a permutation, the
+/// walk records how far it got so resume continues it **mid-permutation**
+/// instead of re-running it from scratch. The permutation's shuffled order
+/// is not stored: resume re-shuffles with `child_seed(seed, cursor)`, and
+/// [`McCheckpoint::rng_state`] carries the post-shuffle stream state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InflightPermutation {
+    /// Number of prefix positions already folded (the walk resumes at
+    /// `order[pos]`).
+    pub pos: u64,
+    /// Utility of the prefix `order[..pos]` (the subtrahend for the next
+    /// marginal).
+    pub prev_u: f64,
+    /// Marginal contributions recorded so far in this permutation, indexed
+    /// by example (zero for examples not yet reached).
+    pub marginals: Vec<f64>,
+}
+
+/// Partial state of a TMC-Shapley estimation: permutations `0..cursor`
+/// folded into the running sums, plus the walk through permutation
+/// `cursor` if a budget stopped it midway. Resume is **bit-identical** to
+/// never stopping.
+#[derive(Debug, Clone, PartialEq)]
+pub struct McCheckpoint {
+    /// The base seed; permutation `p` derives its stream from
+    /// `child_seed(seed, p)`.
+    pub seed: u64,
+    /// Number of scored training examples.
+    pub n: usize,
+    /// Next permutation index to run (permutations `0..cursor` are folded
+    /// into the running sums already).
+    pub cursor: u64,
+    /// Cumulative utility evaluations across all segments of the run.
+    pub utility_calls: u64,
+    /// Raw xoshiro256** state of the in-flight permutation's stream, if
+    /// the run was interrupted mid-permutation.
+    pub rng_state: Option<[u64; 4]>,
+    /// Walk progress inside permutation `cursor`, if the run was
+    /// interrupted mid-permutation. `None` means the run stopped exactly on
+    /// a permutation boundary.
+    pub inflight: Option<InflightPermutation>,
+    /// Running sum of marginal contributions per example.
+    pub totals: Vec<f64>,
+    /// Running sum of squared marginal contributions per example (for
+    /// standard-error diagnostics).
+    pub totals_sq: Vec<f64>,
+}
+
+impl McCheckpoint {
+    /// A zeroed snapshot at permutation 0 for this run shape.
+    pub fn fresh(_params: &TmcParams, seed: u64, n: usize) -> McCheckpoint {
+        McCheckpoint {
+            seed,
+            n,
+            cursor: 0,
+            utility_calls: 0,
+            rng_state: None,
+            inflight: None,
+            totals: vec![0.0; n],
+            totals_sq: vec![0.0; n],
+        }
+    }
+
+    /// Internal consistency: vector lengths match `n`, every float is
+    /// finite, and in-flight state is well-formed.
+    pub fn validate(&self) -> Result<()> {
+        if self.totals.len() != self.n || self.totals_sq.len() != self.n {
             return Err(ImportanceError::Checkpoint(format!(
-                "`{name}[{i}]` is not a finite number"
+                "checkpoint claims n={} but holds {} totals / {} squared totals",
+                self.n,
+                self.totals.len(),
+                self.totals_sq.len()
             )));
         }
-        out.push(v);
+        all_finite("totals", &self.totals)?;
+        all_finite("totals_sq", &self.totals_sq)?;
+        if let Some(inflight) = &self.inflight {
+            if !inflight.prev_u.is_finite() {
+                return Err(ImportanceError::Checkpoint(
+                    "`inflight.prev_u` is not a finite number".into(),
+                ));
+            }
+            all_finite("inflight.marginals", &inflight.marginals)?;
+            if inflight.marginals.len() != self.n {
+                return Err(ImportanceError::Checkpoint(format!(
+                    "in-flight state claims n={} but holds {} marginals",
+                    self.n,
+                    inflight.marginals.len()
+                )));
+            }
+            if inflight.pos as usize > self.n {
+                return Err(ImportanceError::Checkpoint(format!(
+                    "in-flight position {} exceeds n={}",
+                    inflight.pos, self.n
+                )));
+            }
+            if self.rng_state.is_none() {
+                return Err(ImportanceError::Checkpoint(
+                    "in-flight state requires `rng_state` to reconstruct the stream".into(),
+                ));
+            }
+        }
+        Ok(())
     }
-    Ok(out)
-}
 
-fn uint_vec(doc: &Json, name: &str) -> Result<Vec<u64>> {
-    field(doc, name)?
-        .as_arr()
-        .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` is not an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| ImportanceError::Checkpoint(format!("`{name}` holds a non-integer")))
-        })
-        .collect()
-}
-
-fn check_method(doc: &Json, expected: &str) -> Result<()> {
-    let method = field(doc, "method")?
-        .as_str()
-        .ok_or_else(|| ImportanceError::Checkpoint("`method` is not a string".into()))?;
-    if method != expected {
-        return Err(ImportanceError::Checkpoint(format!(
-            "snapshot written by `{method}`, expected `{expected}`"
-        )));
+    /// Reject a snapshot that was written by a differently-shaped run.
+    pub fn validate_against(&self, params: &TmcParams, seed: u64, n: usize) -> Result<()> {
+        self.validate()?;
+        if self.seed != seed || self.n != n {
+            return Err(ImportanceError::Checkpoint(format!(
+                "checkpoint (seed {}, n {}) does not match run (seed {seed}, n {n})",
+                self.seed, self.n
+            )));
+        }
+        let total = params.permutations as u64;
+        if self.cursor > total || (self.cursor == total && self.inflight.is_some()) {
+            return Err(ImportanceError::Checkpoint(format!(
+                "checkpoint cursor {} exceeds configured permutations {total}",
+                self.cursor
+            )));
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// The snapshot as a durable-store payload.
+    pub fn to_payload(&self) -> Json {
+        let rng_state = match self.rng_state {
+            Some(words) => Json::Arr(words.iter().map(|&w| Json::UInt(w)).collect()),
+            None => Json::Null,
+        };
+        let inflight = match &self.inflight {
+            Some(state) => Json::Obj(vec![
+                ("pos".into(), Json::UInt(state.pos)),
+                ("prev_u".into(), state.prev_u.to_json()),
+                ("marginals".into(), state.marginals.to_json()),
+            ]),
+            None => Json::Null,
+        };
+        Json::Obj(vec![
+            ("method".into(), Json::Str(TMC_METHOD.into())),
+            ("seed".into(), Json::UInt(self.seed)),
+            ("n".into(), Json::UInt(self.n as u64)),
+            ("cursor".into(), Json::UInt(self.cursor)),
+            ("utility_calls".into(), Json::UInt(self.utility_calls)),
+            ("rng_state".into(), rng_state),
+            ("inflight".into(), inflight),
+            ("totals".into(), self.totals.to_json()),
+            ("totals_sq".into(), self.totals_sq.to_json()),
+        ])
+    }
+
+    /// Reconstruct and validate a snapshot from a durable-store payload.
+    /// A missing `inflight` field (written by runs that stopped only on
+    /// permutation boundaries) reads as `null`.
+    pub fn from_payload(doc: &Json) -> Result<McCheckpoint> {
+        let ckpt = read(|| {
+            check_method(doc, TMC_METHOD)?;
+            let rng_state = match field(doc, "rng_state")? {
+                Json::Null => None,
+                _ => Some(
+                    <[u64; 4]>::try_from(uint_vec(doc, "rng_state")?)
+                        .map_err(|_| "`rng_state` must be null or a 4-word array")?,
+                ),
+            };
+            let inflight = match doc.get("inflight") {
+                None | Some(Json::Null) => None,
+                Some(state) => Some(InflightPermutation {
+                    pos: uint(state, "pos")?,
+                    prev_u: finite(state, "prev_u")?,
+                    marginals: finite_vec(state, "marginals")?,
+                }),
+            };
+            Ok(McCheckpoint {
+                seed: uint(doc, "seed")?,
+                n: uint(doc, "n")? as usize,
+                cursor: uint(doc, "cursor")?,
+                utility_calls: uint(doc, "utility_calls")?,
+                rng_state,
+                inflight,
+                totals: finite_vec(doc, "totals")?,
+                totals_sq: finite_vec(doc, "totals_sq")?,
+            })
+        })?;
+        ckpt.validate()?;
+        Ok(ckpt)
+    }
 }
 
 /// Partial state of a Banzhaf MSR estimation: subset samples `0..cursor`
@@ -111,11 +249,11 @@ pub struct BanzhafCheckpoint {
 
 impl BanzhafCheckpoint {
     /// A zeroed snapshot at sample 0 for this run shape.
-    pub fn fresh(config: &BanzhafConfig, n: usize) -> BanzhafCheckpoint {
+    pub fn fresh(params: &BanzhafParams, seed: u64, n: usize) -> BanzhafCheckpoint {
         BanzhafCheckpoint {
-            seed: config.seed,
+            seed,
             n,
-            samples: config.samples as u64,
+            samples: params.samples as u64,
             cursor: 0,
             utility_calls: 0,
             with_sum: vec![0.0; n],
@@ -146,18 +284,11 @@ impl BanzhafCheckpoint {
                 self.cursor, self.samples
             )));
         }
-        for (name, values) in [
-            ("with_sum", &self.with_sum),
-            ("without_sum", &self.without_sum),
-        ] {
-            if let Some(i) = values.iter().position(|v| !v.is_finite()) {
-                return Err(ImportanceError::Checkpoint(format!(
-                    "`{name}[{i}]` is not a finite number"
-                )));
-            }
-        }
+        all_finite("with_sum", &self.with_sum)?;
+        all_finite("without_sum", &self.without_sum)?;
         for i in 0..self.n {
-            if self.with_count[i] + self.without_count[i] != self.cursor {
+            // Checked: both counts come from the payload and may be crafted.
+            if self.with_count[i].checked_add(self.without_count[i]) != Some(self.cursor) {
                 return Err(ImportanceError::Checkpoint(format!(
                     "point {i} counts {} + {} do not sum to cursor {}",
                     self.with_count[i], self.without_count[i], self.cursor
@@ -168,13 +299,13 @@ impl BanzhafCheckpoint {
     }
 
     /// Reject a snapshot that was written by a differently-shaped run.
-    pub fn validate_against(&self, config: &BanzhafConfig, n: usize) -> Result<()> {
+    pub fn validate_against(&self, params: &BanzhafParams, seed: u64, n: usize) -> Result<()> {
         self.validate()?;
-        if self.seed != config.seed || self.samples != config.samples as u64 || self.n != n {
+        if self.seed != seed || self.samples != params.samples as u64 || self.n != n {
             return Err(ImportanceError::Checkpoint(format!(
                 "snapshot (seed={}, samples={}, n={}) does not match run \
-                 (seed={}, samples={}, n={n})",
-                self.seed, self.samples, self.n, config.seed, config.samples
+                 (seed={seed}, samples={}, n={n})",
+                self.seed, self.samples, self.n, params.samples
             )));
         }
         Ok(())
@@ -224,18 +355,20 @@ impl BanzhafCheckpoint {
 
     /// Reconstruct and validate a snapshot from a durable-store payload.
     pub fn from_payload(doc: &Json) -> Result<BanzhafCheckpoint> {
-        check_method(doc, "banzhaf")?;
-        let ckpt = BanzhafCheckpoint {
-            seed: uint(doc, "seed")?,
-            n: uint(doc, "n")? as usize,
-            samples: uint(doc, "samples")?,
-            cursor: uint(doc, "cursor")?,
-            utility_calls: uint(doc, "utility_calls")?,
-            with_sum: finite_vec(doc, "with_sum")?,
-            with_count: uint_vec(doc, "with_count")?,
-            without_sum: finite_vec(doc, "without_sum")?,
-            without_count: uint_vec(doc, "without_count")?,
-        };
+        let ckpt = read(|| {
+            check_method(doc, "banzhaf")?;
+            Ok(BanzhafCheckpoint {
+                seed: uint(doc, "seed")?,
+                n: uint(doc, "n")? as usize,
+                samples: uint(doc, "samples")?,
+                cursor: uint(doc, "cursor")?,
+                utility_calls: uint(doc, "utility_calls")?,
+                with_sum: finite_vec(doc, "with_sum")?,
+                with_count: uint_vec(doc, "with_count")?,
+                without_sum: finite_vec(doc, "without_sum")?,
+                without_count: uint_vec(doc, "without_count")?,
+            })
+        })?;
         ckpt.validate()?;
         Ok(ckpt)
     }
@@ -266,12 +399,12 @@ pub struct BetaShapleyCheckpoint {
 
 impl BetaShapleyCheckpoint {
     /// A zeroed snapshot at point 0 for this run shape.
-    pub fn fresh(config: &BetaShapleyConfig, n: usize) -> BetaShapleyCheckpoint {
+    pub fn fresh(params: &BetaShapleyParams, seed: u64, n: usize) -> BetaShapleyCheckpoint {
         BetaShapleyCheckpoint {
-            alpha: config.alpha,
-            beta: config.beta,
-            samples_per_point: config.samples_per_point as u64,
-            seed: config.seed,
+            alpha: params.alpha,
+            beta: params.beta,
+            samples_per_point: params.samples_per_point as u64,
+            seed,
             n,
             cursor: 0,
             utility_calls: 0,
@@ -301,37 +434,31 @@ impl BetaShapleyCheckpoint {
                 self.alpha, self.beta
             )));
         }
-        if let Some(i) = self.values.iter().position(|v| !v.is_finite()) {
-            return Err(ImportanceError::Checkpoint(format!(
-                "`values[{i}]` is not a finite number"
-            )));
-        }
-        Ok(())
+        all_finite("values", &self.values)
     }
 
     /// Reject a snapshot that was written by a differently-shaped run.
     /// α/β are compared bit-exactly: any difference changes the size
     /// distribution and therefore every RNG draw.
-    pub fn validate_against(&self, config: &BetaShapleyConfig, n: usize) -> Result<()> {
+    pub fn validate_against(&self, params: &BetaShapleyParams, seed: u64, n: usize) -> Result<()> {
         self.validate()?;
-        if self.seed != config.seed
-            || self.samples_per_point != config.samples_per_point as u64
+        if self.seed != seed
+            || self.samples_per_point != params.samples_per_point as u64
             || self.n != n
-            || self.alpha.to_bits() != config.alpha.to_bits()
-            || self.beta.to_bits() != config.beta.to_bits()
+            || self.alpha.to_bits() != params.alpha.to_bits()
+            || self.beta.to_bits() != params.beta.to_bits()
         {
             return Err(ImportanceError::Checkpoint(format!(
                 "snapshot (seed={}, spp={}, n={}, alpha={}, beta={}) does not match run \
-                 (seed={}, spp={}, n={n}, alpha={}, beta={})",
+                 (seed={seed}, spp={}, n={n}, alpha={}, beta={})",
                 self.seed,
                 self.samples_per_point,
                 self.n,
                 self.alpha,
                 self.beta,
-                config.seed,
-                config.samples_per_point,
-                config.alpha,
-                config.beta
+                params.samples_per_point,
+                params.alpha,
+                params.beta
             )));
         }
         Ok(())
@@ -357,17 +484,19 @@ impl BetaShapleyCheckpoint {
 
     /// Reconstruct and validate a snapshot from a durable-store payload.
     pub fn from_payload(doc: &Json) -> Result<BetaShapleyCheckpoint> {
-        check_method(doc, "beta-shapley")?;
-        let ckpt = BetaShapleyCheckpoint {
-            alpha: finite(doc, "alpha")?,
-            beta: finite(doc, "beta")?,
-            samples_per_point: uint(doc, "samples_per_point")?,
-            seed: uint(doc, "seed")?,
-            n: uint(doc, "n")? as usize,
-            cursor: uint(doc, "cursor")?,
-            utility_calls: uint(doc, "utility_calls")?,
-            values: finite_vec(doc, "values")?,
-        };
+        let ckpt = read(|| {
+            check_method(doc, "beta-shapley")?;
+            Ok(BetaShapleyCheckpoint {
+                alpha: finite(doc, "alpha")?,
+                beta: finite(doc, "beta")?,
+                samples_per_point: uint(doc, "samples_per_point")?,
+                seed: uint(doc, "seed")?,
+                n: uint(doc, "n")? as usize,
+                cursor: uint(doc, "cursor")?,
+                utility_calls: uint(doc, "utility_calls")?,
+                values: finite_vec(doc, "values")?,
+            })
+        })?;
         ckpt.validate()?;
         Ok(ckpt)
     }
@@ -391,7 +520,7 @@ impl EstimatorCheckpoint {
     /// The method tag carried in the payload.
     pub fn method(&self) -> &'static str {
         match self {
-            EstimatorCheckpoint::Tmc(_) => "tmc-shapley",
+            EstimatorCheckpoint::Tmc(_) => TMC_METHOD,
             EstimatorCheckpoint::Banzhaf(_) => "banzhaf",
             EstimatorCheckpoint::BetaShapley(_) => "beta-shapley",
         }
@@ -427,11 +556,8 @@ impl EstimatorCheckpoint {
     /// Reconstruct from a durable-store payload, dispatching on the
     /// payload's `method` tag.
     pub fn from_payload(doc: &Json) -> Result<EstimatorCheckpoint> {
-        let method = field(doc, "method")?
-            .as_str()
-            .ok_or_else(|| ImportanceError::Checkpoint("`method` is not a string".into()))?;
-        match method {
-            "tmc-shapley" => Ok(EstimatorCheckpoint::Tmc(McCheckpoint::from_payload(doc)?)),
+        match read(|| text(doc, "method"))? {
+            TMC_METHOD => Ok(EstimatorCheckpoint::Tmc(McCheckpoint::from_payload(doc)?)),
             "banzhaf" => Ok(EstimatorCheckpoint::Banzhaf(
                 BanzhafCheckpoint::from_payload(doc)?,
             )),
@@ -448,6 +574,23 @@ impl EstimatorCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tmc_sample() -> McCheckpoint {
+        McCheckpoint {
+            seed: u64::MAX - 7,
+            n: 3,
+            cursor: 41,
+            utility_calls: 1234,
+            rng_state: Some([1, u64::MAX, 0, 99]),
+            inflight: Some(InflightPermutation {
+                pos: 2,
+                prev_u: 0.625 + 1e-16,
+                marginals: vec![0.25, -0.125, 0.0],
+            }),
+            totals: vec![0.1 + 0.2, -1.5e-13, 1.0 / 3.0],
+            totals_sq: vec![0.09, 2.25e-26, 1.0 / 9.0],
+        }
+    }
 
     fn banzhaf_sample() -> BanzhafCheckpoint {
         BanzhafCheckpoint {
@@ -476,6 +619,51 @@ mod tests {
         }
     }
 
+    /// One sample per estimator, serialized as a store record carries it.
+    fn sample_texts() -> [String; 3] {
+        [
+            tmc_sample().to_payload().to_string_pretty(),
+            banzhaf_sample().to_payload().to_string_pretty(),
+            beta_sample().to_payload().to_string_pretty(),
+        ]
+    }
+
+    fn parse_tmc(text: &str) -> Result<McCheckpoint> {
+        McCheckpoint::from_payload(&Json::parse(text).unwrap())
+    }
+
+    /// Parse `text` the way resume does: JSON first, then the method-erased
+    /// payload reader.
+    fn parse_any(text: &str) -> Result<EstimatorCheckpoint> {
+        Json::parse(text)
+            .map_err(|e| ImportanceError::Checkpoint(e.to_string()))
+            .and_then(|doc| EstimatorCheckpoint::from_payload(&doc))
+    }
+
+    #[test]
+    fn json_roundtrip_is_bit_identical() {
+        let ckpt = tmc_sample();
+        let back = parse_tmc(&ckpt.to_payload().to_string_pretty()).unwrap();
+        assert_eq!(back.seed, ckpt.seed);
+        assert_eq!(back.cursor, ckpt.cursor);
+        assert_eq!(back.rng_state, ckpt.rng_state);
+        let (a, b) = (
+            ckpt.inflight.as_ref().unwrap(),
+            back.inflight.as_ref().unwrap(),
+        );
+        assert_eq!(a.pos, b.pos);
+        assert_eq!(a.prev_u.to_bits(), b.prev_u.to_bits());
+        for (x, y) in a.marginals.iter().zip(&b.marginals) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        for (a, b) in ckpt.totals.iter().zip(&back.totals) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in ckpt.totals_sq.iter().zip(&back.totals_sq) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
     #[test]
     fn banzhaf_payload_roundtrip_is_bit_identical() {
         let ckpt = banzhaf_sample();
@@ -495,6 +683,227 @@ mod tests {
         assert_eq!(back, ckpt);
         for (a, b) in ckpt.values.iter().zip(&back.values) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn corrupt_checkpoints_are_typed_errors() {
+        assert!(Json::parse("not json").is_err());
+        assert!(matches!(
+            parse_tmc("{}"),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+        // Inconsistent n vs. totals length.
+        let mut ckpt = tmc_sample();
+        ckpt.totals.pop();
+        assert!(matches!(
+            parse_tmc(&ckpt.to_payload().to_string_pretty()),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+    }
+
+    #[test]
+    fn fresh_checkpoint_is_zeroed() {
+        let ckpt = McCheckpoint::fresh(&TmcParams::default(), 9, 4);
+        assert_eq!(ckpt.cursor, 0);
+        assert_eq!(ckpt.totals, vec![0.0; 4]);
+        assert!(ckpt.inflight.is_none());
+        assert!(ckpt.validate().is_ok());
+    }
+
+    #[test]
+    fn checkpoints_without_inflight_field_still_parse() {
+        // Snapshots from runs that stop only on permutation boundaries may
+        // lack the `inflight` field entirely.
+        let mut ckpt = tmc_sample();
+        ckpt.inflight = None;
+        ckpt.rng_state = None;
+        let text = ckpt.to_payload().to_string_pretty();
+        let legacy = text.replace("  \"inflight\": null,\n", "");
+        assert!(legacy.len() < text.len());
+        assert_eq!(parse_tmc(&legacy).unwrap(), ckpt);
+    }
+
+    #[test]
+    fn malformed_inflight_is_rejected() {
+        let rejected = |ckpt: McCheckpoint| {
+            matches!(
+                parse_tmc(&ckpt.to_payload().to_string_pretty()),
+                Err(ImportanceError::Checkpoint(_))
+            )
+        };
+        // Marginals length must match n.
+        let mut ckpt = tmc_sample();
+        ckpt.inflight.as_mut().unwrap().marginals.pop();
+        assert!(rejected(ckpt));
+        // In-flight state without an RNG stream to resume is unusable.
+        let mut ckpt = tmc_sample();
+        ckpt.rng_state = None;
+        assert!(rejected(ckpt));
+        // Position can't exceed n.
+        let mut ckpt = tmc_sample();
+        ckpt.inflight.as_mut().unwrap().pos = 99;
+        assert!(rejected(ckpt));
+    }
+
+    #[test]
+    fn truncated_serializations_never_panic() {
+        // A torn write can cut the payload at any byte; every prefix must
+        // come back as a typed error (the full text parses, nothing panics).
+        for text in sample_texts() {
+            for cut in 0..text.len() {
+                assert!(parse_any(&text[..cut]).is_err());
+            }
+            assert!(parse_any(&text).is_ok());
+        }
+    }
+
+    #[test]
+    fn non_finite_float_encodings_are_rejected() {
+        // `1e999` overflows to +inf when parsed; the payload readers must
+        // refuse it in every float-bearing field rather than resume with an
+        // infinite running sum.
+        let [tmc, banzhaf, beta] = sample_texts();
+        let cases = [
+            (
+                tmc,
+                &[
+                    "0.30000000000000004",
+                    "0.09",
+                    "0.6250000000000001",
+                    "-0.125",
+                ][..],
+            ),
+            (
+                banzhaf,
+                &[
+                    "0.30000000000000004",
+                    "-1.5e-13",
+                    "0.3333333333333333",
+                    "-0.25",
+                ],
+            ),
+            (beta, &["16.0", "0.30000000000000004", "-0.125"]),
+        ];
+        for (text, tokens) in cases {
+            for token in tokens {
+                let smuggled = text.replacen(token, "1e999", 1);
+                assert_ne!(smuggled, text, "token {token} not found in fixture");
+                assert!(matches!(
+                    parse_any(&smuggled),
+                    Err(ImportanceError::Checkpoint(_))
+                ));
+            }
+        }
+        // In-process construction is policed the same way.
+        let mut ckpt = tmc_sample();
+        ckpt.totals[1] = f64::NAN;
+        assert!(matches!(
+            ckpt.validate(),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+        let mut ckpt = tmc_sample();
+        ckpt.inflight.as_mut().unwrap().prev_u = f64::INFINITY;
+        assert!(matches!(
+            ckpt.validate(),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+        let mut ckpt = banzhaf_sample();
+        ckpt.without_sum[2] = f64::NEG_INFINITY;
+        assert!(matches!(
+            ckpt.validate(),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+        let mut ckpt = beta_sample();
+        ckpt.beta = f64::NAN;
+        assert!(matches!(
+            ckpt.validate(),
+            Err(ImportanceError::Checkpoint(_))
+        ));
+    }
+
+    #[test]
+    fn wrong_type_fields_are_rejected() {
+        let [tmc, banzhaf, beta] = sample_texts();
+        let cases = [
+            (
+                tmc,
+                &[
+                    ("\"method\": \"tmc-shapley\"", "\"method\": 17"),
+                    ("\"seed\": 18446744073709551608", "\"seed\": \"huge\""),
+                    ("\"cursor\": 41", "\"cursor\": -41"),
+                    ("\"utility_calls\": 1234", "\"utility_calls\": [1234]"),
+                    ("\"rng_state\": [", "\"rng_state\": 4["),
+                    ("\"pos\": 2", "\"pos\": 2.5"),
+                    ("\"totals\": [", "\"totals\": \"[\"["),
+                ][..],
+            ),
+            (
+                banzhaf,
+                &[
+                    ("\"method\": \"banzhaf\"", "\"method\": null"),
+                    ("\"n\": 3", "\"n\": \"3\""),
+                    ("\"samples\": 10", "\"samples\": 10.5"),
+                    ("\"utility_calls\": 7", "\"utility_calls\": [7]"),
+                    ("\"with_count\": [", "\"with_count\": 2, \"x\": ["),
+                    ("\"without_sum\": [", "\"without_sum\": {\"x\": ["),
+                ],
+            ),
+            (
+                beta,
+                &[
+                    (
+                        "\"method\": \"beta-shapley\"",
+                        "\"method\": [\"beta-shapley\"]",
+                    ),
+                    ("\"alpha\": 1.0", "\"alpha\": \"1.0\""),
+                    ("\"samples_per_point\": 30", "\"samples_per_point\": -30"),
+                    ("\"cursor\": 2", "\"cursor\": null"),
+                    ("\"values\": [", "\"values\": 7, \"x\": ["),
+                ],
+            ),
+        ];
+        for (text, swaps) in cases {
+            for (from, to) in swaps {
+                let mutated = text.replacen(from, to, 1);
+                assert_ne!(mutated, text, "pattern {from} not found in fixture");
+                assert!(
+                    parse_any(&mutated).is_err(),
+                    "mutation {from} -> {to} was accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_mutations_error_or_validate_but_never_panic() {
+        use nde_data::rng::{seeded, Rng};
+        // Property test: hammer each estimator's serialized payload with
+        // random byte edits. Every outcome must be a typed error or a
+        // snapshot that passes `validate()` — no panics, no accepted
+        // non-finite state.
+        let mut rng = seeded(0xC4A05);
+        for text in sample_texts() {
+            for _ in 0..600 {
+                let mut bytes = text.clone().into_bytes();
+                for _ in 0..1 + rng.gen_range(0..4usize) {
+                    let i = rng.gen_range(0..bytes.len());
+                    bytes[i] = rng.gen_range(32..127usize) as u8;
+                }
+                let Ok(mutated) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                match parse_any(&mutated) {
+                    Ok(EstimatorCheckpoint::Tmc(c)) => {
+                        assert!(c.validate().is_ok());
+                        assert!(c.totals.iter().all(|v| v.is_finite()));
+                        assert!(c.totals_sq.iter().all(|v| v.is_finite()));
+                    }
+                    Ok(EstimatorCheckpoint::Banzhaf(c)) => assert!(c.validate().is_ok()),
+                    Ok(EstimatorCheckpoint::BetaShapley(c)) => assert!(c.validate().is_ok()),
+                    Err(_) => {}
+                }
+            }
         }
     }
 
@@ -527,6 +936,18 @@ mod tests {
         let mut bad = banzhaf_sample();
         bad.with_count[0] += 1;
         assert!(bad.validate().is_err());
+        // Counts that overflow `u64` when summed must not panic, nor wrap
+        // around to the cursor.
+        let overflow = Json::parse(
+            r#"{"method":"banzhaf","seed":0,"n":1,"samples":5,"cursor":0,"utility_calls":0,
+                "with_sum":[0.0],"with_count":[18446744073709551615],
+                "without_sum":[0.0],"without_count":[1]}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            EstimatorCheckpoint::from_payload(&overflow),
+            Err(ImportanceError::Checkpoint(_))
+        ));
         let mut bad = beta_sample();
         bad.values[1] = f64::NAN;
         assert!(bad.validate().is_err());
@@ -537,9 +958,8 @@ mod tests {
 
     #[test]
     fn estimator_checkpoint_dispatches_on_method_tag() {
-        let tmc = McCheckpoint::fresh("tmc-shapley", 5, 3);
         for ckpt in [
-            EstimatorCheckpoint::Tmc(tmc),
+            EstimatorCheckpoint::Tmc(tmc_sample()),
             EstimatorCheckpoint::Banzhaf(banzhaf_sample()),
             EstimatorCheckpoint::BetaShapley(beta_sample()),
         ] {
@@ -556,28 +976,25 @@ mod tests {
 
     #[test]
     fn shape_mismatches_are_rejected_on_resume() {
-        let cfg = BanzhafConfig {
-            samples: 10,
-            seed: u64::MAX - 1,
-            threads: 1,
-        };
-        assert!(banzhaf_sample().validate_against(&cfg, 3).is_ok());
-        assert!(banzhaf_sample().validate_against(&cfg, 4).is_err());
-        let other = BanzhafConfig { seed: 0, ..cfg };
-        assert!(banzhaf_sample().validate_against(&other, 3).is_err());
+        let params = BanzhafParams { samples: 10 };
+        assert!(banzhaf_sample()
+            .validate_against(&params, u64::MAX - 1, 3)
+            .is_ok());
+        assert!(banzhaf_sample()
+            .validate_against(&params, u64::MAX - 1, 4)
+            .is_err());
+        assert!(banzhaf_sample().validate_against(&params, 0, 3).is_err());
 
-        let cfg = BetaShapleyConfig {
+        let params = BetaShapleyParams {
             alpha: 1.0,
             beta: 16.0,
             samples_per_point: 30,
-            seed: 11,
-            threads: 1,
         };
-        assert!(beta_sample().validate_against(&cfg, 4).is_ok());
-        let other = BetaShapleyConfig {
+        assert!(beta_sample().validate_against(&params, 11, 4).is_ok());
+        let other = BetaShapleyParams {
             beta: 16.0 + 1e-12,
-            ..cfg
+            ..params
         };
-        assert!(beta_sample().validate_against(&other, 4).is_err());
+        assert!(beta_sample().validate_against(&other, 11, 4).is_err());
     }
 }

@@ -10,9 +10,6 @@
 //!   utility-call budgets, with [`ConvergenceDiagnostics`] so a run that
 //!   exhausts its budget degrades to a tagged best-so-far result instead of
 //!   running forever or aborting.
-//! - [`checkpoint`] — [`McCheckpoint`]: serializable snapshots of Monte-Carlo
-//!   estimation state (permutation cursor, RNG state, running marginals) so
-//!   an interrupted run resumes **bit-identically**.
 //! - [`retry`] — [`RetryPolicy`]: bounded retries with exponential backoff
 //!   for flaky external dependencies (e.g. cleaning oracles).
 //! - [`durable`] — the crash-safe on-disk [`RunStore`]: checksummed,
@@ -31,7 +28,6 @@
 
 pub mod budget;
 pub mod chaos;
-pub mod checkpoint;
 pub mod durable;
 pub mod error;
 pub mod par;
@@ -39,7 +35,6 @@ pub mod retry;
 
 pub use budget::{BudgetClock, ConvergenceDiagnostics, Exhaustion, RunBudget};
 pub use chaos::FaultSchedule;
-pub use checkpoint::{InflightPermutation, McCheckpoint};
 pub use durable::{
     supervise, CheckpointRecord, RunFingerprint, RunStore, SuperviseCtx, Supervised,
 };

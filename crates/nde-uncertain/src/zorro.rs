@@ -15,7 +15,7 @@ use crate::interval::{interval_dot, Interval};
 use crate::soa::{self, IntervalMatrix, IntervalVec};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
-use nde_data::json::{Json, ToJson};
+use nde_data::json::{check_method, finite_vec, uint, Json, ToJson};
 use nde_data::par::{tree_reduce, CostHint, WorkerFailure};
 use nde_data::pool::WorkerPool;
 use nde_ml::linalg::Matrix;
@@ -141,36 +141,15 @@ impl ZorroCheckpoint {
 
     /// Reconstruct and validate a snapshot from a durable-store payload.
     pub fn from_payload(doc: &Json) -> Result<ZorroCheckpoint> {
-        let method = doc
-            .get("method")
-            .and_then(Json::as_str)
-            .ok_or_else(|| UncertainError::Checkpoint("missing `method` tag".into()))?;
-        if method != "zorro-fit" {
-            return Err(UncertainError::Checkpoint(format!(
-                "snapshot written by `{method}`, expected `zorro-fit`"
-            )));
-        }
-        let epochs_done = doc
-            .get("epochs_done")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| UncertainError::Checkpoint("`epochs_done` is not an integer".into()))?;
-        let plane = |name: &str| -> Result<Vec<f64>> {
-            doc.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| UncertainError::Checkpoint(format!("`{name}` is not an array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| {
-                        UncertainError::Checkpoint(format!("`{name}` holds a non-number"))
-                    })
-                })
-                .collect()
+        let read = || -> std::result::Result<ZorroCheckpoint, String> {
+            check_method(doc, "zorro-fit")?;
+            Ok(ZorroCheckpoint {
+                epochs_done: uint(doc, "epochs_done")?,
+                lo: finite_vec(doc, "lo")?,
+                hi: finite_vec(doc, "hi")?,
+            })
         };
-        let ckpt = ZorroCheckpoint {
-            epochs_done,
-            lo: plane("lo")?,
-            hi: plane("hi")?,
-        };
+        let ckpt = read().map_err(UncertainError::Checkpoint)?;
         ckpt.validate()?;
         Ok(ckpt)
     }

@@ -13,8 +13,8 @@ use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::{Executor, PanicPolicy};
 use nde_pipeline::plan::Plan;
-use nde_robust::chaos::panicking_projection;
-use nde_robust::{FaultSchedule, McCheckpoint, RetryPolicy, RunBudget};
+use nde_robust::chaos::{corrupt_record_checksum, panicking_projection, truncate_record};
+use nde_robust::{FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore};
 
 fn main() {
     let nd = two_gaussians(120, 3, 1.8, 77);
@@ -28,7 +28,7 @@ fn main() {
     let knn = KnnClassifier::new(3);
 
     // 1. Budgeted run that trips on utility calls, then resume from a
-    // checkpoint persisted to disk (simulated crash).
+    // checkpoint persisted as a durable store record (simulated crash).
     let partial = tmc_shapley(
         &ImportanceRun::new(5).with_budget(RunBudget::unlimited().with_max_utility_calls(60)),
         &knn,
@@ -37,7 +37,8 @@ fn main() {
         &params,
     )
     .unwrap();
-    let Some(EstimatorCheckpoint::Tmc(partial_ckpt)) = partial.report.snapshot else {
+    let snapshot = partial.report.snapshot.unwrap();
+    let EstimatorCheckpoint::Tmc(partial_ckpt) = &snapshot else {
         unreachable!("TMC runs snapshot TMC state");
     };
     let partial_diag = partial.report.diagnostics.unwrap();
@@ -45,9 +46,15 @@ fn main() {
         "partial: cursor={} exhausted={:?} max_se={:?}",
         partial_ckpt.cursor, partial_diag.exhausted, partial_diag.max_marginal_std_error
     );
-    let ckpt_path = std::env::temp_dir().join("ft_probe.ckpt.json");
-    partial_ckpt.save(&ckpt_path).unwrap();
-    let restored = EstimatorCheckpoint::Tmc(McCheckpoint::load(&ckpt_path).unwrap());
+    let dir = std::env::temp_dir().join("ft_probe_store");
+    std::fs::remove_dir_all(&dir).ok();
+    let store = RunStore::open(&dir).unwrap();
+    let fp = RunFingerprint::new(snapshot.method(), 5, "fault_tolerance example", 0);
+    let record = store
+        .save_checkpoint(&fp, snapshot.step(), &snapshot.to_payload())
+        .unwrap();
+    let latest = store.latest_valid(&fp).unwrap().unwrap();
+    let restored = EstimatorCheckpoint::from_payload(&latest.payload).unwrap();
     let resumed = tmc_shapley(
         &ImportanceRun::new(5).with_resume(&restored),
         &knn,
@@ -62,17 +69,26 @@ fn main() {
         resumed.scores.values == full.scores.values
     );
 
-    // Probe: corrupt the checkpoint file on disk, then reload.
-    std::fs::write(&ckpt_path, "{not json").unwrap();
+    // Probe: damage the record on disk — a torn write, then (rewritten) a
+    // flipped checksum. Recovery skips a damaged record instead of reading it.
+    truncate_record(&record, 40).unwrap();
     println!(
-        "tampered checkpoint load: {:?}",
-        McCheckpoint::load(&ckpt_path).err()
+        "torn record skipped: {}",
+        store.latest_valid(&fp).unwrap().is_none()
     );
-    std::fs::remove_file(&ckpt_path).ok();
+    store
+        .save_checkpoint(&fp, snapshot.step(), &snapshot.to_payload())
+        .unwrap();
+    corrupt_record_checksum(&record).unwrap();
+    println!(
+        "corrupt-checksum record skipped: {}",
+        store.latest_valid(&fp).unwrap().is_none()
+    );
+    std::fs::remove_dir_all(store.root()).ok();
 
     // Probe: resume into a run with a different seed.
     let err = tmc_shapley(
-        &ImportanceRun::new(6).with_resume(&EstimatorCheckpoint::Tmc(partial_ckpt)),
+        &ImportanceRun::new(6).with_resume(&snapshot),
         &knn,
         &train,
         &valid,

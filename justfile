@@ -1,10 +1,19 @@
 # Developer shortcuts. `just verify` is the tier-1 gate CI enforces.
 
-# Build + test exactly as CI does.
+# Build + test exactly as CI's test steps do (the bench smokes are the
+# `bench-*` recipes).
 verify:
     cargo build --release --offline
     cargo test -q --offline
+    cargo test -q --release --offline -p nde-ml
+    cargo test -q --release --offline -p nde-importance
     cargo test -q --release --offline -p nde-tests --test parallel_substrate
+    cargo test -q --release --offline -p nde-tests --test pool_lifecycle
+    cargo test -q --release --offline -p nde-tests --test columnar_backend
+    cargo test -q --release --offline -p nde-tests --test durability
+    cargo test -q --release --offline -p nde-tests --test incremental_delta
+    cargo run --release --offline --example fault_tolerance | tee /tmp/nde_fault_tolerance.txt
+    grep -q 'resume bit-identical to uninterrupted: true' /tmp/nde_fault_tolerance.txt
 
 # Pipeline-engine smoke: arena + parallel operators vs the sequential tree
 # path, appended to the BENCH_pipeline.json trajectory (prints the

@@ -67,7 +67,7 @@ fn interrupted_shapley_resumes_bit_identically() {
     use nde_importance::{tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
     use nde_ml::dataset::Dataset;
     use nde_ml::models::knn::KnnClassifier;
-    use nde_robust::{McCheckpoint, RunBudget};
+    use nde_robust::{RunBudget, RunFingerprint, RunStore};
 
     let tmc_state = |snapshot: Option<EstimatorCheckpoint>| match snapshot {
         Some(EstimatorCheckpoint::Tmc(c)) => c,
@@ -88,9 +88,12 @@ fn interrupted_shapley_resumes_bit_identically() {
     assert!(full.report.diagnostics.as_ref().unwrap().completed());
     let full_ckpt = tmc_state(full.report.snapshot.clone());
 
-    // Interrupt after k permutations, persist the checkpoint to disk (a
-    // simulated crash + restart), resume, and demand the *exact* floats the
-    // uninterrupted run produced.
+    // Interrupt after k permutations, persist the checkpoint as a durable
+    // store record (a simulated crash + restart), read it back, resume, and
+    // demand the *exact* floats the uninterrupted run produced.
+    let dir = std::env::temp_dir().join(format!("nde-determinism-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = RunStore::open(&dir).expect("open store");
     for k in [1u64, 7, 23] {
         let partial = tmc_shapley(
             &ImportanceRun::new(3).with_budget(RunBudget::unlimited().with_max_iterations(k)),
@@ -100,14 +103,19 @@ fn interrupted_shapley_resumes_bit_identically() {
             &params,
         )
         .expect("interrupted run");
-        let partial_ckpt = tmc_state(partial.report.snapshot);
+        let snapshot = partial.report.snapshot.expect("TMC runs snapshot");
+        let partial_ckpt = tmc_state(Some(snapshot.clone()));
         assert_eq!(partial_ckpt.cursor, k);
-        let path = std::env::temp_dir().join(format!("nde-determinism-ckpt-{k}.json"));
-        partial_ckpt.save(&path).expect("save checkpoint");
-        let restored = McCheckpoint::load(&path).expect("load checkpoint");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(restored, partial_ckpt);
-        let restored = EstimatorCheckpoint::Tmc(restored);
+        let fp = RunFingerprint::new("tmc-shapley", 3, format!("k={k}"), 0);
+        store
+            .save_checkpoint(&fp, snapshot.step(), &snapshot.to_payload())
+            .expect("save checkpoint");
+        let record = store
+            .latest_valid(&fp)
+            .expect("read store")
+            .expect("record survives");
+        let restored = EstimatorCheckpoint::from_payload(&record.payload).expect("parse record");
+        assert_eq!(restored, snapshot);
         let resumed = tmc_shapley(
             &ImportanceRun::new(3).with_resume(&restored),
             &knn,
@@ -124,6 +132,7 @@ fn interrupted_shapley_resumes_bit_identically() {
         assert_eq!(resumed_ckpt.totals, full_ckpt.totals);
         assert_eq!(resumed_ckpt.totals_sq, full_ckpt.totals_sq);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

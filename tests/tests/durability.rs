@@ -1,8 +1,9 @@
 //! Durability chaos tests: supervised estimation loops are killed at
 //! chaos-scheduled checkpoint saves, their on-disk records are torn,
 //! checksum-corrupted, and version-staled — and every workflow (TMC-Shapley,
-//! Banzhaf, the Zorro interval fit, and the prioritized cleaning loop) must
-//! still finish **bit-identical** to an uninterrupted run.
+//! Banzhaf, Beta-Shapley, the Zorro interval fit, and the prioritized
+//! cleaning loop) must still finish **bit-identical** to an uninterrupted
+//! run.
 
 use nde_cleaning::{
     prioritized_cleaning, prioritized_cleaning_resumable, CleaningCheckpoint, CleaningError,
@@ -10,8 +11,8 @@ use nde_cleaning::{
 };
 use nde_data::generate::blobs::{linear_regression, two_gaussians};
 use nde_importance::{
-    banzhaf, tmc_shapley, BanzhafParams, EstimatorCheckpoint, ImportanceError, ImportanceOutcome,
-    ImportanceRun, TmcParams,
+    banzhaf, beta_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams, EstimatorCheckpoint,
+    ImportanceError, ImportanceOutcome, ImportanceRun, TmcParams,
 };
 use nde_ml::dataset::Dataset;
 use nde_ml::linalg::Matrix;
@@ -121,7 +122,9 @@ fn supervised_tmc_shapley_rides_out_chaos_kills_bit_identically() {
     std::fs::remove_dir_all(store.root()).ok();
 }
 
-/// Runs `method` ("banzhaf" or "tmc-shapley") for 10 steps under `run`.
+/// Runs `method` ("banzhaf", "beta-shapley" or "tmc-shapley") for 10
+/// steps under `run`. Beta-Shapley's steps are points, so it scores the
+/// first 10 training rows.
 fn estimate(
     method: &str,
     run: &ImportanceRun,
@@ -131,6 +134,16 @@ fn estimate(
     let knn = KnnClassifier::new(3);
     match method {
         "banzhaf" => banzhaf(run, &knn, train, valid, &BanzhafParams { samples: 10 }),
+        "beta-shapley" => beta_shapley(
+            run,
+            &knn,
+            &train.subset(&(0..10).collect::<Vec<_>>()),
+            valid,
+            &BetaShapleyParams {
+                samples_per_point: 4,
+                ..BetaShapleyParams::default()
+            },
+        ),
         _ => tmc_shapley(
             run,
             &knn,
@@ -146,13 +159,13 @@ fn estimate(
 }
 
 /// Torn and checksum-corrupted records cost at most one checkpoint
-/// interval: a store-driven Banzhaf or TMC-Shapley run falls back to the
-/// last intact record and still completes bit-identical to an
+/// interval: a store-driven Banzhaf, Beta-Shapley or TMC-Shapley run falls
+/// back to the last intact record and still completes bit-identical to an
 /// uninterrupted run. An uncut store-driven run matches it too.
 #[test]
 fn banzhaf_recovers_from_torn_and_corrupt_records_bit_identically() {
     let (train, valid) = gaussian_split();
-    for method in ["banzhaf", "tmc-shapley"] {
+    for method in ["banzhaf", "beta-shapley", "tmc-shapley"] {
         let full = estimate(method, &ImportanceRun::new(5), &train, &valid);
 
         // Checkpointing every 2 steps never changes the answer.

@@ -6,11 +6,13 @@
 //! Exercised through the unified [`ImportanceRun`] entry points.
 
 use nde_data::generate::blobs::two_gaussians;
-use nde_importance::{knn_shapley, tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
+use nde_importance::{
+    knn_shapley, tmc_shapley, EstimatorCheckpoint, ImportanceRun, McCheckpoint, TmcParams,
+};
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
-use nde_robust::{McCheckpoint, RunBudget};
+use nde_robust::RunBudget;
 
 fn workload(n: usize, n_valid: usize, seed: u64) -> (Dataset, Dataset) {
     let nd = two_gaussians(n + n_valid, 3, 4.0, seed);
