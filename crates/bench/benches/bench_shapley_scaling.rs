@@ -1,44 +1,16 @@
 //! Bench for E6: exact KNN-Shapley vs TMC-Shapley vs LOO at the same n —
-//! the §2.1 "overcoming computational challenges" comparison — plus the
-//! parallel-substrate path (seed-partitioned workers + memo cache).
-//!
-//! Environment knobs:
-//!
-//! ```text
-//! NDE_BENCH_THREADS=1,4            thread counts for the parallel cases
-//! NDE_BENCH_MAX_UTILITY_CALLS=N    RunBudget cap for the budgeted cases
-//! ```
+//! the §2.1 "overcoming computational challenges" comparison. Threads,
+//! batching, the memo cache and budgets are measured end to end by
+//! `wfbench identify`.
 
 use nde::data::generate::blobs::two_gaussians;
 use nde::importance::loo::loo_importance;
-use nde::importance::{knn_shapley, tmc_shapley, BatchPolicy, ImportanceRun, TmcParams};
+use nde::importance::{knn_shapley, tmc_shapley, ImportanceRun, TmcParams};
 use nde::ml::dataset::Dataset;
 use nde::ml::models::knn::KnnClassifier;
-use nde::robust::par::MemoCache;
-use nde::robust::RunBudget;
 use nde_bench::timing::bench;
 
-fn env_threads() -> Vec<usize> {
-    std::env::var("NDE_BENCH_THREADS")
-        .map(|v| {
-            v.split(',')
-                .map(|t| t.trim().parse().expect("NDE_BENCH_THREADS: integers"))
-                .collect()
-        })
-        .unwrap_or_else(|_| vec![1, 4])
-}
-
-fn env_budget() -> RunBudget {
-    match std::env::var("NDE_BENCH_MAX_UTILITY_CALLS") {
-        Ok(v) => RunBudget::unlimited()
-            .with_max_utility_calls(v.parse().expect("NDE_BENCH_MAX_UTILITY_CALLS: integer")),
-        Err(_) => RunBudget::unlimited(),
-    }
-}
-
 fn main() {
-    let threads_list = env_threads();
-    let budget = env_budget();
     for n in [50usize, 100, 200] {
         let nd = two_gaussians(n + 40, 4, 4.0, 5);
         let all = Dataset::try_from(&nd).expect("blob data");
@@ -65,44 +37,5 @@ fn main() {
             )
             .expect("scores")
         });
-        for batch in [1usize, 8, 32] {
-            let run = ImportanceRun::new(1).with_batch(BatchPolicy::Grouped { size: batch });
-            bench(
-                &format!("shapley_scaling/tmc_shapley_10perm_batch{batch}/{n}"),
-                || {
-                    tmc_shapley(&run, &KnnClassifier::new(1), &train, &valid, &params)
-                        .expect("scores")
-                },
-            );
-        }
-
-        for &threads in &threads_list {
-            bench(
-                &format!("shapley_scaling/knn_shapley_par/{n}/t{threads}"),
-                || {
-                    knn_shapley(
-                        &ImportanceRun::new(1).with_threads(threads),
-                        &train,
-                        &valid,
-                        1,
-                    )
-                    .expect("scores")
-                },
-            );
-            bench(
-                &format!("shapley_scaling/tmc_budgeted_cached_10perm/{n}/t{threads}"),
-                || {
-                    // Fresh cache per iteration: times the full workload, not
-                    // a warm replay.
-                    let cache = MemoCache::new();
-                    let run = ImportanceRun::new(1)
-                        .with_threads(threads)
-                        .with_budget(budget.clone())
-                        .with_cache(&cache);
-                    tmc_shapley(&run, &KnnClassifier::new(1), &train, &valid, &params)
-                        .expect("scores")
-                },
-            );
-        }
     }
 }

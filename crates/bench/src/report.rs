@@ -307,10 +307,7 @@ pub fn append_trajectory<T: ToJson>(path: &str, results: &T) -> std::io::Result<
 }
 
 /// Flatten every numeric leaf of a JSON tree into `(dotted.path, value)`
-/// pairs. Array elements are keyed by their `path` label when they have
-/// one (`fix_paths[rerun].incremental_us`), otherwise by position — so
-/// adding or removing a labelled series never shifts which leaves a
-/// trajectory comparison pairs up.
+/// pairs. Array elements are keyed by position (`xs[0]`).
 fn numeric_leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
     match v {
         Json::UInt(_) | Json::Float(_) => {
@@ -328,11 +325,7 @@ fn numeric_leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
         }
         Json::Arr(items) => {
             for (i, child) in items.iter().enumerate() {
-                let key = match child.get("path").and_then(Json::as_str) {
-                    Some(label) => format!("{prefix}[{label}]"),
-                    None => format!("{prefix}[{i}]"),
-                };
-                numeric_leaves(&key, child, out);
+                numeric_leaves(&format!("{prefix}[{i}]"), child, out);
             }
         }
         _ => {}
@@ -523,6 +516,11 @@ mod tests {
             assert!(r.get("results").and_then(|v| v.get("ms")).is_some());
         }
         let _ = std::fs::remove_file(path);
+
+        // Array elements are keyed by their index.
+        let mut leaves = Vec::new();
+        numeric_leaves("xs", &Json::Arr(vec![Json::UInt(3)]), &mut leaves);
+        assert_eq!(leaves, [("xs[0]".to_string(), 3.0)]);
     }
 
     fn record(commit: &str, runner: Option<&str>, ms_per_row: f64) -> Json {
@@ -605,55 +603,6 @@ mod tests {
             0.0,
         )
         .is_ok());
-    }
-
-    /// A record whose results hold a `fix_paths`-style array of labelled
-    /// series with the given `(path, incremental_us)` points.
-    fn series_record(commit: &str, points: &[(&str, f64)]) -> Json {
-        let series = points
-            .iter()
-            .map(|&(path, us)| {
-                Json::Obj(vec![
-                    ("path".to_string(), Json::Str(path.into())),
-                    ("incremental_us".to_string(), Json::Float(us)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("git_commit".to_string(), Json::Str(commit.into())),
-            ("timestamp".to_string(), Json::UInt(1)),
-            ("runner".to_string(), Json::Str("ci".into())),
-            (
-                "results".to_string(),
-                Json::Obj(vec![("fix_paths".to_string(), Json::Arr(series))]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn labelled_array_elements_keep_their_keys_when_a_middle_one_goes() {
-        let before = series_record("a", &[("patch", 10.0), ("splice", 60.0), ("rerun", 120.0)]);
-        let after = series_record("b", &[("patch", 10.0), ("rerun", 125.0)]);
-        let mut leaves = Vec::new();
-        numeric_leaves("", after.get("results").unwrap(), &mut leaves);
-        let keys: Vec<&str> = leaves.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "fix_paths[patch].incremental_us",
-                "fix_paths[rerun].incremental_us"
-            ]
-        );
-        // Keyed by position, the new rerun (index 1) would be held against
-        // the old splice series and flagged as a +108 % regression.
-        let ok = check_trajectory(&[before, after], &["incremental_us"], 40.0)
-            .unwrap()
-            .unwrap();
-        assert!(ok.contains("2 tracked metric"), "{ok}");
-        // Unlabelled elements still fall back to their index.
-        let mut leaves = Vec::new();
-        numeric_leaves("xs", &Json::Arr(vec![Json::UInt(3)]), &mut leaves);
-        assert_eq!(leaves, [("xs[0]".to_string(), 3.0)]);
     }
 
     #[test]

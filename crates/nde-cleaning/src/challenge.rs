@@ -3,12 +3,12 @@
 //! set**, and a live leaderboard.
 
 use crate::oracle::LabelOracle;
+use crate::MaintenanceMode;
 use crate::{CleaningError, Result};
 use nde_data::json::{Json, ToJson};
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_pipeline::MaintenanceMode;
 use std::fmt;
 
 /// One scored submission.

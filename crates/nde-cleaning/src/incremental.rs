@@ -64,6 +64,10 @@ pub struct IncrementalDebugSession<C: Classifier> {
     fixes_applied: usize,
     full_reencodes: usize,
     rows_reencoded: usize,
+    /// Set when a fix failed after the pipeline layer had accepted it: the
+    /// encoded state no longer matches the maintained table, so further
+    /// fixes are refused.
+    poisoned: bool,
 }
 
 impl<C: Classifier> IncrementalDebugSession<C> {
@@ -94,6 +98,7 @@ impl<C: Classifier> IncrementalDebugSession<C> {
             fixes_applied: 0,
             full_reencodes: 0,
             rows_reencoded: 0,
+            poisoned: false,
         })
     }
 
@@ -112,32 +117,50 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     /// benchmark on a 2-vCPU x86-64 Linux host: re-encode ~3.5 ms,
     /// evaluator rebuild ~9.5 ms, rerun ~4 ms), while re-deciding routing
     /// around the changed tuple instead of rerunning saved about 3 ms.
+    ///
+    /// A fix the pipeline layer rejects leaves the session as it was. A fix
+    /// that fails in a later layer (re-encode, evaluator patch, rebuild)
+    /// leaves those layers behind the maintained table, so every later
+    /// call returns an error; build a new session to continue.
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
+        if self.poisoned {
+            return Err(CleaningError::Pipeline(
+                "session out of sync after a failed fix; rebuild it".into(),
+            ));
+        }
         let outcome = self.session.apply(delta)?;
-        self.fixes_applied += 1;
-        if outcome.path == DeltaPath::CellPatch {
+        // The later layers lag behind the maintained table until this fix
+        // completes: an early return on error leaves the session poisoned.
+        self.poisoned = true;
+        let report = if outcome.path == DeltaPath::CellPatch {
             let rows = outcome.affected_rows;
             let evictions = self.patch_rows(&rows)?;
-            return Ok(FixReport {
+            FixReport {
                 path: outcome.path,
                 affected_rows: rows,
                 reencoded_all: false,
                 cache_evictions: evictions,
                 accuracy: self.accuracy()?,
-            });
-        }
-        // Rerun: rebuild the encoded state from the maintained table. The
-        // subset fingerprints keyed into the memo cache name rows by index,
-        // and those indices may have moved — drop everything.
-        let evictions = self.memo.len();
-        self.rebuild()?;
-        Ok(FixReport {
-            path: outcome.path,
-            affected_rows: (0..self.dataset.len()).collect(),
-            reencoded_all: true,
-            cache_evictions: evictions,
-            accuracy: self.accuracy()?,
-        })
+            }
+        } else {
+            // Rerun: rebuild the encoded state from the maintained table.
+            // The subset fingerprints keyed into the memo cache name rows by
+            // index, and those indices may have moved — drop everything.
+            let evictions = self.memo.len();
+            self.rebuild()?;
+            FixReport {
+                path: outcome.path,
+                affected_rows: (0..self.dataset.len()).collect(),
+                reencoded_all: true,
+                cache_evictions: evictions,
+                accuracy: self.accuracy()?,
+            }
+        };
+        self.poisoned = false;
+        self.fixes_applied += 1;
+        self.full_reencodes += usize::from(report.reencoded_all);
+        self.rows_reencoded += report.affected_rows.len();
+        Ok(report)
     }
 
     /// Re-encode `rows` of the maintained table and push label / feature
@@ -146,7 +169,6 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         if rows.is_empty() {
             return Ok(0); // the fix never reached the output
         }
-        self.rows_reencoded += rows.len();
         let (x, y) = self.pipeline.encode_rows(self.session.table(), rows)?;
         let mut feature_changed = Vec::new();
         for (j, &r) in rows.iter().enumerate() {
@@ -178,7 +200,6 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     /// Full re-encode after a structural fix: fresh dataset, fresh
     /// evaluator, empty cache.
     fn rebuild(&mut self) -> Result<()> {
-        self.full_reencodes += 1;
         let table = self.session.table();
         if table.n_rows() == 0 {
             return Err(CleaningError::InvalidArgument(
@@ -186,7 +207,6 @@ impl<C: Classifier> IncrementalDebugSession<C> {
             ));
         }
         let rows: Vec<usize> = (0..table.n_rows()).collect();
-        self.rows_reencoded += rows.len();
         let (x, y) = self.pipeline.encode_rows(table, &rows)?;
         let n_classes = self.pipeline.label_encoder()?.n_classes();
         self.dataset = Dataset::new(x, y, n_classes)?;
@@ -233,7 +253,7 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     }
 
     /// `(fixes applied, full re-encodes, rows re-encoded)` — the work
-    /// accounting of one session.
+    /// accounting of one session, over the fixes that completed.
     pub fn stats(&self) -> (usize, usize, usize) {
         (self.fixes_applied, self.full_reencodes, self.rows_reencoded)
     }
@@ -394,6 +414,38 @@ mod tests {
         assert_eq!(fixes, 2);
         assert_eq!(full, 1);
         assert!(rows >= session.dataset().len());
+    }
+
+    #[test]
+    fn a_fix_failing_after_the_pipeline_layer_poisons_the_session() {
+        let s = HiringScenario::generate(60, 41);
+        let mut session = IncrementalDebugSession::build(
+            KnnClassifier::new(3),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid_set(42),
+        )
+        .unwrap();
+        let pid = session.table().get(0, "person_id").unwrap();
+        let row = (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap();
+        let fix = |label: &str| Delta::Update {
+            source: "train_df".into(),
+            row,
+            column: "sentiment".into(),
+            value: Value::Str(label.into()),
+        };
+        // The pipeline accepts the update, but the label encoder has never
+        // seen "neutral": the re-encode fails.
+        assert!(session.apply_fix(&fix("neutral")).is_err());
+        assert_eq!(session.stats(), (0, 0, 0));
+        // The dataset is now behind `table()`: a valid fix must be refused.
+        assert!(matches!(
+            session.apply_fix(&fix("positive")),
+            Err(CleaningError::Pipeline(_))
+        ));
+        assert_eq!(session.stats(), (0, 0, 0));
     }
 
     #[test]

@@ -13,8 +13,20 @@ use nde_data::json::{array, check_method, finite_vec, text, uint, uint_vec, Json
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_pipeline::MaintenanceMode;
 use nde_robust::{retry_with_backoff, ConvergenceDiagnostics, RetryPolicy, RunBudget};
+
+/// How the model's accuracy is kept up to date as label fixes are accepted,
+/// in the cleaning loop and in [`crate::DebugChallenge`]. Both modes give
+/// bit-identical accuracies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum MaintenanceMode {
+    /// Refit the model template from scratch after every fix.
+    #[default]
+    Rerun,
+    /// Build the model's [`IncrementalLabelEval`] once and patch only the
+    /// fixed labels. Models without that hook fall back to refitting.
+    Incremental,
+}
 
 /// Trace of an iterative cleaning run.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,9 +17,8 @@ pub use error::CleaningError;
 pub use incremental::{FixReport, IncrementalDebugSession};
 pub use iterative::{
     prioritized_cleaning, prioritized_cleaning_resumable, prioritized_cleaning_robust,
-    CleaningCheckpoint, CleaningRun, RobustCleaningRun,
+    CleaningCheckpoint, CleaningRun, MaintenanceMode, RobustCleaningRun,
 };
-pub use nde_pipeline::MaintenanceMode;
 pub use oracle::{CleaningOracle, FlakyOracle, LabelOracle, TableOracle};
 pub use strategy::Strategy;
 

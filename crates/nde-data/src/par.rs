@@ -14,9 +14,6 @@
 //!   sized index chunks from an atomic cursor; results come back **sorted
 //!   by index**, so any fold over them is order-independent of the schedule
 //!   and the output is bit-identical for every thread count, including 1.
-//! - [`par_map_indexed_scratch_scoped`] — the original scoped-spawn
-//!   implementation, kept as the differential reference the pool is tested
-//!   against (and as a fallback that owns no long-lived threads).
 //! - [`MemoCache`] — a sharded, thread-safe memoization cache for utility
 //!   evaluations keyed by a [`subset_fingerprint`] of the coalition's index
 //!   set, so repeated coalition evaluations across permutations and across
@@ -39,7 +36,6 @@ use crate::fxhash::{FxHashMap, FxHasher};
 use crate::pool::WorkerPool;
 use std::hash::Hasher;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -150,95 +146,6 @@ where
     WorkerPool::shared().map_indexed_scratch(threads, range, stop, CostHint::Unknown, init, f)
 }
 
-/// The original scoped-spawn implementation of [`par_map_indexed_scratch`].
-///
-/// Spawns `threads` fresh scoped workers per call (single-item claims, no
-/// chunking, no resident pool). Kept as the differential-testing reference
-/// the pool implementation is checked against, and for callers that must
-/// not share the process-wide pool. Same determinism, failure, and stop
-/// contract as the pooled path.
-pub fn par_map_indexed_scratch_scoped<S, T, E, I, F>(
-    threads: usize,
-    range: Range<u64>,
-    stop: &AtomicBool,
-    init: I,
-    f: F,
-) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
-where
-    T: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> Result<T, E> + Sync,
-{
-    let items = range.end.saturating_sub(range.start);
-    let threads = effective_threads(
-        threads,
-        items.min(usize::MAX as u64) as usize,
-        CostHint::Unknown,
-    );
-    let next = AtomicU64::new(range.start);
-    let failed = AtomicBool::new(false);
-    let failure: Mutex<Option<WorkerFailure<E>>> = Mutex::new(None);
-
-    let worker = |out: &mut Vec<(u64, T)>| {
-        let mut scratch = init();
-        loop {
-            if stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= range.end {
-                break;
-            }
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i)));
-            let fail = match outcome {
-                Ok(Ok(v)) => {
-                    out.push((i, v));
-                    continue;
-                }
-                Ok(Err(e)) => WorkerFailure::Err(i, e),
-                Err(payload) => WorkerFailure::Panic(i, panic_message(payload)),
-            };
-            failed.store(true, Ordering::Relaxed);
-            let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.as_ref().is_none_or(|prev| fail.index() < prev.index()) {
-                *slot = Some(fail);
-            }
-            break;
-        }
-    };
-
-    let mut results: Vec<(u64, T)> = Vec::with_capacity(items as usize);
-    if threads == 1 {
-        worker(&mut results);
-    } else {
-        let collected: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        worker(&mut local);
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker closures catch their own panics"))
-                .collect()
-        });
-        for local in collected {
-            results.extend(local);
-        }
-        results.sort_unstable_by_key(|&(i, _)| i);
-    }
-
-    match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        Some(fail) => Err(fail),
-        None => Ok(results),
-    }
-}
-
 /// [`par_map_indexed_scratch`] without per-worker scratch state.
 pub fn par_map_indexed<T, E, F>(
     threads: usize,
@@ -252,21 +159,6 @@ where
     F: Fn(u64) -> Result<T, E> + Sync,
 {
     par_map_indexed_scratch(threads, range, stop, || (), |(), i| f(i))
-}
-
-/// [`par_map_indexed_scratch_scoped`] without per-worker scratch state.
-pub fn par_map_indexed_scoped<T, E, F>(
-    threads: usize,
-    range: Range<u64>,
-    stop: &AtomicBool,
-    f: F,
-) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(u64) -> Result<T, E> + Sync,
-{
-    par_map_indexed_scratch_scoped(threads, range, stop, || (), |(), i| f(i))
 }
 
 /// Fixed-shape pairwise tree reduction.
@@ -531,25 +423,6 @@ mod tests {
             effective_threads(1, 1_000_000, CostHint::PerItemNanos(1_000_000)),
             1
         );
-    }
-
-    #[test]
-    fn pooled_free_functions_match_scoped_reference() {
-        let stop = AtomicBool::new(false);
-        let work = |i: u64| Ok::<u64, ()>(i.rotate_left(7) ^ 0xabcd);
-        let reference = par_map_indexed_scoped(1, 0..300, &stop, work).unwrap();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                par_map_indexed(threads, 0..300, &stop, work).unwrap(),
-                reference,
-                "pooled threads={threads}"
-            );
-            assert_eq!(
-                par_map_indexed_scoped(threads, 0..300, &stop, work).unwrap(),
-                reference,
-                "scoped threads={threads}"
-            );
-        }
     }
 
     #[test]

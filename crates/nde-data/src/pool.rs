@@ -23,15 +23,15 @@
 //!   claims for load balancing.
 //!
 //! Chunk boundaries provably cannot affect output: each result is tagged
-//! with its item index, merged and sorted exactly as the scoped substrate
-//! did, so the determinism contract of [`crate::par`] (bit-identical output
+//! with its item index and results are merged sorted by index, so the
+//! determinism contract of [`crate::par`] (bit-identical output
 //! at every thread count) carries over unchanged. Callers that know their
 //! per-item cost can pass a [`CostHint`] to skip the probe *and* let
 //! [`effective_threads`] fall back to sequential for cheap small batches.
 //!
 //! # Failure and stop semantics
 //!
-//! Identical to the scoped substrate: panics in `f` are caught per item and
+//! Panics in `f` are caught per item and
 //! surfaced as [`WorkerFailure::Panic`]; the reported failure is always the
 //! one with the smallest index (claims are monotone in the cursor and a
 //! worker finishes its already-claimed chunk when *another* worker fails, so
@@ -417,8 +417,8 @@ impl WorkerPool {
                     }
                     Err(payload) => {
                         // Only `init` can panic outside the per-item guard;
-                        // match the scoped-spawn behavior by re-raising on
-                        // the submitting thread once the job drains.
+                        // re-raise it on the submitting thread once the job
+                        // drains, as a scoped spawn would.
                         failed.store(true, Ordering::Relaxed);
                         let mut first = pool_panic.lock().unwrap_or_else(|p| p.into_inner());
                         if first.is_none() {
@@ -505,37 +505,6 @@ fn chunk_size(est_ns: u64, items: u64, threads: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::par_map_indexed_scratch_scoped;
-
-    #[test]
-    fn pooled_map_matches_scoped_reference_across_thread_counts() {
-        let pool = WorkerPool::new(6);
-        let stop = AtomicBool::new(false);
-        let reference = par_map_indexed_scratch_scoped::<u64, u64, (), _, _>(
-            1,
-            0..500,
-            &stop,
-            || 0,
-            |_, i| Ok(i.wrapping_mul(i) ^ 0x9e37),
-        )
-        .unwrap();
-        for threads in [1, 2, 4, 7] {
-            // Reuse the same pool many times: results must stay identical.
-            for _ in 0..5 {
-                let pooled = pool
-                    .map_indexed_scratch::<u64, u64, (), _, _>(
-                        threads,
-                        0..500,
-                        &stop,
-                        CostHint::Unknown,
-                        || 0,
-                        |_, i| Ok(i.wrapping_mul(i) ^ 0x9e37),
-                    )
-                    .unwrap();
-                assert_eq!(pooled, reference, "threads={threads}");
-            }
-        }
-    }
 
     #[test]
     fn adaptive_chunking_is_output_invariant() {

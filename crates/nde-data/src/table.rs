@@ -716,12 +716,7 @@ impl Table {
             if ci == right_key {
                 continue; // drop duplicate join key
             }
-            let name = if self.schema.contains(&f.name) {
-                format!("{}_right", f.name)
-            } else {
-                f.name.clone()
-            };
-            fields.push(Field::new(name, f.dtype));
+            fields.push(Field::new(self.join_right_name(&f.name), f.dtype));
         }
         let left_idx: Vec<usize> = lineage.iter().map(|&(l, _)| l).collect();
 
@@ -769,6 +764,17 @@ impl Table {
             store,
             lineage.len(),
         ))
+    }
+
+    /// The name right-side column `column` takes in a join with `self` as
+    /// the left input: unchanged, or suffixed `_right` when `self` already
+    /// has a column of that name.
+    pub fn join_right_name(&self, column: &str) -> String {
+        if self.schema.contains(column) {
+            format!("{column}_right")
+        } else {
+            column.to_string()
+        }
     }
 
     /// Group rows by a key column, keeping the first occurrence of each

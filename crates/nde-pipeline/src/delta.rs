@@ -4,13 +4,13 @@
 //! label, correct a rating, drop a duplicate — and re-evaluates the model
 //! after each. Re-running the whole pipeline per fix costs milliseconds for
 //! work whose footprint is a handful of rows. A [`PipelineSession`] keeps
-//! the executed run alive (every operator's table, routing trace, and
+//! the executed run alive (every operator's table, row maps, and
 //! provenance) and applies a single-tuple [`Delta`] on one of two paths:
 //!
 //! - **Cell patch** ([`DeltaPath::CellPatch`]): an [`Delta::Update`] that
-//!   cannot change any routing decision (join keys, filter predicates,
-//!   distinct keys untouched) patches the changed cells of affected rows in
-//!   place. Provenance is untouched — routing is identical by construction.
+//!   cannot change any routing decision patches the changed cells of
+//!   affected rows in place. Provenance is untouched — routing is identical
+//!   by construction.
 //! - **Rerun** ([`DeltaPath::Rerun`]): everything else — every
 //!   [`Delta::Insert`] and [`Delta::Delete`], a routing-relevant update, an
 //!   operator error while patching — re-executes the plan over the mutated
@@ -22,6 +22,21 @@
 //! (`tests/tests/incremental_delta.rs`) holds the session to that
 //! contract: identical output table, identical lineage (same arena node
 //! ids), at every thread count.
+//!
+//! The cell patch is one walk over the nodes in evaluation order that
+//! never matches on the operator kind. Each node reads two things:
+//!
+//! - the executor's row maps ([`NodeTrace::RowMap`]): for each input and
+//!   each output row, the input row that output row was built from;
+//! - the declarations on its [`crate::plan::PlanNode`]: the routing
+//!   columns of each input (join keys, filter predicate columns, the
+//!   distinct key), the output column each carried input column becomes
+//!   (a join's `_right` rename, a select's dropped columns) and a derived
+//!   column (a projection).
+//!
+//! A tainted routing column ends the walk with a rerun. Otherwise an output
+//! row is affected when a row map points it at an affected input row, and
+//! its carried and derived cells are patched.
 //!
 //! Why only two paths: inserts and deletes once had a third, *splice*
 //! path that re-decided join, filter, distinct and concat routing around
@@ -38,7 +53,7 @@
 //! are never produced.
 
 use crate::exec::{catch_tuple_panic, Executor, NodeTrace, PanicPolicy};
-use crate::plan::{NodeId, Plan, PlanNode};
+use crate::plan::{NodeId, Plan};
 use crate::provenance::{Lineage, ProvArena, ProvId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
@@ -83,19 +98,6 @@ impl Delta {
             | Delta::Delete { source, .. } => source,
         }
     }
-}
-
-/// How a consumer of pipeline runs reacts to accepted fixes: re-execute
-/// from scratch, or maintain the run incrementally via [`PipelineSession`].
-/// Both modes produce bit-identical results; `Incremental` trades the
-/// per-fix full re-execution for delta propagation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MaintenanceMode {
-    /// Re-run the pipeline after every accepted fix (the seed behavior).
-    #[default]
-    Rerun,
-    /// Maintain the executed run with [`PipelineSession::apply`].
-    Incremental,
 }
 
 /// Which propagation path an [`PipelineSession::apply`] call took.
@@ -164,16 +166,6 @@ fn guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// The right-side output column name under the join rename rule: the key is
-/// dropped; a clash with a left column gets a `_right` suffix.
-fn right_out_name(left: &Table, name: &str) -> String {
-    if left.schema().contains(name) {
-        format!("{name}_right")
-    } else {
-        name.to_string()
-    }
-}
-
 fn table_of<'a>(
     staged: &'a FxHashMap<usize, Table>,
     base: &'a FxHashMap<usize, Table>,
@@ -187,7 +179,7 @@ fn table_of<'a>(
 /// A live, incrementally maintainable pipeline run.
 ///
 /// [`PipelineSession::build`] executes the plan once (with provenance and
-/// routing traces); [`PipelineSession::apply`] then folds single-tuple
+/// row maps); [`PipelineSession::apply`] then folds single-tuple
 /// source changes into the run. After every apply — whichever
 /// [`DeltaPath`] it takes — [`PipelineSession::table`] and
 /// [`PipelineSession::lineage`] are bit-identical to a fresh
@@ -264,7 +256,7 @@ impl PipelineSession {
     }
 
     /// Run the plan over the current inputs and capture every node's
-    /// table, routing trace and provenance, replacing the cached state.
+    /// table, row maps and provenance, replacing the cached state.
     fn execute(&mut self) -> Result<()> {
         let refs: Vec<(&str, &Table)> = self
             .source_names
@@ -410,11 +402,15 @@ impl PipelineSession {
     }
 
     /// The cell-patch walk: propagate `(source, row, column)` taint through
-    /// the DAG without re-deciding any routing. `Ok(None)` means a tainted
-    /// column feeds a routing decision (join/distinct key, filter
-    /// predicate) — the caller falls back to a rerun. `Err` means an
-    /// operator failed re-evaluating a tainted projection (rerun reproduces
-    /// the report).
+    /// the DAG without re-deciding any routing. Every node reads the same
+    /// two things: the declarations on its [`crate::plan::PlanNode`]
+    /// (routing columns, the output name of each carried column, a derived
+    /// column) and its traced row maps. An output row is affected when it
+    /// was built from an affected input row; its carried columns are copied
+    /// from that row, and a derived column whose expression reads a tainted
+    /// column is re-evaluated. `Ok(None)` means a tainted column feeds a
+    /// routing decision — the caller falls back to a rerun. `Err` means
+    /// re-evaluating a derived column failed (rerun reproduces the report).
     fn cell_patch_walk(
         &self,
         src: usize,
@@ -424,244 +420,99 @@ impl PipelineSession {
         let mut states: FxHashMap<usize, PatchState> = FxHashMap::default();
         let mut new_tables: FxHashMap<usize, Table> = FxHashMap::default();
         for &idx in &self.order {
-            let id = NodeId(idx);
-            let trace = self.traces.get(&idx).expect("trace present");
-            let children = self.plan.children(id)?;
-            // Read phase: compute this node's state and the cell values to
-            // copy from (already patched) child tables.
-            let mut state = PatchState::default();
-            let mut patches: Vec<(usize, String, Value)> = Vec::new();
-            match (self.plan.node(id)?, trace) {
-                (PlanNode::Source { .. }, NodeTrace::Source { source }) => {
+            let from = match &self.traces[&idx] {
+                NodeTrace::Source { source } => {
                     if *source as usize == src {
-                        state.affected.push(row);
-                        state.tainted.push(column.to_string());
-                        // Write phase below swaps in the mutated input.
+                        let mut t = self.inputs[src].clone();
+                        t.set_name(self.tables[&idx].name());
+                        new_tables.insert(idx, t);
+                        let tainted = vec![column.to_string()];
+                        let affected = vec![row];
+                        states.insert(idx, PatchState { affected, tainted });
+                    }
+                    continue;
+                }
+                NodeTrace::RowMap { from } => from,
+            };
+            let id = NodeId(idx);
+            let node = self.plan.node(id)?;
+            let children = self.plan.children(id)?;
+            let first = table_of(&new_tables, &self.tables, children[0].index());
+            // Read phase: the inputs the update reached, and the cell values
+            // to copy from their (already patched) tables.
+            let mut live: Vec<LiveInput> = Vec::new();
+            let mut tainted: Vec<String> = Vec::new();
+            for (i, child) in children.iter().enumerate() {
+                let Some(cs) = states.get(&child.index()) else {
+                    continue;
+                };
+                let routing = node.routing_columns(i);
+                if cs.tainted.iter().any(|c| routing.contains(&c.as_str())) {
+                    return Ok(None);
+                }
+                let table = table_of(&new_tables, &self.tables, child.index());
+                let carried: Vec<(&str, String)> = cs
+                    .tainted
+                    .iter()
+                    .filter_map(|c| Some((c.as_str(), node.output_column(i, c, first)?)))
+                    .collect();
+                for (_, out) in &carried {
+                    if !tainted.contains(out) {
+                        tainted.push(out.clone());
                     }
                 }
-                (
-                    PlanNode::Join {
-                        left_key,
-                        right_key,
-                        ..
-                    },
-                    NodeTrace::Join { .. },
-                )
-                | (
-                    PlanNode::FuzzyJoin {
-                        left_key,
-                        right_key,
-                        ..
-                    },
-                    NodeTrace::FuzzyJoin { .. },
-                ) => {
-                    let ls = states.get(&children[0].index());
-                    let rs = states.get(&children[1].index());
-                    if ls.is_none() && rs.is_none() {
-                        continue;
-                    }
-                    // A tainted join key can change the match set (and for
-                    // fuzzy joins, similarities): structural.
-                    if ls.is_some_and(|s| s.tainted.iter().any(|c| c == left_key))
-                        || rs.is_some_and(|s| s.tainted.iter().any(|c| c == right_key))
-                    {
-                        return Ok(None);
-                    }
-                    let lt = table_of(&new_tables, &self.tables, children[0].index());
-                    let rt = table_of(&new_tables, &self.tables, children[1].index());
-                    // Normalize both join kinds to (left, Option<right>).
-                    let pairs: Vec<(usize, Option<usize>)> = match trace {
-                        NodeTrace::Join { pairs } => pairs.clone(),
-                        NodeTrace::FuzzyJoin { pairs } => {
-                            pairs.iter().map(|&(l, r)| (l, Some(r))).collect()
-                        }
-                        _ => unreachable!("matched join traces above"),
-                    };
-                    let l_aff = affected_mask(ls, lt.n_rows());
-                    let r_aff = affected_mask(rs, rt.n_rows());
-                    let renames: Vec<(String, String)> = rs
-                        .map(|s| {
-                            s.tainted
-                                .iter()
-                                .map(|c| (c.clone(), right_out_name(lt, c)))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    for (out, &(l, r)) in pairs.iter().enumerate() {
-                        let left_hit = l_aff[l];
-                        let right_hit = r.is_some_and(|r| r_aff[r]);
-                        if !left_hit && !right_hit {
-                            continue;
-                        }
-                        state.affected.push(out);
-                        if left_hit {
-                            if let Some(ls) = ls {
-                                for c in &ls.tainted {
-                                    patches.push((out, c.clone(), lt.get(l, c)?));
-                                }
-                            }
-                        }
-                        if let Some(r) = r {
-                            if r_aff[r] {
-                                for (c, oc) in &renames {
-                                    patches.push((out, oc.clone(), rt.get(r, c)?));
-                                }
-                            }
-                        }
-                    }
-                    if let Some(ls) = ls {
-                        state.tainted.extend(ls.tainted.iter().cloned());
-                    }
-                    state.tainted.extend(renames.into_iter().map(|(_, oc)| oc));
-                }
-                (PlanNode::Filter { predicate, .. }, NodeTrace::Filter { kept }) => {
-                    let Some(cs) = states.get(&children[0].index()) else {
+                live.push(LiveInput {
+                    rows: &from[i],
+                    hit: affected_mask(cs, table.n_rows()),
+                    table,
+                    carried,
+                });
+            }
+            // A derived column is computed from the first input's row.
+            let recompute = node.derived_column().filter(|(_, expr)| {
+                let reads = expr.columns();
+                states
+                    .get(&children[0].index())
+                    .is_some_and(|s| s.tainted.iter().any(|t| reads.contains(&t.as_str())))
+            });
+            if let Some((derived, _)) = recompute {
+                tainted.push(derived.to_string());
+            }
+            if tainted.is_empty() {
+                continue; // untouched, or every changed column is dropped
+            }
+            let mut affected = Vec::new();
+            let mut patches: Vec<(usize, String, Value)> = Vec::new();
+            for (out, first_row) in from[0].iter().enumerate() {
+                let mut hit = false;
+                for input in &live {
+                    let Some(r) = input.rows[out].filter(|&r| input.hit[r]) else {
                         continue;
                     };
-                    if predicate
-                        .columns()
-                        .iter()
-                        .any(|c| cs.tainted.iter().any(|t| t == c))
-                    {
-                        return Ok(None);
-                    }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
-                    let c_aff = affected_mask(Some(cs), ct.n_rows());
-                    for (out, &k) in kept.iter().enumerate() {
-                        if c_aff[k] {
-                            state.affected.push(out);
-                            for c in &cs.tainted {
-                                patches.push((out, c.clone(), ct.get(k, c)?));
-                            }
-                        }
-                    }
-                    state.tainted = cs.tainted.clone();
-                }
-                (PlanNode::Project { column, expr, .. }, NodeTrace::Project { kept }) => {
-                    let Some(cs) = states.get(&children[0].index()) else {
-                        continue;
-                    };
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
-                    let c_aff = affected_mask(Some(cs), ct.n_rows());
-                    let recompute = expr
-                        .columns()
-                        .iter()
-                        .any(|c| cs.tainted.iter().any(|t| t == c));
-                    for (out, &k) in kept.iter().enumerate() {
-                        if c_aff[k] {
-                            state.affected.push(out);
-                            for c in &cs.tainted {
-                                patches.push((out, c.clone(), ct.get(k, c)?));
-                            }
-                            if recompute {
-                                let v = guarded(|| expr.eval(ct, k))?;
-                                patches.push((out, column.clone(), v));
-                            }
-                        }
-                    }
-                    state.tainted = cs.tainted.clone();
-                    if recompute {
-                        state.tainted.push(column.clone());
+                    hit = true;
+                    for (c, oc) in &input.carried {
+                        patches.push((out, oc.clone(), input.table.get(r, c)?));
                     }
                 }
-                (PlanNode::SelectColumns { columns, .. }, NodeTrace::Select) => {
-                    let Some(cs) = states.get(&children[0].index()) else {
-                        continue;
-                    };
-                    let visible: Vec<String> = cs
-                        .tainted
-                        .iter()
-                        .filter(|c| columns.contains(c))
-                        .cloned()
-                        .collect();
-                    if visible.is_empty() {
-                        // The change is projected away: nothing downstream.
-                        continue;
-                    }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
-                    for &r in &cs.affected {
-                        state.affected.push(r);
-                        for c in &visible {
-                            patches.push((r, c.clone(), ct.get(r, c)?));
-                        }
-                    }
-                    state.tainted = visible;
+                if !hit {
+                    continue;
                 }
-                (PlanNode::Distinct { key, .. }, NodeTrace::Distinct { first_of }) => {
-                    let Some(cs) = states.get(&children[0].index()) else {
-                        continue;
-                    };
-                    if cs.tainted.iter().any(|c| c == key) {
-                        return Ok(None);
-                    }
-                    let ct = table_of(&new_tables, &self.tables, children[0].index());
-                    let c_aff = affected_mask(Some(cs), ct.n_rows());
-                    // Only changes to a group's surviving first occurrence
-                    // are visible; absorbed duplicates contribute nothing.
-                    for (slot, &f) in first_of.iter().enumerate() {
-                        if c_aff[f] {
-                            state.affected.push(slot);
-                            for c in &cs.tainted {
-                                patches.push((slot, c.clone(), ct.get(f, c)?));
-                            }
-                        }
-                    }
-                    state.tainted = cs.tainted.clone();
-                }
-                (PlanNode::Concat { .. }, NodeTrace::Concat { left_rows }) => {
-                    let ls = states.get(&children[0].index());
-                    let rs = states.get(&children[1].index());
-                    if ls.is_none() && rs.is_none() {
-                        continue;
-                    }
-                    let lt = table_of(&new_tables, &self.tables, children[0].index());
-                    let rt = table_of(&new_tables, &self.tables, children[1].index());
-                    if let Some(ls) = ls {
-                        for &r in &ls.affected {
-                            state.affected.push(r);
-                            for c in &ls.tainted {
-                                patches.push((r, c.clone(), lt.get(r, c)?));
-                            }
-                        }
-                        state.tainted.extend(ls.tainted.iter().cloned());
-                    }
-                    if let Some(rs) = rs {
-                        for &r in &rs.affected {
-                            state.affected.push(r + left_rows);
-                            for c in &rs.tainted {
-                                patches.push((r + left_rows, c.clone(), rt.get(r, c)?));
-                            }
-                        }
-                        for c in &rs.tainted {
-                            if !state.tainted.contains(c) {
-                                state.tainted.push(c.clone());
-                            }
-                        }
-                    }
-                }
-                (node, trace) => {
-                    return Err(PipelineError::Delta(format!(
-                        "trace/plan mismatch at node {idx}: {node:?} vs {trace:?}"
-                    )))
+                affected.push(out);
+                if let Some((derived, expr)) = recompute {
+                    let r = first_row.expect("derived from an input row");
+                    patches.push((out, derived.to_string(), guarded(|| expr.eval(first, r))?));
                 }
             }
-            if state.affected.is_empty() {
+            if affected.is_empty() {
                 continue;
             }
             // Write phase: patch a copy of this node's table.
-            let mut t = if matches!(trace, NodeTrace::Source { source } if *source as usize == src)
-            {
-                self.inputs[src].clone()
-            } else {
-                let mut t = table_of(&new_tables, &self.tables, idx).clone();
-                for (r, c, v) in patches {
-                    t.set(r, &c, v)?;
-                }
-                t
-            };
-            t.set_name(self.tables.get(&idx).expect("table present").name());
+            let mut t = self.tables[&idx].clone();
+            for (r, c, v) in patches {
+                t.set(r, &c, v)?;
+            }
             new_tables.insert(idx, t);
-            states.insert(idx, state);
+            states.insert(idx, PatchState { affected, tainted });
         }
         let root_affected = states
             .remove(&self.root.index())
@@ -674,15 +525,23 @@ impl PipelineSession {
     }
 }
 
-/// `mask[child_row]` = the row is affected (empty state = all false).
-fn affected_mask(state: Option<&PatchState>, len: usize) -> Vec<bool> {
+/// One input of a node that the update reached.
+struct LiveInput<'a> {
+    /// The node's row map for this input.
+    rows: &'a [Option<usize>],
+    /// `hit[row]` = the input row is affected.
+    hit: Vec<bool>,
+    /// The input's (patched) table.
+    table: &'a Table,
+    /// Tainted input columns the node keeps, with their output names.
+    carried: Vec<(&'a str, String)>,
+}
+
+/// `mask[row]` = the row is affected.
+fn affected_mask(state: &PatchState, len: usize) -> Vec<bool> {
     let mut mask = vec![false; len];
-    if let Some(s) = state {
-        for &r in &s.affected {
-            if r < len {
-                mask[r] = true;
-            }
-        }
+    for &r in &state.affected {
+        mask[r] = true;
     }
     mask
 }
@@ -742,6 +601,28 @@ mod tests {
         }
     }
 
+    /// Apply `delta` and hold the outcome to the maintenance contract: the
+    /// expected path, a state identical to a fresh traced run, and every
+    /// root row whose cells changed listed in `affected_rows`.
+    fn apply_checked(session: &mut PipelineSession, delta: &Delta, path: DeltaPath) -> Vec<usize> {
+        let before = session.table().clone();
+        let outcome = session.apply(delta).unwrap();
+        assert_eq!(outcome.path, path, "{delta:?}");
+        assert_matches_fresh(session);
+        let after = session.table();
+        if after.n_rows() == before.n_rows() {
+            for r in 0..after.n_rows() {
+                if after.row(r).unwrap() != before.row(r).unwrap() {
+                    assert!(
+                        outcome.affected_rows.contains(&r),
+                        "{delta:?}: row {r} changed but is not listed"
+                    );
+                }
+            }
+        }
+        outcome.affected_rows
+    }
+
     #[test]
     fn build_captures_a_run() {
         let s = HiringScenario::generate(60, 3);
@@ -789,6 +670,95 @@ mod tests {
                 session.table().get(out, "employer_rating").unwrap(),
                 Value::Float(9.5)
             );
+        }
+    }
+
+    #[test]
+    fn right_input_patch_recomputes_the_projection() {
+        let s = HiringScenario::generate(80, 7);
+        let (plan, root) = Plan::hiring_pipeline();
+        for threads in [1, 2, 4, 7] {
+            let mut session = PipelineSession::build(
+                &Executor::new().with_threads(threads),
+                &plan,
+                root,
+                &hiring_inputs(&s),
+            )
+            .unwrap();
+            // An output row whose person has a twitter handle: its social row
+            // reaches the output through the left join's right input.
+            let out = (0..session.table().n_rows())
+                .find(|&r| session.table().get(r, "has_twitter").unwrap() == Value::Bool(true))
+                .expect("some output row has twitter");
+            let person = session.table().get(out, "person_id").unwrap();
+            let social_row = (0..s.social.n_rows())
+                .find(|&r| s.social.get(r, "person_id").unwrap() == person)
+                .unwrap();
+            let handle = s.social.get(social_row, "twitter").unwrap();
+            for (value, has) in [(Value::Null, false), (handle, true)] {
+                let fix = Delta::Update {
+                    source: "social_df".into(),
+                    row: social_row,
+                    column: "twitter".into(),
+                    value,
+                };
+                // Each person has one letter and one social row.
+                let affected = apply_checked(&mut session, &fix, DeltaPath::CellPatch);
+                assert_eq!(affected, vec![out]);
+                for &r in &affected {
+                    assert_eq!(
+                        session.table().get(r, "has_twitter").unwrap(),
+                        Value::Bool(has)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_input_patch_follows_the_join_rename() {
+        let schema = || {
+            Schema::new(vec![
+                Field::new("id", DataType::Int),
+                Field::new("score", DataType::Float),
+            ])
+            .unwrap()
+        };
+        let mut left = Table::empty("left", schema());
+        for (id, score) in [(1, 0.5), (2, 0.7), (3, 0.9), (2, 0.1)] {
+            left.push_row(vec![Value::Int(id), score.into()]).unwrap();
+        }
+        let mut right = Table::empty("right", schema());
+        for (id, score) in [(1, 10.0), (2, 20.0)] {
+            right.push_row(vec![Value::Int(id), score.into()]).unwrap();
+        }
+        let mut plan = Plan::new();
+        let l = plan.source("left");
+        let r = plan.source("right");
+        let root = plan.join(l, r, "id", "id", crate::plan::JoinType::Left);
+        let inputs: Vec<(&str, &Table)> = vec![("left", &left), ("right", &right)];
+        for threads in [1, 2, 4, 7] {
+            let mut session = PipelineSession::build(
+                &Executor::new().with_threads(threads),
+                &plan,
+                root,
+                &inputs,
+            )
+            .unwrap();
+            let fix = Delta::Update {
+                source: "right".into(),
+                row: 1,
+                column: "score".into(),
+                value: Value::Float(25.0),
+            };
+            let affected = apply_checked(&mut session, &fix, DeltaPath::CellPatch);
+            assert_eq!(affected, vec![1, 3]);
+            for r in affected {
+                assert_eq!(
+                    session.table().get(r, "score_right").unwrap(),
+                    Value::Float(25.0)
+                );
+            }
         }
     }
 
@@ -872,17 +842,20 @@ mod tests {
             Schema::new(vec![
                 Field::new("employer", DataType::Str),
                 Field::new("person", DataType::Int),
+                Field::new("channel", DataType::Str),
             ])
             .unwrap(),
         );
+        // The last mention repeats person 2: `distinct` absorbs it.
         for (e, p) in [
             ("acme corp.", 1),
             ("GLOBEX", 2),
             ("acme  corp", 3),
             ("umbrella", 4),
+            ("Globex", 2),
         ] {
             mentions
-                .push_row(vec![e.into(), (p as i64).into()])
+                .push_row(vec![e.into(), (p as i64).into(), "press".into()])
                 .unwrap();
         }
         let mut plan = Plan::new();
@@ -893,49 +866,82 @@ mod tests {
         let d = plan.distinct(both, "person");
         let root = plan.select(d, &["person", "rating"]);
         let inputs: Vec<(&str, &Table)> = vec![("mentions", &mentions), ("companies", &companies)];
-        let mut session = PipelineSession::build(&Executor::new(), &plan, root, &inputs).unwrap();
-        assert_matches_fresh(&session);
-
-        // Insert a mention that fuzzy-matches and survives distinct.
-        let outcome = session
-            .apply(&Delta::Insert {
-                source: "mentions".into(),
-                values: vec!["initech inc".into(), Value::Int(9)],
-            })
+        for threads in [1, 2, 4, 7] {
+            let mut session = PipelineSession::build(
+                &Executor::new().with_threads(threads),
+                &plan,
+                root,
+                &inputs,
+            )
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Rerun);
-        assert_matches_fresh(&session);
+            assert_matches_fresh(&session);
 
-        // Insert a company that steals an existing best match (exact
-        // normalized form beats the typo match).
-        let outcome = session
-            .apply(&Delta::Insert {
-                source: "companies".into(),
-                values: vec!["acme corp.".into(), Value::Float(9.9)],
-            })
-            .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Rerun);
-        assert_matches_fresh(&session);
+            // Cell patches through fuzzy join, concat, distinct and select.
+            let update = |source: &str, row: usize, column: &str, value: Value| Delta::Update {
+                source: source.into(),
+                row,
+                column: column.into(),
+                value,
+            };
+            // Acme's rating reaches persons 1 and 3 (root rows 0 and 2).
+            let fix = update("companies", 0, "rating", Value::Float(4.9));
+            assert_eq!(
+                apply_checked(&mut session, &fix, DeltaPath::CellPatch),
+                vec![0, 2]
+            );
+            // `channel` is dropped by the final select.
+            let fix = update("mentions", 1, "channel", "radio".into());
+            assert!(apply_checked(&mut session, &fix, DeltaPath::CellPatch).is_empty());
+            // The same column on the duplicate `distinct` absorbs.
+            let fix = update("mentions", 4, "channel", "radio".into());
+            assert!(apply_checked(&mut session, &fix, DeltaPath::CellPatch).is_empty());
+            // The fuzzy key and the distinct key route rows: structural.
+            let fix = update("companies", 1, "name", "Globex Inc".into());
+            apply_checked(&mut session, &fix, DeltaPath::Rerun);
+            let fix = update("mentions", 2, "person", Value::Int(7));
+            apply_checked(&mut session, &fix, DeltaPath::Rerun);
 
-        // Delete the stolen-match company again: its old winners rematch.
-        let outcome = session
-            .apply(&Delta::Delete {
-                source: "companies".into(),
-                row: 3,
-            })
-            .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Rerun);
-        assert_matches_fresh(&session);
+            // Insert a mention that fuzzy-matches and survives distinct.
+            let outcome = session
+                .apply(&Delta::Insert {
+                    source: "mentions".into(),
+                    values: vec!["initech inc".into(), Value::Int(9), "press".into()],
+                })
+                .unwrap();
+            assert_eq!(outcome.path, DeltaPath::Rerun);
+            assert_matches_fresh(&session);
 
-        // Delete a mention absorbed by distinct.
-        let outcome = session
-            .apply(&Delta::Delete {
-                source: "mentions".into(),
-                row: 2,
-            })
-            .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Rerun);
-        assert_matches_fresh(&session);
+            // Insert a company that steals an existing best match (exact
+            // normalized form beats the typo match).
+            let outcome = session
+                .apply(&Delta::Insert {
+                    source: "companies".into(),
+                    values: vec!["acme corp.".into(), Value::Float(9.9)],
+                })
+                .unwrap();
+            assert_eq!(outcome.path, DeltaPath::Rerun);
+            assert_matches_fresh(&session);
+
+            // Delete the stolen-match company again: its old winners rematch.
+            let outcome = session
+                .apply(&Delta::Delete {
+                    source: "companies".into(),
+                    row: 3,
+                })
+                .unwrap();
+            assert_eq!(outcome.path, DeltaPath::Rerun);
+            assert_matches_fresh(&session);
+
+            // Delete a mention absorbed by distinct.
+            let outcome = session
+                .apply(&Delta::Delete {
+                    source: "mentions".into(),
+                    row: 2,
+                })
+                .unwrap();
+            assert_eq!(outcome.path, DeltaPath::Rerun);
+            assert_matches_fresh(&session);
+        }
     }
 
     #[test]

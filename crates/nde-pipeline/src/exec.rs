@@ -22,6 +22,7 @@ use nde_data::par::{CostHint, WorkerFailure};
 use nde_data::pool::WorkerPool;
 use nde_data::{Column, DataType, Field, Table};
 use std::cell::Cell;
+use std::iter::repeat_n;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Once};
@@ -100,11 +101,10 @@ impl Default for Executor {
 /// entry clones 4-byte ids, not trees.
 pub(crate) type NodeResult = (Table, Option<Vec<ProvId>>);
 
-/// The routing decisions one operator made during a traced run: which
-/// input rows reached which output rows. Re-playing these decisions (and
-/// re-deciding only where a delta could change them) is what lets
-/// [`crate::delta::PipelineSession`] maintain a run without re-executing
-/// the plan.
+/// What one operator did to its inputs' rows during a traced run.
+/// [`crate::delta::PipelineSession`] reads these maps, together with the
+/// column declarations on [`PlanNode`], to patch changed cells in place
+/// without re-executing the plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeTrace {
     /// Source node: index into the run's source-name table.
@@ -112,50 +112,24 @@ pub enum NodeTrace {
         /// Position in [`crate::provenance::Lineage::sources`].
         source: u32,
     },
-    /// Hash/left join: per-output-row `(left_row, right_row)` pairs in
-    /// output order (`None` = left-join null pad).
-    Join {
-        /// Per-output-row row pairs.
-        pairs: Vec<(usize, Option<usize>)>,
-    },
-    /// Fuzzy join: per-output-row `(left_row, right_row)` best-match pairs.
-    FuzzyJoin {
-        /// Per-output-row row pairs.
-        pairs: Vec<(usize, usize)>,
-    },
-    /// Filter: surviving input rows, ascending.
-    Filter {
-        /// Kept input rows.
-        kept: Vec<usize>,
-    },
-    /// Projection: surviving input rows, ascending (all rows under
-    /// [`PanicPolicy::FailFast`]).
-    Project {
-        /// Kept input rows.
-        kept: Vec<usize>,
-    },
-    /// Column selection — pure schema change, no routing.
-    Select,
-    /// Distinct: the [`Table::distinct_by`] grouping.
-    Distinct {
-        /// Surviving input rows in first-occurrence order.
-        first_of: Vec<usize>,
-    },
-    /// Concat: how many output rows the left input contributed.
-    Concat {
-        /// Left input row count.
-        left_rows: usize,
+    /// Any other operator: one row map per input, in [`Plan::children`]
+    /// order.
+    RowMap {
+        /// `from[i][out]` is the row of input `i` that output row `out` was
+        /// built from: `None` for a left-join null pad or for the other
+        /// input of a concat.
+        from: Vec<Vec<Option<usize>>>,
     },
 }
 
-/// Everything a traced run records beyond its output: per-node routing
-/// decisions and the order nodes were first evaluated in (children before
+/// Everything a traced run records beyond its output: per-node row maps
+/// and the order nodes were first evaluated in (children before
 /// parents).
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
     /// Node ids in first-evaluation order.
     pub order: Vec<usize>,
-    /// Routing decisions per node id.
+    /// What each node did to its inputs' rows, per node id.
     pub nodes: FxHashMap<usize, NodeTrace>,
 }
 
@@ -253,7 +227,7 @@ impl Executor {
     }
 
     /// Execute like [`Executor::run`] while recording every operator's
-    /// routing decisions, the node evaluation order, and each node's
+    /// row maps, the node evaluation order, and each node's
     /// intermediate table/provenance — the starting state for incremental
     /// maintenance via [`crate::delta::PipelineSession`].
     pub(crate) fn run_traced(
@@ -401,16 +375,25 @@ impl Executor {
         if let Some(cached) = memo.get(&id.index()) {
             return Ok(cached.clone());
         }
-        // Routing decisions recorded on first evaluation (memo hits above
-        // never re-record); `record` also logs the evaluation order.
-        fn record(trace: &mut Option<ExecTrace>, id: NodeId, node: NodeTrace) {
-            if let Some(tr) = trace {
-                tr.order.push(id.index());
-                tr.nodes.insert(id.index(), node);
-            }
+        let mut args = Vec::with_capacity(2);
+        for child in plan.children(id)? {
+            args.push(self.eval(
+                plan,
+                child,
+                source_names,
+                inputs,
+                arena,
+                memo,
+                quarantined,
+                trace,
+            )?);
         }
+        let mut args = args.into_iter();
+        let mut arg = || args.next().expect("one result per child");
+        // Row maps are built only for traced runs (memo hits above never
+        // re-record).
         let tracing = trace.is_some();
-        let result: NodeResult = match plan.node(id)? {
+        let (result, node_trace): (NodeResult, NodeTrace) = match plan.node(id)? {
             PlanNode::Source { name } => {
                 let table = (*inputs
                     .get(name.as_str())
@@ -430,40 +413,19 @@ impl Executor {
                 } else {
                     None
                 };
-                record(trace, id, NodeTrace::Source { source: src });
-                (table, prov)
+                ((table, prov), NodeTrace::Source { source: src })
             }
             PlanNode::Join {
-                left,
-                right,
                 left_key,
                 right_key,
                 how,
+                ..
             } => {
-                let (lt, lp) = self.eval(
-                    plan,
-                    *left,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
-                let (rt, rp) = self.eval(
-                    plan,
-                    *right,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
+                let ((lt, lp), (rt, rp)) = (arg(), arg());
                 // Chunk-parallel probe; lineage comes back in index order,
                 // so the provenance ids interned below are identical for
                 // every thread count.
-                let (table, lineage) = match how {
+                let (table, pairs) = match how {
                     JoinType::Inner => {
                         let (t, pairs) =
                             lt.hash_join_par(&rt, left_key, right_key, self.threads)?;
@@ -471,55 +433,16 @@ impl Executor {
                     }
                     JoinType::Left => lt.left_join_par(&rt, left_key, right_key, self.threads)?,
                 };
-                let prov = match (lp, rp) {
-                    (Some(lp), Some(rp)) => Some(
-                        lineage
-                            .iter()
-                            .map(|&(l, r)| match r {
-                                Some(r) => arena.times(lp[l], rp[r]),
-                                None => lp[l],
-                            })
-                            .collect::<Vec<_>>(),
-                    ),
-                    _ => None,
-                };
-                record(
-                    trace,
-                    id,
-                    NodeTrace::Join {
-                        pairs: if tracing { lineage } else { Vec::new() },
-                    },
-                );
-                (table, prov)
+                joined(arena, table, lp, rp, &pairs, tracing)
             }
             PlanNode::FuzzyJoin {
-                left,
-                right,
                 left_key,
                 right_key,
                 threshold,
+                ..
             } => {
-                let (lt, lp) = self.eval(
-                    plan,
-                    *left,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
-                let (rt, rp) = self.eval(
-                    plan,
-                    *right,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
-                let (table, lineage) = crate::fuzzy::fuzzy_join_par(
+                let ((lt, lp), (rt, rp)) = (arg(), arg());
+                let (table, pairs) = crate::fuzzy::fuzzy_join_par(
                     &lt,
                     &rt,
                     left_key,
@@ -527,35 +450,11 @@ impl Executor {
                     *threshold,
                     self.threads,
                 )?;
-                let prov = match (lp, rp) {
-                    (Some(lp), Some(rp)) => Some(
-                        lineage
-                            .iter()
-                            .map(|&(l, r)| arena.times(lp[l], rp[r]))
-                            .collect::<Vec<_>>(),
-                    ),
-                    _ => None,
-                };
-                record(
-                    trace,
-                    id,
-                    NodeTrace::FuzzyJoin {
-                        pairs: if tracing { lineage } else { Vec::new() },
-                    },
-                );
-                (table, prov)
+                let pairs: Vec<_> = pairs.into_iter().map(|(l, r)| (l, Some(r))).collect();
+                joined(arena, table, lp, rp, &pairs, tracing)
             }
-            PlanNode::Filter { input, predicate } => {
-                let (t, p) = self.eval(
-                    plan,
-                    *input,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
+            PlanNode::Filter { predicate, .. } => {
+                let (t, p) = arg();
                 let operator = format!("filter({})", crate::render::expr_label(predicate));
                 // Vectorized fast path: a `col == literal` predicate over an
                 // existing column runs as one columnar scan with the exact
@@ -588,30 +487,11 @@ impl Executor {
                 };
                 let table = t.take(&kept)?;
                 let prov = p.map(|p| kept.iter().map(|&r| p[r]).collect());
-                record(
-                    trace,
-                    id,
-                    NodeTrace::Filter {
-                        kept: if tracing { kept } else { Vec::new() },
-                    },
-                );
-                (table, prov)
+                let from = vec![row_map(tracing, kept.iter().copied())];
+                ((table, prov), NodeTrace::RowMap { from })
             }
-            PlanNode::Project {
-                input,
-                column,
-                expr,
-            } => {
-                let (t, p) = self.eval(
-                    plan,
-                    *input,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
+            PlanNode::Project { column, expr, .. } => {
+                let (t, p) = arg();
                 let operator =
                     format!("project({} := {})", column, crate::render::expr_label(expr));
                 let dtype = if t.n_rows() == 0 {
@@ -623,87 +503,48 @@ impl Executor {
                 // column reads the null bitmap directly — no per-row
                 // expression walk, no guard needed (these expressions keep
                 // every row and cannot error or panic).
-                if let Some(col) = null_test_fast_path(&t, expr) {
-                    let mut t = t;
-                    t.add_column(Field::new(column.clone(), DataType::Bool), col)?;
-                    record(
-                        trace,
-                        id,
-                        NodeTrace::Project {
-                            kept: if tracing {
-                                (0..t.n_rows()).collect()
-                            } else {
-                                Vec::new()
-                            },
-                        },
-                    );
-                    memo.insert(id.index(), (t.clone(), p.clone()));
-                    return Ok((t, p));
-                }
-                // Evaluate per row under the panic guard (chunk-parallel);
-                // rows whose evaluation panics are quarantined
-                // (skip-and-record) and dropped from the output.
-                let rows = self.guarded_rows(
-                    id.index(),
-                    &operator,
-                    t.n_rows(),
-                    p.as_deref().map(|ids| (&*arena, ids)),
-                    quarantined,
-                    |row| expr.eval(&t, row),
-                )?;
-                let mut kept = Vec::with_capacity(rows.len());
-                let mut values = Vec::with_capacity(rows.len());
-                for (row, v) in rows {
-                    kept.push(row);
-                    values.push(v);
-                }
-                let mut t = if kept.len() == t.n_rows() {
-                    t
+                let (kept, mut t, col) = if let Some(col) = null_test_fast_path(&t, expr) {
+                    ((0..t.n_rows()).collect(), t, col)
                 } else {
-                    t.take(&kept)?
+                    // Evaluate per row under the panic guard
+                    // (chunk-parallel); rows whose evaluation panics are
+                    // quarantined (skip-and-record) and dropped from the
+                    // output.
+                    let rows = self.guarded_rows(
+                        id.index(),
+                        &operator,
+                        t.n_rows(),
+                        p.as_deref().map(|ids| (&*arena, ids)),
+                        quarantined,
+                        |row| expr.eval(&t, row),
+                    )?;
+                    let mut kept = Vec::with_capacity(rows.len());
+                    let mut col = Column::with_capacity(dtype, rows.len());
+                    for (row, v) in rows {
+                        kept.push(row);
+                        col.push(v)
+                            .map_err(|e| PipelineError::Expr(e.to_string()))?;
+                    }
+                    let t = if kept.len() == t.n_rows() {
+                        t
+                    } else {
+                        t.take(&kept)?
+                    };
+                    (kept, t, col)
                 };
-                let mut col = Column::with_capacity(dtype, values.len());
-                for v in values {
-                    col.push(v)
-                        .map_err(|e| PipelineError::Expr(e.to_string()))?;
-                }
-                t.add_column(Field::new(column.clone(), dtype), col)?;
+                t.add_column(Field::new(column.clone(), col.data_type()), col)?;
                 let prov = p.map(|p| kept.iter().map(|&r| p[r]).collect::<Vec<_>>());
-                record(
-                    trace,
-                    id,
-                    NodeTrace::Project {
-                        kept: if tracing { kept } else { Vec::new() },
-                    },
-                );
-                (t, prov)
+                let from = vec![row_map(tracing, kept.iter().copied())];
+                ((t, prov), NodeTrace::RowMap { from })
             }
-            PlanNode::SelectColumns { input, columns } => {
-                let (t, p) = self.eval(
-                    plan,
-                    *input,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
+            PlanNode::SelectColumns { columns, .. } => {
+                let (t, p) = arg();
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                record(trace, id, NodeTrace::Select);
-                (t.select(&cols)?, p)
+                let from = vec![row_map(tracing, 0..t.n_rows())];
+                ((t.select(&cols)?, p), NodeTrace::RowMap { from })
             }
-            PlanNode::Distinct { input, key } => {
-                let (t, p) = self.eval(
-                    plan,
-                    *input,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
+            PlanNode::Distinct { key, .. } => {
+                let (t, p) = arg();
                 // First occurrence of each key value survives; its provenance
                 // absorbs the duplicates as Plus alternatives. Key grouping
                 // is chunk-parallel and thread-count invariant.
@@ -716,37 +557,12 @@ impl Executor {
                     }
                     alts.into_iter().map(|a| arena.plus(&a)).collect::<Vec<_>>()
                 });
-                record(
-                    trace,
-                    id,
-                    NodeTrace::Distinct {
-                        first_of: if tracing { first_of } else { Vec::new() },
-                    },
-                );
-                (table, prov)
+                let from = vec![row_map(tracing, first_of.iter().copied())];
+                ((table, prov), NodeTrace::RowMap { from })
             }
-            PlanNode::Concat { left, right } => {
-                let (mut lt, lp) = self.eval(
-                    plan,
-                    *left,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
-                let (rt, rp) = self.eval(
-                    plan,
-                    *right,
-                    source_names,
-                    inputs,
-                    arena,
-                    memo,
-                    quarantined,
-                    trace,
-                )?;
-                let left_rows = lt.n_rows();
+            PlanNode::Concat { .. } => {
+                let ((mut lt, lp), (rt, rp)) = (arg(), arg());
+                let (l, r) = (lt.n_rows(), rt.n_rows());
                 lt.append(&rt)?;
                 let prov = match (lp, rp) {
                     (Some(mut lp), Some(rp)) => {
@@ -755,13 +571,68 @@ impl Executor {
                     }
                     _ => None,
                 };
-                record(trace, id, NodeTrace::Concat { left_rows });
-                (lt, prov)
+                let from = if tracing {
+                    vec![
+                        (0..l).map(Some).chain(repeat_n(None, r)).collect(),
+                        repeat_n(None, l).chain((0..r).map(Some)).collect(),
+                    ]
+                } else {
+                    Vec::new()
+                };
+                ((lt, prov), NodeTrace::RowMap { from })
             }
         };
+        if let Some(tr) = trace {
+            tr.order.push(id.index());
+            tr.nodes.insert(id.index(), node_trace);
+        }
         memo.insert(id.index(), result.clone());
         Ok(result)
     }
+}
+
+/// One input's row map from the input rows the output rows were built
+/// from, in output order (empty for an untraced run).
+fn row_map(tracing: bool, rows: impl Iterator<Item = usize>) -> Vec<Option<usize>> {
+    if tracing {
+        rows.map(Some).collect()
+    } else {
+        Vec::new()
+    }
+}
+
+/// A join's result and row maps from its `(left_row, right_row)` pairs (a
+/// `None` right row is a left-join null pad). Provenance ids are interned
+/// in pair order.
+fn joined(
+    arena: &mut ProvArena,
+    table: Table,
+    lp: Option<Vec<ProvId>>,
+    rp: Option<Vec<ProvId>>,
+    pairs: &[(usize, Option<usize>)],
+    tracing: bool,
+) -> (NodeResult, NodeTrace) {
+    let prov = match (lp, rp) {
+        (Some(lp), Some(rp)) => Some(
+            pairs
+                .iter()
+                .map(|&(l, r)| match r {
+                    Some(r) => arena.times(lp[l], rp[r]),
+                    None => lp[l],
+                })
+                .collect(),
+        ),
+        _ => None,
+    };
+    let from = if tracing {
+        vec![
+            pairs.iter().map(|&(l, _)| Some(l)).collect(),
+            pairs.iter().map(|&(_, r)| r).collect(),
+        ]
+    } else {
+        Vec::new()
+    };
+    ((table, prov), NodeTrace::RowMap { from })
 }
 
 /// Kept rows for a `col == literal` filter via the backend's vectorized

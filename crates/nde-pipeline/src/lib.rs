@@ -49,7 +49,7 @@ pub mod render;
 pub mod semiring;
 pub mod whatif;
 
-pub use delta::{Delta, DeltaOutcome, DeltaPath, DeltaStats, MaintenanceMode, PipelineSession};
+pub use delta::{Delta, DeltaOutcome, DeltaPath, DeltaStats, PipelineSession};
 pub use error::PipelineError;
 pub use exec::{ExecOutput, Executor};
 pub use plan::{JoinType, NodeId, Plan};

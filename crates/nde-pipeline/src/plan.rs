@@ -2,6 +2,7 @@
 
 use crate::expr::Expr;
 use crate::{PipelineError, Result};
+use nde_data::Table;
 
 /// Handle to a node within a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,6 +99,55 @@ pub enum PlanNode {
         /// Second input.
         right: NodeId,
     },
+}
+
+/// What each operator does to its inputs' columns, in the terms the
+/// cell-patch walk of [`crate::delta::PipelineSession`] reads. Inputs are
+/// numbered in [`Plan::children`] order; which rows reach which output rows
+/// is the executor's row map ([`crate::exec::NodeTrace::RowMap`]).
+impl PlanNode {
+    /// Columns of input `input` whose values decide which rows reach the
+    /// output: join keys, filter predicate columns and the distinct key.
+    pub(crate) fn routing_columns(&self, input: usize) -> Vec<&str> {
+        match self {
+            PlanNode::Join {
+                left_key,
+                right_key,
+                ..
+            }
+            | PlanNode::FuzzyJoin {
+                left_key,
+                right_key,
+                ..
+            } => vec![if input == 0 { left_key } else { right_key }],
+            PlanNode::Filter { predicate, .. } => predicate.columns(),
+            PlanNode::Distinct { key, .. } => vec![key],
+            _ => Vec::new(),
+        }
+    }
+
+    /// The output column that column `name` of input `input` becomes, or
+    /// `None` when the operator drops it. A join renames right columns by
+    /// [`Table::join_right_name`] over its `left` input.
+    pub(crate) fn output_column(&self, input: usize, name: &str, left: &Table) -> Option<String> {
+        match self {
+            PlanNode::Join { right_key, .. } | PlanNode::FuzzyJoin { right_key, .. }
+                if input == 1 =>
+            {
+                (name != right_key).then(|| left.join_right_name(name))
+            }
+            PlanNode::SelectColumns { columns, .. } if !columns.iter().any(|c| c == name) => None,
+            _ => Some(name.to_string()),
+        }
+    }
+
+    /// The column this operator derives and its defining expression.
+    pub(crate) fn derived_column(&self) -> Option<(&str, &Expr)> {
+        match self {
+            PlanNode::Project { column, expr, .. } => Some((column, expr)),
+            _ => None,
+        }
+    }
 }
 
 /// An arena of plan nodes forming a DAG (children always precede parents).

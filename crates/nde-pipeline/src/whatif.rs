@@ -181,6 +181,7 @@ mod tests {
     use crate::exec::Executor;
     use crate::plan::Plan;
     use nde_data::generate::hiring::HiringScenario;
+    use nde_data::{DataType, Field, Schema, Value};
 
     fn run_pipeline(s: &HiringScenario) -> (Table, Lineage) {
         let (plan, root) = Plan::hiring_pipeline();
@@ -283,10 +284,10 @@ mod tests {
     #[test]
     fn left_join_caveat_is_conservative() {
         // Deleting a social row kills the joined output row in the
-        // prediction, while re-execution would null-pad it: the prediction
-        // is a conservative subset. Document the direction of the error.
+        // prediction, while re-execution null-pads it: the prediction is a
+        // conservative subset.
         let s = HiringScenario::generate(100, 94);
-        let (_output, lineage) = run_pipeline(&s);
+        let (output, lineage) = run_pipeline(&s);
         let src = lineage.source_index("social_df").unwrap();
         // Find an output row depending on some social tuple.
         let (out_row, social_row) = (0..lineage.n_rows())
@@ -311,6 +312,77 @@ mod tests {
         };
         let (actual, _) = run_pipeline(&reduced);
         assert!(actual.n_rows() >= effect.surviving_rows.len());
+        // Every person has one social row, so the left join keeps one row
+        // per joined letter and the rows line up: the deleted row is still
+        // there, with null social columns.
+        assert_eq!(actual.n_rows(), output.n_rows());
+        assert_eq!(
+            actual.get(out_row, "person_id").unwrap(),
+            output.get(out_row, "person_id").unwrap()
+        );
+        for column in ["twitter", "followers"] {
+            assert_eq!(actual.get(out_row, column).unwrap(), Value::Null);
+        }
+        assert_eq!(
+            actual.get(out_row, "has_twitter").unwrap(),
+            Value::Bool(false)
+        );
+    }
+
+    #[test]
+    fn fuzzy_join_caveat_misses_the_second_best_match() {
+        // Deleting a row's best fuzzy candidate drops the row in the
+        // prediction, while re-execution falls back to the second-best
+        // candidate above the threshold.
+        let str_table = |name: &str, key: &str, other: Field, rows: Vec<(&str, Value)>| {
+            let schema = Schema::new(vec![Field::new(key, DataType::Str), other]).unwrap();
+            let mut t = Table::empty(name, schema);
+            for (k, v) in rows {
+                t.push_row(vec![k.into(), v]).unwrap();
+            }
+            t
+        };
+        let mentions = str_table(
+            "mentions",
+            "employer",
+            Field::new("person", DataType::Int),
+            vec![("acme corp", Value::Int(1))],
+        );
+        let companies = |rows| {
+            str_table(
+                "companies",
+                "name",
+                Field::new("rating", DataType::Float),
+                rows,
+            )
+        };
+        let both = companies(vec![
+            ("Acme Corp", Value::Float(4.5)),
+            ("Acme Corps", Value::Float(3.0)),
+        ]);
+        let mut plan = Plan::new();
+        let m = plan.source("mentions");
+        let c = plan.source("companies");
+        let root = plan.fuzzy_join(m, c, "employer", "name", 0.8);
+        let run = |companies: &Table| {
+            Executor::new()
+                .with_provenance(true)
+                .run(
+                    &plan,
+                    root,
+                    &[("mentions", &mentions), ("companies", companies)],
+                )
+                .unwrap()
+        };
+        let out = run(&both);
+        assert_eq!(out.table.get(0, "rating").unwrap(), Value::Float(4.5));
+        let effect =
+            delete_source_rows(out.provenance.as_ref().unwrap(), "companies", &[0]).unwrap();
+        assert_eq!(effect.deleted_rows, vec![0]);
+        assert!(effect.surviving_rows.is_empty());
+        let actual = run(&companies(vec![("Acme Corps", Value::Float(3.0))])).table;
+        assert_eq!(actual.n_rows(), 1);
+        assert_eq!(actual.get(0, "rating").unwrap(), Value::Float(3.0));
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //! the sequential unbudgeted ones.
 
 pub use nde_data::par::{
-    effective_threads, member_signature, panic_message, par_map_indexed, par_map_indexed_scoped,
-    par_map_indexed_scratch, par_map_indexed_scratch_scoped, subset_fingerprint,
-    subset_fingerprint_sorted, tree_reduce, CostHint, MemoCache, WorkerFailure,
+    effective_threads, member_signature, panic_message, par_map_indexed, par_map_indexed_scratch,
+    subset_fingerprint, subset_fingerprint_sorted, tree_reduce, CostHint, MemoCache, WorkerFailure,
     SEQUENTIAL_CUTOFF_NANOS,
 };
 pub use nde_data::pool::{PoolStats, WorkerPool};

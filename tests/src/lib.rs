@@ -1,1 +1,114 @@
 //! Integration-test-only crate; see `tests/` directory.
+//!
+//! It also holds the reference implementations the integration tests check
+//! production code against.
+
+use nde_data::par::{effective_threads, panic_message, CostHint, WorkerFailure};
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// The original scoped-spawn implementation of
+/// [`nde_data::par::par_map_indexed_scratch`], the differential reference
+/// the resident worker pool is tested against.
+///
+/// Spawns `threads` fresh scoped workers per call (single-item claims, no
+/// chunking, no resident pool). Same determinism, failure, and stop
+/// contract as the pooled path.
+pub fn par_map_indexed_scratch_scoped<S, T, E, I, F>(
+    threads: usize,
+    range: Range<u64>,
+    stop: &AtomicBool,
+    init: I,
+    f: F,
+) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
+where
+    T: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, u64) -> Result<T, E> + Sync,
+{
+    let items = range.end.saturating_sub(range.start);
+    let threads = effective_threads(
+        threads,
+        items.min(usize::MAX as u64) as usize,
+        CostHint::Unknown,
+    );
+    let next = AtomicU64::new(range.start);
+    let failed = AtomicBool::new(false);
+    let failure: Mutex<Option<WorkerFailure<E>>> = Mutex::new(None);
+
+    let worker = |out: &mut Vec<(u64, T)>| {
+        let mut scratch = init();
+        loop {
+            if stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= range.end {
+                break;
+            }
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i)));
+            let fail = match outcome {
+                Ok(Ok(v)) => {
+                    out.push((i, v));
+                    continue;
+                }
+                Ok(Err(e)) => WorkerFailure::Err(i, e),
+                Err(payload) => WorkerFailure::Panic(i, panic_message(payload)),
+            };
+            failed.store(true, Ordering::Relaxed);
+            let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
+            if slot.as_ref().is_none_or(|prev| fail.index() < prev.index()) {
+                *slot = Some(fail);
+            }
+            break;
+        }
+    };
+
+    let mut results: Vec<(u64, T)> = Vec::with_capacity(items as usize);
+    if threads == 1 {
+        worker(&mut results);
+    } else {
+        let collected: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        worker(&mut local);
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker closures catch their own panics"))
+                .collect()
+        });
+        for local in collected {
+            results.extend(local);
+        }
+        results.sort_unstable_by_key(|&(i, _)| i);
+    }
+
+    match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        Some(fail) => Err(fail),
+        None => Ok(results),
+    }
+}
+
+/// [`par_map_indexed_scratch_scoped`] without per-worker scratch state.
+pub fn par_map_indexed_scoped<T, E, F>(
+    threads: usize,
+    range: Range<u64>,
+    stop: &AtomicBool,
+    f: F,
+) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
+where
+    T: Send,
+    E: Send,
+    F: Fn(u64) -> Result<T, E> + Sync,
+{
+    par_map_indexed_scratch_scoped(threads, range, stop, || (), |(), i| f(i))
+}

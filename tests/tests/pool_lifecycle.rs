@@ -5,7 +5,8 @@
 //! when a chaos kill switch stops a job mid-flight).
 
 use nde_robust::chaos::FaultSchedule;
-use nde_robust::par::{par_map_indexed_scratch_scoped, CostHint, WorkerFailure, WorkerPool};
+use nde_robust::par::{par_map_indexed, CostHint, WorkerFailure, WorkerPool};
+use nde_tests::{par_map_indexed_scoped, par_map_indexed_scratch_scoped};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -152,6 +153,57 @@ fn pool_reuse_is_bit_identical_to_scoped_spawns() {
                 .unwrap();
             assert_eq!(got, reference, "round {round}, {threads} threads");
         }
+    }
+}
+
+#[test]
+fn pooled_map_matches_scoped_reference_across_thread_counts() {
+    let _serial = serialize();
+    let pool = WorkerPool::new(6);
+    let stop = AtomicBool::new(false);
+    let reference = par_map_indexed_scratch_scoped::<u64, u64, (), _, _>(
+        1,
+        0..500,
+        &stop,
+        || 0,
+        |_, i| Ok(i.wrapping_mul(i) ^ 0x9e37),
+    )
+    .unwrap();
+    for threads in [1, 2, 4, 7] {
+        // Reuse the same pool many times: results must stay identical.
+        for _ in 0..5 {
+            let pooled = pool
+                .map_indexed_scratch::<u64, u64, (), _, _>(
+                    threads,
+                    0..500,
+                    &stop,
+                    CostHint::Unknown,
+                    || 0,
+                    |_, i| Ok(i.wrapping_mul(i) ^ 0x9e37),
+                )
+                .unwrap();
+            assert_eq!(pooled, reference, "threads={threads}");
+        }
+    }
+}
+
+#[test]
+fn pooled_free_functions_match_scoped_reference() {
+    let _serial = serialize();
+    let stop = AtomicBool::new(false);
+    let work = |i: u64| Ok::<u64, ()>(i.rotate_left(7) ^ 0xabcd);
+    let reference = par_map_indexed_scoped(1, 0..300, &stop, work).unwrap();
+    for threads in [1, 2, 4, 7] {
+        assert_eq!(
+            par_map_indexed(threads, 0..300, &stop, work).unwrap(),
+            reference,
+            "pooled threads={threads}"
+        );
+        assert_eq!(
+            par_map_indexed_scoped(threads, 0..300, &stop, work).unwrap(),
+            reference,
+            "scoped threads={threads}"
+        );
     }
 }
 
