@@ -656,17 +656,10 @@ mod tests {
     #[test]
     fn pool_activity_counts_shared_pool_jobs() {
         let before = PoolActivity::snapshot();
-        // Drive a map through the shared pool with enough hinted work per
-        // item that the cost-aware clamp keeps it parallel.
+        // Drive a map through the shared pool.
         let stop = std::sync::atomic::AtomicBool::new(false);
         let out = WorkerPool::shared()
-            .map_indexed::<u64, (), _>(
-                4,
-                0..64,
-                &stop,
-                nde_data::par::CostHint::PerItemNanos(50_000),
-                Ok,
-            )
+            .map_indexed::<u64, (), _>(4, 0..64, &stop, Ok)
             .unwrap();
         assert_eq!(out.len(), 64);
         let activity = PoolActivity::since(before);

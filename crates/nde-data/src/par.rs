@@ -2,18 +2,16 @@
 //!
 //! Every long-running estimator in the workspace is a loop over independent,
 //! seed-derived work items (permutations, coalition samples, validation
-//! points, pipeline tuples, possible worlds). This module provides the one
-//! substrate they all share:
+//! points, pipeline tuples, possible worlds). They all run on one substrate,
+//! [`WorkerPool::map_indexed`] / [`WorkerPool::map_indexed_scratch`], an
+//! indexed map on a resident pool (workers are spawned once and parked
+//! between jobs, never per call; most callers use [`WorkerPool::shared`]).
+//! This module holds what those maps share:
 //!
-//! - [`par_map_indexed`] / [`par_map_indexed_scratch`] — a
-//!   seed-partition-friendly indexed map, executed on the process-wide
-//!   resident [`WorkerPool`] (workers are spawned
-//!   once and parked between jobs — never per call). Work item `i` must
-//!   depend only on `i` (typically via `child_seed(seed, i)`), never on
-//!   which worker ran it or what ran before it. Workers claim adaptively
-//!   sized index chunks from an atomic cursor; results come back **sorted
-//!   by index**, so any fold over them is order-independent of the schedule
-//!   and the output is bit-identical for every thread count, including 1.
+//! - [`WorkerFailure`] — why a map stopped early;
+//! - [`tree_reduce`] — the fixed-shape reduction that keeps chunked
+//!   floating-point sums bit-identical at every thread count;
+//! - [`panic_message`] and [`catch_quiet`] — panic isolation;
 //! - [`MemoCache`] — a sharded, thread-safe memoization cache for utility
 //!   evaluations keyed by a [`subset_fingerprint`] of the coalition's index
 //!   set, so repeated coalition evaluations across permutations and across
@@ -21,8 +19,13 @@
 //!
 //! # Determinism contract
 //!
-//! `par_map_indexed` guarantees: if `f(i)` is a pure function of `i`, the
-//! returned `(index, value)` pairs are identical for any `threads >= 1`.
+//! Work item `i` must depend only on `i` (typically via
+//! `child_seed(seed, i)`), never on which worker ran it or what ran before
+//! it. Workers claim index chunks, sized from the item cost the pool
+//! measures, from an atomic cursor; results come back **sorted by index**.
+//! So if `f(i)` is a pure function of `i`, the returned `(index, value)`
+//! pairs are identical for any `threads >= 1`, and any fold over them is
+//! independent of the schedule.
 //! Early termination via the `stop` flag only affects *which* items are
 //! missing (a set of the highest claimed indices plus possibly gaps past
 //! the first unevaluated index) — callers that need a deterministic cut
@@ -31,13 +34,17 @@
 //! Failures are deterministic too: the error reported is always the one
 //! from the **smallest failing index**, matching what a sequential run
 //! would hit first.
+//!
+//! [`WorkerPool::map_indexed`]: crate::pool::WorkerPool::map_indexed
+//! [`WorkerPool::map_indexed_scratch`]: crate::pool::WorkerPool::map_indexed_scratch
+//! [`WorkerPool::shared`]: crate::pool::WorkerPool::shared
 
 use crate::fxhash::{FxHashMap, FxHasher};
-use crate::pool::WorkerPool;
+use std::cell::Cell;
 use std::hash::Hasher;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, Once};
 
 /// Why a parallel map stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,109 +65,6 @@ impl<E> WorkerFailure<E> {
     }
 }
 
-/// What one work item roughly costs, used to size chunks and to decide
-/// whether parallelism is worth engaging at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CostHint {
-    /// No idea — the first completed chunk is timed to find out.
-    #[default]
-    Unknown,
-    /// Approximate per-item cost in nanoseconds (order of magnitude is
-    /// plenty; it seeds the adaptive chunk size and the sequential-fallback
-    /// decision, neither of which can affect output).
-    PerItemNanos(u64),
-}
-
-impl CostHint {
-    /// The hinted per-item cost, or 0 when unknown (0 doubles as the
-    /// "probe required" sentinel in the adaptive scheduler).
-    pub fn per_item_nanos(self) -> u64 {
-        match self {
-            CostHint::Unknown => 0,
-            CostHint::PerItemNanos(ns) => ns.max(1),
-        }
-    }
-}
-
-/// Batches whose total hinted work is below this run sequentially: the
-/// fixed cost of waking pool workers (~tens of µs) is not worth paying for
-/// less than ~100µs of actual work.
-pub const SEQUENTIAL_CUTOFF_NANOS: u64 = 100_000;
-
-/// Clamp a requested thread count to something sensible for `items` items
-/// of roughly `cost` each.
-///
-/// Cost-aware: when the total hinted work is under
-/// [`SEQUENTIAL_CUTOFF_NANOS`], the answer is 1 regardless of item count —
-/// a thousand nanosecond-scale items lose more to coordination than they
-/// gain from threads. [`CostHint::Unknown`] preserves the old
-/// item-count-only behavior.
-pub fn effective_threads(requested: usize, items: usize, cost: CostHint) -> usize {
-    let capped = requested.max(1).min(items.max(1));
-    if capped > 1 {
-        if let CostHint::PerItemNanos(ns) = cost {
-            if (items as u64).saturating_mul(ns.max(1)) < SEQUENTIAL_CUTOFF_NANOS {
-                return 1;
-            }
-        }
-    }
-    capped
-}
-
-/// Parallel map over an index range with per-worker scratch state.
-///
-/// Runs on the process-wide resident [`WorkerPool`]
-/// (no threads are spawned per call). Each worker builds one scratch value
-/// with `init` (reusable buffers — the whole point is to avoid per-item
-/// allocation churn) and then repeatedly claims adaptively sized chunks of
-/// indices, evaluating `f(&mut scratch, index)` for each. Results are
-/// returned sorted by index.
-///
-/// Early exit:
-/// - `stop` — cooperative flag; once set (by a worker, by the caller, or by
-///   a budget heuristic) no *new* indices are claimed and the unevaluated
-///   remainder of in-flight chunks is dropped (budgeted callers settle
-///   sorted results front-to-back and re-claim gaps).
-/// - An `Err` or panic from `f` sets an internal failure flag; after all
-///   workers drain, the failure with the smallest index is returned.
-///
-/// With `threads == 1` the items run inline on the calling thread (no
-/// pool interaction), in index order — bit-identical to the parallel
-/// schedule by the module's determinism contract. Callers that know their
-/// per-item cost should use
-/// [`WorkerPool::map_indexed_scratch`](crate::pool::WorkerPool) directly
-/// with a [`CostHint`] to skip the timing probe.
-pub fn par_map_indexed_scratch<S, T, E, I, F>(
-    threads: usize,
-    range: Range<u64>,
-    stop: &AtomicBool,
-    init: I,
-    f: F,
-) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
-where
-    T: Send,
-    E: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> Result<T, E> + Sync,
-{
-    WorkerPool::shared().map_indexed_scratch(threads, range, stop, CostHint::Unknown, init, f)
-}
-
-/// [`par_map_indexed_scratch`] without per-worker scratch state.
-pub fn par_map_indexed<T, E, F>(
-    threads: usize,
-    range: Range<u64>,
-    stop: &AtomicBool,
-    f: F,
-) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(u64) -> Result<T, E> + Sync,
-{
-    par_map_indexed_scratch(threads, range, stop, || (), |(), i| f(i))
-}
-
 /// Fixed-shape pairwise tree reduction.
 ///
 /// Combines adjacent pairs `(0,1), (2,3), …` repeatedly until one value
@@ -169,8 +73,8 @@ where
 /// thread count that produced the items or on timing, which is what makes
 /// a chunk-parallel floating-point accumulation bit-identical at every
 /// thread count: compute per-chunk partials (deterministic per chunk),
-/// sort them by index ([`par_map_indexed`] already does), then fold them
-/// through this one canonical tree.
+/// sort them by index ([`crate::pool::WorkerPool::map_indexed`] already
+/// does), then fold them through this one canonical tree.
 ///
 /// Returns `None` for an empty input.
 pub fn tree_reduce<T>(mut items: Vec<T>, mut combine: impl FnMut(T, T) -> T) -> Option<T> {
@@ -195,6 +99,31 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+// Panics caught on purpose must not spam stderr through the default panic
+// hook, but hooks are process-global: install one delegating hook and
+// silence it only on threads currently inside `catch_quiet`.
+thread_local! {
+    static SUPPRESS_PANIC_OUTPUT: Cell<u32> = const { Cell::new(0) };
+}
+static INSTALL_HOOK: Once = Once::new();
+
+/// Run `f`, converting a panic into its stringified payload. The panic is
+/// not printed; panics elsewhere in the process still are.
+pub fn catch_quiet<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    INSTALL_HOOK.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if SUPPRESS_PANIC_OUTPUT.with(Cell::get) == 0 {
+                previous(info);
+            }
+        }));
+    });
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() + 1));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() - 1));
+    outcome.map_err(panic_message)
 }
 
 /// Fingerprint of a **sorted** index set (FxHash over length + elements).
@@ -402,34 +331,17 @@ impl MemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_threads_is_cost_aware() {
-        // Unknown cost: old item-count-only clamping.
-        assert_eq!(effective_threads(4, 100, CostHint::Unknown), 4);
-        assert_eq!(effective_threads(4, 2, CostHint::Unknown), 2);
-        assert_eq!(effective_threads(0, 0, CostHint::Unknown), 1);
-        // Cheap small batch: total work under the cutoff goes sequential.
-        assert_eq!(effective_threads(4, 1000, CostHint::PerItemNanos(50)), 1);
-        // Same item count, expensive items: parallelism engages.
-        assert_eq!(
-            effective_threads(4, 1000, CostHint::PerItemNanos(1_000_000)),
-            4
-        );
-        // Exactly at the cutoff counts as worth it.
-        assert_eq!(effective_threads(4, 100, CostHint::PerItemNanos(1_000)), 4);
-        // A sequential request stays sequential no matter the cost.
-        assert_eq!(
-            effective_threads(1, 1_000_000, CostHint::PerItemNanos(1_000_000)),
-            1
-        );
-    }
+    use crate::pool::WorkerPool;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn results_are_sorted_and_thread_invariant() {
         let stop = AtomicBool::new(false);
-        let run =
-            |threads| par_map_indexed::<u64, (), _>(threads, 0..100, &stop, |i| Ok(i * i)).unwrap();
+        let run = |threads| {
+            WorkerPool::shared()
+                .map_indexed::<u64, (), _>(threads, 0..100, &stop, |i| Ok(i * i))
+                .unwrap()
+        };
         let seq = run(1);
         assert_eq!(seq.len(), 100);
         assert!(seq.windows(2).all(|w| w[0].0 < w[1].0));
@@ -442,17 +354,18 @@ mod tests {
     fn scratch_is_per_worker_and_reused() {
         let stop = AtomicBool::new(false);
         // Scratch buffer grows once per worker; items observe a warm buffer.
-        let out = par_map_indexed_scratch::<Vec<u64>, usize, (), _, _>(
-            4,
-            0..40,
-            &stop,
-            Vec::new,
-            |buf, i| {
-                buf.push(i);
-                Ok(buf.len())
-            },
-        )
-        .unwrap();
+        let out = WorkerPool::shared()
+            .map_indexed_scratch::<Vec<u64>, usize, (), _, _>(
+                4,
+                0..40,
+                &stop,
+                Vec::new,
+                |buf, i| {
+                    buf.push(i);
+                    Ok(buf.len())
+                },
+            )
+            .unwrap();
         // Every worker's scratch length is monotone in the items it ran.
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&(_, len)| len >= 1));
@@ -462,14 +375,15 @@ mod tests {
     fn smallest_failing_index_wins() {
         let stop = AtomicBool::new(false);
         for threads in [1, 4] {
-            let err = par_map_indexed::<(), String, _>(threads, 0..64, &stop, |i| {
-                if i % 10 == 7 {
-                    Err(format!("bad {i}"))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
+            let err = WorkerPool::shared()
+                .map_indexed::<(), String, _>(threads, 0..64, &stop, |i| {
+                    if i % 10 == 7 {
+                        Err(format!("bad {i}"))
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err();
             assert_eq!(err, WorkerFailure::Err(7, "bad 7".into()));
         }
     }
@@ -478,13 +392,14 @@ mod tests {
     fn panics_are_caught_and_indexed() {
         let stop = AtomicBool::new(false);
         for threads in [1, 3] {
-            let err = par_map_indexed::<(), (), _>(threads, 0..32, &stop, |i| {
-                if i == 5 {
-                    panic!("boom {i}");
-                }
-                Ok(())
-            })
-            .unwrap_err();
+            let err = WorkerPool::shared()
+                .map_indexed::<(), (), _>(threads, 0..32, &stop, |i| {
+                    if i == 5 {
+                        panic!("boom {i}");
+                    }
+                    Ok(())
+                })
+                .unwrap_err();
             match err {
                 WorkerFailure::Panic(5, msg) => assert!(msg.contains("boom 5")),
                 other => panic!("expected panic at 5, got {other:?}"),
@@ -493,9 +408,24 @@ mod tests {
     }
 
     #[test]
+    fn catch_quiet_returns_the_value_or_the_panic_message() {
+        assert_eq!(catch_quiet(|| 7), Ok(7));
+        assert_eq!(
+            catch_quiet(|| panic!("quiet {}", 3)),
+            Err::<(), _>("quiet 3".into())
+        );
+        // Nested guards unwind to the innermost one and leave the outer
+        // value intact.
+        let nested = catch_quiet(|| catch_quiet(|| -> u8 { panic!("inner") }));
+        assert_eq!(nested, Ok(Err("inner".into())));
+    }
+
+    #[test]
     fn stop_flag_halts_claiming() {
         let stop = AtomicBool::new(true);
-        let out = par_map_indexed::<u64, (), _>(4, 0..1000, &stop, Ok).unwrap();
+        let out = WorkerPool::shared()
+            .map_indexed::<u64, (), _>(4, 0..1000, &stop, Ok)
+            .unwrap();
         assert!(out.is_empty());
     }
 
@@ -585,18 +515,19 @@ mod tests {
     fn memo_cache_is_shareable_across_threads() {
         let cache = MemoCache::new();
         let stop = AtomicBool::new(false);
-        let out = par_map_indexed::<f64, (), _>(4, 0..200, &stop, |i| {
-            let key = i % 10; // heavy key reuse
-            Ok(match cache.get(key) {
-                Some(v) => v,
-                None => {
-                    let v = (key as f64).sqrt();
-                    cache.insert(key, v);
-                    v
-                }
+        let out = WorkerPool::shared()
+            .map_indexed::<f64, (), _>(4, 0..200, &stop, |i| {
+                let key = i % 10; // heavy key reuse
+                Ok(match cache.get(key) {
+                    Some(v) => v,
+                    None => {
+                        let v = (key as f64).sqrt();
+                        cache.insert(key, v);
+                        v
+                    }
+                })
             })
-        })
-        .unwrap();
+            .unwrap();
         assert_eq!(out.len(), 200);
         assert_eq!(cache.len(), 10);
         assert!(cache.hits() > 0);

@@ -1,12 +1,13 @@
 //! A resident worker pool with adaptive chunk scheduling.
 //!
-//! The scoped substrate in [`crate::par`] historically spawned OS threads on
-//! every call, which made small parallel regions (a pipeline exec over a few
-//! thousand rows, one Zorro gradient epoch) *slower* than sequential: spawn
-//! plus join costs tens of microseconds per worker, paid again for every
-//! epoch and every operator. [`WorkerPool`] fixes that by spawning workers
-//! once and parking them on a condvar between jobs; submitting a job is a
-//! queue push plus a wake, and an idle pool costs nothing but parked threads.
+//! Spawning OS threads per parallel call makes small parallel regions (a
+//! pipeline exec over a few thousand rows, one Zorro gradient epoch)
+//! *slower* than sequential: spawn plus join costs tens of microseconds per
+//! worker, paid again for every epoch and every operator. [`WorkerPool`]
+//! spawns its workers once and parks them on a condvar between jobs;
+//! submitting a job is a queue push plus a wake, and an idle pool costs
+//! nothing but parked threads. Every parallel map in the workspace runs on
+//! one ([`WorkerPool::shared`] unless the caller hands in its own).
 //!
 //! # Scheduling model
 //!
@@ -16,18 +17,19 @@
 //! inline execution, never deadlocks). Workers claim *chunks* of indices from
 //! a shared atomic cursor. Chunk size is adaptive:
 //!
-//! - while the per-item cost is unknown, workers claim single items and the
-//!   first completed claim publishes a measured per-item nanosecond cost;
-//! - afterwards chunks are sized to roughly `TARGET_CHUNK_NANOS` of work
-//!   (inside the 100µs–1ms band), capped so every worker still gets several
-//!   claims for load balancing.
+//! - every job starts with single-item claims; the first completed claim
+//!   publishes its measured per-item nanosecond cost, and every later
+//!   claim replaces it with its own measurement;
+//! - once a cost is known, chunks are sized to roughly `TARGET_CHUNK_NANOS`
+//!   of work (inside the 100µs–1ms band), capped so every worker still gets
+//!   several claims for load balancing.
 //!
-//! Chunk boundaries provably cannot affect output: each result is tagged
-//! with its item index and results are merged sorted by index, so the
-//! determinism contract of [`crate::par`] (bit-identical output
-//! at every thread count) carries over unchanged. Callers that know their
-//! per-item cost can pass a [`CostHint`] to skip the probe *and* let
-//! [`effective_threads`] fall back to sequential for cheap small batches.
+//! The measurement is the only cost input: callers pass no estimate, and
+//! the thread count is clamped only by the item count. Chunk boundaries
+//! provably cannot affect output: each result is tagged with its item index
+//! and results are merged sorted by index, so the determinism contract of
+//! [`crate::par`] (bit-identical output at every thread count) holds for
+//! whatever chunks the measurement picks.
 //!
 //! # Failure and stop semantics
 //!
@@ -44,7 +46,7 @@
 //! the pool remains usable for subsequent jobs. Dropping a pool joins all
 //! worker threads (no leaks).
 
-use crate::par::{effective_threads, panic_message, CostHint, WorkerFailure};
+use crate::par::{panic_message, WorkerFailure};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -296,14 +298,12 @@ impl WorkerPool {
         }
     }
 
-    /// Parallel indexed map on this pool; see [`crate::par::par_map_indexed`]
-    /// for the determinism contract.
+    /// [`WorkerPool::map_indexed_scratch`] without per-worker scratch state.
     pub fn map_indexed<T, E, F>(
         &self,
         threads: usize,
         range: Range<u64>,
         stop: &AtomicBool,
-        cost: CostHint,
         f: F,
     ) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
     where
@@ -311,17 +311,33 @@ impl WorkerPool {
         E: Send,
         F: Fn(u64) -> Result<T, E> + Sync,
     {
-        self.map_indexed_scratch(threads, range, stop, cost, || (), |(), i| f(i))
+        self.map_indexed_scratch(threads, range, stop, || (), |(), i| f(i))
     }
 
-    /// Parallel indexed map with per-worker scratch state on this pool; see
-    /// [`crate::par::par_map_indexed_scratch`] for the determinism contract.
+    /// Parallel indexed map with per-worker scratch state on this pool.
+    ///
+    /// Each worker builds one scratch value with `init` (reusable buffers,
+    /// so items do not allocate afresh) and then repeatedly claims chunks
+    /// of indices, evaluating `f(&mut scratch, index)` for each. Results
+    /// are returned sorted by index; see [`crate::par`] for the
+    /// determinism contract.
+    ///
+    /// Early exit:
+    /// - `stop` — cooperative flag; once set (by a worker, by the caller, or
+    ///   by a budget heuristic) no *new* indices are claimed and the
+    ///   unevaluated remainder of in-flight chunks is dropped (budgeted
+    ///   callers settle sorted results front-to-back and re-claim gaps).
+    /// - An `Err` or panic from `f` sets an internal failure flag; after all
+    ///   workers drain, the failure with the smallest index is returned.
+    ///
+    /// `threads` is clamped to the item count. With one thread, or on a
+    /// pool worker (nested maps), the items run inline on the calling
+    /// thread in index order.
     pub fn map_indexed_scratch<S, T, E, I, F>(
         &self,
         threads: usize,
         range: Range<u64>,
         stop: &AtomicBool,
-        cost: CostHint,
         init: I,
         f: F,
     ) -> Result<Vec<(u64, T)>, WorkerFailure<E>>
@@ -332,14 +348,15 @@ impl WorkerPool {
         F: Fn(&mut S, u64) -> Result<T, E> + Sync,
     {
         let items = range.end.saturating_sub(range.start);
-        let mut threads = effective_threads(threads, items.min(usize::MAX as u64) as usize, cost);
-        if in_pool_worker() {
-            threads = 1;
-        }
+        let threads = if in_pool_worker() {
+            1
+        } else {
+            (threads as u64).clamp(1, items.max(1)) as usize
+        };
         let next = AtomicU64::new(range.start);
         let failed = AtomicBool::new(false);
         let failure: Mutex<Option<WorkerFailure<E>>> = Mutex::new(None);
-        let cost_ns = AtomicU64::new(cost.per_item_nanos());
+        let cost_ns = AtomicU64::new(0);
         let claims = AtomicU64::new(0);
 
         let record_failure = |fail: WorkerFailure<E>| {
@@ -364,7 +381,7 @@ impl WorkerPool {
                 }
                 let end = range.end.min(start.saturating_add(want));
                 claims.fetch_add(1, Ordering::Relaxed);
-                let probe = (est == 0).then(Instant::now);
+                let t0 = Instant::now();
                 for i in start..end {
                     // A cooperative stop drops the unevaluated rest of the
                     // chunk (budgeted callers settle front-to-back and
@@ -388,12 +405,12 @@ impl WorkerPool {
                         }
                     }
                 }
-                if let Some(t0) = probe {
-                    let spent = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    let per_item = (spent / (end - start)).max(1);
-                    let _ =
-                        cost_ns.compare_exchange(0, per_item, Ordering::Relaxed, Ordering::Relaxed);
-                }
+                // Every completed claim re-measures: a one-item probe can
+                // read microseconds for a nanosecond item (a cold first
+                // call, preemption), and the next claim corrects it instead
+                // of that reading sizing the whole job.
+                let spent = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                cost_ns.store((spent / (end - start)).max(1), Ordering::Relaxed);
             }
         };
 
@@ -506,25 +523,88 @@ fn chunk_size(est_ns: u64, items: u64, threads: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// Busy-wait for at least `nanos` on the monotonic clock.
+    fn spin(nanos: u64) {
+        let t0 = Instant::now();
+        while (t0.elapsed().as_nanos() as u64) < nanos {
+            std::hint::spin_loop();
+        }
+    }
+
     #[test]
     fn adaptive_chunking_is_output_invariant() {
         let pool = WorkerPool::new(3);
         let stop = AtomicBool::new(false);
-        // Give wildly wrong and wildly varied hints: chunk geometry changes,
-        // output must not.
-        let hints = [
-            CostHint::Unknown,
-            CostHint::PerItemNanos(1),
-            CostHint::PerItemNanos(200_000),
-            CostHint::PerItemNanos(u64::MAX),
-        ];
+        // Each claim's measured cost sizes the next chunks, so a slow
+        // first item, or slow items scattered among cheap ones, give very
+        // different chunk geometry; output must not change.
+        let slow_items: [fn(u64) -> bool; 3] = [|_| false, |i| i == 0, |i| i != 0 && i % 97 == 0];
         let reference: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i * 3 + 1)).collect();
-        for hint in hints {
+        for (case, slow) in slow_items.into_iter().enumerate() {
             let out = pool
-                .map_indexed::<u64, (), _>(4, 0..1000, &stop, hint, |i| Ok(i * 3 + 1))
+                .map_indexed::<u64, (), _>(4, 0..1000, &stop, |i| {
+                    if slow(i) {
+                        spin(200_000);
+                    }
+                    Ok(i * 3 + 1)
+                })
                 .unwrap();
-            assert_eq!(out, reference, "hint={hint:?}");
+            assert_eq!(out, reference, "case {case}");
         }
+    }
+
+    #[test]
+    fn measured_cost_sizes_chunks() {
+        let pool = WorkerPool::new(3);
+        let stop = AtomicBool::new(false);
+        // Near-free items: after the single-item probe, chunks grow to
+        // over a thousand items.
+        let before = pool.stats().chunks;
+        let cheap = pool
+            .map_indexed::<u64, (), _>(4, 0..20_000, &stop, |i| Ok(i ^ 0x5a))
+            .unwrap();
+        let claims = pool.stats().chunks - before;
+        assert!(claims < 200, "{claims} claims for 20,000 near-free items");
+        let expect: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i, i ^ 0x5a)).collect();
+        assert_eq!(cheap, expect);
+        // Items above the per-chunk target (300µs > `TARGET_CHUNK_NANOS`):
+        // every claim is a single item.
+        let before = pool.stats().chunks;
+        let slow = pool
+            .map_indexed::<u64, (), _>(4, 0..24, &stop, |i| {
+                spin(300_000);
+                Ok(i * 7)
+            })
+            .unwrap();
+        assert_eq!(pool.stats().chunks - before, 24);
+        let expect: Vec<(u64, u64)> = (0..24u64).map(|i| (i, i * 7)).collect();
+        assert_eq!(slow, expect);
+    }
+
+    #[test]
+    fn threads_are_clamped_by_item_count() {
+        let pool = WorkerPool::new(6);
+        let stop = AtomicBool::new(false);
+        // Every worker that joins a job builds its scratch once, so the
+        // threads running `init` are the threads the job ran on.
+        let ran_on = Mutex::new(Vec::new());
+        let out = pool
+            .map_indexed_scratch::<(), u64, (), _, _>(
+                7,
+                0..2,
+                &stop,
+                || ran_on.lock().unwrap().push(std::thread::current().id()),
+                |(), i| {
+                    spin(1_000_000);
+                    Ok(i)
+                },
+            )
+            .unwrap();
+        assert_eq!(out, vec![(0, 0), (1, 1)]);
+        let ids: std::collections::HashSet<_> = ran_on.into_inner().unwrap().into_iter().collect();
+        assert!(ids.len() <= 2, "2 items ran on {} threads", ids.len());
+        let empty = pool.map_indexed::<u64, (), _>(7, 0..0, &stop, Ok).unwrap();
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -532,7 +612,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let stop = AtomicBool::new(false);
         let err = pool
-            .map_indexed::<(), (), _>(4, 0..64, &stop, CostHint::Unknown, |i| {
+            .map_indexed::<(), (), _>(4, 0..64, &stop, |i| {
                 if i == 9 {
                     panic!("chaos {i}");
                 }
@@ -545,7 +625,7 @@ mod tests {
         }
         // The pool survives the panic and keeps producing correct results.
         let ok = pool
-            .map_indexed::<u64, (), _>(4, 0..64, &stop, CostHint::Unknown, |i| Ok(i + 1))
+            .map_indexed::<u64, (), _>(4, 0..64, &stop, |i| Ok(i + 1))
             .unwrap();
         assert_eq!(ok.len(), 64);
         assert!(ok.iter().all(|&(i, v)| v == i + 1));
@@ -555,23 +635,18 @@ mod tests {
     fn smallest_failing_index_wins_with_adaptive_chunks() {
         let pool = WorkerPool::new(4);
         let stop = AtomicBool::new(false);
-        // A cheap hint forces multi-item chunks; the reported failure must
-        // still be the smallest failing index.
+        // Cheap items are measured cheap, so claims after the first are
+        // multi-item chunks; the reported failure must still be the
+        // smallest failing index.
         for threads in [1, 4, 7] {
             let err = pool
-                .map_indexed::<(), String, _>(
-                    threads,
-                    0..256,
-                    &stop,
-                    CostHint::PerItemNanos(10),
-                    |i| {
-                        if i % 50 == 13 {
-                            Err(format!("bad {i}"))
-                        } else {
-                            Ok(())
-                        }
-                    },
-                )
+                .map_indexed::<(), String, _>(threads, 0..256, &stop, |i| {
+                    if i % 50 == 13 {
+                        Err(format!("bad {i}"))
+                    } else {
+                        Ok(())
+                    }
+                })
                 .unwrap_err();
             assert_eq!(err, WorkerFailure::Err(13, "bad 13".into()));
         }
@@ -582,13 +657,13 @@ mod tests {
         let pool = WorkerPool::new(2);
         let stop = AtomicBool::new(false);
         let before = pool.stats();
-        pool.map_indexed::<u64, (), _>(3, 0..100, &stop, CostHint::PerItemNanos(10_000), Ok)
+        pool.map_indexed::<u64, (), _>(3, 0..100, &stop, Ok)
             .unwrap();
         let after = pool.stats();
         assert_eq!(after.jobs, before.jobs + 1);
         assert!(after.chunks > before.chunks);
         // threads == 1 must bypass the pool entirely.
-        pool.map_indexed::<u64, (), _>(1, 0..100, &stop, CostHint::Unknown, Ok)
+        pool.map_indexed::<u64, (), _>(1, 0..100, &stop, Ok)
             .unwrap();
         assert_eq!(pool.stats().jobs, after.jobs);
     }
@@ -599,12 +674,10 @@ mod tests {
         let stop = AtomicBool::new(false);
         let inner_pool = Arc::clone(&pool);
         let out = pool
-            .map_indexed::<u64, (), _>(3, 0..8, &stop, CostHint::Unknown, |i| {
+            .map_indexed::<u64, (), _>(3, 0..8, &stop, |i| {
                 let inner_stop = AtomicBool::new(false);
                 let inner = inner_pool
-                    .map_indexed::<u64, (), _>(4, 0..10, &inner_stop, CostHint::Unknown, |j| {
-                        Ok(i * 100 + j)
-                    })
+                    .map_indexed::<u64, (), _>(4, 0..10, &inner_stop, |j| Ok(i * 100 + j))
                     .unwrap();
                 Ok(inner.iter().map(|&(_, v)| v).sum())
             })
@@ -618,7 +691,7 @@ mod tests {
         let pool = WorkerPool::new(0);
         let stop = AtomicBool::new(false);
         let out = pool
-            .map_indexed::<u64, (), _>(8, 0..50, &stop, CostHint::Unknown, |i| Ok(i * 2))
+            .map_indexed::<u64, (), _>(8, 0..50, &stop, |i| Ok(i * 2))
             .unwrap();
         assert_eq!(out.len(), 50);
         assert!(out.iter().all(|&(i, v)| v == i * 2));
@@ -631,7 +704,7 @@ mod tests {
         // shutdown handshake works even right after activity).
         let pool = WorkerPool::new(4);
         let stop = AtomicBool::new(false);
-        pool.map_indexed::<u64, (), _>(4, 0..200, &stop, CostHint::Unknown, Ok)
+        pool.map_indexed::<u64, (), _>(4, 0..200, &stop, Ok)
             .unwrap();
         drop(pool);
     }

@@ -11,7 +11,7 @@
 use crate::backend::{BackendKind, ColumnarStore, Plane, Store};
 use crate::column::Column;
 use crate::fxhash::{hash_u64, FxHashMap};
-use crate::par::{CostHint, WorkerFailure};
+use crate::par::WorkerFailure;
 use crate::planes::{BoolPlane, F64Plane, I64Plane, StrPlane};
 use crate::pool::WorkerPool;
 use crate::schema::{DataType, Field, Schema};
@@ -555,14 +555,12 @@ impl Table {
         }
 
         // Probe phase: each chunk probes its own row range; chunk outputs
-        // are merged in index order (par_map_indexed sorts by index and
-        // runs inline for one thread), so lineage is schedule-independent.
+        // are merged in index order (map_indexed sorts by index and runs
+        // inline for one thread), so lineage is schedule-independent.
         let chunks = self.n_rows.div_ceil(ROW_CHUNK) as u64;
         let stop = AtomicBool::new(false);
-        // ~10µs per probe chunk: small joins stay sequential.
-        let cost = CostHint::PerItemNanos(10_000);
         let parts = WorkerPool::shared()
-            .map_indexed(threads, 0..chunks, &stop, cost, |c| {
+            .map_indexed(threads, 0..chunks, &stop, |c| {
                 let start = c as usize * ROW_CHUNK;
                 let end = (start + ROW_CHUNK).min(self.n_rows);
                 let mut part: Vec<(usize, Option<usize>)> = Vec::with_capacity(end - start);
@@ -631,25 +629,17 @@ impl Table {
         // key plane and keeps the rows hashing into its partition, in
         // ascending row order.
         let stop = AtomicBool::new(false);
-        // Each partition task scans every right key (~2ns per u64 read).
-        let build_cost = CostHint::PerItemNanos((right_rows as u64).max(1) * 2);
         let parts = WorkerPool::shared()
-            .map_indexed(
-                threads,
-                0..RADIX_PARTITIONS as u64,
-                &stop,
-                build_cost,
-                |p| {
-                    let p = p as usize;
-                    let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                    for row in 0..right_rows {
-                        if rvalid[row] && radix_partition(rkeys[row]) == p {
-                            map.entry(rkeys[row]).or_default().push(row as u32);
-                        }
+            .map_indexed(threads, 0..RADIX_PARTITIONS as u64, &stop, |p| {
+                let p = p as usize;
+                let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+                for row in 0..right_rows {
+                    if rvalid[row] && radix_partition(rkeys[row]) == p {
+                        map.entry(rkeys[row]).or_default().push(row as u32);
                     }
-                    Ok::<_, DataError>(map)
-                },
-            )
+                }
+                Ok::<_, DataError>(map)
+            })
             .map_err(|fail| match fail {
                 WorkerFailure::Err(_, e) => e,
                 WorkerFailure::Panic(_, msg) => {
@@ -661,10 +651,8 @@ impl Table {
         // Probe phase: chunked over left rows, merged in chunk order.
         let chunks = self.n_rows.div_ceil(ROW_CHUNK) as u64;
         let stop = AtomicBool::new(false);
-        // ~2µs per probe chunk of u64 lookups.
-        let cost = CostHint::PerItemNanos(2_000);
         let parts = WorkerPool::shared()
-            .map_indexed(threads, 0..chunks, &stop, cost, |c| {
+            .map_indexed(threads, 0..chunks, &stop, |c| {
                 let start = c as usize * ROW_CHUNK;
                 let end = (start + ROW_CHUNK).min(self.n_rows);
                 let mut part: Vec<(usize, Option<usize>)> = Vec::with_capacity(end - start);
@@ -813,10 +801,8 @@ impl Table {
         }
         let chunks = self.n_rows.div_ceil(ROW_CHUNK) as u64;
         let stop = AtomicBool::new(false);
-        // ~6µs per key-extraction chunk.
-        let cost = CostHint::PerItemNanos(6_000);
         let parts = WorkerPool::shared()
-            .map_indexed(threads, 0..chunks, &stop, cost, |c| {
+            .map_indexed(threads, 0..chunks, &stop, |c| {
                 let start = c as usize * ROW_CHUNK;
                 let end = (start + ROW_CHUNK).min(self.n_rows);
                 let keys: Vec<Option<JoinKey>> = (start..end)

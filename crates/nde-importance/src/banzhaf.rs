@@ -23,7 +23,6 @@ use nde_data::rng::Rng;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::CostHint;
 use nde_robust::BudgetClock;
 use std::sync::atomic::AtomicBool;
 
@@ -115,31 +114,27 @@ impl Estimator for BanzhafParams {
             let width = seg.batcher.width() as u64;
             let blocks = (end - start).div_ceil(width);
             let stop = AtomicBool::new(false);
-            // Every block evaluates whole subset utilities (model retrains).
-            let cost = CostHint::PerItemNanos(1_000_000);
             // Subset sample `s` is a pure function of `child_seed(seed, s)`;
             // members come out already sorted, so the utility cache key is
             // ready-made. Block `b` covers samples [start + b·width,
             // start + (b+1)·width): also schedule-independent.
-            let sample_blocks = seg
-                .pool
-                .map_indexed(seg.threads, 0..blocks, &stop, cost, |b| {
-                    let lo = start + b * width;
-                    let hi = (start + (b + 1) * width).min(end);
-                    let mut block: Vec<Vec<usize>> = Vec::with_capacity((hi - lo) as usize);
-                    for s in lo..hi {
-                        let mut rng = seeded(child_seed(seg.seed, s));
-                        let mut members: Vec<usize> = Vec::with_capacity(n);
-                        for i in 0..n {
-                            if rng.gen::<bool>() {
-                                members.push(i);
-                            }
+            let sample_blocks = seg.pool.map_indexed(seg.threads, 0..blocks, &stop, |b| {
+                let lo = start + b * width;
+                let hi = (start + (b + 1) * width).min(end);
+                let mut block: Vec<Vec<usize>> = Vec::with_capacity((hi - lo) as usize);
+                for s in lo..hi {
+                    let mut rng = seeded(child_seed(seg.seed, s));
+                    let mut members: Vec<usize> = Vec::with_capacity(n);
+                    for i in 0..n {
+                        if rng.gen::<bool>() {
+                            members.push(i);
                         }
-                        block.push(members);
                     }
-                    let utilities = seg.batcher.eval_batch(&block)?;
-                    Ok::<_, ImportanceError>((block, utilities))
-                })?;
+                    block.push(members);
+                }
+                let utilities = seg.batcher.eval_batch(&block)?;
+                Ok::<_, ImportanceError>((block, utilities))
+            })?;
 
             // Fold in sample-index order (blocks are index-sorted, samples
             // are in order within a block) — float sums independent of the

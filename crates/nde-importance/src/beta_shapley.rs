@@ -17,7 +17,6 @@ use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::CostHint;
 use nde_robust::BudgetClock;
 use std::sync::atomic::AtomicBool;
 
@@ -220,13 +219,10 @@ impl Estimator for BetaShapleyParams {
                 utilities: Vec<f64>,
             }
             let stop = AtomicBool::new(false);
-            // Each point evaluates 2·samples_per_point coalition utilities.
-            let cost = CostHint::PerItemNanos(1_000_000);
             let per_point = seg.pool.map_indexed_scratch(
                 seg.threads,
                 start..end,
                 &stop,
-                cost,
                 || Scratch {
                     pool: Vec::with_capacity(n),
                     pairs: Vec::new(),

@@ -37,7 +37,7 @@ use nde_data::fxhash::FxHasher;
 use nde_ml::batch::{neighbor_orders, OrderIndex};
 use nde_ml::dataset::Dataset;
 use nde_ml::linalg::Matrix;
-use nde_robust::par::{CostHint, WorkerPool};
+use nde_robust::par::WorkerPool;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -267,9 +267,7 @@ fn shapley_totals<T: OrderIndex>(
         .collect();
     let chunks = m.div_ceil(VALID_CHUNK) as u64;
     let stop = AtomicBool::new(false);
-    // One chunk runs the linear recursion for VALID_CHUNK validation points.
-    let cost = CostHint::PerItemNanos((VALID_CHUNK * n) as u64 * 2);
-    let chunk_totals = pool.map_indexed(threads, 0..chunks, &stop, cost, |c| {
+    let chunk_totals = pool.map_indexed(threads, 0..chunks, &stop, |c| {
         let mut totals = vec![0.0; n];
         let start = c as usize * VALID_CHUNK;
         let end = (start + VALID_CHUNK).min(m);

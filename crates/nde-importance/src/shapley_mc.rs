@@ -53,7 +53,7 @@ use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::{AtomicBudgetClock, CostHint};
+use nde_robust::par::AtomicBudgetClock;
 use nde_robust::BudgetClock;
 use std::sync::atomic::AtomicBool;
 
@@ -172,10 +172,7 @@ impl Estimator for TmcParams {
             }
 
             // Speculative parallel rounds + authoritative sequential
-            // settlement. A permutation walk retrains a model per coalition:
-            // firmly past the sequential cutoff, so hint "expensive" instead
-            // of probing.
-            let cost = CostHint::PerItemNanos(1_000_000);
+            // settlement.
             while state.inflight.is_none() && state.cursor < total && clock.exhausted().is_none() {
                 let shared = AtomicBudgetClock::resume(
                     seg.budget,
@@ -187,7 +184,6 @@ impl Estimator for TmcParams {
                     seg.threads,
                     state.cursor..total,
                     &stop,
-                    cost,
                     || WalkScratch::new(n),
                     |ws, p| -> Result<(Vec<f64>, u64)> {
                         match walk_permutation(seg, self, full_utility, p, ws, None, None, None)? {

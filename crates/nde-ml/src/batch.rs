@@ -33,7 +33,7 @@ use crate::dataset::Dataset;
 use crate::linalg::{squared_distance, squared_distances};
 use crate::models::knn::{k_nearest, majority_vote, neighbor_order};
 use crate::{MlError, Result};
-use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
 use std::convert::Infallible;
 use std::sync::atomic::AtomicBool;
@@ -61,33 +61,25 @@ pub trait CoalitionScorer: Send + Sync {
 /// to `threads` threads: `fill(scratch, v, row)` writes row `v` in place,
 /// and each worker builds one `scratch` with `init` and reuses it for all
 /// its rows. Row `v`'s content may depend only on `v`, which makes the
-/// result identical for every thread count. `row_nanos` is the rough cost
-/// of one row; small totals run inline on the caller.
+/// result identical for every thread count.
 fn fill_rows<T: Send, S>(
     pool: &WorkerPool,
     threads: usize,
     out: &mut [T],
     width: usize,
-    row_nanos: u64,
     init: impl Fn() -> S + Sync,
     fill: impl Fn(&mut S, usize, &mut [T]) + Sync,
 ) {
     let rows: Vec<Mutex<&mut [T]>> = out.chunks_mut(width).map(Mutex::new).collect();
     let stop = AtomicBool::new(false);
-    let filled = pool.map_indexed_scratch(
-        threads,
-        0..rows.len() as u64,
-        &stop,
-        CostHint::PerItemNanos(row_nanos),
-        init,
-        |scratch, v| {
+    let filled =
+        pool.map_indexed_scratch(threads, 0..rows.len() as u64, &stop, init, |scratch, v| {
             // Each row is claimed by exactly one item, so its lock is never
             // contended and never seen poisoned.
             let mut row = rows[v as usize].lock().expect("a row is filled once");
             fill(scratch, v as usize, &mut row);
             Ok::<(), Infallible>(())
-        },
-    );
+        });
     match filled {
         Ok(_) => {}
         Err(WorkerFailure::Panic(v, msg)) => panic!("filling row {v} panicked: {msg}"),
@@ -148,13 +140,11 @@ impl DistanceTable {
         let n_valid = valid.len();
         let mut dists = vec![0.0; n_train * n_valid];
         if n_train > 0 {
-            let row_nanos = (n_train * train.dim().max(1)) as u64;
             fill_rows(
                 pool,
                 threads,
                 &mut dists,
                 n_train,
-                row_nanos,
                 || (),
                 |(), v, row| squared_distances(&train.x, valid.x.row(v), row),
             );
@@ -295,15 +285,11 @@ pub fn neighbor_orders<T: OrderIndex>(
     assert!(n <= T::MAX_LEN, "{n} training rows overflow the index type");
     let mut orders = vec![T::from_index(0); n * valid.len()];
     if n > 0 {
-        // Distances, then a sort of every training row.
-        let log_n = (usize::BITS - n.leading_zeros()) as usize;
-        let row_nanos = (n * (train.dim() + 2 * log_n)) as u64;
         fill_rows(
             pool,
             threads,
             &mut orders,
             n,
-            row_nanos,
             || (vec![0.0; n], vec![0u128; n]),
             |(dists, keys), v, row| {
                 squared_distances(&train.x, valid.x.row(v), dists);
@@ -609,14 +595,11 @@ impl IncrementalKnnEval {
         let k = self.k;
         let table = &self.table;
         self.neighbors.resize(self.valid.len() * k, 0);
-        // Selection is a few comparisons per training row.
-        let row_nanos = 10 * n as u64;
         fill_rows(
             &self.pool,
             self.threads,
             &mut self.neighbors,
             k,
-            row_nanos,
             || Vec::with_capacity(n),
             |nearest, v, row| {
                 k_nearest(table.row(v), k, nearest);
@@ -821,7 +804,7 @@ mod tests {
 
     #[test]
     fn build_and_selection_are_thread_invariant() {
-        // Large enough that the cost hints engage the pool.
+        // Enough rows that the fills span several pool claims.
         let (train, valid) = workload(240, 120, 11);
         let (mut moved, _) = workload(240, 120, 12);
         moved.y = train.y.clone();

@@ -52,11 +52,12 @@
 //! [`DeltaPath::Splice`] and [`DeltaStats::splices`] remain in the API but
 //! are never produced.
 
-use crate::exec::{catch_tuple_panic, Executor, NodeTrace, PanicPolicy};
+use crate::exec::{Executor, NodeTrace, PanicPolicy};
 use crate::plan::{NodeId, Plan};
 use crate::provenance::{Lineage, ProvArena, ProvId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
+use nde_data::par::catch_quiet;
 use nde_data::{Table, Value};
 
 /// One single-tuple change to a named source table.
@@ -158,7 +159,7 @@ struct CellPatchPlan {
 /// error (the caller falls back to a full rerun, which reproduces the
 /// executor's own report for the same failure).
 fn guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
-    match catch_tuple_panic(f) {
+    match catch_quiet(f) {
         Ok(r) => r,
         Err(msg) => Err(PipelineError::Delta(format!(
             "operator panicked during delta propagation: {msg}"

@@ -18,14 +18,12 @@ use crate::plan::{JoinType, NodeId, Plan, PlanNode};
 use crate::provenance::{Lineage, ProvArena, ProvId, TupleId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
-use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::par::{catch_quiet, WorkerFailure};
 use nde_data::pool::WorkerPool;
 use nde_data::{Column, DataType, Field, Table};
-use std::cell::Cell;
 use std::iter::repeat_n;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 /// Rows are evaluated in fixed-size chunks whose outcomes are merged in
 /// chunk order — the chunking is independent of the thread count, so the
@@ -131,42 +129,6 @@ pub struct ExecTrace {
     pub order: Vec<usize>,
     /// What each node did to its inputs' rows, per node id.
     pub nodes: FxHashMap<usize, NodeTrace>,
-}
-
-// Panics we catch per row must not spam stderr through the default panic
-// hook, but hooks are process-global: install a delegating hook once and
-// silence it only on threads currently inside a guarded region.
-thread_local! {
-    static SUPPRESS_PANIC_OUTPUT: Cell<u32> = const { Cell::new(0) };
-}
-static INSTALL_HOOK: Once = Once::new();
-
-fn install_quiet_hook() {
-    INSTALL_HOOK.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if SUPPRESS_PANIC_OUTPUT.with(|s| s.get()) == 0 {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Run `f`, converting a panic into its stringified payload. Shared with
-/// [`crate::delta`], which re-evaluates projections on patched rows under
-/// the same isolation guarantees as the executor.
-pub(crate) fn catch_tuple_panic<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
-    install_quiet_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() + 1));
-    let outcome = panic::catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() - 1));
-    outcome.map_err(|payload| {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    })
 }
 
 impl Executor {
@@ -303,18 +265,15 @@ impl Executor {
     ) -> Result<Vec<(usize, T)>> {
         let chunks = n_rows.div_ceil(ROW_CHUNK) as u64;
         let stop = AtomicBool::new(false);
-        // ~25µs per 64-row guarded chunk (expr eval + panic guard): small
-        // tables run inline, large ones get adaptively batched chunks.
-        let cost = CostHint::PerItemNanos(25_000);
         let outcomes = self
             .pool
-            .map_indexed(self.threads, 0..chunks, &stop, cost, |c| {
+            .map_indexed(self.threads, 0..chunks, &stop, |c| {
                 let start = c as usize * ROW_CHUNK;
                 let end = (start + ROW_CHUNK).min(n_rows);
                 let mut kept = Vec::with_capacity(end - start);
                 let mut quarantine: Vec<(usize, String)> = Vec::new();
                 for row in start..end {
-                    match catch_tuple_panic(|| eval(row)) {
+                    match catch_quiet(|| eval(row)) {
                         Ok(value) => kept.push((row, value?)),
                         Err(message) => match self.panic_policy {
                             PanicPolicy::FailFast => {

@@ -8,7 +8,7 @@
 //! so provenance tracking extends to fuzzy matching unchanged.
 
 use crate::Result;
-use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
 use nde_data::Table;
 use std::sync::atomic::AtomicBool;
@@ -139,10 +139,8 @@ fn match_by_dictionary(
     // row subsets); scoring them is wasted-but-bounded work.
     let n_codes = lp.dict().len() as u64;
     let stop = AtomicBool::new(false);
-    // Each item scores one left value against every distinct right value.
-    let cost = CostHint::PerItemNanos((candidates.len().max(1)) as u64 * 200);
     let parts = WorkerPool::shared()
-        .map_indexed(threads, 0..n_codes, &stop, cost, |code| {
+        .map_indexed(threads, 0..n_codes, &stop, |code| {
             let lv = lp.dict().value(code as u32);
             let mut best: Option<(usize, f64)> = None;
             for &(ri, rcode) in &candidates {
@@ -199,10 +197,8 @@ fn match_by_rows(
 
     let chunks = lvals.len().div_ceil(ROW_CHUNK) as u64;
     let stop = AtomicBool::new(false);
-    // Each chunk scores 64 left rows against every right row.
-    let cost = CostHint::PerItemNanos((ROW_CHUNK * rvals.len().max(1)) as u64 * 200);
     let parts = WorkerPool::shared()
-        .map_indexed(threads, 0..chunks, &stop, cost, |c| {
+        .map_indexed(threads, 0..chunks, &stop, |c| {
             let start = c as usize * ROW_CHUNK;
             let end = (start + ROW_CHUNK).min(lvals.len());
             let mut part: Vec<(usize, usize)> = Vec::new();

@@ -101,51 +101,43 @@ pub fn predict_deletions_batch_threaded(
     deletions: &[Vec<TupleId>],
     threads: usize,
 ) -> Vec<DeletionEffect> {
-    use nde_data::par::{CostHint, WorkerFailure};
+    use nde_data::par::WorkerFailure;
     use nde_data::pool::WorkerPool;
     use std::sync::atomic::AtomicBool;
 
     let chunks: Vec<&[Vec<TupleId>]> = deletions.chunks(64).collect();
     let stop = AtomicBool::new(false);
-    // Chunk cost scales with arena size; probe the first chunk rather than
-    // guessing (the timing can only change scheduling, never output).
     let per_chunk = WorkerPool::shared()
-        .map_indexed::<Vec<DeletionEffect>, (), _>(
-            threads,
-            0..chunks.len() as u64,
-            &stop,
-            CostHint::Unknown,
-            |i| {
-                let chunk = chunks[i as usize];
-                // dead_mask[t] bit j set = tuple t is deleted in scenario j.
-                let mut dead_mask: FxHashMap<TupleId, u64> = FxHashMap::default();
-                for (j, set) in chunk.iter().enumerate() {
-                    for t in set {
-                        *dead_mask.entry(*t).or_insert(0) |= 1u64 << j;
+        .map_indexed::<Vec<DeletionEffect>, (), _>(threads, 0..chunks.len() as u64, &stop, |i| {
+            let chunk = chunks[i as usize];
+            // dead_mask[t] bit j set = tuple t is deleted in scenario j.
+            let mut dead_mask: FxHashMap<TupleId, u64> = FxHashMap::default();
+            for (j, set) in chunk.iter().enumerate() {
+                for t in set {
+                    *dead_mask.entry(*t).or_insert(0) |= 1u64 << j;
+                }
+            }
+            let lanes = lineage
+                .arena
+                .eval_bool_lanes(&|t| !dead_mask.get(&t).copied().unwrap_or(0));
+            let mut effects = Vec::with_capacity(chunk.len());
+            for (j, _) in chunk.iter().enumerate() {
+                let mut surviving_rows = Vec::new();
+                let mut deleted_rows = Vec::new();
+                for (row, id) in lineage.rows.iter().enumerate() {
+                    if (lanes[id.index()] >> j) & 1 == 1 {
+                        surviving_rows.push(row);
+                    } else {
+                        deleted_rows.push(row);
                     }
                 }
-                let lanes = lineage
-                    .arena
-                    .eval_bool_lanes(&|t| !dead_mask.get(&t).copied().unwrap_or(0));
-                let mut effects = Vec::with_capacity(chunk.len());
-                for (j, _) in chunk.iter().enumerate() {
-                    let mut surviving_rows = Vec::new();
-                    let mut deleted_rows = Vec::new();
-                    for (row, id) in lineage.rows.iter().enumerate() {
-                        if (lanes[id.index()] >> j) & 1 == 1 {
-                            surviving_rows.push(row);
-                        } else {
-                            deleted_rows.push(row);
-                        }
-                    }
-                    effects.push(DeletionEffect {
-                        surviving_rows,
-                        deleted_rows,
-                    });
-                }
-                Ok(effects)
-            },
-        )
+                effects.push(DeletionEffect {
+                    surviving_rows,
+                    deleted_rows,
+                });
+            }
+            Ok(effects)
+        })
         .unwrap_or_else(|fail| match fail {
             WorkerFailure::Err(..) => unreachable!("chunk evaluation is infallible"),
             WorkerFailure::Panic(i, msg) => panic!("what-if worker panicked at chunk {i}: {msg}"),

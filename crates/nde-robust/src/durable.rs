@@ -36,40 +36,9 @@ use crate::retry::RetryPolicy;
 use crate::Result;
 use nde_data::fxhash::FxHasher;
 use nde_data::json::Json;
-use nde_data::par::MemoCache;
-use std::cell::Cell;
+use nde_data::par::{catch_quiet, MemoCache};
 use std::hash::Hasher;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Once;
-
-// Crashes we supervise must not spam stderr through the default panic hook,
-// but hooks are process-global: install a delegating hook once and silence
-// it only on threads currently inside a supervised body (the same pattern
-// as `nde-pipeline`'s per-tuple panic isolation).
-thread_local! {
-    static SUPPRESS_PANIC_OUTPUT: Cell<u32> = const { Cell::new(0) };
-}
-static INSTALL_HOOK: Once = Once::new();
-
-fn install_quiet_hook() {
-    INSTALL_HOOK.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if SUPPRESS_PANIC_OUTPUT.with(|s| s.get()) == 0 {
-                previous(info);
-            }
-        }));
-    });
-}
-
-fn catch_supervised<T>(f: impl FnOnce() -> T) -> std::result::Result<T, String> {
-    install_quiet_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() + 1));
-    let outcome = panic::catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(s.get() - 1));
-    outcome.map_err(panic_message)
-}
 
 /// On-disk envelope format version; bumped on incompatible layout changes.
 /// Records from another version are skipped by [`RunStore::latest_valid`].
@@ -413,17 +382,6 @@ pub struct Supervised<T> {
     pub crashes: Vec<String>,
 }
 
-/// Render a `catch_unwind` payload as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run `body` under crash supervision.
 ///
 /// Each attempt gets a fresh [`SuperviseCtx`]; the body is expected to call
@@ -452,7 +410,7 @@ where
             fingerprint,
             attempt,
         };
-        match catch_supervised(|| body(&ctx)) {
+        match catch_quiet(|| body(&ctx)) {
             Ok(Ok(value)) => {
                 return Ok(Supervised {
                     value,

@@ -1,11 +1,12 @@
 //! The deterministic-parallelism substrate, plus budget accounting that is
 //! safe to share across workers.
 //!
-//! The scheduling/caching primitives live in [`nde_data::par`] (the bottom
-//! of the crate stack, so `nde-pipeline` can use them too) and are
-//! re-exported here under the crate that owns the execution-robustness
-//! story. This module adds [`AtomicBudgetClock`], the lock-free sibling of
-//! [`crate::BudgetClock`].
+//! The worker pool ([`WorkerPool`], which sizes its chunks from the item
+//! cost it measures) and the caching primitives live in [`nde_data::pool`]
+//! and [`nde_data::par`] (the bottom of the crate stack, so `nde-pipeline`
+//! can use them too) and are re-exported here under the crate that owns
+//! the execution-robustness story. This module adds [`AtomicBudgetClock`],
+//! the lock-free sibling of [`crate::BudgetClock`].
 //!
 //! # How a budgeted parallel run stays bit-identical
 //!
@@ -29,9 +30,8 @@
 //! the sequential unbudgeted ones.
 
 pub use nde_data::par::{
-    effective_threads, member_signature, panic_message, par_map_indexed, par_map_indexed_scratch,
-    subset_fingerprint, subset_fingerprint_sorted, tree_reduce, CostHint, MemoCache, WorkerFailure,
-    SEQUENTIAL_CUTOFF_NANOS,
+    member_signature, panic_message, subset_fingerprint, subset_fingerprint_sorted, tree_reduce,
+    MemoCache, WorkerFailure,
 };
 pub use nde_data::pool::{PoolStats, WorkerPool};
 
@@ -177,12 +177,13 @@ mod tests {
     fn workers_share_one_clock() {
         let clock = AtomicBudgetClock::start(&RunBudget::unlimited().with_max_utility_calls(64));
         let stop = AtomicBool::new(false);
-        let out = par_map_indexed::<u64, (), _>(4, 0..1000, &stop, |i| {
-            clock.record_utility_calls(1);
-            clock.arm_stop(&stop);
-            Ok(i)
-        })
-        .unwrap();
+        let out = WorkerPool::shared()
+            .map_indexed::<u64, (), _>(4, 0..1000, &stop, |i| {
+                clock.record_utility_calls(1);
+                clock.arm_stop(&stop);
+                Ok(i)
+            })
+            .unwrap();
         // The heuristic stop bounds overshoot: far fewer than 1000 ran.
         assert!(out.len() >= 64 && out.len() < 200, "{} ran", out.len());
     }

@@ -12,7 +12,7 @@ use crate::interval::Interval;
 use crate::soa::{self, IntervalMatrix};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
-use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
 use nde_ml::linalg::Matrix;
 use std::sync::atomic::AtomicBool;
@@ -176,14 +176,11 @@ impl CertainKnnIndex {
     /// count (the pooled map returns results sorted by query index).
     pub fn classify_batch(&self, queries: &Matrix, threads: usize) -> Result<Vec<CertainOutcome>> {
         let stop = AtomicBool::new(false);
-        // Each query scans every symbolic training row.
-        let cost = CostHint::PerItemNanos(self.labels.len().max(1) as u64 * 100);
         let out = WorkerPool::shared()
             .map_indexed::<CertainOutcome, UncertainError, _>(
                 threads,
                 0..queries.rows() as u64,
                 &stop,
-                cost,
                 |q| self.classify(queries.row(q as usize)),
             )
             .map_err(|fail| match fail {

@@ -4,7 +4,7 @@
 use crate::soa::IntervalMatrix;
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
-use nde_data::par::{CostHint, WorkerFailure};
+use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
 use nde_data::rng::{child_seed, seeded, Rng};
 use nde_ml::dataset::Dataset;
@@ -95,9 +95,6 @@ where
         )));
     }
     let stop = AtomicBool::new(false);
-    // A world samples a full matrix and fits a model: always way past the
-    // sequential cutoff, so hint "expensive" rather than probing.
-    let cost = CostHint::PerItemNanos(1_000_000);
     // Re-lay the symbolic matrix into SoA planes once, outside the world
     // loop: every world then samples from two contiguous slices per row
     // instead of chasing per-row `Vec<Interval>` pointers. Cell order (and
@@ -109,7 +106,6 @@ where
             threads,
             0..worlds as u64,
             &stop,
-            cost,
             || Matrix::zeros(train_x.len(), train_x.cols()),
             |world_x, w| {
                 let mut rng = seeded(child_seed(seed, w));

@@ -16,7 +16,7 @@ use crate::soa::{self, IntervalMatrix, IntervalVec};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::json::{check_method, finite_vec, uint, Json, ToJson};
-use nde_data::par::{tree_reduce, CostHint, WorkerFailure};
+use nde_data::par::{tree_reduce, WorkerFailure};
 use nde_data::pool::WorkerPool;
 use nde_ml::linalg::Matrix;
 use nde_robust::{ConvergenceDiagnostics, RunBudget};
@@ -407,42 +407,33 @@ fn epoch_gradient_soa(
     let d = sx.cols();
     let n_blocks = rows.div_ceil(GRADIENT_BLOCK);
     let stop = AtomicBool::new(false);
-    // Interval ops per block scale with the feature count; the hint keeps
-    // narrow small fits sequential and skips the timing probe per epoch.
-    let cost = CostHint::PerItemNanos((GRADIENT_BLOCK * (d + 1)) as u64 * 30);
     let partials = pool
-        .map_indexed::<IntervalVec, UncertainError, _>(
-            threads,
-            0..n_blocks as u64,
-            &stop,
-            cost,
-            |b| {
-                let start = b as usize * GRADIENT_BLOCK;
-                let end = (start + GRADIENT_BLOCK).min(rows);
-                let mut grad = IntervalVec::zeros(d + 1);
-                for r in start..end {
-                    let (x_lo, x_hi) = (sx.row_lo(r), sx.row_hi(r));
-                    // err = w·x + b − y, fused over the planes in the exact
-                    // operation order of the AoS reference path.
-                    let (mut e_lo, mut e_hi) = soa::dot(&w.lo[..d], &w.hi[..d], x_lo, x_hi);
-                    e_lo += w.lo[d];
-                    e_hi += w.hi[d];
-                    let err_lo = e_lo - sy.hi[r];
-                    let err_hi = e_hi - sy.lo[r];
-                    soa::axpy(
-                        err_lo,
-                        err_hi,
-                        x_lo,
-                        x_hi,
-                        &mut grad.lo[..d],
-                        &mut grad.hi[..d],
-                    );
-                    grad.lo[d] += err_lo;
-                    grad.hi[d] += err_hi;
-                }
-                Ok(grad)
-            },
-        )
+        .map_indexed::<IntervalVec, UncertainError, _>(threads, 0..n_blocks as u64, &stop, |b| {
+            let start = b as usize * GRADIENT_BLOCK;
+            let end = (start + GRADIENT_BLOCK).min(rows);
+            let mut grad = IntervalVec::zeros(d + 1);
+            for r in start..end {
+                let (x_lo, x_hi) = (sx.row_lo(r), sx.row_hi(r));
+                // err = w·x + b − y, fused over the planes in the exact
+                // operation order of the AoS reference path.
+                let (mut e_lo, mut e_hi) = soa::dot(&w.lo[..d], &w.hi[..d], x_lo, x_hi);
+                e_lo += w.lo[d];
+                e_hi += w.hi[d];
+                let err_lo = e_lo - sy.hi[r];
+                let err_hi = e_hi - sy.lo[r];
+                soa::axpy(
+                    err_lo,
+                    err_hi,
+                    x_lo,
+                    x_hi,
+                    &mut grad.lo[..d],
+                    &mut grad.hi[..d],
+                );
+                grad.lo[d] += err_lo;
+                grad.hi[d] += err_hi;
+            }
+            Ok(grad)
+        })
         .map_err(|fail| match fail {
             WorkerFailure::Err(_, e) => e,
             WorkerFailure::Panic(b, msg) => panic!("gradient worker panicked at block {b}: {msg}"),

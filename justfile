@@ -8,6 +8,7 @@ verify:
     cargo test -q --release --offline -p nde-ml
     cargo test -q --release --offline -p nde-importance
     cargo test -q --release --offline -p nde-tests --test parallel_substrate
+    cargo test -q --release --offline -p nde-data
     cargo test -q --release --offline -p nde-tests --test pool_lifecycle
     cargo test -q --release --offline -p nde-tests --test columnar_backend
     cargo test -q --release --offline -p nde-tests --test durability

@@ -3,19 +3,19 @@
 //! It also holds the reference implementations the integration tests check
 //! production code against.
 
-use nde_data::par::{effective_threads, panic_message, CostHint, WorkerFailure};
+use nde_data::par::{panic_message, WorkerFailure};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The original scoped-spawn implementation of
-/// [`nde_data::par::par_map_indexed_scratch`], the differential reference
-/// the resident worker pool is tested against.
+/// [`nde_data::pool::WorkerPool::map_indexed_scratch`], the differential
+/// reference the resident worker pool is tested against.
 ///
-/// Spawns `threads` fresh scoped workers per call (single-item claims, no
-/// chunking, no resident pool). Same determinism, failure, and stop
-/// contract as the pooled path.
+/// Spawns `threads` fresh scoped workers per call, clamped to the item
+/// count (single-item claims, no chunking, no resident pool). Same
+/// determinism, failure, and stop contract as the pooled path.
 pub fn par_map_indexed_scratch_scoped<S, T, E, I, F>(
     threads: usize,
     range: Range<u64>,
@@ -30,11 +30,7 @@ where
     F: Fn(&mut S, u64) -> Result<T, E> + Sync,
 {
     let items = range.end.saturating_sub(range.start);
-    let threads = effective_threads(
-        threads,
-        items.min(usize::MAX as u64) as usize,
-        CostHint::Unknown,
-    );
+    let threads = (threads as u64).clamp(1, items.max(1)) as usize;
     let next = AtomicU64::new(range.start);
     let failed = AtomicBool::new(false);
     let failure: Mutex<Option<WorkerFailure<E>>> = Mutex::new(None);

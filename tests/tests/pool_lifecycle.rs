@@ -5,7 +5,7 @@
 //! when a chaos kill switch stops a job mid-flight).
 
 use nde_robust::chaos::FaultSchedule;
-use nde_robust::par::{par_map_indexed, CostHint, WorkerFailure, WorkerPool};
+use nde_robust::par::{WorkerFailure, WorkerPool};
 use nde_tests::{par_map_indexed_scoped, par_map_indexed_scratch_scoped};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -139,17 +139,12 @@ fn pool_reuse_is_bit_identical_to_scoped_spawns() {
         |(), i| Ok(work(i)),
     )
     .unwrap();
-    // Many calls on one pool, at several thread counts, with and without
-    // cost hints: every run must reproduce the scoped reference exactly.
+    // Many calls on one pool, at several thread counts: every run must
+    // reproduce the scoped reference exactly.
     for round in 0..10 {
         for &threads in &[1, 2, 4, 7] {
-            let cost = if round % 2 == 0 {
-                CostHint::Unknown
-            } else {
-                CostHint::PerItemNanos(50_000)
-            };
             let got = pool
-                .map_indexed::<u64, (), _>(threads, 0..500, &stop, cost, |i| Ok(work(i)))
+                .map_indexed::<u64, (), _>(threads, 0..500, &stop, |i| Ok(work(i)))
                 .unwrap();
             assert_eq!(got, reference, "round {round}, {threads} threads");
         }
@@ -177,7 +172,6 @@ fn pooled_map_matches_scoped_reference_across_thread_counts() {
                     threads,
                     0..500,
                     &stop,
-                    CostHint::Unknown,
                     || 0,
                     |_, i| Ok(i.wrapping_mul(i) ^ 0x9e37),
                 )
@@ -195,7 +189,9 @@ fn pooled_free_functions_match_scoped_reference() {
     let reference = par_map_indexed_scoped(1, 0..300, &stop, work).unwrap();
     for threads in [1, 2, 4, 7] {
         assert_eq!(
-            par_map_indexed(threads, 0..300, &stop, work).unwrap(),
+            WorkerPool::shared()
+                .map_indexed(threads, 0..300, &stop, work)
+                .unwrap(),
             reference,
             "pooled threads={threads}"
         );
@@ -216,7 +212,7 @@ fn worker_panic_surfaces_as_failure_and_pool_stays_usable() {
     // must win regardless of which worker hits it first.
     let schedule = FaultSchedule::at(&[13, 401]);
     let err = pool
-        .map_indexed::<u64, (), _>(4, 0..500, &stop, CostHint::PerItemNanos(50_000), |i| {
+        .map_indexed::<u64, (), _>(4, 0..500, &stop, |i| {
             if schedule.should_fail(i) {
                 panic!("injected fault at {i}");
             }
@@ -233,7 +229,7 @@ fn worker_panic_surfaces_as_failure_and_pool_stays_usable() {
     // The same pool keeps serving correct answers afterwards.
     for _ in 0..3 {
         let ok = pool
-            .map_indexed::<u64, (), _>(4, 0..100, &stop, CostHint::Unknown, |i| Ok(work(i)))
+            .map_indexed::<u64, (), _>(4, 0..100, &stop, |i| Ok(work(i)))
             .unwrap();
         assert_eq!(ok.len(), 100);
         assert!(ok.iter().all(|&(i, v)| v == work(i)));
@@ -247,19 +243,13 @@ fn error_results_match_at_every_thread_count() {
     let stop = AtomicBool::new(false);
     for &threads in &[1, 2, 4, 7] {
         let err = pool
-            .map_indexed::<u64, String, _>(
-                threads,
-                0..300,
-                &stop,
-                CostHint::PerItemNanos(20_000),
-                |i| {
-                    if i >= 37 {
-                        Err(format!("bad item {i}"))
-                    } else {
-                        Ok(i)
-                    }
-                },
-            )
+            .map_indexed::<u64, String, _>(threads, 0..300, &stop, |i| {
+                if i >= 37 {
+                    Err(format!("bad item {i}"))
+                } else {
+                    Ok(i)
+                }
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -277,7 +267,7 @@ fn dropping_a_pool_joins_all_workers() {
         let stop = AtomicBool::new(false);
         let arrivals = Arrivals::new(4);
         let out = pool
-            .map_indexed::<u64, (), _>(5, 0..200, &stop, CostHint::PerItemNanos(50_000), |i| {
+            .map_indexed::<u64, (), _>(5, 0..200, &stop, |i| {
                 arrivals.gate();
                 Ok(work(i))
             })
@@ -306,7 +296,7 @@ fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
         // The kill switch arms after 64 completions — mid-run, from inside
         // the workers, the way a tripped budget clock does it.
         let out = pool
-            .map_indexed::<u64, (), _>(4, 0..10_000, &stop, CostHint::PerItemNanos(30_000), |i| {
+            .map_indexed::<u64, (), _>(4, 0..10_000, &stop, |i| {
                 arrivals.gate();
                 if done.fetch_add(1, Ordering::Relaxed) >= 64 {
                     stop.store(true, Ordering::Relaxed);
@@ -323,7 +313,7 @@ fn kill_switch_mid_job_leaves_no_leaks_and_pool_reusable() {
         // Killed mid-job, the pool still serves the next job in full.
         stop.store(false, Ordering::Relaxed);
         let clean = pool
-            .map_indexed::<u64, (), _>(4, 0..128, &stop, CostHint::Unknown, |i| Ok(work(i)))
+            .map_indexed::<u64, (), _>(4, 0..128, &stop, |i| Ok(work(i)))
             .unwrap();
         assert_eq!(clean.len(), 128);
         pool.thread_name().to_string()
@@ -342,9 +332,7 @@ fn zero_and_tiny_pools_agree_with_large_ones() {
         let pool = WorkerPool::new(workers);
         for &threads in &[1, 4, 8] {
             let got = pool
-                .map_indexed::<u64, (), _>(threads, 0..257, &stop, CostHint::Unknown, |i| {
-                    Ok(work(i))
-                })
+                .map_indexed::<u64, (), _>(threads, 0..257, &stop, |i| Ok(work(i)))
                 .unwrap();
             assert_eq!(got, reference, "{workers} workers, {threads} threads");
         }
@@ -358,9 +346,7 @@ fn shared_pool_reports_activity_monotonically() {
     let stop = AtomicBool::new(false);
     let before = pool.stats();
     let out = pool
-        .map_indexed::<u64, (), _>(4, 0..64, &stop, CostHint::PerItemNanos(100_000), |i| {
-            Ok(work(i))
-        })
+        .map_indexed::<u64, (), _>(4, 0..64, &stop, |i| Ok(work(i)))
         .unwrap();
     assert_eq!(out.len(), 64);
     let after = pool.stats();
