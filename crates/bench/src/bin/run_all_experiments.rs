@@ -1,9 +1,9 @@
-//! Run every experiment binary (E1–E14, E17) back to back; used to
+//! Run every experiment binary (E1–E12, E17) back to back; used to
 //! regenerate EXPERIMENTS.md numbers in one go. Prefer `--release`.
 use std::process::Command;
 
 /// Every `src/bin/exp_*.rs` binary, in run order.
-const EXPERIMENTS: [&str; 15] = [
+const EXPERIMENTS: [&str; 13] = [
     "exp_fig1_metrics",
     "exp_fig2_identify",
     "exp_fig3_pipeline",
@@ -17,8 +17,6 @@ const EXPERIMENTS: [&str; 15] = [
     "exp_zorro_vs_imputation",
     "exp_provenance_overhead",
     "exp_ablations",
-    "exp_pipeline_scaling",
-    "exp_uncertain_scaling",
 ];
 
 fn main() {

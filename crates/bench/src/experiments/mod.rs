@@ -1,4 +1,4 @@
-//! One module per experiment in the DESIGN.md index (E1–E14 and E17).
+//! One module per experiment in the DESIGN.md index (E1–E12 and E17).
 
 pub mod ablations;
 pub mod certain_models;
@@ -10,8 +10,6 @@ pub mod fig3_pipeline;
 pub mod fig4_zorro;
 pub mod importance_compare;
 pub mod multiplicity;
-pub mod pipeline_scaling;
 pub mod provenance_overhead;
 pub mod shapley_scaling;
-pub mod uncertain_scaling;
 pub mod zorro_vs_imputation;

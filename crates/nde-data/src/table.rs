@@ -1,14 +1,13 @@
 //! In-memory columnar tables with relational operations.
 //!
-//! Storage lives behind [`crate::backend::TableBackend`]: the default
-//! [`BackendKind::Columnar`] backend keeps typed planes with dictionary-
-//! encoded strings, while [`BackendKind::Reference`] retains the seed
-//! `Value`-per-cell representation as a differential-testing reference.
-//! Every relational operation is backend-agnostic and bit-identical across
-//! backends and thread counts; the columnar backend additionally unlocks
-//! radix-partitioned joins and vectorized scans.
+//! A [`Table`] stores its cells in a [`ColumnarStore`]: typed planes with
+//! null bitmaps and dictionary-encoded strings. Joins are radix-partitioned
+//! and read canonical keys plane to plane; scans use the store's
+//! [`TableBackend`] hooks. Join output and row lineage are bit-identical for
+//! every thread count, and the `nde-tests` crate checks every operation
+//! against a `Value`-per-cell reference table.
 
-use crate::backend::{BackendKind, ColumnarStore, Plane, Store};
+use crate::backend::{ColumnarStore, Plane, TableBackend};
 use crate::column::Column;
 use crate::fxhash::{hash_u64, FxHashMap};
 use crate::par::WorkerFailure;
@@ -20,10 +19,9 @@ use crate::{DataError, Result};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 
-/// Rows are probed/keyed in fixed-size chunks merged in chunk order, so
-/// parallel joins and distinct produce bit-identical output (rows *and* row
-/// lineage) for every thread count. The chunking is independent of
-/// `threads`.
+/// Rows are probed in fixed-size chunks merged in chunk order, so parallel
+/// joins produce bit-identical output (rows *and* row lineage) for every
+/// thread count. The chunking is independent of `threads`.
 const ROW_CHUNK: usize = 256;
 
 /// Build-side partitions of the radix join. Fixed (never derived from the
@@ -52,13 +50,12 @@ pub type LeftJoinResult = (Table, Vec<(usize, Option<usize>)>);
 pub struct Table {
     name: String,
     schema: Schema,
-    store: Store,
+    store: ColumnarStore,
     n_rows: usize,
 }
 
-/// Tables are equal iff name, schema, and logical cell contents match —
-/// regardless of storage backend, so a columnar result can be `assert_eq!`d
-/// against the `Value`-per-cell reference path.
+/// Tables are equal iff name, schema, and logical cell contents match
+/// (string cells compare by value, whatever their dictionary codes).
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -69,14 +66,9 @@ impl PartialEq for Table {
 }
 
 impl Table {
-    /// Create an empty table with the given schema (columnar backend).
+    /// Create an empty table with the given schema.
     pub fn empty(name: impl Into<String>, schema: Schema) -> Self {
-        Table::empty_with_backend(name, schema, BackendKind::Columnar)
-    }
-
-    /// Create an empty table on an explicit storage backend.
-    pub fn empty_with_backend(name: impl Into<String>, schema: Schema, kind: BackendKind) -> Self {
-        let store = Store::empty(&schema, kind);
+        let store = ColumnarStore::empty(&schema);
         Table {
             name: name.into(),
             schema,
@@ -118,12 +110,12 @@ impl Table {
         Ok(Table {
             name: name.into(),
             schema: Schema::new(fields)?,
-            store: Store::from_columns(columns),
+            store: ColumnarStore::from_columns(columns),
             n_rows,
         })
     }
 
-    fn from_store(name: String, schema: Schema, store: Store, n_rows: usize) -> Table {
+    fn from_store(name: String, schema: Schema, store: ColumnarStore, n_rows: usize) -> Table {
         Table {
             name,
             schema,
@@ -157,31 +149,6 @@ impl Table {
         self.schema.len()
     }
 
-    /// Which storage backend this table uses.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.store.kind()
-    }
-
-    /// The table converted to the requested backend (clone when already there).
-    pub fn with_backend(&self, kind: BackendKind) -> Table {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            store: self.store.convert_to(kind),
-            n_rows: self.n_rows,
-        }
-    }
-
-    /// The table on the `Value`-per-cell reference backend.
-    pub fn to_reference(&self) -> Table {
-        self.with_backend(BackendKind::Reference)
-    }
-
-    /// The table on the typed-plane columnar backend.
-    pub fn to_columnar(&self) -> Table {
-        self.with_backend(BackendKind::Columnar)
-    }
-
     /// Materialize a column by name as an owned [`Column`].
     ///
     /// This is the compatibility path for cold code (fit-time encoders,
@@ -190,16 +157,16 @@ impl Table {
     /// [`Table::col_f64`], [`Table::col_str`], [`Table::col_bool`]) instead.
     pub fn column(&self, name: &str) -> Result<Column> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.materialize(idx))
+        Ok(self.store.plane(idx).to_column())
     }
 
     /// Materialize a column by position as an owned [`Column`].
     pub fn column_at(&self, idx: usize) -> Column {
-        self.store.materialize(idx)
+        self.store.plane(idx).to_column()
     }
 
-    /// Borrow the `i64` plane of a column: `None` if the column is missing,
-    /// not an `Int` column, or the table is on the reference backend.
+    /// Borrow the `i64` plane of a column: `None` if the column is missing
+    /// or not an `Int` column.
     pub fn col_i64(&self, name: &str) -> Option<&I64Plane> {
         match self.plane_of(name)? {
             Plane::I64(p) => Some(p),
@@ -234,35 +201,34 @@ impl Table {
 
     fn plane_of(&self, name: &str) -> Option<&Plane> {
         let idx = self.schema.index_of(name).ok()?;
-        Some(self.store.as_columnar()?.plane(idx))
+        Some(self.store.plane(idx))
     }
 
-    /// Sum of the non-null cells of a numeric column, when the backend can
-    /// produce it without a per-row `Value` scan (columnar fast path).
+    /// Sum of the non-null cells of a numeric column, read straight from
+    /// its plane (`None` for non-numeric columns).
     pub fn stats_sum(&self, name: &str) -> Result<Option<f64>> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.backend().stats_sum(idx))
+        Ok(self.store.stats_sum(idx))
     }
 
     /// Number of distinct non-null values of a column, when cheap
     /// (dictionary-encoded string columns).
     pub fn distinct_count(&self, name: &str) -> Result<Option<usize>> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.backend().distinct_count(idx))
+        Ok(self.store.distinct_count(idx))
     }
 
     /// The dictionary of a dictionary-encoded string column, in code order.
     pub fn dictionary_values(&self, name: &str) -> Result<Option<&[String]>> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.backend().dictionary_values(idx))
+        Ok(self.store.dictionary_values(idx))
     }
 
     /// Rows whose cell equals `value` under SQL equality, in ascending
-    /// order, when the backend has a vectorized scan for it. `None` means
-    /// "no fast path — evaluate per row", never "no matches".
+    /// order, from a vectorized plane scan.
     pub fn filter_eq_rows(&self, name: &str, value: &Value) -> Result<Option<Vec<usize>>> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.backend().filter_eq(idx, value))
+        Ok(self.store.filter_eq(idx, value))
     }
 
     /// Append a row of values (arity- and type-checked).
@@ -306,7 +272,7 @@ impl Table {
                 len: self.n_rows,
             });
         }
-        Ok(self.store.backend().value(row, idx))
+        Ok(self.store.value(row, idx))
     }
 
     /// Get the cell at (`row`, `col_name`) as a borrowed [`ValueRef`] —
@@ -319,7 +285,7 @@ impl Table {
                 len: self.n_rows,
             });
         }
-        Ok(self.store.backend().value_ref(row, idx))
+        Ok(self.store.value_ref(row, idx))
     }
 
     /// Borrowed cell at (`row`, column position `idx`); `None` out of bounds.
@@ -327,20 +293,23 @@ impl Table {
         if row >= self.n_rows || idx >= self.schema.len() {
             return None;
         }
-        Some(self.store.backend().value_ref(row, idx))
+        Some(self.store.value_ref(row, idx))
     }
 
     /// Overwrite the cell at (`row`, `col_name`).
     pub fn set(&mut self, row: usize, col_name: &str, value: Value) -> Result<()> {
         let idx = self.schema.index_of(col_name)?;
-        self.store.set(row, idx, value).map_err(|e| match e {
-            DataError::TypeMismatch { expected, got, .. } => DataError::TypeMismatch {
-                column: col_name.to_owned(),
-                expected,
-                got,
-            },
-            other => other,
-        })
+        self.store
+            .plane_mut(idx)
+            .set_value(row, value)
+            .map_err(|e| match e {
+                DataError::TypeMismatch { expected, got, .. } => DataError::TypeMismatch {
+                    column: col_name.to_owned(),
+                    expected,
+                    got,
+                },
+                other => other,
+            })
     }
 
     /// Materialize a full row as values.
@@ -352,7 +321,7 @@ impl Table {
             });
         }
         Ok((0..self.schema.len())
-            .map(|ci| self.store.backend().value(row, ci))
+            .map(|ci| self.store.value(row, ci))
             .collect())
     }
 
@@ -459,9 +428,9 @@ impl Table {
         self.hash_join_par(right, left_key, right_key, 1)
     }
 
-    /// [`Table::hash_join`] with a parallel probe phase. On the columnar
-    /// backend the build side is radix-partitioned on the key's hash prefix
-    /// (partitions claimed through the resident worker pool); probe rows are
+    /// [`Table::hash_join`] with a parallel probe phase. The build side is
+    /// radix-partitioned on the key's hash prefix (partitions claimed
+    /// through the resident worker pool); probe rows are
     /// processed in fixed chunks merged in index order — the joined table
     /// and lineage are bit-identical for every `threads` value.
     pub fn hash_join_par(
@@ -524,21 +493,21 @@ impl Table {
             )));
         }
 
-        let lineage = match (self.store.as_columnar(), right.store.as_columnar()) {
-            (Some(ls), Some(rs)) => {
-                self.probe_radix(ls, rs, lk, rk, right.n_rows, outer, threads)?
-            }
-            _ => self.probe_reference(right, lk, rk, outer, threads)?,
-        };
+        let lineage = self.probe_radix(right, lk, rk, outer, threads)?;
         let out = self.materialize_join(right, &lineage, rk)?;
         Ok((out, lineage))
     }
 
-    /// Seed join kernel: build one `JoinKey` hash map over the right side,
-    /// probe in chunks. Used whenever either side is on the reference
-    /// backend; its output defines the contract the radix kernel must match
-    /// bit for bit.
-    fn probe_reference(
+    /// Radix join kernel: canonical `u64` keys are read plane-to-plane
+    /// (string keys join by dictionary-code remapping, never by string
+    /// comparison), the build side is radix-partitioned on the key's hash
+    /// prefix with partitions claimed through the resident worker pool, and
+    /// the probe phase runs over fixed [`ROW_CHUNK`] row chunks merged in
+    /// chunk order. Both the partition count and chunk size are independent
+    /// of `threads`, and every per-partition row list is collected in
+    /// ascending row order, so the lineage lists left rows in order, each
+    /// with its right matches in ascending order, at every thread count.
+    fn probe_radix(
         &self,
         right: &Table,
         lk: usize,
@@ -546,73 +515,11 @@ impl Table {
         outer: bool,
         threads: usize,
     ) -> Result<Vec<(usize, Option<usize>)>> {
-        // Build phase: hash right side on the key.
-        let mut index: FxHashMap<JoinKey, Vec<usize>> = FxHashMap::default();
-        for row in 0..right.n_rows {
-            if let Some(key) = JoinKey::from_value(&right.store.backend().value(row, rk)) {
-                index.entry(key).or_default().push(row);
-            }
-        }
-
-        // Probe phase: each chunk probes its own row range; chunk outputs
-        // are merged in index order (map_indexed sorts by index and runs
-        // inline for one thread), so lineage is schedule-independent.
-        let chunks = self.n_rows.div_ceil(ROW_CHUNK) as u64;
-        let stop = AtomicBool::new(false);
-        let parts = WorkerPool::shared()
-            .map_indexed(threads, 0..chunks, &stop, |c| {
-                let start = c as usize * ROW_CHUNK;
-                let end = (start + ROW_CHUNK).min(self.n_rows);
-                let mut part: Vec<(usize, Option<usize>)> = Vec::with_capacity(end - start);
-                for row in start..end {
-                    let key = JoinKey::from_value(&self.store.backend().value(row, lk));
-                    match key.and_then(|k| index.get(&k)) {
-                        Some(rows) => part.extend(rows.iter().map(|&r| (row, Some(r)))),
-                        None if outer => part.push((row, None)),
-                        None => {}
-                    }
-                }
-                Ok::<_, DataError>(part)
-            })
-            .map_err(|fail| match fail {
-                WorkerFailure::Err(_, e) => e,
-                // Unreachable in practice: probing only reads bounds-checked
-                // columns and the prebuilt index.
-                WorkerFailure::Panic(_, msg) => {
-                    DataError::InvalidArgument(format!("join probe worker panicked: {msg}"))
-                }
-            })?;
-        let mut lineage: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.n_rows);
-        for (_, part) in parts {
-            lineage.extend(part);
-        }
-        Ok(lineage)
-    }
-
-    /// Columnar join kernel: canonical `u64` keys are read plane-to-plane
-    /// (string keys join by dictionary-code remapping, never by string
-    /// comparison), the build side is radix-partitioned on the key's hash
-    /// prefix with partitions claimed through the resident worker pool, and
-    /// the probe phase is chunked exactly like the reference kernel. Both
-    /// the partition count and chunk size are independent of `threads`, and
-    /// every per-partition row list is collected in ascending row order, so
-    /// the lineage is bit-identical to [`Table::probe_reference`].
-    #[allow(clippy::too_many_arguments)]
-    fn probe_radix(
-        &self,
-        left_store: &ColumnarStore,
-        right_store: &ColumnarStore,
-        lk: usize,
-        rk: usize,
-        right_rows: usize,
-        outer: bool,
-        threads: usize,
-    ) -> Result<Vec<(usize, Option<usize>)>> {
         // For string keys, remap left dictionary codes into the right
         // dictionary's code space: one hash lookup per *distinct* left
         // value, not per row. A left value absent on the right can never
         // match, which is exactly how a null key behaves in both join types.
-        let remap: Option<Vec<Option<u32>>> = match (left_store.plane(lk), right_store.plane(rk)) {
+        let remap: Option<Vec<Option<u32>>> = match (self.store.plane(lk), right.store.plane(rk)) {
             (Plane::Str(lp), Plane::Str(rp)) => Some(
                 lp.dict()
                     .values()
@@ -622,8 +529,8 @@ impl Table {
             ),
             _ => None,
         };
-        let (lkeys, lvalid) = plane_join_keys(left_store.plane(lk), remap.as_deref());
-        let (rkeys, rvalid) = plane_join_keys(right_store.plane(rk), None);
+        let (lkeys, lvalid) = plane_join_keys(self.store.plane(lk), remap.as_deref());
+        let (rkeys, rvalid) = plane_join_keys(right.store.plane(rk), None);
 
         // Build phase: workers claim whole partitions; each scans the right
         // key plane and keeps the rows hashing into its partition, in
@@ -633,7 +540,7 @@ impl Table {
             .map_indexed(threads, 0..RADIX_PARTITIONS as u64, &stop, |p| {
                 let p = p as usize;
                 let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                for row in 0..right_rows {
+                for row in 0..right.n_rows {
                     if rvalid[row] && radix_partition(rkeys[row]) == p {
                         map.entry(rkeys[row]).or_default().push(row as u32);
                     }
@@ -690,9 +597,9 @@ impl Table {
     /// (minus the join key at position `right_key`, name clashes suffixed
     /// `_right`) gathered at the right rows with nulls for `None`.
     ///
-    /// On the columnar backend this gathers planes — string columns copy
-    /// 4-byte dictionary codes and share the dictionary. Used by the hash
-    /// joins and by `nde-pipeline`'s fuzzy join.
+    /// Gathers planes: string columns copy 4-byte dictionary codes and share
+    /// the dictionary. Used by the hash joins and by `nde-pipeline`'s fuzzy
+    /// join.
     pub fn materialize_join(
         &self,
         right: &Table,
@@ -708,48 +615,23 @@ impl Table {
         }
         let left_idx: Vec<usize> = lineage.iter().map(|&(l, _)| l).collect();
 
-        if let (Some(ls), Some(rs)) = (self.store.as_columnar(), right.store.as_columnar()) {
-            let right_idx: Vec<Option<usize>> = lineage.iter().map(|&(_, r)| r).collect();
-            let mut planes: Vec<Plane> = ls.planes().iter().map(|p| p.take(&left_idx)).collect();
-            for (ci, p) in rs.planes().iter().enumerate() {
-                if ci == right_key {
-                    continue;
-                }
-                planes.push(p.take_opt(&right_idx));
-            }
-            let store = Store::Columnar(ColumnarStore::from_planes(planes));
-            return Ok(Table::from_store(
-                self.name.clone(),
-                Schema::new(fields)?,
-                store,
-                lineage.len(),
-            ));
-        }
-
-        // Reference (or mixed-backend) path: the seed per-cell materializer.
-        let mut columns: Vec<Column> = (0..self.schema.len())
-            .map(|ci| self.column_at(ci).take(&left_idx))
+        let right_idx: Vec<Option<usize>> = lineage.iter().map(|&(_, r)| r).collect();
+        let mut planes: Vec<Plane> = self
+            .store
+            .planes()
+            .iter()
+            .map(|p| p.take(&left_idx))
             .collect();
-        for (ci, f) in right.schema.fields().iter().enumerate() {
+        for (ci, p) in right.store.planes().iter().enumerate() {
             if ci == right_key {
                 continue;
             }
-            let rcol = right.column_at(ci);
-            let mut col = Column::with_capacity(f.dtype, lineage.len());
-            for &(_, r) in lineage {
-                let v = match r {
-                    Some(r) => rcol.get(r).expect("in bounds"),
-                    None => Value::Null,
-                };
-                col.push(v).expect("type preserved");
-            }
-            columns.push(col);
+            planes.push(p.take_opt(&right_idx));
         }
-        let store = Store::from_columns_with_kind(columns, self.store.kind());
         Ok(Table::from_store(
             self.name.clone(),
             Schema::new(fields)?,
-            store,
+            ColumnarStore::from_planes(planes),
             lineage.len(),
         ))
     }
@@ -772,63 +654,24 @@ impl Table {
     /// first-occurrence order, and `owner[row]` is the `kept` slot every
     /// input row collapsed into. Keys use hash-join equality (floats by bit
     /// pattern; all nulls form one class — within a typed column this is
-    /// exactly `total_cmp == Equal` on same-typed values). On the columnar
-    /// backend keys are read plane-to-plane (string columns group by
-    /// dictionary code, no string materialization); on the reference
-    /// backend key extraction is chunk-parallel. The grouping scan folds
-    /// rows in index order, so the result is bit-identical for every
-    /// `threads` value and backend.
-    pub fn distinct_by(&self, key: &str, threads: usize) -> Result<(Vec<usize>, Vec<usize>)> {
+    /// exactly `total_cmp == Equal` on same-typed values). Keys are read
+    /// plane-to-plane (string columns group by dictionary code, no string
+    /// materialization) in one sequential scan: the key extraction is too
+    /// cheap to outweigh chunk scheduling.
+    pub fn distinct_by(&self, key: &str) -> Result<(Vec<usize>, Vec<usize>)> {
         let k = self.schema.index_of(key)?;
-        if let Some(cs) = self.store.as_columnar() {
-            // Plane-to-plane: canonical u64 keys, no Value materialization.
-            // Extraction is a single linear scan of primitive values — too
-            // cheap to outweigh chunk scheduling, so it runs sequentially.
-            let (keys, valid) = plane_join_keys(cs.plane(k), None);
-            let mut kept: Vec<usize> = Vec::new();
-            let mut owner: Vec<usize> = Vec::with_capacity(self.n_rows);
-            let mut slot_of: FxHashMap<Option<u64>, usize> = FxHashMap::default();
-            for row in 0..self.n_rows {
-                let key = valid[row].then_some(keys[row]);
-                let next = kept.len();
-                let slot = *slot_of.entry(key).or_insert(next);
-                if slot == next {
-                    kept.push(row);
-                }
-                owner.push(slot);
-            }
-            return Ok((kept, owner));
-        }
-        let chunks = self.n_rows.div_ceil(ROW_CHUNK) as u64;
-        let stop = AtomicBool::new(false);
-        let parts = WorkerPool::shared()
-            .map_indexed(threads, 0..chunks, &stop, |c| {
-                let start = c as usize * ROW_CHUNK;
-                let end = (start + ROW_CHUNK).min(self.n_rows);
-                let keys: Vec<Option<JoinKey>> = (start..end)
-                    .map(|row| JoinKey::from_value(&self.store.backend().value(row, k)))
-                    .collect();
-                Ok::<_, DataError>(keys)
-            })
-            .map_err(|fail| match fail {
-                WorkerFailure::Err(_, e) => e,
-                WorkerFailure::Panic(_, msg) => {
-                    DataError::InvalidArgument(format!("distinct key worker panicked: {msg}"))
-                }
-            })?;
+        let (keys, valid) = plane_join_keys(self.store.plane(k), None);
         let mut kept: Vec<usize> = Vec::new();
         let mut owner: Vec<usize> = Vec::with_capacity(self.n_rows);
-        let mut slot_of: FxHashMap<Option<JoinKey>, usize> = FxHashMap::default();
-        for (_, keys) in parts {
-            for key in keys {
-                let row = owner.len();
-                let next = kept.len();
-                let slot = *slot_of.entry(key).or_insert(next);
-                if slot == next {
-                    kept.push(row);
-                }
-                owner.push(slot);
+        let mut slot_of: FxHashMap<Option<u64>, usize> = FxHashMap::default();
+        for row in 0..self.n_rows {
+            let key = valid[row].then_some(keys[row]);
+            let next = kept.len();
+            let slot = *slot_of.entry(key).or_insert(next);
+            if slot == next {
+                kept.push(row);
             }
+            owner.push(slot);
         }
         Ok((kept, owner))
     }
@@ -859,31 +702,29 @@ impl Table {
         let idx = self.schema.index_of(col_name)?;
 
         // Dictionary fast path: count per code into a dense vector.
-        if let Some(cs) = self.store.as_columnar() {
-            if let Plane::Str(p) = cs.plane(idx) {
-                let (code_counts, nulls) = p.code_counts();
-                let mut counts: Vec<(Value, usize)> = Vec::new();
-                if nulls > 0 {
-                    counts.push((Value::Null, nulls));
-                }
-                for (code, &n) in code_counts.iter().enumerate() {
-                    if n > 0 {
-                        counts.push((Value::Str(p.dict().value(code as u32).to_owned()), n));
-                    }
-                }
-                counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
-                return Ok(counts);
+        if let Plane::Str(p) = self.store.plane(idx) {
+            let (code_counts, nulls) = p.code_counts();
+            let mut counts: Vec<(Value, usize)> = Vec::new();
+            if nulls > 0 {
+                counts.push((Value::Null, nulls));
             }
+            for (code, &n) in code_counts.iter().enumerate() {
+                if n > 0 {
+                    counts.push((Value::Str(p.dict().value(code as u32).to_owned()), n));
+                }
+            }
+            counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
+            return Ok(counts);
         }
 
-        // General path: group through a hash map keyed on a canonical form
-        // of the cell (floats canonicalize -0.0 to 0.0, matching the
-        // `total_cmp == Equal` grouping of the seed implementation), keeping
-        // the first-seen value as the group representative.
+        // Other types: group through a hash map keyed on a canonical form
+        // of the cell (floats canonicalize -0.0 to 0.0, matching
+        // `total_cmp == Equal` grouping), keeping the first-seen value as
+        // the group representative.
         let mut counts: Vec<(Value, usize)> = Vec::new();
         let mut slot_of: FxHashMap<Option<CountKey>, usize> = FxHashMap::default();
         for row in 0..self.n_rows {
-            let v = self.store.backend().value(row, idx);
+            let v = self.store.value(row, idx);
             let key = CountKey::from_value(&v);
             let next = counts.len();
             let slot = *slot_of.entry(key).or_insert(next);
@@ -907,7 +748,7 @@ impl Table {
                 let frac = if self.n_rows == 0 {
                     0.0
                 } else {
-                    self.store.backend().null_count(ci) as f64 / self.n_rows as f64
+                    self.store.null_count(ci) as f64 / self.n_rows as f64
                 };
                 (f.name.clone(), frac)
             })
@@ -923,7 +764,7 @@ impl Table {
         for row in 0..n {
             let mut r = Vec::with_capacity(self.n_cols());
             for (ci, width) in widths.iter_mut().enumerate() {
-                let v = self.store.backend().value_ref(row, ci);
+                let v = self.store.value_ref(row, ci);
                 let mut s = match v {
                     ValueRef::Null => "null".to_string(),
                     ValueRef::Int(x) => x.to_string(),
@@ -969,9 +810,8 @@ impl Table {
 /// for null rows, and for string values that cannot exist on the build side
 /// when a `remap` into the build dictionary is supplied).
 ///
-/// The canonical forms match [`JoinKey`] equality exactly: `i64` by value
-/// (bijective into `u64`), floats by bit pattern, bools as 0/1, strings by
-/// dictionary code.
+/// The canonical forms are exact: `i64` by value (bijective into `u64`),
+/// floats by bit pattern, bools as 0/1, strings by dictionary code.
 fn plane_join_keys(plane: &Plane, remap: Option<&[Option<u32>]>) -> (Vec<u64>, Vec<bool>) {
     let n = plane.len();
     let mut keys = vec![0u64; n];
@@ -1029,34 +869,10 @@ impl fmt::Display for Table {
     }
 }
 
-/// A hashable, equality-comparable join key derived from a non-null [`Value`].
-///
-/// Floats are keyed by bit pattern; joins on float keys therefore require
-/// exact representation equality, which matches hash-join semantics in real
-/// engines.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JoinKey {
-    Int(i64),
-    FloatBits(u64),
-    Str(String),
-    Bool(bool),
-}
-
-impl JoinKey {
-    fn from_value(v: &Value) -> Option<JoinKey> {
-        match v {
-            Value::Null => None,
-            Value::Int(x) => Some(JoinKey::Int(*x)),
-            Value::Float(x) => Some(JoinKey::FloatBits(x.to_bits())),
-            Value::Str(s) => Some(JoinKey::Str(s.clone())),
-            Value::Bool(b) => Some(JoinKey::Bool(*b)),
-        }
-    }
-}
-
-/// Grouping key for [`Table::value_counts`]: like [`JoinKey`] but floats
-/// canonicalize `-0.0` to `0.0`, so grouping matches `total_cmp == Equal`
-/// (which treats the two zero representations as the same value).
+/// Grouping key for [`Table::value_counts`]: a non-null cell keyed by value,
+/// floats by bit pattern with `-0.0` canonicalized to `0.0`, so grouping
+/// matches `total_cmp == Equal` (which treats the two zero representations
+/// as the same value).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CountKey {
     Int(i64),
@@ -1154,20 +970,9 @@ mod tests {
         let names = t.col_str("name").unwrap();
         assert_eq!(names.get(2), Some("eve"));
         assert_eq!(names.dict().len(), 3);
-        // Wrong type, unknown column, and reference backend all yield None.
+        // Wrong type and unknown column yield None.
         assert!(t.col_f64("id").is_none());
         assert!(t.col_i64("nope").is_none());
-        assert!(t.to_reference().col_i64("id").is_none());
-    }
-
-    #[test]
-    fn backend_conversion_preserves_equality() {
-        let t = people();
-        assert_eq!(t.backend_kind(), BackendKind::Columnar);
-        let r = t.to_reference();
-        assert_eq!(r.backend_kind(), BackendKind::Reference);
-        assert_eq!(t, r);
-        assert_eq!(r.to_columnar(), t);
     }
 
     #[test]
@@ -1183,10 +988,6 @@ mod tests {
             Some(vec![2])
         );
         assert!(t.stats_sum("nope").is_err());
-        // Reference backend: no fast paths.
-        let r = t.to_reference();
-        assert_eq!(r.stats_sum("id").unwrap(), None);
-        assert_eq!(r.filter_eq_rows("id", &Value::Int(3)).unwrap(), None);
     }
 
     #[test]
@@ -1300,20 +1101,6 @@ mod tests {
         assert_eq!(lineage, vec![(0, 1), (1, 0), (3, 1)]);
         assert_eq!(joined.get(0, "tag").unwrap(), Value::Str("tb".into()));
         assert_eq!(joined.get(1, "tag").unwrap(), Value::Str("ta".into()));
-        // Identical to the reference kernel, including the left-outer case.
-        let (ref_joined, ref_lineage) = left
-            .to_reference()
-            .hash_join(&right.to_reference(), "k", "k")
-            .unwrap();
-        assert_eq!(joined, ref_joined);
-        assert_eq!(lineage, ref_lineage);
-        let (lj, ll) = left.left_join(&right, "k", "k").unwrap();
-        let (rlj, rll) = left
-            .to_reference()
-            .left_join(&right.to_reference(), "k", "k")
-            .unwrap();
-        assert_eq!(lj, rlj);
-        assert_eq!(ll, rll);
     }
 
     #[test]
@@ -1353,8 +1140,6 @@ mod tests {
                 (Value::Str("c".into()), 1),
             ]
         );
-        // Identical on the reference backend (general hash-map path).
-        assert_eq!(t.to_reference().value_counts("s").unwrap(), counts);
     }
 
     #[test]
@@ -1459,25 +1244,9 @@ mod tests {
     }
 
     #[test]
-    fn radix_join_is_bit_identical_to_reference_kernel() {
-        let (left, right) = wide_tables();
-        let (lref, rref) = (left.to_reference(), right.to_reference());
-        for threads in [1, 2, 4, 7] {
-            let (col, col_lineage) = left.hash_join_par(&right, "k", "k", threads).unwrap();
-            let (refr, ref_lineage) = lref.hash_join_par(&rref, "k", "k", threads).unwrap();
-            assert_eq!(col, refr, "threads={threads}");
-            assert_eq!(col_lineage, ref_lineage, "threads={threads}");
-            let (lcol, lcol_lineage) = left.left_join_par(&right, "k", "k", threads).unwrap();
-            let (lrefr, lref_lineage) = lref.left_join_par(&rref, "k", "k", threads).unwrap();
-            assert_eq!(lcol, lrefr, "threads={threads}");
-            assert_eq!(lcol_lineage, lref_lineage, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn distinct_by_keeps_first_occurrence_and_is_thread_invariant() {
+    fn distinct_by_keeps_first_occurrence() {
         let (left, _) = wide_tables();
-        let (kept, owner) = left.distinct_by("k", 1).unwrap();
+        let (kept, owner) = left.distinct_by("k").unwrap();
         // 61 int keys + the null class.
         assert_eq!(kept.len(), 62);
         assert_eq!(owner.len(), left.n_rows());
@@ -1496,18 +1265,11 @@ mod tests {
         for (slot, &row) in kept.iter().enumerate() {
             assert_eq!(owner[row], slot);
         }
-        for threads in [2, 4, 7] {
-            let par = left.distinct_by("k", threads).unwrap();
-            assert_eq!(par, (kept.clone(), owner.clone()), "threads={threads}");
-        }
-        // And identical on the reference backend.
-        let r = left.to_reference();
-        assert_eq!(r.distinct_by("k", 1).unwrap(), (kept, owner));
     }
 
     #[test]
     fn distinct_by_unknown_column_rejected() {
         let (left, _) = wide_tables();
-        assert!(left.distinct_by("nope", 1).is_err());
+        assert!(left.distinct_by("nope").is_err());
     }
 }

@@ -188,7 +188,7 @@ impl LabelEncoder {
 
     /// Encode a whole label column (nulls are rejected).
     ///
-    /// On the columnar backend each *distinct* label is looked up once
+    /// For a string column each *distinct* label is looked up once
     /// through a lazy per-dictionary-code memo; rows then copy encoded ids.
     /// Errors (null label, unseen label) surface at the same row as the
     /// per-row path, since codes are memoized in row order.

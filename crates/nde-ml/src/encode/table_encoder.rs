@@ -370,7 +370,7 @@ impl TableEncoder {
 }
 
 /// Optional-f64 view of a column, widened like [`nde_data::Column::to_f64_vec`]
-/// but copied straight from the typed plane when the backend is columnar.
+/// but copied straight from the typed plane for `Int` and `Float` columns.
 fn numeric_values(table: &Table, column: &str) -> Result<Vec<Option<f64>>> {
     if let Some(p) = table.col_f64(column) {
         return Ok((0..p.values.len())

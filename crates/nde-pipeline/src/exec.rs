@@ -505,9 +505,8 @@ impl Executor {
             PlanNode::Distinct { key, .. } => {
                 let (t, p) = arg();
                 // First occurrence of each key value survives; its provenance
-                // absorbs the duplicates as Plus alternatives. Key grouping
-                // is chunk-parallel and thread-count invariant.
-                let (first_of, owner) = t.distinct_by(key, self.threads)?;
+                // absorbs the duplicates as Plus alternatives.
+                let (first_of, owner) = t.distinct_by(key)?;
                 let table = t.take(&first_of)?;
                 let prov = p.map(|p| {
                     let mut alts: Vec<Vec<ProvId>> = vec![Vec::new(); first_of.len()];
@@ -594,17 +593,17 @@ fn joined(
     ((table, prov), NodeTrace::RowMap { from })
 }
 
-/// Kept rows for a `col == literal` filter via the backend's vectorized
-/// equality scan. `None` (shape mismatch, unknown column, or no columnar
-/// fast path) means "use the per-row evaluator" — including for the unknown
-/// column case, where the per-row path owns the error report.
+/// Kept rows for a `col == literal` filter via the table's vectorized
+/// equality scan. `None` (another predicate shape, or an unknown column)
+/// means "use the per-row evaluator", which owns the unknown-column error
+/// report.
 fn filter_eq_fast_path(t: &Table, predicate: &crate::expr::Expr) -> Option<Vec<usize>> {
     let (col, lit) = predicate.as_col_eq_lit()?;
     t.filter_eq_rows(col, lit).ok().flatten()
 }
 
 /// A `col IS [NOT] NULL` projection read straight off the column's null
-/// bitmap (columnar backend only). `None` falls back to per-row evaluation.
+/// bitmap. `None` falls back to per-row evaluation.
 fn null_test_fast_path(t: &Table, expr: &crate::expr::Expr) -> Option<Column> {
     let (name, not_null) = expr.as_null_test()?;
     let dtype = t.schema().field(name).ok()?.dtype;
@@ -794,13 +793,13 @@ mod tests {
         let lineage = out.provenance.unwrap();
         // Each surviving row has two alternative derivations of the same
         // source tuple: a Plus whose why-provenance still names one tuple.
-        let expr = lineage.row_expr(0);
-        assert!(matches!(&expr, crate::provenance::ProvExpr::Plus(alts) if alts.len() == 2));
+        let node = lineage.arena.node(lineage.rows[0]);
+        assert!(matches!(node, crate::provenance::ProvNodeRef::Plus(alts) if alts.len() == 2));
         assert_eq!(lineage.row_tuples(0).len(), 1);
         // Boolean semantics: deleting the source tuple kills the row even
         // though it had two derivations.
-        assert!(expr.eval::<BoolSemiring>(&|_| true));
-        assert!(!expr.eval::<BoolSemiring>(&|_| false));
+        assert!(lineage.eval_rows::<BoolSemiring>(&|_| true)[0]);
+        assert!(!lineage.eval_rows::<BoolSemiring>(&|_| false)[0]);
     }
 
     #[test]

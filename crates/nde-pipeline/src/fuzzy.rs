@@ -7,15 +7,12 @@
 //! above a threshold — with the same lineage reporting as the exact joins,
 //! so provenance tracking extends to fuzzy matching unchanged.
 
-use crate::Result;
+use crate::{PipelineError, Result};
 use nde_data::par::WorkerFailure;
+use nde_data::planes::StrPlane;
 use nde_data::pool::WorkerPool;
 use nde_data::Table;
 use std::sync::atomic::AtomicBool;
-
-/// Left rows are matched in fixed-size chunks merged in index order, so
-/// [`fuzzy_join_par`] output is bit-identical for every thread count.
-const ROW_CHUNK: usize = 64;
 
 /// Levenshtein edit distance between two strings (bytewise on chars).
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -74,11 +71,10 @@ pub fn fuzzy_join(
 /// depends only on that value, so work merged in index order gives
 /// bit-identical output for every `threads` value.
 ///
-/// On the columnar backend both key columns are dictionary-encoded, and the
-/// expensive similarity scan runs once per **distinct** left value against
-/// the **distinct** right values (parallel over left dictionary codes) — a
-/// per-row lookup table replaces the per-row `O(|R|)` scan. The reference
-/// backend keeps the seed per-row kernel; both produce identical lineage.
+/// Both key columns must be string columns, which are dictionary-encoded:
+/// the expensive similarity scan runs once per **distinct** left value
+/// against the **distinct** right values (parallel over left dictionary
+/// codes), and a per-row lookup table replaces the per-row `O(|R|)` scan.
 pub fn fuzzy_join_par(
     left: &Table,
     right: &Table,
@@ -87,19 +83,20 @@ pub fn fuzzy_join_par(
     threshold: f64,
     threads: usize,
 ) -> Result<(Table, Vec<(usize, usize)>)> {
-    use crate::PipelineError;
     if !(0.0..=1.0).contains(&threshold) {
         return Err(PipelineError::InvalidPlan(format!(
             "fuzzy threshold must be in [0,1], got {threshold}"
         )));
     }
-    let lineage = match (left.col_str(left_key), right.col_str(right_key)) {
-        (Some(lp), Some(rp)) => match_by_dictionary(lp, rp, threshold, threads)?,
-        _ => match_by_rows(left, right, left_key, right_key, threshold, threads)?,
-    };
+    let lineage = match_by_dictionary(
+        key_plane(left, left_key)?,
+        key_plane(right, right_key)?,
+        threshold,
+        threads,
+    )?;
 
     // Materialize with the hash-join conventions (right key dropped, name
-    // clashes suffixed `_right`); plane-wise gather on the columnar backend.
+    // clashes suffixed `_right`).
     let rk = right.schema().index_of(right_key)?;
     let opt_lineage: Vec<(usize, Option<usize>)> =
         lineage.iter().map(|&(l, r)| (l, Some(r))).collect();
@@ -107,18 +104,24 @@ pub fn fuzzy_join_par(
     Ok((out, lineage))
 }
 
-/// Columnar kernel: score distinct left values (dictionary codes) against
-/// distinct right values, then expand per-row lineage through the code
-/// lookup table. Right candidates are visited in first-occurrence row order
-/// with a strict `>` improvement test — exactly the tie-breaking (lowest
-/// right row wins) of the per-row kernel.
+/// The string plane of a fuzzy join key column.
+fn key_plane<'a>(t: &'a Table, key: &str) -> Result<&'a StrPlane> {
+    t.schema().index_of(key)?;
+    t.col_str(key).ok_or_else(|| {
+        PipelineError::InvalidPlan(format!("fuzzy join key `{key}` must be a string column"))
+    })
+}
+
+/// Score distinct left values (dictionary codes) against distinct right
+/// values, then expand per-row lineage through the code lookup table. Right
+/// candidates are visited in first-occurrence row order with a strict `>`
+/// improvement test, so among equally similar right rows the lowest wins.
 fn match_by_dictionary(
-    lp: &nde_data::planes::StrPlane,
-    rp: &nde_data::planes::StrPlane,
+    lp: &StrPlane,
+    rp: &StrPlane,
     threshold: f64,
     threads: usize,
 ) -> Result<Vec<(usize, usize)>> {
-    use crate::PipelineError;
     // Distinct right candidates as (first_row, code), in first-occurrence
     // order. Rows after a code's first carry equal similarity and can never
     // win a strict-improvement test, so they are skipped entirely.
@@ -167,67 +170,6 @@ fn match_by_dictionary(
                 lineage.push((row, ri));
             }
         }
-    }
-    Ok(lineage)
-}
-
-/// Reference kernel: the seed per-row scan over materialized key columns,
-/// chunk-parallel over left rows.
-fn match_by_rows(
-    left: &Table,
-    right: &Table,
-    left_key: &str,
-    right_key: &str,
-    threshold: f64,
-    threads: usize,
-) -> Result<Vec<(usize, usize)>> {
-    use crate::PipelineError;
-    let lcol = left.column(left_key)?;
-    let rcol = right.column(right_key)?;
-    let lvals = lcol.as_str_slice().ok_or_else(|| {
-        PipelineError::InvalidPlan(format!(
-            "fuzzy join key `{left_key}` must be a string column"
-        ))
-    })?;
-    let rvals = rcol.as_str_slice().ok_or_else(|| {
-        PipelineError::InvalidPlan(format!(
-            "fuzzy join key `{right_key}` must be a string column"
-        ))
-    })?;
-
-    let chunks = lvals.len().div_ceil(ROW_CHUNK) as u64;
-    let stop = AtomicBool::new(false);
-    let parts = WorkerPool::shared()
-        .map_indexed(threads, 0..chunks, &stop, |c| {
-            let start = c as usize * ROW_CHUNK;
-            let end = (start + ROW_CHUNK).min(lvals.len());
-            let mut part: Vec<(usize, usize)> = Vec::new();
-            for (li, lv) in lvals.iter().enumerate().take(end).skip(start) {
-                let Some(lv) = lv else { continue };
-                let mut best: Option<(usize, f64)> = None;
-                for (ri, rv) in rvals.iter().enumerate() {
-                    let Some(rv) = rv else { continue };
-                    let sim = similarity(lv, rv);
-                    if sim >= threshold && best.is_none_or(|(_, b)| sim > b) {
-                        best = Some((ri, sim));
-                    }
-                }
-                if let Some((ri, _)) = best {
-                    part.push((li, ri));
-                }
-            }
-            Ok::<_, PipelineError>(part)
-        })
-        .map_err(|fail| match fail {
-            WorkerFailure::Err(_, e) => e,
-            // Unreachable in practice: similarity scoring does not panic.
-            WorkerFailure::Panic(_, msg) => {
-                PipelineError::InvalidPlan(format!("fuzzy join worker panicked: {msg}"))
-            }
-        })?;
-    let mut lineage: Vec<(usize, usize)> = Vec::new();
-    for (_, part) in parts {
-        lineage.extend(part);
     }
     Ok(lineage)
 }

@@ -11,9 +11,9 @@
 //! source tuples it was derived from. Polynomials are hash-consed into a
 //! flat [`provenance::ProvArena`] (identical subexpressions interned once,
 //! rows are 4-byte node ids), so semiring evaluation and deletion what-ifs
-//! are single forward passes over the node table; the recursive
-//! [`provenance::ProvExpr`] tree remains available as the reference
-//! representation. That mapping is what lets data-importance methods
+//! are single forward passes over the node table (the `nde-tests` crate
+//! checks them against the recursive-tree form). That mapping is what lets
+//! data-importance methods
 //! computed on the *pipeline output* be pushed back to the *pipeline
 //! inputs*.
 //!
@@ -53,7 +53,7 @@ pub use delta::{Delta, DeltaOutcome, DeltaPath, DeltaStats, PipelineSession};
 pub use error::PipelineError;
 pub use exec::{ExecOutput, Executor};
 pub use plan::{JoinType, NodeId, Plan};
-pub use provenance::{Lineage, ProvArena, ProvExpr, ProvId, TupleId};
+pub use provenance::{Lineage, ProvArena, ProvId, TupleId};
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, PipelineError>;

@@ -7,10 +7,14 @@
 //! node's children are always created before the node itself, the arena is
 //! topologically sorted and *any* semiring evaluation is a single forward
 //! pass over the node table — no recursion, no per-row hash-set collection.
-//! The recursive [`ProvExpr`] tree survives as the reference representation
-//! for inspection and cross-checking.
+//!
+//! `Times` combines tuples that *jointly* produced a row (joins); `Plus`
+//! combines *alternative* derivations (unions/dedup). This is the semiring
+//! lineage Datascope pushes importance through. The `nde-tests` crate
+//! keeps the recursive-tree form of these polynomials and checks every
+//! arena evaluation against it.
 
-use crate::semiring::{why_var, Semiring, WhySemiring};
+use crate::semiring::Semiring;
 use nde_data::fxhash::{FxHashMap, FxHashSet};
 use std::sync::OnceLock;
 
@@ -40,78 +44,6 @@ impl TupleId {
             source: (v >> 32) as u32,
             row: (v & 0xffff_ffff) as u32,
         }
-    }
-}
-
-/// A provenance polynomial as a recursive tree. This is the *reference*
-/// representation: simple to build by hand in tests and to pretty-print,
-/// but heap-heavy. The execution engine works on [`ProvArena`] node ids and
-/// materializes trees only on demand via [`ProvArena::expr`].
-///
-/// `Times` combines tuples that *jointly* produced a row (joins);
-/// `Plus` combines *alternative* derivations (unions/dedup).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProvExpr {
-    /// A single source tuple.
-    Var(TupleId),
-    /// Joint derivation (e.g. the two sides of a join).
-    Times(Vec<ProvExpr>),
-    /// Alternative derivations.
-    Plus(Vec<ProvExpr>),
-}
-
-impl ProvExpr {
-    /// Product of two provenance expressions, flattening nested products.
-    pub fn times(a: ProvExpr, b: ProvExpr) -> ProvExpr {
-        let mut factors = Vec::new();
-        for e in [a, b] {
-            match e {
-                ProvExpr::Times(mut f) => factors.append(&mut f),
-                other => factors.push(other),
-            }
-        }
-        ProvExpr::Times(factors)
-    }
-
-    /// All distinct source tuples mentioned anywhere in the expression.
-    pub fn tuples(&self) -> Vec<TupleId> {
-        let mut set = FxHashSet::default();
-        self.collect_tuples(&mut set);
-        let mut v: Vec<TupleId> = set.into_iter().collect();
-        v.sort();
-        v
-    }
-
-    fn collect_tuples(&self, out: &mut FxHashSet<TupleId>) {
-        match self {
-            ProvExpr::Var(t) => {
-                out.insert(*t);
-            }
-            ProvExpr::Times(es) | ProvExpr::Plus(es) => {
-                for e in es {
-                    e.collect_tuples(out);
-                }
-            }
-        }
-    }
-
-    /// Evaluate the polynomial in an arbitrary semiring, assigning each
-    /// tuple variable via `assign`.
-    pub fn eval<S: Semiring>(&self, assign: &impl Fn(TupleId) -> S::Elem) -> S::Elem {
-        match self {
-            ProvExpr::Var(t) => assign(*t),
-            ProvExpr::Times(es) => es
-                .iter()
-                .fold(S::one(), |acc, e| S::times(&acc, &e.eval::<S>(assign))),
-            ProvExpr::Plus(es) => es
-                .iter()
-                .fold(S::zero(), |acc, e| S::plus(&acc, &e.eval::<S>(assign))),
-        }
-    }
-
-    /// The why-provenance (set of minimal-ish witnesses) of this expression.
-    pub fn why(&self) -> <WhySemiring as Semiring>::Elem {
-        self.eval::<WhySemiring>(&|t| why_var(t.as_var()))
     }
 }
 
@@ -238,10 +170,10 @@ impl ProvArena {
         id
     }
 
-    /// Intern a product node of `a` and `b`, flattening nested products
-    /// (matching [`ProvExpr::times`]): the factor list is the concatenation
-    /// of `a`'s factors and `b`'s factors, order preserved, no dedup —
-    /// counting-semiring multiplicity must match the tree representation.
+    /// Intern a product node of `a` and `b`, flattening nested products:
+    /// the factor list is the concatenation of `a`'s factors and `b`'s
+    /// factors, order preserved, no dedup, so counting-semiring evaluation
+    /// counts every derivation.
     pub fn times(&mut self, a: ProvId, b: ProvId) -> ProvId {
         let mut kids: Vec<ProvId> = Vec::new();
         for id in [a, b] {
@@ -294,31 +226,6 @@ impl ProvArena {
         id
     }
 
-    /// Intern a reference tree, flattening nested `Times` exactly like
-    /// construction through [`ProvArena::times`] would.
-    pub fn intern_expr(&mut self, e: &ProvExpr) -> ProvId {
-        match e {
-            ProvExpr::Var(t) => self.var(*t),
-            ProvExpr::Times(es) => {
-                let ids: Vec<ProvId> = es.iter().map(|c| self.intern_expr(c)).collect();
-                let mut kids: Vec<ProvId> = Vec::with_capacity(ids.len());
-                for id in ids {
-                    match self.nodes[id.index()] {
-                        ProvNode::Times { start, len } => {
-                            kids.extend_from_slice(self.kids_of(start, len));
-                        }
-                        _ => kids.push(id),
-                    }
-                }
-                self.intern_compound(TIMES_TAG, &kids)
-            }
-            ProvExpr::Plus(es) => {
-                let ids: Vec<ProvId> = es.iter().map(|c| self.intern_expr(c)).collect();
-                self.plus(&ids)
-            }
-        }
-    }
-
     /// Iterate over all nodes in id order (children before parents).
     pub fn iter_nodes(&self) -> impl Iterator<Item = (ProvId, ProvNodeRef<'_>)> {
         (0..self.nodes.len()).map(|i| {
@@ -336,19 +243,7 @@ impl ProvArena {
         }
     }
 
-    /// Materialize the reference tree for `id`.
-    pub fn expr(&self, id: ProvId) -> ProvExpr {
-        match self.node(id) {
-            ProvNodeRef::Var(t) => ProvExpr::Var(t),
-            ProvNodeRef::Times(kids) => {
-                ProvExpr::Times(kids.iter().map(|&k| self.expr(k)).collect())
-            }
-            ProvNodeRef::Plus(kids) => ProvExpr::Plus(kids.iter().map(|&k| self.expr(k)).collect()),
-        }
-    }
-
-    /// All distinct source tuples below `id`, sorted (matches
-    /// [`ProvExpr::tuples`] on the materialized tree).
+    /// All distinct source tuples below `id`, sorted.
     pub fn tuples_of(&self, id: ProvId) -> Vec<TupleId> {
         let mut set = FxHashSet::default();
         let mut stack = vec![id];
@@ -533,11 +428,6 @@ impl Lineage {
             .map(|i| i as u32)
     }
 
-    /// Materialize the reference tree for one output row.
-    pub fn row_expr(&self, row: usize) -> ProvExpr {
-        self.arena.expr(self.rows[row])
-    }
-
     /// The sorted distinct source tuples one output row depends on.
     pub fn row_tuples(&self, row: usize) -> Vec<TupleId> {
         self.arena.tuples_of(self.rows[row])
@@ -620,7 +510,6 @@ impl Lineage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{BoolSemiring, CountSemiring};
 
     fn t(s: u32, r: u32) -> TupleId {
         TupleId::new(s, r)
@@ -631,48 +520,6 @@ mod tests {
         let id = t(3, 0xdead_beef);
         assert_eq!(TupleId::from_var(id.as_var()), id);
         assert_ne!(t(0, 1).as_var(), t(1, 0).as_var());
-    }
-
-    #[test]
-    fn times_flattens() {
-        let e = ProvExpr::times(
-            ProvExpr::times(ProvExpr::Var(t(0, 1)), ProvExpr::Var(t(1, 2))),
-            ProvExpr::Var(t(2, 3)),
-        );
-        match &e {
-            ProvExpr::Times(fs) => assert_eq!(fs.len(), 3),
-            _ => panic!("expected Times"),
-        }
-        assert_eq!(e.tuples(), vec![t(0, 1), t(1, 2), t(2, 3)]);
-    }
-
-    #[test]
-    fn eval_bool_and_count() {
-        // (a * b) + a : derivable iff a and (b or one alternative).
-        let e = ProvExpr::Plus(vec![
-            ProvExpr::times(ProvExpr::Var(t(0, 0)), ProvExpr::Var(t(1, 0))),
-            ProvExpr::Var(t(0, 0)),
-        ]);
-        // All tuples present.
-        assert!(e.eval::<BoolSemiring>(&|_| true));
-        // Source 1 deleted: still derivable via the second alternative.
-        assert!(e.eval::<BoolSemiring>(&|id| id.source == 0));
-        // Source 0 deleted: not derivable.
-        assert!(!e.eval::<BoolSemiring>(&|id| id.source == 1));
-        // Two derivations in the counting semiring.
-        assert_eq!(e.eval::<CountSemiring>(&|_| 1), 2);
-    }
-
-    #[test]
-    fn why_provenance_witnesses() {
-        let e = ProvExpr::Plus(vec![
-            ProvExpr::times(ProvExpr::Var(t(0, 0)), ProvExpr::Var(t(1, 0))),
-            ProvExpr::Var(t(0, 1)),
-        ]);
-        let why = e.why();
-        assert_eq!(why.len(), 2);
-        let sizes: Vec<usize> = why.iter().map(|w| w.len()).collect();
-        assert!(sizes.contains(&1) && sizes.contains(&2));
     }
 
     #[test]
@@ -696,83 +543,10 @@ mod tests {
     }
 
     #[test]
-    fn arena_times_flattens_like_tree_times() {
-        let mut arena = ProvArena::new();
-        let a = arena.var(t(0, 1));
-        let b = arena.var(t(1, 2));
-        let c = arena.var(t(2, 3));
-        let ab = arena.times(a, b);
-        let abc = arena.times(ab, c);
-        match arena.node(abc) {
-            ProvNodeRef::Times(kids) => assert_eq!(kids, &[a, b, c]),
-            other => panic!("expected Times, got {other:?}"),
-        }
-        let tree = ProvExpr::times(
-            ProvExpr::times(ProvExpr::Var(t(0, 1)), ProvExpr::Var(t(1, 2))),
-            ProvExpr::Var(t(2, 3)),
-        );
-        assert_eq!(arena.expr(abc), tree);
-        assert_eq!(arena.tuples_of(abc), tree.tuples());
-    }
-
-    #[test]
     fn single_alternative_plus_collapses() {
         let mut arena = ProvArena::new();
         let a = arena.var(t(0, 0));
         assert_eq!(arena.plus(&[a]), a);
-    }
-
-    #[test]
-    fn intern_expr_roundtrips_and_matches_eval() {
-        let tree = ProvExpr::Plus(vec![
-            ProvExpr::times(ProvExpr::Var(t(0, 0)), ProvExpr::Var(t(1, 0))),
-            ProvExpr::Var(t(0, 0)),
-        ]);
-        let mut arena = ProvArena::new();
-        let id = arena.intern_expr(&tree);
-        assert_eq!(arena.expr(id), tree);
-        let alive = |tid: TupleId| tid.source == 0;
-        let bools = arena.eval_bool(&alive);
-        assert_eq!(bools[id.index()], tree.eval::<BoolSemiring>(&alive));
-        let counts = arena.eval_nodes::<CountSemiring>(&|_| 1);
-        assert_eq!(counts[id.index()], tree.eval::<CountSemiring>(&|_| 1));
-        let whys = arena.eval_nodes::<WhySemiring>(&|tid| why_var(tid.as_var()));
-        assert_eq!(whys[id.index()], tree.why());
-    }
-
-    #[test]
-    fn bitset_lanes_match_per_scenario_bool_eval() {
-        // 3 tuples, 8 scenarios = all deletion subsets of {t00, t10, t01}.
-        let tree = ProvExpr::Plus(vec![
-            ProvExpr::times(ProvExpr::Var(t(0, 0)), ProvExpr::Var(t(1, 0))),
-            ProvExpr::Var(t(0, 1)),
-        ]);
-        let mut arena = ProvArena::new();
-        let id = arena.intern_expr(&tree);
-        let order = [t(0, 0), t(1, 0), t(0, 1)];
-        let alive_lanes = |tid: TupleId| {
-            let k = order.iter().position(|&o| o == tid).unwrap();
-            // Scenario j deletes tuple k iff bit k of j is set.
-            let mut lanes = 0u64;
-            for j in 0..8u64 {
-                if (j >> k) & 1 == 0 {
-                    lanes |= 1 << j;
-                }
-            }
-            lanes
-        };
-        let lanes = arena.eval_bool_lanes(&alive_lanes)[id.index()];
-        for j in 0..8u64 {
-            let alive = |tid: TupleId| {
-                let k = order.iter().position(|&o| o == tid).unwrap();
-                (j >> k) & 1 == 0
-            };
-            assert_eq!(
-                (lanes >> j) & 1 == 1,
-                tree.eval::<BoolSemiring>(&alive),
-                "scenario {j}"
-            );
-        }
     }
 
     #[test]
@@ -790,68 +564,5 @@ mod tests {
         }
         // Shared tuple across alternatives is deduplicated.
         assert_eq!(index.of(p), &[t(0, 0), t(0, 1), t(1, 0)]);
-    }
-
-    /// A lineage interned from reference trees.
-    fn lineage_of(sources: Vec<String>, exprs: &[ProvExpr]) -> Lineage {
-        let mut arena = ProvArena::new();
-        let rows = exprs.iter().map(|e| arena.intern_expr(e)).collect();
-        Lineage::new(sources, arena, rows)
-    }
-
-    #[test]
-    fn lineage_indexing() {
-        let lineage = lineage_of(
-            vec!["a".into(), "b".into()],
-            &[
-                ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
-                ProvExpr::Var(t(0, 2)),
-                ProvExpr::Var(t(1, 1)),
-            ],
-        );
-        assert_eq!(lineage.source_index("b"), Some(1));
-        assert_eq!(lineage.source_index("z"), None);
-        let per_out = lineage.rows_from_source(0);
-        assert_eq!(per_out, vec![vec![2], vec![2], vec![]]);
-        let inv = lineage.outputs_per_source_row(0, 3);
-        assert_eq!(inv[2], vec![0, 1]);
-        assert!(inv[0].is_empty());
-        assert_eq!(lineage.row_tuples(1), vec![t(0, 2)]);
-        assert_eq!(lineage.row_expr(2), ProvExpr::Var(t(1, 1)));
-        // Shared var node `a2` is interned once across rows 0 and 1.
-        assert_eq!(lineage.arena.len(), 4);
-    }
-
-    #[test]
-    fn inverted_index_cache_matches_uncached_semantics() {
-        let lineage = lineage_of(
-            vec!["a".into(), "b".into()],
-            &[
-                ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
-                ProvExpr::Var(t(0, 2)),
-                ProvExpr::Var(t(1, 1)),
-            ],
-        );
-        let first = lineage.outputs_per_source_row(0, 3);
-        assert_eq!(first[2], vec![0, 1]);
-        // Repeated calls hit the memoized pairs and agree exactly.
-        assert_eq!(lineage.outputs_per_source_row(0, 3), first);
-        // A longer source view reuses the same cache, padding with empties.
-        let longer = lineage.outputs_per_source_row(0, 5);
-        assert_eq!(&longer[..3], &first[..]);
-        assert!(longer[3].is_empty() && longer[4].is_empty());
-        // A shorter view truncates out-of-range source rows.
-        let shorter = lineage.outputs_per_source_row(0, 2);
-        assert!(shorter.iter().all(Vec::is_empty));
-        // Equality ignores whether the cache has been built.
-        let fresh = lineage_of(
-            vec!["a".into(), "b".into()],
-            &[
-                ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
-                ProvExpr::Var(t(0, 2)),
-                ProvExpr::Var(t(1, 1)),
-            ],
-        );
-        assert_eq!(lineage, fresh);
     }
 }

@@ -6,9 +6,12 @@
 //! world, i.e. under every imputation of the missing training cells. Because
 //! each training row's missing cells are imputed independently, certainty of
 //! a 1-NN prediction has an exact characterization via per-row distance
-//! bounds — no world enumeration needed.
+//! bounds — no world enumeration needed: the prediction is certain with
+//! label `L` iff the smallest *max*-distance among rows labeled `L` is
+//! strictly below the smallest *min*-distance among rows with any other
+//! label. (If some wrong-label row can get at least as close as every
+//! right-label row must be, there is a world where it wins.)
 
-use crate::interval::Interval;
 use crate::soa::{self, IntervalMatrix};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
@@ -57,8 +60,11 @@ impl CertainOutcome {
 /// `best_hi`. Such a row can neither own the smallest upper bound (it
 /// cannot be the candidate) nor have `d.lo ≤ best_hi` (it cannot break
 /// certainty, whose test is `best_hi < min_other_dmin`). Every verdict is
-/// therefore identical to the unpruned scan — and to the AoS reference
-/// [`certain_prediction_1nn`] — which the property tests assert.
+/// therefore identical to a scan without pruning. `tests/uncertain_soa.rs`
+/// asserts that each verdict equals the per-query scalar-[`Interval`] check
+/// of the `nde-tests` crate.
+///
+/// [`Interval`]: crate::interval::Interval
 ///
 /// The scan also tracks the two smallest lower bounds over *distinct
 /// labels* (`lo1` with its label, and `lo2` over rows labeled differently
@@ -103,17 +109,6 @@ impl CertainKnnIndex {
 
     /// Certain-prediction verdict for one query (pruned scan).
     pub fn classify(&self, query: &[f64]) -> Result<CertainOutcome> {
-        self.classify_inner(query, true)
-    }
-
-    /// [`CertainKnnIndex::classify`] without pruning: every row's full
-    /// distance bounds are computed. Same verdicts, kept as the
-    /// cross-check for the pruned scan.
-    pub fn classify_unpruned(&self, query: &[f64]) -> Result<CertainOutcome> {
-        self.classify_inner(query, false)
-    }
-
-    fn classify_inner(&self, query: &[f64], prune: bool) -> Result<CertainOutcome> {
         if self.planes.cols() != query.len() {
             return Err(UncertainError::InvalidArgument(format!(
                 "query has {} features, training data has {}",
@@ -128,12 +123,7 @@ impl CertainKnnIndex {
         let mut lo2 = f64::INFINITY;
         for r in 0..self.planes.rows() {
             let (x_lo, x_hi) = (self.planes.row_lo(r), self.planes.row_hi(r));
-            let bounds = if prune {
-                soa::sq_dist_bounds_pruned(query, x_lo, x_hi, best_hi)
-            } else {
-                Some(soa::sq_dist_bounds(query, x_lo, x_hi))
-            };
-            let Some((d_lo, d_hi)) = bounds else {
+            let Some((d_lo, d_hi)) = soa::sq_dist_bounds_pruned(query, x_lo, x_hi, best_hi) else {
                 continue; // pruned: d_lo > best_hi, provably irrelevant
             };
             let label = self.labels[r];
@@ -203,115 +193,13 @@ impl CertainKnnIndex {
     }
 }
 
-/// Interval of possible squared distances between a concrete query and a
-/// symbolic (interval) training row.
-fn distance_interval(query: &[f64], row: &[Interval]) -> Interval {
-    debug_assert_eq!(query.len(), row.len());
-    let mut d = Interval::point(0.0);
-    for (&q, &iv) in query.iter().zip(row) {
-        d = d + (iv - Interval::point(q)).square();
-    }
-    d
-}
-
-/// Certain-prediction check for a 1-NN classifier over incomplete training
-/// data. `labels[i]` is the label of symbolic training row `i`.
-///
-/// The check is **exact** (sound and complete) for 1-NN: the prediction is
-/// certain with label `L` iff the smallest *max*-distance among rows labeled
-/// `L` is strictly below the smallest *min*-distance among rows with any
-/// other label. (If some wrong-label row can get at least as close as every
-/// right-label row must be, there is a world where it wins.)
-pub fn certain_prediction_1nn(
-    train: &SymbolicMatrix,
-    labels: &[usize],
-    query: &[f64],
-) -> Result<CertainOutcome> {
-    if train.is_empty() {
-        return Err(UncertainError::InvalidArgument("empty training set".into()));
-    }
-    if train.len() != labels.len() {
-        return Err(UncertainError::InvalidArgument(format!(
-            "{} rows but {} labels",
-            train.len(),
-            labels.len()
-        )));
-    }
-    if train.cols() != query.len() {
-        return Err(UncertainError::InvalidArgument(format!(
-            "query has {} features, training data has {}",
-            query.len(),
-            train.cols()
-        )));
-    }
-
-    let dists: Vec<Interval> = train
-        .iter_rows()
-        .map(|row| distance_interval(query, row))
-        .collect();
-
-    // Midpoint-world best guess.
-    let guess = dists
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1.mid()
-                .partial_cmp(&b.1.mid())
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
-        })
-        .map(|(i, _)| labels[i])
-        .expect("non-empty");
-
-    // Candidate label: owner of the globally smallest max-distance. Only its
-    // label can possibly be certain — any other label loses in the world
-    // where this row sits at its max distance... wait, the candidate is the
-    // row guaranteed to be within `candidate_dmax` in every world.
-    let (cand_idx, cand_dmax) = dists
-        .iter()
-        .enumerate()
-        .min_by(|a, b| {
-            a.1.hi
-                .partial_cmp(&b.1.hi)
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
-        })
-        .map(|(i, d)| (i, d.hi))
-        .expect("non-empty");
-    let label = labels[cand_idx];
-
-    // Tightest guaranteed radius for the candidate label.
-    let best_same_dmax = dists
-        .iter()
-        .zip(labels)
-        .filter(|(_, &l)| l == label)
-        .map(|(d, _)| d.hi)
-        .fold(f64::INFINITY, f64::min);
-    debug_assert!((best_same_dmax - cand_dmax).abs() < 1e-12);
-
-    // Can any differently-labeled row ever get at least as close?
-    let min_other_dmin = dists
-        .iter()
-        .zip(labels)
-        .filter(|(_, &l)| l != label)
-        .map(|(d, _)| d.lo)
-        .fold(f64::INFINITY, f64::min);
-
-    if best_same_dmax < min_other_dmin {
-        Ok(CertainOutcome::Certain(label))
-    } else {
-        Ok(CertainOutcome::Uncertain(guess))
-    }
-}
-
 /// Fraction of queries whose 1-NN prediction is certain (the "coverage"
 /// metric of the CP paper), plus per-query outcomes.
 ///
 /// Builds a [`CertainKnnIndex`] and runs the pruned SoA scan sequentially;
 /// use the index directly to reuse the planes across batches or to spread
-/// queries over threads. Verdicts are identical to calling
-/// [`certain_prediction_1nn`] per query (the training set is now validated
-/// even when `queries` is empty).
+/// queries over threads. The training set is validated even when `queries`
+/// is empty.
 pub fn certain_coverage(
     train: &SymbolicMatrix,
     labels: &[usize],
@@ -329,52 +217,6 @@ mod tests {
     fn exact_train() -> (SymbolicMatrix, Vec<usize>) {
         let x = Matrix::from_rows(vec![vec![0.0], vec![1.0], vec![10.0], vec![11.0]]).unwrap();
         (SymbolicMatrix::from_exact(&x), vec![0, 0, 1, 1])
-    }
-
-    #[test]
-    fn complete_data_is_always_certain() {
-        let (train, labels) = exact_train();
-        let out = certain_prediction_1nn(&train, &labels, &[0.4]).unwrap();
-        assert_eq!(out, CertainOutcome::Certain(0));
-        let out = certain_prediction_1nn(&train, &labels, &[10.6]).unwrap();
-        assert_eq!(out, CertainOutcome::Certain(1));
-    }
-
-    #[test]
-    fn wide_uncertainty_breaks_certainty() {
-        // Row 1 (label 0) has an interval spanning the whole axis: it could
-        // sit right next to the query or far away — but it shares the
-        // candidate label, so certainty survives. Make a *label-1* row wide
-        // instead: then the prediction near the 0-cluster becomes uncertain.
-        let rows = vec![
-            vec![Interval::point(0.0)],
-            vec![Interval::point(1.0)],
-            vec![Interval::new(-20.0, 20.0)], // label 1, could come anywhere
-            vec![Interval::point(11.0)],
-        ];
-        let train = SymbolicMatrix::from_rows(rows).unwrap();
-        let labels = vec![0, 0, 1, 1];
-        let out = certain_prediction_1nn(&train, &labels, &[0.4]).unwrap();
-        assert!(!out.is_certain());
-        // Far from everything but closest to the certain 1-cluster, and the
-        // wide row is also label 1 ⇒ certain.
-        let out = certain_prediction_1nn(&train, &labels, &[11.2]).unwrap();
-        assert_eq!(out, CertainOutcome::Certain(1));
-    }
-
-    #[test]
-    fn same_label_uncertainty_is_harmless() {
-        // A wide interval on a row that shares the winning label cannot
-        // change the prediction.
-        let rows = vec![
-            vec![Interval::point(0.0)],
-            vec![Interval::new(-50.0, 50.0)], // label 0, wide
-            vec![Interval::point(10.0)],
-        ];
-        let train = SymbolicMatrix::from_rows(rows).unwrap();
-        let labels = vec![0, 0, 1];
-        let out = certain_prediction_1nn(&train, &labels, &[0.3]).unwrap();
-        assert_eq!(out, CertainOutcome::Certain(0));
     }
 
     #[test]
@@ -410,51 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn certainty_check_is_exact_vs_grid_enumeration() {
-        // One missing cell: enumerate a fine grid of worlds and verify the
-        // analytic verdict matches brute force.
-        let rows = vec![
-            vec![Interval::point(0.0)],
-            vec![Interval::new(0.0, 6.0)], // label 1, uncertain cell
-            vec![Interval::point(10.0)],
-        ];
-        let train = SymbolicMatrix::from_rows(rows.clone()).unwrap();
-        let labels = vec![0, 1, 1];
-        for q in [1.0f64, 4.0, 8.0] {
-            let verdict = certain_prediction_1nn(&train, &labels, &[q]).unwrap();
-            // Brute force over the single uncertain cell.
-            let mut seen = std::collections::HashSet::new();
-            for step in 0..=600 {
-                let v = 6.0 * step as f64 / 600.0;
-                let dists = [
-                    (q - 0.0) * (q - 0.0),
-                    (q - v) * (q - v),
-                    (q - 10.0) * (q - 10.0),
-                ];
-                let mut best = 0;
-                for i in 1..3 {
-                    if dists[i] < dists[best] {
-                        best = i;
-                    }
-                }
-                seen.insert(labels[best]);
-            }
-            assert_eq!(
-                verdict.is_certain(),
-                seen.len() == 1,
-                "query {q}: verdict {verdict:?}, brute-force labels {seen:?}"
-            );
-        }
-    }
-
-    #[test]
     fn validates_arguments() {
         let (train, labels) = exact_train();
-        assert!(certain_prediction_1nn(&train, &labels[..2], &[0.0]).is_err());
-        assert!(certain_prediction_1nn(&train, &labels, &[0.0, 1.0]).is_err());
         let empty = SymbolicMatrix::from_rows(vec![]).unwrap();
-        assert!(certain_prediction_1nn(&empty, &[], &[0.0]).is_err());
-        // The index validates the same things.
         assert!(CertainKnnIndex::new(&train, &labels[..2]).is_err());
         assert!(CertainKnnIndex::new(&empty, &[]).is_err());
         let index = CertainKnnIndex::new(&train, &labels).unwrap();
@@ -497,22 +297,6 @@ mod tests {
         )
         .unwrap();
         (sym, labels, queries)
-    }
-
-    #[test]
-    fn index_matches_aos_reference_pruned_and_unpruned() {
-        for (missing, seed) in [(0usize, 31), (10, 32), (40, 33)] {
-            let (sym, labels, queries) = random_symbolic(120, 4, missing, seed);
-            let index = CertainKnnIndex::new(&sym, &labels).unwrap();
-            let mut some_certain = false;
-            for q in queries.iter_rows() {
-                let reference = certain_prediction_1nn(&sym, &labels, q).unwrap();
-                assert_eq!(index.classify(q).unwrap(), reference);
-                assert_eq!(index.classify_unpruned(q).unwrap(), reference);
-                some_certain |= reference.is_certain();
-            }
-            assert!(some_certain, "degenerate test data (missing={missing})");
-        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   aggregation;
 //! * [`soa`] — structure-of-arrays interval kernels (`lo`/`hi` planes,
 //!   fused dot/axpy/distance-bound loops), the engine behind the Zorro and
-//!   certain-KNN hot paths. The scalar [`Interval`] paths survive as the
-//!   cross-checked reference representation.
+//!   certain-KNN hot paths, bit-identical to the scalar [`Interval`]
+//!   computations that tests keep as references.
 
 pub mod certain_knn;
 pub mod certain_models;

@@ -19,10 +19,11 @@
 //! exactly the order**, of the equivalent scalar [`Interval`] expression
 //! (`interval_dot`, `acc + a * x`, `(iv - point(q)).square()` folds). Only
 //! the memory layout changes, so results are bit-identical to the AoS
-//! reference path — the property tests in `tests/tests/uncertain_soa.rs`
-//! assert this across random matrices, and the reference implementations
-//! stay in the tree as the cross-check (the same pattern the provenance
-//! arena uses with the recursive `ProvExpr`).
+//! scalar-[`Interval`] computations. The AoS references are test code:
+//! `zorro.rs`'s unit tests keep the AoS Zorro trainer, and the `nde-tests`
+//! crate keeps the per-query 1-NN certain-prediction check that
+//! `tests/tests/uncertain_soa.rs` compares the pruned scan against across
+//! random matrices.
 
 use crate::interval::Interval;
 use crate::symbolic::SymbolicMatrix;

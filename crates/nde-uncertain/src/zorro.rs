@@ -10,8 +10,13 @@
 //! zonotopes; we use interval abstraction — coarser but equally sound, and
 //! sufficient to reproduce the qualitative behaviour (bounds grow
 //! monotonically with the amount of missingness).
+//!
+//! Training runs on the SoA engine ([`crate::soa`] planes and fused
+//! kernels). This module's tests keep a sequential scalar-[`Interval`]
+//! trainer with the same accumulation shape as the reference the engine's
+//! weights must match bit for bit at every thread count.
 
-use crate::interval::{interval_dot, Interval};
+use crate::interval::Interval;
 use crate::soa::{self, IntervalMatrix, IntervalVec};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
@@ -23,10 +28,10 @@ use nde_robust::{ConvergenceDiagnostics, RunBudget};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Rows per gradient block. Every trainer in this module — the SoA engine,
-/// the AoS reference, and the concrete GD — accumulates per-block partial
-/// gradients over blocks of exactly this many rows and folds them through
-/// the canonical [`tree_reduce`] shape. The shape depends only on the row
+/// Rows per gradient block. Every trainer here — the SoA engine, the
+/// concrete GD, and the AoS reference trainer of the tests — accumulates
+/// per-block partial gradients over blocks of exactly this many rows and
+/// folds them through the canonical [`tree_reduce`] shape. The shape depends only on the row
 /// count, so results are bit-identical at every thread count, and the three
 /// trainers stay bit-comparable to each other (point intervals degenerate
 /// to the concrete scalar computation op-for-op).
@@ -196,8 +201,8 @@ impl ZorroRegressor {
     /// [`soa::dot`] / [`soa::axpy`] kernels — blocks run on
     /// `config.threads` workers — and the partials fold through the
     /// canonical [`tree_reduce`] shape, so the weights are bit-identical at
-    /// every thread count and to the AoS reference
-    /// ([`Self::fit_uncertain_reference`]).
+    /// every thread count and to a sequential scalar-[`Interval`] trainer
+    /// with the same blocks (the reference this module's tests keep).
     ///
     /// The budget is checked at **epoch boundaries**: when it trips, training
     /// stops and the weights after the last completed epoch are kept as a
@@ -265,47 +270,6 @@ impl ZorroRegressor {
         };
         self.weights = Some(w.to_intervals());
         Ok((clock.diagnostics(None), checkpoint))
-    }
-
-    /// The AoS **reference trainer**: scalar [`Interval`] arithmetic over
-    /// the symbolic rows, sequential, but with the same
-    /// [`GRADIENT_BLOCK`]/[`tree_reduce`] accumulation shape as the SoA
-    /// engine — so its weights must be bit-identical to
-    /// [`Self::fit_uncertain_resumable`] at every thread count. Kept (like
-    /// the provenance engine's recursive `ProvExpr`) as the cross-check
-    /// the property tests compare the optimized path against.
-    pub fn fit_uncertain_reference(&mut self, x: &SymbolicMatrix, y: &[Interval]) -> Result<()> {
-        validate_fit_args(x, y, &self.config)?;
-        let n = x.len() as f64;
-        let d = x.cols();
-        let mut w = IntervalVec::zeros(d + 1);
-
-        for _epoch in 0..self.config.epochs {
-            let partials: Vec<IntervalVec> = (0..x.len())
-                .step_by(GRADIENT_BLOCK)
-                .map(|start| {
-                    let end = (start + GRADIENT_BLOCK).min(x.len());
-                    let mut grad = vec![Interval::point(0.0); d + 1];
-                    let w_iv = w.to_intervals();
-                    #[allow(clippy::needless_range_loop)] // r indexes both x and y
-                    for r in start..end {
-                        let row = x.row(r);
-                        // err = w·x + b − y (all intervals).
-                        let mut err = interval_dot(&w_iv[..d], row) + w_iv[d];
-                        err = err - y[r];
-                        for j in 0..d {
-                            grad[j] = grad[j] + err * row[j];
-                        }
-                        grad[d] = grad[d] + err;
-                    }
-                    IntervalVec::from_intervals(&grad)
-                })
-                .collect();
-            let grad = reduce_gradients(partials, d);
-            update_weights(&mut w, &grad, n, &self.config)?;
-        }
-        self.weights = Some(w.to_intervals());
-        Ok(())
     }
 
     /// The learned weight intervals (`d + 1`, bias last), if fitted.
@@ -459,7 +423,7 @@ fn reduce_gradients(partials: Vec<IntervalVec>, d: usize) -> IntervalVec {
 }
 
 /// The per-epoch weight update shared by the SoA engine and the AoS
-/// reference: `w ← w − lr · (∇/n + l2·w)` in scalar [`Interval`] ops
+/// reference trainer of the tests: `w ← w − lr · (∇/n + l2·w)` in scalar [`Interval`] ops
 /// (d + 1 of them — never the hot path), with the divergence check.
 fn update_weights(
     w: &mut IntervalVec,
@@ -533,10 +497,53 @@ pub fn train_concrete_gd(x: &Matrix, y: &[f64], config: &ZorroConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::interval_dot;
     use crate::symbolic::column_bounds_from_observed;
     use nde_data::generate::blobs::linear_regression;
     use nde_data::rng::Rng;
     use nde_data::rng::{sample_indices, seeded};
+
+    /// The AoS **reference trainer**: scalar [`Interval`] arithmetic over
+    /// the symbolic rows, sequential, but with the same
+    /// [`GRADIENT_BLOCK`]/[`tree_reduce`] accumulation shape as the SoA
+    /// engine — so its weights must be bit-identical to
+    /// [`ZorroRegressor::fit_uncertain_resumable`] at every thread count.
+    fn fit_aos_reference(
+        config: &ZorroConfig,
+        x: &SymbolicMatrix,
+        y: &[Interval],
+    ) -> Result<Vec<Interval>> {
+        validate_fit_args(x, y, config)?;
+        let n = x.len() as f64;
+        let d = x.cols();
+        let mut w = IntervalVec::zeros(d + 1);
+
+        for _epoch in 0..config.epochs {
+            let partials: Vec<IntervalVec> = (0..x.len())
+                .step_by(GRADIENT_BLOCK)
+                .map(|start| {
+                    let end = (start + GRADIENT_BLOCK).min(x.len());
+                    let mut grad = vec![Interval::point(0.0); d + 1];
+                    let w_iv = w.to_intervals();
+                    #[allow(clippy::needless_range_loop)] // r indexes both x and y
+                    for r in start..end {
+                        let row = x.row(r);
+                        // err = w·x + b − y (all intervals).
+                        let mut err = interval_dot(&w_iv[..d], row) + w_iv[d];
+                        err = err - y[r];
+                        for j in 0..d {
+                            grad[j] = grad[j] + err * row[j];
+                        }
+                        grad[d] = grad[d] + err;
+                    }
+                    IntervalVec::from_intervals(&grad)
+                })
+                .collect();
+            let grad = reduce_gradients(partials, d);
+            update_weights(&mut w, &grad, n, config)?;
+        }
+        Ok(w.to_intervals())
+    }
 
     fn regression_data(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
         let (xs, ys, _, _) = linear_regression(n, 2, 0.05, seed);
@@ -717,9 +724,7 @@ mod tests {
             epochs: 25,
             ..Default::default()
         };
-        let mut reference = ZorroRegressor::new(cfg.clone());
-        reference.fit_uncertain_reference(&sym, &targets).unwrap();
-        let expect = reference.weight_intervals().unwrap().to_vec();
+        let expect = fit_aos_reference(&cfg, &sym, &targets).unwrap();
         for threads in [1usize, 2, 4, 7] {
             let mut engine = ZorroRegressor::new(cfg.clone().with_threads(threads));
             engine.fit_uncertain(&sym, &targets).unwrap();
@@ -900,6 +905,79 @@ mod tests {
             let pred = row.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>() + w[2];
             let loss = (pred - target) * (pred - target);
             assert!(range.contains(loss) || (loss - range.hi).abs() < 1e-9);
+        }
+    }
+
+    /// Random concrete matrix with `missing` cells widened to column bounds.
+    fn random_symbolic(
+        rows: usize,
+        cols: usize,
+        missing: usize,
+        seed: u64,
+    ) -> (SymbolicMatrix, Matrix) {
+        let mut rng = seeded(seed);
+        let x = Matrix::from_rows(
+            (0..rows)
+                .map(|_| (0..cols).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect(),
+        )
+        .expect("rectangular");
+        let bounds = column_bounds_from_observed(&x);
+        let cells: Vec<(usize, usize)> = sample_indices(rows * cols, missing, &mut rng)
+            .into_iter()
+            .map(|i| (i / cols, i % cols))
+            .collect();
+        let sym =
+            SymbolicMatrix::from_matrix_with_missing(&x, &cells, &bounds).expect("valid cells");
+        (sym, x)
+    }
+
+    fn random_targets(rows: usize, interval_every: usize, seed: u64) -> Vec<Interval> {
+        let mut rng = seeded(seed);
+        (0..rows)
+            .map(|r| {
+                let v: f64 = rng.gen_range(-1.0..1.0);
+                if interval_every > 0 && r % interval_every == 0 {
+                    Interval::new(v - 0.1, v + 0.1)
+                } else {
+                    Interval::point(v)
+                }
+            })
+            .collect()
+    }
+
+    /// Zorro: for random matrices at several missing fractions, the SoA engine
+    /// at every thread count yields weight intervals bit-identical to the
+    /// sequential AoS reference.
+    #[test]
+    fn zorro_soa_equals_aos_reference_across_seeds_and_threads() {
+        for (seed, rows, cols, missing) in [
+            (11u64, 64usize, 3usize, 0usize),
+            (12, 97, 5, 12),
+            (13, 200, 4, 60),
+            (14, 130, 6, 130 * 6 / 4),
+        ] {
+            let (sym, _) = random_symbolic(rows, cols, missing, seed);
+            let y = random_targets(rows, 5, seed ^ 0xfeed);
+            let config = ZorroConfig {
+                epochs: 20,
+                learning_rate: 0.05,
+                l2: 1e-3,
+                divergence_threshold: 1e9,
+                threads: 1,
+                pool: None,
+            };
+            let expected = fit_aos_reference(&config, &sym, &y).expect("reference fit");
+            for threads in [1usize, 2, 4, 7] {
+                let mut engine = ZorroRegressor::new(config.clone().with_threads(threads));
+                engine.fit_uncertain(&sym, &y).expect("engine fit");
+                let got = engine.weight_intervals().expect("fitted");
+                assert_eq!(
+                    got,
+                    &expected[..],
+                    "weights differ from AoS reference (seed {seed}, {threads} threads)"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,14 @@
 //! Integration-test-only crate; see `tests/` directory.
 //!
 //! It also holds the reference implementations the integration tests check
-//! production code against.
+//! production code against: the scoped-spawn worker map below, the
+//! `Value`-per-cell [`table::RefTable`], the recursive provenance tree
+//! [`provenance::ProvExpr`], and the per-query 1-NN certain-prediction check
+//! [`certain_knn::certain_prediction_1nn`].
+
+pub mod certain_knn;
+pub mod provenance;
+pub mod table;
 
 use nde_data::par::{panic_message, WorkerFailure};
 use std::ops::Range;

@@ -1,11 +1,14 @@
-//! Differential tests: the typed columnar backend must be observationally
-//! identical to the Value-per-cell reference backend for every table
-//! operation, under generated data with nulls, duplicate keys, and injected
-//! errors — and the radix-partitioned join must be thread-count invariant.
+//! Differential tests: the typed columnar table must be observationally
+//! identical to the `Value`-per-cell reference table of this crate for
+//! every table operation, under generated data with nulls, duplicate keys,
+//! and injected errors — and the radix-partitioned join must be
+//! thread-count invariant.
 
+use nde::scenario::load_recommendation_letters;
 use nde_data::inject::{add_gaussian_noise, duplicate_rows, inject_missing, Missingness};
 use nde_data::rng::{seeded, Rng};
-use nde_data::{BackendKind, Column, DataType, Field, Schema, Table, Value};
+use nde_data::{Column, DataType, Field, Schema, Table, Value};
+use nde_tests::table::RefTable;
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
@@ -51,27 +54,18 @@ fn generated(name: &str, rows: usize, seed: u64) -> Table {
     t
 }
 
-/// The same logical table on both backends.
-fn both(rows: usize, seed: u64) -> (Table, Table) {
+/// A generated table and its reference copy.
+fn both(rows: usize, seed: u64) -> (Table, RefTable) {
     let c = generated("t", rows, seed);
-    assert_eq!(c.backend_kind(), BackendKind::Columnar);
-    let r = c.to_reference();
-    assert_eq!(r.backend_kind(), BackendKind::Reference);
+    let r = RefTable::from_table(&c);
     assert_eq!(c, r);
-    (c, r)
-}
-
-#[test]
-fn backend_round_trip_is_lossless() {
-    let (c, r) = both(300, 1);
-    assert_eq!(c.to_reference().to_columnar(), c);
-    assert_eq!(r.to_columnar().to_reference(), r);
     for row in 0..c.n_rows() {
         for col in ["id", "score", "tag", "flag"] {
             assert_eq!(c.get(row, col).unwrap(), r.get(row, col).unwrap());
             assert_eq!(c.get_ref(row, col).unwrap(), r.get_ref(row, col).unwrap());
         }
     }
+    (c, r)
 }
 
 #[test]
@@ -143,9 +137,8 @@ fn row_and_column_ops_agree_across_backends() {
 
     let mut ca = c.clone();
     let mut ra = r.clone();
-    // Cross-backend append: each side ingests the other's representation.
-    ca.append(&r).unwrap();
-    ra.append(&c).unwrap();
+    ca.append(&c).unwrap();
+    ra.append(&r).unwrap();
     assert_eq!(ca, ra);
 
     let bools: Vec<Option<bool>> = (0..c.n_rows()).map(|i| Some(i % 2 == 0)).collect();
@@ -176,9 +169,8 @@ fn value_counts_and_distinct_agree_across_backends() {
             r.value_counts(col).unwrap(),
             "value_counts diverged on `{col}`"
         );
-        let base = c.distinct_by(col, 1).unwrap();
+        let base = c.distinct_by(col).unwrap();
         for threads in THREADS {
-            assert_eq!(c.distinct_by(col, threads).unwrap(), base);
             assert_eq!(r.distinct_by(col, threads).unwrap(), base);
         }
         assert_eq!(
@@ -217,41 +209,48 @@ fn right_table(seed: u64) -> Table {
     t
 }
 
+/// The reference inner and left joins of `lr ⋈ rr` against the radix joins
+/// of the columnar copies at every thread count, and the reference
+/// left-join output against the columnar plane gather of its lineage.
+fn assert_joins_agree(lc: &Table, lr: &RefTable, rc: &Table, rr: &RefTable, key: (&str, &str)) {
+    let (lkey, rkey) = key;
+    let (base_t, base_l) = lr.hash_join(rr, lkey, rkey).unwrap();
+    let (base_lt, base_ll) = lr.left_join(rr, lkey, rkey).unwrap();
+    for threads in THREADS {
+        let (jt, jl) = lc.hash_join_par(rc, lkey, rkey, threads).unwrap();
+        assert_eq!(
+            jl, base_l,
+            "inner lineage diverged (key={key:?}, threads={threads})"
+        );
+        assert_eq!(
+            jt, base_t,
+            "inner join diverged (key={key:?}, threads={threads})"
+        );
+        let (lt, ll) = lc.left_join_par(rc, lkey, rkey, threads).unwrap();
+        assert_eq!(
+            ll, base_ll,
+            "left lineage diverged (key={key:?}, threads={threads})"
+        );
+        assert_eq!(
+            lt, base_lt,
+            "left join diverged (key={key:?}, threads={threads})"
+        );
+    }
+    let rk = rc.schema().index_of(rkey).unwrap();
+    assert_eq!(
+        lc.materialize_join(rc, &base_ll, rk).unwrap(),
+        base_lt,
+        "materialized join diverged (key={key:?})"
+    );
+}
+
 #[test]
 fn joins_agree_across_backends_and_thread_counts() {
     let (lc, lr) = both(300, 7);
     let rc = right_table(8);
-    let rr = rc.to_reference();
+    let rr = RefTable::from_table(&rc);
     for key in ["id", "tag"] {
-        let (base_t, base_l) = lr.hash_join(&rr, key, key).unwrap();
-        let (base_lt, base_ll) = lr.left_join(&rr, key, key).unwrap();
-        for threads in THREADS {
-            // Radix kernel (columnar × columnar) at every thread count…
-            let (jt, jl) = lc.hash_join_par(&rc, key, key, threads).unwrap();
-            assert_eq!(
-                jl, base_l,
-                "inner lineage diverged (key={key}, threads={threads})"
-            );
-            assert_eq!(
-                jt, base_t,
-                "inner join diverged (key={key}, threads={threads})"
-            );
-            let (lt, ll) = lc.left_join_par(&rc, key, key, threads).unwrap();
-            assert_eq!(
-                ll, base_ll,
-                "left lineage diverged (key={key}, threads={threads})"
-            );
-            assert_eq!(
-                lt, base_lt,
-                "left join diverged (key={key}, threads={threads})"
-            );
-            // …and mixed-backend pairs fall back to the reference kernel
-            // with the same observable output.
-            let (mt, ml) = lc.hash_join_par(&rr, key, key, threads).unwrap();
-            assert_eq!((mt, ml), (base_t.clone(), base_l.clone()));
-            let (mt, ml) = lr.hash_join_par(&rc, key, key, threads).unwrap();
-            assert_eq!((mt, ml), (base_t.clone(), base_l.clone()));
-        }
+        assert_joins_agree(&lc, &lr, &rc, &rr, (key, key));
     }
     // Joined outputs stay differentially equal downstream too.
     let (jc, _) = lc.hash_join(&rc, "id", "id").unwrap();
@@ -260,7 +259,28 @@ fn joins_agree_across_backends_and_thread_counts() {
         jc.value_counts("tag").unwrap(),
         jr.value_counts("tag").unwrap()
     );
-    assert_eq!(jc.to_reference(), jr);
+    assert_eq!(jc, jr);
+
+    // The Fig. 3 hiring pipeline's source tables on its join keys: the
+    // letters inner-join the job details on `job_id`, and that output
+    // left-joins the social table on `person_id`.
+    let s = load_recommendation_letters(600, 41);
+    let letters = RefTable::from_table(&s.train);
+    let jobs = RefTable::from_table(&s.job_details);
+    let social = RefTable::from_table(&s.social);
+    assert_joins_agree(
+        &s.train,
+        &letters,
+        &s.job_details,
+        &jobs,
+        ("job_id", "job_id"),
+    );
+    let (j1c, _) = s
+        .train
+        .hash_join(&s.job_details, "job_id", "job_id")
+        .unwrap();
+    let (j1r, _) = letters.hash_join(&jobs, "job_id", "job_id").unwrap();
+    assert_joins_agree(&j1c, &j1r, &s.social, &social, ("person_id", "person_id"));
 }
 
 #[test]
@@ -283,50 +303,39 @@ fn string_joins_agree_when_dictionaries_differ() {
             .push_row(vec![Value::Str((*s).into()), Value::Int(i as i64)])
             .unwrap();
     }
-    let reference = left
-        .to_reference()
-        .hash_join(&right.to_reference(), "k", "k")
+    let (ref_t, ref_l) = RefTable::from_table(&left)
+        .hash_join(&RefTable::from_table(&right), "k", "k")
         .unwrap();
     for threads in THREADS {
-        assert_eq!(
-            left.hash_join_par(&right, "k", "k", threads).unwrap(),
-            reference
-        );
+        let (t, l) = left.hash_join_par(&right, "k", "k", threads).unwrap();
+        assert_eq!(t, ref_t);
+        assert_eq!(l, ref_l);
     }
 }
 
 #[test]
 fn injected_errors_preserve_backend_equivalence() {
-    let (mut c, mut r) = both(350, 9);
-    let rep_c = inject_missing(&mut c, "score", 0.25, Missingness::Mcar, 11).unwrap();
-    let rep_r = inject_missing(&mut r, "score", 0.25, Missingness::Mcar, 11).unwrap();
-    assert_eq!(rep_c.affected, rep_r.affected);
-    assert_eq!(c, r);
+    let (mut c, _) = both(350, 9);
+    inject_missing(&mut c, "score", 0.25, Missingness::Mcar, 11).unwrap();
+    add_gaussian_noise(&mut c, "score", 0.3, 2.0, 12).unwrap();
+    duplicate_rows(&mut c, 0.2, 13).unwrap();
 
-    let rep_c = add_gaussian_noise(&mut c, "score", 0.3, 2.0, 12).unwrap();
-    let rep_r = add_gaussian_noise(&mut r, "score", 0.3, 2.0, 12).unwrap();
-    assert_eq!(rep_c.affected, rep_r.affected);
+    // The dirtied table and its reference copy agree on derived results.
+    let r = RefTable::from_table(&c);
     assert_eq!(c, r);
-
-    let rep_c = duplicate_rows(&mut c, 0.2, 13).unwrap();
-    let rep_r = duplicate_rows(&mut r, 0.2, 13).unwrap();
-    assert_eq!(rep_c.affected, rep_r.affected);
-    assert_eq!(c, r);
-
-    // The dirtied tables still agree on derived results.
     assert_eq!(
         c.value_counts("tag").unwrap(),
         r.value_counts("tag").unwrap()
     );
     assert_eq!(
-        c.distinct_by("id", 4).unwrap(),
+        c.distinct_by("id").unwrap(),
         r.distinct_by("id", 4).unwrap()
     );
     let rc = right_table(14);
-    assert_eq!(
-        c.hash_join_par(&rc, "id", "id", 4).unwrap(),
-        r.hash_join(&rc.to_reference(), "id", "id").unwrap()
-    );
+    let (jt, jl) = c.hash_join_par(&rc, "id", "id", 4).unwrap();
+    let (rt, rl) = r.hash_join(&RefTable::from_table(&rc), "id", "id").unwrap();
+    assert_eq!(jt, rt);
+    assert_eq!(jl, rl);
 }
 
 #[test]

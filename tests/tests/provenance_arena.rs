@@ -13,7 +13,8 @@ use nde_pipeline::semiring::{BoolSemiring, CountSemiring};
 use nde_pipeline::whatif::{
     predict_deletion, predict_deletions_batch, predict_deletions_batch_threaded,
 };
-use nde_pipeline::{ProvExpr, TupleId};
+use nde_pipeline::TupleId;
+use nde_tests::provenance::{row_expr, ProvExpr};
 
 /// The Fig. 3 hiring pipeline with provenance, at a given thread count.
 fn run_hiring(n: usize, threads: usize) -> (Table, nde_pipeline::Lineage) {
@@ -41,7 +42,7 @@ fn arena_lineage_matches_materialized_reference_trees() {
     let arena_bool = lineage.eval_rows::<BoolSemiring>(&alive);
     let arena_count = lineage.eval_rows::<CountSemiring>(&|_| 1);
     for row in 0..lineage.n_rows() {
-        let tree: ProvExpr = lineage.row_expr(row);
+        let tree: ProvExpr = row_expr(&lineage, row);
         assert_eq!(
             arena_bool[row],
             tree.eval::<BoolSemiring>(&alive),
@@ -240,7 +241,7 @@ fn join_distinct_fuzzy_concat_plan_is_thread_invariant() {
     for (row, arena_truth) in arena_bool.iter().enumerate() {
         assert_eq!(
             *arena_truth,
-            base_lineage.row_expr(row).eval::<BoolSemiring>(&alive),
+            row_expr(&base_lineage, row).eval::<BoolSemiring>(&alive),
             "row {row}"
         );
     }
