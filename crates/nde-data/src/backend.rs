@@ -371,6 +371,59 @@ impl ColumnarStore {
         }
         Ok(())
     }
+
+    /// [`TableBackend::filter_eq`], which this store answers for every
+    /// column: the rows whose cell equals `value` under SQL equality, in
+    /// ascending order.
+    pub fn filter_eq_rows(&self, col: usize, value: &Value) -> Vec<usize> {
+        if value.is_null() {
+            return Vec::new(); // SQL equality: null matches nothing
+        }
+        match &self.planes[col] {
+            Plane::I64(p) => {
+                let target = match value {
+                    Value::Int(x) => Target::Int(*x),
+                    Value::Float(f) => Target::Float(*f),
+                    _ => return Vec::new(),
+                };
+                (0..p.len())
+                    .filter(|&r| {
+                        !p.nulls.get(r)
+                            && match target {
+                                Target::Int(x) => p.values[r] == x,
+                                Target::Float(f) => p.values[r] as f64 == f,
+                            }
+                    })
+                    .collect()
+            }
+            Plane::F64(p) => {
+                let target = match value {
+                    Value::Float(f) => *f,
+                    Value::Int(x) => *x as f64,
+                    _ => return Vec::new(),
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
+                    .collect()
+            }
+            Plane::Str(p) => {
+                let Some(code) = value.as_str().and_then(|s| p.dict().code_of(s)) else {
+                    return Vec::new();
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.codes[r] == code)
+                    .collect()
+            }
+            Plane::Bool(p) => {
+                let Some(target) = value.as_bool() else {
+                    return Vec::new();
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
+                    .collect()
+            }
+        }
+    }
 }
 
 impl TableBackend for ColumnarStore {
@@ -444,54 +497,7 @@ impl TableBackend for ColumnarStore {
     }
 
     fn filter_eq(&self, col: usize, value: &Value) -> Option<Vec<usize>> {
-        if value.is_null() {
-            return Some(Vec::new()); // SQL equality: null matches nothing
-        }
-        let rows = match &self.planes[col] {
-            Plane::I64(p) => {
-                let target = match value {
-                    Value::Int(x) => Target::Int(*x),
-                    Value::Float(f) => Target::Float(*f),
-                    _ => return Some(Vec::new()),
-                };
-                (0..p.len())
-                    .filter(|&r| {
-                        !p.nulls.get(r)
-                            && match target {
-                                Target::Int(x) => p.values[r] == x,
-                                Target::Float(f) => p.values[r] as f64 == f,
-                            }
-                    })
-                    .collect()
-            }
-            Plane::F64(p) => {
-                let target = match value {
-                    Value::Float(f) => *f,
-                    Value::Int(x) => *x as f64,
-                    _ => return Some(Vec::new()),
-                };
-                (0..p.len())
-                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
-                    .collect()
-            }
-            Plane::Str(p) => {
-                let Some(code) = value.as_str().and_then(|s| p.dict().code_of(s)) else {
-                    return Some(Vec::new());
-                };
-                (0..p.len())
-                    .filter(|&r| !p.nulls.get(r) && p.codes[r] == code)
-                    .collect()
-            }
-            Plane::Bool(p) => {
-                let Some(target) = value.as_bool() else {
-                    return Some(Vec::new());
-                };
-                (0..p.len())
-                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
-                    .collect()
-            }
-        };
-        Some(rows)
+        Some(self.filter_eq_rows(col, value))
     }
 }
 

@@ -226,9 +226,9 @@ impl Table {
 
     /// Rows whose cell equals `value` under SQL equality, in ascending
     /// order, from a vectorized plane scan.
-    pub fn filter_eq_rows(&self, name: &str, value: &Value) -> Result<Option<Vec<usize>>> {
+    pub fn filter_eq_rows(&self, name: &str, value: &Value) -> Result<Vec<usize>> {
         let idx = self.schema.index_of(name)?;
-        Ok(self.store.filter_eq(idx, value))
+        Ok(self.store.filter_eq_rows(idx, value))
     }
 
     /// Append a row of values (arity- and type-checked).
@@ -983,10 +983,7 @@ mod tests {
         assert_eq!(t.stats_sum("name").unwrap(), None);
         assert_eq!(t.distinct_count("name").unwrap(), Some(3));
         assert!(t.dictionary_values("name").unwrap().is_some());
-        assert_eq!(
-            t.filter_eq_rows("id", &Value::Int(3)).unwrap(),
-            Some(vec![2])
-        );
+        assert_eq!(t.filter_eq_rows("id", &Value::Int(3)).unwrap(), vec![2]);
         assert!(t.stats_sum("nope").is_err());
     }
 

@@ -12,7 +12,9 @@
 //! al., PVLDB 2019; Datascope's KNN proxy, Karlaš et al., PVLDB 2022).
 //! Closed-form KNN-Shapley needs only each validation point's full
 //! neighbor order, which [`neighbor_orders`] writes without building the
-//! matrix.
+//! matrix. [`KnnWorldVoter`] applies the same idea to possible worlds that
+//! differ in a few training cells: the distances that no world changes are
+//! computed once (certain KNN, Karlaš et al., PVLDB 2020).
 //!
 //! The [`CoalitionScorer`] trait is the hook the importance crate batches
 //! through: [`crate::model::Classifier::coalition_scorer`] returns a
@@ -30,7 +32,7 @@
 //! optimization only — it must never be observable in the scores.
 
 use crate::dataset::Dataset;
-use crate::linalg::{squared_distance, squared_distances};
+use crate::linalg::{continue_squared_distance, squared_distance, squared_distances, Matrix};
 use crate::models::knn::{k_nearest, majority_vote, neighbor_order};
 use crate::{MlError, Result};
 use nde_data::par::WorkerFailure;
@@ -209,6 +211,180 @@ impl DistanceTable {
     /// Number of validation points (row count).
     pub fn n_valid(&self) -> usize {
         self.n_valid
+    }
+}
+
+/// A KNN model's votes on a fixed test set across *possible worlds* of one
+/// training set: worlds that agree on every training cell except a
+/// trailing run of columns in some rows.
+///
+/// A training row is *fixed* when it is the same in every world, and
+/// *varying* from its first varying column `c0` on. Distances to fixed
+/// rows, and each varying row's [`squared_distance`] fold over its columns
+/// `0..c0`, are world-invariant, so [`KnnWorldVoter::new`] computes them
+/// once, in one pooled pass over the test points. Per test point it keeps
+/// only the `k` nearest fixed rows and the varying rows' prefixes; no
+/// test × train table stays resident. A world then costs the varying rows'
+/// remaining columns: [`KnnWorldVoter::vote`] continues each prefix with
+/// `continue_squared_distance`, which adds the same terms in the same
+/// order as one fold over the world's whole row.
+///
+/// # Bit-identity contract
+///
+/// The votes equal fitting a fresh [`crate::models::knn::KnnClassifier`]
+/// on each world and predicting every test point. Distances are the same
+/// floats, and `(distance, index)` is a strict total order, so a fixed row
+/// among a world's k nearest is also among the k nearest fixed rows:
+/// selecting k from those plus every varying row gives the same k-set as a
+/// full [`k_nearest`]. The vote over that set is `KnnClassifier`'s
+/// majority, ties toward the smaller class id.
+#[derive(Debug)]
+pub struct KnnWorldVoter<'a> {
+    k: usize,
+    labels: &'a [usize],
+    n_classes: usize,
+    test: &'a Matrix,
+    /// `(row, c0)` of every varying row, rows ascending.
+    varying: Vec<(usize, usize)>,
+    /// Per test point: [`order_key`]s of its k nearest fixed rows, and the
+    /// prefix of every varying row in `varying` order.
+    points: Vec<(Vec<u128>, Vec<f64>)>,
+}
+
+impl<'a> KnnWorldVoter<'a> {
+    /// Prepare the world-invariant part for `k` (≥ 1) neighbors on up to
+    /// `threads` threads of the shared [`WorkerPool`].
+    ///
+    /// `train_x` holds every cell's value in the worlds where it is fixed,
+    /// and is read only here; `varying_from[r]` is row `r`'s first varying
+    /// column (`train_x.cols()` for a fixed row). Returns `None` where
+    /// fitting and predicting would fail or could meet a NaN distance (an
+    /// empty training set, a label count other than the row count, fewer
+    /// than 2 classes, a label out of range, a test width other than the
+    /// training width, or a non-finite cell), so the caller's refit path
+    /// reports exactly its own error.
+    ///
+    /// # Panics
+    ///
+    /// If `varying_from` does not hold one column in `0..=train_x.cols()`
+    /// per training row.
+    pub fn new(
+        k: usize,
+        train_x: &Matrix,
+        labels: &'a [usize],
+        n_classes: usize,
+        varying_from: &[usize],
+        test: &'a Matrix,
+        threads: usize,
+    ) -> Option<KnnWorldVoter<'a>> {
+        let (n, dim) = (train_x.rows(), train_x.cols());
+        assert_eq!(varying_from.len(), n, "one varying column per row");
+        assert!(
+            varying_from.iter().all(|&c| c <= dim),
+            "varying column past the width"
+        );
+        let finite = |m: &Matrix| m.iter_rows().flatten().all(|v| v.is_finite());
+        if n == 0
+            || labels.len() != n
+            || n_classes < 2
+            || labels.iter().any(|&l| l >= n_classes)
+            || test.cols() != dim
+            || !finite(train_x)
+            || !finite(test)
+        {
+            return None;
+        }
+        let k = k.max(1);
+        let fixed: Vec<usize> = (0..n).filter(|&r| varying_from[r] == dim).collect();
+        let varying: Vec<(usize, usize)> = (0..n)
+            .filter(|&r| varying_from[r] < dim)
+            .map(|r| (r, varying_from[r]))
+            .collect();
+        let stop = AtomicBool::new(false);
+        let points = WorkerPool::shared().map_indexed_scratch(
+            threads,
+            0..test.rows() as u64,
+            &stop,
+            || (vec![0.0; n], Vec::with_capacity(fixed.len())),
+            |(dists, keys), t| {
+                let x = test.row(t as usize);
+                squared_distances(train_x, x, dists);
+                keys.clear();
+                keys.extend(fixed.iter().map(|&r| order_key(dists[r], r)));
+                retain_nearest(keys, k);
+                let nearest = keys.to_vec();
+                let prefixes = varying
+                    .iter()
+                    .map(|&(r, c0)| {
+                        continue_squared_distance(-0.0, &train_x.row(r)[..c0], &x[..c0])
+                    })
+                    .collect();
+                Ok::<_, Infallible>((nearest, prefixes))
+            },
+        );
+        let points = match points {
+            Ok(points) => points.into_iter().map(|(_, point)| point).collect(),
+            Err(WorkerFailure::Panic(t, msg)) => panic!("test point {t} panicked: {msg}"),
+            Err(WorkerFailure::Err(_, never)) => match never {},
+        };
+        Some(KnnWorldVoter {
+            k,
+            labels,
+            n_classes,
+            test,
+            varying,
+            points,
+        })
+    }
+
+    /// `(row, c0)` of every varying training row, rows ascending: the
+    /// layout [`KnnWorldVoter::vote`] reads a world's cells in.
+    pub fn varying_rows(&self) -> &[(usize, usize)] {
+        &self.varying
+    }
+
+    /// One world's predictions as flat vote counts: entry
+    /// `t * n_classes + c` is 1 if the world predicts class `c` for test
+    /// point `t`, else 0.
+    ///
+    /// `cells` holds the world's values of each varying row's columns
+    /// `c0..dim`, concatenated in [`KnnWorldVoter::varying_rows`] order.
+    ///
+    /// # Panics
+    ///
+    /// If `cells` is shorter than that layout.
+    pub fn vote(&self, cells: &[f64]) -> Vec<usize> {
+        let nc = self.n_classes;
+        let mut votes = vec![0usize; self.points.len() * nc];
+        let mut candidates: Vec<u128> = Vec::new();
+        let mut neighbors: Vec<usize> = Vec::with_capacity(self.k);
+        let mut counts = vec![0usize; nc];
+        for (t, (nearest, prefixes)) in self.points.iter().enumerate() {
+            let x = self.test.row(t);
+            candidates.clear();
+            candidates.extend_from_slice(nearest);
+            let mut at = 0;
+            for (&(r, c0), &prefix) in self.varying.iter().zip(prefixes) {
+                let tail = &x[c0..];
+                let d = continue_squared_distance(prefix, &cells[at..at + tail.len()], tail);
+                at += tail.len();
+                candidates.push(order_key(d, r));
+            }
+            retain_nearest(&mut candidates, self.k);
+            neighbors.clear();
+            neighbors.extend(candidates.iter().map(|&key| key as u64 as usize));
+            votes[t * nc + majority_vote(&neighbors, self.labels, &mut counts)] += 1;
+        }
+        votes
+    }
+}
+
+/// Keep in `keys` its `k` smallest [`order_key`]s, in no particular order:
+/// the k-set [`k_nearest`] selects.
+fn retain_nearest(keys: &mut Vec<u128>, k: usize) {
+    if k < keys.len() {
+        keys.select_nth_unstable(k);
+        keys.truncate(k);
     }
 }
 

@@ -188,10 +188,11 @@ impl LabelEncoder {
 
     /// Encode a whole label column (nulls are rejected).
     ///
-    /// For a string column each *distinct* label is looked up once
-    /// through a lazy per-dictionary-code memo; rows then copy encoded ids.
-    /// Errors (null label, unseen label) surface at the same row as the
-    /// per-row path, since codes are memoized in row order.
+    /// Each *distinct* label is looked up once through a lazy
+    /// per-dictionary-code memo; rows then copy encoded ids. Errors (null
+    /// label, unseen label) surface at the first row that has one. A column
+    /// that is not a string column has no label at row 0, unless the table
+    /// has no rows.
     pub fn encode_column(&self, table: &Table, column: &str) -> Result<Vec<usize>> {
         let mut out = Vec::with_capacity(table.n_rows());
         if let Some(p) = table.col_str(column) {
@@ -215,14 +216,13 @@ impl LabelEncoder {
             }
             return Ok(out);
         }
-        for row in 0..table.n_rows() {
-            let v = table.get_ref(row, column)?;
-            let s = v.as_str().ok_or_else(|| {
-                MlError::InvalidArgument(format!("null or non-string label at row {row}"))
-            })?;
-            out.push(self.encode(s)?);
+        if table.n_rows() == 0 {
+            return Ok(out);
         }
-        Ok(out)
+        table.schema().index_of(column)?;
+        Err(MlError::InvalidArgument(
+            "null or non-string label at row 0".into(),
+        ))
     }
 }
 
@@ -313,5 +313,35 @@ mod tests {
         assert!(t.column("degree").unwrap().null_count() > 0);
         let enc = LabelEncoder::fit(&t, "degree").unwrap();
         assert!(enc.encode_column(&t, "degree").is_err());
+    }
+
+    #[test]
+    fn encode_column_rejects_an_unknown_column() {
+        let t = HiringScenario::generate(20, 3).letters;
+        let enc = LabelEncoder::fit(&t, LABEL_COLUMN).unwrap();
+        assert_eq!(
+            enc.encode_column(&t, "nope"),
+            Err(nde_data::DataError::UnknownColumn("nope".into()).into())
+        );
+    }
+
+    #[test]
+    fn encode_column_of_an_empty_non_string_column_is_empty() {
+        let t = HiringScenario::generate(20, 3).letters;
+        let enc = LabelEncoder::fit(&t, LABEL_COLUMN).unwrap();
+        let empty = t.take(&[]).unwrap();
+        assert_eq!(enc.encode_column(&empty, "employer_rating"), Ok(vec![]));
+    }
+
+    #[test]
+    fn encode_column_rejects_a_non_string_column_at_row_0() {
+        let t = HiringScenario::generate(20, 3).letters;
+        let enc = LabelEncoder::fit(&t, LABEL_COLUMN).unwrap();
+        assert_eq!(
+            enc.encode_column(&t, "employer_rating"),
+            Err(MlError::InvalidArgument(
+                "null or non-string label at row 0".into()
+            ))
+        );
     }
 }

@@ -168,6 +168,22 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
+/// [`squared_distance`] continued from a partial sum: `acc` plus the
+/// squared differences of `a` and `b`, added one at a time in order.
+///
+/// `continue_squared_distance(-0.0, a, b)` is `squared_distance(a, b)` bit
+/// for bit, and because each term is added to the running sum in column
+/// order, folding a row's leading columns and then continuing over the
+/// rest gives exactly the float of one fold over the whole row.
+#[inline]
+pub(crate) fn continue_squared_distance(acc: f64, a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).fold(acc, |s, (x, y)| {
+        let d = x - y;
+        s + d * d
+    })
+}
+
 /// Squared Euclidean distances from `x` to every row of `rows`, written to
 /// `out` (entry `i` for row `i`).
 ///
@@ -416,6 +432,25 @@ mod tests {
         let empty = squared_distance(&[], &[]);
         assert_eq!(empty.to_bits(), (-0.0f64).to_bits());
         assert!(out.iter().all(|v| v.to_bits() == empty.to_bits()));
+    }
+
+    #[test]
+    fn a_continued_prefix_is_the_full_distance_bit_for_bit() {
+        for d in [0, 1, 2, 7] {
+            let rows = awkward_rows(5, d);
+            let points = awkward_rows(3, d);
+            for p in 0..points.rows() {
+                let x = points.row(p);
+                for (i, row) in rows.iter_rows().enumerate() {
+                    let want = squared_distance(row, x);
+                    for e in 0..=d {
+                        let prefix = continue_squared_distance(-0.0, &row[..e], &x[..e]);
+                        let full = continue_squared_distance(prefix, &row[e..], &x[e..]);
+                        assert_eq!(full.to_bits(), want.to_bits(), "d={d} row {i} end {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,30 @@ pub trait Classifier: Clone {
         None
     }
 
+    /// A prepared voter for possible worlds of a training set labeled
+    /// `labels` (in `0..n_classes`) whose rows vary between worlds from
+    /// column `varying_from[r]` on (the width for a row that never varies),
+    /// predicting every row of `test`, if this model supports one (see
+    /// [`crate::batch::KnnWorldVoter`]). `fixed_x` builds the training
+    /// matrix with every cell at its value in the worlds where it is fixed;
+    /// a model without a voter never calls it, so never pays for the copy.
+    ///
+    /// The default returns `None`: generic classifiers are refit on every
+    /// world. Models that override this (KNN) must vote **bit-identically**
+    /// to fitting a fresh clone on each world and predicting `test`, and
+    /// return `None` wherever that fit or prediction would fail.
+    fn world_voter<'a>(
+        &self,
+        _fixed_x: &dyn Fn() -> crate::linalg::Matrix,
+        _labels: &'a [usize],
+        _n_classes: usize,
+        _varying_from: &[usize],
+        _test: &'a crate::linalg::Matrix,
+        _threads: usize,
+    ) -> Option<crate::batch::KnnWorldVoter<'a>> {
+        None
+    }
+
     /// Accuracy on a labeled dataset.
     fn accuracy(&self, data: &Dataset) -> f64 {
         if data.is_empty() {

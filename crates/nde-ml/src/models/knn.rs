@@ -150,6 +150,26 @@ impl Classifier for KnnClassifier {
         )))
     }
 
+    fn world_voter<'a>(
+        &self,
+        fixed_x: &dyn Fn() -> crate::linalg::Matrix,
+        labels: &'a [usize],
+        n_classes: usize,
+        varying_from: &[usize],
+        test: &'a crate::linalg::Matrix,
+        threads: usize,
+    ) -> Option<crate::batch::KnnWorldVoter<'a>> {
+        crate::batch::KnnWorldVoter::new(
+            self.k,
+            &fixed_x(),
+            labels,
+            n_classes,
+            varying_from,
+            test,
+            threads,
+        )
+    }
+
     fn incremental_eval(
         &self,
         train: &Dataset,

@@ -599,7 +599,7 @@ fn joined(
 /// report.
 fn filter_eq_fast_path(t: &Table, predicate: &crate::expr::Expr) -> Option<Vec<usize>> {
     let (col, lit) = predicate.as_col_eq_lit()?;
-    t.filter_eq_rows(col, lit).ok().flatten()
+    t.filter_eq_rows(col, lit).ok()
 }
 
 /// A `col IS [NOT] NULL` projection read straight off the column's null

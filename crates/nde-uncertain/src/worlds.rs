@@ -70,6 +70,14 @@ where
 /// Each world's imputation stream is `child_seed(seed, w)` and the
 /// per-world vote counts are integers summed over the sorted world indices,
 /// so the ensemble is bit-identical for every thread count.
+///
+/// A template that offers a [`Classifier::world_voter`] (KNN) is not refit:
+/// a row's cells before its first non-point cell are the same in every
+/// world, so the voter folds them once per call and each world only draws
+/// its non-point cells and continues the fold over the rows that have
+/// them. The draws are the refit path's, in the same row-major order from
+/// the same stream, and the voter's votes are bit-identical to refitting.
+/// Every other template, or input the voter declines, is refit per world.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_worlds_par<C>(
     template: &C,
@@ -94,30 +102,72 @@ where
             train_y.len()
         )));
     }
-    let stop = AtomicBool::new(false);
     // Re-lay the symbolic matrix into SoA planes once, outside the world
     // loop: every world then samples from two contiguous slices per row
-    // instead of chasing per-row `Vec<Interval>` pointers. Cell order (and
-    // hence the per-world RNG stream) is unchanged — row-major, one draw
-    // per non-point cell.
+    // instead of chasing per-row `Vec<Interval>` pointers.
     let planes = IntervalMatrix::from_symbolic(train_x);
-    let per_world = WorkerPool::shared()
-        .map_indexed_scratch(
+    let (rows, cols) = (planes.rows(), planes.cols());
+    let varying_from: Vec<usize> = (0..rows)
+        .map(|r| {
+            let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+            (0..cols).find(|&c| lo[c] != hi[c]).unwrap_or(cols)
+        })
+        .collect();
+    // A draw whose width `hi - lo` is not finite can be NaN (`0 · ∞`); such
+    // input keeps the refit path, which meets it the way it always has.
+    let finite_draws = (0..rows).all(|r| {
+        let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+        lo.iter()
+            .zip(hi)
+            .all(|(&l, &h)| l == h || (h - l).is_finite())
+    });
+    // Built only by a template whose voter reads it; labels and class
+    // count are the voter's to check, and the refit path's `Dataset`
+    // checks them as it always has.
+    let fixed_x = || {
+        let mut m = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            m.row_mut(r).copy_from_slice(planes.row_lo(r));
+        }
+        m
+    };
+    let voter = if finite_draws {
+        template.world_voter(&fixed_x, train_y, n_classes, &varying_from, test_x, threads)
+    } else {
+        None
+    };
+    let stop = AtomicBool::new(false);
+    let pool = WorkerPool::shared();
+    let per_world = match voter {
+        Some(voter) => pool.map_indexed_scratch(
             threads,
             0..worlds as u64,
             &stop,
-            || Matrix::zeros(train_x.len(), train_x.cols()),
+            Vec::new,
+            |cells: &mut Vec<f64>, w| {
+                // Columns before a row's `c0` are point cells and rows
+                // without a varying column have none, so these are all of
+                // the world's draws, in the refit path's order.
+                let mut rng = seeded(child_seed(seed, w));
+                cells.clear();
+                for &(r, c0) in voter.varying_rows() {
+                    let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+                    cells.extend((c0..cols).map(|c| draw(lo[c], hi[c], &mut rng)));
+                }
+                Ok::<_, UncertainError>(voter.vote(cells))
+            },
+        ),
+        None => pool.map_indexed_scratch(
+            threads,
+            0..worlds as u64,
+            &stop,
+            || Matrix::zeros(rows, cols),
             |world_x, w| {
                 let mut rng = seeded(child_seed(seed, w));
-                for r in 0..planes.rows() {
+                for r in 0..rows {
                     let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
-                    for c in 0..planes.cols() {
-                        let v = if lo[c] == hi[c] {
-                            lo[c]
-                        } else {
-                            lo[c] + rng.gen::<f64>() * (hi[c] - lo[c])
-                        };
-                        world_x.set(r, c, v);
+                    for c in 0..cols {
+                        world_x.set(r, c, draw(lo[c], hi[c], &mut rng));
                     }
                 }
                 let data = Dataset::new(world_x.clone(), train_y.to_vec(), n_classes)?;
@@ -131,15 +181,16 @@ where
                         votes[t * n_classes + p] += 1;
                     }
                 }
-                Ok::<_, UncertainError>(votes)
+                Ok(votes)
             },
-        )
-        .map_err(|fail| match fail {
-            WorkerFailure::Err(_, e) => e,
-            WorkerFailure::Panic(_, msg) => {
-                UncertainError::InvalidArgument(format!("world sampling worker panicked: {msg}"))
-            }
-        })?;
+        ),
+    }
+    .map_err(|fail| match fail {
+        WorkerFailure::Err(_, e) => e,
+        WorkerFailure::Panic(_, msg) => {
+            UncertainError::InvalidArgument(format!("world sampling worker panicked: {msg}"))
+        }
+    })?;
 
     let mut counts = vec![vec![0usize; n_classes]; test_x.rows()];
     for (_, votes) in &per_world {
@@ -154,6 +205,16 @@ where
         .map(|c| c.into_iter().map(|v| v as f64 / worlds as f64).collect())
         .collect();
     Ok(WorldEnsemble { shares, worlds })
+}
+
+/// One world's value of a cell: a point cell's value, otherwise a uniform
+/// draw from its interval.
+fn draw(lo: f64, hi: f64, rng: &mut impl Rng) -> f64 {
+    if lo == hi {
+        lo
+    } else {
+        lo + rng.gen::<f64>() * (hi - lo)
+    }
 }
 
 #[cfg(test)]

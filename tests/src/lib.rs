@@ -3,12 +3,14 @@
 //! It also holds the reference implementations the integration tests check
 //! production code against: the scoped-spawn worker map below, the
 //! `Value`-per-cell [`table::RefTable`], the recursive provenance tree
-//! [`provenance::ProvExpr`], and the per-query 1-NN certain-prediction check
-//! [`certain_knn::certain_prediction_1nn`].
+//! [`provenance::ProvExpr`], the per-query 1-NN certain-prediction check
+//! [`certain_knn::certain_prediction_1nn`], and the refit-per-world KNN
+//! template [`worlds::RefitKnn`].
 
 pub mod certain_knn;
 pub mod provenance;
 pub mod table;
+pub mod worlds;
 
 use nde_data::par::{panic_message, WorkerFailure};
 use std::ops::Range;

@@ -373,18 +373,17 @@ fn columnar_hooks_match_reference_scans() {
         Value::Bool(true),
     ] {
         for col in ["id", "score", "tag", "flag"] {
-            if let Some(rows) = c.filter_eq_rows(col, &lit).unwrap() {
-                let expect: Vec<usize> = (0..r.n_rows())
-                    .filter(|&row| {
-                        let v = r.get(row, col).unwrap();
-                        !v.is_null()
-                            && v.total_cmp(&lit) == std::cmp::Ordering::Equal
-                            && (v.data_type() == lit.data_type()
-                                || (v.as_float().is_some() && lit.as_float().is_some()))
-                    })
-                    .collect();
-                assert_eq!(rows, expect, "filter_eq diverged on `{col}` = {lit:?}");
-            }
+            let rows = c.filter_eq_rows(col, &lit).unwrap();
+            let expect: Vec<usize> = (0..r.n_rows())
+                .filter(|&row| {
+                    let v = r.get(row, col).unwrap();
+                    !v.is_null()
+                        && v.total_cmp(&lit) == std::cmp::Ordering::Equal
+                        && (v.data_type() == lit.data_type()
+                            || (v.as_float().is_some() && lit.as_float().is_some()))
+                })
+                .collect();
+            assert_eq!(rows, expect, "filter_eq diverged on `{col}` = {lit:?}");
         }
     }
 }
