@@ -17,7 +17,7 @@ use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
-use nde_ml::linalg::Matrix;
+use nde_ml::linalg::{squared_distances, Matrix};
 use std::sync::atomic::AtomicBool;
 
 /// Outcome of a certain-prediction query.
@@ -44,42 +44,130 @@ impl CertainOutcome {
     }
 }
 
-/// A reusable certain-1-NN classifier over SoA distance planes: the hot
-/// path behind [`certain_coverage`].
+/// A reusable certain-1-NN classifier: the hot path behind
+/// [`certain_coverage`].
 ///
-/// Construction re-lays the symbolic training matrix into contiguous
-/// `lo`/`hi` planes once; each [`CertainKnnIndex::classify`] then runs a
-/// single streaming scan with **candidate pruning** — a row whose running
-/// distance *lower* bound exceeds the best distance *upper* bound seen so
-/// far is skipped mid-row ([`soa::sq_dist_bounds_pruned`]).
+/// # Exact rows and open rows
 ///
-/// # Why pruning is exact
+/// Only a row with a missing cell has an uncertain distance, which is the
+/// split the certain-prediction check rests on. Construction splits the
+/// training set once: *exact* rows, whose cells are all point intervals
+/// (`lo == hi`), go into a dense [`Matrix`]; the remaining *open* rows are
+/// re-laid into contiguous `lo`/`hi` planes ([`IntervalMatrix`]). Each row
+/// is stored in one of the two, with its original row index.
 ///
-/// The best upper bound `best_hi` only decreases during the scan, so a
-/// pruned row's final lower bound is **strictly** above the final
-/// `best_hi`. Such a row can neither own the smallest upper bound (it
-/// cannot be the candidate) nor have `d.lo ≤ best_hi` (it cannot break
-/// certainty, whose test is `best_hi < min_other_dmin`). Every verdict is
-/// therefore identical to a scan without pruning. `tests/uncertain_soa.rs`
-/// asserts that each verdict equals the per-query scalar-[`Interval`] check
-/// of the `nde-tests` crate.
+/// Per query, [`CertainKnnIndex::classify`] computes every exact row's
+/// distance with the blocked kernel [`squared_distances`], then scans the
+/// open rows with **candidate pruning**: an open row whose running distance
+/// *lower* bound exceeds the best distance *upper* bound seen so far is
+/// abandoned mid-row ([`soa::sq_dist_bounds_pruned`]). The open scan starts
+/// from the exact rows' best upper bound, not from `∞`.
+///
+/// # Why the verdicts are those of a full interval scan
+///
+/// - On a point cell, both bounds of the interval term `(x − q)²` are
+///   `squared_distance`'s `d * d`, bit for bit, and both kernels add the
+///   terms in column order. Their folds start from `0.0` and `-0.0`, which
+///   differ only for a row with no columns and compare equal. So an exact
+///   row's distance *is* both bounds of its interval.
+/// - The candidate (smallest upper bound) and the midpoint guess (smallest
+///   midpoint) are minima under the strict `(value, row index)` order, so
+///   scanning exact rows before open rows picks the row a single scan in
+///   row order picks. The two smallest lower bounds over distinct labels
+///   (`lo1` with its label, `lo2` over rows labeled differently from
+///   `lo1`'s owner) give
+///   `min_other_dmin = if lo1_label == candidate { lo2 } else { lo1 }`
+///   without a second pass, in any scan order.
+/// - Pruning is exact. The best upper bound `best_hi` only decreases, so a
+///   pruned row's lower bound is **strictly** above the final `best_hi`.
+///   Such a row can neither own the smallest upper bound (it cannot be the
+///   candidate) nor have `d.lo ≤ best_hi` (it cannot break certainty, whose
+///   test is `best_hi < min_other_dmin`). Seeding the cutoff with the exact
+///   rows' best upper bound is the same argument: that bound is an upper
+///   bound seen earlier in the scan.
+/// - An uncertain query's midpoint guess needs every row's midpoint. An
+///   exact row's interval midpoint is `0.5 * (d + d)` of its buffered
+///   distance, so only the open rows get [`soa::sq_dist_bounds`] again.
+///
+/// `tests/uncertain_soa.rs` asserts that each verdict equals the per-query
+/// scalar-[`Interval`] check of the `nde-tests` crate.
 ///
 /// [`Interval`]: crate::interval::Interval
-///
-/// The scan also tracks the two smallest lower bounds over *distinct
-/// labels* (`lo1` with its label, and `lo2` over rows labeled differently
-/// from `lo1`'s owner), which yields the exact
-/// `min_other_dmin = if lo1_label == candidate { lo2 } else { lo1 }`
-/// without a second pass. The midpoint-world guess needs a full unpruned
-/// scan, so it is computed lazily — only for uncertain outcomes.
 #[derive(Debug, Clone)]
 pub struct CertainKnnIndex {
-    planes: IntervalMatrix,
+    /// Rows whose cells are all points, in row order.
+    exact: Matrix,
+    /// Original row index of each exact row.
+    exact_rows: Vec<usize>,
+    /// Rows with a non-point cell, as `lo`/`hi` planes, in row order.
+    open: IntervalMatrix,
+    /// Original row index of each open row.
+    open_rows: Vec<usize>,
+    /// Label of every training row, by original row index.
     labels: Vec<usize>,
 }
 
+/// `true` iff `a` comes before `b` in the strict `(value, row index)` order.
+#[inline]
+fn precedes(a: (f64, usize), b: (f64, usize)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// The running minima of one query's scan.
+struct Scan {
+    /// Smallest upper bound and its row, in `(value, row index)` order.
+    best: (f64, usize),
+    best_label: usize,
+    /// Smallest lower bound, one label owning it, and the smallest lower
+    /// bound over rows with any other label.
+    lo1: f64,
+    lo1_label: usize,
+    lo2: f64,
+}
+
+impl Scan {
+    fn new() -> Scan {
+        Scan {
+            best: (f64::INFINITY, usize::MAX),
+            best_label: usize::MAX,
+            lo1: f64::INFINITY,
+            lo1_label: usize::MAX,
+            lo2: f64::INFINITY,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, row: usize, label: usize, d_lo: f64, d_hi: f64) {
+        if precedes((d_hi, row), self.best) {
+            self.best = (d_hi, row);
+            self.best_label = label;
+        }
+        if d_lo < self.lo1 {
+            if label != self.lo1_label {
+                self.lo2 = self.lo1;
+            }
+            self.lo1 = d_lo;
+            self.lo1_label = label;
+        } else if label != self.lo1_label && d_lo < self.lo2 {
+            self.lo2 = d_lo;
+        }
+    }
+
+    /// The candidate's label if no other label can get as close.
+    fn certain_label(&self) -> Option<usize> {
+        let min_other_dmin = if self.lo1_label != self.best_label {
+            self.lo1
+        } else {
+            self.lo2
+        };
+        (self.best.0 < min_other_dmin).then_some(self.best_label)
+    }
+}
+
 impl CertainKnnIndex {
-    /// Build the SoA planes for a symbolic training set.
+    /// Split a symbolic training set into exact rows and open-row planes.
+    ///
+    /// Infinite bounds (unbounded cells) are valid; a NaN bound is not.
     pub fn new(train: &SymbolicMatrix, labels: &[usize]) -> Result<CertainKnnIndex> {
         if train.is_empty() {
             return Err(UncertainError::InvalidArgument("empty training set".into()));
@@ -91,87 +179,116 @@ impl CertainKnnIndex {
                 labels.len()
             )));
         }
+        if let Some(r) = train
+            .iter_rows()
+            .position(|row| row.iter().any(|iv| iv.lo.is_nan() || iv.hi.is_nan()))
+        {
+            return Err(UncertainError::InvalidArgument(format!(
+                "training row {r} has a NaN bound"
+            )));
+        }
+        let (exact_rows, open_rows): (Vec<usize>, Vec<usize>) =
+            (0..train.len()).partition(|&r| train.row(r).iter().all(|iv| iv.is_point()));
+        let mut exact = Vec::with_capacity(exact_rows.len() * train.cols());
+        for &r in &exact_rows {
+            exact.extend(train.row(r).iter().map(|iv| iv.lo));
+        }
         Ok(CertainKnnIndex {
-            planes: IntervalMatrix::from_symbolic(train),
+            exact: Matrix::from_vec(exact, exact_rows.len(), train.cols())?,
+            open: IntervalMatrix::from_interval_rows(
+                open_rows.iter().map(|&r| train.row(r)),
+                train.cols(),
+            ),
+            exact_rows,
+            open_rows,
             labels: labels.to_vec(),
         })
     }
 
     /// Number of training rows.
     pub fn len(&self) -> usize {
-        self.planes.rows()
+        self.labels.len()
     }
 
     /// `true` iff the index holds no rows (never, post-construction).
     pub fn is_empty(&self) -> bool {
-        self.planes.is_empty()
+        self.labels.is_empty()
     }
 
-    /// Certain-prediction verdict for one query (pruned scan).
+    /// Certain-prediction verdict for one query.
+    ///
+    /// Errors if the query's width differs from the training data's or a
+    /// query cell is NaN or infinite.
     pub fn classify(&self, query: &[f64]) -> Result<CertainOutcome> {
-        if self.planes.cols() != query.len() {
+        self.classify_into(query, &mut vec![0.0; self.exact.rows()])
+    }
+
+    /// [`CertainKnnIndex::classify`] with `dist` (one entry per exact row)
+    /// as the buffer for the exact rows' distances.
+    fn classify_into(&self, query: &[f64], dist: &mut [f64]) -> Result<CertainOutcome> {
+        if self.exact.cols() != query.len() {
             return Err(UncertainError::InvalidArgument(format!(
                 "query has {} features, training data has {}",
                 query.len(),
-                self.planes.cols()
+                self.exact.cols()
             )));
         }
-        let mut best_hi = f64::INFINITY;
-        let mut best_label = usize::MAX;
-        let mut lo1 = f64::INFINITY;
-        let mut lo1_label = usize::MAX;
-        let mut lo2 = f64::INFINITY;
-        for r in 0..self.planes.rows() {
-            let (x_lo, x_hi) = (self.planes.row_lo(r), self.planes.row_hi(r));
-            let Some((d_lo, d_hi)) = soa::sq_dist_bounds_pruned(query, x_lo, x_hi, best_hi) else {
+        if let Some(j) = query.iter().position(|v| !v.is_finite()) {
+            return Err(UncertainError::InvalidArgument(format!(
+                "query feature {j} is {}",
+                query[j]
+            )));
+        }
+        squared_distances(&self.exact, query, dist);
+        let mut scan = Scan::new();
+        for (&r, &d) in self.exact_rows.iter().zip(&*dist) {
+            scan.push(r, self.labels[r], d, d);
+        }
+        for (i, &r) in self.open_rows.iter().enumerate() {
+            let (x_lo, x_hi) = (self.open.row_lo(i), self.open.row_hi(i));
+            let Some((d_lo, d_hi)) = soa::sq_dist_bounds_pruned(query, x_lo, x_hi, scan.best.0)
+            else {
                 continue; // pruned: d_lo > best_hi, provably irrelevant
             };
-            let label = self.labels[r];
-            if d_hi < best_hi {
-                best_hi = d_hi;
-                best_label = label;
-            }
-            if d_lo < lo1 {
-                if label != lo1_label {
-                    lo2 = lo1;
-                }
-                lo1 = d_lo;
-                lo1_label = label;
-            } else if label != lo1_label && d_lo < lo2 {
-                lo2 = d_lo;
-            }
+            scan.push(r, self.labels[r], d_lo, d_hi);
         }
-        let min_other_dmin = if lo1_label != best_label { lo1 } else { lo2 };
-        if best_hi < min_other_dmin {
-            return Ok(CertainOutcome::Certain(best_label));
+        if let Some(label) = scan.certain_label() {
+            return Ok(CertainOutcome::Certain(label));
         }
-        // Uncertain: compute the midpoint-world guess with a full scan
-        // (cold path — certainty already failed for this query).
-        let mut guess = usize::MAX;
-        let mut best_mid = f64::INFINITY;
-        for r in 0..self.planes.rows() {
-            let (d_lo, d_hi) =
-                soa::sq_dist_bounds(query, self.planes.row_lo(r), self.planes.row_hi(r));
-            let mid = 0.5 * (d_lo + d_hi);
-            if mid < best_mid {
-                best_mid = mid;
-                guess = self.labels[r];
+        // Uncertain: the midpoint-world guess (cold path — certainty
+        // already failed for this query).
+        let exact_mids = self
+            .exact_rows
+            .iter()
+            .zip(&*dist)
+            .map(|(&r, &d)| (0.5 * (d + d), r));
+        let open_mids = self.open_rows.iter().enumerate().map(|(i, &r)| {
+            let (d_lo, d_hi) = soa::sq_dist_bounds(query, self.open.row_lo(i), self.open.row_hi(i));
+            (0.5 * (d_lo + d_hi), r)
+        });
+        let mut guess = (f64::INFINITY, usize::MAX);
+        for mid in exact_mids.chain(open_mids) {
+            if precedes(mid, guess) {
+                guess = mid;
             }
         }
-        Ok(CertainOutcome::Uncertain(guess))
+        Ok(CertainOutcome::Uncertain(self.labels[guess.1]))
     }
 
-    /// Classify a batch of queries on `threads` workers. Queries are
-    /// independent, so the outcome vector is bit-identical at every thread
-    /// count (the pooled map returns results sorted by query index).
+    /// Classify a batch of queries on `threads` workers, each with its own
+    /// exact-distance buffer. Queries are independent, so the outcome vector
+    /// is bit-identical at every thread count (the pooled map returns
+    /// results sorted by query index). Errors as
+    /// [`CertainKnnIndex::classify`] does, for the first bad query.
     pub fn classify_batch(&self, queries: &Matrix, threads: usize) -> Result<Vec<CertainOutcome>> {
         let stop = AtomicBool::new(false);
         let out = WorkerPool::shared()
-            .map_indexed::<CertainOutcome, UncertainError, _>(
+            .map_indexed_scratch::<Vec<f64>, CertainOutcome, UncertainError, _, _>(
                 threads,
                 0..queries.rows() as u64,
                 &stop,
-                |q| self.classify(queries.row(q as usize)),
+                || vec![0.0; self.exact.rows()],
+                |dist, q| self.classify_into(queries.row(q as usize), dist),
             )
             .map_err(|fail| match fail {
                 WorkerFailure::Err(_, e) => e,
@@ -196,10 +313,9 @@ impl CertainKnnIndex {
 /// Fraction of queries whose 1-NN prediction is certain (the "coverage"
 /// metric of the CP paper), plus per-query outcomes.
 ///
-/// Builds a [`CertainKnnIndex`] and runs the pruned SoA scan sequentially;
-/// use the index directly to reuse the planes across batches or to spread
-/// queries over threads. The training set is validated even when `queries`
-/// is empty.
+/// Builds a [`CertainKnnIndex`] and classifies sequentially; use the index
+/// directly to reuse it across batches or to spread queries over threads.
+/// The training set is validated even when `queries` is empty.
 pub fn certain_coverage(
     train: &SymbolicMatrix,
     labels: &[usize],
@@ -211,6 +327,7 @@ pub fn certain_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
     use crate::symbolic::column_bounds_from_observed;
     use nde_ml::linalg::Matrix;
 
@@ -261,6 +378,101 @@ mod tests {
         assert_eq!(index.len(), 4);
         assert!(!index.is_empty());
         assert!(index.classify(&[0.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn non_finite_query_is_rejected() {
+        let (train, labels) = exact_train();
+        let index = CertainKnnIndex::new(&train, &labels).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                index.classify(&[bad]),
+                Err(UncertainError::InvalidArgument(_))
+            ));
+            let queries = Matrix::from_rows(vec![vec![0.5], vec![bad], vec![3.0]]).unwrap();
+            for threads in [1usize, 2] {
+                assert!(matches!(
+                    index.classify_batch(&queries, threads),
+                    Err(UncertainError::InvalidArgument(_))
+                ));
+            }
+            assert!(matches!(
+                certain_coverage(&train, &labels, &queries),
+                Err(UncertainError::InvalidArgument(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_column_rows_tie_at_zero() {
+        // Every distance is the exact kernel's -0.0; the interval fold
+        // would give 0.0. Either way all rows tie, so the first row is the
+        // candidate and the guess, and certainty needs a single label.
+        let train = SymbolicMatrix::from_rows(vec![vec![]; 3]).unwrap();
+        let index = CertainKnnIndex::new(&train, &[1, 0, 1]).unwrap();
+        assert_eq!(index.classify(&[]).unwrap(), CertainOutcome::Uncertain(1));
+        let index = CertainKnnIndex::new(&train, &[2, 2, 2]).unwrap();
+        assert_eq!(index.classify(&[]).unwrap(), CertainOutcome::Certain(2));
+    }
+
+    #[test]
+    fn nan_training_cell_is_rejected() {
+        let labels = [0, 1];
+        for cell in [
+            Interval::point(f64::NAN),
+            Interval {
+                lo: 0.0,
+                hi: f64::NAN,
+            },
+            Interval {
+                lo: f64::NAN,
+                hi: 1.0,
+            },
+        ] {
+            let train = SymbolicMatrix::from_rows(vec![
+                vec![Interval::point(0.0), Interval::point(1.0)],
+                vec![Interval::point(2.0), cell],
+            ])
+            .unwrap();
+            assert!(matches!(
+                CertainKnnIndex::new(&train, &labels),
+                Err(UncertainError::InvalidArgument(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn infinite_training_bounds_are_valid() {
+        // An unbounded cell can put its row anywhere on that axis: the row
+        // labeled 1 may always come closest, so nothing is certain.
+        let train = SymbolicMatrix::from_rows(vec![
+            vec![Interval::point(0.0)],
+            vec![Interval::new(f64::NEG_INFINITY, f64::INFINITY)],
+        ])
+        .unwrap();
+        let index = CertainKnnIndex::new(&train, &[0, 1]).unwrap();
+        assert_eq!(
+            index.classify(&[0.2]).unwrap(),
+            CertainOutcome::Uncertain(0)
+        );
+        // A half-unbounded cell only reaches one way, and an infinite point
+        // cell is a complete row infinitely far off.
+        let train = SymbolicMatrix::from_rows(vec![
+            vec![Interval::point(0.0)],
+            vec![Interval::new(5.0, f64::INFINITY)],
+            vec![Interval::point(f64::INFINITY)],
+        ])
+        .unwrap();
+        let index = CertainKnnIndex::new(&train, &[0, 1, 1]).unwrap();
+        assert_eq!(index.classify(&[1.0]).unwrap(), CertainOutcome::Certain(0));
+        assert_eq!(
+            index.classify(&[4.0]).unwrap(),
+            CertainOutcome::Uncertain(0)
+        );
+        assert_eq!(
+            index.classify(&[9.0]).unwrap(),
+            CertainOutcome::Uncertain(0)
+        );
     }
 
     /// Random two-cluster data with missing cells widened to intervals.

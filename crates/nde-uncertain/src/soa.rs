@@ -5,7 +5,7 @@
 //! but an array-of-structs `Vec<Vec<Interval>>` matrix interleaves `lo` and
 //! `hi` in memory and hides the loops behind per-row `Vec` indirection, so
 //! the optimizer cannot vectorize the epoch loops of
-//! [`crate::zorro::ZorroRegressor`] or the distance scans of
+//! [`crate::zorro::ZorroRegressor`] or the incomplete-row distance scans of
 //! [`crate::certain_knn`]. This module stores the same data as two
 //! contiguous planes — [`IntervalVec`] / [`IntervalMatrix`] hold all the
 //! `lo` bounds in one slice and all the `hi` bounds in another — and
@@ -107,16 +107,30 @@ impl IntervalMatrix {
     /// Re-lay a [`SymbolicMatrix`] (AoS rows) into separate planes. Cell
     /// order is row-major, matching `SymbolicMatrix::iter_rows`.
     pub fn from_symbolic(x: &SymbolicMatrix) -> IntervalMatrix {
-        let (rows, cols) = (x.len(), x.cols());
-        let mut lo = Vec::with_capacity(rows * cols);
-        let mut hi = Vec::with_capacity(rows * cols);
-        for row in x.iter_rows() {
-            for iv in row {
-                lo.push(iv.lo);
-                hi.push(iv.hi);
-            }
+        IntervalMatrix::from_interval_rows(x.iter_rows(), x.cols())
+    }
+
+    /// Lay out `cols`-wide interval rows as planes, in iteration order.
+    pub fn from_interval_rows<'a>(
+        rows: impl IntoIterator<Item = &'a [Interval]>,
+        cols: usize,
+    ) -> IntervalMatrix {
+        let rows = rows.into_iter();
+        let cells = rows.size_hint().0 * cols;
+        let (mut lo, mut hi) = (Vec::with_capacity(cells), Vec::with_capacity(cells));
+        let mut n = 0;
+        for row in rows {
+            debug_assert_eq!(row.len(), cols);
+            lo.extend(row.iter().map(|iv| iv.lo));
+            hi.extend(row.iter().map(|iv| iv.hi));
+            n += 1;
         }
-        IntervalMatrix { lo, hi, rows, cols }
+        IntervalMatrix {
+            lo,
+            hi,
+            rows: n,
+            cols,
+        }
     }
 
     /// Number of rows.
@@ -338,6 +352,51 @@ mod tests {
             axpy(a.lo, a.hi, &xv.lo, &xv.hi, &mut yv.lo, &mut yv.hi);
             assert_eq!(yv.to_intervals(), expect, "n={n}");
         }
+    }
+
+    /// On point rows both interval bounds are `squared_distance`'s bits:
+    /// the certain-KNN index relies on this to take complete rows'
+    /// distances from the blocked exact kernel.
+    #[test]
+    fn point_row_bounds_are_squared_distance_bits() {
+        use nde_ml::linalg::squared_distance;
+        let sub = f64::MIN_POSITIVE / 8.0;
+        let points: [[f64; 3]; 6] = [
+            [0.0, -0.0, 1.0],
+            [-0.0, 0.0, -0.0],
+            [sub, -sub, 3.0 * sub],
+            [-f64::MIN_POSITIVE, sub, -2.0 * sub],
+            [1e150, -1e150, 3.0e149],
+            [1.5, -2.25, 0.125],
+        ];
+        let mut rng = seeded(6);
+        let random: Vec<[f64; 3]> = (0..20)
+            .map(|_| [0; 3].map(|_| rng.gen_range(-3.0..3.0)))
+            .collect();
+        // Every pair, so each point also meets itself as the query.
+        for row in points.iter().chain(&random) {
+            for q in points.iter().chain(&random) {
+                for n in 1..=3 {
+                    let (row, q) = (&row[..n], &q[..n]);
+                    let d = squared_distance(row, q).to_bits();
+                    let (lo, hi) = sq_dist_bounds(q, row, row);
+                    assert_eq!((lo.to_bits(), hi.to_bits()), (d, d), "{row:?} vs {q:?}");
+                }
+            }
+        }
+        // A row with no columns: the interval fold starts at 0.0 and the
+        // `Sum` fold at -0.0. The two compare equal, and so do their
+        // midpoints, so no `<`, `==` or `(value, index)` comparison (and
+        // hence no certain-KNN verdict) can tell them apart.
+        let (lo, hi) = sq_dist_bounds(&[], &[], &[]);
+        let d = squared_distance(&[], &[]);
+        assert_eq!(
+            (lo.to_bits(), hi.to_bits()),
+            (0.0f64.to_bits(), 0.0f64.to_bits())
+        );
+        assert_eq!(d.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(d.partial_cmp(&lo), Some(std::cmp::Ordering::Equal));
+        assert!(0.5 * (d + d) == 0.5 * (lo + hi));
     }
 
     #[test]

@@ -11,6 +11,7 @@ verify:
     cargo test -q --release --offline -p nde-tests --test pool_lifecycle
     cargo test -q --release --offline -p nde-tests --test columnar_backend
     cargo test -q --release --offline -p nde-tests --test uncertain_soa
+    cargo test -q --release --offline -p nde-tests --lib certain_knn
     cargo test -q --release --offline -p nde-uncertain
     cargo test -q --release --offline -p nde-tests --test possible_worlds
     cargo test -q --release --offline -p nde-tests --test provenance_arena

@@ -94,7 +94,7 @@ pub fn certain_prediction_1nn(
         .filter(|(_, &l)| l == label)
         .map(|(d, _)| d.hi)
         .fold(f64::INFINITY, f64::min);
-    debug_assert!((best_same_dmax - cand_dmax).abs() < 1e-12);
+    debug_assert_eq!(best_same_dmax, cand_dmax);
 
     // Can any differently-labeled row ever get at least as close?
     let min_other_dmin = dists

@@ -10,9 +10,9 @@
 use nde_data::rng::{sample_indices, seeded, Rng};
 use nde_ml::linalg::Matrix;
 use nde_tests::certain_knn::certain_prediction_1nn;
-use nde_uncertain::certain_knn::CertainKnnIndex;
+use nde_uncertain::certain_knn::{CertainKnnIndex, CertainOutcome};
 use nde_uncertain::symbolic::column_bounds_from_observed;
-use nde_uncertain::SymbolicMatrix;
+use nde_uncertain::{Interval, SymbolicMatrix};
 
 /// Random concrete matrix with `missing` cells widened to column bounds.
 fn random_symbolic(
@@ -83,4 +83,127 @@ fn knn_batch_is_thread_invariant() {
         let batched = index.classify_batch(&queries, threads).expect("batch");
         assert_eq!(batched, sequential, "batch differs at {threads} threads");
     }
+}
+
+/// Every training row has an unbounded cell, so every distance upper bound
+/// and midpoint is infinite: the candidate and the guess are the first
+/// row, by the `(value, row index)` order.
+#[test]
+fn knn_all_rows_unbounded_matches_oracle() {
+    let wide = Interval::new(f64::NEG_INFINITY, f64::INFINITY);
+    let sym = SymbolicMatrix::from_rows(vec![
+        vec![wide, Interval::point(0.0)],
+        vec![wide, Interval::point(1.0)],
+    ])
+    .expect("rectangular");
+    let labels = [1, 0];
+    let index = CertainKnnIndex::new(&sym, &labels).expect("index");
+    for q in [[0.5, 0.5], [0.0, 0.0], [-3.0, 7.0]] {
+        let reference = certain_prediction_1nn(&sym, &labels, &q).expect("oracle");
+        assert_eq!(reference, CertainOutcome::Uncertain(1), "query {q:?}");
+        assert_eq!(index.classify(&q).expect("classify"), reference);
+    }
+}
+
+/// One tie-heavy case: `rows` rows on the integer grid `[-2, 2]^cols`,
+/// `open_pct` percent of them with a cell widened to an integer column
+/// domain. With `cols ≥ 2` the last column's domain is a single point and
+/// random cells of every row are "missing" there, which leaves those rows
+/// complete. Queries are every training row's concrete values plus random
+/// half-integer points.
+fn grid_case(
+    seed: u64,
+    rows: usize,
+    cols: usize,
+    classes: usize,
+    open_pct: usize,
+) -> (SymbolicMatrix, Vec<usize>, Matrix) {
+    let mut rng = seeded(seed);
+    let x = Matrix::from_rows(
+        (0..rows)
+            .map(|_| (0..cols).map(|_| rng.gen_range(-2i64..=2) as f64).collect())
+            .collect(),
+    )
+    .expect("rectangular");
+    let point_col = (cols >= 2).then_some(cols - 1);
+    let wide_cols = cols - usize::from(point_col.is_some());
+    let bounds: Vec<Interval> = (0..cols)
+        .map(|c| {
+            let lo = rng.gen_range(-3i64..=1) as f64;
+            if Some(c) == point_col {
+                Interval::point(lo)
+            } else {
+                Interval::new(lo, lo + rng.gen_range(1i64..=3) as f64)
+            }
+        })
+        .collect();
+    let mut missing = Vec::new();
+    for r in 0..rows {
+        if rng.gen_range(0..100usize) < open_pct {
+            missing.push((r, rng.gen_range(0..wide_cols)));
+        }
+        if let Some(c) = point_col.filter(|_| rng.gen_bool(0.5)) {
+            missing.push((r, c));
+        }
+    }
+    let sym = SymbolicMatrix::from_matrix_with_missing(&x, &missing, &bounds).expect("cells");
+    let labels = (0..rows).map(|_| rng.gen_range(0..classes)).collect();
+    let mut queries: Vec<Vec<f64>> = x.iter_rows().map(<[f64]>::to_vec).collect();
+    queries.extend((0..24).map(|_| {
+        (0..cols)
+            .map(|_| rng.gen_range(-6i64..=6) as f64 * 0.5)
+            .collect()
+    }));
+    (
+        sym,
+        labels,
+        Matrix::from_rows(queries).expect("rectangular"),
+    )
+}
+
+/// Certain-KNN on small integer grids, where distances, upper bounds and
+/// midpoints tie exactly between complete and open rows: `classify` and
+/// `classify_batch` at 1/2/4/7 threads equal the oracle on every query,
+/// with all rows complete, all rows open and mixes, over 2 and 3 classes.
+#[test]
+fn knn_grid_ties_match_oracle_at_every_thread_count() {
+    let (mut certain, mut uncertain) = (0, 0);
+    for seed in 0..72u64 {
+        let cols = 1 + (seed % 3) as usize;
+        let classes = 2 + (seed / 3 % 2) as usize;
+        let open_pct = [0, 35, 70, 100][(seed / 6 % 4) as usize];
+        let rows = 3 + (seed as usize * 7) % 22;
+        let (sym, labels, queries) = grid_case(seed ^ 0x6e1d, rows, cols, classes, open_pct);
+        let open_rows = sym
+            .iter_rows()
+            .filter(|row| row.iter().any(|iv| !iv.is_point()))
+            .count();
+        match open_pct {
+            0 => assert_eq!(open_rows, 0, "seed {seed}"),
+            100 => assert_eq!(open_rows, rows, "seed {seed}"),
+            _ => {}
+        }
+        let expect: Vec<CertainOutcome> = queries
+            .iter_rows()
+            .map(|q| certain_prediction_1nn(&sym, &labels, q).expect("oracle"))
+            .collect();
+        let index = CertainKnnIndex::new(&sym, &labels).expect("index");
+        for (q, want) in queries.iter_rows().zip(&expect) {
+            assert_eq!(
+                index.classify(q).expect("classify"),
+                *want,
+                "seed {seed}, query {q:?}"
+            );
+        }
+        for threads in [1usize, 2, 4, 7] {
+            let batch = index.classify_batch(&queries, threads).expect("batch");
+            assert_eq!(batch, expect, "seed {seed}, {threads} threads");
+        }
+        certain += expect.iter().filter(|o| o.is_certain()).count();
+        uncertain += expect.iter().filter(|o| !o.is_certain()).count();
+    }
+    assert!(
+        certain > 100 && uncertain > 100,
+        "{certain} certain, {uncertain} uncertain"
+    );
 }
