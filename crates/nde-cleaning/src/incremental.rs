@@ -6,12 +6,15 @@
 //! [`IncrementalDebugSession`] glues four incremental layers together:
 //!
 //! 1. [`PipelineSession`] (nde-pipeline) propagates a [`Delta`] through the
-//!    relational operators and reports which **output rows** changed.
-//! 2. [`FeaturePipeline::encode_rows`] re-encodes only those rows with the
-//!    already-fitted encoders (row-wise, so bit-identical to a full
-//!    transform).
+//!    relational operators and reports which **output rows** changed and,
+//!    after a rerun, which old output row each new one is
+//!    ([`nde_pipeline::DeltaOutcome::row_map`]).
+//! 2. [`FeaturePipeline::encode_rows`] re-encodes only the changed or fresh
+//!    rows with the already-fitted encoders (row-wise, so bit-identical to
+//!    a full transform); surviving rows are copied bit for bit.
 //! 3. The model's [`IncrementalLabelEval`] hook patches the affected labels
-//!    / feature rows instead of refitting (bit-identical by contract).
+//!    / feature rows, or remaps its rows, instead of refitting
+//!    (bit-identical by contract).
 //! 4. [`MemoCache::invalidate_members`] evicts exactly the memoized
 //!    coalition utilities whose subsets touch a changed row, so importance
 //!    estimators never serve a stale score.
@@ -26,6 +29,7 @@ use crate::{CleaningError, Result};
 use nde_data::Table;
 use nde_ml::batch::IncrementalLabelEval;
 use nde_ml::dataset::Dataset;
+use nde_ml::linalg::Matrix;
 use nde_ml::model::Classifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
@@ -38,16 +42,16 @@ pub struct FixReport {
     /// The propagation path the pipeline layer took: [`DeltaPath::CellPatch`]
     /// or [`DeltaPath::Rerun`] (see [`IncrementalDebugSession::apply_fix`]).
     pub path: DeltaPath,
-    /// Output rows whose encoded content changed (ascending). After a
-    /// rerun (insert, delete, or routing-relevant update) this lists every
-    /// current row.
+    /// Output rows this fix re-encoded, ascending: after a cell patch the
+    /// rows whose cells changed, after a rerun the *fresh* rows (those with
+    /// no old row of the same identity). Every other row was copied.
     pub affected_rows: Vec<usize>,
-    /// `true` when the pipeline reran and the whole dataset was
-    /// re-encoded; `false` for an in-place cell patch.
+    /// `true` when the fix re-encoded every output row (no row survived
+    /// it); `false` when at least one row was kept as it was.
     pub reencoded_all: bool,
     /// Memoized coalition utilities evicted by this fix.
     pub cache_evictions: usize,
-    /// Validation accuracy after the fix (bit-identical to a full rebuild).
+    /// Validation accuracy after the fix (bit-identical to a refit).
     pub accuracy: f64,
 }
 
@@ -71,28 +75,31 @@ pub struct IncrementalDebugSession<C: Classifier> {
 }
 
 impl<C: Classifier> IncrementalDebugSession<C> {
-    /// Fit `pipeline` on `inputs`, capture the run for delta propagation,
-    /// and build the model's incremental evaluator against `valid`.
+    /// Capture a provenance-tracked run of `pipeline`'s plan over `inputs`
+    /// for delta propagation, fit the pipeline's encoders on that run's
+    /// output (the plan runs once), and build the model's incremental
+    /// evaluator against `valid`.
     ///
     /// Models without an [`IncrementalLabelEval`] hook still work — the
     /// accuracy falls back to refitting `template` (the pipeline and cache
-    /// layers stay incremental either way).
+    /// layers stay incremental either way). A model whose evaluator rejects
+    /// the data (e.g. a non-finite feature) fails the build.
     pub fn build(
         template: C,
         mut pipeline: FeaturePipeline,
         inputs: &[(&str, &Table)],
         valid: Dataset,
     ) -> Result<IncrementalDebugSession<C>> {
-        let out = pipeline.fit_run(inputs, false)?;
         let session =
             PipelineSession::build(&Executor::new(), &pipeline.plan, pipeline.root, inputs)?;
-        let evaluator = template.incremental_eval(&out.dataset, &valid);
+        let dataset = pipeline.fit_table(session.table())?;
+        let evaluator = template.try_incremental_eval(&dataset, &valid)?;
         Ok(IncrementalDebugSession {
             template,
             pipeline,
             session,
             valid,
-            dataset: out.dataset,
+            dataset,
             evaluator,
             memo: MemoCache::new(),
             fixes_applied: 0,
@@ -104,24 +111,29 @@ impl<C: Classifier> IncrementalDebugSession<C> {
 
     /// Apply one accepted fix end to end and return what it touched.
     ///
-    /// The pipeline layer takes one of two paths. A non-structural cell fix
-    /// is a cell patch: only the affected output rows are re-encoded and
-    /// the evaluator is patched. Everything else — an insert, a delete, or
-    /// an update to a routing column — reruns the pipeline, and the whole
-    /// dataset is re-encoded with a fresh evaluator and an empty cache,
-    /// since row identity may have moved.
+    /// The pipeline layer takes one of two paths, and either way only the
+    /// rows in [`FixReport::affected_rows`] are encoded:
     ///
-    /// Inserts and deletes take the rerun because the re-encode and
-    /// evaluator rebuild that follow any structural fix take most of the
-    /// round (about 13 ms of a ~20 ms round in the `debug` workflow
-    /// benchmark on a 2-vCPU x86-64 Linux host: re-encode ~3.5 ms,
-    /// evaluator rebuild ~9.5 ms, rerun ~4 ms), while re-deciding routing
-    /// around the changed tuple instead of rerunning saved about 3 ms.
+    /// - a non-structural cell fix is a **cell patch**: the affected output
+    ///   rows are re-encoded in place and the evaluator patched
+    ///   ([`IncrementalLabelEval::set_label`],
+    ///   [`IncrementalLabelEval::update_features`]);
+    /// - everything else — an insert, a delete, or an update to a routing
+    ///   column — **reruns** the pipeline. The new dataset is gathered from
+    ///   the old one through the outcome's row map (surviving rows copied
+    ///   bit for bit, fresh rows encoded), and the evaluator remaps its rows
+    ///   in place ([`IncrementalLabelEval::remap_rows`]).
+    ///
+    /// The memo cache keys coalitions by a fingerprint of their row
+    /// indices, so it survives a rerun only when every surviving row kept
+    /// its index; then the entries touching a fresh or removed row are
+    /// evicted. Otherwise it is cleared.
     ///
     /// A fix the pipeline layer rejects leaves the session as it was. A fix
-    /// that fails in a later layer (re-encode, evaluator patch, rebuild)
-    /// leaves those layers behind the maintained table, so every later
-    /// call returns an error; build a new session to continue.
+    /// that fails in a later layer (re-encode, evaluator patch or remap, a
+    /// fix that removes every row) leaves those layers behind the
+    /// maintained table, so every later call returns an error; build a new
+    /// session to continue.
     pub fn apply_fix(&mut self, delta: &Delta) -> Result<FixReport> {
         if self.poisoned {
             return Err(CleaningError::Pipeline(
@@ -132,29 +144,18 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         // The later layers lag behind the maintained table until this fix
         // completes: an early return on error leaves the session poisoned.
         self.poisoned = true;
-        let report = if outcome.path == DeltaPath::CellPatch {
-            let rows = outcome.affected_rows;
-            let evictions = self.patch_rows(&rows)?;
-            FixReport {
-                path: outcome.path,
-                affected_rows: rows,
-                reencoded_all: false,
-                cache_evictions: evictions,
-                accuracy: self.accuracy()?,
-            }
+        let rows = outcome.affected_rows;
+        let evictions = if outcome.path == DeltaPath::CellPatch {
+            self.patch_rows(&rows)?
         } else {
-            // Rerun: rebuild the encoded state from the maintained table.
-            // The subset fingerprints keyed into the memo cache name rows by
-            // index, and those indices may have moved — drop everything.
-            let evictions = self.memo.len();
-            self.rebuild()?;
-            FixReport {
-                path: outcome.path,
-                affected_rows: (0..self.dataset.len()).collect(),
-                reencoded_all: true,
-                cache_evictions: evictions,
-                accuracy: self.accuracy()?,
-            }
+            self.gather_rows(&outcome.row_map, &rows)?
+        };
+        let report = FixReport {
+            path: outcome.path,
+            reencoded_all: rows.len() == self.dataset.len(),
+            affected_rows: rows,
+            cache_evictions: evictions,
+            accuracy: self.accuracy()?,
         };
         self.poisoned = false;
         self.fixes_applied += 1;
@@ -197,25 +198,51 @@ impl<C: Classifier> IncrementalDebugSession<C> {
         Ok(self.memo.invalidate_members(rows))
     }
 
-    /// Full re-encode after a structural fix: fresh dataset, fresh
-    /// evaluator, empty cache.
-    fn rebuild(&mut self) -> Result<()> {
+    /// After a rerun: gather the new dataset through `row_map` (old rows
+    /// copied, the `fresh` rows encoded), remap the evaluator, and evict
+    /// the memo entries the renumbering stales. Returns the evictions.
+    fn gather_rows(&mut self, row_map: &[Option<usize>], fresh: &[usize]) -> Result<usize> {
         let table = self.session.table();
         if table.n_rows() == 0 {
             return Err(CleaningError::InvalidArgument(
                 "fix removed every training row".into(),
             ));
         }
-        let rows: Vec<usize> = (0..table.n_rows()).collect();
-        let (x, y) = self.pipeline.encode_rows(table, &rows)?;
-        let n_classes = self.pipeline.label_encoder()?.n_classes();
-        self.dataset = Dataset::new(x, y, n_classes)?;
-        // Drop the old evaluator (its distance table and its copies of the
-        // data) before building the new one, so only one is ever alive.
-        self.evaluator = None;
-        self.evaluator = self.template.incremental_eval(&self.dataset, &self.valid);
-        self.memo = MemoCache::new();
-        Ok(())
+        let mut x = Matrix::zeros(row_map.len(), self.dataset.dim());
+        let mut y = vec![0; row_map.len()];
+        for (r, from) in row_map.iter().enumerate() {
+            if let Some(o) = *from {
+                x.row_mut(r).copy_from_slice(self.dataset.x.row(o));
+                y[r] = self.dataset.y[o];
+            }
+        }
+        if !fresh.is_empty() {
+            let (fx, fy) = self.pipeline.encode_rows(table, fresh)?;
+            for (j, &r) in fresh.iter().enumerate() {
+                x.row_mut(r).copy_from_slice(fx.row(j));
+                y[r] = fy[j];
+            }
+        }
+        let old_len = self.dataset.len();
+        self.dataset = Dataset::new(x, y, self.dataset.n_classes)?;
+        if let Some(hook) = self.evaluator.as_mut() {
+            hook.remap_rows(row_map, &self.dataset)?;
+        }
+        let in_place = row_map
+            .iter()
+            .enumerate()
+            .all(|(r, from)| from.is_none_or(|o| o == r));
+        if !in_place {
+            let evicted = self.memo.len();
+            self.memo.clear();
+            return Ok(evicted);
+        }
+        // Indices that now hold a different row, or none: the fresh rows
+        // and the old rows that did not survive.
+        let stale: Vec<usize> = (0..old_len.max(row_map.len()))
+            .filter(|&i| row_map.get(i) != Some(&Some(i)))
+            .collect();
+        Ok(self.memo.invalidate_members(&stale))
     }
 
     /// Current validation accuracy — from the incremental evaluator when
@@ -253,7 +280,10 @@ impl<C: Classifier> IncrementalDebugSession<C> {
     }
 
     /// `(fixes applied, full re-encodes, rows re-encoded)` — the work
-    /// accounting of one session, over the fixes that completed.
+    /// accounting of one session, over the fixes that completed. A full
+    /// re-encode is a fix after which no output row survived
+    /// ([`FixReport::reencoded_all`]); rows re-encoded sums
+    /// [`FixReport::affected_rows`].
     pub fn stats(&self) -> (usize, usize, usize) {
         (self.fixes_applied, self.full_reencodes, self.rows_reencoded)
     }
@@ -384,6 +414,7 @@ mod tests {
             value: Value::Float(40.0),
         };
         let report = session.apply_fix(&fix).unwrap();
+        let patched = report.affected_rows.len();
         s.letters
             .set(3, "years_experience", Value::Float(40.0))
             .unwrap();
@@ -398,7 +429,10 @@ mod tests {
                 row: 5,
             })
             .unwrap();
-        assert!(report.reencoded_all);
+        // A delete leaves no fresh row: nothing is re-encoded.
+        assert_eq!(report.path, DeltaPath::Rerun);
+        assert!(report.affected_rows.is_empty(), "{report:?}");
+        assert!(!report.reencoded_all);
         s.letters = s
             .letters
             .take(
@@ -412,8 +446,8 @@ mod tests {
         assert_dataset_bits_eq(session.dataset(), &want_ds);
         let (fixes, full, rows) = session.stats();
         assert_eq!(fixes, 2);
-        assert_eq!(full, 1);
-        assert!(rows >= session.dataset().len());
+        assert_eq!(full, 0);
+        assert_eq!(rows, patched);
     }
 
     #[test]
@@ -501,5 +535,162 @@ mod tests {
             let fresh = coalition_utility(&knn, session.dataset(), &valid, coal, None).unwrap();
             assert_eq!(cached.to_bits(), fresh.to_bits());
         }
+    }
+
+    #[test]
+    fn build_runs_the_plan_once_and_matches_fit_run() {
+        let s = HiringScenario::generate(90, 51);
+        let mut fp = FeaturePipeline::hiring(8);
+        let want = fp.fit_run(&inputs(&s), false).unwrap();
+        let session = IncrementalDebugSession::build(
+            KnnClassifier::new(3),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid_set(52),
+        )
+        .unwrap();
+        assert_dataset_bits_eq(session.dataset(), &want.dataset);
+        assert_eq!(session.dataset().n_classes, want.dataset.n_classes);
+        assert_eq!(session.table(), &want.table);
+    }
+
+    /// A letter that reaches the output, and its source row.
+    fn output_letter(
+        session: &IncrementalDebugSession<KnnClassifier>,
+        s: &HiringScenario,
+    ) -> usize {
+        let pid = session.table().get(0, "person_id").unwrap();
+        (0..s.letters.n_rows())
+            .find(|&r| s.letters.get(r, "person_id").unwrap() == pid)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_non_finite_feature_fails_and_poisons_on_both_fix_paths() {
+        let s = HiringScenario::generate(60, 61);
+        let build = || {
+            IncrementalDebugSession::build(
+                KnnClassifier::new(3),
+                FeaturePipeline::hiring(8),
+                &inputs(&s),
+                valid_set(62),
+            )
+            .unwrap()
+        };
+        let row = output_letter(&build(), &s);
+        let mut letter = s.letters.row(row).unwrap();
+        letter[5] = Value::Float(f64::INFINITY); // years_experience
+        let fixes = [
+            Delta::Update {
+                source: "train_df".into(),
+                row,
+                column: "years_experience".into(),
+                value: Value::Float(f64::INFINITY),
+            },
+            Delta::Insert {
+                source: "train_df".into(),
+                values: letter,
+            },
+        ];
+        for (fix, path) in fixes.iter().zip([DeltaPath::CellPatch, DeltaPath::Rerun]) {
+            let mut session = build();
+            // The pipeline layer accepts the fix on the expected path...
+            let mut probe = session.session().clone();
+            assert_eq!(probe.apply(fix).unwrap().path, path);
+            // ...and the evaluator rejects the infinite feature it encodes.
+            let err = session.apply_fix(fix).unwrap_err();
+            assert!(
+                matches!(&err, CleaningError::Ml(msg) if msg.contains("non-finite feature")),
+                "{fix:?}: {err}"
+            );
+            assert_eq!(session.stats(), (0, 0, 0));
+            let label = Delta::Update {
+                source: "train_df".into(),
+                row,
+                column: "sentiment".into(),
+                value: Value::Str("positive".into()),
+            };
+            assert!(matches!(
+                session.apply_fix(&label),
+                Err(CleaningError::Pipeline(_))
+            ));
+        }
+        // The same feature in the build's own data fails the build.
+        let mut bad = HiringScenario::generate(60, 61);
+        bad.letters
+            .set(row, "years_experience", Value::Float(f64::INFINITY))
+            .unwrap();
+        let built = IncrementalDebugSession::build(
+            KnnClassifier::new(3),
+            FeaturePipeline::hiring(8),
+            &inputs(&bad),
+            valid_set(62),
+        );
+        assert!(matches!(&built, Err(CleaningError::Ml(_))));
+    }
+
+    #[test]
+    fn memo_survives_a_rerun_that_keeps_every_index() {
+        let s = HiringScenario::generate(70, 71);
+        let knn = KnnClassifier::new(3);
+        let valid = valid_set(72);
+        let mut session = IncrementalDebugSession::build(
+            knn.clone(),
+            FeaturePipeline::hiring(8),
+            &inputs(&s),
+            valid.clone(),
+        )
+        .unwrap();
+        let n = session.dataset().len();
+        let head: Vec<usize> = (0..n.min(6)).collect();
+        let tail: Vec<usize> = (n - 3..n).collect();
+        for coal in [&head, &tail] {
+            coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo())).unwrap();
+        }
+        // Re-inserting the letter of output row 0 appends one fresh row
+        // at the end; every other row keeps its index.
+        let letter = s.letters.row(output_letter(&session, &s)).unwrap();
+        let report = session
+            .apply_fix(&Delta::Insert {
+                source: "train_df".into(),
+                values: letter,
+            })
+            .unwrap();
+        assert_eq!(report.path, DeltaPath::Rerun);
+        assert_eq!(report.affected_rows, vec![n]);
+        // Only coalitions that may hold index n go: `tail` never does, and
+        // `head` only when the cache's membership signature (one bit per
+        // index mod 64) cannot tell n from its members.
+        let collides = usize::from(n % 64 < head.len());
+        assert_eq!(report.cache_evictions, collides);
+        assert_eq!(session.memo().len(), 2 - collides);
+        // Deleting the last letter removes that appended row again.
+        let last = s.letters.n_rows();
+        let report = session
+            .apply_fix(&Delta::Delete {
+                source: "train_df".into(),
+                row: last,
+            })
+            .unwrap();
+        assert!(report.affected_rows.is_empty());
+        assert_eq!(report.cache_evictions, 0);
+        assert_eq!(session.memo().len(), 2 - collides);
+        for coal in [&head, &tail] {
+            let cached =
+                coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo()))
+                    .unwrap();
+            let fresh = coalition_utility(&knn, session.dataset(), &valid, coal, None).unwrap();
+            assert_eq!(cached.to_bits(), fresh.to_bits());
+        }
+        // Deleting the first output row's letter renumbers every later row:
+        // the memo is cleared.
+        let report = session
+            .apply_fix(&Delta::Delete {
+                source: "train_df".into(),
+                row: output_letter(&session, &s),
+            })
+            .unwrap();
+        assert_eq!(report.cache_evictions, 2);
+        assert!(session.memo().is_empty());
     }
 }

@@ -198,6 +198,71 @@ impl DistanceTable {
         Ok(())
     }
 
+    /// Renumber the training columns in place after rows were removed,
+    /// inserted or moved: new column `i` is old column `map[i]`, or, for
+    /// `None` (a *fresh* row), is computed from `train.x.row(i)` with
+    /// [`squared_distance`], exactly as [`DistanceTable::update_rows`] does.
+    ///
+    /// `train` is the new training set (`map.len()` rows) and `valid` the
+    /// set the table was built from. A surviving row must be bit-identical
+    /// to the old row it maps from; then the result is **bit-identical** to
+    /// a fresh [`DistanceTable::new(train, valid)`](DistanceTable::new).
+    ///
+    /// No second table is built: each validation row is copied into one
+    /// row of scratch and rewritten at its new width, in ascending order
+    /// when the table shrinks and in descending order when it grows, so a
+    /// row never overwrites a row not yet read.
+    pub fn remap_columns(
+        &mut self,
+        map: &[Option<usize>],
+        train: &Dataset,
+        valid: &Dataset,
+    ) -> Result<()> {
+        let (n_old, n_new, m) = (self.n_train, map.len(), self.n_valid);
+        if train.len() != n_new || valid.len() != m {
+            return Err(MlError::InvalidArgument(format!(
+                "remapping a {m}x{n_old} distance table to {n_new} columns but got {} train / {} valid rows",
+                train.len(),
+                valid.len()
+            )));
+        }
+        if let Some(&bad) = map.iter().flatten().find(|&&o| o >= n_old) {
+            return Err(MlError::InvalidArgument(format!(
+                "row map names old row {bad} of {n_old}"
+            )));
+        }
+        // `(new column, length, old column)`: maximal runs of new columns
+        // that copy consecutive old ones, and each fresh column alone.
+        let mut runs: Vec<(usize, usize, Option<usize>)> = Vec::new();
+        for (i, &from) in map.iter().enumerate() {
+            match (runs.last_mut(), from) {
+                (Some((_, len, Some(o))), Some(f)) if *o + *len == f => *len += 1,
+                _ => runs.push((i, 1, from)),
+            }
+        }
+        let mut scratch = vec![0.0; n_old];
+        let mut remap_row = |dists: &mut [f64], v: usize| {
+            scratch.copy_from_slice(&dists[v * n_old..(v + 1) * n_old]);
+            let vx = valid.x.row(v);
+            let row = &mut dists[v * n_new..(v + 1) * n_new];
+            for &(i, len, from) in &runs {
+                match from {
+                    Some(o) => row[i..i + len].copy_from_slice(&scratch[o..o + len]),
+                    None => row[i] = squared_distance(train.x.row(i), vx),
+                }
+            }
+        };
+        if n_new > n_old {
+            self.dists.resize(m * n_new, 0.0);
+            (0..m).rev().for_each(|v| remap_row(&mut self.dists, v));
+        } else {
+            (0..m).for_each(|v| remap_row(&mut self.dists, v));
+            self.dists.truncate(m * n_new);
+        }
+        self.n_train = n_new;
+        Ok(())
+    }
+
     /// Squared distances from validation point `v` to every training point.
     pub fn row(&self, v: usize) -> &[f64] {
         &self.dists[v * self.n_train..(v + 1) * self.n_train]
@@ -643,7 +708,8 @@ impl CoalitionScorer for KnnCoalitionScorer {
 /// # Bit-identity contract
 ///
 /// After any sequence of [`set_label`](IncrementalLabelEval::set_label) /
-/// [`update_features`](IncrementalLabelEval::update_features) calls,
+/// [`update_features`](IncrementalLabelEval::update_features) /
+/// [`remap_rows`](IncrementalLabelEval::remap_rows) calls,
 /// [`accuracy`](IncrementalLabelEval::accuracy) must return *exactly* the
 /// `f64` that fitting a fresh clone of the model on the current training
 /// data and calling [`crate::model::Classifier::accuracy`] on the
@@ -661,6 +727,12 @@ pub trait IncrementalLabelEval: Send {
     /// dataset (same shape and labels as currently held), `changed` the
     /// rows whose feature vectors moved.
     fn update_features(&mut self, changed: &[usize], train: &Dataset) -> Result<()>;
+
+    /// Record a change of the training rows themselves: `train` is the new
+    /// training set, and row `i` of it is the old row `map[i]` (its
+    /// features and label bit-identical to that row's), or a *fresh* row
+    /// when `map[i]` is `None`. Old rows no entry names were removed.
+    fn remap_rows(&mut self, map: &[Option<usize>], train: &Dataset) -> Result<()>;
 }
 
 /// `InvalidArgument` naming the first NaN or infinite feature of `data`:
@@ -687,7 +759,12 @@ fn reject_non_finite(name: &str, data: &Dataset) -> Result<()> {
 ///   O(m·n·d);
 /// - a **feature** fix patches the changed distance columns via
 ///   [`DistanceTable::update_rows`] and re-selects neighbors without
-///   recomputing any unchanged distance.
+///   recomputing any unchanged distance;
+/// - a **row** change (rows removed, inserted or renumbered) gathers the
+///   surviving distance columns in place via
+///   [`DistanceTable::remap_columns`], computes only the fresh rows'
+///   columns, and re-selects only the validation points whose neighbor
+///   list it can change (see [`IncrementalLabelEval::remap_rows`] below).
 ///
 /// Building it (and re-selecting after a feature fix) takes the k nearest
 /// per validation point by linear-time partial selection, split over the
@@ -695,8 +772,10 @@ fn reject_non_finite(name: &str, data: &Dataset) -> Result<()> {
 #[derive(Debug, Clone)]
 pub struct IncrementalKnnEval {
     table: DistanceTable,
-    /// Neighbors per validation point: the configured k, capped at the
-    /// training-set size (which fixes never change).
+    /// The k the evaluator was built with.
+    configured_k: usize,
+    /// Neighbors per validation point: `configured_k` clamped to
+    /// `1..=train.len()`.
     k: usize,
     train: Dataset,
     valid: Dataset,
@@ -749,6 +828,7 @@ impl IncrementalKnnEval {
         reject_non_finite("valid", valid)?;
         let mut eval = IncrementalKnnEval {
             table: DistanceTable::build(train, valid, &pool, threads),
+            configured_k: k,
             k: k.clamp(1, train.len()),
             train: train.clone(),
             valid: valid.clone(),
@@ -782,6 +862,14 @@ impl IncrementalKnnEval {
                 row.copy_from_slice(nearest);
             },
         );
+        self.index_and_vote();
+    }
+
+    /// Re-derive the inverted index and every vote from the neighbor
+    /// lists, in O(m·k).
+    fn index_and_vote(&mut self) {
+        let n = self.train.len();
+        let k = self.k;
         // Inverted index by counting sort: count each row's viewers, turn
         // the counts into start offsets, place the viewers (ascending `v`)
         // while advancing each offset to its end, then shift back.
@@ -893,6 +981,70 @@ impl IncrementalLabelEval for IncrementalKnnEval {
         // A moved training point can enter or leave any neighbor list;
         // re-select from the patched table (no distance is recomputed).
         self.reselect_all();
+        Ok(())
+    }
+
+    /// Gathers the surviving distance columns and computes the fresh ones
+    /// ([`DistanceTable::remap_columns`]). A validation point keeps its
+    /// neighbor list, renamed through `map`, when none of its k nearest was
+    /// removed and no fresh row comes before its k-th in `(distance, new
+    /// index)` order; every other point is re-selected from the table.
+    /// Renaming preserves the order only when `map` is strictly increasing
+    /// on the survivors, and the list length only when the clamped k stays
+    /// put, so otherwise every point is re-selected (still without
+    /// recomputing a distance).
+    fn remap_rows(&mut self, map: &[Option<usize>], train: &Dataset) -> Result<()> {
+        if train.is_empty() {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        if train.len() != map.len()
+            || train.dim() != self.train.dim()
+            || train.n_classes != self.train.n_classes
+        {
+            return Err(MlError::InvalidArgument(format!(
+                "a row remap needs one training row per map entry ({} for {}) and must keep \
+                 the training set's width and classes",
+                train.len(),
+                map.len()
+            )));
+        }
+        reject_non_finite("train", train)?;
+        self.table.remap_columns(map, train, &self.valid)?;
+        let n_old = self.train.len();
+        self.train = train.clone();
+        let k = self.configured_k.clamp(1, train.len());
+        let increasing = map.iter().flatten().is_sorted_by(|a, b| a < b);
+        if !increasing || k != self.k {
+            self.k = k;
+            self.reselect_all();
+            return Ok(());
+        }
+        // The new index of every surviving old row.
+        let mut renamed = vec![None; n_old];
+        for (i, from) in map.iter().enumerate() {
+            if let Some(o) = *from {
+                renamed[o] = Some(i);
+            }
+        }
+        let fresh: Vec<usize> = (0..map.len()).filter(|&i| map[i].is_none()).collect();
+        let mut nearest = Vec::new();
+        for (v, nb) in self.neighbors.chunks_exact_mut(k).enumerate() {
+            let row = self.table.row(v);
+            let kept = nb.iter_mut().all(|i| match renamed[*i] {
+                Some(j) => {
+                    *i = j;
+                    true
+                }
+                None => false,
+            }) && !fresh
+                .iter()
+                .any(|&f| neighbor_order(row, f, nb[k - 1]).is_lt());
+            if !kept {
+                k_nearest(row, k, &mut nearest);
+                nb.copy_from_slice(&nearest);
+            }
+        }
+        self.index_and_vote();
         Ok(())
     }
 }
@@ -1345,6 +1497,159 @@ mod tests {
         // Redundant fix is a no-op.
         eval.set_label(2, train.y[2]).unwrap();
         assert_eq!(eval.accuracy(), refit(&train));
+    }
+
+    /// Row `i` of the result is `old` row `map[i]`, or the next row of
+    /// `fresh` for `None`.
+    fn remapped(old: &Dataset, map: &[Option<usize>], fresh: &Dataset) -> Dataset {
+        let mut next = 0..;
+        let (rows, y): (Vec<Vec<f64>>, Vec<usize>) = map
+            .iter()
+            .map(|from| {
+                let (data, r) = match *from {
+                    Some(o) => (old, o),
+                    None => (fresh, next.next().unwrap()),
+                };
+                (data.x.row(r).to_vec(), data.y[r])
+            })
+            .collect();
+        Dataset::from_rows(rows, y, old.n_classes).unwrap()
+    }
+
+    /// `eval` holds exactly what a fresh evaluator over `train` would:
+    /// distances, neighbor lists, inverted index, votes and accuracy.
+    fn assert_as_built(eval: &IncrementalKnnEval, k: usize, train: &Dataset, valid: &Dataset) {
+        let fresh =
+            IncrementalKnnEval::on_pool(k, train, valid, Arc::new(WorkerPool::new(0)), 1).unwrap();
+        let bits = |t: &DistanceTable| t.dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(eval.table.n_train(), train.len());
+        assert!(bits(&eval.table) == bits(&fresh.table), "distance table");
+        assert_eq!(eval.k, fresh.k);
+        assert_eq!(eval.neighbors, fresh.neighbors, "neighbor lists");
+        assert_eq!(eval.viewers_at, fresh.viewers_at, "inverted index");
+        assert_eq!(eval.viewers, fresh.viewers, "inverted index");
+        assert_eq!(eval.correct, fresh.correct);
+        assert_eq!(eval.accuracy().to_bits(), fresh.accuracy().to_bits());
+        let refit = utility(&KnnClassifier::new(k), train, valid).unwrap();
+        assert_eq!(eval.accuracy().to_bits(), refit.to_bits());
+    }
+
+    /// A row map over `n_old` rows: each row survives with probability
+    /// about 3/4, a fresh row goes in front of a row with probability
+    /// about 1/4 (and after the last, once in two), and when `shuffle` two
+    /// survivors trade places.
+    fn random_map(n_old: usize, shuffle: bool, rng: &mut impl Rng) -> Vec<Option<usize>> {
+        let mut map = Vec::new();
+        for o in 0..n_old {
+            if rng.gen_range(0..4usize) == 0 {
+                map.push(None);
+            }
+            if rng.gen_range(0..4usize) != 0 {
+                map.push(Some(o));
+            }
+        }
+        if rng.gen_range(0..2usize) == 0 {
+            map.push(None);
+        }
+        let kept: Vec<usize> = (0..map.len()).filter(|&i| map[i].is_some()).collect();
+        if shuffle && kept.len() >= 2 {
+            let a = kept[rng.gen_range(0..kept.len())];
+            let b = kept[rng.gen_range(0..kept.len())];
+            map.swap(a, b);
+        }
+        if map.is_empty() {
+            map.push(None);
+        }
+        map
+    }
+
+    #[test]
+    fn remap_rows_matches_a_fresh_evaluator_under_ties() {
+        let valid = tie_heavy(23, 90);
+        let pool_of = |workers: usize| (Arc::new(WorkerPool::new(workers)), workers + 1);
+        for workers in [0, 1, 3, 6] {
+            for k in [1, 3, 5] {
+                let (pool, threads) = pool_of(workers);
+                let mut train = tie_heavy(40, 91);
+                let mut eval =
+                    IncrementalKnnEval::on_pool(k, &train, &valid, pool, threads).unwrap();
+                let mut rng = nde_data::rng::seeded(92 + k as u64);
+                for step in 0..24 {
+                    let map = random_map(train.len(), step % 4 == 3, &mut rng);
+                    let fresh = tie_heavy(map.len(), 1000 + step);
+                    let next = remapped(&train, &map, &fresh);
+                    eval.remap_rows(&map, &next).unwrap();
+                    assert_as_built(&eval, k, &next, &valid);
+                    // Grow back from small sets so the walk never dies out.
+                    train = if next.len() < 8 {
+                        let grow: Vec<Option<usize>> =
+                            (0..next.len()).map(Some).chain([None; 30]).collect();
+                        let grown = remapped(&next, &grow, &tie_heavy(30, 2000 + step));
+                        eval.remap_rows(&grow, &grown).unwrap();
+                        assert_as_built(&eval, k, &grown, &valid);
+                        grown
+                    } else {
+                        next
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remap_rows_follows_the_clamped_k_down_and_back_up() {
+        let valid = tie_heavy(19, 93);
+        let train = tie_heavy(9, 94);
+        let mut eval = IncrementalKnnEval::new(5, &train, &valid).unwrap();
+        // Shrink below k: the lists get shorter.
+        let map = [Some(1), None, Some(6)];
+        let small = remapped(&train, &map, &tie_heavy(1, 95));
+        eval.remap_rows(&map, &small).unwrap();
+        assert_eq!(eval.k, 3);
+        assert_as_built(&eval, 5, &small, &valid);
+        // Grow past k again: the configured 5, not the clamped 3.
+        let map: Vec<Option<usize>> = [None, Some(0), Some(1), Some(2), None, None, None]
+            .into_iter()
+            .collect();
+        let big = remapped(&small, &map, &tie_heavy(4, 96));
+        eval.remap_rows(&map, &big).unwrap();
+        assert_eq!(eval.k, 5);
+        assert_as_built(&eval, 5, &big, &valid);
+        // A non-monotone map over a set that keeps k.
+        let map = [Some(6), Some(0), Some(3), None, Some(2), Some(5), Some(4)];
+        let swapped = remapped(&big, &map, &tie_heavy(1, 97));
+        eval.remap_rows(&map, &swapped).unwrap();
+        assert_as_built(&eval, 5, &swapped, &valid);
+    }
+
+    #[test]
+    fn remap_rows_validates() {
+        let (train, valid) = workload(8, 4, 17);
+        let mut eval = IncrementalKnnEval::new(3, &train, &valid).unwrap();
+        let keep: Vec<Option<usize>> = (0..8).map(Some).collect();
+        // Length, bounds, emptiness and width are checked.
+        assert!(eval.remap_rows(&keep[..7], &train).is_err());
+        let mut beyond = keep.clone();
+        beyond[2] = Some(8);
+        assert!(eval.remap_rows(&beyond, &train).is_err());
+        assert!(matches!(
+            eval.remap_rows(&[], &train.subset(&[])),
+            Err(MlError::EmptyTrainingSet)
+        ));
+        let narrow = Dataset::from_rows(vec![vec![0.0]; 8], train.y.clone(), 2).unwrap();
+        assert!(eval.remap_rows(&keep, &narrow).is_err());
+        // A fresh row with an infinite feature is rejected with its cell.
+        let mut bad = train.clone();
+        bad.x.set(4, 1, f64::INFINITY);
+        let mut map = keep.clone();
+        map[4] = None;
+        let err = eval.remap_rows(&map, &bad).unwrap_err();
+        assert!(
+            matches!(&err, MlError::InvalidArgument(m) if m.contains("row 4, column 1")),
+            "{err}"
+        );
+        // Nothing above touched the evaluator.
+        assert_as_built(&eval, 3, &train, &valid);
     }
 
     #[test]

@@ -61,19 +61,31 @@ pub trait Classifier: Clone {
     }
 
     /// A prepared incremental evaluator for this model over `(train,
-    /// valid)`, if it supports one (see
-    /// [`crate::batch::IncrementalLabelEval`]).
+    /// valid)` (see [`crate::batch::IncrementalLabelEval`]): `Ok(None)` when
+    /// the model has none, `Err` when it has one that this data rejects
+    /// (e.g. a non-finite feature).
     ///
-    /// The default returns `None`: generic classifiers are refit from
+    /// The default returns `Ok(None)`: generic classifiers are refit from
     /// scratch after every accepted fix. Models that override this (KNN)
     /// must return an evaluator whose maintained accuracy is
     /// **bit-identical** to the refit-and-evaluate path.
-    fn incremental_eval(
+    fn try_incremental_eval(
         &self,
         _train: &Dataset,
         _valid: &Dataset,
+    ) -> Result<Option<Box<dyn crate::batch::IncrementalLabelEval>>> {
+        Ok(None)
+    }
+
+    /// [`Classifier::try_incremental_eval`], with an evaluator the data
+    /// rejects read as none: for callers that refit whenever there is no
+    /// evaluator. Override `try_incremental_eval`, not this.
+    fn incremental_eval(
+        &self,
+        train: &Dataset,
+        valid: &Dataset,
     ) -> Option<Box<dyn crate::batch::IncrementalLabelEval>> {
-        None
+        self.try_incremental_eval(train, valid).ok().flatten()
     }
 
     /// A prepared voter for possible worlds of a training set labeled

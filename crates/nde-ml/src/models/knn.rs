@@ -170,14 +170,13 @@ impl Classifier for KnnClassifier {
         )
     }
 
-    fn incremental_eval(
+    fn try_incremental_eval(
         &self,
         train: &Dataset,
         valid: &Dataset,
-    ) -> Option<Box<dyn crate::batch::IncrementalLabelEval>> {
-        crate::batch::IncrementalKnnEval::new(self.k, train, valid)
-            .ok()
-            .map(|e| Box::new(e) as Box<dyn crate::batch::IncrementalLabelEval>)
+    ) -> Result<Option<Box<dyn crate::batch::IncrementalLabelEval>>> {
+        let eval = crate::batch::IncrementalKnnEval::new(self.k, train, valid)?;
+        Ok(Some(Box::new(eval)))
     }
 }
 

@@ -38,17 +38,31 @@
 //! row is affected when a row map points it at an affected input row, and
 //! its carried and derived cells are patched.
 //!
+//! # Row identity across a rerun
+//!
+//! A rerun renumbers the root rows, but most of them are the same rows as
+//! before: a duplicate delete removes one output row, a filter-column fix
+//! moves one key's rows in or out. [`DeltaOutcome::row_map`] says which,
+//! so the layers downstream (encoded features, model evaluators) can keep
+//! what they computed for those rows. A root row's *identity* is, for each
+//! path from the root down to a source, the source row it was built from
+//! (none where a left-join pad or the other side of a concat breaks the
+//! path) — the identity Datascope (Karlaš et al., arXiv:2204.11131) gives
+//! pipeline output rows. It is composed from the traced row maps of the
+//! run before and of the run after, with no per-operator code. The old
+//! identities are renumbered for the delta's own shift (a delete moves
+//! that source's later rows down by one). A new row whose identity an old
+//! row had is built from the same source tuples by the same operators, so
+//! its cells are equal; a row with a new identity, or one that names the
+//! source row an update changed, is *fresh*.
+//!
 //! Why only two paths: inserts and deletes once had a third, *splice*
 //! path that re-decided join, filter, distinct and concat routing around
 //! the changed tuple and replayed arena interning. It kept a second copy
-//! of the executor's operator semantics, and it did not pay for itself. In
-//! the `debug` workflow benchmark (`wfbench/`, 2-vCPU x86-64 Linux) a
-//! splice had a median of 3.3 ms against 6.7 ms for a rerun, but every
-//! structural fix is then followed by a full re-encode and an evaluator
-//! rebuild (then a median 60.5 ms) on either path, so a structural round
-//! cost about 70 ms regardless — splice saved about 2 % of the workflow.
-//! (With the rebuild since made linear-time, a structural round is about
-//! 20 ms, and the rerun and re-encode are its next costs to profile.)
+//! of the executor's operator semantics, and it saved about 3 ms of a
+//! structural fix's rerun in the `debug` workflow benchmark (`wfbench/`)
+//! while the downstream rebuild after every structural fix cost far more.
+//! That downstream cost is what the row map removes.
 //! [`DeltaPath::Splice`] and [`DeltaStats::splices`] remain in the API but
 //! are never produced.
 
@@ -134,9 +148,30 @@ pub struct DeltaStats {
 pub struct DeltaOutcome {
     /// The propagation path taken.
     pub path: DeltaPath,
-    /// Root output rows whose content changed (cell patch), or all rows
-    /// (rerun: row identity is not preserved). Ascending.
+    /// Root output rows whose content may differ from the row `row_map`
+    /// names, ascending: after a cell patch, the patched rows; after a
+    /// rerun, the fresh rows (those whose `row_map` entry is `None`).
     pub affected_rows: Vec<usize>,
+    /// For every current root row, the root row it was before this apply,
+    /// or `None` for a *fresh* row. A cell patch keeps every row in place
+    /// (`row_map[r] == Some(r)`). After a rerun, a row maps to the old row
+    /// with the same identity (see the module docs), and such a pair is
+    /// equal cell for cell; old rows no entry names were removed.
+    pub row_map: Vec<Option<usize>>,
+}
+
+/// No source row on this path: a left-join pad or the other side of a
+/// concat.
+const NO_ROW: usize = usize::MAX;
+
+/// The identity of every root row: for each path from the root down to a
+/// source, the source row the output row was built from ([`NO_ROW`] where
+/// the path breaks). Row `r`'s identity is
+/// `keys[r * sources.len()..(r + 1) * sources.len()]`, and `sources[p]` is
+/// the source index that path `p` ends at.
+struct RowKeys {
+    sources: Vec<usize>,
+    keys: Vec<usize>,
 }
 
 /// Affected-row/tainted-column state one node contributes during a cell
@@ -349,13 +384,13 @@ impl PipelineSession {
                     // Structural change or an operator failure on the new
                     // value: a full rerun reproduces rerun semantics
                     // (including the error report) exactly.
-                    Ok(None) | Err(_) => self.rerun(),
+                    Ok(None) | Err(_) => self.rerun(src, delta),
                 }
             }
             Delta::Insert { values, .. } => {
                 // `push_row` validates arity and types atomically.
                 self.inputs[src].push_row(values.clone())?;
-                self.rerun()
+                self.rerun(src, delta)
             }
             Delta::Delete { row, .. } => {
                 let n = self.inputs[src].n_rows();
@@ -367,7 +402,7 @@ impl PipelineSession {
                 }
                 let survivors: Vec<usize> = (0..n).filter(|&i| i != *row).collect();
                 self.inputs[src] = self.inputs[src].take(&survivors)?;
-                self.rerun()
+                self.rerun(src, delta)
             }
         }
     }
@@ -375,18 +410,63 @@ impl PipelineSession {
     /// Full re-execution over the mutated inputs: the generic path for
     /// every change the cell-patch walk does not cover. A failure here
     /// (e.g. the new value makes an operator error) poisons the session —
-    /// the cached state no longer matches the inputs.
-    fn rerun(&mut self) -> Result<DeltaOutcome> {
+    /// the cached state no longer matches the inputs. `delta` (already
+    /// applied to the inputs) renumbers the old row identities.
+    fn rerun(&mut self, src: usize, delta: &Delta) -> Result<DeltaOutcome> {
+        let old = self.row_keys();
         if let Err(e) = self.execute() {
             self.poisoned = true;
             return Err(e);
         }
+        let row_map = match_rows(old, &self.row_keys(), src, delta);
         self.stats.applied += 1;
         self.stats.reruns += 1;
         Ok(DeltaOutcome {
             path: DeltaPath::Rerun,
-            affected_rows: (0..self.table().n_rows()).collect(),
+            affected_rows: (0..row_map.len())
+                .filter(|&r| row_map[r].is_none())
+                .collect(),
+            row_map,
         })
+    }
+
+    /// The identity of every root row, read from the traced row maps.
+    fn row_keys(&self) -> RowKeys {
+        let n = self.table().n_rows();
+        let mut paths: Vec<(usize, Vec<usize>)> = Vec::new();
+        self.descend(self.root, (0..n).collect(), &mut paths);
+        let mut keys = vec![NO_ROW; n * paths.len()];
+        for (p, (_, rows)) in paths.iter().enumerate() {
+            for (r, &row) in rows.iter().enumerate() {
+                keys[r * paths.len() + p] = row;
+            }
+        }
+        RowKeys {
+            sources: paths.into_iter().map(|(s, _)| s).collect(),
+            keys,
+        }
+    }
+
+    /// Follow `rows` (rows of `node`'s output) down every path to a source,
+    /// depth first in [`Plan::children`] order, pushing one
+    /// `(source, source rows)` column per path.
+    fn descend(&self, node: NodeId, rows: Vec<usize>, paths: &mut Vec<(usize, Vec<usize>)>) {
+        match &self.traces[&node.index()] {
+            NodeTrace::Source { source } => paths.push((*source as usize, rows)),
+            NodeTrace::RowMap { from } => {
+                let children = self
+                    .plan
+                    .children(node)
+                    .expect("a traced node is in the plan");
+                for (child, map) in children.into_iter().zip(from) {
+                    let below = rows
+                        .iter()
+                        .map(|&r| map.get(r).copied().flatten().unwrap_or(NO_ROW))
+                        .collect();
+                    self.descend(child, below, paths);
+                }
+            }
+        }
     }
 
     fn commit_cell_patch(&mut self, plan: CellPatchPlan) -> DeltaOutcome {
@@ -399,6 +479,7 @@ impl PipelineSession {
         DeltaOutcome {
             path: DeltaPath::CellPatch,
             affected_rows: plan.root_affected,
+            row_map: (0..self.table().n_rows()).map(Some).collect(),
         }
     }
 
@@ -526,6 +607,56 @@ impl PipelineSession {
     }
 }
 
+/// Map every new root row to the old root row with the same identity.
+///
+/// The old identities are first renumbered for the delta's own shift: a
+/// `Delete` of source row `d` moves that source's later rows down by one
+/// and removes the old rows built from `d` (an `Insert` appends, so it
+/// moves nothing). A new row is fresh (`None`) when no old row has its
+/// identity, when its identity names the row an `Update` changed, or when
+/// two old rows share its identity; each old row is matched at most once.
+fn match_rows(mut old: RowKeys, new: &RowKeys, src: usize, delta: &Delta) -> Vec<Option<usize>> {
+    let width = new.sources.len();
+    let on_src = |p: usize, row: usize| new.sources[p] == src && row != NO_ROW;
+    let mut removed = vec![false; old.keys.len() / width];
+    if let Delta::Delete { row: d, .. } = *delta {
+        for (r, key) in old.keys.chunks_exact_mut(width).enumerate() {
+            for (p, row) in key.iter_mut().enumerate() {
+                if on_src(p, *row) {
+                    removed[r] |= *row == d;
+                    *row -= usize::from(*row > d);
+                }
+            }
+        }
+    }
+    // Old row by identity; `NO_ROW` marks an identity two old rows share,
+    // or one a new row already took.
+    let mut by_key: FxHashMap<&[usize], usize> = FxHashMap::default();
+    for (r, key) in old.keys.chunks_exact(width).enumerate() {
+        if !removed[r] {
+            by_key.entry(key).and_modify(|o| *o = NO_ROW).or_insert(r);
+        }
+    }
+    let changed = match *delta {
+        Delta::Update { row, .. } => Some(row),
+        _ => None,
+    };
+    new.keys
+        .chunks_exact(width)
+        .map(|key| {
+            let touched = key
+                .iter()
+                .enumerate()
+                .any(|(p, &row)| on_src(p, row) && Some(row) == changed);
+            if touched {
+                return None;
+            }
+            let slot = by_key.get_mut(key)?;
+            Some(std::mem::replace(slot, NO_ROW)).filter(|&o| o != NO_ROW)
+        })
+        .collect()
+}
+
 /// One input of a node that the update reached.
 struct LiveInput<'a> {
     /// The node's row map for this input.
@@ -603,25 +734,52 @@ mod tests {
     }
 
     /// Apply `delta` and hold the outcome to the maintenance contract: the
-    /// expected path, a state identical to a fresh traced run, and every
-    /// root row whose cells changed listed in `affected_rows`.
+    /// expected path, a state identical to a fresh traced run, every root
+    /// row whose cells changed listed in `affected_rows`, and every row the
+    /// row map keeps equal to the old row it names.
     fn apply_checked(session: &mut PipelineSession, delta: &Delta, path: DeltaPath) -> Vec<usize> {
+        apply_mapped(session, delta, path).affected_rows
+    }
+
+    /// [`apply_checked`], returning the whole outcome.
+    fn apply_mapped(session: &mut PipelineSession, delta: &Delta, path: DeltaPath) -> DeltaOutcome {
         let before = session.table().clone();
         let outcome = session.apply(delta).unwrap();
         assert_eq!(outcome.path, path, "{delta:?}");
         assert_matches_fresh(session);
         let after = session.table();
-        if after.n_rows() == before.n_rows() {
-            for r in 0..after.n_rows() {
-                if after.row(r).unwrap() != before.row(r).unwrap() {
+        assert_eq!(outcome.row_map.len(), after.n_rows(), "{delta:?}");
+        let mut named = vec![false; before.n_rows()];
+        for (r, from) in outcome.row_map.iter().enumerate() {
+            match *from {
+                Some(o) => {
+                    assert!(!named[o], "{delta:?}: old row {o} named twice");
+                    named[o] = true;
+                    let changed = after.row(r).unwrap() != before.row(o).unwrap();
                     assert!(
-                        outcome.affected_rows.contains(&r),
-                        "{delta:?}: row {r} changed but is not listed"
+                        !changed || outcome.affected_rows.contains(&r),
+                        "{delta:?}: row {r} (was {o}) changed but is not listed"
                     );
                 }
+                None => assert!(
+                    outcome.affected_rows.contains(&r),
+                    "{delta:?}: fresh row {r} is not listed"
+                ),
             }
         }
-        outcome.affected_rows
+        if path == DeltaPath::CellPatch {
+            assert!(outcome
+                .row_map
+                .iter()
+                .enumerate()
+                .all(|(r, &o)| o == Some(r)));
+        } else {
+            let fresh: Vec<usize> = (0..after.n_rows())
+                .filter(|&r| outcome.row_map[r].is_none())
+                .collect();
+            assert_eq!(outcome.affected_rows, fresh, "{delta:?}");
+        }
+        outcome
     }
 
     #[test]
@@ -823,6 +981,103 @@ mod tests {
         assert_eq!(session.stats().reruns, 2);
     }
 
+    /// `(fresh rows, surviving rows, removed old rows)` of a rerun outcome.
+    fn census(outcome: &DeltaOutcome, old_rows: usize) -> (usize, usize, usize) {
+        let fresh = outcome.affected_rows.len();
+        let kept = outcome.row_map.len() - fresh;
+        (fresh, kept, old_rows - kept)
+    }
+
+    #[test]
+    fn rerun_maps_surviving_rows_to_their_old_rows() {
+        let s = HiringScenario::generate(120, 19);
+        let (plan, root) = Plan::hiring_pipeline();
+        for threads in [1, 2, 4, 7] {
+            let mut session = PipelineSession::build(
+                &Executor::new().with_threads(threads),
+                &plan,
+                root,
+                &hiring_inputs(&s),
+            )
+            .unwrap();
+            let letter_of = |session: &PipelineSession, out: usize| {
+                let pid = session.table().get(out, "person_id").unwrap();
+                let letters = session.input("train_df").unwrap();
+                (0..letters.n_rows())
+                    .find(|&r| letters.get(r, "person_id").unwrap() == pid)
+                    .unwrap()
+            };
+            // Deleting a letter that reaches the output removes exactly its
+            // row; every later row survives one position down.
+            let n = session.table().n_rows();
+            let row = letter_of(&session, 3);
+            let delete = Delta::Delete {
+                source: "train_df".into(),
+                row,
+            };
+            let outcome = apply_mapped(&mut session, &delete, DeltaPath::Rerun);
+            assert_eq!(census(&outcome, n), (0, n - 1, 1));
+            let expect: Vec<Option<usize>> = (0..n).filter(|&o| o != 3).map(Some).collect();
+            assert_eq!(outcome.row_map, expect);
+
+            // Re-inserting it appends one fresh row and keeps the rest.
+            let values = s.letters.row(row).unwrap();
+            let n = session.table().n_rows();
+            let insert = Delta::Insert {
+                source: "train_df".into(),
+                values,
+            };
+            let outcome = apply_mapped(&mut session, &insert, DeltaPath::Rerun);
+            assert_eq!(census(&outcome, n), (1, n, 0));
+
+            // A `sector` fix moves one job's letters out of the filter, then
+            // back in: removed rows, then as many fresh ones.
+            let job = session.table().get(0, "job_id").unwrap();
+            let jobs = session.input("jobdetail_df").unwrap();
+            let job_row = (0..jobs.n_rows())
+                .find(|&r| jobs.get(r, "job_id").unwrap() == job)
+                .unwrap();
+            let n = session.table().n_rows();
+            let out_of = Delta::Update {
+                source: "jobdetail_df".into(),
+                row: job_row,
+                column: "sector".into(),
+                value: Value::Str("tech".into()),
+            };
+            let outcome = apply_mapped(&mut session, &out_of, DeltaPath::Rerun);
+            let (fresh, kept, removed) = census(&outcome, n);
+            assert_eq!((fresh, kept), (0, n - removed));
+            assert!(removed >= 1);
+            let into = Delta::Update {
+                source: "jobdetail_df".into(),
+                row: job_row,
+                column: "sector".into(),
+                value: Value::Str("healthcare".into()),
+            };
+            let outcome = apply_mapped(&mut session, &into, DeltaPath::Rerun);
+            assert_eq!(census(&outcome, n - removed), (removed, n - removed, 0));
+
+            // Deleting a social row turns its letter's row into a left-join
+            // pad: a new identity, so one fresh row for one removed.
+            let person = session.table().get(0, "person_id").unwrap();
+            let social = session.input("social_df").unwrap();
+            let social_row = (0..social.n_rows())
+                .find(|&r| social.get(r, "person_id").unwrap() == person)
+                .unwrap();
+            let n = session.table().n_rows();
+            let outcome = apply_mapped(
+                &mut session,
+                &Delta::Delete {
+                    source: "social_df".into(),
+                    row: social_row,
+                },
+                DeltaPath::Rerun,
+            );
+            assert_eq!(census(&outcome, n), (1, n - 1, 1));
+            assert_eq!(outcome.affected_rows, vec![0]);
+        }
+    }
+
     #[test]
     fn insert_and_delete_cover_distinct_concat_select_fuzzy() {
         // A plan exercising every remaining operator: fuzzy join, distinct,
@@ -903,45 +1158,33 @@ mod tests {
             apply_checked(&mut session, &fix, DeltaPath::Rerun);
 
             // Insert a mention that fuzzy-matches and survives distinct.
-            let outcome = session
-                .apply(&Delta::Insert {
-                    source: "mentions".into(),
-                    values: vec!["initech inc".into(), Value::Int(9), "press".into()],
-                })
-                .unwrap();
-            assert_eq!(outcome.path, DeltaPath::Rerun);
-            assert_matches_fresh(&session);
+            let insert = Delta::Insert {
+                source: "mentions".into(),
+                values: vec!["initech inc".into(), Value::Int(9), "press".into()],
+            };
+            apply_mapped(&mut session, &insert, DeltaPath::Rerun);
 
             // Insert a company that steals an existing best match (exact
             // normalized form beats the typo match).
-            let outcome = session
-                .apply(&Delta::Insert {
-                    source: "companies".into(),
-                    values: vec!["acme corp.".into(), Value::Float(9.9)],
-                })
-                .unwrap();
-            assert_eq!(outcome.path, DeltaPath::Rerun);
-            assert_matches_fresh(&session);
+            let insert = Delta::Insert {
+                source: "companies".into(),
+                values: vec!["acme corp.".into(), Value::Float(9.9)],
+            };
+            apply_mapped(&mut session, &insert, DeltaPath::Rerun);
 
             // Delete the stolen-match company again: its old winners rematch.
-            let outcome = session
-                .apply(&Delta::Delete {
-                    source: "companies".into(),
-                    row: 3,
-                })
-                .unwrap();
-            assert_eq!(outcome.path, DeltaPath::Rerun);
-            assert_matches_fresh(&session);
+            let delete = Delta::Delete {
+                source: "companies".into(),
+                row: 3,
+            };
+            apply_mapped(&mut session, &delete, DeltaPath::Rerun);
 
             // Delete a mention absorbed by distinct.
-            let outcome = session
-                .apply(&Delta::Delete {
-                    source: "mentions".into(),
-                    row: 2,
-                })
-                .unwrap();
-            assert_eq!(outcome.path, DeltaPath::Rerun);
-            assert_matches_fresh(&session);
+            let delete = Delta::Delete {
+                source: "mentions".into(),
+                row: 2,
+            };
+            apply_mapped(&mut session, &delete, DeltaPath::Rerun);
         }
     }
 

@@ -18,6 +18,7 @@ verify:
     cargo test -q --release --offline -p nde-tests --test prop_semiring
     cargo test -q --release --offline -p nde-tests --test durability
     cargo test -q --release --offline -p nde-tests --test incremental_delta
+    cargo test -q --release --offline -p nde-cleaning
     cargo run --release --offline --example fault_tolerance | tee /tmp/nde_fault_tolerance.txt
     grep -q 'resume bit-identical to uninterrupted: true' /tmp/nde_fault_tolerance.txt
 

@@ -6,7 +6,7 @@
 
 use nde_cleaning::{
     prioritized_cleaning, prioritized_cleaning_resumable, CleaningCheckpoint, CleaningError,
-    DebugChallenge, IncrementalDebugSession, LabelOracle, MaintenanceMode, Strategy,
+    DebugChallenge, FixReport, IncrementalDebugSession, LabelOracle, MaintenanceMode, Strategy,
 };
 use nde_data::generate::blobs::two_gaussians;
 use nde_data::generate::hiring::HiringScenario;
@@ -16,7 +16,7 @@ use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
-use nde_pipeline::{Delta, PipelineSession, Plan};
+use nde_pipeline::{Delta, DeltaPath, PipelineSession, Plan};
 use nde_robust::chaos::{CheckpointKillSwitch, CHAOS_PANIC_PREFIX};
 use nde_robust::{
     supervise, FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx,
@@ -300,5 +300,282 @@ fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
     assert_eq!(sup.value.cleaned, reference.cleaned);
     for (a, b) in sup.value.accuracy.iter().zip(&reference.accuracy) {
         assert_eq!(a.to_bits(), b.to_bits(), "accuracy trace");
+    }
+}
+
+/// An [`IncrementalDebugSession`] beside a [`PipelineSession`] run at a
+/// given thread count, fed the same fixes, and the ground truth both are
+/// held to.
+struct Twin {
+    debug: IncrementalDebugSession<KnnClassifier>,
+    pipeline: PipelineSession,
+    truth: FeaturePipeline,
+    knn: KnnClassifier,
+    valid: Dataset,
+}
+
+impl Twin {
+    fn new(s: &HiringScenario, k: usize, threads: usize) -> Twin {
+        let mut truth = FeaturePipeline::hiring(8);
+        truth.fit_run(&hiring_inputs(s), false).unwrap();
+        let vs = HiringScenario::generate(50, 99);
+        let valid = truth
+            .transform_run(&hiring_inputs(&vs), false)
+            .unwrap()
+            .dataset;
+        let (plan, root) = Plan::hiring_pipeline();
+        let executor = Executor::new().with_threads(threads);
+        Twin {
+            debug: IncrementalDebugSession::build(
+                KnnClassifier::new(k),
+                FeaturePipeline::hiring(8),
+                &hiring_inputs(s),
+                valid.clone(),
+            )
+            .unwrap(),
+            pipeline: PipelineSession::build(&executor, &plan, root, &hiring_inputs(s)).unwrap(),
+            truth,
+            knn: KnnClassifier::new(k),
+            valid,
+        }
+    }
+
+    /// Apply `delta` to both sessions and check the debug session against
+    /// a fresh `transform_run` plus refit over its mutated sources: dataset
+    /// bits, labels and accuracy. Its re-encoded rows must be exactly the
+    /// pipeline layer's fresh rows, and no surviving row is re-encoded.
+    fn fix(&mut self, delta: &Delta) -> FixReport {
+        let outcome = self.pipeline.apply(delta).unwrap();
+        let (_, full_before, rows_before) = self.debug.stats();
+        let report = self.debug.apply_fix(delta).unwrap();
+        assert_eq!(report.path, outcome.path, "{delta:?}");
+        assert_eq!(report.affected_rows, outcome.affected_rows, "{delta:?}");
+        assert_eq!(self.debug.table(), self.pipeline.table(), "{delta:?}");
+        let (_, full, rows) = self.debug.stats();
+        assert_eq!(rows - rows_before, report.affected_rows.len(), "{delta:?}");
+        assert_eq!(full, full_before, "{delta:?}: a full re-encode");
+        let session = self.debug.session();
+        let mutated: Vec<(&str, &Table)> = session
+            .source_names()
+            .iter()
+            .map(|n| (n.as_str(), session.input(n).unwrap()))
+            .collect();
+        let out = self.truth.transform_run(&mutated, false).unwrap();
+        let mut model = self.knn.clone();
+        model.fit(&out.dataset).unwrap();
+        let want = model.accuracy(&self.valid);
+        assert_eq!(report.accuracy.to_bits(), want.to_bits(), "{delta:?}");
+        let ds = self.debug.dataset();
+        assert_eq!(ds.y, out.dataset.y, "{delta:?}");
+        assert_eq!(ds.len(), out.dataset.len(), "{delta:?}");
+        for r in 0..ds.len() {
+            for (a, b) in ds.x.row(r).iter().zip(out.dataset.x.row(r)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {r} after {delta:?}");
+            }
+        }
+        report
+    }
+}
+
+/// The letters row of output row `out`'s person.
+fn letter_of(table: &Table, letters: &Table, out: usize) -> usize {
+    let person = table.get(out, "person_id").unwrap();
+    (0..letters.n_rows())
+        .find(|&r| letters.get(r, "person_id").unwrap() == person)
+        .unwrap()
+}
+
+fn is_healthcare(s: &HiringScenario, job: usize) -> bool {
+    s.job_details.get(job, "sector").unwrap() == Value::Str("healthcare".into())
+}
+
+/// The job of letters row `row` (job ids are job-table rows).
+fn job_of(s: &HiringScenario, row: usize) -> usize {
+    s.letters.get(row, "job_id").unwrap().as_int().unwrap() as usize
+}
+
+/// One structural fix of every kind, each from a fresh session, at 1, 2,
+/// 4 and 7 pipeline threads: `(delta, fresh rows, output rows after)`.
+#[test]
+fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
+    let s = HiringScenario::generate(90, 23);
+    let base = Twin::new(&s, 3, 1);
+    let table = base.debug.table().clone();
+    let n = table.n_rows();
+    let inside = letter_of(&table, &s.letters, 2);
+    let outside = (0..s.letters.n_rows())
+        .find(|&r| !is_healthcare(&s, job_of(&s, r)))
+        .unwrap();
+    let person = s
+        .letters
+        .get(letter_of(&table, &s.letters, 0), "person_id")
+        .unwrap();
+    let social_row = (0..s.social.n_rows())
+        .find(|&r| s.social.get(r, "person_id").unwrap() == person)
+        .unwrap();
+    let job_in = job_of(&s, inside);
+    let letters_of = |job: usize| {
+        (0..s.letters.n_rows())
+            .filter(|&r| job_of(&s, r) == job)
+            .count()
+    };
+    let job_out = (0..s.job_details.n_rows())
+        .find(|&j| !is_healthcare(&s, j) && letters_of(j) > 0)
+        .unwrap();
+    let other_job = (0..s.job_details.n_rows())
+        .find(|&j| is_healthcare(&s, j) && j != job_in)
+        .unwrap();
+    let sector = |row: usize, to: &str| Delta::Update {
+        source: "jobdetail_df".into(),
+        row,
+        column: "sector".into(),
+        value: Value::Str(to.into()),
+    };
+    let cases: Vec<(Delta, usize, usize)> = vec![
+        (
+            Delta::Insert {
+                source: "train_df".into(),
+                values: s.letters.row(inside).unwrap(),
+            },
+            1,
+            n + 1,
+        ),
+        (
+            Delta::Delete {
+                source: "train_df".into(),
+                row: inside,
+            },
+            0,
+            n - 1,
+        ),
+        (
+            Delta::Delete {
+                source: "train_df".into(),
+                row: outside,
+            },
+            0,
+            n,
+        ),
+        (
+            Delta::Delete {
+                source: "social_df".into(),
+                row: social_row,
+            },
+            1,
+            n,
+        ),
+        (sector(job_in, "tech"), 0, n - letters_of(job_in)),
+        (
+            sector(job_out, "healthcare"),
+            letters_of(job_out),
+            n + letters_of(job_out),
+        ),
+        (
+            Delta::Update {
+                source: "train_df".into(),
+                row: inside,
+                column: "job_id".into(),
+                value: Value::Int(other_job as i64),
+            },
+            1,
+            n,
+        ),
+    ];
+    for threads in [1, 2, 4, 7] {
+        for (delta, fresh, rows) in &cases {
+            let mut twin = Twin::new(&s, 3, threads);
+            let report = twin.fix(delta);
+            assert_eq!(report.path, DeltaPath::Rerun, "{delta:?}");
+            assert_eq!(report.affected_rows.len(), *fresh, "{delta:?}");
+            assert_eq!(twin.debug.dataset().len(), *rows, "{delta:?}");
+            assert!(!report.reencoded_all, "{delta:?}");
+            // A label fix after the remap still patches in place.
+            let row = letter_of(
+                twin.debug.table(),
+                twin.pipeline.input("train_df").unwrap(),
+                0,
+            );
+            let label = Delta::Update {
+                source: "train_df".into(),
+                row,
+                column: "sentiment".into(),
+                value: Value::Str("negative".into()),
+            };
+            assert_eq!(twin.fix(&label).path, DeltaPath::CellPatch);
+        }
+    }
+}
+
+/// A small pipeline output shrinks below k and grows back past it: the
+/// evaluator follows the clamped k both ways, and every step matches a
+/// fresh run.
+#[test]
+fn a_fix_sequence_below_k_and_back_matches_a_fresh_run() {
+    let s = HiringScenario::generate(24, 31);
+    for threads in [1, 2, 4, 7] {
+        let mut twin = Twin::new(&s, 5, threads);
+        let n = twin.debug.dataset().len();
+        assert!(n > 5, "{n} output rows");
+        let mut removed = Vec::new();
+        while twin.debug.dataset().len() > 2 {
+            let letters = twin.pipeline.input("train_df").unwrap();
+            let row = letter_of(twin.debug.table(), letters, 0);
+            removed.push(letters.row(row).unwrap());
+            twin.fix(&Delta::Delete {
+                source: "train_df".into(),
+                row,
+            });
+        }
+        for values in removed {
+            let report = twin.fix(&Delta::Insert {
+                source: "train_df".into(),
+                values,
+            });
+            assert_eq!(report.affected_rows.len(), 1);
+        }
+        assert_eq!(twin.debug.dataset().len(), n);
+    }
+}
+
+/// A delete that empties the output keeps the error-and-poison contract:
+/// the fix fails, and every later fix is refused.
+#[test]
+fn a_delete_that_empties_the_output_fails_and_poisons() {
+    let s = HiringScenario::generate(16, 37);
+    for threads in [1, 2, 4, 7] {
+        let mut twin = Twin::new(&s, 3, threads);
+        while twin.debug.dataset().len() > 1 {
+            let row = letter_of(
+                twin.debug.table(),
+                twin.pipeline.input("train_df").unwrap(),
+                0,
+            );
+            twin.fix(&Delta::Delete {
+                source: "train_df".into(),
+                row,
+            });
+        }
+        let row = letter_of(
+            twin.debug.table(),
+            twin.pipeline.input("train_df").unwrap(),
+            0,
+        );
+        let last = Delta::Delete {
+            source: "train_df".into(),
+            row,
+        };
+        let before = twin.debug.stats();
+        assert!(matches!(
+            twin.debug.apply_fix(&last),
+            Err(CleaningError::InvalidArgument(_))
+        ));
+        assert_eq!(twin.debug.stats(), before);
+        assert!(matches!(
+            twin.debug.apply_fix(&Delta::Delete {
+                source: "train_df".into(),
+                row: 0,
+            }),
+            Err(CleaningError::Pipeline(_))
+        ));
     }
 }
