@@ -8,7 +8,7 @@
 use nde::data::generate::blobs::two_gaussians;
 use nde::data::rng::{sample_indices, seeded};
 use nde::ml::dataset::Dataset;
-use nde::uncertain::certain_knn::certain_coverage;
+use nde::uncertain::certain_knn::CertainKnnIndex;
 use nde::uncertain::symbolic::{column_bounds_from_observed, SymbolicMatrix};
 use nde::NdeError;
 use nde_data::rng::Rng;
@@ -68,7 +68,7 @@ pub fn run(
         let k = (frac * total_cells as f64).round() as usize;
         let missing = &all_missing[..k.min(all_missing.len())];
         let sym = SymbolicMatrix::from_matrix_with_missing(&train.x, missing, &bounds)?;
-        let (coverage, outcomes) = certain_coverage(&sym, &train.y, &test.x)?;
+        let (coverage, outcomes) = CertainKnnIndex::new(&sym, &train.y)?.coverage(&test.x, 1)?;
         let mut certain_correct = 0usize;
         let mut certain_total = 0usize;
         for (o, &truth) in outcomes.iter().zip(&test.y) {
@@ -118,7 +118,7 @@ pub fn sampled_world_agreement(
     .map(|flat| (flat / d, flat % d))
     .collect();
     let sym = SymbolicMatrix::from_matrix_with_missing(&train.x, &missing, &bounds)?;
-    let (_, outcomes) = certain_coverage(&sym, &train.y, &test.x)?;
+    let (_, outcomes) = CertainKnnIndex::new(&sym, &train.y)?.coverage(&test.x, 1)?;
 
     // For each certain test point, sample imputations and check agreement.
     let mut agreements = 0usize;

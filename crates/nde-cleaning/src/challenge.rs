@@ -182,7 +182,9 @@ impl<C: Classifier> DebugChallenge<C> {
     /// the template per submission; [`MaintenanceMode::Incremental`] keeps
     /// one incremental evaluator and patches only the submitted labels
     /// (apply → score → revert). Scores are **bit-identical** either way;
-    /// models without an incremental hook silently fall back to refitting.
+    /// models without an incremental hook silently fall back to refitting,
+    /// and a hook that rejects the data (a non-finite feature) fails each
+    /// submission with its `InvalidArgument`.
     pub fn with_maintenance(mut self, mode: MaintenanceMode) -> DebugChallenge<C> {
         self.maintenance = mode;
         self
@@ -252,7 +254,7 @@ impl<C: Classifier> DebugChallenge<C> {
         if self.evaluator.is_none() {
             self.evaluator = self
                 .template
-                .incremental_eval(&self.dirty, &self.hidden_test);
+                .try_incremental_eval(&self.dirty, &self.hidden_test)?;
         }
         if self.evaluator.is_none() {
             return Ok(None);

@@ -243,7 +243,9 @@ pub struct RobustCleaningRun {
 /// [`MaintenanceMode::Incremental`] asks the template for an
 /// [`IncrementalLabelEval`] hook once and then patches only the labels each
 /// round actually repaired. The two modes are **bit-identical** (the hook's
-/// contract); models without a hook silently fall back to refitting.
+/// contract); models without a hook silently fall back to refitting, and a
+/// hook that rejects the data (a non-finite feature) fails with its
+/// `InvalidArgument`.
 #[allow(clippy::too_many_arguments)] // the loop’s knobs are individually meaningful
 pub fn prioritized_cleaning<C: Classifier>(
     template: &C,
@@ -382,10 +384,11 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     // hook's contract is that its accuracy is always bit-identical to
     // refitting `template` on the same labels, so checkpoints written by
     // either mode resume interchangeably in the other. A `None` hook
-    // (model without incremental support) falls back to refitting.
+    // (model without incremental support) falls back to refitting; a hook
+    // that rejects the data (a non-finite feature) fails the run.
     let mut incremental: Option<Box<dyn IncrementalLabelEval>> = match mode {
         MaintenanceMode::Rerun => None,
-        MaintenanceMode::Incremental => template.incremental_eval(&current, valid),
+        MaintenanceMode::Incremental => template.try_incremental_eval(&current, valid)?,
     };
     if run.accuracy.is_empty() {
         // Fresh run: record the dirty baseline.
@@ -918,6 +921,38 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "rescore={rescore} {rerun:?}");
             }
         }
+    }
+
+    /// A non-finite feature fails both incremental entry points with the
+    /// evaluator's error instead of falling back to refitting; refitting
+    /// itself (`Rerun`) still runs.
+    #[test]
+    fn incremental_mode_rejects_a_non_finite_feature() {
+        use crate::challenge::DebugChallenge;
+        let (mut dirty, valid, oracle) = setup();
+        dirty.x.set(7, 1, f64::INFINITY);
+        let knn = KnnClassifier::new(3);
+        let strategy = Strategy::Random { seed: 7 };
+        let run = |mode| {
+            prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, false, mode)
+        };
+        let non_finite = |e: &CleaningError| matches!(e, CleaningError::Ml(m) if m.contains("non-finite feature"));
+        assert!(run(MaintenanceMode::Rerun).is_ok());
+        let err = run(MaintenanceMode::Incremental).unwrap_err();
+        assert!(non_finite(&err), "{err}");
+
+        let challenge = |mode| {
+            DebugChallenge::new(knn.clone(), dirty.clone(), oracle.clone(), valid.clone(), 5)
+                .unwrap()
+                .with_maintenance(mode)
+        };
+        assert!(challenge(MaintenanceMode::Rerun)
+            .submit("r", &[5, 17])
+            .is_ok());
+        let mut inc = challenge(MaintenanceMode::Incremental);
+        let err = inc.submit("i", &[5, 17]).unwrap_err();
+        assert!(non_finite(&err), "{err}");
+        assert!(inc.leaderboard().entries().is_empty());
     }
 
     #[test]

@@ -158,50 +158,10 @@ impl DistanceTable {
         }
     }
 
-    /// Recompute the distance columns of the given training rows in place,
-    /// after their feature vectors changed (incremental maintenance: a
-    /// cleaning fix that touches features moves a handful of training
-    /// points, not the whole matrix).
-    ///
-    /// `train` and `valid` must have the shape the table was built from.
-    /// The patched table is **bit-identical** to a fresh
-    /// [`DistanceTable::new(train, valid)`](DistanceTable::new): every
-    /// refreshed cell is produced by the same [`squared_distance`] call,
-    /// and untouched cells are untouched floats.
-    pub fn update_rows(
-        &mut self,
-        changed: &[usize],
-        train: &Dataset,
-        valid: &Dataset,
-    ) -> Result<()> {
-        if train.len() != self.n_train || valid.len() != self.n_valid {
-            return Err(MlError::InvalidArgument(format!(
-                "distance table is {}x{} but got {} train / {} valid rows",
-                self.n_valid,
-                self.n_train,
-                train.len(),
-                valid.len()
-            )));
-        }
-        if let Some(&bad) = changed.iter().find(|&&i| i >= self.n_train) {
-            return Err(MlError::InvalidArgument(format!(
-                "changed row {bad} out of bounds for {} training rows",
-                self.n_train
-            )));
-        }
-        for (v, vx) in valid.x.iter_rows().enumerate() {
-            let row = &mut self.dists[v * self.n_train..(v + 1) * self.n_train];
-            for &i in changed {
-                row[i] = squared_distance(train.x.row(i), vx);
-            }
-        }
-        Ok(())
-    }
-
     /// Renumber the training columns in place after rows were removed,
     /// inserted or moved: new column `i` is old column `map[i]`, or, for
     /// `None` (a *fresh* row), is computed from `train.x.row(i)` with
-    /// [`squared_distance`], exactly as [`DistanceTable::update_rows`] does.
+    /// [`squared_distance`].
     ///
     /// `train` is the new training set (`map.len()` rows) and `valid` the
     /// set the table was built from. A surviving row must be bit-identical
@@ -757,16 +717,15 @@ fn reject_non_finite(name: &str, data: &Dataset) -> Result<()> {
 /// - a **label** fix re-votes only the validation points in the inverted
 ///   index entry — O(k) each, microseconds against the full sweep's
 ///   O(m·n·d);
-/// - a **feature** fix patches the changed distance columns via
-///   [`DistanceTable::update_rows`] and re-selects neighbors without
-///   recomputing any unchanged distance;
 /// - a **row** change (rows removed, inserted or renumbered) gathers the
 ///   surviving distance columns in place via
 ///   [`DistanceTable::remap_columns`], computes only the fresh rows'
 ///   columns, and re-selects only the validation points whose neighbor
-///   list it can change (see [`IncrementalLabelEval::remap_rows`] below).
+///   list it can change (see [`IncrementalLabelEval::remap_rows`] below);
+/// - a **feature** fix is the row change that keeps every row in place
+///   and treats the moved rows as fresh.
 ///
-/// Building it (and re-selecting after a feature fix) takes the k nearest
+/// Building it (and re-selecting after a row change) takes the k nearest
 /// per validation point by linear-time partial selection, split over the
 /// shared [`WorkerPool`]; the lists are the same for every thread count.
 #[derive(Debug, Clone)]
@@ -777,7 +736,11 @@ pub struct IncrementalKnnEval {
     /// Neighbors per validation point: `configured_k` clamped to
     /// `1..=train.len()`.
     k: usize,
-    train: Dataset,
+    /// The current training labels.
+    labels: Vec<usize>,
+    /// Training feature width and class count.
+    dim: usize,
+    n_classes: usize,
     valid: Dataset,
     /// Row-major [n_valid × k]: per validation point the k nearest
     /// training rows, closest first, ties by index — exactly
@@ -830,7 +793,9 @@ impl IncrementalKnnEval {
             table: DistanceTable::build(train, valid, &pool, threads),
             configured_k: k,
             k: k.clamp(1, train.len()),
-            train: train.clone(),
+            labels: train.y.clone(),
+            dim: train.dim(),
+            n_classes: train.n_classes,
             valid: valid.clone(),
             neighbors: Vec::new(),
             viewers: Vec::new(),
@@ -847,7 +812,7 @@ impl IncrementalKnnEval {
     /// Re-derive neighbor lists, the inverted index, and every vote from
     /// the (current) distance table.
     fn reselect_all(&mut self) {
-        let n = self.train.len();
+        let n = self.labels.len();
         let k = self.k;
         let table = &self.table;
         self.neighbors.resize(self.valid.len() * k, 0);
@@ -868,7 +833,7 @@ impl IncrementalKnnEval {
     /// Re-derive the inverted index and every vote from the neighbor
     /// lists, in O(m·k).
     fn index_and_vote(&mut self) {
-        let n = self.train.len();
+        let n = self.labels.len();
         let k = self.k;
         // Inverted index by counting sort: count each row's viewers, turn
         // the counts into start offsets, place the viewers (ascending `v`)
@@ -893,10 +858,10 @@ impl IncrementalKnnEval {
         }
         self.viewers_at.copy_within(0..n, 1);
         self.viewers_at[0] = 0;
-        let mut votes = vec![0; self.train.n_classes];
+        let mut votes = vec![0; self.n_classes];
         self.n_correct = 0;
         for (v, nb) in self.neighbors.chunks_exact(k).enumerate() {
-            let ok = majority_vote(nb, &self.train.y, &mut votes) == self.valid.y[v];
+            let ok = majority_vote(nb, &self.labels, &mut votes) == self.valid.y[v];
             self.correct[v] = ok;
             self.n_correct += usize::from(ok);
         }
@@ -910,7 +875,7 @@ impl IncrementalKnnEval {
     /// Re-vote validation point `v` (ties toward the smaller class id,
     /// like `KnnClassifier::predict_one`) and update the correct count.
     fn revote(&mut self, v: usize, votes: &mut [usize]) {
-        let now = majority_vote(self.neighbors(v), &self.train.y, votes) == self.valid.y[v];
+        let now = majority_vote(self.neighbors(v), &self.labels, votes) == self.valid.y[v];
         if now != self.correct[v] {
             self.correct[v] = now;
             if now {
@@ -928,7 +893,7 @@ impl IncrementalKnnEval {
 
     /// The current training labels.
     pub fn labels(&self) -> &[usize] {
-        &self.train.y
+        &self.labels
     }
 }
 
@@ -941,47 +906,51 @@ impl IncrementalLabelEval for IncrementalKnnEval {
     }
 
     fn set_label(&mut self, row: usize, label: usize) -> Result<()> {
-        if row >= self.train.len() {
+        if row >= self.labels.len() {
             return Err(MlError::InvalidArgument(format!(
                 "label fix row {row} out of bounds for {} training rows",
-                self.train.len()
+                self.labels.len()
             )));
         }
-        if label >= self.train.n_classes {
+        if label >= self.n_classes {
             return Err(MlError::InvalidLabel {
                 label,
-                n_classes: self.train.n_classes,
+                n_classes: self.n_classes,
             });
         }
-        if self.train.y[row] == label {
+        if self.labels[row] == label {
             return Ok(());
         }
-        self.train.y[row] = label;
+        self.labels[row] = label;
         // Distances are untouched, so neighbor sets are untouched: only
         // the votes of validation points seeing this row can change.
-        let mut votes = vec![0; self.train.n_classes];
+        let mut votes = vec![0; self.n_classes];
         for p in self.viewers_at[row]..self.viewers_at[row + 1] {
             self.revote(self.viewers[p], &mut votes);
         }
         Ok(())
     }
 
+    /// A row remap with every row in place and the `changed` rows fresh:
+    /// only their distance columns are recomputed, and only the validation
+    /// points they can enter or leave are re-selected.
     fn update_features(&mut self, changed: &[usize], train: &Dataset) -> Result<()> {
-        if train.len() != self.train.len()
-            || train.dim() != self.train.dim()
-            || train.n_classes != self.train.n_classes
-        {
+        let n = self.labels.len();
+        if train.len() != n || train.dim() != self.dim || train.n_classes != self.n_classes {
             return Err(MlError::InvalidArgument(
                 "feature update must keep the training set's shape".into(),
             ));
         }
-        reject_non_finite("train", train)?;
-        self.table.update_rows(changed, train, &self.valid)?;
-        self.train = train.clone();
-        // A moved training point can enter or leave any neighbor list;
-        // re-select from the patched table (no distance is recomputed).
-        self.reselect_all();
-        Ok(())
+        if let Some(&bad) = changed.iter().find(|&&i| i >= n) {
+            return Err(MlError::InvalidArgument(format!(
+                "changed row {bad} out of bounds for {n} training rows"
+            )));
+        }
+        let mut map: Vec<Option<usize>> = (0..n).map(Some).collect();
+        for &i in changed {
+            map[i] = None;
+        }
+        self.remap_rows(&map, train)
     }
 
     /// Gathers the surviving distance columns and computes the fresh ones
@@ -997,9 +966,7 @@ impl IncrementalLabelEval for IncrementalKnnEval {
         if train.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
-        if train.len() != map.len()
-            || train.dim() != self.train.dim()
-            || train.n_classes != self.train.n_classes
+        if train.len() != map.len() || train.dim() != self.dim || train.n_classes != self.n_classes
         {
             return Err(MlError::InvalidArgument(format!(
                 "a row remap needs one training row per map entry ({} for {}) and must keep \
@@ -1010,8 +977,8 @@ impl IncrementalLabelEval for IncrementalKnnEval {
         }
         reject_non_finite("train", train)?;
         self.table.remap_columns(map, train, &self.valid)?;
-        let n_old = self.train.len();
-        self.train = train.clone();
+        let n_old = self.labels.len();
+        self.labels.clone_from(&train.y);
         let k = self.configured_k.clamp(1, train.len());
         let increasing = map.iter().flatten().is_sorted_by(|a, b| a < b);
         if !increasing || k != self.k {
@@ -1440,16 +1407,20 @@ mod tests {
     fn update_rows_matches_fresh_table_bit_for_bit() {
         let (mut train, valid) = workload(20, 9, 7);
         let mut table = DistanceTable::new(&train, &valid);
-        // Move a few training points, patch, and compare to a fresh build.
+        // Move a few training points, patch them in as the holes of the
+        // identity map, and compare to a fresh build.
         let changed = [0usize, 7, 13, 19];
+        let mut rows: Vec<Vec<f64>> = train.x.iter_rows().map(<[f64]>::to_vec).collect();
         for &i in &changed {
-            let mut rows: Vec<Vec<f64>> = train.x.iter_rows().map(<[f64]>::to_vec).collect();
             for v in &mut rows[i] {
                 *v = *v * 1.5 + 0.25;
             }
-            train.x = crate::linalg::Matrix::from_rows(rows).unwrap();
         }
-        table.update_rows(&changed, &train, &valid).unwrap();
+        train.x = crate::linalg::Matrix::from_rows(rows).unwrap();
+        let map: Vec<Option<usize>> = (0..train.len())
+            .map(|i| (!changed.contains(&i)).then_some(i))
+            .collect();
+        table.remap_columns(&map, &train, &valid).unwrap();
         let fresh = DistanceTable::new(&train, &valid);
         for v in 0..valid.len() {
             for i in 0..train.len() {
@@ -1461,9 +1432,11 @@ mod tests {
             }
         }
         // Shape and bounds are validated.
-        assert!(table.update_rows(&[99], &train, &valid).is_err());
+        let mut bad = map.clone();
+        bad[3] = Some(99);
+        assert!(table.remap_columns(&bad, &train, &valid).is_err());
         let short = train.subset(&(0..5).collect::<Vec<_>>());
-        assert!(table.update_rows(&[0], &short, &valid).is_err());
+        assert!(table.remap_columns(&map, &short, &valid).is_err());
     }
 
     #[test]
@@ -1479,7 +1452,7 @@ mod tests {
             eval.set_label(row, new_label).unwrap();
             assert_eq!(eval.accuracy(), refit(&train), "after fixing row {row}");
         }
-        // Feature fixes route through update_rows + re-selection.
+        // Feature fixes route through the row remap.
         let moved = [2usize, 11, 20];
         let mut rows: Vec<Vec<f64>> = train.x.iter_rows().map(<[f64]>::to_vec).collect();
         for &i in &moved {
@@ -1580,6 +1553,17 @@ mod tests {
                     let next = remapped(&train, &map, &fresh);
                     eval.remap_rows(&map, &next).unwrap();
                     assert_as_built(&eval, k, &next, &valid);
+                    // The identity map with holes: a feature fix moves
+                    // every third row in place and keeps every label.
+                    let holes: Vec<usize> = (step as usize % 3..next.len()).step_by(3).collect();
+                    let map: Vec<Option<usize>> = (0..next.len())
+                        .map(|i| (!holes.contains(&i)).then_some(i))
+                        .collect();
+                    let mut moved = remapped(&next, &map, &tie_heavy(holes.len(), 3000 + step));
+                    moved.y.clone_from(&next.y);
+                    eval.update_features(&holes, &moved).unwrap();
+                    assert_as_built(&eval, k, &moved, &valid);
+                    let next = moved;
                     // Grow back from small sets so the walk never dies out.
                     train = if next.len() < 8 {
                         let grow: Vec<Option<usize>> =
@@ -1648,6 +1632,10 @@ mod tests {
             matches!(&err, MlError::InvalidArgument(m) if m.contains("row 4, column 1")),
             "{err}"
         );
+        // A feature fix checks its rows and shape the same way.
+        assert!(eval.update_features(&[99], &train).is_err());
+        assert!(eval.update_features(&[0], &narrow).is_err());
+        assert!(eval.update_features(&[4], &bad).is_err());
         // Nothing above touched the evaluator.
         assert_as_built(&eval, 3, &train, &valid);
     }

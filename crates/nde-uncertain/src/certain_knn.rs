@@ -12,7 +12,7 @@
 //! label. (If some wrong-label row can get at least as close as every
 //! right-label row must be, there is a world where it wins.)
 
-use crate::soa::{self, IntervalMatrix};
+use crate::soa;
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::par::WorkerFailure;
@@ -44,17 +44,21 @@ impl CertainOutcome {
     }
 }
 
-/// A reusable certain-1-NN classifier: the hot path behind
-/// [`certain_coverage`].
+/// A reusable certain-1-NN classifier: build it once per training set,
+/// then classify single queries or batches
+/// ([`CertainKnnIndex::coverage`] gives the "coverage" metric of the CP
+/// paper).
 ///
 /// # Exact rows and open rows
 ///
 /// Only a row with a missing cell has an uncertain distance, which is the
 /// split the certain-prediction check rests on. Construction splits the
 /// training set once: *exact* rows, whose cells are all point intervals
-/// (`lo == hi`), go into a dense [`Matrix`]; the remaining *open* rows are
-/// re-laid into contiguous `lo`/`hi` planes ([`IntervalMatrix`]). Each row
-/// is stored in one of the two, with its original row index.
+/// (complete by [`SymbolicMatrix::first_open_column`]), go into a dense
+/// [`Matrix`] of their values; the remaining *open* rows are gathered into
+/// a smaller [`SymbolicMatrix`] ([`SymbolicMatrix::take`]), whose `lo`/`hi`
+/// planes the scan reads. Each row is stored in one of the two, with its
+/// original row index.
 ///
 /// Per query, [`CertainKnnIndex::classify`] computes every exact row's
 /// distance with the blocked kernel [`squared_distances`], then scans the
@@ -99,8 +103,8 @@ pub struct CertainKnnIndex {
     exact: Matrix,
     /// Original row index of each exact row.
     exact_rows: Vec<usize>,
-    /// Rows with a non-point cell, as `lo`/`hi` planes, in row order.
-    open: IntervalMatrix,
+    /// Rows with a non-point cell, in row order.
+    open: SymbolicMatrix,
     /// Original row index of each open row.
     open_rows: Vec<usize>,
     /// Label of every training row, by original row index.
@@ -179,26 +183,23 @@ impl CertainKnnIndex {
                 labels.len()
             )));
         }
-        if let Some(r) = train
-            .iter_rows()
-            .position(|row| row.iter().any(|iv| iv.lo.is_nan() || iv.hi.is_nan()))
-        {
+        if let Some(r) = (0..train.len()).find(|&r| {
+            let mut bounds = train.row_lo(r).iter().chain(train.row_hi(r));
+            bounds.any(|v| v.is_nan())
+        }) {
             return Err(UncertainError::InvalidArgument(format!(
                 "training row {r} has a NaN bound"
             )));
         }
         let (exact_rows, open_rows): (Vec<usize>, Vec<usize>) =
-            (0..train.len()).partition(|&r| train.row(r).iter().all(|iv| iv.is_point()));
+            (0..train.len()).partition(|&r| train.first_open_column(r) == train.cols());
         let mut exact = Vec::with_capacity(exact_rows.len() * train.cols());
         for &r in &exact_rows {
-            exact.extend(train.row(r).iter().map(|iv| iv.lo));
+            exact.extend_from_slice(train.row_lo(r));
         }
         Ok(CertainKnnIndex {
             exact: Matrix::from_vec(exact, exact_rows.len(), train.cols())?,
-            open: IntervalMatrix::from_interval_rows(
-                open_rows.iter().map(|&r| train.row(r)),
-                train.cols(),
-            ),
+            open: train.take(&open_rows),
             exact_rows,
             open_rows,
             labels: labels.to_vec(),
@@ -310,20 +311,6 @@ impl CertainKnnIndex {
     }
 }
 
-/// Fraction of queries whose 1-NN prediction is certain (the "coverage"
-/// metric of the CP paper), plus per-query outcomes.
-///
-/// Builds a [`CertainKnnIndex`] and classifies sequentially; use the index
-/// directly to reuse it across batches or to spread queries over threads.
-/// The training set is validated even when `queries` is empty.
-pub fn certain_coverage(
-    train: &SymbolicMatrix,
-    labels: &[usize],
-    queries: &Matrix,
-) -> Result<(f64, Vec<CertainOutcome>)> {
-    CertainKnnIndex::new(train, labels)?.coverage(queries, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,7 +341,10 @@ mod tests {
         for k in [0usize, 8, 20, 36] {
             let missing: Vec<(usize, usize)> = (0..k).map(|r| (r, 0)).collect();
             let sym = SymbolicMatrix::from_matrix_with_missing(&x, &missing, &bounds).unwrap();
-            let (cov, outcomes) = certain_coverage(&sym, &labels, &queries).unwrap();
+            let (cov, outcomes) = CertainKnnIndex::new(&sym, &labels)
+                .unwrap()
+                .coverage(&queries, 1)
+                .unwrap();
             assert_eq!(outcomes.len(), 10);
             coverages.push(cov);
         }
@@ -397,7 +387,7 @@ mod tests {
                 ));
             }
             assert!(matches!(
-                certain_coverage(&train, &labels, &queries),
+                index.coverage(&queries, 1),
                 Err(UncertainError::InvalidArgument(_))
             ));
         }
@@ -524,7 +514,10 @@ mod tests {
                 "threads={threads}"
             );
         }
-        let (cov, outcomes) = certain_coverage(&sym, &labels, &queries).unwrap();
+        let (cov, outcomes) = CertainKnnIndex::new(&sym, &labels)
+            .unwrap()
+            .coverage(&queries, 1)
+            .unwrap();
         assert_eq!(outcomes, seq);
         let certain = seq.iter().filter(|o| o.is_certain()).count();
         assert!((cov - certain as f64 / seq.len() as f64).abs() < 1e-15);

@@ -94,10 +94,8 @@ pub fn certain_model_check(
     }
 
     // Partition rows into complete and incomplete.
-    let complete: Vec<usize> = (0..x.len())
-        .filter(|&i| x.row(i).iter().all(|iv| iv.is_point()))
-        .collect();
-    let incomplete: Vec<usize> = (0..x.len()).filter(|&i| !complete.contains(&i)).collect();
+    let (complete, incomplete): (Vec<usize>, Vec<usize>) =
+        (0..x.len()).partition(|&i| x.first_open_column(i) == x.cols());
 
     // Fast path: no uncertainty at all.
     if incomplete.is_empty() {
@@ -111,10 +109,7 @@ pub fn certain_model_check(
     // each incomplete row's target exactly (residual ≤ tol for any choice of
     // the missing values), it is optimal for the full data in every world.
     if !complete.is_empty() {
-        let rows: Vec<Vec<f64>> = complete
-            .iter()
-            .map(|&i| x.row(i).iter().map(|iv| iv.lo).collect())
-            .collect();
+        let rows: Vec<Vec<f64>> = complete.iter().map(|&i| x.row_lo(i).to_vec()).collect();
         let targets: Vec<f64> = complete.iter().map(|&i| y[i]).collect();
         let m = Matrix::from_rows(rows).map_err(|e| UncertainError::Ml(e.to_string()))?;
         let params = fit(&m, &targets, config.lambda)?;
@@ -189,9 +184,9 @@ fn materialize(
     pick: &dyn Fn(usize, usize, &Interval) -> f64,
 ) -> (Matrix, Vec<f64>) {
     let mut m = Matrix::zeros(x.len(), x.cols());
-    for (r, row) in x.iter_rows().enumerate() {
-        for (c, iv) in row.iter().enumerate() {
-            m.set(r, c, pick(r, c, iv));
+    for r in 0..x.len() {
+        for c in 0..x.cols() {
+            m.set(r, c, pick(r, c, &x.get(r, c)));
         }
     }
     (m, y.to_vec())
@@ -218,11 +213,10 @@ fn certifies(
 ) -> bool {
     let d = x.cols();
     for &i in incomplete {
-        let row = x.row(i);
         // Residual as an interval.
         let mut pred = Interval::point(params[d]);
-        for (iv, &w) in row.iter().zip(params) {
-            pred = pred + iv.scale(w);
+        for (c, &w) in params[..d].iter().enumerate() {
+            pred = pred + x.get(i, c).scale(w);
         }
         let resid = pred - Interval::point(y[i]);
         if resid.abs_max() > tol {

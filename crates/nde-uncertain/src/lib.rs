@@ -4,7 +4,8 @@
 //!
 //! * [`interval`] — interval arithmetic, the symbolic substrate;
 //! * [`symbolic`] — symbolic feature matrices where missing cells become
-//!   intervals over their column domain (`encode_symbolic` in the tutorial);
+//!   intervals over their column domain (`encode_symbolic` in the
+//!   tutorial), stored as `lo`/`hi` planes;
 //! * [`zorro`] — Zorro-style symbolic training of linear models under
 //!   missing-value uncertainty, yielding **worst-case loss bounds** and
 //!   **prediction ranges** (Zhu et al., NeurIPS'24);
@@ -16,10 +17,11 @@
 //!   labels (Meyer et al., FAccT'23);
 //! * [`worlds`] — possible-worlds sampling and robust (abstaining)
 //!   aggregation;
-//! * [`soa`] — structure-of-arrays interval kernels (`lo`/`hi` planes,
-//!   fused dot/axpy/distance-bound loops), the engine behind the Zorro and
-//!   certain-KNN hot paths, bit-identical to the scalar [`Interval`]
-//!   computations that tests keep as references.
+//! * [`soa`] — structure-of-arrays interval kernels (fused
+//!   dot/axpy/distance-bound loops over `lo`/`hi` slices), the engine the
+//!   Zorro and certain-KNN hot paths run over [`SymbolicMatrix`]'s planes,
+//!   bit-identical to the scalar [`Interval`] computations that tests keep
+//!   as references.
 
 pub mod certain_knn;
 pub mod certain_models;
@@ -33,7 +35,7 @@ pub mod zorro;
 
 pub use error::UncertainError;
 pub use interval::Interval;
-pub use soa::{IntervalMatrix, IntervalVec};
+pub use soa::IntervalVec;
 pub use symbolic::SymbolicMatrix;
 pub use zorro::{ZorroCheckpoint, ZorroConfig, ZorroRegressor};
 

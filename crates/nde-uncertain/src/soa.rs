@@ -2,31 +2,29 @@
 //! engine.
 //!
 //! [`Interval`] is a fine abstraction for building symbolic computations,
-//! but an array-of-structs `Vec<Vec<Interval>>` matrix interleaves `lo` and
-//! `hi` in memory and hides the loops behind per-row `Vec` indirection, so
-//! the optimizer cannot vectorize the epoch loops of
+//! but a loop over `Interval` values interleaves `lo` and `hi` in memory,
+//! so the optimizer cannot vectorize the epoch loops of
 //! [`crate::zorro::ZorroRegressor`] or the incomplete-row distance scans of
-//! [`crate::certain_knn`]. This module stores the same data as two
-//! contiguous planes — [`IntervalVec`] / [`IntervalMatrix`] hold all the
-//! `lo` bounds in one slice and all the `hi` bounds in another — and
-//! provides fused kernels ([`dot`], [`axpy`], [`sq_dist_bounds`],
-//! [`sq_dist_bounds_pruned`]) written as straight-line loops over those
-//! planes.
+//! [`crate::certain_knn`]. The kernels here ([`dot`], [`axpy`],
+//! [`sq_dist_bounds`], [`sq_dist_bounds_pruned`]) are straight-line loops
+//! over separate `lo` and `hi` slices: a row of a
+//! [`SymbolicMatrix`](crate::symbolic::SymbolicMatrix), which stores its
+//! cells as row-major `lo`/`hi` planes, or an [`IntervalVec`] (Zorro's
+//! weights, gradients and targets).
 //!
 //! # Bit-identity contract
 //!
 //! Every kernel performs **exactly the floating-point operations, in
 //! exactly the order**, of the equivalent scalar [`Interval`] expression
 //! (`interval_dot`, `acc + a * x`, `(iv - point(q)).square()` folds). Only
-//! the memory layout changes, so results are bit-identical to the AoS
-//! scalar-[`Interval`] computations. The AoS references are test code:
-//! `zorro.rs`'s unit tests keep the AoS Zorro trainer, and the `nde-tests`
+//! the memory layout changes, so results are bit-identical to the scalar
+//! [`Interval`] computations. Those references are test code: `zorro.rs`'s
+//! unit tests keep the array-of-structs Zorro trainer, and the `nde-tests`
 //! crate keeps the per-query 1-NN certain-prediction check that
 //! `tests/tests/uncertain_soa.rs` compares the pruned scan against across
 //! random matrices.
 
 use crate::interval::Interval;
-use crate::symbolic::SymbolicMatrix;
 
 /// A vector of intervals stored as two contiguous planes.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,79 +89,6 @@ impl IntervalVec {
     pub fn clear_to_zero(&mut self) {
         self.lo.iter_mut().for_each(|v| *v = 0.0);
         self.hi.iter_mut().for_each(|v| *v = 0.0);
-    }
-}
-
-/// A row-major matrix of intervals stored as two contiguous planes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalMatrix {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    rows: usize,
-    cols: usize,
-}
-
-impl IntervalMatrix {
-    /// Re-lay a [`SymbolicMatrix`] (AoS rows) into separate planes. Cell
-    /// order is row-major, matching `SymbolicMatrix::iter_rows`.
-    pub fn from_symbolic(x: &SymbolicMatrix) -> IntervalMatrix {
-        IntervalMatrix::from_interval_rows(x.iter_rows(), x.cols())
-    }
-
-    /// Lay out `cols`-wide interval rows as planes, in iteration order.
-    pub fn from_interval_rows<'a>(
-        rows: impl IntoIterator<Item = &'a [Interval]>,
-        cols: usize,
-    ) -> IntervalMatrix {
-        let rows = rows.into_iter();
-        let cells = rows.size_hint().0 * cols;
-        let (mut lo, mut hi) = (Vec::with_capacity(cells), Vec::with_capacity(cells));
-        let mut n = 0;
-        for row in rows {
-            debug_assert_eq!(row.len(), cols);
-            lo.extend(row.iter().map(|iv| iv.lo));
-            hi.extend(row.iter().map(|iv| iv.hi));
-            n += 1;
-        }
-        IntervalMatrix {
-            lo,
-            hi,
-            rows: n,
-            cols,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `true` if there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Lower-bound plane of row `r`.
-    pub fn row_lo(&self, r: usize) -> &[f64] {
-        &self.lo[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Upper-bound plane of row `r`.
-    pub fn row_hi(&self, r: usize) -> &[f64] {
-        &self.hi[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// The interval at `(r, c)`.
-    pub fn get(&self, r: usize, c: usize) -> Interval {
-        Interval {
-            lo: self.lo[r * self.cols + c],
-            hi: self.hi[r * self.cols + c],
-        }
     }
 }
 
@@ -303,23 +228,6 @@ mod tests {
         assert_eq!(v2.get(0), Interval::new(-9.0, 9.0));
         v2.clear_to_zero();
         assert_eq!(v2, IntervalVec::zeros(13));
-    }
-
-    #[test]
-    fn interval_matrix_matches_symbolic_layout() {
-        let mut rng = seeded(2);
-        let rows: Vec<Vec<Interval>> = (0..5).map(|_| random_intervals(3, &mut rng)).collect();
-        let sym = SymbolicMatrix::from_rows(rows.clone()).unwrap();
-        let m = IntervalMatrix::from_symbolic(&sym);
-        assert_eq!((m.rows(), m.cols()), (5, 3));
-        assert!(!m.is_empty());
-        for (r, row) in rows.iter().enumerate() {
-            for (c, &iv) in row.iter().enumerate() {
-                assert_eq!(m.get(r, c), iv);
-                assert_eq!(m.row_lo(r)[c], iv.lo);
-                assert_eq!(m.row_hi(r)[c], iv.hi);
-            }
-        }
     }
 
     #[test]

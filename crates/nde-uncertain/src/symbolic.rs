@@ -4,15 +4,25 @@
 //! imputing a missing value with a point guess, the cell is replaced by an
 //! interval spanning the value's plausible domain, and downstream training
 //! propagates that uncertainty symbolically.
+//!
+//! [`SymbolicMatrix`] is the one representation of uncertain training data
+//! the Learn pillar reads: Zorro's gradient epochs, the certain-KNN index
+//! and the possible-worlds sampler all run the [`crate::soa`] kernels
+//! straight over its row-major `lo`/`hi` planes, and
+//! [`SymbolicMatrix::first_open_column`] is their one definition of a
+//! complete row.
 
 use crate::interval::Interval;
 use crate::{Result, UncertainError};
 use nde_ml::linalg::Matrix;
 
-/// A matrix of intervals, one row per example.
+/// A matrix of intervals, one row per example, stored as two row-major
+/// planes: every cell's lower bound in `lo`, its upper bound in `hi`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicMatrix {
-    rows: Vec<Vec<Interval>>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    rows: usize,
     cols: usize,
 }
 
@@ -25,16 +35,25 @@ impl SymbolicMatrix {
                 "ragged symbolic matrix".into(),
             ));
         }
-        Ok(SymbolicMatrix { rows, cols })
+        let cells = rows.iter().flatten();
+        Ok(SymbolicMatrix {
+            lo: cells.clone().map(|iv| iv.lo).collect(),
+            hi: cells.map(|iv| iv.hi).collect(),
+            rows: rows.len(),
+            cols,
+        })
     }
 
     /// Lift a concrete matrix: every cell becomes a point interval.
     pub fn from_exact(x: &Matrix) -> SymbolicMatrix {
+        let mut lo = Vec::with_capacity(x.rows() * x.cols());
+        for row in x.iter_rows() {
+            lo.extend_from_slice(row);
+        }
         SymbolicMatrix {
-            rows: x
-                .iter_rows()
-                .map(|r| r.iter().map(|&v| Interval::point(v)).collect())
-                .collect(),
+            hi: lo.clone(),
+            lo,
+            rows: x.rows(),
             cols: x.cols(),
         }
     }
@@ -65,19 +84,37 @@ impl SymbolicMatrix {
                     x.cols()
                 )));
             }
-            sym.rows[r][c] = column_bounds[c];
+            sym.lo[r * sym.cols + c] = column_bounds[c].lo;
+            sym.hi[r * sym.cols + c] = column_bounds[c].hi;
         }
         Ok(sym)
     }
 
+    /// The rows `rows`, in that order, as a new matrix.
+    pub fn take(&self, rows: &[usize]) -> SymbolicMatrix {
+        let gather = |plane: &[f64]| {
+            let mut out = Vec::with_capacity(rows.len() * self.cols);
+            for &r in rows {
+                out.extend_from_slice(&plane[r * self.cols..(r + 1) * self.cols]);
+            }
+            out
+        };
+        SymbolicMatrix {
+            lo: gather(&self.lo),
+            hi: gather(&self.hi),
+            rows: rows.len(),
+            cols: self.cols,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// `true` if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
     }
 
     /// Number of columns.
@@ -85,34 +122,58 @@ impl SymbolicMatrix {
         self.cols
     }
 
-    /// Borrow row `i`.
-    pub fn row(&self, i: usize) -> &[Interval] {
-        &self.rows[i]
+    /// The interval at `(r, c)`.
+    pub fn get(&self, r: usize, c: usize) -> Interval {
+        Interval {
+            lo: self.lo[r * self.cols + c],
+            hi: self.hi[r * self.cols + c],
+        }
     }
 
-    /// Iterator over rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[Interval]> {
-        self.rows.iter().map(Vec::as_slice)
+    /// Lower bounds of row `r`.
+    pub fn row_lo(&self, r: usize) -> &[f64] {
+        &self.lo[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Upper bounds of row `r`.
+    pub fn row_hi(&self, r: usize) -> &[f64] {
+        &self.hi[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The first column of row `r` whose cell is not a point
+    /// (`lo != hi`, so a NaN bound counts as open), or [`Self::cols`] when
+    /// every cell is a point: row `r` is *complete* iff this equals
+    /// `cols()`. The columns before it hold the same value in every
+    /// possible world.
+    pub fn first_open_column(&self, r: usize) -> usize {
+        let (lo, hi) = (self.row_lo(r), self.row_hi(r));
+        (0..self.cols)
+            .find(|&c| lo[c] != hi[c])
+            .unwrap_or(self.cols)
+    }
+
+    /// Every cell in row-major order.
+    fn cells(&self) -> impl Iterator<Item = Interval> + '_ {
+        self.lo
+            .iter()
+            .zip(&self.hi)
+            .map(|(&lo, &hi)| Interval { lo, hi })
     }
 
     /// Total uncertainty: sum of cell widths.
     pub fn total_width(&self) -> f64 {
-        self.rows
-            .iter()
-            .flat_map(|r| r.iter().map(|i| i.width()))
-            .sum()
+        self.cells().map(Interval::width).sum()
     }
 
     /// The concrete midpoint matrix (one possible world: every cell at its
     /// interval center — equivalent to midpoint imputation).
     pub fn midpoint_world(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.len(), self.cols);
-        for (i, row) in self.rows.iter().enumerate() {
-            for (j, iv) in row.iter().enumerate() {
-                m.set(i, j, iv.mid());
-            }
-        }
-        m
+        Matrix::from_vec(
+            self.cells().map(Interval::mid).collect(),
+            self.rows,
+            self.cols,
+        )
+        .expect("planes hold rows × cols cells")
     }
 }
 
@@ -141,9 +202,125 @@ pub fn column_bounds_from_observed(x: &Matrix) -> Vec<Interval> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nde_data::rng::{seeded, Rng};
 
     fn matrix() -> Matrix {
         Matrix::from_rows(vec![vec![1.0, -2.0], vec![3.0, 0.0], vec![2.0, 2.0]]).unwrap()
+    }
+
+    /// `rows × cols` random cells, about a third of them points.
+    fn random_rows(rows: usize, cols: usize, seed: u64) -> Vec<Vec<Interval>> {
+        let mut rng = seeded(seed);
+        (0..rows)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| {
+                        let a = rng.gen_range(-3.0..3.0);
+                        if rng.gen_range(0..3usize) == 0 {
+                            Interval::point(a)
+                        } else {
+                            Interval::new(a, a + rng.gen_range(0.0..2.0))
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every accessor reads the cell `rows[r][c]` holds.
+    fn assert_cells(sym: &SymbolicMatrix, rows: &[Vec<Interval>]) {
+        assert_eq!(sym.len(), rows.len());
+        assert_eq!(sym.is_empty(), rows.is_empty());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(sym.row_lo(r).len(), sym.cols());
+            for (c, &iv) in row.iter().enumerate() {
+                assert_eq!(sym.get(r, c), iv, "cell ({r}, {c})");
+                assert_eq!(sym.row_lo(r)[c].to_bits(), iv.lo.to_bits());
+                assert_eq!(sym.row_hi(r)[c].to_bits(), iv.hi.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn planes_match_the_interval_rows() {
+        let rows = random_rows(5, 3, 2);
+        let sym = SymbolicMatrix::from_rows(rows.clone()).unwrap();
+        assert_eq!((sym.len(), sym.cols()), (5, 3));
+        assert_cells(&sym, &rows);
+        // `take` gathers rows in the order given, repeats included.
+        let picked = [4, 0, 4, 2];
+        let taken: Vec<Vec<Interval>> = picked.iter().map(|&r| rows[r].clone()).collect();
+        assert_cells(&sym.take(&picked), &taken);
+        assert_eq!(sym.take(&picked).cols(), 3);
+        assert!(sym.take(&[]).is_empty());
+    }
+
+    #[test]
+    fn constructors_agree_cell_for_cell() {
+        let x = matrix();
+        let bounds = column_bounds_from_observed(&x);
+        let points: Vec<Vec<Interval>> = x
+            .iter_rows()
+            .map(|r| r.iter().map(|&v| Interval::point(v)).collect())
+            .collect();
+        let exact = SymbolicMatrix::from_exact(&x);
+        assert_cells(&exact, &points);
+        assert_eq!(exact, SymbolicMatrix::from_rows(points.clone()).unwrap());
+        assert_eq!(
+            exact,
+            SymbolicMatrix::from_matrix_with_missing(&x, &[], &bounds).unwrap()
+        );
+        let missing = [(0, 1), (2, 0), (2, 1)];
+        let mut widened = points;
+        for &(r, c) in &missing {
+            widened[r][c] = bounds[c];
+        }
+        let sym = SymbolicMatrix::from_matrix_with_missing(&x, &missing, &bounds).unwrap();
+        assert_cells(&sym, &widened);
+        assert_eq!(sym, SymbolicMatrix::from_rows(widened).unwrap());
+    }
+
+    #[test]
+    fn first_open_column_finds_the_first_non_point_cell() {
+        let p = Interval::point;
+        let sym = SymbolicMatrix::from_rows(vec![
+            vec![p(1.0), p(-2.0), p(0.5)],                 // complete
+            vec![Interval::new(0.0, 1.0), p(0.0), p(1.0)], // first cell open
+            vec![p(0.0), p(1.0), Interval::new(2.0, 3.0)], // last cell open
+            vec![
+                p(0.0),
+                Interval::new(f64::NEG_INFINITY, f64::INFINITY),
+                p(1.0),
+            ],
+            vec![p(0.0), p(2.0), Interval::new(5.0, f64::INFINITY)],
+            vec![p(f64::INFINITY), p(f64::NEG_INFINITY), p(0.0)], // infinite points
+        ])
+        .unwrap();
+        let first: Vec<usize> = (0..sym.len()).map(|r| sym.first_open_column(r)).collect();
+        assert_eq!(first, [3, 0, 2, 1, 2, 3]);
+        // With no columns every row is complete.
+        let empty = SymbolicMatrix::from_rows(vec![vec![]; 3]).unwrap();
+        assert_eq!((empty.len(), empty.cols()), (3, 0));
+        assert!((0..3).all(|r| empty.first_open_column(r) == 0));
+        assert_eq!(empty.total_width(), 0.0);
+        assert_eq!(empty.midpoint_world().rows(), 3);
+    }
+
+    #[test]
+    fn width_and_midpoints_are_the_per_interval_bits() {
+        for (rows, cols, seed) in [(0, 4, 3), (1, 1, 4), (7, 5, 5), (40, 3, 6)] {
+            let cells = random_rows(rows, cols, seed);
+            let sym = SymbolicMatrix::from_rows(cells.clone()).unwrap();
+            let width: f64 = cells.iter().flat_map(|r| r.iter().map(|i| i.width())).sum();
+            assert_eq!(sym.total_width().to_bits(), width.to_bits());
+            let world = sym.midpoint_world();
+            assert_eq!((world.rows(), world.cols()), (sym.len(), sym.cols()));
+            for (r, row) in cells.iter().enumerate() {
+                for (c, iv) in row.iter().enumerate() {
+                    assert_eq!(world.get(r, c).to_bits(), iv.mid().to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -151,7 +328,7 @@ mod tests {
         let sym = SymbolicMatrix::from_exact(&matrix());
         assert_eq!(sym.len(), 3);
         assert_eq!(sym.cols(), 2);
-        assert!(sym.iter_rows().all(|r| r.iter().all(|i| i.is_point())));
+        assert!((0..sym.len()).all(|r| sym.first_open_column(r) == sym.cols()));
         assert_eq!(sym.total_width(), 0.0);
     }
 
@@ -162,9 +339,9 @@ mod tests {
         assert_eq!(bounds[0], Interval::new(1.0, 3.0));
         assert_eq!(bounds[1], Interval::new(-2.0, 2.0));
         let sym = SymbolicMatrix::from_matrix_with_missing(&x, &[(0, 1), (2, 0)], &bounds).unwrap();
-        assert_eq!(sym.row(0)[1], Interval::new(-2.0, 2.0));
-        assert_eq!(sym.row(2)[0], Interval::new(1.0, 3.0));
-        assert!(sym.row(1)[0].is_point());
+        assert_eq!(sym.get(0, 1), Interval::new(-2.0, 2.0));
+        assert_eq!(sym.get(2, 0), Interval::new(1.0, 3.0));
+        assert!(sym.get(1, 0).is_point());
         assert_eq!(sym.total_width(), 4.0 + 2.0);
     }
 

@@ -1,7 +1,6 @@
 //! Possible-worlds sampling for missing *features*: impute, retrain,
 //! aggregate, and make robust (abstaining) predictions.
 
-use crate::soa::IntervalMatrix;
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::par::WorkerFailure;
@@ -47,25 +46,8 @@ impl WorldEnsemble {
 
 /// Sample `worlds` imputations of the symbolic training features (uniform
 /// within each cell's interval), retrain a fresh clone of `template` per
-/// world, and aggregate predictions on `test_x`.
-pub fn sample_worlds<C>(
-    template: &C,
-    train_x: &SymbolicMatrix,
-    train_y: &[usize],
-    n_classes: usize,
-    test_x: &Matrix,
-    worlds: usize,
-    seed: u64,
-) -> Result<WorldEnsemble>
-where
-    C: Classifier + Send + Sync,
-{
-    sample_worlds_par(
-        template, train_x, train_y, n_classes, test_x, worlds, seed, 1,
-    )
-}
-
-/// [`sample_worlds`] parallelized over worlds.
+/// world, and aggregate predictions on `test_x`, on up to `threads`
+/// workers.
 ///
 /// Each world's imputation stream is `child_seed(seed, w)` and the
 /// per-world vote counts are integers summed over the sorted world indices,
@@ -102,21 +84,12 @@ where
             train_y.len()
         )));
     }
-    // Re-lay the symbolic matrix into SoA planes once, outside the world
-    // loop: every world then samples from two contiguous slices per row
-    // instead of chasing per-row `Vec<Interval>` pointers.
-    let planes = IntervalMatrix::from_symbolic(train_x);
-    let (rows, cols) = (planes.rows(), planes.cols());
-    let varying_from: Vec<usize> = (0..rows)
-        .map(|r| {
-            let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
-            (0..cols).find(|&c| lo[c] != hi[c]).unwrap_or(cols)
-        })
-        .collect();
+    let (rows, cols) = (train_x.len(), train_x.cols());
+    let varying_from: Vec<usize> = (0..rows).map(|r| train_x.first_open_column(r)).collect();
     // A draw whose width `hi - lo` is not finite can be NaN (`0 · ∞`); such
     // input keeps the refit path, which meets it the way it always has.
     let finite_draws = (0..rows).all(|r| {
-        let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+        let (lo, hi) = (train_x.row_lo(r), train_x.row_hi(r));
         lo.iter()
             .zip(hi)
             .all(|(&l, &h)| l == h || (h - l).is_finite())
@@ -127,7 +100,7 @@ where
     let fixed_x = || {
         let mut m = Matrix::zeros(rows, cols);
         for r in 0..rows {
-            m.row_mut(r).copy_from_slice(planes.row_lo(r));
+            m.row_mut(r).copy_from_slice(train_x.row_lo(r));
         }
         m
     };
@@ -151,7 +124,7 @@ where
                 let mut rng = seeded(child_seed(seed, w));
                 cells.clear();
                 for &(r, c0) in voter.varying_rows() {
-                    let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+                    let (lo, hi) = (train_x.row_lo(r), train_x.row_hi(r));
                     cells.extend((c0..cols).map(|c| draw(lo[c], hi[c], &mut rng)));
                 }
                 Ok::<_, UncertainError>(voter.vote(cells))
@@ -165,7 +138,7 @@ where
             |world_x, w| {
                 let mut rng = seeded(child_seed(seed, w));
                 for r in 0..rows {
-                    let (lo, hi) = (planes.row_lo(r), planes.row_hi(r));
+                    let (lo, hi) = (train_x.row_lo(r), train_x.row_hi(r));
                     for c in 0..cols {
                         world_x.set(r, c, draw(lo[c], hi[c], &mut rng));
                     }
@@ -239,7 +212,8 @@ mod tests {
         let x = Matrix::from_rows(vec![vec![0.0], vec![10.0]]).unwrap();
         let sym = SymbolicMatrix::from_exact(&x);
         let test = Matrix::from_rows(vec![vec![0.1], vec![9.9]]).unwrap();
-        let ens = sample_worlds(&KnnClassifier::new(1), &sym, &[0, 1], 2, &test, 8, 1).unwrap();
+        let ens =
+            sample_worlds_par(&KnnClassifier::new(1), &sym, &[0, 1], 2, &test, 8, 1, 1).unwrap();
         assert_eq!(ens.shares[0], vec![1.0, 0.0]);
         assert_eq!(ens.shares[1], vec![0.0, 1.0]);
         assert_eq!(ens.coverage(1.0), 1.0);
@@ -249,7 +223,7 @@ mod tests {
     fn uncertain_row_splits_world_votes() {
         let (sym, y) = symbolic_train();
         let test = Matrix::from_rows(vec![vec![0.2], vec![9.8]]).unwrap();
-        let ens = sample_worlds(&KnnClassifier::new(1), &sym, &y, 2, &test, 200, 2).unwrap();
+        let ens = sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 200, 2, 1).unwrap();
         // Query near the 0-cluster: the wide label-1 row sometimes lands
         // closer, so votes split.
         // The wide row lands within 0.2 of the query with probability
@@ -269,7 +243,7 @@ mod tests {
     fn parallel_is_bit_identical_to_sequential() {
         let (sym, y) = symbolic_train();
         let test = Matrix::from_rows(vec![vec![0.2], vec![9.8]]).unwrap();
-        let seq = sample_worlds(&KnnClassifier::new(1), &sym, &y, 2, &test, 100, 7).unwrap();
+        let seq = sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 100, 7, 1).unwrap();
         for threads in [2, 4, 7] {
             let par =
                 sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 100, 7, threads)
@@ -282,10 +256,12 @@ mod tests {
     fn deterministic_by_seed_and_validated() {
         let (sym, y) = symbolic_train();
         let test = Matrix::from_rows(vec![vec![0.2]]).unwrap();
-        let a = sample_worlds(&KnnClassifier::new(1), &sym, &y, 2, &test, 50, 3).unwrap();
-        let b = sample_worlds(&KnnClassifier::new(1), &sym, &y, 2, &test, 50, 3).unwrap();
+        let a = sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 50, 3, 1).unwrap();
+        let b = sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 50, 3, 1).unwrap();
         assert_eq!(a.shares, b.shares);
-        assert!(sample_worlds(&KnnClassifier::new(1), &sym, &y, 2, &test, 0, 0).is_err());
-        assert!(sample_worlds(&KnnClassifier::new(1), &sym, &y[..2], 2, &test, 5, 0).is_err());
+        assert!(sample_worlds_par(&KnnClassifier::new(1), &sym, &y, 2, &test, 0, 0, 1).is_err());
+        assert!(
+            sample_worlds_par(&KnnClassifier::new(1), &sym, &y[..2], 2, &test, 5, 0, 1).is_err()
+        );
     }
 }

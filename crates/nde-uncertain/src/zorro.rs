@@ -11,13 +11,14 @@
 //! sufficient to reproduce the qualitative behaviour (bounds grow
 //! monotonically with the amount of missingness).
 //!
-//! Training runs on the SoA engine ([`crate::soa`] planes and fused
-//! kernels). This module's tests keep a sequential scalar-[`Interval`]
-//! trainer with the same accumulation shape as the reference the engine's
-//! weights must match bit for bit at every thread count.
+//! Training runs the fused [`crate::soa`] kernels over the
+//! [`SymbolicMatrix`]'s own `lo`/`hi` planes. This module's tests keep a
+//! sequential scalar-[`Interval`] trainer with the same accumulation shape
+//! as the reference the engine's weights must match bit for bit at every
+//! thread count.
 
 use crate::interval::Interval;
-use crate::soa::{self, IntervalMatrix, IntervalVec};
+use crate::soa::{self, IntervalVec};
 use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::json::{check_method, finite_vec, uint, Json, ToJson};
@@ -181,23 +182,19 @@ impl ZorroRegressor {
     /// and concrete targets `y`.
     pub fn fit(&mut self, x: &SymbolicMatrix, y: &[f64]) -> Result<()> {
         let targets: Vec<Interval> = y.iter().map(|&v| Interval::point(v)).collect();
-        self.fit_uncertain(x, &targets)
-    }
-
-    /// Train with **uncertain labels** as well: every target is itself an
-    /// interval (Fig. 4's hands-on session injects "synthetic missing
-    /// attributes *and uncertain labels*"). Point targets recover [`Self::fit`].
-    pub fn fit_uncertain(&mut self, x: &SymbolicMatrix, y: &[Interval]) -> Result<()> {
-        self.fit_uncertain_resumable(x, y, &RunBudget::unlimited(), None)
+        self.fit_uncertain_resumable(x, &targets, &RunBudget::unlimited(), None)
             .map(|_| ())
     }
 
-    /// [`Self::fit_uncertain`] under a [`RunBudget`], optionally resuming
-    /// an earlier fit.
+    /// Train with **uncertain labels** as well, under a [`RunBudget`],
+    /// optionally resuming an earlier fit. Every target is itself an
+    /// interval (Fig. 4's hands-on session injects "synthetic missing
+    /// attributes *and uncertain labels*"); point targets, an unlimited
+    /// budget and no snapshot recover [`Self::fit`].
     ///
-    /// This is the **SoA engine** path: the symbolic matrix is re-laid into
-    /// contiguous `lo`/`hi` planes once, each epoch's gradient is
-    /// accumulated per [`GRADIENT_BLOCK`]-row block with the fused
+    /// This is the **SoA engine** path: each epoch's gradient is
+    /// accumulated over the matrix's `lo`/`hi` planes per
+    /// [`GRADIENT_BLOCK`]-row block with the fused
     /// [`soa::dot`] / [`soa::axpy`] kernels — blocks run on
     /// `config.threads` workers — and the partials fold through the
     /// canonical [`tree_reduce`] shape, so the weights are bit-identical at
@@ -226,7 +223,6 @@ impl ZorroRegressor {
         validate_fit_args(x, y, &self.config)?;
         let n = x.len() as f64;
         let d = x.cols();
-        let sx = IntervalMatrix::from_symbolic(x);
         let sy = IntervalVec::from_intervals(y);
         let (mut w, done) = match resume {
             Some(cp) => {
@@ -259,7 +255,7 @@ impl ZorroRegressor {
             if clock.exhausted().is_some() {
                 break; // keep the best-so-far weights
             }
-            let grad = epoch_gradient_soa(&sx, &sy, &w, self.config.threads, &pool)?;
+            let grad = epoch_gradient_soa(x, &sy, &w, self.config.threads, &pool)?;
             update_weights(&mut w, &grad, n, &self.config)?;
             clock.record_iteration();
         }
@@ -357,17 +353,17 @@ fn validate_fit_args(x: &SymbolicMatrix, y: &[Interval], config: &ZorroConfig) -
     Ok(())
 }
 
-/// One epoch's full gradient over the SoA planes: per-[`GRADIENT_BLOCK`]
-/// partials computed by `threads` workers, folded through the canonical
-/// [`tree_reduce`] shape.
+/// One epoch's full gradient over the matrix's planes: per-
+/// [`GRADIENT_BLOCK`] partials computed by `threads` workers, folded
+/// through the canonical [`tree_reduce`] shape.
 fn epoch_gradient_soa(
-    sx: &IntervalMatrix,
+    sx: &SymbolicMatrix,
     sy: &IntervalVec,
     w: &IntervalVec,
     threads: usize,
     pool: &WorkerPool,
 ) -> Result<IntervalVec> {
-    let rows = sx.rows();
+    let rows = sx.len();
     let d = sx.cols();
     let n_blocks = rows.div_ceil(GRADIENT_BLOCK);
     let stop = AtomicBool::new(false);
@@ -527,9 +523,9 @@ mod tests {
                     let w_iv = w.to_intervals();
                     #[allow(clippy::needless_range_loop)] // r indexes both x and y
                     for r in start..end {
-                        let row = x.row(r);
+                        let row: Vec<Interval> = (0..d).map(|c| x.get(r, c)).collect();
                         // err = w·x + b − y (all intervals).
-                        let mut err = interval_dot(&w_iv[..d], row) + w_iv[d];
+                        let mut err = interval_dot(&w_iv[..d], &row) + w_iv[d];
                         err = err - y[r];
                         for j in 0..d {
                             grad[j] = grad[j] + err * row[j];
@@ -666,7 +662,9 @@ mod tests {
             })
             .collect();
         let mut uncertain_model = ZorroRegressor::new(cfg.clone());
-        uncertain_model.fit_uncertain(&sym, &targets).unwrap();
+        uncertain_model
+            .fit_uncertain_resumable(&sym, &targets, &RunBudget::unlimited(), None)
+            .unwrap();
         // Every weight interval of the point model is contained in the
         // uncertain model's (the uncertain family is a superset).
         for (p, u) in point_model
@@ -727,7 +725,9 @@ mod tests {
         let expect = fit_aos_reference(&cfg, &sym, &targets).unwrap();
         for threads in [1usize, 2, 4, 7] {
             let mut engine = ZorroRegressor::new(cfg.clone().with_threads(threads));
-            engine.fit_uncertain(&sym, &targets).unwrap();
+            engine
+                .fit_uncertain_resumable(&sym, &targets, &RunBudget::unlimited(), None)
+                .unwrap();
             assert_eq!(
                 engine.weight_intervals().unwrap(),
                 &expect[..],
@@ -800,7 +800,9 @@ mod tests {
             ..Default::default()
         };
         let mut plain = ZorroRegressor::new(cfg.clone());
-        plain.fit_uncertain(&sym, &targets).unwrap();
+        plain
+            .fit_uncertain_resumable(&sym, &targets, &RunBudget::unlimited(), None)
+            .unwrap();
 
         // Cut at epoch 12, round-trip the snapshot through its durable
         // payload text, resume to completion: bit-identical weights.
@@ -970,7 +972,9 @@ mod tests {
             let expected = fit_aos_reference(&config, &sym, &y).expect("reference fit");
             for threads in [1usize, 2, 4, 7] {
                 let mut engine = ZorroRegressor::new(config.clone().with_threads(threads));
-                engine.fit_uncertain(&sym, &y).expect("engine fit");
+                engine
+                    .fit_uncertain_resumable(&sym, &y, &RunBudget::unlimited(), None)
+                    .expect("engine fit");
                 let got = engine.weight_intervals().expect("fitted");
                 assert_eq!(
                     got,

@@ -31,6 +31,11 @@ lint:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
 
+# Non-test line count of crates/*/src: the lines before each file's first
+# `#[cfg(test)]`, summed.
+loc:
+    @find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ {exit} {n++} END {print n+0}' {} \; | awk '{s += $1} END {print s}'
+
 # Run every figure/table experiment binary.
 experiments:
     cargo build --release -p nde-bench --bins

@@ -52,8 +52,8 @@ pub fn certain_prediction_1nn(
         )));
     }
 
-    let dists: Vec<Interval> = train
-        .iter_rows()
+    let dists: Vec<Interval> = crate::interval_rows(train)
+        .iter()
         .map(|row| distance_interval(query, row))
         .collect();
 

@@ -5,7 +5,8 @@
 //! `Value`-per-cell [`table::RefTable`], the recursive provenance tree
 //! [`provenance::ProvExpr`], the per-query 1-NN certain-prediction check
 //! [`certain_knn::certain_prediction_1nn`], and the refit-per-world KNN
-//! template [`worlds::RefitKnn`].
+//! template [`worlds::RefitKnn`]. The scalar-`Interval` references read a
+//! symbolic matrix through [`interval_rows`].
 
 pub mod certain_knn;
 pub mod provenance;
@@ -13,10 +14,19 @@ pub mod table;
 pub mod worlds;
 
 use nde_data::par::{panic_message, WorkerFailure};
+use nde_uncertain::{Interval, SymbolicMatrix};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// The cells of `x` as one `Vec<Interval>` per row: the array-of-structs
+/// layout the scalar-[`Interval`] references compute over.
+pub fn interval_rows(x: &SymbolicMatrix) -> Vec<Vec<Interval>> {
+    (0..x.len())
+        .map(|r| (0..x.cols()).map(|c| x.get(r, c)).collect())
+        .collect()
+}
 
 /// The original scoped-spawn implementation of
 /// [`nde_data::pool::WorkerPool::map_indexed_scratch`], the differential

@@ -51,8 +51,8 @@ pub fn refit_shares<C: Classifier>(
     let mut counts = vec![vec![0usize; n_classes]; test_x.rows()];
     for w in 0..worlds as u64 {
         let mut rng = seeded(child_seed(seed, w));
-        let rows: Vec<Vec<f64>> = train_x
-            .iter_rows()
+        let rows: Vec<Vec<f64>> = crate::interval_rows(train_x)
+            .iter()
             .map(|row| {
                 row.iter()
                     .map(|iv| {

@@ -8,8 +8,9 @@ use nde_data::inject::Missingness;
 use nde_data::rng::seeded;
 use nde_data::rng::Rng;
 use nde_ml::models::knn::KnnClassifier;
-use nde_uncertain::certain_knn::certain_coverage;
-use nde_uncertain::worlds::sample_worlds;
+use nde_tests::interval_rows;
+use nde_uncertain::certain_knn::CertainKnnIndex;
+use nde_uncertain::worlds::sample_worlds_par;
 use nde_uncertain::zorro::{train_concrete_gd, ZorroRegressor};
 
 #[test]
@@ -27,7 +28,7 @@ fn zorro_bound_contains_many_sampled_worlds() {
     let mut rng = seeded(23);
     for _ in 0..10 {
         let mut world = enc.x.midpoint_world();
-        for (r, row) in enc.x.iter_rows().enumerate() {
+        for (r, row) in interval_rows(&enc.x).iter().enumerate() {
             for (c, iv) in row.iter().enumerate() {
                 if !iv.is_point() {
                     world.set(r, c, iv.lo + rng.gen::<f64>() * iv.width());
@@ -59,10 +60,12 @@ fn certain_predictions_and_world_sampling_are_consistent() {
         encode_symbolic(&s.train, "employer_rating", 0.2, Missingness::Mcar, 25).expect("encodes");
     let labels: Vec<usize> = enc.y.iter().map(|&v| usize::from(v > 0.0)).collect();
     let (tx, _) = enc.encode_test(&s.test).expect("test encodes");
-    let (coverage, outcomes) = certain_coverage(&enc.x, &labels, &tx).expect("coverage");
+    let (coverage, outcomes) = CertainKnnIndex::new(&enc.x, &labels)
+        .and_then(|i| i.coverage(&tx, 1))
+        .expect("coverage");
     assert!((0.0..=1.0).contains(&coverage));
 
-    let ensemble = sample_worlds(&KnnClassifier::new(1), &enc.x, &labels, 2, &tx, 40, 26)
+    let ensemble = sample_worlds_par(&KnnClassifier::new(1), &enc.x, &labels, 2, &tx, 40, 26, 1)
         .expect("worlds sample");
     for (t, o) in outcomes.iter().enumerate() {
         if o.is_certain() {
@@ -92,7 +95,9 @@ fn more_missingness_weakly_reduces_certainty_and_raises_bounds() {
 
         let labels: Vec<usize> = enc.y.iter().map(|&v| usize::from(v > 0.0)).collect();
         let (tx, _) = enc.encode_test(&s.test).expect("test encodes");
-        let (coverage, _) = certain_coverage(&enc.x, &labels, &tx).expect("coverage");
+        let (coverage, _) = CertainKnnIndex::new(&enc.x, &labels)
+            .and_then(|i| i.coverage(&tx, 1))
+            .expect("coverage");
         assert!(
             coverage <= last_coverage + 1e-9,
             "coverage grew with more missingness: {coverage} > {last_coverage}"

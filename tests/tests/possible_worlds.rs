@@ -13,6 +13,7 @@ use nde_ml::linalg::Matrix;
 use nde_ml::models::knn::KnnClassifier;
 use nde_ml::models::naive_bayes::GaussianNb;
 use nde_ml::{Classifier, Dataset, MlError, Result};
+use nde_tests::interval_rows;
 use nde_tests::worlds::{refit_shares, RefitKnn};
 use nde_uncertain::worlds::sample_worlds_par;
 use nde_uncertain::{Interval, SymbolicMatrix};
@@ -167,13 +168,7 @@ fn several_uncertain_cells_per_row_and_degenerate_bounds() {
         missing.extend(rows_missing(rows, 8, &[2], 400 + mask));
         let (mut sym_rows, y, test) = {
             let (sym, y, test) = case(rows, cols, 2, &missing, 12, 500 + mask);
-            (
-                sym.iter_rows()
-                    .map(<[Interval]>::to_vec)
-                    .collect::<Vec<_>>(),
-                y,
-                test,
-            )
+            (interval_rows(&sym), y, test)
         };
         // Missing cells whose bounds coincide: a lone one (the row stays
         // fixed) and one before a wide cell of the same row.
@@ -220,8 +215,8 @@ fn duplicate_rows_tie_by_index() {
     let (sym, mut y, test) = case(rows, cols, 2, &rows_missing(rows, 6, &[1], 800), 16, 801);
     // Every row twice, the copy labelled the other way: each world's k
     // nearest are decided by the index tie-break among equal distances.
-    let mut doubled: Vec<Vec<Interval>> = sym.iter_rows().map(<[Interval]>::to_vec).collect();
-    doubled.extend(sym.iter_rows().map(<[Interval]>::to_vec));
+    let mut doubled = interval_rows(&sym);
+    doubled.extend(interval_rows(&sym));
     y.extend(y.clone().into_iter().map(|l| 1 - l));
     let sym = SymbolicMatrix::from_rows(doubled).expect("rectangular");
     for k in [1, 2, 4, 5] {
@@ -252,7 +247,7 @@ fn three_classes() {
 #[test]
 fn unbounded_cells_keep_the_refit_outcome() {
     let (sym, y, test) = case(10, 3, 2, &[], 4, 1000);
-    let mut sym_rows: Vec<Vec<Interval>> = sym.iter_rows().map(<[Interval]>::to_vec).collect();
+    let mut sym_rows = interval_rows(&sym);
     sym_rows[2][1] = Interval::new(0.0, f64::INFINITY);
     sym_rows[5][2] = Interval::new(f64::NEG_INFINITY, f64::INFINITY);
     let sym = SymbolicMatrix::from_rows(sym_rows).expect("rectangular");

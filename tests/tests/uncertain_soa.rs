@@ -10,6 +10,7 @@
 use nde_data::rng::{sample_indices, seeded, Rng};
 use nde_ml::linalg::Matrix;
 use nde_tests::certain_knn::certain_prediction_1nn;
+use nde_tests::interval_rows;
 use nde_uncertain::certain_knn::{CertainKnnIndex, CertainOutcome};
 use nde_uncertain::symbolic::column_bounds_from_observed;
 use nde_uncertain::{Interval, SymbolicMatrix};
@@ -174,8 +175,8 @@ fn knn_grid_ties_match_oracle_at_every_thread_count() {
         let open_pct = [0, 35, 70, 100][(seed / 6 % 4) as usize];
         let rows = 3 + (seed as usize * 7) % 22;
         let (sym, labels, queries) = grid_case(seed ^ 0x6e1d, rows, cols, classes, open_pct);
-        let open_rows = sym
-            .iter_rows()
+        let open_rows = interval_rows(&sym)
+            .iter()
             .filter(|row| row.iter().any(|iv| !iv.is_point()))
             .count();
         match open_pct {
