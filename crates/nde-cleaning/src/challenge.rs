@@ -38,13 +38,7 @@ impl Leaderboard {
     /// Record a submission (re-sorts: best score, then fewest cleaned rows).
     pub fn record(&mut self, entry: LeaderboardEntry) {
         self.entries.push(entry);
-        self.entries.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.cleaned.cmp(&b.cleaned))
-                .then(a.name.cmp(&b.name))
-        });
+        self.entries.sort_by(rank_order);
     }
 
     /// Entries, best first.
@@ -63,11 +57,13 @@ impl Leaderboard {
         Ok(doc.to_string_pretty())
     }
 
-    /// Restore from JSON.
+    /// Restore from JSON, ranked as [`Leaderboard::record`] ranks. A score
+    /// is a hidden-test accuracy, so one outside `[0, 1]` (or non-finite)
+    /// is rejected.
     pub fn from_json(json: &str) -> Result<Leaderboard> {
         let serde = |msg: String| CleaningError::Serde(msg);
         let doc = Json::parse(json).map_err(|e| serde(e.to_string()))?;
-        let entries = doc
+        let mut entries = doc
             .get("entries")
             .and_then(Json::as_arr)
             .ok_or_else(|| serde("missing `entries` array".into()))?
@@ -81,6 +77,13 @@ impl Leaderboard {
             })
             .collect::<Option<Vec<_>>>()
             .ok_or_else(|| serde("malformed leaderboard entry".into()))?;
+        if let Some(bad) = entries.iter().find(|e| !(0.0..=1.0).contains(&e.score)) {
+            return Err(serde(format!(
+                "score {} of `{}` is not an accuracy in [0, 1]",
+                bad.score, bad.name
+            )));
+        }
+        entries.sort_by(rank_order);
         Ok(Leaderboard { entries })
     }
 
@@ -99,6 +102,15 @@ impl Leaderboard {
         }
         out
     }
+}
+
+/// Leaderboard order: best score first, then fewest cleaned rows, then name.
+fn rank_order(a: &LeaderboardEntry, b: &LeaderboardEntry) -> std::cmp::Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("finite scores")
+        .then(a.cleaned.cmp(&b.cleaned))
+        .then(a.name.cmp(&b.name))
 }
 
 /// The challenge harness: owns the dirty data, the hidden test set, the
@@ -415,6 +427,29 @@ mod tests {
         assert!(rendered.contains("eve"));
         assert!(rendered.lines().count() >= 5);
         assert!(Leaderboard::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn leaderboard_from_json_ranks_entries_and_rejects_bad_scores() {
+        let entry =
+            |name: &str, score: &str| format!(r#"{{"name":"{name}","score":{score},"cleaned":3}}"#);
+        let board = |entries: &[String]| format!(r#"{{"entries":[{}]}}"#, entries.join(","));
+        // File order is not rank order: the restored board is re-ranked.
+        let lb = Leaderboard::from_json(&board(&[entry("b", "0.5"), entry("a", "0.9")])).unwrap();
+        assert_eq!(lb.leader().unwrap().name, "a");
+        let names: Vec<&str> = lb.entries().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        // Scores are accuracies: non-finite or outside [0, 1] is an error.
+        for bad in ["1e999", "-1e999", "-0.5", "1.5"] {
+            let err = Leaderboard::from_json(&board(&[entry("a", "0.9"), entry("x", bad)]));
+            assert!(
+                matches!(err, Err(CleaningError::Serde(_))),
+                "score {bad} accepted: {err:?}"
+            );
+        }
+        // The bounds themselves are valid accuracies.
+        let lb = Leaderboard::from_json(&board(&[entry("lo", "0"), entry("hi", "1")])).unwrap();
+        assert_eq!(lb.leader().unwrap().name, "hi");
     }
 
     #[test]

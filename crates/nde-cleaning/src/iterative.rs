@@ -669,45 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn flaky_oracle_is_ridden_out_by_retries() {
-        use crate::oracle::FlakyOracle;
-        use nde_robust::FaultSchedule;
-        let (dirty, valid, oracle) = setup();
-        let strategy = Strategy::Random { seed: 1 };
-        let knn = KnnClassifier::new(3);
-        let healthy = prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &strategy,
-            5,
-            3,
-            false,
-            MaintenanceMode::Rerun,
-        )
-        .unwrap();
-        // Every other oracle call fails once; one retry rides it out.
-        let flaky = FlakyOracle::new(oracle.clone(), FaultSchedule::every_nth(2));
-        let robust = prioritized_cleaning_robust(
-            &knn,
-            &dirty,
-            &flaky,
-            &valid,
-            &strategy,
-            5,
-            3,
-            false,
-            MaintenanceMode::Rerun,
-            &RunBudget::unlimited(),
-            &RetryPolicy::immediate(3),
-        )
-        .unwrap();
-        assert_eq!(robust.run, healthy);
-        assert!(robust.oracle_retries > 0);
-    }
-
-    #[test]
     fn cut_and_resume_is_bit_identical_to_the_uncut_run() {
         let (dirty, valid, oracle) = setup();
         let knn = KnnClassifier::new(3);
@@ -870,32 +831,6 @@ mod tests {
         assert!(
             CleaningCheckpoint::from_payload(&Json::parse(&poisoned).unwrap()).is_err(),
             "non-finite accuracy must be rejected"
-        );
-    }
-
-    #[test]
-    fn persistent_oracle_outage_is_a_typed_error() {
-        use crate::oracle::FlakyOracle;
-        use nde_robust::FaultSchedule;
-        let (dirty, valid, oracle) = setup();
-        let down = FlakyOracle::new(oracle, FaultSchedule::always());
-        let err = prioritized_cleaning_robust(
-            &KnnClassifier::new(3),
-            &dirty,
-            &down,
-            &valid,
-            &Strategy::Random { seed: 0 },
-            5,
-            3,
-            false,
-            MaintenanceMode::Rerun,
-            &RunBudget::unlimited(),
-            &RetryPolicy::immediate(4),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, CleaningError::OracleFailed { attempts: 4, .. }),
-            "{err:?}"
         );
     }
 

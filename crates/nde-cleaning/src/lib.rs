@@ -19,7 +19,7 @@ pub use iterative::{
     prioritized_cleaning, prioritized_cleaning_resumable, prioritized_cleaning_robust,
     CleaningCheckpoint, CleaningRun, MaintenanceMode, RobustCleaningRun,
 };
-pub use oracle::{CleaningOracle, FlakyOracle, LabelOracle, TableOracle};
+pub use oracle::{CleaningOracle, LabelOracle, TableOracle};
 pub use strategy::Strategy;
 
 /// Convenience result alias for this crate.

@@ -6,14 +6,13 @@
 
 use crate::{CleaningError, Result};
 use nde_data::Table;
-use nde_robust::FaultSchedule;
-use std::cell::Cell;
 
 /// Anything that can repair class labels for selected rows.
 ///
-/// Abstracts over the in-process [`LabelOracle`] and failure-injecting
-/// wrappers like [`FlakyOracle`], so the cleaning loop can be exercised
-/// against unreliable oracles without changing its code.
+/// Abstracts over the in-process [`LabelOracle`] and any substitute a
+/// caller supplies (a remote labelling service, or a test double that
+/// fails on a schedule), so the cleaning loop runs against unreliable
+/// oracles without changing its code.
 pub trait CleaningOracle {
     /// Number of examples covered.
     fn len(&self) -> usize;
@@ -92,51 +91,6 @@ impl CleaningOracle for LabelOracle {
 
     fn repair(&self, labels: &mut [usize], rows: &[usize]) -> Result<usize> {
         LabelOracle::repair(self, labels, rows)
-    }
-}
-
-/// A [`CleaningOracle`] that fails on a deterministic
-/// [`FaultSchedule`] — the cleaning-side chaos hook.
-///
-/// Scheduled failures return [`CleaningError::OracleUnavailable`] *before*
-/// touching any labels, modelling a dependency outage rather than a partial
-/// write. Pair with [`nde_robust::retry_with_backoff`] (see
-/// `prioritized_cleaning_robust`) to ride out transient outages.
-#[derive(Debug, Clone)]
-pub struct FlakyOracle<O> {
-    inner: O,
-    schedule: FaultSchedule,
-    calls: Cell<u64>,
-}
-
-impl<O: CleaningOracle> FlakyOracle<O> {
-    /// Wrap `inner`, failing the calls picked by `schedule`.
-    pub fn new(inner: O, schedule: FaultSchedule) -> FlakyOracle<O> {
-        FlakyOracle {
-            inner,
-            schedule,
-            calls: Cell::new(0),
-        }
-    }
-
-    /// Total repair calls observed so far (successful or failed).
-    pub fn calls(&self) -> u64 {
-        self.calls.get()
-    }
-}
-
-impl<O: CleaningOracle> CleaningOracle for FlakyOracle<O> {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn repair(&self, labels: &mut [usize], rows: &[usize]) -> Result<usize> {
-        let call = self.calls.get();
-        self.calls.set(call + 1);
-        if self.schedule.should_fail(call) {
-            return Err(CleaningError::OracleUnavailable { call });
-        }
-        self.inner.repair(labels, rows)
     }
 }
 
@@ -238,35 +192,6 @@ mod tests {
         assert_eq!(changed, report.affected.len());
         assert_eq!(dirty, clean);
         assert!(oracle.dirty_rows(&dirty).unwrap().is_empty());
-    }
-
-    #[test]
-    fn flaky_oracle_fails_on_schedule_without_mutating() {
-        let flaky = FlakyOracle::new(
-            LabelOracle::new(vec![0, 1, 0, 1]),
-            FaultSchedule::first_n(2),
-        );
-        let mut labels = vec![1, 1, 1, 1];
-        // First two calls fail and leave the labels untouched.
-        for expected_call in 0..2u64 {
-            let err = CleaningOracle::repair(&flaky, &mut labels, &[0]).unwrap_err();
-            assert_eq!(
-                err,
-                CleaningError::OracleUnavailable {
-                    call: expected_call
-                }
-            );
-            assert_eq!(labels, vec![1, 1, 1, 1]);
-        }
-        // Third call goes through to the inner oracle.
-        assert_eq!(
-            CleaningOracle::repair(&flaky, &mut labels, &[0]).unwrap(),
-            1
-        );
-        assert_eq!(labels, vec![0, 1, 1, 1]);
-        assert_eq!(flaky.calls(), 3);
-        assert_eq!(CleaningOracle::len(&flaky), 4);
-        assert!(!CleaningOracle::is_empty(&flaky));
     }
 
     #[test]

@@ -1,64 +1,17 @@
 //! Storage behind [`crate::Table`].
 //!
 //! [`ColumnarStore`] keeps typed planes (`i64`, `f64`, `bool`,
-//! dictionary-encoded strings) with null bitmaps. It implements every hook
-//! of the [`TableBackend`] trait (`stats_sum`, `distinct_count`,
-//! `dictionary_values`, `filter_eq`), which operators use to skip per-row
-//! `Value` materialization entirely.
-//!
-//! A backend that implements only the trait's required cell accessors
-//! inherits `None` for every hook, meaning "compute it row by row". The
-//! `Value`-per-cell reference table of the `nde-tests` crate is such a
-//! backend: the differential tests in `tests/tests/columnar_backend.rs`
-//! compare the columnar store against it through this trait.
+//! dictionary-encoded strings) with null bitmaps. Operators read the planes
+//! directly; [`ColumnarStore::filter_eq_rows`] is the equality scan, which
+//! never materializes a per-row `Value`. The `Value`-per-cell reference
+//! table of the `nde-tests` crate exposes the same cell accessors, and the
+//! differential tests in `tests/tests/columnar_backend.rs` compare the two.
 
 use crate::column::Column;
 use crate::planes::{BoolPlane, F64Plane, I64Plane, StrPlane};
 use crate::schema::{DataType, Schema};
 use crate::value::{Value, ValueRef};
 use crate::{DataError, Result};
-
-/// Read-oriented storage abstraction with optional acceleration hooks.
-///
-/// The required methods describe the cells; the `stats_*`/`filter_eq`/
-/// `dictionary_values` hooks default to `None`, meaning "no fast path —
-/// compute it row by row". Callers must treat a `None` as *unknown*, never
-/// as an empty result.
-pub trait TableBackend {
-    /// Number of rows.
-    fn row_count(&self) -> usize;
-    /// Number of columns.
-    fn column_count(&self) -> usize;
-    /// Data type of column `col`.
-    fn data_type(&self, col: usize) -> DataType;
-    /// Owned cell value at (`row`, `col`).
-    fn value(&self, row: usize, col: usize) -> Value;
-    /// Borrowed cell value at (`row`, `col`).
-    fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_>;
-    /// Number of null cells in column `col`.
-    fn null_count(&self, col: usize) -> usize;
-
-    /// Sum of the non-null cells of a numeric column, if the backend can
-    /// produce it without row iteration over `Value`s.
-    fn stats_sum(&self, _col: usize) -> Option<f64> {
-        None
-    }
-    /// Number of distinct non-null values in the column, when cheap.
-    fn distinct_count(&self, _col: usize) -> Option<usize> {
-        None
-    }
-    /// The dictionary of a dictionary-encoded string column, in code order.
-    /// May include values no surviving row references (dictionaries are
-    /// shared across row-subset tables).
-    fn dictionary_values(&self, _col: usize) -> Option<&[String]> {
-        None
-    }
-    /// Row indices whose cell equals `value` under SQL equality (nulls never
-    /// match, `Int`/`Float` compare numerically), in ascending order.
-    fn filter_eq(&self, _col: usize, _value: &Value) -> Option<Vec<usize>> {
-        None
-    }
-}
 
 /// One typed column plane of a [`ColumnarStore`].
 #[derive(Debug, Clone, PartialEq)]
@@ -314,6 +267,36 @@ impl ColumnarStore {
         ColumnarStore { planes }
     }
 
+    /// Number of rows.
+    pub fn row_count(&self) -> usize {
+        self.planes.first().map_or(0, Plane::len)
+    }
+
+    /// Number of columns.
+    pub fn column_count(&self) -> usize {
+        self.planes.len()
+    }
+
+    /// Data type of column `col`.
+    pub fn data_type(&self, col: usize) -> DataType {
+        self.planes[col].data_type()
+    }
+
+    /// Owned cell value at (`row`, `col`).
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        self.planes[col].value(row)
+    }
+
+    /// Borrowed cell value at (`row`, `col`).
+    pub fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_> {
+        self.planes[col].value_ref(row)
+    }
+
+    /// Number of null cells in column `col`.
+    pub fn null_count(&self, col: usize) -> usize {
+        self.planes[col].null_count()
+    }
+
     /// The plane of column `col`.
     pub fn plane(&self, col: usize) -> &Plane {
         &self.planes[col]
@@ -372,8 +355,8 @@ impl ColumnarStore {
         Ok(())
     }
 
-    /// [`TableBackend::filter_eq`], which this store answers for every
-    /// column: the rows whose cell equals `value` under SQL equality, in
+    /// Row indices whose cell in column `col` equals `value` under SQL
+    /// equality (nulls never match, `Int`/`Float` compare numerically), in
     /// ascending order.
     pub fn filter_eq_rows(&self, col: usize, value: &Value) -> Vec<usize> {
         if value.is_null() {
@@ -426,82 +409,7 @@ impl ColumnarStore {
     }
 }
 
-impl TableBackend for ColumnarStore {
-    fn row_count(&self) -> usize {
-        self.planes.first().map_or(0, Plane::len)
-    }
-
-    fn column_count(&self) -> usize {
-        self.planes.len()
-    }
-
-    fn data_type(&self, col: usize) -> DataType {
-        self.planes[col].data_type()
-    }
-
-    fn value(&self, row: usize, col: usize) -> Value {
-        self.planes[col].value(row)
-    }
-
-    fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_> {
-        self.planes[col].value_ref(row)
-    }
-
-    fn null_count(&self, col: usize) -> usize {
-        self.planes[col].null_count()
-    }
-
-    fn stats_sum(&self, col: usize) -> Option<f64> {
-        match &self.planes[col] {
-            Plane::I64(p) => Some(
-                (0..p.len())
-                    .filter(|&r| !p.nulls.get(r))
-                    .map(|r| p.values[r] as f64)
-                    .sum(),
-            ),
-            Plane::F64(p) => Some(
-                (0..p.len())
-                    .filter(|&r| !p.nulls.get(r))
-                    .map(|r| p.values[r])
-                    .sum(),
-            ),
-            _ => None,
-        }
-    }
-
-    fn distinct_count(&self, col: usize) -> Option<usize> {
-        match &self.planes[col] {
-            Plane::Str(p) => {
-                let mut seen = vec![false; p.dict().len()];
-                let mut distinct = 0usize;
-                for row in 0..p.len() {
-                    if !p.nulls.get(row) {
-                        let c = p.codes[row] as usize;
-                        if !seen[c] {
-                            seen[c] = true;
-                            distinct += 1;
-                        }
-                    }
-                }
-                Some(distinct)
-            }
-            _ => None,
-        }
-    }
-
-    fn dictionary_values(&self, col: usize) -> Option<&[String]> {
-        match &self.planes[col] {
-            Plane::Str(p) => Some(p.dict().values()),
-            _ => None,
-        }
-    }
-
-    fn filter_eq(&self, col: usize, value: &Value) -> Option<Vec<usize>> {
-        Some(self.filter_eq_rows(col, value))
-    }
-}
-
-/// Lit target for numeric `filter_eq` scans over an integer plane.
+/// Lit target for numeric `filter_eq_rows` scans over an integer plane.
 #[derive(Clone, Copy)]
 enum Target {
     Int(i64),
@@ -584,15 +492,15 @@ mod tests {
     #[test]
     fn filter_eq_matches_sql_equality() {
         let c = filled();
-        assert_eq!(c.filter_eq(0, &Value::Int(1)), Some(vec![0, 3]));
+        assert_eq!(c.filter_eq_rows(0, &Value::Int(1)), vec![0, 3]);
         // Numeric cross-type equality.
-        assert_eq!(c.filter_eq(0, &Value::Float(2.0)), Some(vec![2]));
-        assert_eq!(c.filter_eq(1, &Value::Float(2.5)), Some(vec![2]));
-        assert_eq!(c.filter_eq(2, &Value::Str("a".into())), Some(vec![0, 2]));
-        assert_eq!(c.filter_eq(2, &Value::Str("zzz".into())), Some(vec![]));
-        assert_eq!(c.filter_eq(3, &Value::Bool(true)), Some(vec![0, 3]));
+        assert_eq!(c.filter_eq_rows(0, &Value::Float(2.0)), vec![2]);
+        assert_eq!(c.filter_eq_rows(1, &Value::Float(2.5)), vec![2]);
+        assert_eq!(c.filter_eq_rows(2, &Value::Str("a".into())), vec![0, 2]);
+        assert!(c.filter_eq_rows(2, &Value::Str("zzz".into())).is_empty());
+        assert_eq!(c.filter_eq_rows(3, &Value::Bool(true)), vec![0, 3]);
         // Nulls never match; type-mismatched literals match nothing.
-        assert_eq!(c.filter_eq(0, &Value::Null), Some(vec![]));
-        assert_eq!(c.filter_eq(2, &Value::Int(1)), Some(vec![]));
+        assert!(c.filter_eq_rows(0, &Value::Null).is_empty());
+        assert!(c.filter_eq_rows(2, &Value::Int(1)).is_empty());
     }
 }

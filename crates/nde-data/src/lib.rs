@@ -32,7 +32,6 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use backend::TableBackend;
 pub use column::Column;
 pub use dict::Dict;
 pub use error::DataError;

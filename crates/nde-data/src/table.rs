@@ -2,12 +2,12 @@
 //!
 //! A [`Table`] stores its cells in a [`ColumnarStore`]: typed planes with
 //! null bitmaps and dictionary-encoded strings. Joins are radix-partitioned
-//! and read canonical keys plane to plane; scans use the store's
-//! [`TableBackend`] hooks. Join output and row lineage are bit-identical for
+//! and read canonical keys plane to plane; equality scans use
+//! [`ColumnarStore::filter_eq_rows`]. Join output and row lineage are bit-identical for
 //! every thread count, and the `nde-tests` crate checks every operation
 //! against a `Value`-per-cell reference table.
 
-use crate::backend::{ColumnarStore, Plane, TableBackend};
+use crate::backend::{ColumnarStore, Plane};
 use crate::column::Column;
 use crate::fxhash::{hash_u64, FxHashMap};
 use crate::par::WorkerFailure;
@@ -202,26 +202,6 @@ impl Table {
     fn plane_of(&self, name: &str) -> Option<&Plane> {
         let idx = self.schema.index_of(name).ok()?;
         Some(self.store.plane(idx))
-    }
-
-    /// Sum of the non-null cells of a numeric column, read straight from
-    /// its plane (`None` for non-numeric columns).
-    pub fn stats_sum(&self, name: &str) -> Result<Option<f64>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.store.stats_sum(idx))
-    }
-
-    /// Number of distinct non-null values of a column, when cheap
-    /// (dictionary-encoded string columns).
-    pub fn distinct_count(&self, name: &str) -> Result<Option<usize>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.store.distinct_count(idx))
-    }
-
-    /// The dictionary of a dictionary-encoded string column, in code order.
-    pub fn dictionary_values(&self, name: &str) -> Result<Option<&[String]>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.store.dictionary_values(idx))
     }
 
     /// Rows whose cell equals `value` under SQL equality, in ascending
@@ -978,13 +958,8 @@ mod tests {
     #[test]
     fn columnar_stat_hooks() {
         let t = people();
-        assert_eq!(t.stats_sum("id").unwrap(), Some(6.0));
-        assert_eq!(t.stats_sum("age").unwrap(), Some(65.0));
-        assert_eq!(t.stats_sum("name").unwrap(), None);
-        assert_eq!(t.distinct_count("name").unwrap(), Some(3));
-        assert!(t.dictionary_values("name").unwrap().is_some());
         assert_eq!(t.filter_eq_rows("id", &Value::Int(3)).unwrap(), vec![2]);
-        assert!(t.stats_sum("nope").is_err());
+        assert!(t.filter_eq_rows("nope", &Value::Int(3)).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum PipelineError {
     OperatorPanic {
         /// Plan node id of the panicking operator.
         node: usize,
-        /// Operator description (e.g. `filter(chaos_panic_predicate)`).
+        /// Operator description (e.g. `filter(parse_salary(...))` for a UDF predicate).
         operator: String,
         /// Input row index the operator was processing.
         row: usize,

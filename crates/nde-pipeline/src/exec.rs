@@ -48,7 +48,7 @@ pub enum PanicPolicy {
 pub struct QuarantinedTuple {
     /// Plan node id of the panicking operator.
     pub node: usize,
-    /// Operator description (e.g. `filter(chaos_panic_predicate_row_3)`).
+    /// Operator description (e.g. `filter(parse_salary(...))` for a UDF predicate).
     pub operator: String,
     /// Input row index at the panicking operator.
     pub row: usize,

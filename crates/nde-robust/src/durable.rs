@@ -444,7 +444,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::CHAOS_PANIC_PREFIX;
+
+    /// Payload prefix of the crashes these tests inject.
+    const CHAOS_PANIC_PREFIX: &str = "chaos: injected operator panic";
 
     fn temp_store(tag: &str) -> RunStore {
         let dir = std::env::temp_dir().join(format!("nde-durable-{tag}-{}", std::process::id()));

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors from budgets, checkpoints and the chaos harness.
+/// Errors from budgets, retries and checkpoint records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RobustError {
     /// An argument was outside its valid domain.

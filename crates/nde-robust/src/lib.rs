@@ -16,25 +16,21 @@
 //!   versioned checkpoint records written atomically under run-fingerprint
 //!   keys, cross-process [`MemoCache`] persistence, and [`supervise`] to
 //!   restart a crashed computation from its latest valid record.
-//! - [`chaos`] — a deterministic fault-injection harness: operator panics,
-//!   corrupt/NaN feature values, scheduled dependency failures, and
-//!   durability faults (kill-at-checkpoint, torn writes, corrupt checksums,
-//!   stale record versions), used by integration tests to prove every
-//!   workflow survives each fault class.
 //! - [`par`] — the deterministic-parallelism substrate: seed-partitioned
 //!   worker pools, a subset-fingerprint memo cache for utility calls, and
 //!   [`par::AtomicBudgetClock`] so budgets can be shared across workers
 //!   while the fold stays bit-identical to a sequential run.
+//!
+//! The fault-injection harness that proves each workflow survives these
+//! faults is test code and lives in the `nde-tests` crate.
 
 pub mod budget;
-pub mod chaos;
 pub mod durable;
 pub mod error;
 pub mod par;
 pub mod retry;
 
 pub use budget::{BudgetClock, ConvergenceDiagnostics, Exhaustion, RunBudget};
-pub use chaos::FaultSchedule;
 pub use durable::{
     supervise, CheckpointRecord, RunFingerprint, RunStore, SuperviseCtx, Supervised,
 };

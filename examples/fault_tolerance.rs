@@ -2,19 +2,22 @@
 //! checkpoint/resume that is bit-identical, panic-isolated pipeline
 //! operators, and retries that ride out a flaky cleaning oracle.
 //!
-//! Run with: `cargo run --release --example fault_tolerance`
+//! The fault injection comes from the `nde-tests` chaos harness, so this
+//! example belongs to that package.
+//!
+//! Run with: `cargo run --release -p nde-tests --example fault_tolerance`
 
-use nde_cleaning::{
-    prioritized_cleaning_robust, FlakyOracle, LabelOracle, MaintenanceMode, Strategy,
-};
+use nde_cleaning::{prioritized_cleaning_robust, LabelOracle, MaintenanceMode, Strategy};
 use nde_data::generate::blobs::two_gaussians;
 use nde_importance::{tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
 use nde_ml::dataset::Dataset;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::{Executor, PanicPolicy};
 use nde_pipeline::plan::Plan;
-use nde_robust::chaos::{corrupt_record_checksum, panicking_projection, truncate_record};
-use nde_robust::{FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore};
+use nde_robust::{RetryPolicy, RunBudget, RunFingerprint, RunStore};
+use nde_tests::chaos::{
+    corrupt_record_checksum, panicking_projection, truncate_record, FaultSchedule, FlakyOracle,
+};
 
 fn main() {
     let nd = two_gaussians(120, 3, 1.8, 77);

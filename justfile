@@ -19,8 +19,10 @@ verify:
     cargo test -q --release --offline -p nde-tests --test durability
     cargo test -q --release --offline -p nde-tests --test incremental_delta
     cargo test -q --release --offline -p nde-cleaning
-    cargo run --release --offline --example fault_tolerance | tee /tmp/nde_fault_tolerance.txt
+    cargo test -q --release --offline -p nde-tests --lib chaos
+    cargo run --release --offline -p nde-tests --example fault_tolerance | tee /tmp/nde_fault_tolerance.txt
     grep -q 'resume bit-identical to uninterrupted: true' /tmp/nde_fault_tolerance.txt
+    cargo tree -p nde-robust -e normal --depth 1 --offline --prefix none | awk 'NR == 1 && /^nde-robust / {ok = 1} NR > 1 && !/^nde-data / {bad = 1} {print} END {exit !(ok && !bad)}'
 
 # Format and lint.
 lint:

@@ -1,5 +1,9 @@
 //! Integration-test-only crate; see `tests/` directory.
 //!
+//! It holds the deterministic fault-injection harness [`chaos`]: scheduled
+//! failures, panicking and corrupting pipeline expressions, checkpoint kill
+//! switches, on-disk record damage and a flaky cleaning oracle.
+//!
 //! It also holds the reference implementations the integration tests check
 //! production code against: the scoped-spawn worker map below, the
 //! `Value`-per-cell [`table::RefTable`], the recursive provenance tree
@@ -9,6 +13,7 @@
 //! symbolic matrix through [`interval_rows`].
 
 pub mod certain_knn;
+pub mod chaos;
 pub mod provenance;
 pub mod table;
 pub mod worlds;

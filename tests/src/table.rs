@@ -1,9 +1,9 @@
 //! The `Value`-per-cell reference table the columnar [`Table`] is checked
 //! against.
 //!
-//! [`RefTable`] keeps one [`Column`] per field and implements only the
-//! required cell accessors of [`TableBackend`], so every acceleration hook
-//! reads `None`. Its joins build one hash map over the right side's
+//! [`RefTable`] keeps one [`Column`] per field and offers the same cell
+//! accessors as the columnar store, each read straight from a `Value`
+//! column. Its joins build one hash map over the right side's
 //! [`Value`] keys and probe in fixed chunks, its join output is gathered
 //! cell by cell, and `distinct_by` and `value_counts` hash whole values:
 //! the seed algorithms the radix join, the plane gathers and the dictionary
@@ -12,7 +12,7 @@
 use nde_data::fxhash::FxHashMap;
 use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
-use nde_data::{Column, DataError, DataType, Field, Schema, Table, TableBackend, Value, ValueRef};
+use nde_data::{Column, DataError, DataType, Field, Schema, Table, Value, ValueRef};
 use std::sync::atomic::AtomicBool;
 
 type Result<T> = std::result::Result<T, DataError>;
@@ -48,6 +48,36 @@ impl RefTable {
         self.columns.first().map_or(0, Column::len)
     }
 
+    /// Number of columns.
+    pub fn column_count(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Data type of column `col`.
+    pub fn data_type(&self, col: usize) -> DataType {
+        self.columns[col].data_type()
+    }
+
+    /// Owned cell value at (`row`, `col`).
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        self.columns[col].get(row).unwrap_or(Value::Null)
+    }
+
+    /// Borrowed cell value at (`row`, `col`).
+    pub fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_> {
+        match &self.columns[col] {
+            Column::Int(v) => v[row].map_or(ValueRef::Null, ValueRef::Int),
+            Column::Float(v) => v[row].map_or(ValueRef::Null, ValueRef::Float),
+            Column::Str(v) => v[row].as_deref().map_or(ValueRef::Null, ValueRef::Str),
+            Column::Bool(v) => v[row].map_or(ValueRef::Null, ValueRef::Bool),
+        }
+    }
+
+    /// Number of null cells in column `col`.
+    pub fn null_count(&self, col: usize) -> usize {
+        self.columns[col].null_count()
+    }
+
     fn check_row(&self, row: usize) -> Result<()> {
         if row >= self.n_rows() {
             return Err(DataError::RowOutOfBounds {
@@ -70,12 +100,6 @@ impl RefTable {
         let idx = self.schema.index_of(col_name)?;
         self.check_row(row)?;
         Ok(self.value_ref(row, idx))
-    }
-
-    /// The [`TableBackend::stats_sum`] hook of a column by name.
-    pub fn stats_sum(&self, name: &str) -> Result<Option<f64>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(TableBackend::stats_sum(self, idx))
     }
 
     /// Append a row; every cell is type-checked before any column grows.
@@ -365,37 +389,6 @@ impl RefTable {
             schema: Schema::new(fields)?,
             columns,
         })
-    }
-}
-
-impl TableBackend for RefTable {
-    fn row_count(&self) -> usize {
-        self.n_rows()
-    }
-
-    fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
-    fn data_type(&self, col: usize) -> DataType {
-        self.columns[col].data_type()
-    }
-
-    fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col].get(row).unwrap_or(Value::Null)
-    }
-
-    fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_> {
-        match &self.columns[col] {
-            Column::Int(v) => v[row].map_or(ValueRef::Null, ValueRef::Int),
-            Column::Float(v) => v[row].map_or(ValueRef::Null, ValueRef::Float),
-            Column::Str(v) => v[row].as_deref().map_or(ValueRef::Null, ValueRef::Str),
-            Column::Bool(v) => v[row].map_or(ValueRef::Null, ValueRef::Bool),
-        }
-    }
-
-    fn null_count(&self, col: usize) -> usize {
-        self.columns[col].null_count()
     }
 }
 

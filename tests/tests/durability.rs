@@ -17,12 +17,10 @@ use nde_importance::{
 use nde_ml::dataset::Dataset;
 use nde_ml::linalg::Matrix;
 use nde_ml::models::knn::KnnClassifier;
-use nde_robust::chaos::{
+use nde_robust::{supervise, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx};
+use nde_tests::chaos::{
     corrupt_record_checksum, stale_record_version, truncate_record, CheckpointKillSwitch,
-    CHAOS_PANIC_PREFIX,
-};
-use nde_robust::{
-    supervise, FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx,
+    FaultSchedule, CHAOS_PANIC_PREFIX,
 };
 use nde_uncertain::symbolic::column_bounds_from_observed;
 use nde_uncertain::zorro::{ZorroCheckpoint, ZorroConfig, ZorroRegressor};

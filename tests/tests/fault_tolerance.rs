@@ -1,10 +1,10 @@
-//! Chaos-style integration tests: every fault class the `nde-robust`
-//! harness can inject — operator panics, corrupt/NaN features, flaky and
+//! Chaos-style integration tests: every fault class the
+//! [`nde_tests::chaos`] harness can inject — operator panics, corrupt/NaN features, flaky and
 //! dead oracles, exhausted budgets — must degrade into a typed error or a
 //! tagged partial result, never a process abort.
 
 use nde_cleaning::{
-    prioritized_cleaning, prioritized_cleaning_robust, CleaningError, FlakyOracle, LabelOracle,
+    prioritized_cleaning, prioritized_cleaning_robust, CleaningError, CleaningOracle, LabelOracle,
     MaintenanceMode, Strategy,
 };
 use nde_data::generate::blobs::two_gaussians;
@@ -15,11 +15,11 @@ use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::{Executor, PanicPolicy};
 use nde_pipeline::plan::Plan;
 use nde_pipeline::PipelineError;
-use nde_robust::chaos::{
+use nde_robust::{RetryPolicy, RunBudget};
+use nde_tests::chaos::{
     corrupt_features, corrupting_projection, panicking_predicate, panicking_projection,
-    CHAOS_PANIC_PREFIX,
+    FaultSchedule, FlakyOracle, CHAOS_PANIC_PREFIX,
 };
-use nde_robust::{FaultSchedule, RetryPolicy, RunBudget};
 
 fn gaussian_split() -> (Dataset, Dataset) {
     let nd = two_gaussians(80, 3, 1.5, 51);
@@ -258,6 +258,113 @@ fn cleaning_rides_out_a_flaky_oracle_and_types_a_dead_one() {
     .unwrap_err();
     assert!(
         matches!(err, CleaningError::OracleFailed { attempts: 3, .. }),
+        "{err:?}"
+    );
+}
+
+/// 150 training rows with 15 flipped labels, 50 validation rows, and the
+/// oracle holding the true training labels.
+fn label_noise_setup() -> (Dataset, Dataset, LabelOracle) {
+    let nd = two_gaussians(200, 3, 2.0, 43);
+    let all = Dataset::try_from(&nd).unwrap();
+    let mut train = all.subset(&(0..150).collect::<Vec<_>>());
+    let valid = all.subset(&(150..200).collect::<Vec<_>>());
+    let truth = train.y.clone();
+    // 10% label errors.
+    for f in [
+        5, 17, 29, 38, 51, 66, 84, 99, 111, 120, 133, 140, 147, 148, 149,
+    ] {
+        train.y[f] = 1 - train.y[f];
+    }
+    (train, valid, LabelOracle::new(truth))
+}
+
+#[test]
+fn flaky_oracle_fails_on_schedule_without_mutating() {
+    let flaky = FlakyOracle::new(
+        LabelOracle::new(vec![0, 1, 0, 1]),
+        FaultSchedule::first_n(2),
+    );
+    let mut labels = vec![1, 1, 1, 1];
+    // First two calls fail and leave the labels untouched.
+    for expected_call in 0..2u64 {
+        let err = CleaningOracle::repair(&flaky, &mut labels, &[0]).unwrap_err();
+        assert_eq!(
+            err,
+            CleaningError::OracleUnavailable {
+                call: expected_call
+            }
+        );
+        assert_eq!(labels, vec![1, 1, 1, 1]);
+    }
+    // Third call goes through to the inner oracle.
+    assert_eq!(
+        CleaningOracle::repair(&flaky, &mut labels, &[0]).unwrap(),
+        1
+    );
+    assert_eq!(labels, vec![0, 1, 1, 1]);
+    assert_eq!(flaky.calls(), 3);
+    assert_eq!(CleaningOracle::len(&flaky), 4);
+    assert!(!CleaningOracle::is_empty(&flaky));
+}
+
+#[test]
+fn flaky_oracle_is_ridden_out_by_retries() {
+    let (dirty, valid, oracle) = label_noise_setup();
+    let strategy = Strategy::Random { seed: 1 };
+    let knn = KnnClassifier::new(3);
+    let healthy = prioritized_cleaning(
+        &knn,
+        &dirty,
+        &oracle,
+        &valid,
+        &strategy,
+        5,
+        3,
+        false,
+        MaintenanceMode::Rerun,
+    )
+    .unwrap();
+    // Every other oracle call fails once; one retry rides it out.
+    let flaky = FlakyOracle::new(oracle.clone(), FaultSchedule::every_nth(2));
+    let robust = prioritized_cleaning_robust(
+        &knn,
+        &dirty,
+        &flaky,
+        &valid,
+        &strategy,
+        5,
+        3,
+        false,
+        MaintenanceMode::Rerun,
+        &RunBudget::unlimited(),
+        &RetryPolicy::immediate(3),
+    )
+    .unwrap();
+    assert_eq!(robust.run, healthy);
+    assert!(robust.oracle_retries > 0);
+}
+
+#[test]
+fn persistent_oracle_outage_is_a_typed_error() {
+    let (dirty, valid, oracle) = label_noise_setup();
+    let down = FlakyOracle::new(oracle, FaultSchedule::always());
+    let err = prioritized_cleaning_robust(
+        &KnnClassifier::new(3),
+        &dirty,
+        &down,
+        &valid,
+        &Strategy::Random { seed: 0 },
+        5,
+        3,
+        false,
+        MaintenanceMode::Rerun,
+        &RunBudget::unlimited(),
+        &RetryPolicy::immediate(4),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, CleaningError::OracleFailed { attempts: 4, .. }),
         "{err:?}"
     );
 }

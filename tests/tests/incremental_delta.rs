@@ -17,10 +17,8 @@ use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::exec::Executor;
 use nde_pipeline::feature::FeaturePipeline;
 use nde_pipeline::{Delta, DeltaPath, PipelineSession, Plan};
-use nde_robust::chaos::{CheckpointKillSwitch, CHAOS_PANIC_PREFIX};
-use nde_robust::{
-    supervise, FaultSchedule, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx,
-};
+use nde_robust::{supervise, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx};
+use nde_tests::chaos::{CheckpointKillSwitch, FaultSchedule, CHAOS_PANIC_PREFIX};
 
 fn hiring_inputs(s: &HiringScenario) -> Vec<(&str, &Table)> {
     vec![

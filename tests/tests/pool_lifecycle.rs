@@ -4,8 +4,8 @@
 //! and dropping a pool must join every worker thread (no leaks, even
 //! when a chaos kill switch stops a job mid-flight).
 
-use nde_robust::chaos::FaultSchedule;
 use nde_robust::par::{WorkerFailure, WorkerPool};
+use nde_tests::chaos::FaultSchedule;
 use nde_tests::{par_map_indexed_scoped, par_map_indexed_scratch_scoped};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
