@@ -277,11 +277,6 @@ impl ColumnarStore {
         self.planes.len()
     }
 
-    /// Data type of column `col`.
-    pub fn data_type(&self, col: usize) -> DataType {
-        self.planes[col].data_type()
-    }
-
     /// Owned cell value at (`row`, `col`).
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.planes[col].value(row)

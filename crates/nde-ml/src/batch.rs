@@ -32,7 +32,9 @@
 //! optimization only — it must never be observable in the scores.
 
 use crate::dataset::Dataset;
-use crate::linalg::{continue_squared_distance, squared_distance, squared_distances, Matrix};
+use crate::linalg::{
+    continue_squared_distance, squared_distance, squared_distances, Matrix, PrefixSplit,
+};
 use crate::models::knn::{k_nearest, majority_vote, neighbor_order};
 use crate::{MlError, Result};
 use nde_data::par::WorkerFailure;
@@ -247,10 +249,12 @@ impl DistanceTable {
 /// *varying* from its first varying column `c0` on. Distances to fixed
 /// rows, and each varying row's [`squared_distance`] fold over its columns
 /// `0..c0`, are world-invariant, so [`KnnWorldVoter::new`] computes them
-/// once, in one pooled pass over the test points. Per test point it keeps
-/// only the `k` nearest fixed rows and the varying rows' prefixes; no
-/// test × train table stays resident. A world then costs the varying rows'
-/// remaining columns: [`KnnWorldVoter::vote`] continues each prefix with
+/// once, in one pooled pass over the test points: a [`PrefixSplit`]'s
+/// blocked pass up to the first column `w` any row varies in, continued
+/// per varying row to its own `c0`. Per test point the voter keeps only the
+/// `k` nearest fixed rows and the varying rows' prefixes; no test × train
+/// table stays resident. A world then costs the varying rows' remaining
+/// columns: [`KnnWorldVoter::vote`] continues each prefix with
 /// `continue_squared_distance`, which adds the same terms in the same
 /// order as one fold over the world's whole row.
 ///
@@ -280,68 +284,74 @@ impl<'a> KnnWorldVoter<'a> {
     /// Prepare the world-invariant part for `k` (≥ 1) neighbors on up to
     /// `threads` threads of the shared [`WorkerPool`].
     ///
-    /// `train_x` holds every cell's value in the worlds where it is fixed,
-    /// and is read only here; `varying_from[r]` is row `r`'s first varying
-    /// column (`train_x.cols()` for a fixed row). Returns `None` where
-    /// fitting and predicting would fail or could meet a NaN distance (an
-    /// empty training set, a label count other than the row count, fewer
-    /// than 2 classes, a label out of range, a test width other than the
-    /// training width, or a non-finite cell), so the caller's refit path
-    /// reports exactly its own error.
+    /// `fixed` holds every training cell's value in the worlds where it is
+    /// fixed, in rows of `width` cells, and is read only here;
+    /// `varying_from[r]` is row `r`'s first varying column (`width` for a
+    /// fixed row). Returns `None` where fitting and predicting would fail
+    /// or could meet a NaN distance (an empty training set, a plane that is
+    /// not one row per `varying_from` entry, a label count other than the
+    /// row count, fewer than 2 classes, a label out of range, a test width
+    /// other than `width`, or a non-finite cell), so the caller's refit
+    /// path reports exactly its own error.
     ///
     /// # Panics
     ///
-    /// If `varying_from` does not hold one column in `0..=train_x.cols()`
-    /// per training row.
+    /// If a `varying_from` entry exceeds `width`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         k: usize,
-        train_x: &Matrix,
+        fixed: &[f64],
+        width: usize,
         labels: &'a [usize],
         n_classes: usize,
         varying_from: &[usize],
         test: &'a Matrix,
         threads: usize,
     ) -> Option<KnnWorldVoter<'a>> {
-        let (n, dim) = (train_x.rows(), train_x.cols());
-        assert_eq!(varying_from.len(), n, "one varying column per row");
+        let n = varying_from.len();
         assert!(
-            varying_from.iter().all(|&c| c <= dim),
+            varying_from.iter().all(|&c| c <= width),
             "varying column past the width"
         );
-        let finite = |m: &Matrix| m.iter_rows().flatten().all(|v| v.is_finite());
+        let finite = |cells: &[f64]| cells.iter().all(|v| v.is_finite());
         if n == 0
+            || n.checked_mul(width) != Some(fixed.len())
             || labels.len() != n
             || n_classes < 2
             || labels.iter().any(|&l| l >= n_classes)
-            || test.cols() != dim
-            || !finite(train_x)
-            || !finite(test)
+            || test.cols() != width
+            || !finite(fixed)
+            || !test.iter_rows().all(finite)
         {
             return None;
         }
         let k = k.max(1);
-        let fixed: Vec<usize> = (0..n).filter(|&r| varying_from[r] == dim).collect();
-        let varying: Vec<(usize, usize)> = (0..n)
-            .filter(|&r| varying_from[r] < dim)
-            .map(|r| (r, varying_from[r]))
+        let split = PrefixSplit::new(fixed, width, varying_from);
+        let (complete, w) = (split.complete_rows(), split.shared_width());
+        let varying: Vec<(usize, usize)> = split
+            .open_rows()
+            .iter()
+            .map(|&r| (r, varying_from[r]))
             .collect();
         let stop = AtomicBool::new(false);
         let points = WorkerPool::shared().map_indexed_scratch(
             threads,
             0..test.rows() as u64,
             &stop,
-            || (vec![0.0; n], Vec::with_capacity(fixed.len())),
+            || (vec![0.0; n], Vec::with_capacity(complete.len())),
             |(dists, keys), t| {
                 let x = test.row(t as usize);
-                squared_distances(train_x, x, dists);
+                split.distances(x, dists);
+                let (near, prefixes) = dists.split_at(complete.len());
                 keys.clear();
-                keys.extend(fixed.iter().map(|&r| order_key(dists[r], r)));
+                keys.extend(complete.iter().zip(near).map(|(&r, &d)| order_key(d, r)));
                 retain_nearest(keys, k);
                 let nearest = keys.to_vec();
                 let prefixes = varying
                     .iter()
-                    .map(|&(r, c0)| {
-                        continue_squared_distance(-0.0, &train_x.row(r)[..c0], &x[..c0])
+                    .zip(prefixes)
+                    .map(|(&(r, c0), &p)| {
+                        continue_squared_distance(p, &fixed[r * width..][w..c0], &x[w..c0])
                     })
                     .collect();
                 Ok::<_, Infallible>((nearest, prefixes))

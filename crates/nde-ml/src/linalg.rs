@@ -229,6 +229,83 @@ pub fn squared_distances(rows: &Matrix, x: &[f64], out: &mut [f64]) {
     }
 }
 
+/// The rows of a row-major plane, split so that one blocked
+/// [`squared_distances`] pass covers every column that all rows hold fixed.
+///
+/// Row `r` is fixed before column `open_from[r]`: *complete* when that is
+/// the width, *open* otherwise. With `w` the smallest `open_from` over the
+/// open rows (the width when none is), complete rows are kept whole and
+/// open rows' columns `0..w` apart, so no cell is stored twice.
+#[derive(Debug, Clone)]
+pub struct PrefixSplit {
+    complete: Matrix,
+    complete_rows: Vec<usize>,
+    /// Columns `0..w` of each open row.
+    prefixes: Matrix,
+    open_rows: Vec<usize>,
+}
+
+impl PrefixSplit {
+    /// Split `plane`, rows of `width` cells fixed before `open_from`.
+    ///
+    /// # Panics
+    ///
+    /// If `plane` is not one row of `width` cells per `open_from` entry, or
+    /// an entry exceeds `width`.
+    pub fn new(plane: &[f64], width: usize, open_from: &[usize]) -> PrefixSplit {
+        assert_eq!(plane.len(), open_from.len() * width, "rows × width cells");
+        assert!(open_from.iter().all(|&c| c <= width), "open past the width");
+        let (complete_rows, open_rows): (Vec<usize>, Vec<usize>) =
+            (0..open_from.len()).partition(|&r| open_from[r] == width);
+        let w = open_rows.iter().map(|&r| open_from[r]).min();
+        let gather = |rows: &[usize], cols| {
+            let mut cells = Vec::with_capacity(rows.len() * cols);
+            for &r in rows {
+                cells.extend_from_slice(&plane[r * width..r * width + cols]);
+            }
+            Matrix::from_vec(cells, rows.len(), cols).expect("rows × cols cells")
+        };
+        PrefixSplit {
+            complete: gather(&complete_rows, width),
+            prefixes: gather(&open_rows, w.unwrap_or(width)),
+            complete_rows,
+            open_rows,
+        }
+    }
+
+    /// Row width of the plane.
+    pub fn width(&self) -> usize {
+        self.complete.cols
+    }
+
+    /// `w`: the leading columns that every row holds fixed.
+    pub fn shared_width(&self) -> usize {
+        self.prefixes.cols
+    }
+
+    /// Plane rows of the complete rows, ascending.
+    pub fn complete_rows(&self) -> &[usize] {
+        &self.complete_rows
+    }
+
+    /// Plane rows of the open rows, ascending.
+    pub fn open_rows(&self) -> &[usize] {
+        &self.open_rows
+    }
+
+    /// Write into `out` the [`squared_distance`] from `x` to each complete
+    /// row, then to each open row over columns `0..w`, in row order.
+    ///
+    /// # Panics
+    ///
+    /// If `x` is not as wide as a row, or `out` is not one entry per row.
+    pub fn distances(&self, x: &[f64], out: &mut [f64]) {
+        let (complete, prefixes) = out.split_at_mut(self.complete_rows.len());
+        squared_distances(&self.complete, x, complete);
+        squared_distances(&self.prefixes, &x[..self.shared_width()], prefixes);
+    }
+}
+
 /// Euclidean norm.
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
@@ -449,6 +526,35 @@ mod tests {
                         assert_eq!(full.to_bits(), want.to_bits(), "d={d} row {i} end {e}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefix_split_stores_each_cell_once_and_folds_like_squared_distance() {
+        let (n, d) = (7, 5);
+        let rows = awkward_rows(n, d);
+        let plane: Vec<f64> = rows.iter_rows().flatten().copied().collect();
+        let x = awkward_rows(2, d);
+        for (open_from, w) in [
+            (vec![5, 2, 5, 4, 5, 3, 5], 2),
+            (vec![0, 5, 3, 5, 5, 5, 1], 0),
+            (vec![5; 7], 5),
+            (vec![4; 7], 4),
+        ] {
+            let split = PrefixSplit::new(&plane, d, &open_from);
+            let complete: Vec<usize> = (0..n).filter(|&r| open_from[r] == d).collect();
+            let open: Vec<usize> = (0..n).filter(|&r| open_from[r] < d).collect();
+            assert_eq!(split.complete_rows(), complete);
+            assert_eq!(split.open_rows(), open);
+            assert_eq!(split.complete, rows.take_rows(&complete));
+            assert_eq!((split.width(), split.shared_width()), (d, w));
+            let mut out = vec![f64::NAN; n];
+            split.distances(x.row(1), &mut out);
+            for (&r, got) in complete.iter().chain(&open).zip(&out) {
+                let e = if open_from[r] == d { d } else { w };
+                let want = squared_distance(&rows.row(r)[..e], &x.row(1)[..e]);
+                assert_eq!(got.to_bits(), want.to_bits(), "row {r}");
             }
         }
     }

@@ -90,19 +90,22 @@ pub trait Classifier: Clone {
 
     /// A prepared voter for possible worlds of a training set labeled
     /// `labels` (in `0..n_classes`) whose rows vary between worlds from
-    /// column `varying_from[r]` on (the width for a row that never varies),
+    /// column `varying_from[r]` on (`width` for a row that never varies),
     /// predicting every row of `test`, if this model supports one (see
-    /// [`crate::batch::KnnWorldVoter`]). `fixed_x` builds the training
-    /// matrix with every cell at its value in the worlds where it is fixed;
-    /// a model without a voter never calls it, so never pays for the copy.
+    /// [`crate::batch::KnnWorldVoter`]). `fixed` holds every training cell
+    /// at its value in the worlds where it is fixed, row-major in rows of
+    /// `width` cells; the voter reads it in place, with no copy.
     ///
     /// The default returns `None`: generic classifiers are refit on every
     /// world. Models that override this (KNN) must vote **bit-identically**
     /// to fitting a fresh clone on each world and predicting `test`, and
-    /// return `None` wherever that fit or prediction would fail.
+    /// return `None` wherever that fit or prediction would fail, or where
+    /// `fixed` is not one row of `width` cells per `varying_from` entry.
+    #[allow(clippy::too_many_arguments)]
     fn world_voter<'a>(
         &self,
-        _fixed_x: &dyn Fn() -> crate::linalg::Matrix,
+        _fixed: &[f64],
+        _width: usize,
         _labels: &'a [usize],
         _n_classes: usize,
         _varying_from: &[usize],

@@ -152,7 +152,8 @@ impl Classifier for KnnClassifier {
 
     fn world_voter<'a>(
         &self,
-        fixed_x: &dyn Fn() -> crate::linalg::Matrix,
+        fixed: &[f64],
+        width: usize,
         labels: &'a [usize],
         n_classes: usize,
         varying_from: &[usize],
@@ -161,7 +162,8 @@ impl Classifier for KnnClassifier {
     ) -> Option<crate::batch::KnnWorldVoter<'a>> {
         crate::batch::KnnWorldVoter::new(
             self.k,
-            &fixed_x(),
+            fixed,
+            width,
             labels,
             n_classes,
             varying_from,

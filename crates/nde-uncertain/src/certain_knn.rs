@@ -17,7 +17,7 @@ use crate::symbolic::SymbolicMatrix;
 use crate::{Result, UncertainError};
 use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
-use nde_ml::linalg::{squared_distances, Matrix};
+use nde_ml::linalg::{Matrix, PrefixSplit};
 use std::sync::atomic::AtomicBool;
 
 /// Outcome of a certain-prediction query.
@@ -49,31 +49,33 @@ impl CertainOutcome {
 /// ([`CertainKnnIndex::coverage`] gives the "coverage" metric of the CP
 /// paper).
 ///
-/// # Exact rows and open rows
+/// # Exact rows, pruned open rows
 ///
 /// Only a row with a missing cell has an uncertain distance, which is the
-/// split the certain-prediction check rests on. Construction splits the
-/// training set once: *exact* rows, whose cells are all point intervals
-/// (complete by [`SymbolicMatrix::first_open_column`]), go into a dense
-/// [`Matrix`] of their values; the remaining *open* rows are gathered into
-/// a smaller [`SymbolicMatrix`] ([`SymbolicMatrix::take`]), whose `lo`/`hi`
-/// planes the scan reads. Each row is stored in one of the two, with its
-/// original row index.
+/// split the certain-prediction check rests on. A row is *exact* when its
+/// cells are all point intervals (complete by
+/// [`SymbolicMatrix::first_open_column`]) and *open* otherwise; every
+/// row's columns before `w`, the smallest first open column of an open
+/// row, are points. A [`PrefixSplit`] of the `lo` plane holds the exact
+/// rows and the open rows' columns `0..w`, and a smaller [`SymbolicMatrix`]
+/// ([`SymbolicMatrix::take`]) the open rows' columns `w..`.
 ///
 /// Per query, [`CertainKnnIndex::classify`] computes every exact row's
-/// distance with the blocked kernel [`squared_distances`], then scans the
-/// open rows with **candidate pruning**: an open row whose running distance
-/// *lower* bound exceeds the best distance *upper* bound seen so far is
-/// abandoned mid-row ([`soa::sq_dist_bounds_pruned`]). The open scan starts
-/// from the exact rows' best upper bound, not from `∞`.
+/// distance and every open row's prefix over `0..w` in one blocked pass,
+/// then scans the open rows with **candidate pruning**: an open row whose
+/// running distance *lower* bound, prefix included, exceeds the best
+/// distance *upper* bound seen so far is abandoned
+/// ([`soa::sq_dist_bounds_pruned`], continued from the prefix). The open
+/// scan starts from the exact rows' best upper bound, not from `∞`.
 ///
 /// # Why the verdicts are those of a full interval scan
 ///
 /// - On a point cell, both bounds of the interval term `(x − q)²` are
 ///   `squared_distance`'s `d * d`, bit for bit, and both kernels add the
 ///   terms in column order. Their folds start from `0.0` and `-0.0`, which
-///   differ only for a row with no columns and compare equal. So an exact
-///   row's distance *is* both bounds of its interval.
+///   give the same float once a term is added and otherwise compare equal.
+///   So an exact row's distance *is* both bounds of its interval, and an
+///   open row's fold continued from its exact prefix has the one-pass bits.
 /// - The candidate (smallest upper bound) and the midpoint guess (smallest
 ///   midpoint) are minima under the strict `(value, row index)` order, so
 ///   scanning exact rows before open rows picks the row a single scan in
@@ -82,16 +84,19 @@ impl CertainOutcome {
 ///   `lo1`'s owner) give
 ///   `min_other_dmin = if lo1_label == candidate { lo2 } else { lo1 }`
 ///   without a second pass, in any scan order.
-/// - Pruning is exact. The best upper bound `best_hi` only decreases, so a
-///   pruned row's lower bound is **strictly** above the final `best_hi`.
-///   Such a row can neither own the smallest upper bound (it cannot be the
-///   candidate) nor have `d.lo ≤ best_hi` (it cannot break certainty, whose
-///   test is `best_hi < min_other_dmin`). Seeding the cutoff with the exact
-///   rows' best upper bound is the same argument: that bound is an upper
-///   bound seen earlier in the scan.
+/// - Pruning is exact. Partial lower bounds are monotone, so pruning on
+///   the prefix prunes what the one-pass scan prunes. The best
+///   upper bound `best_hi` only decreases, so a pruned row's lower bound is
+///   **strictly** above the final `best_hi`. Such a row can neither own the
+///   smallest upper bound (it cannot be the candidate) nor have
+///   `d.lo ≤ best_hi` (it cannot break certainty, whose test is
+///   `best_hi < min_other_dmin`). Seeding the cutoff with the exact rows'
+///   best upper bound is the same argument: that bound is an upper bound
+///   seen earlier in the scan.
 /// - An uncertain query's midpoint guess needs every row's midpoint. An
 ///   exact row's interval midpoint is `0.5 * (d + d)` of its buffered
-///   distance, so only the open rows get [`soa::sq_dist_bounds`] again.
+///   distance, and each open row continues [`soa::sq_dist_bounds`] from
+///   its buffered prefix, so only the columns `w..` are bounded again.
 ///
 /// `tests/uncertain_soa.rs` asserts that each verdict equals the per-query
 /// scalar-[`Interval`] check of the `nde-tests` crate.
@@ -99,14 +104,10 @@ impl CertainOutcome {
 /// [`Interval`]: crate::interval::Interval
 #[derive(Debug, Clone)]
 pub struct CertainKnnIndex {
-    /// Rows whose cells are all points, in row order.
-    exact: Matrix,
-    /// Original row index of each exact row.
-    exact_rows: Vec<usize>,
-    /// Rows with a non-point cell, in row order.
+    /// Exact rows whole and the open rows' point prefixes.
+    split: PrefixSplit,
+    /// Columns `w..` of each open row.
     open: SymbolicMatrix,
-    /// Original row index of each open row.
-    open_rows: Vec<usize>,
     /// Label of every training row, by original row index.
     labels: Vec<usize>,
 }
@@ -169,7 +170,8 @@ impl Scan {
 }
 
 impl CertainKnnIndex {
-    /// Split a symbolic training set into exact rows and open-row planes.
+    /// Split a symbolic training set into exact rows, open rows' point
+    /// prefixes and open rows' remaining planes.
     ///
     /// Infinite bounds (unbounded cells) are valid; a NaN bound is not.
     pub fn new(train: &SymbolicMatrix, labels: &[usize]) -> Result<CertainKnnIndex> {
@@ -191,17 +193,13 @@ impl CertainKnnIndex {
                 "training row {r} has a NaN bound"
             )));
         }
-        let (exact_rows, open_rows): (Vec<usize>, Vec<usize>) =
-            (0..train.len()).partition(|&r| train.first_open_column(r) == train.cols());
-        let mut exact = Vec::with_capacity(exact_rows.len() * train.cols());
-        for &r in &exact_rows {
-            exact.extend_from_slice(train.row_lo(r));
-        }
+        let open_from: Vec<usize> = (0..train.len())
+            .map(|r| train.first_open_column(r))
+            .collect();
+        let split = PrefixSplit::new(train.lo(), train.cols(), &open_from);
         Ok(CertainKnnIndex {
-            exact: Matrix::from_vec(exact, exact_rows.len(), train.cols())?,
-            open: train.take(&open_rows),
-            exact_rows,
-            open_rows,
+            open: train.take(split.open_rows(), split.shared_width()),
+            split,
             labels: labels.to_vec(),
         })
     }
@@ -221,17 +219,18 @@ impl CertainKnnIndex {
     /// Errors if the query's width differs from the training data's or a
     /// query cell is NaN or infinite.
     pub fn classify(&self, query: &[f64]) -> Result<CertainOutcome> {
-        self.classify_into(query, &mut vec![0.0; self.exact.rows()])
+        self.classify_into(query, &mut vec![0.0; self.len()])
     }
 
-    /// [`CertainKnnIndex::classify`] with `dist` (one entry per exact row)
-    /// as the buffer for the exact rows' distances.
+    /// [`CertainKnnIndex::classify`] with `dist` (one entry per training
+    /// row) as the buffer for the exact rows' distances and the open rows'
+    /// prefixes.
     fn classify_into(&self, query: &[f64], dist: &mut [f64]) -> Result<CertainOutcome> {
-        if self.exact.cols() != query.len() {
+        if self.split.width() != query.len() {
             return Err(UncertainError::InvalidArgument(format!(
                 "query has {} features, training data has {}",
                 query.len(),
-                self.exact.cols()
+                self.split.width()
             )));
         }
         if let Some(j) = query.iter().position(|v| !v.is_finite()) {
@@ -240,14 +239,17 @@ impl CertainKnnIndex {
                 query[j]
             )));
         }
-        squared_distances(&self.exact, query, dist);
+        self.split.distances(query, dist);
+        let (exact, prefixes) = dist.split_at(self.split.complete_rows().len());
+        let suffix = &query[self.split.shared_width()..];
+        let open = || self.split.open_rows().iter().zip(prefixes).enumerate();
         let mut scan = Scan::new();
-        for (&r, &d) in self.exact_rows.iter().zip(&*dist) {
+        for (&r, &d) in self.split.complete_rows().iter().zip(exact) {
             scan.push(r, self.labels[r], d, d);
         }
-        for (i, &r) in self.open_rows.iter().enumerate() {
+        for (i, (&r, &p)) in open() {
             let (x_lo, x_hi) = (self.open.row_lo(i), self.open.row_hi(i));
-            let Some((d_lo, d_hi)) = soa::sq_dist_bounds_pruned(query, x_lo, x_hi, scan.best.0)
+            let Some((d_lo, d_hi)) = soa::sq_dist_bounds_pruned(p, suffix, x_lo, x_hi, scan.best.0)
             else {
                 continue; // pruned: d_lo > best_hi, provably irrelevant
             };
@@ -259,12 +261,14 @@ impl CertainKnnIndex {
         // Uncertain: the midpoint-world guess (cold path — certainty
         // already failed for this query).
         let exact_mids = self
-            .exact_rows
+            .split
+            .complete_rows()
             .iter()
-            .zip(&*dist)
+            .zip(exact)
             .map(|(&r, &d)| (0.5 * (d + d), r));
-        let open_mids = self.open_rows.iter().enumerate().map(|(i, &r)| {
-            let (d_lo, d_hi) = soa::sq_dist_bounds(query, self.open.row_lo(i), self.open.row_hi(i));
+        let open_mids = open().map(|(i, (&r, &p))| {
+            let (x_lo, x_hi) = (self.open.row_lo(i), self.open.row_hi(i));
+            let (d_lo, d_hi) = soa::sq_dist_bounds(p, suffix, x_lo, x_hi);
             (0.5 * (d_lo + d_hi), r)
         });
         let mut guess = (f64::INFINITY, usize::MAX);
@@ -277,10 +281,10 @@ impl CertainKnnIndex {
     }
 
     /// Classify a batch of queries on `threads` workers, each with its own
-    /// exact-distance buffer. Queries are independent, so the outcome vector
-    /// is bit-identical at every thread count (the pooled map returns
-    /// results sorted by query index). Errors as
-    /// [`CertainKnnIndex::classify`] does, for the first bad query.
+    /// distance buffer. Queries are independent, so the outcome vector is
+    /// bit-identical at every thread count (the pooled map returns results
+    /// sorted by query index). Errors as [`CertainKnnIndex::classify`]
+    /// does, for the first bad query.
     pub fn classify_batch(&self, queries: &Matrix, threads: usize) -> Result<Vec<CertainOutcome>> {
         let stop = AtomicBool::new(false);
         let out = WorkerPool::shared()
@@ -288,7 +292,7 @@ impl CertainKnnIndex {
                 threads,
                 0..queries.rows() as u64,
                 &stop,
-                || vec![0.0; self.exact.rows()],
+                || vec![0.0; self.len()],
                 |dist, q| self.classify_into(queries.row(q as usize), dist),
             )
             .map_err(|fail| match fail {

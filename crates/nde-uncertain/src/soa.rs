@@ -152,13 +152,17 @@ fn sq_term(q: f64, x_lo: f64, x_hi: f64) -> (f64, f64) {
 }
 
 /// Squared-distance bounds between a concrete `query` and an interval row
-/// given as planes: `(lower_bound, upper_bound)` of `Σ_j (x_j − q_j)²`.
-/// Bit-identical to the AoS fold `d = d + (iv − point(q)).square()`.
+/// given as planes: `(lower_bound, upper_bound)` of `acc + Σ_j (x_j − q_j)²`.
+/// From `acc = 0.0`, bit-identical to the AoS fold
+/// `d = d + (iv − point(q)).square()`; a point cell's bounds are both
+/// `squared_distance`'s `d * d`, so continuing from the `squared_distance`
+/// of a row's leading point cells gives the same bits on a row with a
+/// column.
 #[inline]
-pub fn sq_dist_bounds(query: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
+pub fn sq_dist_bounds(acc: f64, query: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
     debug_assert!(query.len() == x_lo.len() && query.len() == x_hi.len());
-    let mut d_lo = 0.0;
-    let mut d_hi = 0.0;
+    let mut d_lo = acc;
+    let mut d_hi = acc;
     for j in 0..query.len() {
         let (t_lo, t_hi) = sq_term(query[j], x_lo[j], x_hi[j]);
         d_lo += t_lo;
@@ -168,21 +172,25 @@ pub fn sq_dist_bounds(query: &[f64], x_lo: &[f64], x_hi: &[f64]) -> (f64, f64) {
 }
 
 /// [`sq_dist_bounds`] with candidate pruning: returns `None` as soon as the
-/// running **lower** bound strictly exceeds `cutoff` (the current best
-/// upper bound in a nearest-neighbor scan). Per-dimension terms are
-/// non-negative, so the partial lower bound is monotone and the early exit
-/// never misprunes; for rows that survive, the returned bounds are
-/// bit-identical to the unpruned kernel.
+/// running **lower** bound, `acc` included, strictly exceeds `cutoff` (the
+/// current best upper bound in a nearest-neighbor scan). Per-dimension
+/// terms are non-negative, so the partial lower bound is monotone and the
+/// early exit never misprunes; for rows that survive, the returned bounds
+/// are bit-identical to the unpruned kernel.
 #[inline]
 pub fn sq_dist_bounds_pruned(
+    acc: f64,
     query: &[f64],
     x_lo: &[f64],
     x_hi: &[f64],
     cutoff: f64,
 ) -> Option<(f64, f64)> {
     debug_assert!(query.len() == x_lo.len() && query.len() == x_hi.len());
-    let mut d_lo = 0.0;
-    let mut d_hi = 0.0;
+    if acc > cutoff {
+        return None;
+    }
+    let mut d_lo = acc;
+    let mut d_hi = acc;
     for j in 0..query.len() {
         let (t_lo, t_hi) = sq_term(query[j], x_lo[j], x_hi[j]);
         d_lo += t_lo;
@@ -198,7 +206,7 @@ pub fn sq_dist_bounds_pruned(
 mod tests {
     use super::*;
     use crate::interval::interval_dot;
-    use nde_data::rng::{seeded, Rng};
+    use nde_data::rng::{seeded, Rng, StdRng};
 
     fn random_intervals(n: usize, rng: &mut impl Rng) -> Vec<Interval> {
         (0..n)
@@ -287,7 +295,7 @@ mod tests {
                 for n in 1..=3 {
                     let (row, q) = (&row[..n], &q[..n]);
                     let d = squared_distance(row, q).to_bits();
-                    let (lo, hi) = sq_dist_bounds(q, row, row);
+                    let (lo, hi) = sq_dist_bounds(0.0, q, row, row);
                     assert_eq!((lo.to_bits(), hi.to_bits()), (d, d), "{row:?} vs {q:?}");
                 }
             }
@@ -296,7 +304,7 @@ mod tests {
         // `Sum` fold at -0.0. The two compare equal, and so do their
         // midpoints, so no `<`, `==` or `(value, index)` comparison (and
         // hence no certain-KNN verdict) can tell them apart.
-        let (lo, hi) = sq_dist_bounds(&[], &[], &[]);
+        let (lo, hi) = sq_dist_bounds(0.0, &[], &[], &[]);
         let d = squared_distance(&[], &[]);
         assert_eq!(
             (lo.to_bits(), hi.to_bits()),
@@ -305,6 +313,61 @@ mod tests {
         assert_eq!(d.to_bits(), (-0.0f64).to_bits());
         assert_eq!(d.partial_cmp(&lo), Some(std::cmp::Ordering::Equal));
         assert!(0.5 * (d + d) == 0.5 * (lo + hi));
+    }
+
+    /// Continuing the interval fold from the exact `squared_distance` of a
+    /// row's leading point cells gives the one-pass fold's bits at every
+    /// split `e`, and the pruned kernel prunes exactly when the unsplit
+    /// one does: the certain-KNN index takes open rows' point prefixes
+    /// from the blocked exact kernel.
+    #[test]
+    fn a_fold_continued_from_an_exact_prefix_is_the_one_pass_fold() {
+        use nde_ml::linalg::squared_distance;
+        let sub = f64::MIN_POSITIVE / 8.0;
+        let special = [0.0, -0.0, sub, -3.0 * sub, 1e150, -1e150, 1.5, -2.25];
+        let mut rng = seeded(7);
+        let pick = |rng: &mut StdRng| {
+            if rng.gen_bool(0.5) {
+                special[rng.gen_range(0..special.len())]
+            } else {
+                rng.gen_range(-3.0..3.0)
+            }
+        };
+        for len in 0..=5usize {
+            for _ in 0..60 {
+                let q: Vec<f64> = (0..len).map(|_| pick(&mut rng)).collect();
+                let lo: Vec<f64> = (0..len).map(|_| pick(&mut rng)).collect();
+                let width: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..2.0)).collect();
+                for e in 0..=len {
+                    // Cells before `e` are points, the rest intervals.
+                    let hi: Vec<f64> = (0..len)
+                        .map(|j| if j < e { lo[j] } else { lo[j] + width[j] })
+                        .collect();
+                    let p = squared_distance(&lo[..e], &q[..e]);
+                    let suffix = (&q[e..], &lo[e..], &hi[e..]);
+                    let one = sq_dist_bounds(0.0, &q, &lo, &hi);
+                    let split = sq_dist_bounds(p, suffix.0, suffix.1, suffix.2);
+                    let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+                    if len == 0 {
+                        // The zero-width row: -0.0 against 0.0, equal under
+                        // every comparison. No open row is zero-width.
+                        assert!(split == one && p.to_bits() == (-0.0f64).to_bits());
+                    } else {
+                        assert_eq!(bits(split), bits(one), "{lo:?} {hi:?} {q:?} e={e}");
+                    }
+                    let (p_below, lo_below) = (p.next_down(), one.0.next_down());
+                    for cutoff in [-1.0, 0.0, p, p_below, one.0, lo_below, f64::INFINITY] {
+                        let unsplit = sq_dist_bounds_pruned(0.0, &q, &lo, &hi, cutoff);
+                        let cont = sq_dist_bounds_pruned(p, suffix.0, suffix.1, suffix.2, cutoff);
+                        assert_eq!(cont.is_none(), unsplit.is_none(), "e={e} cutoff={cutoff}");
+                        assert_eq!(cont.is_none(), p > cutoff || one.0 > cutoff);
+                        if len > 0 {
+                            assert_eq!(cont.map(bits), unsplit.map(bits));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -319,16 +382,19 @@ mod tests {
                 reference = reference + (iv - Interval::point(qj)).square();
             }
             let rv = IntervalVec::from_intervals(&row);
-            let (lo, hi) = sq_dist_bounds(&q, &rv.lo, &rv.hi);
+            let (lo, hi) = sq_dist_bounds(0.0, &q, &rv.lo, &rv.hi);
             assert_eq!((lo, hi), (reference.lo, reference.hi), "n={n}");
             // Unreachable cutoff: pruned variant returns identical bounds.
             assert_eq!(
-                sq_dist_bounds_pruned(&q, &rv.lo, &rv.hi, f64::INFINITY),
+                sq_dist_bounds_pruned(0.0, &q, &rv.lo, &rv.hi, f64::INFINITY),
                 Some((lo, hi))
             );
             // A cutoff below the final lower bound prunes the row.
             if lo > 0.0 {
-                assert_eq!(sq_dist_bounds_pruned(&q, &rv.lo, &rv.hi, lo * 0.5), None);
+                assert_eq!(
+                    sq_dist_bounds_pruned(0.0, &q, &rv.lo, &rv.hi, lo * 0.5),
+                    None
+                );
             }
         }
     }

@@ -90,12 +90,13 @@ impl SymbolicMatrix {
         Ok(sym)
     }
 
-    /// The rows `rows`, in that order, as a new matrix.
-    pub fn take(&self, rows: &[usize]) -> SymbolicMatrix {
+    /// Columns `from..` of the rows `rows`, in that order, as a new matrix.
+    pub fn take(&self, rows: &[usize], from: usize) -> SymbolicMatrix {
+        let cols = self.cols - from;
         let gather = |plane: &[f64]| {
-            let mut out = Vec::with_capacity(rows.len() * self.cols);
+            let mut out = Vec::with_capacity(rows.len() * cols);
             for &r in rows {
-                out.extend_from_slice(&plane[r * self.cols..(r + 1) * self.cols]);
+                out.extend_from_slice(&plane[r * self.cols + from..(r + 1) * self.cols]);
             }
             out
         };
@@ -103,7 +104,7 @@ impl SymbolicMatrix {
             lo: gather(&self.lo),
             hi: gather(&self.hi),
             rows: rows.len(),
-            cols: self.cols,
+            cols,
         }
     }
 
@@ -128,6 +129,11 @@ impl SymbolicMatrix {
             lo: self.lo[r * self.cols + c],
             hi: self.hi[r * self.cols + c],
         }
+    }
+
+    /// Every cell's lower bound, row-major: each point cell's value.
+    pub fn lo(&self) -> &[f64] {
+        &self.lo
     }
 
     /// Lower bounds of row `r`.
@@ -247,12 +253,18 @@ mod tests {
         let sym = SymbolicMatrix::from_rows(rows.clone()).unwrap();
         assert_eq!((sym.len(), sym.cols()), (5, 3));
         assert_cells(&sym, &rows);
-        // `take` gathers rows in the order given, repeats included.
+        assert_eq!(sym.lo().len(), 15);
+        assert_eq!(&sym.lo()[3..6], sym.row_lo(1));
+        // `take` gathers rows in the order given, repeats included, and
+        // the columns from `from` on.
         let picked = [4, 0, 4, 2];
-        let taken: Vec<Vec<Interval>> = picked.iter().map(|&r| rows[r].clone()).collect();
-        assert_cells(&sym.take(&picked), &taken);
-        assert_eq!(sym.take(&picked).cols(), 3);
-        assert!(sym.take(&[]).is_empty());
+        for from in 0..=3 {
+            let taken: Vec<Vec<Interval>> =
+                picked.iter().map(|&r| rows[r][from..].to_vec()).collect();
+            assert_cells(&sym.take(&picked, from), &taken);
+            assert_eq!(sym.take(&picked, from).cols(), 3 - from);
+        }
+        assert!(sym.take(&[], 1).is_empty());
     }
 
     #[test]

@@ -55,10 +55,11 @@ impl WorldEnsemble {
 ///
 /// A template that offers a [`Classifier::world_voter`] (KNN) is not refit:
 /// a row's cells before its first non-point cell are the same in every
-/// world, so the voter folds them once per call and each world only draws
-/// its non-point cells and continues the fold over the rows that have
-/// them. The draws are the refit path's, in the same row-major order from
-/// the same stream, and the voter's votes are bit-identical to refitting.
+/// world, so the voter folds them once per call, reading the training
+/// `lo` plane in place, and each world only draws its non-point cells and
+/// continues the fold over the rows that have them. The draws are the
+/// refit path's, in the same row-major order from the same stream, and the
+/// voter's votes are bit-identical to refitting.
 /// Every other template, or input the voter declines, is refit per world.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_worlds_par<C>(
@@ -94,18 +95,18 @@ where
             .zip(hi)
             .all(|(&l, &h)| l == h || (h - l).is_finite())
     });
-    // Built only by a template whose voter reads it; labels and class
-    // count are the voter's to check, and the refit path's `Dataset`
-    // checks them as it always has.
-    let fixed_x = || {
-        let mut m = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            m.row_mut(r).copy_from_slice(train_x.row_lo(r));
-        }
-        m
-    };
+    // Labels and class count are the voter's to check, and the refit
+    // path's `Dataset` checks them as it always has.
     let voter = if finite_draws {
-        template.world_voter(&fixed_x, train_y, n_classes, &varying_from, test_x, threads)
+        template.world_voter(
+            train_x.lo(),
+            cols,
+            train_y,
+            n_classes,
+            &varying_from,
+            test_x,
+            threads,
+        )
     } else {
         None
     };

@@ -1,9 +1,9 @@
 //! The `Value`-per-cell reference table the columnar [`Table`] is checked
 //! against.
 //!
-//! [`RefTable`] keeps one [`Column`] per field and offers the same cell
-//! accessors as the columnar store, each read straight from a `Value`
-//! column. Its joins build one hash map over the right side's
+//! [`RefTable`] keeps one [`Column`] per field and offers the columnar
+//! store's cell accessors `value` and `value_ref`, each read straight from
+//! a `Value` column. Its joins build one hash map over the right side's
 //! [`Value`] keys and probe in fixed chunks, its join output is gathered
 //! cell by cell, and `distinct_by` and `value_counts` hash whole values:
 //! the seed algorithms the radix join, the plane gathers and the dictionary
@@ -12,7 +12,7 @@
 use nde_data::fxhash::FxHashMap;
 use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
-use nde_data::{Column, DataError, DataType, Field, Schema, Table, Value, ValueRef};
+use nde_data::{Column, DataError, Field, Schema, Table, Value, ValueRef};
 use std::sync::atomic::AtomicBool;
 
 type Result<T> = std::result::Result<T, DataError>;
@@ -48,16 +48,6 @@ impl RefTable {
         self.columns.first().map_or(0, Column::len)
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Data type of column `col`.
-    pub fn data_type(&self, col: usize) -> DataType {
-        self.columns[col].data_type()
-    }
-
     /// Owned cell value at (`row`, `col`).
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col].get(row).unwrap_or(Value::Null)
@@ -71,11 +61,6 @@ impl RefTable {
             Column::Str(v) => v[row].as_deref().map_or(ValueRef::Null, ValueRef::Str),
             Column::Bool(v) => v[row].map_or(ValueRef::Null, ValueRef::Bool),
         }
-    }
-
-    /// Number of null cells in column `col`.
-    pub fn null_count(&self, col: usize) -> usize {
-        self.columns[col].null_count()
     }
 
     fn check_row(&self, row: usize) -> Result<()> {
@@ -484,6 +469,7 @@ impl CountKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nde_data::DataType;
 
     /// A left table big enough to span several probe chunks, with nulls,
     /// duplicate keys, and misses sprinkled in.

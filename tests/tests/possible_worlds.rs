@@ -45,7 +45,8 @@ impl Classifier for VoterOnly {
 
     fn world_voter<'a>(
         &self,
-        fixed_x: &dyn Fn() -> Matrix,
+        fixed: &[f64],
+        width: usize,
         labels: &'a [usize],
         n_classes: usize,
         varying_from: &[usize],
@@ -53,7 +54,7 @@ impl Classifier for VoterOnly {
         threads: usize,
     ) -> Option<nde_ml::batch::KnnWorldVoter<'a>> {
         self.0
-            .world_voter(fixed_x, labels, n_classes, varying_from, test, threads)
+            .world_voter(fixed, width, labels, n_classes, varying_from, test, threads)
     }
 }
 
@@ -188,6 +189,59 @@ fn several_uncertain_cells_per_row_and_degenerate_bounds() {
     }
 }
 
+/// Varying rows whose first varying columns differ: a row varying from
+/// column 0 (the prefix every row shares is empty), and rows with point
+/// cells between the shared prefix and their own first varying column.
+#[test]
+fn mixed_first_varying_columns() {
+    let (rows, cols) = (36, 6);
+    for mask in 0..3u64 {
+        // Shared prefix 0: one row from column 0, others from 2, 4 and 5.
+        let mut from_zero = vec![(5, 0), (5, 3)];
+        from_zero.extend(rows_missing(rows, 6, &[4], 1300 + mask));
+        from_zero.extend(rows_missing(rows, 5, &[2, 5], 1310 + mask));
+        // Shared prefix 2: rows from 2, 3 and 5.
+        let mut from_two = rows_missing(rows, 4, &[2], 1320 + mask);
+        from_two.extend(rows_missing(rows, 6, &[3, 5], 1330 + mask));
+        from_two.extend(rows_missing(rows, 6, &[5], 1340 + mask));
+        for (what, missing, shared) in [("w = 0", from_zero, 0), ("w = 2", from_two, 2)] {
+            let data = case(rows, cols, 3, &missing, 14, 1350 + mask);
+            let sym = &data.0;
+            let first = (0..rows).map(|r| sym.first_open_column(r)).min();
+            assert_eq!(first, Some(shared), "{what}, mask {mask}");
+            for k in [1, 3, 5] {
+                assert_voter_equals_refit(&format!("{what}, mask {mask}"), k, &data, 3, mask);
+            }
+        }
+    }
+}
+
+/// The voter reads the training plane in place: a plane that is not one
+/// row of `width` cells per row makes it decline, as does a width other
+/// than the test points'.
+#[test]
+fn a_plane_of_the_wrong_shape_declines() {
+    let (rows, cols) = (12, 3);
+    let (sym, y, test) = case(rows, cols, 2, &rows_missing(rows, 4, &[1], 1400), 5, 1401);
+    let varying: Vec<usize> = (0..rows).map(|r| sym.first_open_column(r)).collect();
+    let knn = KnnClassifier::new(3);
+    let voter = |plane: &[f64], width: usize, test: &Matrix| {
+        knn.world_voter(plane, width, &y, 2, &varying, test, 2)
+            .is_some()
+    };
+    let mut longer = sym.lo().to_vec();
+    longer.push(0.0);
+    let wider = Matrix::from_rows(vec![vec![0.5; cols + 1]; 2]).expect("rectangular");
+    assert!(voter(sym.lo(), cols, &test));
+    assert!(!voter(&sym.lo()[1..], cols, &test), "one cell short");
+    assert!(!voter(&longer, cols, &test), "one cell over");
+    assert!(
+        !voter(sym.lo(), cols + 1, &wider),
+        "rows × width is not the plane"
+    );
+    assert!(!voter(sym.lo(), cols, &wider), "test width");
+}
+
 #[test]
 fn k_at_and_beyond_the_training_size() {
     let (rows, cols) = (9, 4);
@@ -317,9 +371,8 @@ fn models_without_a_voter_are_refit_unchanged() {
     let missing = rows_missing(rows, 14, &[1, 3], 1200);
     let (sym, y, test) = case(rows, cols, 3, &missing, 15, 1201);
     let varying = vec![0; rows];
-    let fixed_x = || -> Matrix { panic!("a model without a voter built the fixed matrix") };
     assert!(GaussianNb::new()
-        .world_voter(&fixed_x, &y, 3, &varying, &test, 1)
+        .world_voter(sym.lo(), cols, &y, 3, &varying, &test, 1)
         .is_none());
     let want = refit_shares(&GaussianNb::new(), &sym, &y, 3, &test, WORLDS, 11);
     for threads in THREADS {

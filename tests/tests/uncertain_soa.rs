@@ -208,3 +208,104 @@ fn knn_grid_ties_match_oracle_at_every_thread_count() {
         "{certain} certain, {uncertain} uncertain"
     );
 }
+
+/// The columns a row leaves open, by row index.
+type OpenColumns = fn(usize) -> Vec<usize>;
+
+/// `rows` rows on the integer grid `[-2, 2]^cols`, labels in `0..3`, with
+/// row `r` missing the columns `open(r)` (widened to the observed column
+/// domain); queries are every training row's values plus random
+/// half-integer points.
+fn open_at(
+    seed: u64,
+    rows: usize,
+    cols: usize,
+    open: OpenColumns,
+) -> (SymbolicMatrix, Vec<usize>, Matrix) {
+    let mut rng = seeded(seed);
+    let x = Matrix::from_rows(
+        (0..rows)
+            .map(|_| (0..cols).map(|_| rng.gen_range(-2i64..=2) as f64).collect())
+            .collect(),
+    )
+    .expect("rectangular");
+    let missing: Vec<(usize, usize)> = (0..rows)
+        .flat_map(|r| open(r).into_iter().map(move |c| (r, c)))
+        .collect();
+    let bounds = column_bounds_from_observed(&x);
+    let sym = SymbolicMatrix::from_matrix_with_missing(&x, &missing, &bounds).expect("cells");
+    let labels = (0..rows).map(|_| rng.gen_range(0..3usize)).collect();
+    let mut queries: Vec<Vec<f64>> = x.iter_rows().map(<[f64]>::to_vec).collect();
+    queries.extend((0..30).map(|_| {
+        (0..cols)
+            .map(|_| rng.gen_range(-6i64..=6) as f64 * 0.5)
+            .collect()
+    }));
+    (
+        sym,
+        labels,
+        Matrix::from_rows(queries).expect("rectangular"),
+    )
+}
+
+/// Certain-KNN over open rows whose first open columns differ: a row open
+/// at column 0 (every row's shared point prefix is empty), open rows that
+/// are all open only in the last column, and rows with point cells
+/// between the shared prefix and their own first open column. Verdicts
+/// equal the oracle at 1/2/4/7 threads.
+#[test]
+fn knn_mixed_first_open_columns_match_oracle() {
+    let cols = 6;
+    // (what, first open column the rows share, row r's open columns)
+    let cases: [(&str, usize, OpenColumns); 3] = [
+        ("a row open at column 0", 0, |r| match r % 5 {
+            0 => vec![4],
+            1 if r == 6 => vec![0, 3],
+            2 => vec![2, 5],
+            _ => vec![],
+        }),
+        ("open only in the last column", 5, |r| {
+            if r % 3 == 0 {
+                vec![5]
+            } else {
+                vec![]
+            }
+        }),
+        ("point cells past the shared prefix", 2, |r| match r % 4 {
+            0 => vec![2],
+            1 => vec![3, 5],
+            2 => vec![5],
+            _ => vec![],
+        }),
+    ];
+    let (mut certain, mut uncertain) = (0, 0);
+    for (what, shared, open) in cases {
+        for seed in 0..6u64 {
+            let (sym, labels, queries) = open_at(seed ^ 0x51f, 30, cols, open);
+            let first_open = (0..sym.len())
+                .map(|r| sym.first_open_column(r))
+                .filter(|&c| c < cols)
+                .min();
+            assert_eq!(first_open, Some(shared), "{what}, seed {seed}");
+            let expect: Vec<CertainOutcome> = queries
+                .iter_rows()
+                .map(|q| certain_prediction_1nn(&sym, &labels, q).expect("oracle"))
+                .collect();
+            let index = CertainKnnIndex::new(&sym, &labels).expect("index");
+            for (q, want) in queries.iter_rows().zip(&expect) {
+                let got = index.classify(q).expect("classify");
+                assert_eq!(got, *want, "{what}, seed {seed}, query {q:?}");
+            }
+            for threads in [1usize, 2, 4, 7] {
+                let batch = index.classify_batch(&queries, threads).expect("batch");
+                assert_eq!(batch, expect, "{what}, seed {seed}, {threads} threads");
+            }
+            certain += expect.iter().filter(|o| o.is_certain()).count();
+            uncertain += expect.iter().filter(|o| !o.is_certain()).count();
+        }
+    }
+    assert!(
+        certain > 50 && uncertain > 50,
+        "{certain} certain, {uncertain} uncertain"
+    );
+}
