@@ -7,7 +7,7 @@
 //!
 //! 1. [`PipelineSession`] (nde-pipeline) propagates a [`Delta`] through the
 //!    relational operators and reports which **output rows** changed and,
-//!    after a rerun, which old output row each new one is
+//!    after a splice or a rerun, which old output row each new one is
 //!    ([`nde_pipeline::DeltaOutcome::row_map`]).
 //! 2. [`FeaturePipeline::encode_rows`] re-encodes only the changed or fresh
 //!    rows with the already-fitted encoders (row-wise, so bit-identical to
@@ -39,12 +39,16 @@ use nde_robust::par::MemoCache;
 /// What one accepted fix did to the session.
 #[derive(Debug, Clone)]
 pub struct FixReport {
-    /// The propagation path the pipeline layer took: [`DeltaPath::CellPatch`]
-    /// or [`DeltaPath::Rerun`] (see [`IncrementalDebugSession::apply_fix`]).
+    /// The propagation path the pipeline layer took:
+    /// [`DeltaPath::CellPatch`], [`DeltaPath::Splice`] (a delete dropped
+    /// along the row maps, no operator re-executed) or [`DeltaPath::Rerun`]
+    /// (re-executed from one plan node on; see
+    /// [`IncrementalDebugSession::apply_fix`]).
     pub path: DeltaPath,
     /// Output rows this fix re-encoded, ascending: after a cell patch the
     /// rows whose cells changed, after a rerun the *fresh* rows (those with
-    /// no old row of the same identity). Every other row was copied.
+    /// no old row of the same identity), after a splice none. Every other
+    /// row was copied.
     pub affected_rows: Vec<usize>,
     /// `true` when the fix re-encoded every output row (no row survived
     /// it); `false` when at least one row was kept as it was.
@@ -111,21 +115,23 @@ impl<C: Classifier> IncrementalDebugSession<C> {
 
     /// Apply one accepted fix end to end and return what it touched.
     ///
-    /// The pipeline layer takes one of two paths, and either way only the
+    /// The pipeline layer takes one of three paths, and on each only the
     /// rows in [`FixReport::affected_rows`] are encoded:
     ///
     /// - a non-structural cell fix is a **cell patch**: the affected output
     ///   rows are re-encoded in place and the evaluator patched
     ///   ([`IncrementalLabelEval::set_label`],
     ///   [`IncrementalLabelEval::update_features`]);
-    /// - everything else — an insert, a delete, or an update to a routing
-    ///   column — **reruns** the pipeline. The new dataset is gathered from
-    ///   the old one through the outcome's row map (surviving rows copied
-    ///   bit for bit, fresh rows encoded), and the evaluator remaps its rows
-    ///   in place ([`IncrementalLabelEval::remap_rows`]).
+    /// - a delete whose rows the plan drops along its row maps is a
+    ///   **splice**, and everything else — an insert, another delete, or
+    ///   an update to a routing column — **reruns** the pipeline from one
+    ///   node on. Either way the new dataset is gathered from the old one
+    ///   through the outcome's row map (surviving rows copied bit for bit,
+    ///   fresh rows encoded), and the evaluator remaps its rows in place
+    ///   ([`IncrementalLabelEval::remap_rows`]).
     ///
     /// The memo cache keys coalitions by a fingerprint of their row
-    /// indices, so it survives a rerun only when every surviving row kept
+    /// indices, so it survives a splice or a rerun only when every surviving row kept
     /// its index; then the entries touching a fresh or removed row are
     /// evicted. Otherwise it is cleared.
     ///
@@ -430,7 +436,7 @@ mod tests {
             })
             .unwrap();
         // A delete leaves no fresh row: nothing is re-encoded.
-        assert_eq!(report.path, DeltaPath::Rerun);
+        assert_eq!(report.path, DeltaPath::Splice);
         assert!(report.affected_rows.is_empty(), "{report:?}");
         assert!(!report.reencoded_all);
         s.letters = s

@@ -964,14 +964,16 @@ impl IncrementalLabelEval for IncrementalKnnEval {
     }
 
     /// Gathers the surviving distance columns and computes the fresh ones
-    /// ([`DistanceTable::remap_columns`]). A validation point keeps its
-    /// neighbor list, renamed through `map`, when none of its k nearest was
-    /// removed and no fresh row comes before its k-th in `(distance, new
-    /// index)` order; every other point is re-selected from the table.
-    /// Renaming preserves the order only when `map` is strictly increasing
-    /// on the survivors, and the list length only when the clamped k stays
-    /// put, so otherwise every point is re-selected (still without
-    /// recomputing a distance).
+    /// ([`DistanceTable::remap_columns`]). A validation point none of whose
+    /// k nearest was removed keeps its neighbor list, renamed through
+    /// `map`, with the fresh rows that come before its k-th in `(distance,
+    /// new index)` order merged in and the list cut back to k: every other
+    /// surviving row came after the old k-th, so the merged list is exactly
+    /// the new k nearest. A point that lost a neighbor is re-selected from
+    /// the table. Renaming preserves the order only when `map` is strictly
+    /// increasing on the survivors, and the list length only when the
+    /// clamped k stays put, so otherwise every point is re-selected (still
+    /// without recomputing a distance).
     fn remap_rows(&mut self, map: &[Option<usize>], train: &Dataset) -> Result<()> {
         if train.is_empty() {
             return Err(MlError::EmptyTrainingSet);
@@ -1004,7 +1006,7 @@ impl IncrementalLabelEval for IncrementalKnnEval {
             }
         }
         let fresh: Vec<usize> = (0..map.len()).filter(|&i| map[i].is_none()).collect();
-        let mut nearest = Vec::new();
+        let (mut nearest, mut ahead) = (Vec::new(), Vec::new());
         for (v, nb) in self.neighbors.chunks_exact_mut(k).enumerate() {
             let row = self.table.row(v);
             let kept = nb.iter_mut().all(|i| match renamed[*i] {
@@ -1013,13 +1015,38 @@ impl IncrementalLabelEval for IncrementalKnnEval {
                     true
                 }
                 None => false,
-            }) && !fresh
-                .iter()
-                .any(|&f| neighbor_order(row, f, nb[k - 1]).is_lt());
+            });
             if !kept {
                 k_nearest(row, k, &mut nearest);
                 nb.copy_from_slice(&nearest);
+                continue;
             }
+            ahead.clear();
+            ahead.extend(
+                fresh
+                    .iter()
+                    .copied()
+                    .filter(|&f| neighbor_order(row, f, nb[k - 1]).is_lt()),
+            );
+            if ahead.is_empty() {
+                continue;
+            }
+            ahead.sort_unstable_by(|&a, &b| neighbor_order(row, a, b));
+            // Merge the two ordered lists, keeping the first k.
+            nearest.clear();
+            let (mut a, mut b) = (0, 0);
+            while nearest.len() < k {
+                // `a < k`: fewer than k entries are taken so far.
+                let take_fresh = b < ahead.len() && neighbor_order(row, ahead[b], nb[a]).is_lt();
+                if take_fresh {
+                    nearest.push(ahead[b]);
+                    b += 1;
+                } else {
+                    nearest.push(nb[a]);
+                    a += 1;
+                }
+            }
+            nb.copy_from_slice(&nearest);
         }
         self.index_and_vote();
         Ok(())
@@ -1587,6 +1614,45 @@ mod tests {
                     };
                 }
             }
+        }
+    }
+
+    #[test]
+    fn remap_rows_merges_fresh_rows_around_the_kth_neighbor() {
+        let data = |xs: &[f64]| {
+            let rows = xs.iter().map(|&x| vec![x]).collect();
+            Dataset::from_rows(rows, (0..xs.len()).map(|i| i % 2).collect(), 2).unwrap()
+        };
+        let train = data(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        // With k = 3 the point at 0 has the row at 3.0 (old row 2, distance
+        // 9) as its k-th neighbor; -3.0 and 3.0 tie with it there. The
+        // point at 0.25 sees no tie.
+        let valid = data(&[0.0, 0.25]);
+        let k = 3;
+        // Fresh rows before, tied with and after the k-th neighbor, placed
+        // at lower and higher indices than it: in front, right before and
+        // right after old row 2, and at the end.
+        let mut cases: Vec<(Vec<usize>, Vec<f64>)> = Vec::new();
+        for x in [1.5, 3.0, -3.0, 10.0] {
+            for at in [0, 2, 3, 6] {
+                cases.push((vec![at], vec![x]));
+            }
+        }
+        // Several at once (in index order unlike their distance order), and
+        // more fresh rows ahead of the k-th than k.
+        cases.push((vec![0, 3, 6], vec![2.5, 3.0, -3.0]));
+        cases.push((vec![0, 6], vec![2.9, 1.1]));
+        cases.push((vec![0, 1, 4, 6], vec![0.5, 0.6, 0.7, 0.8]));
+        for (at, xs) in cases {
+            let mut map: Vec<Option<usize>> = (0..train.len()).map(Some).collect();
+            for &i in at.iter().rev() {
+                map.insert(i, None);
+            }
+            let next = remapped(&train, &map, &data(&xs));
+            let pool = Arc::new(WorkerPool::new(0));
+            let mut eval = IncrementalKnnEval::on_pool(k, &train, &valid, pool, 1).unwrap();
+            eval.remap_rows(&map, &next).unwrap();
+            assert_as_built(&eval, k, &next, &valid);
         }
     }
 

@@ -105,17 +105,6 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1)).take(self.rows)
     }
 
-    /// Matrix-vector product `A x`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(MlError::DimensionMismatch {
-                expected: self.cols,
-                got: x.len(),
-            });
-        }
-        Ok(self.iter_rows().map(|r| dot(r, x)).collect())
-    }
-
     /// `Aᵀ A + lambda I`, the Gram matrix used by ridge/influence solves.
     pub fn gram_regularized(&self, lambda: f64) -> Matrix {
         let d = self.cols;
@@ -405,32 +394,6 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
     Ok(l)
 }
 
-/// Column means of a matrix.
-pub fn column_means(m: &Matrix) -> Vec<f64> {
-    let mut means = vec![0.0; m.cols()];
-    for r in m.iter_rows() {
-        axpy(1.0, r, &mut means);
-    }
-    let n = m.rows().max(1) as f64;
-    for v in &mut means {
-        *v /= n;
-    }
-    means
-}
-
-/// Column standard deviations (population) of a matrix.
-pub fn column_stds(m: &Matrix, means: &[f64]) -> Vec<f64> {
-    let mut vars = vec![0.0; m.cols()];
-    for r in m.iter_rows() {
-        for (v, (x, mu)) in vars.iter_mut().zip(r.iter().zip(means)) {
-            let d = x - mu;
-            *v += d * d;
-        }
-    }
-    let n = m.rows().max(1) as f64;
-    vars.iter().map(|v| (v / n).sqrt()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,13 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_checks_dims() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![0.0, 1.0]]).unwrap();
-        assert_eq!(m.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 1.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn solve_recovers_solution() {
         let a = Matrix::from_rows(vec![
             vec![2.0, 1.0, 0.0],
@@ -582,7 +538,7 @@ mod tests {
         ])
         .unwrap();
         let x_true = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&x_true).unwrap();
+        let b: Vec<f64> = a.iter_rows().map(|r| dot(r, &x_true)).collect();
         let x = solve(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9, "{x:?}");
@@ -629,14 +585,5 @@ mod tests {
         assert_eq!(g.get(0, 0), 10.5);
         assert_eq!(g.get(0, 1), 14.0);
         assert_eq!(g.get(1, 1), 20.5);
-    }
-
-    #[test]
-    fn column_stats() {
-        let m = Matrix::from_rows(vec![vec![1.0, 10.0], vec![3.0, 10.0]]).unwrap();
-        let means = column_means(&m);
-        assert_eq!(means, vec![2.0, 10.0]);
-        let stds = column_stds(&m, &means);
-        assert_eq!(stds, vec![1.0, 0.0]);
     }
 }

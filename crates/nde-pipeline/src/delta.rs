@@ -5,20 +5,24 @@
 //! after each. Re-running the whole pipeline per fix costs milliseconds for
 //! work whose footprint is a handful of rows. A [`PipelineSession`] keeps
 //! the executed run alive (every operator's table, row maps, and
-//! provenance) and applies a single-tuple [`Delta`] on one of two paths:
+//! provenance) and applies a single-tuple [`Delta`] on one of three paths:
 //!
 //! - **Cell patch** ([`DeltaPath::CellPatch`]): an [`Delta::Update`] that
 //!   cannot change any routing decision patches the changed cells of
 //!   affected rows in place. Provenance is untouched — routing is identical
 //!   by construction.
-//! - **Rerun** ([`DeltaPath::Rerun`]): everything else — every
-//!   [`Delta::Insert`] and [`Delta::Delete`], a routing-relevant update, an
-//!   operator error while patching — re-executes the plan over the mutated
-//!   inputs. It needs no per-operator code: the executor is the only
-//!   definition of routing and provenance interning.
+//! - **Splice** ([`DeltaPath::Splice`]): a [`Delta::Delete`] whose rows
+//!   can be dropped along the row maps all the way to the root removes
+//!   them from every node it reaches; no operator runs.
+//! - **Rerun** ([`DeltaPath::Rerun`]): everything else resumes the
+//!   executor at one node of the evaluation order. The nodes before it
+//!   keep their (patched or row-removed) tables, provenance and traces;
+//!   that node and every later one are re-executed. It needs no
+//!   per-operator code: the executor is the only definition of routing and
+//!   provenance interning.
 //!
-//! Either way an apply leaves the session in exactly the state a fresh run
-//! over the mutated inputs would produce. The differential test suite
+//! Every path leaves the session in exactly the state a fresh run over the
+//! mutated inputs would produce. The differential test suite
 //! (`tests/tests/incremental_delta.rs`) holds the session to that
 //! contract: identical output table, identical lineage (same arena node
 //! ids), at every thread count.
@@ -34,41 +38,68 @@
 //!   (a join's `_right` rename, a select's dropped columns) and a derived
 //!   column (a projection).
 //!
-//! A tainted routing column ends the walk with a rerun. Otherwise an output
-//! row is affected when a row map points it at an affected input row, and
-//! its carried and derived cells are patched.
+//! A tainted routing column ends the walk: the rerun resumes at that node.
+//! Otherwise an output row is affected when a row map points it at an
+//! affected input row, and its carried and derived cells are patched.
+//!
+//! # Deletes follow the row maps
+//!
+//! A node declares, per input, whether deleting a row of that input
+//! removes exactly the output rows built from it and keeps every other
+//! output row unchanged and in order
+//! (`PlanNode::deletes_rows_locally`): filter, projection,
+//! selection and concat on every input, an inner join on both sides, a
+//! left or fuzzy join on its left side only. A delete walks the evaluation
+//! order from the source: a node that loses input rows drops the output
+//! rows its row maps build from them, and renumbers the row maps of the
+//! rows it keeps. The walk stops at the first node that loses rows on an
+//! input without the declaration (the right side of a left join, a
+//! `Distinct`) or whose input would become empty (a projection over zero
+//! rows types its column `Bool`); the rerun resumes there.
+//!
+//! The arena needs no re-interning either. Source variables are interned
+//! at the scan, so a delete shifts every later arena id; the arena instead
+//! drops every node whose polynomial contains the deleted tuple and
+//! renumbers the rest
+//! ([`crate::provenance::ProvArena::remove_tuple`]). That is the arena a
+//! fresh run interns: every interning request returns the requesting row's
+//! own polynomial, the rows the walk removed are exactly the rows whose
+//! polynomial contains the tuple, and the surviving rows make the same
+//! requests in the same order, so each surviving node is first requested
+//! by the same row as before.
+//!
+//! # Why inserts resume
+//!
+//! A new source row is interned at its source scan, in the middle of the
+//! arena, and it can match rows anywhere downstream. Its rerun resumes at
+//! the source node: the nodes before it in the evaluation order do not
+//! read that source, and the arena is cut back to its length there (each
+//! node's start is in the trace, [`crate::exec::ExecTrace::arena_starts`]),
+//! so the re-executed nodes intern exactly what a fresh run interns after
+//! that point. A full rerun is the same resume from the first node.
 //!
 //! # Row identity across a rerun
 //!
 //! A rerun renumbers the root rows, but most of them are the same rows as
-//! before: a duplicate delete removes one output row, a filter-column fix
-//! moves one key's rows in or out. [`DeltaOutcome::row_map`] says which,
-//! so the layers downstream (encoded features, model evaluators) can keep
-//! what they computed for those rows. A root row's *identity* is, for each
-//! path from the root down to a source, the source row it was built from
-//! (none where a left-join pad or the other side of a concat breaks the
-//! path) — the identity Datascope (Karlaš et al., arXiv:2204.11131) gives
-//! pipeline output rows. It is composed from the traced row maps of the
-//! run before and of the run after, with no per-operator code. The old
-//! identities are renumbered for the delta's own shift (a delete moves
-//! that source's later rows down by one). A new row whose identity an old
-//! row had is built from the same source tuples by the same operators, so
-//! its cells are equal; a row with a new identity, or one that names the
-//! source row an update changed, is *fresh*.
-//!
-//! Why only two paths: inserts and deletes once had a third, *splice*
-//! path that re-decided join, filter, distinct and concat routing around
-//! the changed tuple and replayed arena interning. It kept a second copy
-//! of the executor's operator semantics, and it saved about 3 ms of a
-//! structural fix's rerun in the `debug` workflow benchmark (`wfbench/`)
-//! while the downstream rebuild after every structural fix cost far more.
-//! That downstream cost is what the row map removes.
-//! [`DeltaPath::Splice`] and [`DeltaStats::splices`] remain in the API but
-//! are never produced.
+//! before: a `social_df` delete turns one row into a left-join pad, a
+//! filter-column fix moves one key's rows in or out.
+//! [`DeltaOutcome::row_map`] says which, so the layers downstream (encoded
+//! features, model evaluators) can keep what they computed for those rows.
+//! A root row's *identity* is, for each path from the root down to a
+//! source, the source row it was built from (none where a left-join pad or
+//! the other side of a concat breaks the path) — the identity Datascope
+//! (Karlaš et al., arXiv:2204.11131) gives pipeline output rows. It is
+//! composed from the traced row maps of the run before and of the run
+//! after, with no per-operator code. The old identities are renumbered for
+//! the delta's own shift (a delete moves that source's later rows down by
+//! one). A new row whose identity an old row had is built from the same
+//! source tuples by the same operators, so its cells are equal; a row with
+//! a new identity, or one that names the source row an update changed, is
+//! *fresh*. A splice needs no matching: its row map lists the kept rows.
 
-use crate::exec::{Executor, NodeTrace, PanicPolicy};
+use crate::exec::{Executor, NodeResult, NodeTrace, PanicPolicy, RunState};
 use crate::plan::{NodeId, Plan};
-use crate::provenance::{Lineage, ProvArena, ProvId};
+use crate::provenance::{Lineage, TupleId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
 use nde_data::par::catch_quiet;
@@ -120,11 +151,13 @@ impl Delta {
 pub enum DeltaPath {
     /// Cells patched in place; routing and provenance untouched.
     CellPatch,
-    /// Never produced: inserts and deletes take [`DeltaPath::Rerun`] (see
-    /// the module docs). Kept so existing matches keep compiling.
+    /// A delete's rows dropped along the row maps up to the root, and its
+    /// tuple removed from the arena; no operator re-executed.
     Splice,
-    /// Full re-execution (insert, delete, routing-relevant update, or a
-    /// cell patch that could not complete).
+    /// Re-execution resumed at one node of the evaluation order: an
+    /// insert, a routing-relevant update, a delete that reaches a node
+    /// without a local-delete declaration or empties a node's input, or a
+    /// cell patch that could not complete.
     Rerun,
 }
 
@@ -135,12 +168,15 @@ pub struct DeltaStats {
     pub applied: usize,
     /// Applies that took [`DeltaPath::CellPatch`].
     pub cell_patches: usize,
-    /// Always 0: no apply takes [`DeltaPath::Splice`] any more.
+    /// Applies that took [`DeltaPath::Splice`].
     pub splices: usize,
-    /// Applies that fell back to [`DeltaPath::Rerun`].
+    /// Applies that took [`DeltaPath::Rerun`].
     pub reruns: usize,
     /// Root output rows patched in place, summed over all cell patches.
     pub rows_patched: usize,
+    /// Plan nodes re-executed, summed over all applies (0 for a cell patch
+    /// or a splice). The same at every thread count.
+    pub nodes_rerun: usize,
 }
 
 /// What one [`PipelineSession::apply`] did to the root output.
@@ -150,13 +186,15 @@ pub struct DeltaOutcome {
     pub path: DeltaPath,
     /// Root output rows whose content may differ from the row `row_map`
     /// names, ascending: after a cell patch, the patched rows; after a
-    /// rerun, the fresh rows (those whose `row_map` entry is `None`).
+    /// splice or a rerun, the fresh rows (those whose `row_map` entry is
+    /// `None`; a splice has none).
     pub affected_rows: Vec<usize>,
     /// For every current root row, the root row it was before this apply,
     /// or `None` for a *fresh* row. A cell patch keeps every row in place
-    /// (`row_map[r] == Some(r)`). After a rerun, a row maps to the old row
-    /// with the same identity (see the module docs), and such a pair is
-    /// equal cell for cell; old rows no entry names were removed.
+    /// (`row_map[r] == Some(r)`); a splice lists the rows it kept. After a
+    /// rerun, a row maps to the old row with the same identity (see the
+    /// module docs), and such a pair is equal cell for cell; old rows no
+    /// entry names were removed.
     pub row_map: Vec<Option<usize>>,
 }
 
@@ -184,14 +222,28 @@ struct PatchState {
     tainted: Vec<String>,
 }
 
-/// Everything a successful cell-patch walk produced, staged for commit.
-struct CellPatchPlan {
-    new_tables: FxHashMap<usize, Table>,
-    root_affected: Vec<usize>,
+/// How a cell-patch walk ended.
+enum PatchWalk {
+    /// Every node the update reached was patched; the root's affected rows.
+    Done(Vec<usize>),
+    /// The node at this position of the evaluation order could not be
+    /// patched (a tainted routing column or a failed derived column); the
+    /// nodes before it are patched, and the rerun resumes there.
+    StopAt(usize),
+}
+
+/// What one node does with a cell update during the walk.
+enum NodePatch {
+    /// The update does not reach the node's output.
+    Untouched,
+    /// The `(row, column, value)` cells to write and the node's patch state.
+    Patched(Vec<(usize, String, Value)>, PatchState),
+    /// A tainted column decides routing here.
+    Reroute,
 }
 
 /// Run `f` under the executor's panic guard, mapping a panic to a typed
-/// error (the caller falls back to a full rerun, which reproduces the
+/// error (the caller falls back to a rerun, which reproduces the
 /// executor's own report for the same failure).
 fn guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     match catch_quiet(f) {
@@ -200,16 +252,6 @@ fn guarded<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
             "operator panicked during delta propagation: {msg}"
         ))),
     }
-}
-
-fn table_of<'a>(
-    staged: &'a FxHashMap<usize, Table>,
-    base: &'a FxHashMap<usize, Table>,
-    idx: usize,
-) -> &'a Table {
-    staged
-        .get(&idx)
-        .unwrap_or_else(|| base.get(&idx).expect("node table present"))
 }
 
 /// A live, incrementally maintainable pipeline run.
@@ -228,12 +270,9 @@ pub struct PipelineSession {
     source_names: Vec<String>,
     /// Current source tables, indexed like `source_names`.
     inputs: Vec<Table>,
-    /// Node ids in first-evaluation order (children before parents).
-    order: Vec<usize>,
-    traces: FxHashMap<usize, NodeTrace>,
-    tables: FxHashMap<usize, Table>,
-    provs: FxHashMap<usize, Vec<ProvId>>,
-    arena: ProvArena,
+    /// The maintained run: every node's table, provenance and trace, the
+    /// evaluation order, and the arena.
+    run: RunState,
     stats: DeltaStats,
     /// Set when a rerun failed: the cached state no longer matches
     /// the mutated inputs, so further applies are refused.
@@ -273,49 +312,32 @@ impl PipelineSession {
                     .ok_or_else(|| PipelineError::MissingInput(n.clone()))
             })
             .collect::<Result<_>>()?;
-        let mut session = PipelineSession {
+        let refs: Vec<(&str, &Table)> = source_names
+            .iter()
+            .map(String::as_str)
+            .zip(&owned)
+            .collect();
+        let run = executor.run_traced(plan, root, &refs)?;
+        Ok(PipelineSession {
             executor,
             plan: plan.clone(),
             root,
             source_names,
             inputs: owned,
-            order: Vec::new(),
-            traces: FxHashMap::default(),
-            tables: FxHashMap::default(),
-            provs: FxHashMap::default(),
-            arena: ProvArena::new(),
+            run,
             stats: DeltaStats::default(),
             poisoned: false,
-        };
-        session.execute()?;
-        Ok(session)
+        })
     }
 
-    /// Run the plan over the current inputs and capture every node's
-    /// table, row maps and provenance, replacing the cached state.
-    fn execute(&mut self) -> Result<()> {
-        let refs: Vec<(&str, &Table)> = self
-            .source_names
-            .iter()
-            .map(String::as_str)
-            .zip(self.inputs.iter())
-            .collect();
-        let (out, trace, memo) = self.executor.run_traced(&self.plan, self.root, &refs)?;
-        self.order = trace.order;
-        self.traces = trace.nodes;
-        self.tables.clear();
-        self.provs.clear();
-        for (idx, (table, prov)) in memo {
-            self.tables.insert(idx, table);
-            self.provs.insert(idx, prov.expect("provenance forced on"));
-        }
-        self.arena = out.provenance.expect("provenance forced on").arena;
-        Ok(())
+    /// The maintained table of plan node `idx`.
+    fn node_table(&self, idx: usize) -> &Table {
+        &self.run.memo[&idx].0
     }
 
     /// The root output table, as maintained.
     pub fn table(&self) -> &Table {
-        self.tables.get(&self.root.index()).expect("root present")
+        self.node_table(self.root.index())
     }
 
     /// The root lineage, assembled from the maintained arena and row ids.
@@ -324,11 +346,11 @@ impl PipelineSession {
     pub fn lineage(&self) -> Lineage {
         Lineage::new(
             self.source_names.clone(),
-            self.arena.clone(),
-            self.provs
-                .get(&self.root.index())
-                .expect("root present")
-                .clone(),
+            self.run.arena.clone(),
+            self.run.memo[&self.root.index()]
+                .1
+                .clone()
+                .expect("provenance forced on"),
         )
     }
 
@@ -379,18 +401,29 @@ impl PipelineSession {
                 }
                 // `set` validates column and type before mutating.
                 self.inputs[src].set(*row, column, value.clone())?;
-                match self.cell_patch_walk(src, *row, column) {
-                    Ok(Some(plan)) => Ok(self.commit_cell_patch(plan)),
-                    // Structural change or an operator failure on the new
-                    // value: a full rerun reproduces rerun semantics
-                    // (including the error report) exactly.
-                    Ok(None) | Err(_) => self.rerun(src, delta),
+                match self.cell_patch_walk(src, *row, column, value) {
+                    PatchWalk::Done(affected) => Ok(self.commit_cell_patch(affected)),
+                    // A routing change or an operator failure on the new
+                    // value: re-executing from that node reproduces rerun
+                    // semantics (including the error report) exactly.
+                    PatchWalk::StopAt(at) => {
+                        let old = self.row_keys();
+                        self.rerun_from(at, old, src, delta)
+                    }
                 }
             }
             Delta::Insert { values, .. } => {
                 // `push_row` validates arity and types atomically.
                 self.inputs[src].push_row(values.clone())?;
-                self.rerun(src, delta)
+                let order = &self.run.trace.order;
+                let at = order
+                    .iter()
+                    .position(|idx| {
+                        self.run.trace.nodes[idx] == NodeTrace::Source { source: src as u32 }
+                    })
+                    .unwrap_or(order.len());
+                let old = self.row_keys();
+                self.rerun_from(at, old, src, delta)
             }
             Delta::Delete { row, .. } => {
                 let n = self.inputs[src].n_rows();
@@ -402,25 +435,63 @@ impl PipelineSession {
                 }
                 let survivors: Vec<usize> = (0..n).filter(|&i| i != *row).collect();
                 self.inputs[src] = self.inputs[src].take(&survivors)?;
-                self.rerun(src, delta)
+                self.delete(src, *row, delta)
             }
         }
     }
 
-    /// Full re-execution over the mutated inputs: the generic path for
-    /// every change the cell-patch walk does not cover. A failure here
-    /// (e.g. the new value makes an operator error) poisons the session —
-    /// the cached state no longer matches the inputs. `delta` (already
-    /// applied to the inputs) renumbers the old row identities.
-    fn rerun(&mut self, src: usize, delta: &Delta) -> Result<DeltaOutcome> {
-        let old = self.row_keys();
-        if let Err(e) = self.execute() {
+    fn node_mut(&mut self, idx: usize) -> &mut NodeResult {
+        self.run
+            .memo
+            .get_mut(&idx)
+            .expect("every traced node is memoized")
+    }
+
+    /// Drop the nodes from position `at` of the evaluation order on: their
+    /// results and traces, and the arena nodes they interned.
+    fn cut(&mut self, at: usize) {
+        let run = &mut self.run;
+        if let Some(&len) = run.trace.arena_starts.get(at) {
+            run.arena.truncate(len);
+        }
+        for idx in run.trace.order.drain(at..) {
+            run.memo.remove(&idx);
+            run.trace.nodes.remove(&idx);
+        }
+        run.trace.arena_starts.truncate(at);
+    }
+
+    /// Re-execute the nodes from position `at` of the evaluation order on
+    /// over the mutated inputs, keeping every earlier node's maintained
+    /// table, provenance and trace. A failure here (e.g. the new value
+    /// makes an operator error) poisons the session — the cached state no
+    /// longer matches the inputs. `old` are the root row identities before
+    /// the delta, which `delta` (already applied to the inputs) renumbers.
+    fn rerun_from(
+        &mut self,
+        at: usize,
+        old: RowKeys,
+        src: usize,
+        delta: &Delta,
+    ) -> Result<DeltaOutcome> {
+        self.cut(at);
+        let inputs: Vec<(&str, &Table)> = self
+            .source_names
+            .iter()
+            .map(String::as_str)
+            .zip(&self.inputs)
+            .collect();
+        if let Err(e) = self
+            .executor
+            .resume(&self.plan, self.root, &inputs, &mut self.run)
+        {
             self.poisoned = true;
             return Err(e);
         }
         let row_map = match_rows(old, &self.row_keys(), src, delta);
         self.stats.applied += 1;
         self.stats.reruns += 1;
+        self.stats.nodes_rerun += self.run.trace.order.len() - at;
         Ok(DeltaOutcome {
             path: DeltaPath::Rerun,
             affected_rows: (0..row_map.len())
@@ -428,6 +499,150 @@ impl PipelineSession {
                 .collect(),
             row_map,
         })
+    }
+
+    /// Delete source row `row` of source `src` (already removed from the
+    /// input): drop its rows along the row maps, and splice when that
+    /// reaches the root or rerun from where it stops.
+    fn delete(&mut self, src: usize, row: usize, delta: &Delta) -> Result<DeltaOutcome> {
+        let (kept, at) = self.removal_walk(src, row);
+        let reaches_root = at == self.run.trace.order.len();
+        let old = (!reaches_root).then(|| self.row_keys());
+        self.cut(at);
+        if let Err(e) = self.remove_rows(&kept, TupleId::new(src as u32, row as u32)) {
+            self.poisoned = true;
+            return Err(e);
+        }
+        if let Some(old) = old {
+            return self.rerun_from(at, old, src, delta);
+        }
+        self.stats.applied += 1;
+        self.stats.splices += 1;
+        let row_map = match kept.get(&self.root.index()) {
+            Some(rows) => rows.iter().copied().map(Some).collect(),
+            None => (0..self.table().n_rows()).map(Some).collect(),
+        };
+        Ok(DeltaOutcome {
+            path: DeltaPath::Splice,
+            affected_rows: Vec::new(),
+            row_map,
+        })
+    }
+
+    /// Follow a delete of row `row` of source `src` through the evaluation
+    /// order. Returns the surviving rows (old indices, ascending) of every
+    /// node that loses rows, and the position where the rerun has to take
+    /// over: the first node that loses input rows on an input without the
+    /// local-delete declaration, or whose input would become empty — or
+    /// the order's length when the removal reaches the root.
+    fn removal_walk(&self, src: usize, row: usize) -> (FxHashMap<usize, Vec<usize>>, usize) {
+        let mut kept: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+        for (at, &idx) in self.run.trace.order.iter().enumerate() {
+            let n = self.node_table(idx).n_rows();
+            let from = match &self.run.trace.nodes[&idx] {
+                NodeTrace::Source { source } => {
+                    if *source as usize == src {
+                        kept.insert(idx, (0..n).filter(|&r| r != row).collect());
+                    }
+                    continue;
+                }
+                NodeTrace::RowMap { from } => from,
+            };
+            let id = NodeId(idx);
+            let node = self.plan.node(id).expect("a traced node is in the plan");
+            let children = self
+                .plan
+                .children(id)
+                .expect("a traced node is in the plan");
+            let mut lost: Option<Vec<bool>> = None;
+            for (i, child) in children.iter().enumerate() {
+                let Some(survivors) = kept.get(&child.index()) else {
+                    continue;
+                };
+                if survivors.is_empty() || !node.deletes_rows_locally(i) {
+                    return (kept, at);
+                }
+                let mut gone = vec![true; self.node_table(child.index()).n_rows()];
+                for &r in survivors {
+                    gone[r] = false;
+                }
+                let lost = lost.get_or_insert_with(|| vec![false; n]);
+                for (out, r) in from[i].iter().enumerate() {
+                    lost[out] |= r.is_some_and(|r| gone[r]);
+                }
+            }
+            if let Some(lost) = lost.filter(|l| l.contains(&true)) {
+                kept.insert(idx, (0..n).filter(|&r| !lost[r]).collect());
+            }
+        }
+        (kept, self.run.trace.order.len())
+    }
+
+    /// Apply a removal walk to every node of the (cut) run: keep only the
+    /// `kept` rows of the nodes that lose rows — tables, provenance and
+    /// row maps — renumber the row maps into inputs that lost rows, and
+    /// remove tuple `t` from the arena.
+    fn remove_rows(&mut self, kept: &FxHashMap<usize, Vec<usize>>, t: TupleId) -> Result<()> {
+        // The new index of every surviving row of each node that lost rows.
+        let renumber: FxHashMap<usize, Vec<usize>> = kept
+            .iter()
+            .map(|(&idx, rows)| {
+                let mut new = vec![NO_ROW; self.node_table(idx).n_rows()];
+                for (j, &r) in rows.iter().enumerate() {
+                    new[r] = j;
+                }
+                (idx, new)
+            })
+            .collect();
+        let run = &mut self.run;
+        let ids = run.arena.remove_tuple(t);
+        for &idx in &run.trace.order {
+            let (table, prov) = run
+                .memo
+                .get_mut(&idx)
+                .expect("every traced node is memoized");
+            let rows = kept.get(&idx);
+            if let Some(rows) = rows {
+                *table = table.take(rows)?;
+            }
+            if let Some(p) = prov.as_mut() {
+                let remap = |r: usize| {
+                    ids[p[r].index()].expect("a surviving row's provenance lacks the deleted tuple")
+                };
+                *p = match rows {
+                    Some(rows) => rows.iter().map(|&r| remap(r)).collect(),
+                    None => (0..p.len()).map(remap).collect(),
+                };
+            }
+            let Some(NodeTrace::RowMap { from }) = run.trace.nodes.get_mut(&idx) else {
+                continue;
+            };
+            for (map, child) in from.iter_mut().zip(self.plan.children(NodeId(idx))?) {
+                if let Some(rows) = rows {
+                    *map = rows.iter().map(|&r| map[r]).collect();
+                }
+                if let Some(new) = renumber.get(&child.index()) {
+                    for r in map.iter_mut().flatten() {
+                        *r = new[*r];
+                    }
+                }
+            }
+        }
+        // A node's new arena start is the number of surviving arena nodes
+        // below its old start (starts ascend along the order).
+        let starts = &mut run.trace.arena_starts;
+        let (mut below, mut next) = (0, 0);
+        for (old, id) in ids.iter().enumerate() {
+            while next < starts.len() && starts[next] == old {
+                starts[next] = below;
+                next += 1;
+            }
+            below += usize::from(id.is_some());
+        }
+        for s in &mut starts[next..] {
+            *s = below;
+        }
+        Ok(())
     }
 
     /// The identity of every root row, read from the traced row maps.
@@ -451,7 +666,7 @@ impl PipelineSession {
     /// depth first in [`Plan::children`] order, pushing one
     /// `(source, source rows)` column per path.
     fn descend(&self, node: NodeId, rows: Vec<usize>, paths: &mut Vec<(usize, Vec<usize>)>) {
-        match &self.traces[&node.index()] {
+        match &self.run.trace.nodes[&node.index()] {
             NodeTrace::Source { source } => paths.push((*source as usize, rows)),
             NodeTrace::RowMap { from } => {
                 let children = self
@@ -469,141 +684,154 @@ impl PipelineSession {
         }
     }
 
-    fn commit_cell_patch(&mut self, plan: CellPatchPlan) -> DeltaOutcome {
-        for (idx, t) in plan.new_tables {
-            self.tables.insert(idx, t);
-        }
+    fn commit_cell_patch(&mut self, root_affected: Vec<usize>) -> DeltaOutcome {
         self.stats.applied += 1;
         self.stats.cell_patches += 1;
-        self.stats.rows_patched += plan.root_affected.len();
+        self.stats.rows_patched += root_affected.len();
         DeltaOutcome {
             path: DeltaPath::CellPatch,
-            affected_rows: plan.root_affected,
+            affected_rows: root_affected,
             row_map: (0..self.table().n_rows()).map(Some).collect(),
         }
     }
 
     /// The cell-patch walk: propagate `(source, row, column)` taint through
-    /// the DAG without re-deciding any routing. Every node reads the same
-    /// two things: the declarations on its [`crate::plan::PlanNode`]
-    /// (routing columns, the output name of each carried column, a derived
-    /// column) and its traced row maps. An output row is affected when it
-    /// was built from an affected input row; its carried columns are copied
-    /// from that row, and a derived column whose expression reads a tainted
-    /// column is re-evaluated. `Ok(None)` means a tainted column feeds a
-    /// routing decision — the caller falls back to a rerun. `Err` means
-    /// re-evaluating a derived column failed (rerun reproduces the report).
+    /// the DAG without re-deciding any routing, writing the new `value`
+    /// into the maintained tables in place. Every node reads the same two
+    /// things: the declarations on its [`crate::plan::PlanNode`] (routing
+    /// columns, the output name of each carried column, a derived column)
+    /// and its traced row maps. An output row is affected when it was built
+    /// from an affected input row; its carried columns are copied from that
+    /// row, and a derived column whose expression reads a tainted column is
+    /// re-evaluated. The walk stops at the first node where a tainted
+    /// column feeds a routing decision or patching fails; the nodes before
+    /// it hold what a fresh run computes for them, and the rerun resumes
+    /// there (and reproduces any error).
     fn cell_patch_walk(
-        &self,
+        &mut self,
         src: usize,
         row: usize,
         column: &str,
-    ) -> Result<Option<CellPatchPlan>> {
+        value: &Value,
+    ) -> PatchWalk {
         let mut states: FxHashMap<usize, PatchState> = FxHashMap::default();
-        let mut new_tables: FxHashMap<usize, Table> = FxHashMap::default();
-        for &idx in &self.order {
-            let from = match &self.traces[&idx] {
-                NodeTrace::Source { source } => {
-                    if *source as usize == src {
-                        let mut t = self.inputs[src].clone();
-                        t.set_name(self.tables[&idx].name());
-                        new_tables.insert(idx, t);
-                        let tainted = vec![column.to_string()];
-                        let affected = vec![row];
-                        states.insert(idx, PatchState { affected, tainted });
-                    }
-                    continue;
+        for at in 0..self.run.trace.order.len() {
+            let idx = self.run.trace.order[at];
+            let patch = match &self.run.trace.nodes[&idx] {
+                NodeTrace::Source { source } if *source as usize == src => {
+                    let cells = vec![(row, column.to_string(), value.clone())];
+                    let tainted = vec![column.to_string()];
+                    let affected = vec![row];
+                    Ok(NodePatch::Patched(cells, PatchState { affected, tainted }))
                 }
-                NodeTrace::RowMap { from } => from,
+                NodeTrace::Source { .. } => continue,
+                NodeTrace::RowMap { from } => self.patch_node(idx, from, &states),
             };
-            let id = NodeId(idx);
-            let node = self.plan.node(id)?;
-            let children = self.plan.children(id)?;
-            let first = table_of(&new_tables, &self.tables, children[0].index());
-            // Read phase: the inputs the update reached, and the cell values
-            // to copy from their (already patched) tables.
-            let mut live: Vec<LiveInput> = Vec::new();
-            let mut tainted: Vec<String> = Vec::new();
-            for (i, child) in children.iter().enumerate() {
-                let Some(cs) = states.get(&child.index()) else {
-                    continue;
-                };
-                let routing = node.routing_columns(i);
-                if cs.tainted.iter().any(|c| routing.contains(&c.as_str())) {
-                    return Ok(None);
-                }
-                let table = table_of(&new_tables, &self.tables, child.index());
-                let carried: Vec<(&str, String)> = cs
-                    .tainted
-                    .iter()
-                    .filter_map(|c| Some((c.as_str(), node.output_column(i, c, first)?)))
-                    .collect();
-                for (_, out) in &carried {
-                    if !tainted.contains(out) {
-                        tainted.push(out.clone());
+            match patch {
+                Ok(NodePatch::Untouched) => {}
+                Ok(NodePatch::Patched(cells, state)) => {
+                    let table = &mut self.node_mut(idx).0;
+                    for (r, c, v) in cells {
+                        if table.set(r, &c, v).is_err() {
+                            return PatchWalk::StopAt(at);
+                        }
                     }
+                    states.insert(idx, state);
                 }
-                live.push(LiveInput {
-                    rows: &from[i],
-                    hit: affected_mask(cs, table.n_rows()),
-                    table,
-                    carried,
-                });
+                Ok(NodePatch::Reroute) | Err(_) => return PatchWalk::StopAt(at),
             }
-            // A derived column is computed from the first input's row.
-            let recompute = node.derived_column().filter(|(_, expr)| {
-                let reads = expr.columns();
-                states
-                    .get(&children[0].index())
-                    .is_some_and(|s| s.tainted.iter().any(|t| reads.contains(&t.as_str())))
-            });
-            if let Some((derived, _)) = recompute {
-                tainted.push(derived.to_string());
-            }
-            if tainted.is_empty() {
-                continue; // untouched, or every changed column is dropped
-            }
-            let mut affected = Vec::new();
-            let mut patches: Vec<(usize, String, Value)> = Vec::new();
-            for (out, first_row) in from[0].iter().enumerate() {
-                let mut hit = false;
-                for input in &live {
-                    let Some(r) = input.rows[out].filter(|&r| input.hit[r]) else {
-                        continue;
-                    };
-                    hit = true;
-                    for (c, oc) in &input.carried {
-                        patches.push((out, oc.clone(), input.table.get(r, c)?));
-                    }
-                }
-                if !hit {
-                    continue;
-                }
-                affected.push(out);
-                if let Some((derived, expr)) = recompute {
-                    let r = first_row.expect("derived from an input row");
-                    patches.push((out, derived.to_string(), guarded(|| expr.eval(first, r))?));
-                }
-            }
-            if affected.is_empty() {
-                continue;
-            }
-            // Write phase: patch a copy of this node's table.
-            let mut t = self.tables[&idx].clone();
-            for (r, c, v) in patches {
-                t.set(r, &c, v)?;
-            }
-            new_tables.insert(idx, t);
-            states.insert(idx, PatchState { affected, tainted });
         }
         let root_affected = states
             .remove(&self.root.index())
             .map(|s| s.affected)
             .unwrap_or_default();
-        Ok(Some(CellPatchPlan {
-            new_tables,
-            root_affected,
-        }))
+        PatchWalk::Done(root_affected)
+    }
+
+    /// One node of the cell-patch walk: the cells to write, read from its
+    /// inputs' (already patched) tables and their patch `states`.
+    fn patch_node(
+        &self,
+        idx: usize,
+        from: &[Vec<Option<usize>>],
+        states: &FxHashMap<usize, PatchState>,
+    ) -> Result<NodePatch> {
+        let id = NodeId(idx);
+        let node = self.plan.node(id)?;
+        let children = self.plan.children(id)?;
+        let first = self.node_table(children[0].index());
+        // Read phase: the inputs the update reached, and the cell values
+        // to copy from their (already patched) tables.
+        let mut live: Vec<LiveInput> = Vec::new();
+        let mut tainted: Vec<String> = Vec::new();
+        for (i, child) in children.iter().enumerate() {
+            let Some(cs) = states.get(&child.index()) else {
+                continue;
+            };
+            let routing = node.routing_columns(i);
+            if cs.tainted.iter().any(|c| routing.contains(&c.as_str())) {
+                return Ok(NodePatch::Reroute);
+            }
+            let table = self.node_table(child.index());
+            let carried: Vec<(&str, String)> = cs
+                .tainted
+                .iter()
+                .filter_map(|c| Some((c.as_str(), node.output_column(i, c, first)?)))
+                .collect();
+            for (_, out) in &carried {
+                if !tainted.contains(out) {
+                    tainted.push(out.clone());
+                }
+            }
+            live.push(LiveInput {
+                rows: &from[i],
+                hit: affected_mask(cs, table.n_rows()),
+                table,
+                carried,
+            });
+        }
+        // A derived column is computed from the first input's row.
+        let recompute = node.derived_column().filter(|(_, expr)| {
+            let reads = expr.columns();
+            states
+                .get(&children[0].index())
+                .is_some_and(|s| s.tainted.iter().any(|t| reads.contains(&t.as_str())))
+        });
+        if let Some((derived, _)) = recompute {
+            tainted.push(derived.to_string());
+        }
+        if tainted.is_empty() {
+            return Ok(NodePatch::Untouched); // every changed column is dropped
+        }
+        let mut affected = Vec::new();
+        let mut patches: Vec<(usize, String, Value)> = Vec::new();
+        for (out, first_row) in from[0].iter().enumerate() {
+            let mut hit = false;
+            for input in &live {
+                let Some(r) = input.rows[out].filter(|&r| input.hit[r]) else {
+                    continue;
+                };
+                hit = true;
+                for (c, oc) in &input.carried {
+                    patches.push((out, oc.clone(), input.table.get(r, c)?));
+                }
+            }
+            if !hit {
+                continue;
+            }
+            affected.push(out);
+            if let Some((derived, expr)) = recompute {
+                let r = first_row.expect("derived from an input row");
+                patches.push((out, derived.to_string(), guarded(|| expr.eval(first, r))?));
+            }
+        }
+        if affected.is_empty() {
+            return Ok(NodePatch::Untouched);
+        }
+        Ok(NodePatch::Patched(
+            patches,
+            PatchState { affected, tainted },
+        ))
     }
 }
 
@@ -707,29 +935,34 @@ mod tests {
             .executor
             .run_traced(&session.plan, session.root, &inputs)
             .expect("fresh run succeeds");
-        let (out, trace, memo) = fresh;
-        assert_eq!(session.table(), &out.table, "root table diverged");
-        let lineage = out.provenance.expect("provenance on");
+        let root = &fresh.memo[&session.root.index()];
+        assert_eq!(session.table(), &root.0, "root table diverged");
+        let lineage = Lineage::new(
+            session.source_names.clone(),
+            fresh.arena.clone(),
+            root.1.clone().expect("provenance on"),
+        );
         assert_eq!(session.lineage(), lineage, "lineage diverged");
-        assert_eq!(session.order, trace.order, "evaluation order diverged");
-        for (idx, tr) in &trace.nodes {
+        assert_eq!(
+            session.run.trace.order, fresh.trace.order,
+            "evaluation order diverged"
+        );
+        assert_eq!(
+            session.run.trace.arena_starts, fresh.trace.arena_starts,
+            "arena starts diverged"
+        );
+        assert_eq!(session.run.memo.len(), fresh.memo.len());
+        for (idx, tr) in &fresh.trace.nodes {
             assert_eq!(
-                session.traces.get(idx),
+                session.run.trace.nodes.get(idx),
                 Some(tr),
                 "trace diverged at node {idx}"
             );
         }
-        for (idx, (table, prov)) in &memo {
-            assert_eq!(
-                session.tables.get(idx),
-                Some(table),
-                "table diverged at node {idx}"
-            );
-            assert_eq!(
-                session.provs.get(idx).cloned(),
-                prov.clone(),
-                "provenance ids diverged at node {idx}"
-            );
+        for (idx, (table, prov)) in &fresh.memo {
+            let (kept_table, kept_prov) = &session.run.memo[idx];
+            assert_eq!(kept_table, table, "table diverged at node {idx}");
+            assert_eq!(kept_prov, prov, "provenance ids diverged at node {idx}");
         }
     }
 
@@ -969,16 +1202,17 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.path, DeltaPath::Rerun);
         assert_matches_fresh(&session);
-        // Delete a letters row — rerun again.
+        // Delete a letters row: its rows are dropped along the row maps.
         let outcome = session
             .apply(&Delta::Delete {
                 source: "train_df".into(),
                 row: 3,
             })
             .unwrap();
-        assert_eq!(outcome.path, DeltaPath::Rerun);
+        assert_eq!(outcome.path, DeltaPath::Splice);
         assert_matches_fresh(&session);
-        assert_eq!(session.stats().reruns, 2);
+        assert_eq!(session.stats().reruns, 1);
+        assert_eq!(session.stats().splices, 1);
     }
 
     /// `(fresh rows, surviving rows, removed old rows)` of a rerun outcome.
@@ -1007,20 +1241,29 @@ mod tests {
                     .find(|&r| letters.get(r, "person_id").unwrap() == pid)
                     .unwrap()
             };
+            // How many plan nodes the last apply re-executed.
+            let mut nodes_before = 0;
+            let mut rerun_nodes = |session: &PipelineSession| {
+                let nodes = session.stats().nodes_rerun;
+                nodes - std::mem::replace(&mut nodes_before, nodes)
+            };
             // Deleting a letter that reaches the output removes exactly its
-            // row; every later row survives one position down.
+            // row; every later row survives one position down. No node
+            // runs: the letters side of both joins declares local deletes.
             let n = session.table().n_rows();
             let row = letter_of(&session, 3);
             let delete = Delta::Delete {
                 source: "train_df".into(),
                 row,
             };
-            let outcome = apply_mapped(&mut session, &delete, DeltaPath::Rerun);
+            let outcome = apply_mapped(&mut session, &delete, DeltaPath::Splice);
             assert_eq!(census(&outcome, n), (0, n - 1, 1));
             let expect: Vec<Option<usize>> = (0..n).filter(|&o| o != 3).map(Some).collect();
             assert_eq!(outcome.row_map, expect);
+            assert_eq!(rerun_nodes(&session), 0);
 
-            // Re-inserting it appends one fresh row and keeps the rest.
+            // Re-inserting it appends one fresh row and keeps the rest; the
+            // letters scan is the first node, so all seven re-execute.
             let values = s.letters.row(row).unwrap();
             let n = session.table().n_rows();
             let insert = Delta::Insert {
@@ -1029,6 +1272,7 @@ mod tests {
             };
             let outcome = apply_mapped(&mut session, &insert, DeltaPath::Rerun);
             assert_eq!(census(&outcome, n), (1, n, 0));
+            assert_eq!(rerun_nodes(&session), 7);
 
             // A `sector` fix moves one job's letters out of the filter, then
             // back in: removed rows, then as many fresh ones.
@@ -1044,10 +1288,12 @@ mod tests {
                 column: "sector".into(),
                 value: Value::Str("tech".into()),
             };
+            // The joins are patched; the filter and the projection rerun.
             let outcome = apply_mapped(&mut session, &out_of, DeltaPath::Rerun);
             let (fresh, kept, removed) = census(&outcome, n);
             assert_eq!((fresh, kept), (0, n - removed));
             assert!(removed >= 1);
+            assert_eq!(rerun_nodes(&session), 2);
             let into = Delta::Update {
                 source: "jobdetail_df".into(),
                 row: job_row,
@@ -1056,6 +1302,7 @@ mod tests {
             };
             let outcome = apply_mapped(&mut session, &into, DeltaPath::Rerun);
             assert_eq!(census(&outcome, n - removed), (removed, n - removed, 0));
+            assert_eq!(rerun_nodes(&session), 2);
 
             // Deleting a social row turns its letter's row into a left-join
             // pad: a new identity, so one fresh row for one removed.
@@ -1075,6 +1322,11 @@ mod tests {
             );
             assert_eq!(census(&outcome, n), (1, n - 1, 1));
             assert_eq!(outcome.affected_rows, vec![0]);
+            // The social side of the left join has no local-delete
+            // declaration: the rerun resumes at the left join.
+            assert_eq!(rerun_nodes(&session), 3);
+            let stats = session.stats();
+            assert_eq!((stats.splices, stats.reruns, stats.nodes_rerun), (1, 4, 14));
         }
     }
 
@@ -1185,7 +1437,155 @@ mod tests {
                 row: 2,
             };
             apply_mapped(&mut session, &delete, DeltaPath::Rerun);
+
+            // Every row of both sources, each from a fresh session: the
+            // first and last rows, an unmatched mention (`umbrella`) and
+            // company (`Initech`), and companies two mentions match. A
+            // mention reaches `distinct` through both sides of the concat,
+            // a company the fuzzy join's right side: neither declares
+            // local deletes, so each reruns from there — except the
+            // unmatched mention, whose removal ends at the fuzzy join.
+            for (source, rows) in [("mentions", mentions.n_rows()), ("companies", 3)] {
+                for row in 0..rows {
+                    let mut fresh =
+                        PipelineSession::build(&session.executor, &plan, root, &inputs).unwrap();
+                    let delete = Delta::Delete {
+                        source: source.into(),
+                        row,
+                    };
+                    let path = if (source, row) == ("mentions", 3) {
+                        DeltaPath::Splice
+                    } else {
+                        DeltaPath::Rerun
+                    };
+                    apply_mapped(&mut fresh, &delete, path);
+                }
+            }
         }
+    }
+
+    /// Sources `a(id, k, x)`, `b(k, y)` and `c(id, z)` under an inner join
+    /// on `k`, a left join on `id`, a filter on `x`, a projection, a
+    /// selection and a concat of the selection with itself.
+    fn every_side_plan() -> (Plan, NodeId, Vec<Table>) {
+        let table = |name: &str, fields: Vec<Field>, rows: Vec<Vec<Value>>| {
+            let mut t = Table::empty(name, Schema::new(fields).unwrap());
+            for r in rows {
+                t.push_row(r).unwrap();
+            }
+            t
+        };
+        let (int, float) = (DataType::Int, DataType::Float);
+        // a: row 0 matches two `b` rows, row 2 none, row 3 fails the filter.
+        let a = table(
+            "a",
+            vec![
+                Field::new("id", int),
+                Field::new("k", int),
+                Field::new("x", float),
+            ],
+            [
+                (1, 10, 1.0),
+                (2, 20, 2.0),
+                (3, 99, 3.0),
+                (4, 10, -1.0),
+                (5, 20, 5.0),
+            ]
+            .into_iter()
+            .map(|(i, k, x)| vec![Value::Int(i), Value::Int(k), Value::Float(x)])
+            .collect(),
+        );
+        // b: row 0 matches two `a` rows, row 3 none.
+        let b = table(
+            "b",
+            vec![Field::new("k", int), Field::new("y", DataType::Str)],
+            [(10, "p"), (20, "q"), (10, "r"), (30, "s"), (20, "t")]
+                .into_iter()
+                .map(|(k, y)| vec![Value::Int(k), y.into()])
+                .collect(),
+        );
+        // c: row 0 matches two join rows, row 1 none, row 2 has a null.
+        let c = table(
+            "c",
+            vec![Field::new("id", int), Field::new("z", float)],
+            [
+                (1, Some(0.5)),
+                (7, Some(0.1)),
+                (2, None),
+                (1, Some(0.7)),
+                (5, Some(0.9)),
+            ]
+            .into_iter()
+            .map(|(i, z)| vec![Value::Int(i), z.map_or(Value::Null, Value::Float)])
+            .collect(),
+        );
+        let mut plan = Plan::new();
+        let (sa, sb, sc) = (plan.source("a"), plan.source("b"), plan.source("c"));
+        let j = plan.join(sa, sb, "k", "k", crate::plan::JoinType::Inner);
+        let l = plan.join(j, sc, "id", "id", crate::plan::JoinType::Left);
+        let f = plan.filter(l, Expr::col("x").gt(Expr::float(0.0)));
+        let p = plan.project(f, "has_z", Expr::col("z").is_not_null());
+        let s = plan.select(p, &["id", "y", "z", "has_z"]);
+        let root = plan.concat(s, s);
+        (plan, root, vec![a, b, c])
+    }
+
+    #[test]
+    fn deletes_on_every_side_of_every_operator_match_a_fresh_run() {
+        let (plan, root, tables) = every_side_plan();
+        let inputs: Vec<(&str, &Table)> = ["a", "b", "c"].into_iter().zip(&tables).collect();
+        let mut nodes: Vec<Vec<usize>> = Vec::new();
+        for threads in [1, 2, 4, 7] {
+            let executor = Executor::new().with_threads(threads);
+            let build = || PipelineSession::build(&executor, &plan, root, &inputs).unwrap();
+            let mut counts = Vec::new();
+            // Every row of every source (first, last, unmatched and
+            // multiply matched among them), each from a fresh session.
+            // `a` and `b` reach only sides that declare local deletes and
+            // splice; `c` is the left join's right side and reruns the five
+            // nodes from the left join on.
+            for (source, path) in [
+                ("a", DeltaPath::Splice),
+                ("b", DeltaPath::Splice),
+                ("c", DeltaPath::Rerun),
+            ] {
+                for row in 0..5 {
+                    let mut session = build();
+                    let delete = Delta::Delete {
+                        source: source.into(),
+                        row,
+                    };
+                    apply_mapped(&mut session, &delete, path);
+                    counts.push(session.stats().nodes_rerun);
+                }
+            }
+            // Deleting the `a` rows that pass the filter (ids 1, 2, 5) and
+            // then the rest. The third delete empties the filter's output
+            // while its input keeps id 4's rows: the projection, whose
+            // column over zero rows is typed `Bool`, reruns with the two
+            // nodes after it. The last one empties `a`, so the inner join
+            // and every node after it in the evaluation order rerun: seven
+            // with the `c` scan.
+            let mut session = build();
+            let (s, r) = (DeltaPath::Splice, DeltaPath::Rerun);
+            for (row, path, rerun) in [(0, s, 0), (0, s, 0), (2, r, 3), (0, s, 0), (0, r, 7)] {
+                let delete = Delta::Delete {
+                    source: "a".into(),
+                    row,
+                };
+                let before = session.stats().nodes_rerun;
+                apply_mapped(&mut session, &delete, path);
+                assert_eq!(session.stats().nodes_rerun - before, rerun, "{delete:?}");
+                if rerun == 3 {
+                    let has_z = session.table().schema().field("has_z").unwrap();
+                    assert_eq!(has_z.dtype, DataType::Bool);
+                }
+            }
+            assert_eq!(session.table().n_rows(), 0);
+            nodes.push(counts);
+        }
+        assert_eq!(nodes[0], [[0; 10].as_slice(), &[5; 5]].concat());
+        assert!(nodes.iter().all(|n| n == &nodes[0]), "{nodes:?}");
     }
 
     #[test]

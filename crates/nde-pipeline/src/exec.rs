@@ -120,15 +120,30 @@ pub enum NodeTrace {
     },
 }
 
-/// Everything a traced run records beyond its output: per-node row maps
-/// and the order nodes were first evaluated in (children before
-/// parents).
-#[derive(Debug, Clone, Default)]
+/// Everything a traced run records beyond its output: per-node row maps,
+/// the order nodes were first evaluated in (children before parents), and
+/// where each node's provenance begins in the arena.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecTrace {
     /// Node ids in first-evaluation order.
     pub order: Vec<usize>,
+    /// `arena_starts[p]`: the arena length when node `order[p]` began
+    /// interning, after its inputs were evaluated. The nodes before `p` in
+    /// the order interned exactly the arena's first `arena_starts[p]`
+    /// nodes.
+    pub arena_starts: Vec<usize>,
     /// What each node did to its inputs' rows, per node id.
     pub nodes: FxHashMap<usize, NodeTrace>,
+}
+
+/// A traced run's complete state: its trace, every node's result, and the
+/// provenance arena. [`Executor::resume`] continues it after some nodes
+/// were removed from it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunState {
+    pub(crate) trace: ExecTrace,
+    pub(crate) memo: FxHashMap<usize, NodeResult>,
+    pub(crate) arena: ProvArena,
 }
 
 impl Executor {
@@ -184,8 +199,23 @@ impl Executor {
 
     /// Execute `root` of `plan` over the named `inputs`.
     pub fn run(&self, plan: &Plan, root: NodeId, inputs: &[(&str, &Table)]) -> Result<ExecOutput> {
-        self.run_impl(plan, root, inputs, &mut None)
-            .map(|(out, _)| out)
+        let mut memo = FxHashMap::default();
+        let mut arena = ProvArena::new();
+        let mut quarantined = Vec::new();
+        let (table, prov) = self.run_impl(
+            plan,
+            root,
+            inputs,
+            &mut memo,
+            &mut arena,
+            &mut quarantined,
+            &mut None,
+        )?;
+        Ok(ExecOutput {
+            table,
+            provenance: prov.map(|rows| Lineage::new(plan_sources(plan), arena, rows)),
+            quarantined,
+        })
     }
 
     /// Execute like [`Executor::run`] while recording every operator's
@@ -197,21 +227,57 @@ impl Executor {
         plan: &Plan,
         root: NodeId,
         inputs: &[(&str, &Table)],
-    ) -> Result<(ExecOutput, ExecTrace, FxHashMap<usize, NodeResult>)> {
-        let mut trace = Some(ExecTrace::default());
-        let (out, memo) = self.run_impl(plan, root, inputs, &mut trace)?;
-        Ok((out, trace.expect("trace present"), memo))
+    ) -> Result<RunState> {
+        let mut state = RunState::default();
+        self.resume(plan, root, inputs, &mut state)?;
+        Ok(state)
     }
 
+    /// Continue a traced run: evaluate every node below `root` that
+    /// `state.memo` lacks, reusing the memoized results of the others.
+    ///
+    /// When `state` is a traced run cut back to its first `p` nodes in
+    /// evaluation order (their memo entries, traces and
+    /// `trace.arena_starts[p]` arena nodes), the nodes evaluated are exactly
+    /// the old run's `order[p..]`, in that order: the depth-first walk
+    /// meets the kept nodes as memo hits where the old walk had evaluated
+    /// them. The result is then the state a fresh traced run over the same
+    /// inputs reaches, provided the kept state is what that fresh run
+    /// would have computed for the first `p` nodes.
+    pub(crate) fn resume(
+        &self,
+        plan: &Plan,
+        root: NodeId,
+        inputs: &[(&str, &Table)],
+        state: &mut RunState,
+    ) -> Result<()> {
+        let mut trace = Some(std::mem::take(&mut state.trace));
+        let mut quarantined = Vec::new();
+        let result = self.run_impl(
+            plan,
+            root,
+            inputs,
+            &mut state.memo,
+            &mut state.arena,
+            &mut quarantined,
+            &mut trace,
+        );
+        state.trace = trace.expect("trace present");
+        result.map(drop)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn run_impl(
         &self,
         plan: &Plan,
         root: NodeId,
         inputs: &[(&str, &Table)],
+        memo: &mut FxHashMap<usize, NodeResult>,
+        arena: &mut ProvArena,
+        quarantined: &mut Vec<QuarantinedTuple>,
         trace: &mut Option<ExecTrace>,
-    ) -> Result<(ExecOutput, FxHashMap<usize, NodeResult>)> {
-        let source_names: Vec<String> =
-            plan.source_names().into_iter().map(str::to_owned).collect();
+    ) -> Result<NodeResult> {
+        let source_names = plan_sources(plan);
         let mut input_map: FxHashMap<&str, &Table> = FxHashMap::default();
         for (name, table) in inputs {
             input_map.insert(name, table);
@@ -221,27 +287,16 @@ impl Executor {
                 return Err(PipelineError::MissingInput(name.clone()));
             }
         }
-        let mut memo: FxHashMap<usize, NodeResult> = FxHashMap::default();
-        let mut quarantined = Vec::new();
-        let mut arena = ProvArena::new();
-        let (table, prov) = self.eval(
+        self.eval(
             plan,
             root,
             &source_names,
             &input_map,
-            &mut arena,
-            &mut memo,
-            &mut quarantined,
-            trace,
-        )?;
-        Ok((
-            ExecOutput {
-                table,
-                provenance: prov.map(|rows| Lineage::new(source_names, arena, rows)),
-                quarantined,
-            },
+            arena,
             memo,
-        ))
+            quarantined,
+            trace,
+        )
     }
 
     /// Evaluate `eval(row)` for every row under the panic guard, in
@@ -347,6 +402,7 @@ impl Executor {
                 trace,
             )?);
         }
+        let arena_start = arena.len();
         let mut args = args.into_iter();
         let mut arg = || args.next().expect("one result per child");
         // Row maps are built only for traced runs (memo hits above never
@@ -542,11 +598,17 @@ impl Executor {
         };
         if let Some(tr) = trace {
             tr.order.push(id.index());
+            tr.arena_starts.push(arena_start);
             tr.nodes.insert(id.index(), node_trace);
         }
         memo.insert(id.index(), result.clone());
         Ok(result)
     }
+}
+
+/// The plan's source names, in [`TupleId::source`] order.
+fn plan_sources(plan: &Plan) -> Vec<String> {
+    plan.source_names().into_iter().map(str::to_owned).collect()
 }
 
 /// One input's row map from the input rows the output rows were built

@@ -101,10 +101,11 @@ pub enum PlanNode {
     },
 }
 
-/// What each operator does to its inputs' columns, in the terms the
-/// cell-patch walk of [`crate::delta::PipelineSession`] reads. Inputs are
-/// numbered in [`Plan::children`] order; which rows reach which output rows
-/// is the executor's row map ([`crate::exec::NodeTrace::RowMap`]).
+/// What each operator does to its inputs' columns and rows, in the terms
+/// the cell-patch and delete walks of [`crate::delta::PipelineSession`]
+/// read. Inputs are numbered in [`Plan::children`] order; which rows reach
+/// which output rows is the executor's row map
+/// ([`crate::exec::NodeTrace::RowMap`]).
 impl PlanNode {
     /// Columns of input `input` whose values decide which rows reach the
     /// output: join keys, filter predicate columns and the distinct key.
@@ -123,6 +124,33 @@ impl PlanNode {
             PlanNode::Filter { predicate, .. } => predicate.columns(),
             PlanNode::Distinct { key, .. } => vec![key],
             _ => Vec::new(),
+        }
+    }
+
+    /// Whether deleting a row of input `input` removes exactly the output
+    /// rows built from it and keeps every other output row unchanged and
+    /// in order. Filter, projection, selection and concat decide each
+    /// output row from one input row; an inner join pairs rows
+    /// independently on both sides; a left or fuzzy join decides a left
+    /// row's matches without looking at the other left rows, but a deleted
+    /// right row can turn a match into a pad or a different best match.
+    /// `Distinct` keeps the first of each key, which a delete can move.
+    pub(crate) fn deletes_rows_locally(&self, input: usize) -> bool {
+        match self {
+            PlanNode::Filter { .. }
+            | PlanNode::Project { .. }
+            | PlanNode::SelectColumns { .. }
+            | PlanNode::Concat { .. }
+            | PlanNode::Join {
+                how: JoinType::Inner,
+                ..
+            } => true,
+            PlanNode::Join {
+                how: JoinType::Left,
+                ..
+            }
+            | PlanNode::FuzzyJoin { .. } => input == 0,
+            PlanNode::Source { .. } | PlanNode::Distinct { .. } => false,
         }
     }
 

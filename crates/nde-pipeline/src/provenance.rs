@@ -91,11 +91,17 @@ pub enum ProvNodeRef<'a> {
 pub struct ProvArena {
     nodes: Vec<ProvNode>,
     children: Vec<ProvId>,
-    /// Structural-hash buckets for interning. Collisions are resolved by
-    /// comparing the candidate against each bucket entry, so no owned key
-    /// allocation is needed per lookup.
-    intern: FxHashMap<u64, Vec<ProvId>>,
+    /// Interning: the newest node of each structural hash. Older nodes of
+    /// the same hash follow through `chain`, so a lookup compares the
+    /// candidate against each node of its hash without owning any key.
+    intern: FxHashMap<u64, u32>,
+    /// `chain[id]`: the next older node with node `id`'s hash, or
+    /// [`NO_NODE`].
+    chain: Vec<u32>,
 }
+
+/// End of an intern chain.
+const NO_NODE: u32 = u32::MAX;
 
 /// Two arenas are equal when they hold the same nodes in the same order
 /// (the intern map is derived state).
@@ -157,17 +163,9 @@ impl ProvArena {
     /// Intern a variable node for tuple `t`.
     pub fn var(&mut self, t: TupleId) -> ProvId {
         let h = Self::hash_var(t);
-        if let Some(bucket) = self.intern.get(&h) {
-            for &id in bucket {
-                if self.nodes[id.index()] == ProvNode::Var(t) {
-                    return id;
-                }
-            }
-        }
-        let id = ProvId(self.nodes.len() as u32);
-        self.nodes.push(ProvNode::Var(t));
-        self.intern.entry(h).or_default().push(id);
-        id
+        let node = ProvNode::Var(t);
+        self.find(h, |arena, id| arena.nodes[id] == node)
+            .unwrap_or_else(|| self.push(node, h))
     }
 
     /// Intern a product node of `a` and `b`, flattening nested products:
@@ -200,17 +198,13 @@ impl ProvArena {
 
     fn intern_compound(&mut self, tag: u64, kids: &[ProvId]) -> ProvId {
         let h = Self::hash_compound(tag, kids);
-        if let Some(bucket) = self.intern.get(&h) {
-            for &id in bucket {
-                let (start, len, node_tag) = match self.nodes[id.index()] {
-                    ProvNode::Times { start, len } => (start, len, TIMES_TAG),
-                    ProvNode::Plus { start, len } => (start, len, PLUS_TAG),
-                    ProvNode::Var(_) => continue,
-                };
-                if node_tag == tag && self.kids_of(start, len) == kids {
-                    return id;
-                }
-            }
+        let found = self.find(h, |arena, id| match arena.nodes[id] {
+            ProvNode::Times { start, len } => tag == TIMES_TAG && arena.kids_of(start, len) == kids,
+            ProvNode::Plus { start, len } => tag == PLUS_TAG && arena.kids_of(start, len) == kids,
+            ProvNode::Var(_) => false,
+        });
+        if let Some(id) = found {
+            return id;
         }
         let start = self.children.len() as u32;
         self.children.extend_from_slice(kids);
@@ -220,10 +214,120 @@ impl ProvArena {
         } else {
             ProvNode::Plus { start, len }
         };
-        let id = ProvId(self.nodes.len() as u32);
+        self.push(node, h)
+    }
+
+    /// The node of hash `h` that `same` accepts, walking the intern chain
+    /// from the newest node of that hash.
+    fn find(&self, h: u64, same: impl Fn(&ProvArena, usize) -> bool) -> Option<ProvId> {
+        let mut id = *self.intern.get(&h)?;
+        while id != NO_NODE {
+            if same(self, id as usize) {
+                return Some(ProvId(id));
+            }
+            id = self.chain[id as usize];
+        }
+        None
+    }
+
+    /// Append `node` (of structural hash `h`) as the newest node of its
+    /// hash.
+    fn push(&mut self, node: ProvNode, h: u64) -> ProvId {
+        let id = self.nodes.len() as u32;
         self.nodes.push(node);
-        self.intern.entry(h).or_default().push(id);
-        id
+        self.chain
+            .push(self.intern.insert(h, id).unwrap_or(NO_NODE));
+        ProvId(id)
+    }
+
+    /// The structural hash node `id` was interned under.
+    fn hash_of(&self, id: usize) -> u64 {
+        match self.nodes[id] {
+            ProvNode::Var(t) => Self::hash_var(t),
+            ProvNode::Times { start, len } => {
+                Self::hash_compound(TIMES_TAG, self.kids_of(start, len))
+            }
+            ProvNode::Plus { start, len } => {
+                Self::hash_compound(PLUS_TAG, self.kids_of(start, len))
+            }
+        }
+    }
+
+    /// Drop every node from id `len` on, as if they had never been
+    /// interned.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for id in (len..self.nodes.len()).rev() {
+            let h = self.hash_of(id);
+            match self.chain[id] {
+                NO_NODE => self.intern.remove(&h),
+                older => self.intern.insert(h, older),
+            };
+            if let ProvNode::Times { start, .. } | ProvNode::Plus { start, .. } = self.nodes[id] {
+                self.children.truncate(start as usize);
+            }
+        }
+        self.nodes.truncate(len);
+        self.chain.truncate(len);
+    }
+
+    /// Remove source tuple `t` as a delete of its row removes it: drop
+    /// every node whose polynomial contains `t`, renumber the later rows of
+    /// `t`'s source down by one, and renumber the surviving nodes densely
+    /// in their old order. Returns the new id of every old node (`None`
+    /// for a dropped one).
+    ///
+    /// When the rows that requested the dropped nodes are exactly the rows
+    /// a fresh run no longer builds, and every other request comes in the
+    /// same order, the result is the arena that fresh run interns: each
+    /// surviving node is first requested by the same surviving row.
+    pub fn remove_tuple(&mut self, t: TupleId) -> Vec<Option<ProvId>> {
+        let mut map: Vec<Option<ProvId>> = Vec::with_capacity(self.nodes.len());
+        let (mut n_nodes, mut n_kids) = (0usize, 0usize);
+        self.intern.clear();
+        self.chain.clear();
+        // Surviving nodes and child slots move only down, so both buffers
+        // are compacted in place.
+        for id in 0..self.nodes.len() {
+            let node = match self.nodes[id] {
+                ProvNode::Var(v) if v == t => None,
+                ProvNode::Var(v) => Some(ProvNode::Var(TupleId {
+                    source: v.source,
+                    row: v.row - u32::from(v.source == t.source && v.row > t.row),
+                })),
+                ProvNode::Times { start, len } | ProvNode::Plus { start, len } => {
+                    let new_start = n_kids;
+                    let kept = (start..start + len).all(|k| {
+                        let kid = map[self.children[k as usize].index()];
+                        if let Some(kid) = kid {
+                            self.children[n_kids] = kid;
+                            n_kids += 1;
+                        }
+                        kid.is_some()
+                    });
+                    let start = new_start as u32;
+                    match self.nodes[id] {
+                        _ if !kept => {
+                            n_kids = new_start;
+                            None
+                        }
+                        ProvNode::Times { .. } => Some(ProvNode::Times { start, len }),
+                        _ => Some(ProvNode::Plus { start, len }),
+                    }
+                }
+            };
+            map.push(node.map(|node| {
+                self.nodes[n_nodes] = node;
+                n_nodes += 1;
+                let h = self.hash_of(n_nodes - 1);
+                let new = ProvId(n_nodes as u32 - 1);
+                self.chain
+                    .push(self.intern.insert(h, new.0).unwrap_or(NO_NODE));
+                new
+            }));
+        }
+        self.nodes.truncate(n_nodes);
+        self.children.truncate(n_kids);
+        map
     }
 
     /// Iterate over all nodes in id order (children before parents).
@@ -547,6 +651,28 @@ mod tests {
         let mut arena = ProvArena::new();
         let a = arena.var(t(0, 0));
         assert_eq!(arena.plus(&[a]), a);
+    }
+
+    #[test]
+    fn truncate_forgets_the_cut_nodes() {
+        let mut arena = ProvArena::new();
+        let a = arena.var(t(0, 0));
+        let b = arena.var(t(1, 0));
+        let ab = arena.times(a, b);
+        let kept = arena.clone();
+        let c = arena.var(t(0, 1));
+        let abc = arena.times(ab, c);
+        let p = arena.plus(&[abc, a]);
+        arena.truncate(3);
+        assert_eq!(arena, kept);
+        assert_eq!(arena.children_len(), kept.children_len());
+        // The kept nodes are found again; the cut ones come back at their
+        // old ids, as a run interning the same requests would place them.
+        assert_eq!(arena.times(a, b), ab);
+        assert_eq!(arena.var(t(0, 1)), c);
+        assert_eq!(arena.times(ab, c), abc);
+        assert_eq!(arena.plus(&[abc, a]), p);
+        assert_eq!(arena.len(), 6);
     }
 
     #[test]

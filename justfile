@@ -18,6 +18,7 @@ verify:
     cargo test -q --release --offline -p nde-tests --test prop_semiring
     cargo test -q --release --offline -p nde-tests --test durability
     cargo test -q --release --offline -p nde-tests --test incremental_delta
+    cargo test -q --release --offline -p nde-pipeline
     cargo test -q --release --offline -p nde-cleaning
     cargo test -q --release --offline -p nde-tests --lib chaos
     cargo run --release --offline -p nde-tests --example fault_tolerance | tee /tmp/nde_fault_tolerance.txt

@@ -118,11 +118,12 @@ fn fix_sequences_match_full_reexecution_at_every_thread_count() {
                 assert_eq!(&session.lineage(), l, "threads={threads} step={step}");
             }
         }
-        // Both paths were exercised: the insert, both deletes and the
-        // sector update rerun.
+        // Every path was exercised: the insert, the social delete and the
+        // sector update rerun, the letters delete splices.
         let stats = session.stats();
         assert!(stats.cell_patches >= 2, "{stats:?}");
-        assert_eq!(stats.reruns, 4, "{stats:?}");
+        assert_eq!(stats.reruns, 3, "{stats:?}");
+        assert_eq!(stats.splices, 1, "{stats:?}");
     }
 }
 
@@ -393,7 +394,8 @@ fn job_of(s: &HiringScenario, row: usize) -> usize {
 }
 
 /// One structural fix of every kind, each from a fresh session, at 1, 2,
-/// 4 and 7 pipeline threads: `(delta, fresh rows, output rows after)`.
+/// 4 and 7 pipeline threads: `(delta, path, fresh rows, output rows
+/// after)`. Letters deletes splice; everything else reruns.
 #[test]
 fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
     let s = HiringScenario::generate(90, 23);
@@ -429,12 +431,14 @@ fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
         column: "sector".into(),
         value: Value::Str(to.into()),
     };
-    let cases: Vec<(Delta, usize, usize)> = vec![
+    let (splice, rerun) = (DeltaPath::Splice, DeltaPath::Rerun);
+    let cases: Vec<(Delta, DeltaPath, usize, usize)> = vec![
         (
             Delta::Insert {
                 source: "train_df".into(),
                 values: s.letters.row(inside).unwrap(),
             },
+            rerun,
             1,
             n + 1,
         ),
@@ -443,6 +447,7 @@ fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
                 source: "train_df".into(),
                 row: inside,
             },
+            splice,
             0,
             n - 1,
         ),
@@ -451,6 +456,7 @@ fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
                 source: "train_df".into(),
                 row: outside,
             },
+            splice,
             0,
             n,
         ),
@@ -459,12 +465,14 @@ fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
                 source: "social_df".into(),
                 row: social_row,
             },
+            rerun,
             1,
             n,
         ),
-        (sector(job_in, "tech"), 0, n - letters_of(job_in)),
+        (sector(job_in, "tech"), rerun, 0, n - letters_of(job_in)),
         (
             sector(job_out, "healthcare"),
+            rerun,
             letters_of(job_out),
             n + letters_of(job_out),
         ),
@@ -475,15 +483,16 @@ fn each_structural_fix_kind_remaps_and_matches_a_fresh_run() {
                 column: "job_id".into(),
                 value: Value::Int(other_job as i64),
             },
+            rerun,
             1,
             n,
         ),
     ];
     for threads in [1, 2, 4, 7] {
-        for (delta, fresh, rows) in &cases {
+        for (delta, path, fresh, rows) in &cases {
             let mut twin = Twin::new(&s, 3, threads);
             let report = twin.fix(delta);
-            assert_eq!(report.path, DeltaPath::Rerun, "{delta:?}");
+            assert_eq!(report.path, *path, "{delta:?}");
             assert_eq!(report.affected_rows.len(), *fresh, "{delta:?}");
             assert_eq!(twin.debug.dataset().len(), *rows, "{delta:?}");
             assert!(!report.reencoded_all, "{delta:?}");

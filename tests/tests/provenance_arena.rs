@@ -9,11 +9,12 @@ use nde_data::{DataType, Field, Schema, Table};
 use nde_pipeline::exec::Executor;
 use nde_pipeline::expr::Expr;
 use nde_pipeline::plan::{JoinType, Plan};
+use nde_pipeline::provenance::ProvNodeRef;
 use nde_pipeline::semiring::{BoolSemiring, CountSemiring};
 use nde_pipeline::whatif::{
     predict_deletion, predict_deletions_batch, predict_deletions_batch_threaded,
 };
-use nde_pipeline::TupleId;
+use nde_pipeline::{ProvArena, ProvId, TupleId};
 use nde_tests::provenance::{row_expr, ProvExpr};
 
 /// The Fig. 3 hiring pipeline with provenance, at a given thread count.
@@ -55,6 +56,97 @@ fn arena_lineage_matches_materialized_reference_trees() {
         );
         assert_eq!(lineage.row_tuples(row), tree.tuples(), "row {row}");
     }
+}
+
+/// Removing a letters tuple from a traced hiring run's arena gives exactly
+/// the arena a fresh run over the letters without that row interns (the
+/// letters side of every operator on the way keeps its other rows in
+/// order), the surviving rows' ids become the fresh run's, and interning
+/// afterwards finds the surviving nodes instead of adding any.
+#[test]
+fn compacted_arena_equals_a_fresh_run_without_the_tuple() {
+    let s = load_recommendation_letters(200, 43);
+    let (plan, root) = Plan::hiring_pipeline();
+    let exec = Executor::new().with_provenance(true);
+    let lineage = exec
+        .run(&plan, root, &s.pipeline_inputs(&s.train))
+        .unwrap()
+        .provenance
+        .unwrap();
+    let src = lineage.source_index("train_df").unwrap();
+    let n = s.train.n_rows();
+    for row in [0, n / 2, n - 1] {
+        let kept: Vec<usize> = (0..n).filter(|&r| r != row).collect();
+        let train = s.train.take(&kept).unwrap();
+        let fresh = exec
+            .run(&plan, root, &s.pipeline_inputs(&train))
+            .unwrap()
+            .provenance
+            .unwrap();
+        let mut arena = lineage.arena.clone();
+        let ids = arena.remove_tuple(TupleId::new(src, row as u32));
+        assert_eq!(arena, fresh.arena, "row {row}");
+        assert_eq!(ids.len(), lineage.arena.len());
+        let surviving: Vec<ProvId> = lineage
+            .rows
+            .iter()
+            .filter_map(|id| ids[id.index()])
+            .collect();
+        assert_eq!(surviving, fresh.rows, "row {row}");
+        let len = arena.len();
+        for (id, node) in fresh.arena.iter_nodes() {
+            let again = match node {
+                ProvNodeRef::Var(t) => arena.var(t),
+                ProvNodeRef::Times(kids) => kids[1..]
+                    .iter()
+                    .fold(kids[0], |acc, &k| arena.times(acc, k)),
+                ProvNodeRef::Plus(kids) => arena.plus(kids),
+            };
+            assert_eq!(again, id, "row {row}");
+        }
+        assert_eq!(arena.len(), len, "row {row}: re-interning added nodes");
+    }
+}
+
+/// Every node holding the removed tuple goes — a `Plus` with one such
+/// alternative too — and the source's later rows move down by one.
+#[test]
+fn remove_tuple_drops_every_node_holding_the_tuple() {
+    let t = TupleId::new;
+    let mut arena = ProvArena::new();
+    let a0 = arena.var(t(0, 0));
+    let a1 = arena.var(t(0, 1));
+    let a2 = arena.var(t(0, 2));
+    let b0 = arena.var(t(1, 0));
+    let p = arena.times(a1, b0);
+    let q = arena.times(a2, b0);
+    arena.plus(&[p, a0]);
+    arena.plus(&[q, a0]);
+    let ids = arena.remove_tuple(t(0, 1));
+    let mut want = ProvArena::new();
+    let w0 = want.var(t(0, 0));
+    let w2 = want.var(t(0, 1));
+    let wb = want.var(t(1, 0));
+    let wq = want.times(w2, wb);
+    let wk = want.plus(&[wq, w0]);
+    assert_eq!(arena, want);
+    let expect = [
+        Some(w0),
+        None,
+        Some(w2),
+        Some(wb),
+        None,
+        Some(wq),
+        None,
+        Some(wk),
+    ];
+    assert_eq!(ids, expect);
+    // Interning continues after the compaction: old nodes are found, a
+    // new one is appended.
+    assert_eq!(arena.times(w2, wb), wq);
+    assert_eq!(arena.var(t(0, 1)), w2);
+    let fresh = arena.times(w0, wb);
+    assert_eq!((fresh.index(), arena.len()), (5, 6));
 }
 
 #[test]
