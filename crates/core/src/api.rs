@@ -132,8 +132,7 @@ impl SymbolicEncoding {
         let mut m = Matrix::zeros(n, SYMBOLIC_FEATURES.len());
         for (c, col_name) in SYMBOLIC_FEATURES.iter().enumerate() {
             let (mean, sd) = self.feature_stats[c];
-            let values = table.column(col_name)?.to_f64_vec();
-            for (r, v) in values.iter().enumerate() {
+            for (r, v) in table.f64_cells(col_name)?.enumerate() {
                 let raw = v.unwrap_or(mean);
                 m.set(r, c, if sd > 1e-12 { (raw - mean) / sd } else { 0.0 });
             }
@@ -178,7 +177,7 @@ pub fn encode_symbolic(
     let mut stats = Vec::with_capacity(SYMBOLIC_FEATURES.len());
     let mut columns = Vec::with_capacity(SYMBOLIC_FEATURES.len());
     for col_name in SYMBOLIC_FEATURES {
-        let values = train.column(col_name)?.to_f64_vec();
+        let values: Vec<Option<f64>> = train.f64_cells(col_name)?.collect();
         let present: Vec<f64> = values.iter().filter_map(|v| *v).collect();
         let mean = present.iter().sum::<f64>() / present.len().max(1) as f64;
         let var = present.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()

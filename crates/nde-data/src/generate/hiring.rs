@@ -10,7 +10,6 @@
 //!   handle (the Fig. 3 pipeline derives `has_twitter` from its nullness).
 
 use super::letters::{generate_letter, Sentiment};
-use crate::column::Column;
 use crate::rng::Rng;
 use crate::rng::SliceRandom;
 use crate::rng::{normal_with, seeded};
@@ -211,11 +210,6 @@ impl HiringScenario {
     }
 }
 
-/// Build a float column from per-row values (convenience for tests/benches).
-pub fn float_column(values: &[f64]) -> Column {
-    Column::Float(values.iter().copied().map(Some).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,14 +273,14 @@ mod tests {
     #[test]
     fn degree_has_natural_missingness() {
         let s = HiringScenario::generate(500, 4);
-        let nulls = s.letters.column("degree").unwrap().null_count();
+        let nulls = s.letters.plane("degree").unwrap().null_count();
         assert!(nulls > 10 && nulls < 100, "nulls={nulls}");
     }
 
     #[test]
     fn some_applicants_lack_twitter() {
         let s = HiringScenario::generate(300, 5);
-        let nulls = s.social.column("twitter").unwrap().null_count();
+        let nulls = s.social.plane("twitter").unwrap().null_count();
         assert!(nulls > 60 && nulls < 240, "nulls={nulls}");
     }
 

@@ -4,7 +4,7 @@ use super::{ErrorKind, InjectionReport};
 use crate::rng::seeded;
 use crate::rng::Rng;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use crate::{DataError, Result};
 
 /// Produce a biased subsample of `table`: rows whose `group_col` equals
@@ -26,14 +26,15 @@ pub fn selection_bias(
             "keep_prob must be in [0,1], got {keep_prob}"
         )));
     }
-    let col = table.column(group_col)?;
+    let group = ValueRef::from_value(group_value);
+    table.plane(group_col)?; // an unknown column fails even with no rows
     let mut rng = seeded(seed);
     let mut kept = Vec::with_capacity(table.n_rows());
     let mut dropped = Vec::new();
     for row in 0..table.n_rows() {
-        let v = col.get(row).expect("in bounds");
-        let in_group = v.total_cmp(group_value) == std::cmp::Ordering::Equal
-            && v.data_type() == group_value.data_type();
+        let v = table.get_ref(row, group_col)?;
+        let in_group = v.total_cmp(&group) == std::cmp::Ordering::Equal
+            && std::mem::discriminant(&v) == std::mem::discriminant(&group);
         if in_group && rng.gen::<f64>() >= keep_prob {
             dropped.push(row);
         } else {

@@ -98,7 +98,7 @@ pub fn inject_missing(
 /// (computed over non-null numeric values), 1.0 otherwise. Null cells get the
 /// baseline weight.
 fn weights_above_median(table: &Table, col: &str, skew: f64) -> Result<Vec<f64>> {
-    let values = table.column(col)?.to_f64_vec();
+    let values: Vec<Option<f64>> = table.f64_cells(col)?.collect();
     let mut present: Vec<f64> = values.iter().filter_map(|v| *v).collect();
     if present.is_empty() {
         return Err(DataError::InvalidArgument(format!(
@@ -143,10 +143,10 @@ mod tests {
     #[test]
     fn mcar_nulls_exact_count() {
         let mut t = HiringScenario::generate(200, 1).letters;
-        let before = t.column("employer_rating").unwrap().null_count();
+        let before = t.plane("employer_rating").unwrap().null_count();
         let report = inject_missing(&mut t, "employer_rating", 0.15, Missingness::Mcar, 3).unwrap();
         assert_eq!(report.affected.len(), 30);
-        let after = t.column("employer_rating").unwrap().null_count();
+        let after = t.plane("employer_rating").unwrap().null_count();
         assert_eq!(after - before, 30);
         for &row in &report.affected {
             assert!(t.get(row, "employer_rating").unwrap().is_null());

@@ -60,9 +60,4 @@ impl InjectionReport {
     pub fn is_affected(&self, row: usize) -> bool {
         self.affected.contains(&row)
     }
-
-    /// Affected rows as a hash set, for O(1) membership checks in evaluation.
-    pub fn affected_set(&self) -> crate::fxhash::FxHashSet<usize> {
-        self.affected.iter().copied().collect()
-    }
 }

@@ -96,9 +96,8 @@ fn validate(table: &Table, column: &str, fraction: f64) -> Result<()> {
 }
 
 fn non_null_rows(table: &Table, column: &str) -> Result<Vec<usize>> {
-    let values = table.column(column)?.to_f64_vec();
-    let rows: Vec<usize> = values
-        .iter()
+    let rows: Vec<usize> = table
+        .f64_cells(column)?
         .enumerate()
         .filter_map(|(i, v)| v.map(|_| i))
         .collect();

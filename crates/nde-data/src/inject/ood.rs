@@ -38,12 +38,7 @@ pub fn shift_rows(
     // Column standard deviations over non-null values.
     let mut sds = Vec::with_capacity(float_cols.len());
     for name in &float_cols {
-        let vals: Vec<f64> = table
-            .column(name)?
-            .to_f64_vec()
-            .into_iter()
-            .flatten()
-            .collect();
+        let vals: Vec<f64> = table.f64_cells(name)?.flatten().collect();
         let sd = if vals.len() < 2 {
             1.0
         } else {

@@ -6,6 +6,11 @@
 //! MCAR/MAR/MNAR missingness, noise, outliers, selection bias, duplicates,
 //! out-of-distribution rows).
 //!
+//! A column has one representation: a typed [`planes::Plane`] owned by its
+//! [`Table`]. Cells cross the API as [`Value`] (owned) or [`ValueRef`]
+//! (borrowed); numeric readers take a column widened to `f64` through
+//! [`Table::f64_cells`].
+//!
 //! Everything is deterministic: every stochastic routine takes an explicit
 //! seed, so experiments are exactly reproducible.
 //!
@@ -15,8 +20,6 @@
 //! assert_eq!(scenario.letters.n_rows(), 200);
 //! ```
 
-pub mod backend;
-pub mod column;
 pub mod csvio;
 pub mod dict;
 pub mod error;
@@ -32,7 +35,6 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use column::Column;
 pub use dict::Dict;
 pub use error::DataError;
 pub use schema::{DataType, Field, Schema};

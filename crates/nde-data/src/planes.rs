@@ -1,12 +1,18 @@
 //! Typed column planes: one contiguous value vector plus a null bitmap.
 //!
-//! The columnar backend stores each column as a *plane* — `Vec<i64>`,
-//! `Vec<f64>`, `Vec<bool>`, or dictionary codes `Vec<u32>` — with nullness
+//! A [`crate::Table`] stores each column as one [`Plane`]: `Vec<i64>`,
+//! `Vec<f64>`, `Vec<bool>`, or dictionary codes `Vec<u32>`, with nullness
 //! tracked out-of-band in a packed [`NullBitmap`]. Hot loops (joins,
 //! filters, featurization) read the value vector directly with no per-cell
-//! enum dispatch, no `Option` boxing, and no string clones.
+//! enum dispatch, no `Option` boxing, and no string clones. The cell-level
+//! operations ([`Plane::push_value`], [`Plane::set_value`],
+//! [`Plane::filter_eq_rows`]) carry the table's type rules: `Null` fits any
+//! plane, ints widen into float planes, equality is SQL equality.
 
 use crate::dict::Dict;
+use crate::schema::DataType;
+use crate::value::{Value, ValueRef};
+use crate::{DataError, Result};
 use std::sync::Arc;
 
 /// A packed bitmap marking which rows are null (bit set ⇒ null).
@@ -397,9 +403,377 @@ impl PartialEq for StrPlane {
     }
 }
 
+/// One typed column plane of a [`crate::Table`].
+#[derive(Debug, Clone)]
+pub enum Plane {
+    /// Integer plane.
+    I64(I64Plane),
+    /// Float plane.
+    F64(F64Plane),
+    /// Dictionary-encoded string plane.
+    Str(StrPlane),
+    /// Boolean plane.
+    Bool(BoolPlane),
+}
+
+impl Plane {
+    /// An empty plane of the given type.
+    pub fn empty(dtype: DataType) -> Plane {
+        match dtype {
+            DataType::Int => Plane::I64(I64Plane::new()),
+            DataType::Float => Plane::F64(F64Plane::new()),
+            DataType::Str => Plane::Str(StrPlane::new()),
+            DataType::Bool => Plane::Bool(BoolPlane::new()),
+        }
+    }
+
+    /// The plane's data type.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            Plane::I64(_) => DataType::Int,
+            Plane::F64(_) => DataType::Float,
+            Plane::Str(_) => DataType::Str,
+            Plane::Bool(_) => DataType::Bool,
+        }
+    }
+
+    /// The null bitmap.
+    pub fn nulls(&self) -> &NullBitmap {
+        match self {
+            Plane::I64(p) => &p.nulls,
+            Plane::F64(p) => &p.nulls,
+            Plane::Str(p) => &p.nulls,
+            Plane::Bool(p) => &p.nulls,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.nulls().len()
+    }
+
+    /// `true` if the plane has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of null rows.
+    pub fn null_count(&self) -> usize {
+        self.nulls().count_nulls()
+    }
+
+    /// Owned cell value at `row`.
+    pub fn value(&self, row: usize) -> Value {
+        self.value_ref(row).to_value()
+    }
+
+    /// Borrowed cell value at `row`.
+    pub fn value_ref(&self, row: usize) -> ValueRef<'_> {
+        match self {
+            Plane::I64(p) => p.get(row).map(ValueRef::Int).unwrap_or(ValueRef::Null),
+            Plane::F64(p) => p.get(row).map(ValueRef::Float).unwrap_or(ValueRef::Null),
+            Plane::Str(p) => p.get(row).map(ValueRef::Str).unwrap_or(ValueRef::Null),
+            Plane::Bool(p) => p.get(row).map(ValueRef::Bool).unwrap_or(ValueRef::Null),
+        }
+    }
+
+    /// Cell `row` widened to `f64`: ints widen, bools read 0/1, and string
+    /// and null cells read `None`.
+    #[inline]
+    pub fn f64_at(&self, row: usize) -> Option<f64> {
+        match self {
+            Plane::F64(p) => p.get(row),
+            Plane::I64(p) => p.get(row).map(|x| x as f64),
+            Plane::Bool(p) => p.get(row).map(|b| b as i64 as f64),
+            Plane::Str(_) => None,
+        }
+    }
+
+    /// Append a value, checking type compatibility: `Null` fits any plane
+    /// and ints widen into float planes.
+    pub fn push_value(&mut self, value: Value) -> Result<()> {
+        match (self, value) {
+            (Plane::I64(p), Value::Int(x)) => p.push(x),
+            (Plane::I64(p), Value::Null) => p.push_null(),
+            (Plane::F64(p), Value::Float(x)) => p.push(x),
+            (Plane::F64(p), Value::Int(x)) => p.push(x as f64),
+            (Plane::F64(p), Value::Null) => p.push_null(),
+            (Plane::Str(p), Value::Str(x)) => p.push(&x),
+            (Plane::Str(p), Value::Null) => p.push_null(),
+            (Plane::Bool(p), Value::Bool(x)) => p.push(x),
+            (Plane::Bool(p), Value::Null) => p.push_null(),
+            (plane, value) => return Err(type_mismatch(plane, &value)),
+        }
+        Ok(())
+    }
+
+    /// Overwrite the cell at `row`, checking bounds and then type, with
+    /// the type rules of [`Plane::push_value`].
+    pub fn set_value(&mut self, row: usize, value: Value) -> Result<()> {
+        let len = self.len();
+        if row >= len {
+            return Err(DataError::RowOutOfBounds { index: row, len });
+        }
+        match (self, value) {
+            (Plane::I64(p), Value::Int(x)) => p.set(row, Some(x)),
+            (Plane::I64(p), Value::Null) => p.set(row, None),
+            (Plane::F64(p), Value::Float(x)) => p.set(row, Some(x)),
+            (Plane::F64(p), Value::Int(x)) => p.set(row, Some(x as f64)),
+            (Plane::F64(p), Value::Null) => p.set(row, None),
+            (Plane::Str(p), Value::Str(x)) => p.set(row, Some(&x)),
+            (Plane::Str(p), Value::Null) => p.set(row, None),
+            (Plane::Bool(p), Value::Bool(x)) => p.set(row, Some(x)),
+            (Plane::Bool(p), Value::Null) => p.set(row, None),
+            (plane, value) => return Err(type_mismatch(plane, &value)),
+        }
+        Ok(())
+    }
+
+    /// Plane with the rows at `indices` (callers bounds-check).
+    pub fn take(&self, indices: &[usize]) -> Plane {
+        match self {
+            Plane::I64(p) => Plane::I64(p.take(indices)),
+            Plane::F64(p) => Plane::F64(p.take(indices)),
+            Plane::Str(p) => Plane::Str(p.take(indices)),
+            Plane::Bool(p) => Plane::Bool(p.take(indices)),
+        }
+    }
+
+    /// Plane gathering `indices` with nulls for `None` slots.
+    pub fn take_opt(&self, indices: &[Option<usize>]) -> Plane {
+        match self {
+            Plane::I64(p) => Plane::I64(p.take_opt(indices)),
+            Plane::F64(p) => Plane::F64(p.take_opt(indices)),
+            Plane::Str(p) => Plane::Str(p.take_opt(indices)),
+            Plane::Bool(p) => Plane::Bool(p.take_opt(indices)),
+        }
+    }
+
+    /// Append all rows of `other` (must have the same type).
+    pub fn extend_from(&mut self, other: &Plane) -> Result<()> {
+        match (self, other) {
+            (Plane::I64(a), Plane::I64(b)) => a.extend_from(b),
+            (Plane::F64(a), Plane::F64(b)) => a.extend_from(b),
+            (Plane::Str(a), Plane::Str(b)) => a.extend_from(b),
+            (Plane::Bool(a), Plane::Bool(b)) => a.extend_from(b),
+            (a, b) => {
+                return Err(DataError::SchemaMismatch(format!(
+                    "cannot append {} column to {} column",
+                    b.data_type(),
+                    a.data_type()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Rows whose cell equals `value` under SQL equality (nulls never
+    /// match, `Int`/`Float` compare numerically), in ascending order.
+    pub fn filter_eq_rows(&self, value: &Value) -> Vec<usize> {
+        if value.is_null() {
+            return Vec::new(); // SQL equality: null matches nothing
+        }
+        match self {
+            Plane::I64(p) => {
+                let target = match value {
+                    Value::Int(x) => Target::Int(*x),
+                    Value::Float(f) => Target::Float(*f),
+                    _ => return Vec::new(),
+                };
+                (0..p.len())
+                    .filter(|&r| {
+                        !p.nulls.get(r)
+                            && match target {
+                                Target::Int(x) => p.values[r] == x,
+                                Target::Float(f) => p.values[r] as f64 == f,
+                            }
+                    })
+                    .collect()
+            }
+            Plane::F64(p) => {
+                let target = match value {
+                    Value::Float(f) => *f,
+                    Value::Int(x) => *x as f64,
+                    _ => return Vec::new(),
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
+                    .collect()
+            }
+            Plane::Str(p) => {
+                let Some(code) = value.as_str().and_then(|s| p.dict().code_of(s)) else {
+                    return Vec::new();
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.codes[r] == code)
+                    .collect()
+            }
+            Plane::Bool(p) => {
+                let Some(target) = value.as_bool() else {
+                    return Vec::new();
+                };
+                (0..p.len())
+                    .filter(|&r| !p.nulls.get(r) && p.values[r] == target)
+                    .collect()
+            }
+        }
+    }
+}
+
+/// The error of a cell that does not fit `plane`'s type.
+fn type_mismatch(plane: &Plane, value: &Value) -> DataError {
+    DataError::TypeMismatch {
+        column: String::new(),
+        expected: plane.data_type().name(),
+        got: format!("{value:?}"),
+    }
+}
+
+/// Lit target for numeric `filter_eq_rows` scans over an integer plane.
+#[derive(Clone, Copy)]
+enum Target {
+    Int(i64),
+    Float(f64),
+}
+
+/// Planes are equal iff they have the same type and hold the same logical
+/// cells. String planes compare by value, not by dictionary code, because
+/// row-subset planes share dictionaries that may hold values no surviving
+/// row references.
+impl PartialEq for Plane {
+    fn eq(&self, other: &Self) -> bool {
+        self.data_type() == other.data_type()
+            && self.len() == other.len()
+            && (0..self.len()).all(|r| self.value_ref(r) == other.value_ref(r))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plane_of(dtype: DataType, cells: &[Value]) -> Plane {
+        let mut p = Plane::empty(dtype);
+        for v in cells {
+            p.push_value(v.clone()).unwrap();
+        }
+        p
+    }
+
+    /// One plane per type, filled with the same four rows.
+    fn filled() -> Vec<Plane> {
+        let rows: [[Value; 4]; 4] = [
+            [1.into(), 1.5.into(), "a".into(), true.into()],
+            [Value::Null, Value::Null, Value::Null, Value::Null],
+            [2.into(), 2.5.into(), "a".into(), false.into()],
+            [1.into(), 1.5.into(), "b".into(), true.into()],
+        ];
+        [
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Bool,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(c, dtype)| {
+            plane_of(
+                dtype,
+                &rows.iter().map(|r| r[c].clone()).collect::<Vec<_>>(),
+            )
+        })
+        .collect()
+    }
+
+    #[test]
+    fn planes_hold_pushed_cells() {
+        let planes = filled();
+        for p in &planes {
+            assert_eq!(p.len(), 4);
+            assert_eq!(p.null_count(), 1);
+            assert_eq!(p.value(1), Value::Null);
+        }
+        assert_eq!(planes[0].value(0), Value::Int(1));
+        assert_eq!(planes[1].value(2), Value::Float(2.5));
+        assert_eq!(planes[2].value(0), Value::Str("a".into()));
+        assert_eq!(planes[2].value_ref(3), ValueRef::Str("b"));
+        assert_eq!(planes[3].value_ref(2), ValueRef::Bool(false));
+    }
+
+    #[test]
+    fn filter_eq_matches_sql_equality() {
+        let c = filled();
+        assert_eq!(c[0].filter_eq_rows(&Value::Int(1)), vec![0, 3]);
+        // Numeric cross-type equality.
+        assert_eq!(c[0].filter_eq_rows(&Value::Float(2.0)), vec![2]);
+        assert_eq!(c[1].filter_eq_rows(&Value::Float(2.5)), vec![2]);
+        assert_eq!(c[2].filter_eq_rows(&Value::Str("a".into())), vec![0, 2]);
+        assert!(c[2].filter_eq_rows(&Value::Str("zzz".into())).is_empty());
+        assert_eq!(c[3].filter_eq_rows(&Value::Bool(true)), vec![0, 3]);
+        // Nulls never match; type-mismatched literals match nothing.
+        assert!(c[0].filter_eq_rows(&Value::Null).is_empty());
+        assert!(c[2].filter_eq_rows(&Value::Int(1)).is_empty());
+    }
+
+    #[test]
+    fn plane_push_get_set_roundtrip() {
+        let mut c = Plane::empty(DataType::Int);
+        c.push_value(Value::Int(1)).unwrap();
+        c.push_value(Value::Null).unwrap();
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.value(0), Value::Int(1));
+        assert_eq!(c.value(1), Value::Null);
+        c.set_value(1, Value::Int(5)).unwrap();
+        assert_eq!(c.value(1), Value::Int(5));
+        assert_eq!(c.null_count(), 0);
+    }
+
+    #[test]
+    fn plane_type_checks() {
+        let mut c = Plane::empty(DataType::Str);
+        assert!(matches!(
+            c.push_value(Value::Int(1)),
+            Err(DataError::TypeMismatch {
+                expected: "Str",
+                ..
+            })
+        ));
+        assert!(c.push_value(Value::Str("x".into())).is_ok());
+        assert!(c.set_value(0, Value::Bool(true)).is_err());
+        assert!(matches!(
+            c.set_value(9, Value::Null),
+            Err(DataError::RowOutOfBounds { index: 9, len: 1 })
+        ));
+    }
+
+    #[test]
+    fn int_widens_into_float_plane() {
+        let mut c = Plane::empty(DataType::Float);
+        c.push_value(Value::Int(3)).unwrap();
+        assert_eq!(c.value(0), Value::Float(3.0));
+        c.set_value(0, Value::Int(4)).unwrap();
+        assert_eq!(c.value(0), Value::Float(4.0));
+    }
+
+    #[test]
+    fn plane_take_repeats_and_reorders() {
+        let c = plane_of(DataType::Str, &["a".into(), "b".into(), "c".into()]);
+        let t = c.take(&[2, 0, 0]);
+        assert_eq!(t.value(0), Value::Str("c".into()));
+        assert_eq!(t.value(1), Value::Str("a".into()));
+        assert_eq!(t.value(2), Value::Str("a".into()));
+    }
+
+    #[test]
+    fn plane_extend_checks_types() {
+        let mut a = plane_of(DataType::Int, &[1.into()]);
+        let b = plane_of(DataType::Int, &[2.into(), Value::Null]);
+        a.extend_from(&b).unwrap();
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.null_count(), 1);
+        let f = plane_of(DataType::Float, &[1.0.into()]);
+        assert!(a.extend_from(&f).is_err());
+    }
 
     #[test]
     fn bitmap_push_get_set() {

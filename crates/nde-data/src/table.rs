@@ -1,17 +1,16 @@
 //! In-memory columnar tables with relational operations.
 //!
-//! A [`Table`] stores its cells in a [`ColumnarStore`]: typed planes with
-//! null bitmaps and dictionary-encoded strings. Joins are radix-partitioned
-//! and read canonical keys plane to plane; equality scans use
-//! [`ColumnarStore::filter_eq_rows`]. Join output and row lineage are bit-identical for
-//! every thread count, and the `nde-tests` crate checks every operation
-//! against a `Value`-per-cell reference table.
+//! A [`Table`] owns one typed [`Plane`] per column: null bitmaps beside
+//! `i64`/`f64`/`bool` vectors and dictionary-encoded strings. Joins are
+//! radix-partitioned and read canonical keys plane to plane; equality scans
+//! use [`Plane::filter_eq_rows`]. Join output and row lineage are
+//! bit-identical for every thread count, and the `nde-tests` crate checks
+//! every operation against a `Value`-per-cell reference table that shares
+//! no storage code with this one.
 
-use crate::backend::{ColumnarStore, Plane};
-use crate::column::Column;
 use crate::fxhash::{hash_u64, FxHashMap};
 use crate::par::WorkerFailure;
-use crate::planes::{BoolPlane, F64Plane, I64Plane, StrPlane};
+use crate::planes::Plane;
 use crate::pool::WorkerPool;
 use crate::schema::{DataType, Field, Schema};
 use crate::value::{Value, ValueRef};
@@ -50,7 +49,7 @@ pub type LeftJoinResult = (Table, Vec<(usize, Option<usize>)>);
 pub struct Table {
     name: String,
     schema: Schema,
-    store: ColumnarStore,
+    planes: Vec<Plane>,
     n_rows: usize,
 }
 
@@ -61,66 +60,23 @@ impl PartialEq for Table {
         self.name == other.name
             && self.schema == other.schema
             && self.n_rows == other.n_rows
-            && self.store == other.store
+            && self.planes == other.planes
     }
 }
 
 impl Table {
     /// Create an empty table with the given schema.
     pub fn empty(name: impl Into<String>, schema: Schema) -> Self {
-        let store = ColumnarStore::empty(&schema);
+        let planes = schema
+            .fields()
+            .iter()
+            .map(|f| Plane::empty(f.dtype))
+            .collect();
         Table {
             name: name.into(),
             schema,
-            store,
+            planes,
             n_rows: 0,
-        }
-    }
-
-    /// Create a table directly from columns (all must have equal length).
-    pub fn from_columns(
-        name: impl Into<String>,
-        fields: Vec<Field>,
-        columns: Vec<Column>,
-    ) -> Result<Self> {
-        if fields.len() != columns.len() {
-            return Err(DataError::ArityMismatch {
-                expected: fields.len(),
-                got: columns.len(),
-            });
-        }
-        let n_rows = columns.first().map_or(0, Column::len);
-        for (f, c) in fields.iter().zip(&columns) {
-            if c.len() != n_rows {
-                return Err(DataError::SchemaMismatch(format!(
-                    "column `{}` has {} rows, expected {}",
-                    f.name,
-                    c.len(),
-                    n_rows
-                )));
-            }
-            if c.data_type() != f.dtype {
-                return Err(DataError::TypeMismatch {
-                    column: f.name.clone(),
-                    expected: f.dtype.name(),
-                    got: c.data_type().name().to_owned(),
-                });
-            }
-        }
-        Ok(Table {
-            name: name.into(),
-            schema: Schema::new(fields)?,
-            store: ColumnarStore::from_columns(columns),
-            n_rows,
-        })
-    }
-
-    fn from_store(name: String, schema: Schema, store: ColumnarStore, n_rows: usize) -> Table {
-        Table {
-            name,
-            schema,
-            store,
-            n_rows,
         }
     }
 
@@ -149,66 +105,22 @@ impl Table {
         self.schema.len()
     }
 
-    /// Materialize a column by name as an owned [`Column`].
-    ///
-    /// This is the compatibility path for cold code (fit-time encoders,
-    /// injection sweeps): it copies the column once. Hot loops should use
-    /// [`Table::get_ref`] or the typed plane views ([`Table::col_i64`],
-    /// [`Table::col_f64`], [`Table::col_str`], [`Table::col_bool`]) instead.
-    pub fn column(&self, name: &str) -> Result<Column> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.store.plane(idx).to_column())
+    /// The plane of a column.
+    pub fn plane(&self, name: &str) -> Result<&Plane> {
+        Ok(&self.planes[self.schema.index_of(name)?])
     }
 
-    /// Materialize a column by position as an owned [`Column`].
-    pub fn column_at(&self, idx: usize) -> Column {
-        self.store.plane(idx).to_column()
-    }
-
-    /// Borrow the `i64` plane of a column: `None` if the column is missing
-    /// or not an `Int` column.
-    pub fn col_i64(&self, name: &str) -> Option<&I64Plane> {
-        match self.plane_of(name)? {
-            Plane::I64(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Borrow the `f64` plane of a column (see [`Table::col_i64`]).
-    pub fn col_f64(&self, name: &str) -> Option<&F64Plane> {
-        match self.plane_of(name)? {
-            Plane::F64(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Borrow the dictionary-encoded string plane of a column
-    /// (see [`Table::col_i64`]).
-    pub fn col_str(&self, name: &str) -> Option<&StrPlane> {
-        match self.plane_of(name)? {
-            Plane::Str(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Borrow the `bool` plane of a column (see [`Table::col_i64`]).
-    pub fn col_bool(&self, name: &str) -> Option<&BoolPlane> {
-        match self.plane_of(name)? {
-            Plane::Bool(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    fn plane_of(&self, name: &str) -> Option<&Plane> {
-        let idx = self.schema.index_of(name).ok()?;
-        Some(self.store.plane(idx))
+    /// A column's cells widened to `f64` ([`Plane::f64_at`]): ints widen,
+    /// bools read 0/1, string and null cells read `None`.
+    pub fn f64_cells(&self, name: &str) -> Result<impl ExactSizeIterator<Item = Option<f64>> + '_> {
+        let plane = self.plane(name)?;
+        Ok((0..self.n_rows).map(|row| plane.f64_at(row)))
     }
 
     /// Rows whose cell equals `value` under SQL equality, in ascending
     /// order, from a vectorized plane scan.
     pub fn filter_eq_rows(&self, name: &str, value: &Value) -> Result<Vec<usize>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.store.filter_eq_rows(idx, value))
+        Ok(self.plane(name)?.filter_eq_rows(value))
     }
 
     /// Append a row of values (arity- and type-checked).
@@ -238,7 +150,9 @@ impl Table {
                 });
             }
         }
-        self.store.push_row(row);
+        for (plane, value) in self.planes.iter_mut().zip(row) {
+            plane.push_value(value).expect("validated above");
+        }
         self.n_rows += 1;
         Ok(())
     }
@@ -252,7 +166,7 @@ impl Table {
                 len: self.n_rows,
             });
         }
-        Ok(self.store.value(row, idx))
+        Ok(self.planes[idx].value(row))
     }
 
     /// Get the cell at (`row`, `col_name`) as a borrowed [`ValueRef`] —
@@ -265,7 +179,7 @@ impl Table {
                 len: self.n_rows,
             });
         }
-        Ok(self.store.value_ref(row, idx))
+        Ok(self.planes[idx].value_ref(row))
     }
 
     /// Borrowed cell at (`row`, column position `idx`); `None` out of bounds.
@@ -273,23 +187,20 @@ impl Table {
         if row >= self.n_rows || idx >= self.schema.len() {
             return None;
         }
-        Some(self.store.value_ref(row, idx))
+        Some(self.planes[idx].value_ref(row))
     }
 
     /// Overwrite the cell at (`row`, `col_name`).
     pub fn set(&mut self, row: usize, col_name: &str, value: Value) -> Result<()> {
         let idx = self.schema.index_of(col_name)?;
-        self.store
-            .plane_mut(idx)
-            .set_value(row, value)
-            .map_err(|e| match e {
-                DataError::TypeMismatch { expected, got, .. } => DataError::TypeMismatch {
-                    column: col_name.to_owned(),
-                    expected,
-                    got,
-                },
-                other => other,
-            })
+        self.planes[idx].set_value(row, value).map_err(|e| match e {
+            DataError::TypeMismatch { expected, got, .. } => DataError::TypeMismatch {
+                column: col_name.to_owned(),
+                expected,
+                got,
+            },
+            other => other,
+        })
     }
 
     /// Materialize a full row as values.
@@ -300,9 +211,7 @@ impl Table {
                 len: self.n_rows,
             });
         }
-        Ok((0..self.schema.len())
-            .map(|ci| self.store.value(row, ci))
-            .collect())
+        Ok(self.planes.iter().map(|p| p.value(row)).collect())
     }
 
     /// New table with the rows at `indices` (repeats and reorders allowed).
@@ -318,7 +227,7 @@ impl Table {
         Ok(Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            store: self.store.take(indices),
+            planes: self.planes.iter().map(|p| p.take(indices)).collect(),
             n_rows: indices.len(),
         })
     }
@@ -344,7 +253,7 @@ impl Table {
         Ok(Table {
             name: self.name.clone(),
             schema: Schema::new(fields)?,
-            store: self.store.select_columns(&idxs),
+            planes: idxs.iter().map(|&c| self.planes[c].clone()).collect(),
             n_rows,
         })
     }
@@ -363,25 +272,25 @@ impl Table {
         self.select(&keep)
     }
 
-    /// Add a column (length must match the table).
-    pub fn add_column(&mut self, field: Field, column: Column) -> Result<()> {
-        if column.len() != self.n_rows {
+    /// Add a column on the right (length and type must match).
+    pub fn add_column(&mut self, field: Field, plane: Plane) -> Result<()> {
+        if plane.len() != self.n_rows {
             return Err(DataError::SchemaMismatch(format!(
                 "new column `{}` has {} rows, table has {}",
                 field.name,
-                column.len(),
+                plane.len(),
                 self.n_rows
             )));
         }
-        if column.data_type() != field.dtype {
+        if plane.data_type() != field.dtype {
             return Err(DataError::TypeMismatch {
                 column: field.name.clone(),
                 expected: field.dtype.name(),
-                got: column.data_type().name().to_owned(),
+                got: plane.data_type().name().to_owned(),
             });
         }
         self.schema.push(field)?;
-        self.store.add_column(column);
+        self.planes.push(plane);
         Ok(())
     }
 
@@ -393,7 +302,9 @@ impl Table {
                 other.name, self.name
             )));
         }
-        self.store.extend_from(&other.store)?;
+        for (a, b) in self.planes.iter_mut().zip(&other.planes) {
+            a.extend_from(b)?;
+        }
         self.n_rows += other.n_rows;
         Ok(())
     }
@@ -499,7 +410,7 @@ impl Table {
         // dictionary's code space: one hash lookup per *distinct* left
         // value, not per row. A left value absent on the right can never
         // match, which is exactly how a null key behaves in both join types.
-        let remap: Option<Vec<Option<u32>>> = match (self.store.plane(lk), right.store.plane(rk)) {
+        let remap: Option<Vec<Option<u32>>> = match (&self.planes[lk], &right.planes[rk]) {
             (Plane::Str(lp), Plane::Str(rp)) => Some(
                 lp.dict()
                     .values()
@@ -509,8 +420,8 @@ impl Table {
             ),
             _ => None,
         };
-        let (lkeys, lvalid) = plane_join_keys(self.store.plane(lk), remap.as_deref());
-        let (rkeys, rvalid) = plane_join_keys(right.store.plane(rk), None);
+        let (lkeys, lvalid) = plane_join_keys(&self.planes[lk], remap.as_deref());
+        let (rkeys, rvalid) = plane_join_keys(&right.planes[rk], None);
 
         // Build phase: workers claim whole partitions; each scans the right
         // key plane and keeps the rows hashing into its partition, in
@@ -596,24 +507,19 @@ impl Table {
         let left_idx: Vec<usize> = lineage.iter().map(|&(l, _)| l).collect();
 
         let right_idx: Vec<Option<usize>> = lineage.iter().map(|&(_, r)| r).collect();
-        let mut planes: Vec<Plane> = self
-            .store
-            .planes()
-            .iter()
-            .map(|p| p.take(&left_idx))
-            .collect();
-        for (ci, p) in right.store.planes().iter().enumerate() {
+        let mut planes: Vec<Plane> = self.planes.iter().map(|p| p.take(&left_idx)).collect();
+        for (ci, p) in right.planes.iter().enumerate() {
             if ci == right_key {
                 continue;
             }
             planes.push(p.take_opt(&right_idx));
         }
-        Ok(Table::from_store(
-            self.name.clone(),
-            Schema::new(fields)?,
-            ColumnarStore::from_planes(planes),
-            lineage.len(),
-        ))
+        Ok(Table {
+            name: self.name.clone(),
+            schema: Schema::new(fields)?,
+            planes,
+            n_rows: lineage.len(),
+        })
     }
 
     /// The name right-side column `column` takes in a join with `self` as
@@ -640,7 +546,7 @@ impl Table {
     /// cheap to outweigh chunk scheduling.
     pub fn distinct_by(&self, key: &str) -> Result<(Vec<usize>, Vec<usize>)> {
         let k = self.schema.index_of(key)?;
-        let (keys, valid) = plane_join_keys(self.store.plane(k), None);
+        let (keys, valid) = plane_join_keys(&self.planes[k], None);
         let mut kept: Vec<usize> = Vec::new();
         let mut owner: Vec<usize> = Vec::with_capacity(self.n_rows);
         let mut slot_of: FxHashMap<Option<u64>, usize> = FxHashMap::default();
@@ -659,13 +565,9 @@ impl Table {
     /// Stable sort by a column (nulls first); returns the sorted table and
     /// the original index of each output row.
     pub fn sort_by(&self, col_name: &str) -> Result<(Table, Vec<usize>)> {
-        let col = self.column(col_name)?;
+        let col = self.plane(col_name)?;
         let mut idx: Vec<usize> = (0..self.n_rows).collect();
-        idx.sort_by(|&a, &b| {
-            col.get(a)
-                .expect("in bounds")
-                .total_cmp(&col.get(b).expect("in bounds"))
-        });
+        idx.sort_by(|&a, &b| col.value_ref(a).total_cmp(&col.value_ref(b)));
         let table = self.take(&idx)?;
         Ok((table, idx))
     }
@@ -679,10 +581,10 @@ impl Table {
     /// with no hashing at all. The output order is deterministic: groups are
     /// accumulated in first-occurrence order and the final sort is stable.
     pub fn value_counts(&self, col_name: &str) -> Result<Vec<(Value, usize)>> {
-        let idx = self.schema.index_of(col_name)?;
+        let plane = self.plane(col_name)?;
 
         // Dictionary fast path: count per code into a dense vector.
-        if let Plane::Str(p) = self.store.plane(idx) {
+        if let Plane::Str(p) = plane {
             let (code_counts, nulls) = p.code_counts();
             let mut counts: Vec<(Value, usize)> = Vec::new();
             if nulls > 0 {
@@ -704,7 +606,7 @@ impl Table {
         let mut counts: Vec<(Value, usize)> = Vec::new();
         let mut slot_of: FxHashMap<Option<CountKey>, usize> = FxHashMap::default();
         for row in 0..self.n_rows {
-            let v = self.store.value(row, idx);
+            let v = plane.value(row);
             let key = CountKey::from_value(&v);
             let next = counts.len();
             let slot = *slot_of.entry(key).or_insert(next);
@@ -728,7 +630,7 @@ impl Table {
                 let frac = if self.n_rows == 0 {
                     0.0
                 } else {
-                    self.store.null_count(ci) as f64 / self.n_rows as f64
+                    self.planes[ci].null_count() as f64 / self.n_rows as f64
                 };
                 (f.name.clone(), frac)
             })
@@ -744,7 +646,7 @@ impl Table {
         for row in 0..n {
             let mut r = Vec::with_capacity(self.n_cols());
             for (ci, width) in widths.iter_mut().enumerate() {
-                let v = self.store.value_ref(row, ci);
+                let v = self.planes[ci].value_ref(row);
                 let mut s = match v {
                     ValueRef::Null => "null".to_string(),
                     ValueRef::Int(x) => x.to_string(),
@@ -941,18 +843,25 @@ mod tests {
     #[test]
     fn plane_views_expose_typed_columns() {
         let t = people();
-        let ids = t.col_i64("id").unwrap();
+        let Ok(Plane::I64(ids)) = t.plane("id") else {
+            panic!("`id` is an Int plane")
+        };
         assert_eq!(ids.values, vec![1, 2, 3]);
         assert_eq!(ids.null_count(), 0);
-        let ages = t.col_f64("age").unwrap();
+        let Ok(Plane::F64(ages)) = t.plane("age") else {
+            panic!("`age` is a Float plane")
+        };
         assert_eq!(ages.get(0), Some(36.0));
         assert_eq!(ages.get(1), None);
-        let names = t.col_str("name").unwrap();
+        let Ok(Plane::Str(names)) = t.plane("name") else {
+            panic!("`name` is a Str plane")
+        };
         assert_eq!(names.get(2), Some("eve"));
         assert_eq!(names.dict().len(), 3);
-        // Wrong type and unknown column yield None.
-        assert!(t.col_f64("id").is_none());
-        assert!(t.col_i64("nope").is_none());
+        assert!(matches!(
+            t.plane("nope"),
+            Err(DataError::UnknownColumn(c)) if c == "nope"
+        ));
     }
 
     #[test]
@@ -969,8 +878,8 @@ mod tests {
         let err = t.push_row(vec![4.into(), "zed".into(), "oops".into()]);
         assert!(err.is_err());
         assert_eq!(t.n_rows(), 3);
-        for ci in 0..t.n_cols() {
-            assert_eq!(t.column_at(ci).len(), 3);
+        for name in t.schema().names() {
+            assert_eq!(t.plane(name).unwrap().len(), 3);
         }
     }
 
@@ -1134,19 +1043,51 @@ mod tests {
 
     #[test]
     fn add_column_checks_length_and_type() {
+        let plane = |dtype, cells: &[Value]| {
+            let mut p = Plane::empty(dtype);
+            for v in cells {
+                p.push_value(v.clone()).unwrap();
+            }
+            p
+        };
         let mut t = people();
-        let ok = Column::Bool(vec![Some(true), Some(false), None]);
+        let ok = plane(DataType::Bool, &[true.into(), false.into(), Value::Null]);
         t.add_column(Field::new("flag", DataType::Bool), ok)
             .unwrap();
         assert_eq!(t.n_cols(), 4);
-        let short = Column::Bool(vec![Some(true)]);
+        assert_eq!(t.get(2, "flag").unwrap(), Value::Null);
+        let short = plane(DataType::Bool, &[true.into()]);
         assert!(t
             .add_column(Field::new("flag2", DataType::Bool), short)
             .is_err());
-        let wrong = Column::Int(vec![Some(1), Some(2), Some(3)]);
+        let wrong = plane(DataType::Int, &[1.into(), 2.into(), 3.into()]);
         assert!(t
             .add_column(Field::new("flag3", DataType::Bool), wrong)
             .is_err());
+        assert_eq!(t.n_cols(), 4);
+    }
+
+    #[test]
+    fn f64_cells_widen_numeric_and_bool_cells() {
+        let mut t = people();
+        let flags = [true.into(), Value::Null, false.into()];
+        let mut p = Plane::empty(DataType::Bool);
+        for v in flags {
+            p.push_value(v).unwrap();
+        }
+        t.add_column(Field::new("flag", DataType::Bool), p).unwrap();
+        let cells = |name| t.f64_cells(name).unwrap().collect::<Vec<_>>();
+        // Ints widen; floats come back bit for bit, nulls as `None`.
+        assert_eq!(cells("id"), vec![Some(1.0), Some(2.0), Some(3.0)]);
+        assert_eq!(cells("age"), vec![Some(36.0), None, Some(29.0)]);
+        // Bools read 0/1; strings have no numeric cells.
+        assert_eq!(cells("flag"), vec![Some(1.0), None, Some(0.0)]);
+        assert_eq!(cells("name"), vec![None, None, None]);
+        assert_eq!(t.f64_cells("id").unwrap().len(), 3);
+        assert!(matches!(
+            t.f64_cells("nope").err(),
+            Some(DataError::UnknownColumn(c)) if c == "nope"
+        ));
     }
 
     #[test]

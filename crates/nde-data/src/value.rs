@@ -76,25 +76,7 @@ impl Value {
     /// Total order used for sorting and grouping: `Null < Bool < Int/Float < Str`,
     /// with numeric types compared by value (so `Int(2) == Float(2.0)` sorts equal).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
-            (Str(a), Str(b)) => a.cmp(b),
-            _ => rank(self).cmp(&rank(other)),
-        }
+        ValueRef::from_value(self).total_cmp(&ValueRef::from_value(other))
     }
 }
 
@@ -138,6 +120,29 @@ impl<'a> ValueRef<'a> {
             ValueRef::Float(v) => Some(*v),
             ValueRef::Int(v) => Some(*v as f64),
             _ => None,
+        }
+    }
+
+    /// The order of [`Value::total_cmp`].
+    pub fn total_cmp(&self, other: &ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        fn rank(v: &ValueRef<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Bool(_) => 1,
+                Int(_) | Float(_) => 2,
+                Str(_) => 3,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
+            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
+            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            (Str(a), Str(b)) => a.cmp(b),
+            _ => rank(self).cmp(&rank(other)),
         }
     }
 

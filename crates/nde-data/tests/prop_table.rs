@@ -5,7 +5,7 @@
 
 use nde_data::csvio::{read_csv, to_csv_string};
 use nde_data::rng::{seeded, Rng, StdRng};
-use nde_data::{Column, DataType, Field, Schema, Table, Value};
+use nde_data::{DataType, Field, Schema, Table, Value};
 
 const CASES: usize = 200;
 
@@ -41,17 +41,17 @@ fn random_keys(rng: &mut StdRng, max_len: usize, lo: i64, hi: i64) -> Vec<Option
 }
 
 fn int_key_table(name: &str, keys: Vec<Option<i64>>) -> Table {
-    let n = keys.len();
-    let payload: Vec<Option<i64>> = (0..n as i64).map(Some).collect();
-    Table::from_columns(
-        name,
-        vec![
-            Field::new("k", DataType::Int),
-            Field::new(format!("{name}_payload"), DataType::Int),
-        ],
-        vec![Column::Int(keys), Column::Int(payload)],
-    )
-    .expect("columns conform")
+    let schema = Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new(format!("{name}_payload"), DataType::Int),
+    ])
+    .expect("distinct names");
+    let mut t = Table::empty(name, schema);
+    for (payload, key) in keys.into_iter().enumerate() {
+        t.push_row(vec![key.into(), (payload as i64).into()])
+            .expect("rows conform");
+    }
+    t
 }
 
 #[test]

@@ -221,7 +221,7 @@ fn candidate_conditions(table: &Table, columns: &[String]) -> Result<Vec<(Condit
             }
             DataType::Float => {
                 // Bucket numerics at the median: two boolean conditions.
-                let values = table.column(col_name)?.to_f64_vec();
+                let values: Vec<Option<f64>> = table.f64_cells(col_name)?.collect();
                 let mut present: Vec<f64> = values.iter().filter_map(|v| *v).collect();
                 if present.is_empty() {
                     continue;

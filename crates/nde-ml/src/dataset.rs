@@ -3,6 +3,7 @@
 use crate::linalg::Matrix;
 use crate::{MlError, Result};
 use nde_data::generate::blobs::NumericDataset;
+use nde_data::planes::Plane;
 use nde_data::Table;
 
 /// A fully-numeric classification dataset: features plus integer labels.
@@ -195,7 +196,7 @@ impl LabelEncoder {
     /// has no rows.
     pub fn encode_column(&self, table: &Table, column: &str) -> Result<Vec<usize>> {
         let mut out = Vec::with_capacity(table.n_rows());
-        if let Some(p) = table.col_str(column) {
+        if let Ok(Plane::Str(p)) = table.plane(column) {
             let mut memo: Vec<Option<usize>> = vec![None; p.dict().len()];
             for row in 0..table.n_rows() {
                 if p.nulls.get(row) {
@@ -310,7 +311,7 @@ mod tests {
         let t = HiringScenario::generate(200, 2).letters;
         assert!(LabelEncoder::fit(&t, "letter_text").is_ok()); // many classes is fine
                                                                // degree has nulls: encode_column must reject them.
-        assert!(t.column("degree").unwrap().null_count() > 0);
+        assert!(t.plane("degree").unwrap().null_count() > 0);
         let enc = LabelEncoder::fit(&t, "degree").unwrap();
         assert!(enc.encode_column(&t, "degree").is_err());
     }

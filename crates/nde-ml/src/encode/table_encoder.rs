@@ -6,6 +6,7 @@ use crate::encode::scaler::StandardScaler;
 use crate::encode::text_hash::HashedTextEncoder;
 use crate::linalg::Matrix;
 use crate::{MlError, Result};
+use nde_data::planes::Plane;
 use nde_data::{DataType, Table};
 
 /// Per-column encoding strategy.
@@ -104,7 +105,7 @@ impl TableEncoder {
         for spec in &self.specs {
             let state = match &spec.encoder {
                 ColumnEncoder::Numeric { impute, scale } => {
-                    let values = numeric_values(table, &spec.column)?;
+                    let values: Vec<Option<f64>> = table.f64_cells(&spec.column)?.collect();
                     let mut imputer = NumericImputer::new(*impute);
                     imputer.fit(&values)?;
                     let scaler = if *scale {
@@ -116,18 +117,19 @@ impl TableEncoder {
                     FittedColumn::Numeric { imputer, scaler }
                 }
                 ColumnEncoder::OneHot { fill } => {
-                    let col = table.column(&spec.column)?;
-                    let values = col.as_str_slice().ok_or_else(|| {
-                        MlError::InvalidArgument(format!(
+                    let Plane::Str(p) = table.plane(&spec.column)? else {
+                        return Err(MlError::InvalidArgument(format!(
                             "one-hot column `{}` must be a string column",
                             spec.column
-                        ))
-                    })?;
+                        )));
+                    };
+                    let values: Vec<Option<String>> =
+                        (0..p.len()).map(|r| p.get(r).map(str::to_owned)).collect();
                     let mut imputer = match fill {
                         Some(f) => CategoricalImputer::constant(f.clone()),
                         None => CategoricalImputer::mode(),
                     };
-                    imputer.fit(values)?;
+                    imputer.fit(&values)?;
                     // Fit categories over imputed values so the fill category
                     // gets its own dimension.
                     let imputed: Vec<Option<String>> = values
@@ -206,130 +208,81 @@ impl TableEncoder {
         let mut out = Matrix::zeros(n, d);
         let mut offset = 0;
         for (spec, f) in self.specs.iter().zip(&self.fitted) {
+            let changed_type = |what: &str| {
+                MlError::InvalidArgument(format!("{what} column `{}` changed type", spec.column))
+            };
             match f {
                 FittedColumn::Numeric { imputer, scaler } => {
-                    // Columnar fast path: copy straight off the typed plane,
-                    // filling nulls from the imputer; no Vec<Option<f64>>.
+                    // Ints widen and bools read 0/1; nulls and string cells
+                    // take the imputer's fill.
                     let fill = imputer.fill_value()?;
-                    let apply = |x: f64| match scaler {
-                        Some(s) => s.transform_one(x),
-                        None => x,
-                    };
-                    if let Some(p) = table.col_f64(&spec.column) {
-                        for i in 0..n {
-                            let x = if p.nulls.get(i) { fill } else { p.values[i] };
-                            out.row_mut(i)[offset] = apply(x);
-                        }
-                    } else if let Some(p) = table.col_i64(&spec.column) {
-                        for i in 0..n {
-                            let x = if p.nulls.get(i) {
-                                fill
-                            } else {
-                                p.values[i] as f64
-                            };
-                            out.row_mut(i)[offset] = apply(x);
-                        }
-                    } else {
-                        let values = table.column(&spec.column)?.to_f64_vec();
-                        for (i, v) in values.iter().enumerate() {
-                            out.row_mut(i)[offset] = apply(imputer.transform_one(*v)?);
-                        }
+                    for (i, v) in table.f64_cells(&spec.column)?.enumerate() {
+                        let x = v.unwrap_or(fill);
+                        out.row_mut(i)[offset] = match scaler {
+                            Some(s) => s.transform_one(x),
+                            None => x,
+                        };
                     }
                     offset += 1;
                 }
                 FittedColumn::Bool => {
-                    if let Some(p) = table.col_bool(&spec.column) {
-                        for i in 0..n {
-                            let set = !p.nulls.get(i) && p.values[i];
-                            out.row_mut(i)[offset] = if set { 1.0 } else { 0.0 };
-                        }
-                    } else {
-                        let col = table.column(&spec.column)?;
-                        let values = col.as_bool_slice().ok_or_else(|| {
-                            MlError::InvalidArgument(format!(
-                                "bool column `{}` changed type",
-                                spec.column
-                            ))
-                        })?;
-                        for (i, v) in values.iter().enumerate() {
-                            out.row_mut(i)[offset] = match v {
-                                Some(true) => 1.0,
-                                _ => 0.0,
-                            };
-                        }
+                    let Plane::Bool(p) = table.plane(&spec.column)? else {
+                        return Err(changed_type("bool"));
+                    };
+                    for i in 0..n {
+                        let set = !p.nulls.get(i) && p.values[i];
+                        out.row_mut(i)[offset] = if set { 1.0 } else { 0.0 };
                     }
                     offset += 1;
                 }
                 FittedColumn::OneHot { imputer, encoder } => {
+                    let Plane::Str(p) = table.plane(&spec.column)? else {
+                        return Err(changed_type("one-hot"));
+                    };
+                    // Encode each distinct dictionary code once; rows then
+                    // memcpy the cached one-hot vector.
                     let w = encoder.dim();
-                    if let Some(p) = table.col_str(&spec.column) {
-                        // Encode each distinct dictionary code once; rows then
-                        // memcpy the cached one-hot vector.
-                        let mut by_code: Vec<Option<Vec<f64>>> = vec![None; p.dict().len()];
-                        let mut null_enc: Option<Vec<f64>> = None;
-                        for i in 0..n {
-                            let enc: &[f64] = if p.nulls.get(i) {
-                                if null_enc.is_none() {
-                                    null_enc = Some(encoder.encode(imputer.transform_one(None)?));
-                                }
-                                null_enc.as_deref().expect("just filled")
-                            } else {
-                                let code = p.codes[i] as usize;
-                                if by_code[code].is_none() {
-                                    let cat =
-                                        imputer.transform_one(Some(p.dict().value(code as u32)))?;
-                                    by_code[code] = Some(encoder.encode(cat));
-                                }
-                                by_code[code].as_deref().expect("just filled")
-                            };
-                            out.row_mut(i)[offset..offset + w].copy_from_slice(enc);
-                        }
-                    } else {
-                        let col = table.column(&spec.column)?;
-                        let values = col.as_str_slice().ok_or_else(|| {
-                            MlError::InvalidArgument(format!(
-                                "one-hot column `{}` changed type",
-                                spec.column
-                            ))
-                        })?;
-                        for (i, v) in values.iter().enumerate() {
-                            let cat = imputer.transform_one(v.as_deref())?;
-                            encoder.encode_into(cat, &mut out.row_mut(i)[offset..offset + w]);
-                        }
+                    let mut by_code: Vec<Option<Vec<f64>>> = vec![None; p.dict().len()];
+                    let mut null_enc: Option<Vec<f64>> = None;
+                    for i in 0..n {
+                        let enc: &[f64] = if p.nulls.get(i) {
+                            if null_enc.is_none() {
+                                null_enc = Some(encoder.encode(imputer.transform_one(None)?));
+                            }
+                            null_enc.as_deref().expect("just filled")
+                        } else {
+                            let code = p.codes[i] as usize;
+                            if by_code[code].is_none() {
+                                let cat =
+                                    imputer.transform_one(Some(p.dict().value(code as u32)))?;
+                                by_code[code] = Some(encoder.encode(cat));
+                            }
+                            by_code[code].as_deref().expect("just filled")
+                        };
+                        out.row_mut(i)[offset..offset + w].copy_from_slice(enc);
                     }
                     offset += w;
                 }
                 FittedColumn::TextHash(enc) => {
+                    let Plane::Str(p) = table.plane(&spec.column)? else {
+                        return Err(changed_type("text"));
+                    };
+                    // Hash each distinct text once via its dictionary code;
+                    // nulls take the zero vector (`""` hashes to zeros).
                     let w = enc.dim();
-                    if let Some(p) = table.col_str(&spec.column) {
-                        // Hash each distinct text once via its dictionary code;
-                        // nulls take the zero vector (`""` hashes to zeros).
-                        let mut by_code: Vec<Option<Vec<f64>>> = vec![None; p.dict().len()];
-                        let zeros = vec![0.0; w];
-                        for i in 0..n {
-                            let v: &[f64] = if p.nulls.get(i) {
-                                &zeros
-                            } else {
-                                let code = p.codes[i] as usize;
-                                if by_code[code].is_none() {
-                                    by_code[code] = Some(enc.encode(p.dict().value(code as u32)));
-                                }
-                                by_code[code].as_deref().expect("just filled")
-                            };
-                            out.row_mut(i)[offset..offset + w].copy_from_slice(v);
-                        }
-                    } else {
-                        let col = table.column(&spec.column)?;
-                        let values = col.as_str_slice().ok_or_else(|| {
-                            MlError::InvalidArgument(format!(
-                                "text column `{}` changed type",
-                                spec.column
-                            ))
-                        })?;
-                        for (i, v) in values.iter().enumerate() {
-                            let text = v.as_deref().unwrap_or("");
-                            enc.encode_into(text, &mut out.row_mut(i)[offset..offset + w]);
-                        }
+                    let mut by_code: Vec<Option<Vec<f64>>> = vec![None; p.dict().len()];
+                    let zeros = vec![0.0; w];
+                    for i in 0..n {
+                        let v: &[f64] = if p.nulls.get(i) {
+                            &zeros
+                        } else {
+                            let code = p.codes[i] as usize;
+                            if by_code[code].is_none() {
+                                by_code[code] = Some(enc.encode(p.dict().value(code as u32)));
+                            }
+                            by_code[code].as_deref().expect("just filled")
+                        };
+                        out.row_mut(i)[offset..offset + w].copy_from_slice(v);
                     }
                     offset += w;
                 }
@@ -367,22 +320,6 @@ impl TableEncoder {
             ),
         ])
     }
-}
-
-/// Optional-f64 view of a column, widened like [`nde_data::Column::to_f64_vec`]
-/// but copied straight from the typed plane for `Int` and `Float` columns.
-fn numeric_values(table: &Table, column: &str) -> Result<Vec<Option<f64>>> {
-    if let Some(p) = table.col_f64(column) {
-        return Ok((0..p.values.len())
-            .map(|i| (!p.nulls.get(i)).then_some(p.values[i]))
-            .collect());
-    }
-    if let Some(p) = table.col_i64(column) {
-        return Ok((0..p.values.len())
-            .map(|i| (!p.nulls.get(i)).then_some(p.values[i] as f64))
-            .collect());
-    }
-    Ok(table.column(column)?.to_f64_vec())
 }
 
 #[cfg(test)]
@@ -448,6 +385,91 @@ mod tests {
         assert!(bad.fit(&t).is_err());
         let mut missing = TableEncoder::new(vec![EncoderSpec::new("no_such", ColumnEncoder::Bool)]);
         assert!(missing.fit(&t).is_err());
+    }
+
+    fn mixed(name: &str, dtype: DataType, cells: [Value; 3]) -> Table {
+        let schema = nde_data::Schema::new(vec![nde_data::Field::new(name, dtype)]).unwrap();
+        let mut t = Table::empty("t", schema);
+        for v in cells {
+            t.push_row(vec![v]).unwrap();
+        }
+        t
+    }
+
+    fn first_column(x: &Matrix) -> Vec<f64> {
+        x.iter_rows().map(|r| r[0]).collect()
+    }
+
+    fn numeric(column: &str, impute: NumericImputation) -> TableEncoder {
+        TableEncoder::new(vec![EncoderSpec::new(
+            column,
+            ColumnEncoder::Numeric {
+                impute,
+                scale: false,
+            },
+        )])
+    }
+
+    #[test]
+    fn numeric_encoder_widens_int_bool_and_str_columns() {
+        let ints = mixed("c", DataType::Int, [1.into(), Value::Null, 3.into()]);
+        let x = numeric("c", NumericImputation::Mean)
+            .fit_transform(&ints)
+            .unwrap();
+        assert_eq!(first_column(&x), vec![1.0, 2.0, 3.0]);
+        // Bools encode as 0/1; the null takes their mean.
+        let bools = mixed(
+            "c",
+            DataType::Bool,
+            [true.into(), Value::Null, false.into()],
+        );
+        let x = numeric("c", NumericImputation::Mean)
+            .fit_transform(&bools)
+            .unwrap();
+        assert_eq!(first_column(&x), vec![1.0, 0.5, 0.0]);
+        // A string column has no numeric cells: every row takes the fill.
+        let strs = mixed("c", DataType::Str, ["a".into(), Value::Null, "b".into()]);
+        assert!(numeric("c", NumericImputation::Mean).fit(&strs).is_err());
+        let x = numeric("c", NumericImputation::Constant(7.0))
+            .fit_transform(&strs)
+            .unwrap();
+        assert_eq!(first_column(&x), vec![7.0, 7.0, 7.0]);
+    }
+
+    #[test]
+    fn transform_rejects_a_column_whose_type_changed() {
+        let strs = mixed("c", DataType::Str, ["a".into(), Value::Null, "b".into()]);
+        let bools = mixed(
+            "c",
+            DataType::Bool,
+            [true.into(), Value::Null, false.into()],
+        );
+        let ints = mixed("c", DataType::Int, [1.into(), 2.into(), 3.into()]);
+        let cases = [
+            (ColumnEncoder::OneHot { fill: None }, &strs, "one-hot"),
+            (ColumnEncoder::TextHash { dims: 4 }, &strs, "text"),
+            (ColumnEncoder::Bool, &bools, "bool"),
+        ];
+        for (encoder, fit_on, what) in cases {
+            let mut enc = TableEncoder::new(vec![EncoderSpec::new("c", encoder)]);
+            enc.fit(fit_on).unwrap();
+            assert_eq!(
+                enc.transform(&ints).unwrap_err(),
+                MlError::InvalidArgument(format!("{what} column `c` changed type"))
+            );
+            let other = mixed("d", DataType::Int, [1.into(), 2.into(), 3.into()]);
+            assert_eq!(
+                enc.transform(&other).unwrap_err(),
+                MlError::Data("unknown column `c`".into())
+            );
+        }
+        let mut enc = numeric("c", NumericImputation::Mean);
+        enc.fit(&ints).unwrap();
+        let other = mixed("d", DataType::Int, [1.into(), 2.into(), 3.into()]);
+        assert_eq!(
+            enc.transform(&other).unwrap_err(),
+            MlError::Data("unknown column `c`".into())
+        );
     }
 
     #[test]

@@ -135,15 +135,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x` (AXPY).
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Squared Euclidean distance between equal-length slices.
 #[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -421,9 +412,6 @@ mod tests {
     #[test]
     fn dot_axpy_norm_distance() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 3.0], &mut y);
-        assert_eq!(y, vec![3.0, 7.0]);
         assert_eq!(squared_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
     }

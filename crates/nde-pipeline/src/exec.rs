@@ -19,8 +19,9 @@ use crate::provenance::{Lineage, ProvArena, ProvId, TupleId};
 use crate::{PipelineError, Result};
 use nde_data::fxhash::FxHashMap;
 use nde_data::par::{catch_quiet, WorkerFailure};
+use nde_data::planes::{BoolPlane, Plane};
 use nde_data::pool::WorkerPool;
-use nde_data::{Column, DataType, Field, Table};
+use nde_data::{DataType, Field, Table};
 use std::iter::repeat_n;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -185,11 +186,6 @@ impl Executor {
     /// Worker-thread count this executor evaluates with.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether provenance tracking is enabled.
-    pub fn tracks_provenance(&self) -> bool {
-        self.track_provenance
     }
 
     /// The configured panic policy.
@@ -534,10 +530,10 @@ impl Executor {
                         |row| expr.eval(&t, row),
                     )?;
                     let mut kept = Vec::with_capacity(rows.len());
-                    let mut col = Column::with_capacity(dtype, rows.len());
+                    let mut col = Plane::empty(dtype);
                     for (row, v) in rows {
                         kept.push(row);
-                        col.push(v)
+                        col.push_value(v)
                             .map_err(|e| PipelineError::Expr(e.to_string()))?;
                     }
                     let t = if kept.len() == t.n_rows() {
@@ -666,32 +662,14 @@ fn filter_eq_fast_path(t: &Table, predicate: &crate::expr::Expr) -> Option<Vec<u
 
 /// A `col IS [NOT] NULL` projection read straight off the column's null
 /// bitmap. `None` falls back to per-row evaluation.
-fn null_test_fast_path(t: &Table, expr: &crate::expr::Expr) -> Option<Column> {
+fn null_test_fast_path(t: &Table, expr: &crate::expr::Expr) -> Option<Plane> {
     let (name, not_null) = expr.as_null_test()?;
-    let dtype = t.schema().field(name).ok()?.dtype;
-    let mask: Vec<bool> = match dtype {
-        DataType::Int => {
-            let p = t.col_i64(name)?;
-            (0..p.len()).map(|r| p.nulls.get(r)).collect()
-        }
-        DataType::Float => {
-            let p = t.col_f64(name)?;
-            (0..p.len()).map(|r| p.nulls.get(r)).collect()
-        }
-        DataType::Str => {
-            let p = t.col_str(name)?;
-            (0..p.len()).map(|r| p.nulls.get(r)).collect()
-        }
-        DataType::Bool => {
-            let p = t.col_bool(name)?;
-            (0..p.len()).map(|r| p.nulls.get(r)).collect()
-        }
-    };
-    Some(Column::Bool(
-        mask.into_iter()
-            .map(|is_null| Some(is_null != not_null))
-            .collect(),
-    ))
+    let nulls = t.plane(name).ok()?.nulls();
+    let mut out = BoolPlane::with_capacity(nulls.len());
+    for row in 0..nulls.len() {
+        out.push(nulls.get(row) != not_null);
+    }
+    Some(Plane::Bool(out))
 }
 
 #[cfg(test)]
@@ -1076,7 +1054,7 @@ mod tests {
         let has: Vec<bool> = (0..out.table.n_rows())
             .map(|r| out.table.get(r, "has_twitter").unwrap().as_bool().unwrap())
             .collect();
-        let nulls = s.social.column("twitter").unwrap().null_count();
+        let nulls = s.social.plane("twitter").unwrap().null_count();
         assert_eq!(has.iter().filter(|&&b| !b).count(), nulls);
     }
 }

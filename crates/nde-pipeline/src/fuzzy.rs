@@ -9,7 +9,7 @@
 
 use crate::{PipelineError, Result};
 use nde_data::par::WorkerFailure;
-use nde_data::planes::StrPlane;
+use nde_data::planes::{Plane, StrPlane};
 use nde_data::pool::WorkerPool;
 use nde_data::Table;
 use std::sync::atomic::AtomicBool;
@@ -106,10 +106,12 @@ pub fn fuzzy_join_par(
 
 /// The string plane of a fuzzy join key column.
 fn key_plane<'a>(t: &'a Table, key: &str) -> Result<&'a StrPlane> {
-    t.schema().index_of(key)?;
-    t.col_str(key).ok_or_else(|| {
-        PipelineError::InvalidPlan(format!("fuzzy join key `{key}` must be a string column"))
-    })
+    match t.plane(key)? {
+        Plane::Str(p) => Ok(p),
+        _ => Err(PipelineError::InvalidPlan(format!(
+            "fuzzy join key `{key}` must be a string column"
+        ))),
+    }
 }
 
 /// Score distinct left values (dictionary codes) against distinct right

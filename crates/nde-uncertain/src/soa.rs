@@ -84,12 +84,6 @@ impl IntervalVec {
         self.lo[i] = iv.lo;
         self.hi[i] = iv.hi;
     }
-
-    /// Reset every element to the point-zero interval.
-    pub fn clear_to_zero(&mut self) {
-        self.lo.iter_mut().for_each(|v| *v = 0.0);
-        self.hi.iter_mut().for_each(|v| *v = 0.0);
-    }
 }
 
 /// Product bounds of `[a_lo, a_hi] * [b_lo, b_hi]`, with the exact
@@ -234,8 +228,6 @@ mod tests {
         let mut v2 = v.clone();
         v2.set(0, Interval::new(-9.0, 9.0));
         assert_eq!(v2.get(0), Interval::new(-9.0, 9.0));
-        v2.clear_to_zero();
-        assert_eq!(v2, IntervalVec::zeros(13));
     }
 
     #[test]

@@ -323,15 +323,6 @@ impl ZorroRegressor {
             .map(|i| i.hi)
             .fold(0.0, f64::max))
     }
-
-    /// Mean worst-case loss: the average squared-loss upper bound.
-    pub fn mean_worst_case_loss(&self, x: &Matrix, y: &[f64]) -> Result<f64> {
-        let ranges = self.squared_loss_ranges(x, y)?;
-        if ranges.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(ranges.iter().map(|i| i.hi).sum::<f64>() / ranges.len() as f64)
-    }
 }
 
 fn validate_fit_args(x: &SymbolicMatrix, y: &[Interval], config: &ZorroConfig) -> Result<()> {

@@ -10,6 +10,7 @@ verify:
     cargo test -q --release --offline -p nde-data
     cargo test -q --release --offline -p nde-tests --test pool_lifecycle
     cargo test -q --release --offline -p nde-tests --test columnar_backend
+    test -f tests/src/table.rs && ! grep -nwE 'Plane|I64Plane|F64Plane|StrPlane|BoolPlane|NullBitmap|col_i64|col_f64|col_str|col_bool|plane|planes' tests/src/table.rs
     cargo test -q --release --offline -p nde-tests --test uncertain_soa
     cargo test -q --release --offline -p nde-tests --lib certain_knn
     cargo test -q --release --offline -p nde-uncertain

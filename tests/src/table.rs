@@ -1,18 +1,21 @@
 //! The `Value`-per-cell reference table the columnar [`Table`] is checked
 //! against.
 //!
-//! [`RefTable`] keeps one [`Column`] per field and offers the columnar
-//! store's cell accessors `value` and `value_ref`, each read straight from
-//! a `Value` column. Its joins build one hash map over the right side's
-//! [`Value`] keys and probe in fixed chunks, its join output is gathered
-//! cell by cell, and `distinct_by` and `value_counts` hash whole values:
-//! the seed algorithms the radix join, the plane gathers and the dictionary
-//! scans of the columnar table must reproduce bit for bit.
+//! [`RefTable`] stores every column as a `Vec<Value>` and reads the columnar
+//! table only through its public cell accessors, never through its typed
+//! storage, so the two share no code below the [`Value`] type. Cells follow
+//! the table's type rules (`cell`): `Null` fits any column, ints widen
+//! into float columns, and a misfit is the same `TypeMismatch`. Its joins
+//! build one hash map over the right side's [`Value`] keys and probe in
+//! fixed chunks, its join output is gathered cell by cell, and
+//! `distinct_by` and `value_counts` hash whole values: the seed algorithms
+//! the radix join, the typed gathers and the dictionary scans of the
+//! columnar table must reproduce bit for bit.
 
 use nde_data::fxhash::FxHashMap;
 use nde_data::par::WorkerFailure;
 use nde_data::pool::WorkerPool;
-use nde_data::{Column, DataError, Field, Schema, Table, Value, ValueRef};
+use nde_data::{DataError, DataType, Field, Schema, Table, Value, ValueRef};
 use std::sync::atomic::AtomicBool;
 
 type Result<T> = std::result::Result<T, DataError>;
@@ -25,42 +28,60 @@ pub type RefLeftJoin = (RefTable, Vec<(usize, Option<usize>)>);
 /// output is the same at every thread count.
 const ROW_CHUNK: usize = 256;
 
-/// A named table stored as one `Value`-per-cell [`Column`] per field.
+/// A named table stored as one `Vec<Value>` per field.
 #[derive(Debug, Clone)]
 pub struct RefTable {
     name: String,
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Vec<Value>>,
+}
+
+/// `value` as a cell of a `dtype` column: `Null` fits any column and ints
+/// widen into float columns; any other misfit is a `TypeMismatch` naming no
+/// column.
+fn cell(dtype: DataType, value: Value) -> Result<Value> {
+    match (dtype, value) {
+        (DataType::Float, Value::Int(x)) => Ok(Value::Float(x as f64)),
+        (_, Value::Null) => Ok(Value::Null),
+        (dtype, value) if value.data_type() == Some(dtype) => Ok(value),
+        (dtype, value) => Err(DataError::TypeMismatch {
+            column: String::new(),
+            expected: dtype.name(),
+            got: format!("{value:?}"),
+        }),
+    }
 }
 
 impl RefTable {
-    /// The reference copy of a columnar table: same name, schema and cells.
+    /// The reference copy of a columnar table: same name, schema and cells,
+    /// read cell by cell.
     pub fn from_table(t: &Table) -> RefTable {
         RefTable {
             name: t.name().to_string(),
             schema: t.schema().clone(),
-            columns: (0..t.n_cols()).map(|c| t.column_at(c)).collect(),
+            columns: (0..t.n_cols())
+                .map(|c| {
+                    (0..t.n_rows())
+                        .map(|r| t.value_ref_at(r, c).expect("in bounds").to_value())
+                        .collect()
+                })
+                .collect(),
         }
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.columns.first().map_or(0, Vec::len)
     }
 
     /// Owned cell value at (`row`, `col`).
     pub fn value(&self, row: usize, col: usize) -> Value {
-        self.columns[col].get(row).unwrap_or(Value::Null)
+        self.columns[col][row].clone()
     }
 
     /// Borrowed cell value at (`row`, `col`).
     pub fn value_ref(&self, row: usize, col: usize) -> ValueRef<'_> {
-        match &self.columns[col] {
-            Column::Int(v) => v[row].map_or(ValueRef::Null, ValueRef::Int),
-            Column::Float(v) => v[row].map_or(ValueRef::Null, ValueRef::Float),
-            Column::Str(v) => v[row].as_deref().map_or(ValueRef::Null, ValueRef::Str),
-            Column::Bool(v) => v[row].map_or(ValueRef::Null, ValueRef::Bool),
-        }
+        ValueRef::from_value(&self.columns[col][row])
     }
 
     fn check_row(&self, row: usize) -> Result<()> {
@@ -95,23 +116,26 @@ impl RefTable {
                 got: row.len(),
             });
         }
-        for (field, value) in self.schema.fields().iter().zip(&row) {
-            Column::empty(field.dtype)
-                .push(value.clone())
-                .map_err(|e| named(e, &field.name))?;
-        }
-        for (col, value) in self.columns.iter_mut().zip(row) {
-            col.push(value).expect("type-checked above");
+        let cells = self
+            .schema
+            .fields()
+            .iter()
+            .zip(row)
+            .map(|(field, value)| cell(field.dtype, value).map_err(|e| named(e, &field.name)))
+            .collect::<Result<Vec<Value>>>()?;
+        for (col, value) in self.columns.iter_mut().zip(cells) {
+            col.push(value);
         }
         Ok(())
     }
 
-    /// Overwrite the cell at (`row`, `col_name`).
+    /// Overwrite the cell at (`row`, `col_name`): bounds first, then type.
     pub fn set(&mut self, row: usize, col_name: &str, value: Value) -> Result<()> {
         let idx = self.schema.index_of(col_name)?;
-        self.columns[idx]
-            .set(row, value)
-            .map_err(|e| named(e, col_name))
+        self.check_row(row)?;
+        let dtype = self.schema.fields()[idx].dtype;
+        self.columns[idx][row] = cell(dtype, value).map_err(|e| named(e, col_name))?;
+        Ok(())
     }
 
     /// The rows at `indices`, bounds-checked.
@@ -120,7 +144,7 @@ impl RefTable {
             self.check_row(i)?;
         }
         Ok(RefTable {
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            columns: self.columns.iter().map(|c| gather(c, indices)).collect(),
             ..self.clone()
         })
     }
@@ -162,14 +186,19 @@ impl RefTable {
         self.select(&keep)
     }
 
-    /// Add a column on the right (length and type must match).
-    pub fn add_column(&mut self, field: Field, column: Column) -> Result<()> {
-        if column.len() != self.n_rows() || column.data_type() != field.dtype {
+    /// Add a column on the right: one cell per row, each fitting the
+    /// field's type.
+    pub fn add_column(&mut self, field: Field, cells: Vec<Value>) -> Result<()> {
+        if cells.len() != self.n_rows() {
             return Err(DataError::SchemaMismatch(format!(
                 "column `{}` does not fit",
                 field.name
             )));
         }
+        let column = cells
+            .into_iter()
+            .map(|v| cell(field.dtype, v).map_err(|e| named(e, &field.name)))
+            .collect::<Result<Vec<Value>>>()?;
         self.schema.push(field)?;
         self.columns.push(column);
         Ok(())
@@ -181,7 +210,7 @@ impl RefTable {
             return Err(DataError::SchemaMismatch("schemas differ".into()));
         }
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend_from(b)?;
+            a.extend(b.iter().cloned());
         }
         Ok(())
     }
@@ -194,11 +223,8 @@ impl RefTable {
             .iter()
             .zip(&self.columns)
             .map(|(f, c)| {
-                let frac = if n == 0 {
-                    0.0
-                } else {
-                    c.null_count() as f64 / n as f64
-                };
+                let nulls = c.iter().filter(|v| v.is_null()).count();
+                let frac = if n == 0 { 0.0 } else { nulls as f64 / n as f64 };
                 (f.name.clone(), frac)
             })
             .collect()
@@ -209,11 +235,7 @@ impl RefTable {
     pub fn sort_by(&self, col_name: &str) -> Result<(RefTable, Vec<usize>)> {
         let col = &self.columns[self.schema.index_of(col_name)?];
         let mut idx: Vec<usize> = (0..self.n_rows()).collect();
-        idx.sort_by(|&a, &b| {
-            col.get(a)
-                .expect("in bounds")
-                .total_cmp(&col.get(b).expect("in bounds"))
-        });
+        idx.sort_by(|&a, &b| col[a].total_cmp(&col[b]));
         Ok((self.take(&idx)?, idx))
     }
 
@@ -223,12 +245,11 @@ impl RefTable {
         let col = &self.columns[self.schema.index_of(col_name)?];
         let mut counts: Vec<(Value, usize)> = Vec::new();
         let mut slot_of: FxHashMap<Option<CountKey>, usize> = FxHashMap::default();
-        for row in 0..col.len() {
-            let v = col.get(row).expect("in bounds");
+        for v in col {
             let next = counts.len();
-            let slot = *slot_of.entry(CountKey::from_value(&v)).or_insert(next);
+            let slot = *slot_of.entry(CountKey::from_value(v)).or_insert(next);
             if slot == next {
-                counts.push((v, 1));
+                counts.push((v.clone(), 1));
             } else {
                 counts[slot].1 += 1;
             }
@@ -352,7 +373,8 @@ impl RefTable {
     ) -> Result<RefTable> {
         let mut fields: Vec<Field> = self.schema.fields().to_vec();
         let left_idx: Vec<usize> = lineage.iter().map(|&(l, _)| l).collect();
-        let mut columns: Vec<Column> = self.columns.iter().map(|c| c.take(&left_idx)).collect();
+        let mut columns: Vec<Vec<Value>> =
+            self.columns.iter().map(|c| gather(c, &left_idx)).collect();
         for (ci, f) in right.schema.fields().iter().enumerate() {
             if ci == right_key {
                 continue;
@@ -363,11 +385,12 @@ impl RefTable {
                 f.name.clone()
             };
             fields.push(Field::new(name, f.dtype));
-            let mut col = Column::with_capacity(f.dtype, lineage.len());
-            for &(_, r) in lineage {
-                col.push(r.map_or(Value::Null, |r| right.value(r, ci)))?;
-            }
-            columns.push(col);
+            columns.push(
+                lineage
+                    .iter()
+                    .map(|&(_, r)| r.map_or(Value::Null, |r| right.value(r, ci)))
+                    .collect(),
+            );
         }
         Ok(RefTable {
             name: self.name.clone(),
@@ -419,7 +442,12 @@ fn chunked<T: Send>(
     Ok(parts.into_iter().map(|(_, part)| part).collect())
 }
 
-/// Names the column in a cell error raised by [`Column`].
+/// The cells of `column` at `indices` (rows may repeat).
+fn gather(column: &[Value], indices: &[usize]) -> Vec<Value> {
+    indices.iter().map(|&i| column[i].clone()).collect()
+}
+
+/// Names the column in a cell error raised by [`cell`].
 fn named(e: DataError, column: &str) -> DataError {
     match e {
         DataError::TypeMismatch { expected, got, .. } => DataError::TypeMismatch {
@@ -469,7 +497,6 @@ impl CountKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nde_data::DataType;
 
     /// A left table big enough to span several probe chunks, with nulls,
     /// duplicate keys, and misses sprinkled in.
@@ -509,6 +536,27 @@ mod tests {
             }
         }
         (left, right)
+    }
+
+    #[test]
+    fn cells_follow_the_table_type_rules() {
+        assert_eq!(cell(DataType::Float, Value::Int(3)), Ok(Value::Float(3.0)));
+        assert_eq!(cell(DataType::Str, Value::Null), Ok(Value::Null));
+        let mut t = Table::empty(
+            "t",
+            Schema::new(vec![Field::new("s", DataType::Str)]).unwrap(),
+        );
+        let mut r = RefTable::from_table(&t);
+        let (et, er) = (
+            t.push_row(vec![Value::Int(1)]).unwrap_err(),
+            r.push_row(vec![Value::Int(1)]).unwrap_err(),
+        );
+        assert_eq!(format!("{et:?}"), format!("{er:?}"));
+        let (et, er) = (
+            t.set(4, "s", Value::Bool(true)).unwrap_err(),
+            r.set(4, "s", Value::Bool(true)).unwrap_err(),
+        );
+        assert_eq!(format!("{et:?}"), format!("{er:?}"));
     }
 
     #[test]

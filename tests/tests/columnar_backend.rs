@@ -6,8 +6,9 @@
 
 use nde::scenario::load_recommendation_letters;
 use nde_data::inject::{add_gaussian_noise, duplicate_rows, inject_missing, Missingness};
+use nde_data::planes::{BoolPlane, Plane};
 use nde_data::rng::{seeded, Rng};
-use nde_data::{Column, DataType, Field, Schema, Table, Value};
+use nde_data::{DataType, Field, Schema, Table, Value};
 use nde_tests::table::RefTable;
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
@@ -141,15 +142,21 @@ fn row_and_column_ops_agree_across_backends() {
     ra.append(&r).unwrap();
     assert_eq!(ca, ra);
 
-    let bools: Vec<Option<bool>> = (0..c.n_rows()).map(|i| Some(i % 2 == 0)).collect();
+    // The same column, added as a typed plane and as reference cells.
+    let even = |i: usize| (!i.is_multiple_of(3)).then_some(i.is_multiple_of(2));
+    let mut bools = BoolPlane::new();
+    for i in 0..c.n_rows() {
+        match even(i) {
+            Some(b) => bools.push(b),
+            None => bools.push_null(),
+        }
+    }
+    let cells: Vec<Value> = (0..c.n_rows()).map(|i| even(i).into()).collect();
     let mut cc = c.clone();
     let mut rc = r.clone();
-    cc.add_column(
-        Field::new("even", DataType::Bool),
-        Column::Bool(bools.clone()),
-    )
-    .unwrap();
-    rc.add_column(Field::new("even", DataType::Bool), Column::Bool(bools))
+    cc.add_column(Field::new("even", DataType::Bool), Plane::Bool(bools))
+        .unwrap();
+    rc.add_column(Field::new("even", DataType::Bool), cells)
         .unwrap();
     assert_eq!(cc, rc);
 
