@@ -7,7 +7,8 @@
 //! enum dispatch, no `Option` boxing, and no string clones. The cell-level
 //! operations ([`Plane::push_value`], [`Plane::set_value`],
 //! [`Plane::filter_eq_rows`]) carry the table's type rules: `Null` fits any
-//! plane, ints widen into float planes, equality is SQL equality.
+//! plane, ints widen into float planes (both stated once, in `fits`),
+//! equality is SQL equality.
 
 use crate::dict::Dict;
 use crate::schema::DataType;
@@ -160,6 +161,14 @@ impl<T: Copy + Default> PrimPlane<T> {
         self.nulls.push(true);
     }
 
+    /// Append `v`, or a null row for `None`.
+    pub(crate) fn push_opt(&mut self, v: Option<T>) {
+        match v {
+            Some(x) => self.push(x),
+            None => self.push_null(),
+        }
+    }
+
     /// The value at `row`, or `None` if null.
     #[inline]
     pub fn get(&self, row: usize) -> Option<T> {
@@ -280,6 +289,14 @@ impl StrPlane {
     pub fn push_null(&mut self) {
         self.codes.push(0);
         self.nulls.push(true);
+    }
+
+    /// Append `v`, or a null row for `None`.
+    pub(crate) fn push_opt(&mut self, v: Option<&str>) {
+        match v {
+            Some(s) => self.push(s),
+            None => self.push_null(),
+        }
     }
 
     /// The string at `row`, or `None` if null.
@@ -489,20 +506,15 @@ impl Plane {
         }
     }
 
-    /// Append a value, checking type compatibility: `Null` fits any plane
-    /// and ints widen into float planes.
+    /// Append a value, checking type compatibility: `Null` fits any plane,
+    /// and an int fits a float plane, widened by `Value::as_float`.
     pub fn push_value(&mut self, value: Value) -> Result<()> {
-        match (self, value) {
-            (Plane::I64(p), Value::Int(x)) => p.push(x),
-            (Plane::I64(p), Value::Null) => p.push_null(),
-            (Plane::F64(p), Value::Float(x)) => p.push(x),
-            (Plane::F64(p), Value::Int(x)) => p.push(x as f64),
-            (Plane::F64(p), Value::Null) => p.push_null(),
-            (Plane::Str(p), Value::Str(x)) => p.push(&x),
-            (Plane::Str(p), Value::Null) => p.push_null(),
-            (Plane::Bool(p), Value::Bool(x)) => p.push(x),
-            (Plane::Bool(p), Value::Null) => p.push_null(),
-            (plane, value) => return Err(type_mismatch(plane, &value)),
+        self.check_fits(&value)?;
+        match self {
+            Plane::I64(p) => p.push_opt(value.as_int()),
+            Plane::F64(p) => p.push_opt(value.as_float()),
+            Plane::Str(p) => p.push_opt(value.as_str()),
+            Plane::Bool(p) => p.push_opt(value.as_bool()),
         }
         Ok(())
     }
@@ -514,19 +526,27 @@ impl Plane {
         if row >= len {
             return Err(DataError::RowOutOfBounds { index: row, len });
         }
-        match (self, value) {
-            (Plane::I64(p), Value::Int(x)) => p.set(row, Some(x)),
-            (Plane::I64(p), Value::Null) => p.set(row, None),
-            (Plane::F64(p), Value::Float(x)) => p.set(row, Some(x)),
-            (Plane::F64(p), Value::Int(x)) => p.set(row, Some(x as f64)),
-            (Plane::F64(p), Value::Null) => p.set(row, None),
-            (Plane::Str(p), Value::Str(x)) => p.set(row, Some(&x)),
-            (Plane::Str(p), Value::Null) => p.set(row, None),
-            (Plane::Bool(p), Value::Bool(x)) => p.set(row, Some(x)),
-            (Plane::Bool(p), Value::Null) => p.set(row, None),
-            (plane, value) => return Err(type_mismatch(plane, &value)),
+        self.check_fits(&value)?;
+        match self {
+            Plane::I64(p) => p.set(row, value.as_int()),
+            Plane::F64(p) => p.set(row, value.as_float()),
+            Plane::Str(p) => p.set(row, value.as_str()),
+            Plane::Bool(p) => p.set(row, value.as_bool()),
         }
         Ok(())
+    }
+
+    /// The type-mismatch error unless `value` fits this plane.
+    fn check_fits(&self, value: &Value) -> Result<()> {
+        if fits(self.data_type(), value) {
+            Ok(())
+        } else {
+            Err(DataError::TypeMismatch {
+                column: String::new(),
+                expected: self.data_type().name(),
+                got: format!("{value:?}"),
+            })
+        }
     }
 
     /// Plane with the rows at `indices` (callers bounds-check).
@@ -620,13 +640,21 @@ impl Plane {
     }
 }
 
-/// The error of a cell that does not fit `plane`'s type.
-fn type_mismatch(plane: &Plane, value: &Value) -> DataError {
-    DataError::TypeMismatch {
-        column: String::new(),
-        expected: plane.data_type().name(),
-        got: format!("{value:?}"),
-    }
+/// Whether `value` may be stored in a column of type `dtype`: `Null` fits
+/// every type, an `Int` also fits `Float` (widened), and any other value
+/// fits only its own type.
+///
+/// The one statement of the table's cell type rules: `Table::push_row`,
+/// [`Plane::push_value`] and [`Plane::set_value`] all check with it.
+pub(crate) fn fits(dtype: DataType, value: &Value) -> bool {
+    matches!(
+        (dtype, value),
+        (_, Value::Null)
+            | (DataType::Int, Value::Int(_))
+            | (DataType::Float, Value::Float(_) | Value::Int(_))
+            | (DataType::Str, Value::Str(_))
+            | (DataType::Bool, Value::Bool(_))
+    )
 }
 
 /// Lit target for numeric `filter_eq_rows` scans over an integer plane.

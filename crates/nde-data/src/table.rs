@@ -10,9 +10,9 @@
 
 use crate::fxhash::{hash_u64, FxHashMap};
 use crate::par::WorkerFailure;
-use crate::planes::Plane;
+use crate::planes::{fits, Plane};
 use crate::pool::WorkerPool;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{Field, Schema};
 use crate::value::{Value, ValueRef};
 use crate::{DataError, Result};
 use std::fmt;
@@ -133,16 +133,7 @@ impl Table {
         }
         // Validate all cells first so a failed push cannot leave ragged columns.
         for (field, value) in self.schema.fields().iter().zip(&row) {
-            let ok = value.is_null()
-                || matches!(
-                    (field.dtype, value),
-                    (DataType::Int, Value::Int(_))
-                        | (DataType::Float, Value::Float(_))
-                        | (DataType::Float, Value::Int(_))
-                        | (DataType::Str, Value::Str(_))
-                        | (DataType::Bool, Value::Bool(_))
-                );
-            if !ok {
+            if !fits(field.dtype, value) {
                 return Err(DataError::TypeMismatch {
                     column: field.name.clone(),
                     expected: field.dtype.name(),
@@ -781,6 +772,7 @@ impl CountKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::DataType;
 
     fn people() -> Table {
         let mut t = Table::empty(
@@ -881,6 +873,35 @@ mod tests {
         for name in t.schema().names() {
             assert_eq!(t.plane(name).unwrap().len(), 3);
         }
+    }
+
+    #[test]
+    fn push_row_rejects_a_mixed_row_naming_its_column() {
+        let mut t = people();
+        let before = t.clone();
+        // Valid cells (an int widening into the float column, a null)
+        // before and after the one that does not fit.
+        let rows = [
+            (vec![4.into(), Value::Int(7), "x".into()], "name", "Str"),
+            (vec![Value::Null, "dan".into(), true.into()], "age", "Float"),
+            (vec![2.5.into(), "dan".into(), 40.into()], "id", "Int"),
+        ];
+        for (row, column, expected) in rows {
+            let got = format!("{:?}", row[t.schema().index_of(column).unwrap()]);
+            assert_eq!(
+                t.push_row(row),
+                Err(DataError::TypeMismatch {
+                    column: column.into(),
+                    expected,
+                    got,
+                })
+            );
+            assert_eq!(t, before);
+        }
+        // The same cells in the right columns fit.
+        t.push_row(vec![4.into(), Value::Null, 40.into()]).unwrap();
+        assert_eq!(t.get(3, "age").unwrap(), Value::Float(40.0));
+        assert!(t.get(3, "name").unwrap().is_null());
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! re-ranks after every label repair) or `k` costs `O(n)` per validation
 //! point.
 //!
+//! Once a pair is kept, a call costs one branch-free `O(n)` fold per
+//! validation point, plus one bit comparison of the features against the
+//! kept copies. The fold adds `(1[y_i = y] − 1[y_{i+1} = y]) · step` as an
+//! integer difference times the precomputed step instead of branching on
+//! the two labels. It adds the same floats in the same order as the
+//! recursion written out on `knn_engine`, so the scores are the same bits.
+//!
 //! # The order memo
 //!
 //! Prepared orders live in a process-wide memo with **one slot**, keyed by
@@ -26,6 +33,11 @@
 //! - **Verified hits.** A call is served from the slot only after all of
 //!   its feature bits compare equal to the kept copies — never on the
 //!   fingerprint alone.
+//! - **Finite scan only on a miss.** NaN and infinite features are rejected
+//!   with their row and column before a missed pair is fingerprinted or
+//!   sorted. A hit skips the scan: its features equal the kept copies,
+//!   which passed it when they were admitted, so a non-finite input can
+//!   never hit.
 //! - **Memory bound.** The slot holds `m · n` training indices, as `u16`
 //!   when `n ≤ 65,536` and as `u32` otherwise, plus `8 · (n + m) · d` bytes
 //!   of feature copies — about 1.2 MB for 900 × 300 rows of 70 features.
@@ -80,13 +92,19 @@ impl Slot {
     }
 }
 
+/// Whether `a` and `b` have the same shape and every feature bit equal:
+/// row by row, each row OR-ing the XOR of its cells' bits over the whole
+/// slice (which the compiler vectorizes) before the next row is read.
 fn same_bits(a: &Matrix, b: &Matrix) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
-        && a.iter_rows()
-            .flatten()
-            .zip(b.iter_rows().flatten())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+        && (0..a.rows()).all(|r| {
+            a.row(r)
+                .iter()
+                .zip(b.row(r))
+                .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+                == 0
+        })
 }
 
 /// 64-bit fingerprint of the shapes and feature bits of a pair. Unlike
@@ -143,17 +161,28 @@ impl OrderMemo {
     /// The neighbor orders of `(train, valid)`: from the slot when it holds
     /// exactly these features, otherwise computed on `pool` (and kept when
     /// this fingerprint missed just before).
+    ///
+    /// Only a miss scans the features for NaN or infinite values: a hit's
+    /// features equal the kept copies, which were scanned when they were
+    /// admitted. A rejected call leaves the memo as it was.
     fn orders(
         &self,
         train: &Dataset,
         valid: &Dataset,
         pool: &WorkerPool,
         threads: usize,
-    ) -> Arc<Orders> {
+    ) -> Result<Arc<Orders>> {
         let slot = self.state().slot.clone();
         if let Some(slot) = slot.filter(|s| s.holds(train, valid)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&slot.orders);
+            return Ok(Arc::clone(&slot.orders));
+        }
+        for (name, data) in [("training", train), ("validation", valid)] {
+            if let Some((row, col)) = data.first_non_finite() {
+                return Err(ImportanceError::InvalidArgument(format!(
+                    "{name} data holds a non-finite feature at row {row}, column {col}"
+                )));
+            }
         }
         let key = fingerprint(train, valid);
         let admit = self.state().seen.replace(key) == Some(key);
@@ -167,7 +196,7 @@ impl OrderMemo {
             self.state().slot = Some(Arc::new(slot));
             self.admits.fetch_add(1, Ordering::Relaxed);
         }
-        orders
+        Ok(orders)
     }
 }
 
@@ -181,14 +210,21 @@ impl OrderMemo {
 /// nearest first, 1-indexed):
 ///
 /// ```text
-/// s[n]   = 1[y_n = y] / n
+/// s[n]   = 1[y_n = y] / max(K, n)
 /// s[i]   = s[i+1] + (1[y_i = y] − 1[y_{i+1} = y]) / K · min(K, i) / i
 /// ```
 ///
+/// The farthest point adds `1[y_n = y] / K` exactly when fewer than `K`
+/// points precede it, which a random permutation gives with probability
+/// `min(K, n) / n`; so `s[n] = 1[y_n = y] / K · min(K, n) / n`, computed
+/// as `1[y_n = y] / max(K, n)`. For `K ≤ n` that is Jia et al.'s
+/// `1[y_n = y] / n`; for `K > n` every point is always among the `K`
+/// nearest and `s[i] = 1[y_i = y] / K`.
+///
 /// The distance orders come from the process-wide order memo (see the
 /// module docs), so only the recursion runs per call once a feature pair
-/// is kept. NaN or infinite features are rejected up front with the
-/// offending row and column.
+/// is kept. NaN or infinite features are rejected with the offending row
+/// and column (by the memo, on a miss).
 pub(crate) fn knn_engine(
     train: &Dataset,
     valid: &Dataset,
@@ -223,14 +259,7 @@ fn knn_engine_in(
             valid.dim()
         )));
     }
-    for (name, data) in [("training", train), ("validation", valid)] {
-        if let Some((row, col)) = data.first_non_finite() {
-            return Err(ImportanceError::InvalidArgument(format!(
-                "{name} data holds a non-finite feature at row {row}, column {col}"
-            )));
-        }
-    }
-    let orders = memo.orders(train, valid, pool, threads);
+    let orders = memo.orders(train, valid, pool, threads)?;
     let totals = match &*orders {
         Orders::Narrow(orders) => shapley_totals(orders, train, valid, k, threads, pool),
         Orders::Wide(orders) => shapley_totals(orders, train, valid, k, threads, pool),
@@ -278,18 +307,17 @@ fn shapley_totals<T: OrderIndex>(
             // gets exactly one addition per validation point, so adding
             // while walking sums the same floats as a second pass.
             let last = order[n - 1].index();
-            let mut hit = train.y[last] == vy;
-            let mut s = f64::from(u8::from(hit)) / n as f64;
+            let mut hit = i32::from(train.y[last] == vy);
+            let mut s = f64::from(hit) / n.max(k) as f64;
             totals[last] += s;
             for p in (0..n - 1).rev() {
                 let i = order[p].index();
                 let next = hit;
-                hit = train.y[i] == vy;
-                s += match (hit, next) {
-                    (true, false) => step[p],
-                    (false, true) => -step[p],
-                    _ => 0.0,
-                };
+                hit = i32::from(train.y[i] == vy);
+                // Branch-free: `hit - next` is 1, −1 or 0, so the product
+                // is `step[p]`, `-step[p]` or `+0.0`, and `s` (never
+                // `-0.0`) keeps its bits when `+0.0` is added.
+                s += f64::from(hit - next) * step[p];
                 totals[i] += s;
             }
         }
@@ -490,7 +518,7 @@ mod tests {
             for v in start..(start + VALID_CHUNK).min(valid.len()) {
                 k_nearest(table.row(v), n, &mut order);
                 let hit = |p: usize| f64::from(u8::from(train.y[order[p]] == valid.y[v]));
-                s[n - 1] = hit(n - 1) / n as f64;
+                s[n - 1] = hit(n - 1) / n.max(k) as f64;
                 for p in (0..n - 1).rev() {
                     let i = (p + 1) as f64;
                     s[p] = s[p + 1] + (hit(p) - hit(p + 1)) / kf * kf.min(i) / i;
@@ -506,16 +534,100 @@ mod tests {
         totals.iter().map(|t| t / valid.len() as f64).collect()
     }
 
+    /// [`blobs`] with three classes, where every fifth training row is a
+    /// copy of the row before it (exact distance ties, sometimes between
+    /// different labels).
+    fn three_class_with_duplicates(n: usize, m: usize, seed: u64) -> (Dataset, Dataset) {
+        let (train, mut valid) = blobs(n, m, seed);
+        let rows: Vec<usize> = (0..n).map(|i| if i % 5 == 4 { i - 1 } else { i }).collect();
+        let mut train = train.subset(&rows);
+        for (i, y) in train.y.iter_mut().enumerate() {
+            if i % 7 == 0 {
+                *y = 2;
+            }
+        }
+        for (v, y) in valid.y.iter_mut().enumerate() {
+            if v % 5 == 0 {
+                *y = 2;
+            }
+        }
+        train.n_classes = 3;
+        valid.n_classes = 3;
+        (train, valid)
+    }
+
     #[test]
     fn matches_the_distance_table_reference_bit_for_bit() {
-        let (train, valid) = blobs(150, 70, 3);
-        for k in [1, 5, 149, 150, 400] {
-            let want: Vec<u64> = table_reference(&train, &valid, k)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(bits(&cold(&train, &valid, k, 1)), want, "k={k}");
+        let two_class = blobs(150, 70, 3);
+        let three_class = three_class_with_duplicates(150, 70, 3);
+        assert!(three_class.0.y.contains(&2) && three_class.1.y.contains(&2));
+        assert_eq!(three_class.0.x.row(3), three_class.0.x.row(4));
+        for (name, (train, valid)) in [("2-class", two_class), ("3-class", three_class)] {
+            for k in [1, 5, 149, 150, 400] {
+                let want: Vec<u64> = table_reference(&train, &valid, k)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(bits(&cold(&train, &valid, k, 1)), want, "{name} k={k}");
+            }
         }
+    }
+
+    #[test]
+    fn warm_calls_after_three_class_flips_match_cold_calls_at_every_thread_count() {
+        let (mut train, valid) = three_class_with_duplicates(150, 70, 27);
+        let pool = WorkerPool::new(6);
+        let memo = OrderMemo::new();
+        for (round, row) in [0usize, 4, 4, 41, 98, 149].into_iter().enumerate() {
+            let want = bits(&cold(&train, &valid, 5, 1));
+            for threads in [1, 2, 4, 7] {
+                let got = knn_engine_in(&memo, &train, &valid, 5, threads, &pool).unwrap();
+                assert_eq!(bits(&got), want, "round {round} threads={threads}");
+            }
+            train.y[row] = (train.y[row] + 1) % 3;
+        }
+        // The first call records the pair, the second admits it, and the
+        // other 22 of the 24 calls hit.
+        assert_eq!(counts(&memo), (22, 1));
+    }
+
+    #[test]
+    fn a_non_finite_call_after_a_kept_pair_is_rejected_and_changes_nothing() {
+        let memo = OrderMemo::new();
+        let (train, valid) = blobs(40, 12, 28);
+        warm(&memo, &train, &valid, 3);
+        warm(&memo, &train, &valid, 3);
+        assert_eq!(counts(&memo), (0, 1));
+        let seen = memo.state().seen;
+        let kept = memo.state().slot.clone().expect("the pair is kept");
+        let cases = [
+            (true, 7, 1, f64::NAN),
+            (false, 3, 2, f64::INFINITY),
+            (true, 39, 0, f64::NEG_INFINITY),
+        ];
+        for (in_train, row, col, value) in cases {
+            let (mut t, mut v) = (train.clone(), valid.clone());
+            let name = if in_train {
+                t.x.set(row, col, value);
+                "training"
+            } else {
+                v.x.set(row, col, value);
+                "validation"
+            };
+            let err = knn_engine_in(&memo, &t, &v, 3, 1, &WorkerPool::shared()).unwrap_err();
+            assert_eq!(
+                err,
+                ImportanceError::InvalidArgument(format!(
+                    "{name} data holds a non-finite feature at row {row}, column {col}"
+                ))
+            );
+            assert_eq!(counts(&memo), (0, 1), "{name} ({row},{col})");
+            let state = memo.state();
+            assert_eq!(state.seen, seen);
+            assert!(Arc::ptr_eq(state.slot.as_ref().unwrap(), &kept));
+        }
+        warm(&memo, &train, &valid, 3);
+        assert_eq!(counts(&memo), (1, 1));
     }
 
     #[test]

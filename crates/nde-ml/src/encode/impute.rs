@@ -99,16 +99,27 @@ impl CategoricalImputer {
 
     /// Learn the fill category from training values.
     pub fn fit(&mut self, values: &[Option<String>]) -> Result<()> {
-        if let Some(c) = &self.constant {
-            self.fill = Some(c.clone());
-            return Ok(());
-        }
         let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
         for v in values.iter().flatten() {
             *counts.entry(v.as_str()).or_insert(0) += 1;
         }
+        self.fit_counts(counts)
+    }
+
+    /// Learn the fill category from per-category row counts, each category
+    /// named once, in any order. The mode is the most frequent category
+    /// with a nonzero count, ties going to the lexicographically smaller.
+    pub fn fit_counts<'a>(
+        &mut self,
+        counts: impl IntoIterator<Item = (&'a str, usize)>,
+    ) -> Result<()> {
+        if let Some(c) = &self.constant {
+            self.fill = Some(c.clone());
+            return Ok(());
+        }
         let mode = counts
             .into_iter()
+            .filter(|&(_, count)| count > 0)
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))
             .map(|(v, _)| v.to_owned())
             .ok_or_else(|| {

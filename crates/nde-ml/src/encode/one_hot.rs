@@ -16,7 +16,12 @@ pub struct OneHotEncoder {
 impl OneHotEncoder {
     /// Fit over the observed (non-null) categories.
     pub fn fit(values: &[Option<String>]) -> Result<OneHotEncoder> {
-        let mut categories: Vec<String> = values.iter().flatten().cloned().collect();
+        OneHotEncoder::from_categories(values.iter().flatten().map(String::as_str))
+    }
+
+    /// Fit over the given categories (repeats allowed).
+    pub fn from_categories<'a>(values: impl IntoIterator<Item = &'a str>) -> Result<OneHotEncoder> {
+        let mut categories: Vec<String> = values.into_iter().map(str::to_owned).collect();
         categories.sort();
         categories.dedup();
         if categories.is_empty() {

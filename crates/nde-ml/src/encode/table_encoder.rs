@@ -123,20 +123,26 @@ impl TableEncoder {
                             spec.column
                         )));
                     };
-                    let values: Vec<Option<String>> =
-                        (0..p.len()).map(|r| p.get(r).map(str::to_owned)).collect();
+                    // One count per dictionary code; a shared dictionary
+                    // may hold values no row of this plane uses.
+                    let (counts, nulls) = p.code_counts();
+                    let observed = || {
+                        (0u32..)
+                            .zip(&counts)
+                            .filter(|&(_, &count)| count > 0)
+                            .map(|(code, &count)| (p.dict().value(code), count))
+                    };
                     let mut imputer = match fill {
                         Some(f) => CategoricalImputer::constant(f.clone()),
                         None => CategoricalImputer::mode(),
                     };
-                    imputer.fit(&values)?;
-                    // Fit categories over imputed values so the fill category
-                    // gets its own dimension.
-                    let imputed: Vec<Option<String>> = values
-                        .iter()
-                        .map(|v| Ok(Some(imputer.transform_one(v.as_deref())?.to_owned())))
-                        .collect::<Result<_>>()?;
-                    let encoder = OneHotEncoder::fit(&imputed)?;
+                    imputer.fit_counts(observed())?;
+                    // The categories of the imputed values: the observed
+                    // ones, plus the fill when a null row takes it.
+                    let filled = (nulls > 0).then(|| imputer.fill_value()).transpose()?;
+                    let encoder = OneHotEncoder::from_categories(
+                        observed().map(|(category, _)| category).chain(filled),
+                    )?;
                     FittedColumn::OneHot { imputer, encoder }
                 }
                 ColumnEncoder::TextHash { dims } => {
@@ -470,6 +476,86 @@ mod tests {
             enc.transform(&other).unwrap_err(),
             MlError::Data("unknown column `c`".into())
         );
+    }
+
+    /// FxHash of an encoding: its shape, every cell's bits and the feature
+    /// names.
+    fn digest(enc: &TableEncoder, x: &Matrix) -> u64 {
+        use std::hash::Hasher;
+        let mut h = nde_data::fxhash::FxHasher::default();
+        h.write_usize(x.rows());
+        h.write_usize(x.cols());
+        for v in x.iter_rows().flatten() {
+            h.write_u64(v.to_bits());
+        }
+        for name in enc.feature_names().unwrap() {
+            h.write(name.as_bytes());
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn letters_encodings_are_pinned() {
+        // The letters' `degree` column has natural nulls (mode-imputed).
+        // The subset without "phd" rows shares the full dictionary, so
+        // "phd" stays in it with no row: it must get no dimension.
+        let t = HiringScenario::generate(300, 11).letters;
+        assert!(t.plane("degree").unwrap().null_count() > 0);
+        let no_phd: Vec<usize> = (0..t.n_rows())
+            .filter(|&r| t.get(r, "degree").unwrap().as_str() != Some("phd"))
+            .collect();
+        let sub = t.take(&no_phd).unwrap();
+        let present: Vec<usize> = (0..t.n_rows())
+            .filter(|&r| !t.get(r, "degree").unwrap().is_null())
+            .collect();
+        let no_nulls = t.take(&present).unwrap();
+        let mut got = Vec::new();
+        for fit_on in [&t, &sub] {
+            let mut enc = TableEncoder::for_letters(16);
+            enc.fit(fit_on).unwrap();
+            for table in [&t, &sub] {
+                got.push(digest(&enc, &enc.transform(table).unwrap()));
+            }
+        }
+        let mut enc = TableEncoder::for_letters(16);
+        enc.fit(&sub).unwrap();
+        assert!(!enc.feature_names().unwrap().contains(&"degree=phd".into()));
+        // A constant fill gets its own dimension only when a null row
+        // takes it.
+        for fit_on in [&t, &no_nulls] {
+            let mut enc = TableEncoder::new(vec![EncoderSpec::new(
+                "degree",
+                ColumnEncoder::OneHot {
+                    fill: Some("none".into()),
+                },
+            )]);
+            enc.fit(fit_on).unwrap();
+            got.push(digest(&enc, &enc.transform(&t).unwrap()));
+        }
+        let pinned = [
+            0xf55ebf15627aa51e,
+            0xe3ef6509a5a0dee1,
+            0x7c5e31b268be4861,
+            0x05342a596b65326b,
+            0x4882b366bc9c639c,
+            0x023e3550c1fa0bf5,
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
+    }
+
+    #[test]
+    fn one_hot_mode_ties_go_to_the_smaller_category() {
+        // "b" is interned first, so dictionary order is not category order.
+        let t = mixed("c", DataType::Str, ["b".into(), Value::Null, "a".into()]);
+        let mut enc = TableEncoder::new(vec![EncoderSpec::new(
+            "c",
+            ColumnEncoder::OneHot { fill: None },
+        )]);
+        let x = enc.fit_transform(&t).unwrap();
+        assert_eq!(enc.feature_names().unwrap(), ["c=a", "c=b"]);
+        assert_eq!(x.row(0), [0.0, 1.0]);
+        assert_eq!(x.row(1), [1.0, 0.0]);
+        assert_eq!(x.row(2), [1.0, 0.0]);
     }
 
     #[test]

@@ -225,6 +225,26 @@ mod tests {
     }
 
     #[test]
+    fn hiring_encodings_are_pinned() {
+        use std::hash::Hasher;
+        let mut got = Vec::new();
+        for seed in [3, 12] {
+            let s = HiringScenario::generate(400, seed);
+            let mut fp = FeaturePipeline::hiring(16);
+            let out = fp.fit_run(&inputs(&s), false).unwrap();
+            let x = &out.dataset.x;
+            let mut h = nde_data::fxhash::FxHasher::default();
+            h.write_usize(x.rows());
+            h.write_usize(x.cols());
+            for v in x.iter_rows().flatten() {
+                h.write_u64(v.to_bits());
+            }
+            got.push(h.finish());
+        }
+        assert_eq!(got, [0x104e6518d9a3b652, 0x9527946615997ec6], "{got:#x?}");
+    }
+
+    #[test]
     fn labels_decode_to_sentiments() {
         let s = HiringScenario::generate(60, 6);
         let mut fp = FeaturePipeline::hiring(8);
