@@ -121,20 +121,37 @@ impl Json {
     /// Pretty-print with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Print on one line with no whitespace: the form a line-per-record
+    /// log stores, and the exact bytes a record checksum covers.
+    pub fn to_string_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Write pretty-printed at `indent` levels, or compact for `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        // Pretty only: break the line and indent to `levels`.
+        let newline = |out: &mut String, levels: Option<usize>| {
+            if let Some(levels) = levels {
+                out.push('\n');
+                push_indent(out, levels);
+            }
+        };
+        let inner = indent.map(|i| i + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => out.push_str(&u.to_string()),
+            Json::UInt(u) => push_fmt(out, format_args!("{u}")),
             Json::Float(x) => {
                 if x.is_finite() {
                     // `{:?}` is shortest-round-trip and always marks floats
                     // with a '.' or exponent, so parsing restores the type.
-                    out.push_str(&format!("{x:?}"));
+                    push_fmt(out, format_args!("{x:?}"));
                 } else {
                     // JSON has no NaN/inf; null is the least-bad encoding.
                     out.push_str("null");
@@ -151,12 +168,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                newline(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) => {
@@ -169,14 +184,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    newline(out, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                newline(out, indent);
                 out.push('}');
             }
         }
@@ -187,6 +200,11 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_string_pretty())
     }
+}
+
+/// Append formatted text to `out` without an intermediate `String`.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    fmt::Write::write_fmt(out, args).expect("writing to a String cannot fail");
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -610,6 +628,23 @@ mod tests {
         let text = doc.to_string_pretty();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back, doc);
+        let compact = doc.to_string_compact();
+        assert!(!compact.contains('\n') && compact.len() < text.len());
+        assert_eq!(Json::parse(&compact).unwrap(), doc);
+    }
+
+    #[test]
+    fn compact_text_has_no_whitespace() {
+        let doc = Json::Obj(vec![
+            ("a".into(), Json::Arr(vec![Json::UInt(1), Json::Float(2.5)])),
+            ("b".into(), Json::Obj(vec![("c".into(), Json::Arr(vec![]))])),
+            ("d".into(), Json::Str("x y".into())),
+        ]);
+        assert_eq!(
+            doc.to_string_compact(),
+            r#"{"a":[1,2.5],"b":{"c":[]},"d":"x y"}"#
+        );
+        assert_eq!(Json::Float(-0.0).to_string_compact(), "-0.0");
     }
 
     #[test]

@@ -177,13 +177,29 @@ pub fn member_signature(members: &[usize]) -> u64 {
 /// concurrent workers rarely contend. A racing double-compute of the same
 /// key is possible and harmless: utilities are deterministic, so both
 /// writers insert the same value.
+///
+/// Every new key is numbered in insertion order, so a writer that persists
+/// the cache in pieces can ask for only the entries added since its last
+/// [`MemoCache::mark`] ([`MemoCache::entries_since`]).
 #[derive(Debug, Default)]
 pub struct MemoCache {
-    // Value plus the coalition's membership bloom signature (`!0` when the
-    // membership is unknown, so unknown entries survive no invalidation).
-    shards: [Mutex<FxHashMap<u64, (f64, u64)>>; CACHE_SHARDS],
+    shards: [Mutex<FxHashMap<u64, Entry>>; CACHE_SHARDS],
+    /// The number the next new key gets (`Relaxed`: it publishes no
+    /// entry; entries are published through the shard locks).
+    inserted: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One cached utility.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    value: f64,
+    /// The coalition's membership bloom signature (`!0` when the
+    /// membership is unknown, so unknown entries survive no invalidation).
+    signature: u64,
+    /// Insertion number; a key inserted again keeps its first one.
+    seq: u64,
 }
 
 impl MemoCache {
@@ -192,8 +208,26 @@ impl MemoCache {
         MemoCache::default()
     }
 
-    fn shard(&self, key: u64) -> &Mutex<FxHashMap<u64, (f64, u64)>> {
+    fn shard(&self, key: u64) -> &Mutex<FxHashMap<u64, Entry>> {
         &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
+    }
+
+    /// Store `value` and `signature` under `key`; a new key takes the next
+    /// insertion number, an existing one keeps its own.
+    fn put(&self, key: u64, value: f64, signature: u64) {
+        let mut map = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
+        let seq = map.get(&key).map_or_else(
+            || self.inserted.fetch_add(1, Ordering::Relaxed),
+            |old| old.seq,
+        );
+        map.insert(
+            key,
+            Entry {
+                value,
+                signature,
+                seq,
+            },
+        );
     }
 
     /// Look up a fingerprint, recording a hit or miss.
@@ -203,7 +237,7 @@ impl MemoCache {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .get(&key)
-            .map(|&(v, _)| v);
+            .map(|e| e.value);
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -217,20 +251,14 @@ impl MemoCache {
     /// evicts it. Callers that know the coalition should prefer
     /// [`MemoCache::insert_with_members`].
     pub fn insert(&self, key: u64, value: f64) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, (value, !0u64));
+        self.put(key, value, !0u64);
     }
 
     /// Store a computed utility tagged with the coalition's
     /// [`member_signature`], enabling selective invalidation when training
     /// rows change.
     pub fn insert_with_members(&self, key: u64, value: f64, members: &[usize]) {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, (value, member_signature(members)));
+        self.put(key, value, member_signature(members));
     }
 
     /// Evict every entry whose coalition may contain one of the `changed`
@@ -250,7 +278,7 @@ impl MemoCache {
         for s in &self.shards {
             let mut map = s.lock().unwrap_or_else(|p| p.into_inner());
             let before = map.len();
-            map.retain(|_, &mut (_, sig)| sig & dirty == 0);
+            map.retain(|_, e| e.signature & dirty == 0);
             evicted += before - map.len();
         }
         evicted
@@ -289,8 +317,9 @@ impl MemoCache {
         self.len() == 0
     }
 
-    /// Drop all entries and reset the hit/miss counters. Required before
-    /// reusing the cache for a different utility function.
+    /// Drop all entries and reset the hit/miss counters (insertion numbers
+    /// keep counting, so an earlier [`MemoCache::mark`] stays valid).
+    /// Required before reusing the cache for a different utility function.
     pub fn clear(&self) {
         for s in &self.shards {
             s.lock().unwrap_or_else(|p| p.into_inner()).clear();
@@ -303,17 +332,30 @@ impl MemoCache {
     /// so the result is deterministic regardless of insertion order — the
     /// serialization surface for cross-process cache persistence.
     pub fn entries(&self) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .iter()
-                    .map(|(&k, &(v, _))| (k, v))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        self.entries_since(0)
+    }
+
+    /// The insertion number the next new key will get: pass it to
+    /// [`MemoCache::entries_since`] later to read what was added in between.
+    pub fn mark(&self) -> u64 {
+        self.inserted.load(Ordering::Relaxed)
+    }
+
+    /// The live `(fingerprint, utility)` pairs whose key was first inserted
+    /// at or after `mark`, sorted by fingerprint. A key evicted and inserted
+    /// again counts as new. Under concurrent inserts a key numbered just
+    /// below a mark read at the same moment may be missed by both sides of
+    /// it; callers that persist increments take marks while no one inserts.
+    pub fn entries_since(&self, mark: u64) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        for s in &self.shards {
+            let map = s.lock().unwrap_or_else(|p| p.into_inner());
+            out.extend(
+                map.iter()
+                    .filter(|(_, e)| e.seq >= mark)
+                    .map(|(&k, e)| (k, e.value)),
+            );
+        }
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
@@ -509,6 +551,33 @@ mod tests {
         cache.insert_with_members(e, 0.5, &[66]);
         assert_eq!(cache.invalidate_members(&[2]), 1);
         assert_eq!(cache.get(e), None);
+    }
+
+    #[test]
+    fn memo_cache_marks_select_the_entries_added_since() {
+        let cache = MemoCache::new();
+        assert_eq!(cache.mark(), 0);
+        cache.insert(30, 0.3);
+        cache.insert_with_members(10, 0.1, &[1]);
+        let mark = cache.mark();
+        assert_eq!(mark, 2);
+        cache.insert(20, 0.2);
+        // Re-inserting a key keeps its first number.
+        cache.insert(30, 0.3);
+        cache.insert_with_members(5, 0.05, &[2]);
+        assert_eq!(cache.entries_since(mark), vec![(5, 0.05), (20, 0.2)]);
+        assert_eq!(cache.entries_since(0), cache.entries());
+        assert_eq!(cache.entries().len(), 4);
+        // An evicted key inserted again is new; a clear keeps the count.
+        let mark = cache.mark();
+        cache.invalidate_members(&[1]);
+        cache.insert_with_members(10, 0.1, &[1]);
+        assert_eq!(cache.entries_since(mark), vec![(10, 0.1)]);
+        let mark = cache.mark();
+        cache.clear();
+        assert!(cache.entries_since(0).is_empty());
+        cache.insert(7, 0.7);
+        assert_eq!(cache.entries_since(mark), vec![(7, 0.7)]);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::snapshot::{BanzhafCheckpoint, EstimatorCheckpoint};
 use crate::{ImportanceError, Result};
 use nde_data::rng::Rng;
 use nde_data::rng::{child_seed, seeded};
+use nde_ml::batch::CoalitionChain;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::BudgetClock;
@@ -132,7 +133,7 @@ impl Estimator for BanzhafParams {
                     }
                     block.push(members);
                 }
-                let utilities = seg.batcher.eval_batch(&block)?;
+                let utilities = seg.batcher.eval_batch(&mut CoalitionChain::new(), &block)?;
                 Ok::<_, ImportanceError>((block, utilities))
             })?;
 

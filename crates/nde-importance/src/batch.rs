@@ -23,12 +23,16 @@
 //! - **Budgets** — callers clamp wave width with
 //!   [`nde_robust::BudgetClock::remaining_utility_calls`]; the batcher
 //!   itself never makes stopping decisions.
+//! - **Chains** — each caller owns a [`CoalitionChain`] per walk and hands
+//!   it to every [`UtilityBatcher::eval_batch`]; the scorer continues it
+//!   across calls (a TMC permutation's waves), so a coalition that contains
+//!   the chain's last one costs only its added members.
 //!
 //! The batcher is `Sync` (atomic counters only), so speculative parallel
 //! workers share one instance — and one distance matrix — per run.
 
 use crate::common::{coalition_utility, ImportanceError};
-use nde_ml::batch::CoalitionScorer;
+use nde_ml::batch::{CoalitionChain, CoalitionScorer};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{subset_fingerprint_sorted, MemoCache};
@@ -169,19 +173,21 @@ impl<'a, C: Classifier> UtilityBatcher<'a, C> {
         }
     }
 
-    /// Utility of a single **sorted** coalition (`U(∅) = 0`).
+    /// Utility of a single **sorted** coalition (`U(∅) = 0`), on a chain of
+    /// its own.
     pub fn eval_one(&self, sorted: &[usize]) -> Result<f64, ImportanceError> {
-        Ok(self.eval_batch(std::slice::from_ref(&sorted))?[0])
+        Ok(self.eval_batch(&mut CoalitionChain::new(), std::slice::from_ref(&sorted))?[0])
     }
 
     /// Utilities of a wave of **sorted** coalitions, in order.
     ///
     /// Cache hits are filled first; the misses go to the batched scorer in
-    /// one pass (or the per-coalition fallback) and are inserted into the
-    /// cache afterwards. Values are bit-identical to calling
-    /// [`coalition_utility`] on each coalition separately.
+    /// one pass that continues `chain` (or to the per-coalition fallback)
+    /// and are inserted into the cache afterwards. Values are bit-identical to
+    /// calling [`coalition_utility`] on each coalition separately.
     pub fn eval_batch<S: AsRef<[usize]>>(
         &self,
+        chain: &mut CoalitionChain,
         coalitions: &[S],
     ) -> Result<Vec<f64>, ImportanceError> {
         let mut out = vec![0.0; coalitions.len()];
@@ -214,7 +220,7 @@ impl<'a, C: Classifier> UtilityBatcher<'a, C> {
                 self.batches_formed.fetch_add(1, Ordering::Relaxed);
                 self.batched_evals
                     .fetch_add(misses.len() as u64, Ordering::Relaxed);
-                scorer.score_batch(&misses)
+                scorer.score_batch(chain, &misses)
             }
             None => {
                 self.fallback_evals
@@ -273,7 +279,9 @@ mod tests {
             BatchPolicy::default(),
         ] {
             let batcher = UtilityBatcher::new(&knn, &train, &valid, None, policy);
-            let got = batcher.eval_batch(&coalitions(14)).unwrap();
+            let got = batcher
+                .eval_batch(&mut CoalitionChain::new(), &coalitions(14))
+                .unwrap();
             for (c, &g) in coalitions(14).iter().zip(&got) {
                 let want = coalition_utility(&knn, &train, &valid, c, None).unwrap();
                 assert_eq!(g, want, "policy={policy:?} coalition={c:?}");
@@ -287,7 +295,9 @@ mod tests {
         let knn = KnnClassifier::new(1);
         let batcher =
             UtilityBatcher::new(&knn, &train, &valid, None, BatchPolicy::Grouped { size: 8 });
-        batcher.eval_batch(&coalitions(10)).unwrap();
+        batcher
+            .eval_batch(&mut CoalitionChain::new(), &coalitions(10))
+            .unwrap();
         let stats = batcher.stats();
         assert_eq!(stats.batches_formed, 1);
         assert_eq!(stats.batched_evals, 5, "empty coalition never evaluated");
@@ -299,7 +309,9 @@ mod tests {
         let (train, valid) = workload(10, 5, 2);
         let knn = KnnClassifier::new(1);
         let batcher = UtilityBatcher::new(&knn, &train, &valid, None, BatchPolicy::Unbatched);
-        batcher.eval_batch(&coalitions(10)).unwrap();
+        batcher
+            .eval_batch(&mut CoalitionChain::new(), &coalitions(10))
+            .unwrap();
         let stats = batcher.stats();
         assert_eq!(stats.batches_formed, 0);
         assert_eq!(stats.batched_evals, 0);
@@ -312,7 +324,9 @@ mod tests {
         let (train, valid) = workload(10, 5, 3);
         let majority = MajorityClassifier::new();
         let batcher = UtilityBatcher::new(&majority, &train, &valid, None, BatchPolicy::default());
-        let got = batcher.eval_batch(&coalitions(10)).unwrap();
+        let got = batcher
+            .eval_batch(&mut CoalitionChain::new(), &coalitions(10))
+            .unwrap();
         for (c, &g) in coalitions(10).iter().zip(&got) {
             let want = coalition_utility(&majority, &train, &valid, c, None).unwrap();
             assert_eq!(g, want);
@@ -333,13 +347,17 @@ mod tests {
             Some(&cache),
             BatchPolicy::Grouped { size: 8 },
         );
-        let first = batcher.eval_batch(&coalitions(12)).unwrap();
+        let first = batcher
+            .eval_batch(&mut CoalitionChain::new(), &coalitions(12))
+            .unwrap();
         // The duplicate coalition [1,3,5] appears twice in one wave: the
         // second occurrence misses (both were queued before insertion) but
         // the whole wave is still one batch.
         let after_first = batcher.stats();
         assert_eq!(after_first.batches_formed, 1);
-        let second = batcher.eval_batch(&coalitions(12)).unwrap();
+        let second = batcher
+            .eval_batch(&mut CoalitionChain::new(), &coalitions(12))
+            .unwrap();
         assert_eq!(first, second);
         let after_second = batcher.stats();
         // Second wave: all five non-empty coalitions hit.

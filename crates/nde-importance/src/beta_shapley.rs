@@ -15,6 +15,7 @@ use crate::{ImportanceError, Result};
 use nde_data::rng::Rng;
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
+use nde_ml::batch::CoalitionChain;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::BudgetClock;
@@ -217,6 +218,7 @@ impl Estimator for BetaShapleyParams {
                 pool: Vec<usize>,
                 pairs: Vec<Vec<usize>>,
                 utilities: Vec<f64>,
+                chain: CoalitionChain,
             }
             let stop = AtomicBool::new(false);
             let per_point = seg.pool.map_indexed_scratch(
@@ -227,6 +229,7 @@ impl Estimator for BetaShapleyParams {
                     pool: Vec::with_capacity(n),
                     pairs: Vec::new(),
                     utilities: Vec::new(),
+                    chain: CoalitionChain::new(),
                 },
                 |scratch, idx| {
                     let i = idx as usize;
@@ -261,7 +264,9 @@ impl Estimator for BetaShapleyParams {
                     // Evaluate in waves, then fold marginals in sample order.
                     scratch.utilities.clear();
                     for chunk in scratch.pairs[..total_coalitions].chunks(seg.batcher.width()) {
-                        scratch.utilities.extend(seg.batcher.eval_batch(chunk)?);
+                        scratch
+                            .utilities
+                            .extend(seg.batcher.eval_batch(&mut scratch.chain, chunk)?);
                     }
                     let mut total = 0.0;
                     for s in 0..spp {

@@ -3,6 +3,7 @@
 use crate::batch::{BatchPolicy, BatchStats, UtilityBatcher};
 use crate::common::ImportanceScores;
 use crate::Result;
+use nde_ml::batch::CoalitionChain;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::MemoCache;
@@ -41,6 +42,7 @@ pub(crate) fn loo_engine<C: Classifier + Send + Sync>(
     let full = batcher.eval_one(&all)?;
     let mut values = Vec::with_capacity(n);
     let mut wave: Vec<Vec<usize>> = Vec::with_capacity(batcher.width());
+    let mut chain = CoalitionChain::new();
     let mut start = 0usize;
     while start < n {
         let end = (start + batcher.width()).min(n);
@@ -50,7 +52,7 @@ pub(crate) fn loo_engine<C: Classifier + Send + Sync>(
             without.remove(i);
             wave.push(without);
         }
-        let utilities = batcher.eval_batch(&wave)?;
+        let utilities = batcher.eval_batch(&mut chain, &wave)?;
         values.extend(utilities.into_iter().map(|u| full - u));
         start = end;
     }

@@ -51,7 +51,8 @@
 //! [`with_resume`](ImportanceRun::with_resume)). Attaching a
 //! [`RunStore`] via [`with_store`](ImportanceRun::with_store) makes the
 //! run *crash-safe*: checkpoints are written as checksummed on-disk records
-//! keyed by the run's [`RunFingerprint`] (method, seed, config, data), and
+//! keyed by the run's [`RunFingerprint`] (method, seed, the method's and
+//! the model template's configuration, data), and
 //! a re-run with the same options silently resumes from the latest valid
 //! record — after a crash, a torn write, or a corrupted record, whatever
 //! state survives validation is picked up and the rest is recomputed,
@@ -382,13 +383,16 @@ fn state_of<E: Estimator>(snapshot: &mut EstimatorCheckpoint) -> &mut E::State {
 
 /// The one driver behind every Monte-Carlo entry point.
 ///
-/// Fingerprints the run, resolves its resume snapshot and warms the memo
-/// cache, then runs the method in durable segments. Each segment runs
-/// under the caller's budget — clamped to `auto_checkpoint_every`
-/// additional steps — and its state (and memo cache) is persisted to the
-/// store before the next starts. Without a cadence one segment runs and
-/// its final state is persisted; without a store the segments merely bound
-/// how much work a budget overshoot can lose. Termination: every segment
+/// Fingerprints the run (the model template's
+/// [`Classifier::config_tag`] included), resolves its resume snapshot and
+/// warms the memo cache, then runs the method in durable segments. Each
+/// segment runs under the caller's budget — clamped to
+/// `auto_checkpoint_every` additional steps — and its state is persisted to
+/// the store before the next starts: the memo log is compacted at the
+/// call's first save, and every later save appends only the new entries.
+/// Without a cadence one segment runs and its final state is persisted;
+/// without a store the segments merely bound how much work a budget
+/// overshoot can lose. Termination: every segment
 /// either advances the cursor by at least one step or trips a base-budget
 /// limit, and both paths exit the loop.
 fn estimate<E, C>(
@@ -406,7 +410,7 @@ where
         RunFingerprint::new(
             E::METHOD,
             run.seed,
-            params.config(),
+            format!("{};model={}", params.config(), template.config_tag()),
             data_fingerprint(train, valid),
         )
     });
@@ -432,6 +436,9 @@ where
     let unlimited = RunBudget::unlimited();
     let base = run.budget.as_ref().unwrap_or(&unlimited);
     let started = Instant::now();
+    // The memo log's mark after this call's last save; `None` before the
+    // first, which compacts the log.
+    let mut memo_mark = None;
     loop {
         let mut budget = base.clone();
         if let Some(every) = run.auto_checkpoint_every {
@@ -454,7 +461,10 @@ where
         if let (Some(store), Some(fp)) = (run.store, fp.as_ref()) {
             store.save_checkpoint(fp, snapshot.step(), &snapshot.to_payload())?;
             if let Some(cache) = run.cache {
-                store.save_memo(fp, cache)?;
+                memo_mark = Some(match memo_mark {
+                    None => store.save_memo(fp, cache)?,
+                    Some(mark) => store.append_memo(fp, cache, mark)?,
+                });
             }
         }
         let tripped = base_exhaustion(base, &diagnostics, started.elapsed());

@@ -25,7 +25,10 @@
 //! prefix coalitions as one *wave* and evaluates them through the
 //! [`UtilityBatcher`](crate::batch::UtilityBatcher) in a single validation
 //! pass (for the KNN utility this reuses one shared train→valid distance
-//! matrix per run). The wave is then
+//! matrix per run). Each worker's walk owns one
+//! [`CoalitionChain`]: the scorer continues it from wave to wave, so every
+//! prefix after a permutation's first costs only the one member it adds,
+//! whatever the wave width. The wave is then
 //! folded **sequentially**: the truncation rule and the per-call budget
 //! accounting fire in exactly the order the unbatched walk would, so
 //! batching changes physical cost only — scores, trip points and
@@ -51,6 +54,7 @@ use crate::snapshot::{EstimatorCheckpoint, InflightPermutation, McCheckpoint};
 use crate::{ImportanceError, Result};
 use nde_data::rng::SliceRandom;
 use nde_data::rng::{child_seed, seeded};
+use nde_ml::batch::CoalitionChain;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::AtomicBudgetClock;
@@ -290,6 +294,9 @@ struct WalkScratch {
     prefix: Vec<usize>,
     /// Sorted prefix copies queued as one batched wave.
     wave: Vec<Vec<usize>>,
+    /// The scorer's selection state, continued across this worker's waves
+    /// and permutations.
+    chain: CoalitionChain,
 }
 
 impl WalkScratch {
@@ -298,6 +305,7 @@ impl WalkScratch {
             order: Vec::with_capacity(n),
             prefix: Vec::with_capacity(n),
             wave: Vec::new(),
+            chain: CoalitionChain::new(),
         }
     }
 }
@@ -394,7 +402,7 @@ fn walk_permutation<C: Classifier>(
             scratch.wave[j].clear();
             scratch.wave[j].extend_from_slice(&scratch.prefix);
         }
-        let utilities = batcher.eval_batch(&scratch.wave[..width])?;
+        let utilities = batcher.eval_batch(&mut scratch.chain, &scratch.wave[..width])?;
         // Fold the wave sequentially: logical call order, truncation and
         // budget accounting are exactly the unbatched walk's.
         for (j, &u) in utilities.iter().enumerate() {

@@ -48,17 +48,47 @@ use std::sync::{Arc, Mutex};
 ///
 /// Implementations are built once per run (capturing whatever shared state
 /// makes batching cheap — e.g. a distance matrix) and shared across worker
-/// threads, hence the `Send + Sync` bound.
+/// threads, hence the `Send + Sync` bound. Per-walk state lives in a
+/// [`CoalitionChain`] the caller owns, so the scorer itself stays `&self`.
 pub trait CoalitionScorer: Send + Sync {
-    /// Utility of each coalition, in order.
+    /// Utility of each coalition, in order, continuing `chain`.
     ///
     /// Each coalition is a non-empty, strictly ascending list of indices
-    /// into the training set the scorer was prepared for.
-    fn score_batch(&self, coalitions: &[&[usize]]) -> Vec<f64>;
+    /// into the training set the scorer was prepared for. `chain` carries
+    /// selection state from the caller's previous call (or is fresh); it
+    /// may only make a coalition cheaper, never change its value, and it
+    /// is left describing the last coalition.
+    fn score_batch(&self, chain: &mut CoalitionChain, coalitions: &[&[usize]]) -> Vec<f64>;
 
     /// Number of training points the scorer was prepared for (coalition
     /// indices must stay below this).
     fn n_train(&self) -> usize;
+}
+
+/// Selection state one walk over coalitions carries from each coalition to
+/// the next, across [`CoalitionScorer::score_batch`] calls.
+///
+/// For [`KnnCoalitionScorer`] it holds the last coalition scored and, per
+/// validation point, that coalition's k nearest members in
+/// [`neighbor_order`] and whether their vote is right. A chain is private
+/// to one walk (one worker) and one scorer; a fresh chain holds nothing and
+/// makes the next coalition take a full selection.
+#[derive(Debug, Clone, Default)]
+pub struct CoalitionChain {
+    /// The coalition the state describes, ascending; empty for none.
+    members: Vec<usize>,
+    /// Row-major [n_valid × k]: each row's first `min(k, |members|)` slots
+    /// are the point's nearest members, closest first.
+    nearest: Vec<usize>,
+    /// Per validation point: does the vote of its nearest members hit.
+    correct: Vec<bool>,
+}
+
+impl CoalitionChain {
+    /// A chain holding no state.
+    pub fn new() -> CoalitionChain {
+        CoalitionChain::default()
+    }
 }
 
 /// Fill `out`, cut into rows of `width` (`width > 0`), on `pool` with up
@@ -533,36 +563,39 @@ fn order_key(d: f64, i: usize) -> u128 {
     (u128::from((d + 0.0).to_bits()) << 64) | i as u128
 }
 
-/// The members `cur` adds to `prev` when `prev ⊆ cur` (both strictly
-/// ascending), found by one merge walk; `None` when `prev` holds a row
-/// `cur` lacks.
-fn added_members(prev: &[usize], cur: &[usize]) -> Option<Vec<usize>> {
-    let mut added = Vec::new();
+/// Append to `added` the members `cur` adds to `prev` when `prev ⊆ cur`
+/// (both strictly ascending), found by one merge walk; `false` (with
+/// `added` in an unspecified state) when `prev` holds a row `cur` lacks.
+fn added_members(prev: &[usize], cur: &[usize], added: &mut Vec<usize>) -> bool {
     let mut rest = cur.iter();
     for &p in prev {
         loop {
             match rest.next() {
                 Some(&c) if c < p => added.push(c),
                 Some(&c) if c == p => break,
-                _ => return None,
+                _ => return false,
             }
         }
     }
     added.extend(rest);
-    Some(added)
+    true
 }
 
-/// Insert training row `i` into `nearest`, the at most `k` nearest rows so
-/// far sorted in [`neighbor_order`] over `dists`, keeping it the `k`
-/// nearest of the grown set.
-fn insert_nearest(nearest: &mut Vec<usize>, i: usize, k: usize, dists: &[f64]) {
-    let at = nearest.partition_point(|&j| neighbor_order(dists, j, i).is_lt());
-    if at < k {
-        if nearest.len() == k {
-            nearest.pop();
-        }
-        nearest.insert(at, i);
+/// Insert training row `i` into `nearest[..*len]`, a point's nearest rows
+/// so far sorted in [`neighbor_order`] over `dists`, keeping at most
+/// `nearest.len()` (= k) of the grown set. Returns whether the set changed.
+#[inline]
+fn insert_nearest(nearest: &mut [usize], len: &mut usize, i: usize, dists: &[f64]) -> bool {
+    let k = nearest.len();
+    if *len == k && neighbor_order(dists, nearest[k - 1], i).is_lt() {
+        return false;
     }
+    let at = nearest[..*len].partition_point(|&j| neighbor_order(dists, j, i).is_lt());
+    let end = (*len).min(k - 1);
+    nearest.copy_within(at..end, at + 1);
+    nearest[at] = i;
+    *len = (*len + 1).min(k);
+    true
 }
 
 /// One-pass batch scorer for the KNN utility.
@@ -574,15 +607,19 @@ fn insert_nearest(nearest: &mut Vec<usize>, i: usize, k: usize, dists: &[f64]) {
 /// with ties toward the smaller class id matches
 /// [`crate::models::knn::KnnClassifier`]'s per-point prediction exactly.
 ///
-/// **Nested batches.** When a coalition contains the one before it in the
-/// batch (checked by one merge walk per pair, as with TMC's consecutive
-/// prefixes), each validation point keeps its sorted k nearest from the
-/// previous coalition and only the added members are inserted — O(k) per
-/// member instead of a fresh O(|S|) selection. Any other coalition (the
-/// first of a batch, or one after a gap that dropped a member) takes the
-/// full selection. The k nearest under `(distance, index)` are one set
-/// either way, and the vote ignores their order, so the utilities are
-/// bit-identical.
+/// **The chain contract.** A coalition that contains the one before it —
+/// the [`CoalitionChain`]'s recorded coalition for the first of a call —
+/// is scored by inserting only the added members into each validation
+/// point's sorted k nearest, O(k) per member (one comparison with the k-th
+/// when the member does not enter), and a point is re-voted only when its
+/// k nearest changed. Any other coalition (the first of a fresh chain, a
+/// permutation's first prefix, one that dropped a member) takes a full
+/// selection and restarts the chain. Under `(distance, index)` the k
+/// nearest of a set are one set however they were reached, and the vote
+/// ignores their order, so a chain serves any coalition that contains its
+/// recorded set — even one from another walk — and the utilities are
+/// bit-identical to a fresh selection. A TMC permutation therefore pays one
+/// full selection, of one member, whatever the batch width.
 #[derive(Debug)]
 pub struct KnnCoalitionScorer {
     table: DistanceTable,
@@ -612,53 +649,92 @@ impl KnnCoalitionScorer {
 }
 
 impl CoalitionScorer for KnnCoalitionScorer {
-    fn score_batch(&self, coalitions: &[&[usize]]) -> Vec<f64> {
+    fn score_batch(&self, chain: &mut CoalitionChain, coalitions: &[&[usize]]) -> Vec<f64> {
         let m = self.table.n_valid();
+        let Some(&last) = coalitions.last() else {
+            return Vec::new();
+        };
         if m == 0 {
             // `Classifier::accuracy` returns 0.0 on an empty eval set.
             return vec![0.0; coalitions.len()];
         }
         let k = self.k;
-        // Per coalition, the members it adds to a predecessor it contains.
-        let added: Vec<Option<Vec<usize>>> = (0..coalitions.len())
-            .map(|c| {
-                c.checked_sub(1)
-                    .and_then(|p| added_members(coalitions[p], coalitions[c]))
+        if chain.nearest.len() != m * k {
+            // A fresh chain: no state to continue.
+            chain.members.clear();
+            chain.nearest.resize(m * k, 0);
+            chain.correct.resize(m, false);
+        }
+        // Per coalition, the members it adds to its predecessor (the
+        // chain's coalition for the first) as a range of `added`, or `None`
+        // for a full selection.
+        let mut added: Vec<usize> = Vec::new();
+        let steps: Vec<Option<(usize, usize)>> = coalitions
+            .iter()
+            .enumerate()
+            .map(|(c, &cur)| {
+                let prev = match c.checked_sub(1) {
+                    Some(p) => coalitions[p],
+                    None => &chain.members,
+                };
+                let from = added.len();
+                if !prev.is_empty() && added_members(prev, cur, &mut added) {
+                    Some((from, added.len()))
+                } else {
+                    added.truncate(from);
+                    None
+                }
             })
             .collect();
         let mut correct = vec![0usize; coalitions.len()];
         let mut sel: Vec<usize> = Vec::new();
         let mut votes = vec![0usize; self.n_classes];
+        let held = chain.members.len().min(k);
         // Outer loop over validation points: each distance row is read once
         // and scores every coalition in the batch before moving on.
         for v in 0..m {
             let row = self.table.row(v);
             let truth = self.valid_y[v];
-            let by_distance = |&a: &usize, &b: &usize| neighbor_order(row, a, b);
-            for (ci, &members) in coalitions.iter().enumerate() {
-                if let Some(added) = &added[ci] {
-                    // `sel` holds the predecessor's k nearest, sorted.
-                    for &i in added {
-                        insert_nearest(&mut sel, i, k, row);
+            let nearest = &mut chain.nearest[v * k..(v + 1) * k];
+            let mut len = held;
+            let mut hit = chain.correct[v];
+            for (ci, (&members, step)) in coalitions.iter().zip(&steps).enumerate() {
+                let moved = match *step {
+                    Some((from, to)) => {
+                        let mut moved = false;
+                        for &i in &added[from..to] {
+                            moved |= insert_nearest(nearest, &mut len, i, row);
+                        }
+                        moved
                     }
-                } else {
-                    sel.clear();
-                    sel.extend_from_slice(members);
-                    if k < sel.len() {
-                        // Partial selection of the k nearest members; ties
-                        // break by global index, which equals the
-                        // subset-local order because `members` is ascending.
-                        sel.select_nth_unstable_by(k, by_distance);
-                        sel.truncate(k);
+                    None => {
+                        sel.clear();
+                        sel.extend_from_slice(members);
+                        let by_distance = |&a: &usize, &b: &usize| neighbor_order(row, a, b);
+                        if k < sel.len() {
+                            // Partial selection of the k nearest members;
+                            // ties break by global index, which equals the
+                            // subset-local order because `members` is
+                            // ascending.
+                            sel.select_nth_unstable_by(k, by_distance);
+                            sel.truncate(k);
+                        }
+                        // Sorted, so a nested successor can insert into it.
+                        sel.sort_unstable_by(by_distance);
+                        len = sel.len();
+                        nearest[..len].copy_from_slice(&sel);
+                        true
                     }
-                    // Sorted, so a nested successor can insert into it.
-                    sel.sort_unstable_by(by_distance);
+                };
+                if moved {
+                    hit = majority_vote(&nearest[..len], &self.train_y, &mut votes) == truth;
                 }
-                if majority_vote(&sel, &self.train_y, &mut votes) == truth {
-                    correct[ci] += 1;
-                }
+                correct[ci] += usize::from(hit);
             }
+            chain.correct[v] = hit;
         }
+        chain.members.clear();
+        chain.members.extend_from_slice(last);
         correct.iter().map(|&c| c as f64 / m as f64).collect()
     }
 
@@ -1240,7 +1316,7 @@ mod tests {
                 vec![2, 5, 11, 15],
             ];
             let refs: Vec<&[usize]> = coalitions.iter().map(|c| c.as_slice()).collect();
-            let batched = scorer.score_batch(&refs);
+            let batched = scorer.score_batch(&mut CoalitionChain::new(), &refs);
             for (c, &got) in coalitions.iter().zip(&batched) {
                 let want = utility(&KnnClassifier::new(k), &train.subset(c), &valid).unwrap();
                 assert_eq!(got, want, "k={k} coalition={c:?}");
@@ -1248,7 +1324,9 @@ mod tests {
         }
     }
 
-    /// `score_batch` against a `utility` refit per coalition, bit for bit.
+    /// `score_batch` against a `utility` refit per coalition, bit for bit:
+    /// the batch in one call on a fresh chain, and in calls of `width`
+    /// coalitions continuing one chain.
     fn assert_batch_matches_refit(
         train: &Dataset,
         valid: &Dataset,
@@ -1257,9 +1335,21 @@ mod tests {
     ) {
         let scorer = KnnCoalitionScorer::new(k, train, valid);
         let refs: Vec<&[usize]> = batch.iter().map(Vec::as_slice).collect();
-        for (c, got) in batch.iter().zip(scorer.score_batch(&refs)) {
-            let want = utility(&KnnClassifier::new(k), &train.subset(c), valid).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "k={k} coalition={c:?}");
+        let want: Vec<u64> = batch
+            .iter()
+            .map(|c| {
+                let u = utility(&KnnClassifier::new(k), &train.subset(c), valid).unwrap();
+                u.to_bits()
+            })
+            .collect();
+        for width in [refs.len().max(1), 1, 3, 16] {
+            let mut chain = CoalitionChain::new();
+            let got: Vec<u64> = refs
+                .chunks(width)
+                .flat_map(|wave| scorer.score_batch(&mut chain, wave))
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(got, want, "k={k} width={width} batch={batch:?}");
         }
     }
 
@@ -1350,6 +1440,10 @@ mod tests {
 
     #[test]
     fn added_members_is_the_difference_of_a_superset() {
+        let added_members = |prev: &[usize], cur: &[usize]| {
+            let mut added = Vec::new();
+            super::added_members(prev, cur, &mut added).then_some(added)
+        };
         assert_eq!(added_members(&[], &[1, 2]), Some(vec![1, 2]));
         assert_eq!(
             added_members(&[2, 5], &[1, 2, 3, 5, 8]),
@@ -1745,7 +1839,8 @@ mod tests {
         let (train, valid) = workload(8, 4, 3);
         let empty = valid.subset(&[]);
         let scorer = KnnCoalitionScorer::new(1, &train, &empty);
-        assert_eq!(scorer.score_batch(&[&[0, 1][..]]), vec![0.0]);
+        let mut chain = CoalitionChain::new();
+        assert_eq!(scorer.score_batch(&mut chain, &[&[0, 1][..]]), vec![0.0]);
     }
 
     #[test]

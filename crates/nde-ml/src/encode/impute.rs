@@ -97,15 +97,6 @@ impl CategoricalImputer {
         }
     }
 
-    /// Learn the fill category from training values.
-    pub fn fit(&mut self, values: &[Option<String>]) -> Result<()> {
-        let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
-        for v in values.iter().flatten() {
-            *counts.entry(v.as_str()).or_insert(0) += 1;
-        }
-        self.fit_counts(counts)
-    }
-
     /// Learn the fill category from per-category row counts, each category
     /// named once, in any order. The mode is the most frequent category
     /// with a nonzero count, ties going to the lexicographically smaller.
@@ -179,14 +170,8 @@ mod tests {
 
     #[test]
     fn categorical_mode_prefers_most_frequent() {
-        let vals = vec![
-            Some("a".to_string()),
-            Some("b".to_string()),
-            Some("b".to_string()),
-            None,
-        ];
         let mut imp = CategoricalImputer::mode();
-        imp.fit(&vals).unwrap();
+        imp.fit_counts([("a", 1), ("b", 2), ("c", 0)]).unwrap();
         assert_eq!(imp.fill_value().unwrap(), "b");
         assert_eq!(imp.transform_one(None).unwrap(), "b");
         assert_eq!(imp.transform_one(Some("z")).unwrap(), "z");
@@ -194,19 +179,23 @@ mod tests {
 
     #[test]
     fn categorical_mode_tie_is_deterministic() {
-        let vals = vec![Some("x".to_string()), Some("y".to_string())];
-        let mut imp = CategoricalImputer::mode();
-        imp.fit(&vals).unwrap();
-        // Tie broken toward the lexicographically smaller category.
-        assert_eq!(imp.fill_value().unwrap(), "x");
+        // Tie broken toward the lexicographically smaller category, in
+        // whatever order the counts come.
+        for counts in [[("x", 1), ("y", 1)], [("y", 1), ("x", 1)]] {
+            let mut imp = CategoricalImputer::mode();
+            imp.fit_counts(counts).unwrap();
+            assert_eq!(imp.fill_value().unwrap(), "x");
+        }
     }
 
     #[test]
     fn categorical_constant_handles_all_null() {
         let mut imp = CategoricalImputer::constant("missing");
-        imp.fit(&[None, None]).unwrap();
+        imp.fit_counts([]).unwrap();
         assert_eq!(imp.fill_value().unwrap(), "missing");
         let mut mode = CategoricalImputer::mode();
-        assert!(mode.fit(&[None, None]).is_err());
+        assert!(mode.fit_counts([]).is_err());
+        // A category no row holds is not observed.
+        assert!(mode.fit_counts([("a", 0)]).is_err());
     }
 }

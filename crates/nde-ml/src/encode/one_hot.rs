@@ -14,11 +14,6 @@ pub struct OneHotEncoder {
 }
 
 impl OneHotEncoder {
-    /// Fit over the observed (non-null) categories.
-    pub fn fit(values: &[Option<String>]) -> Result<OneHotEncoder> {
-        OneHotEncoder::from_categories(values.iter().flatten().map(String::as_str))
-    }
-
     /// Fit over the given categories (repeats allowed).
     pub fn from_categories<'a>(values: impl IntoIterator<Item = &'a str>) -> Result<OneHotEncoder> {
         let mut categories: Vec<String> = values.into_iter().map(str::to_owned).collect();
@@ -64,13 +59,7 @@ mod tests {
     use super::*;
 
     fn fitted() -> OneHotEncoder {
-        OneHotEncoder::fit(&[
-            Some("b".to_string()),
-            Some("a".to_string()),
-            Some("b".to_string()),
-            None,
-        ])
-        .unwrap()
+        OneHotEncoder::from_categories(["b", "a", "b"]).unwrap()
     }
 
     #[test]
@@ -95,8 +84,7 @@ mod tests {
 
     #[test]
     fn empty_input_rejected() {
-        assert!(OneHotEncoder::fit(&[None, None]).is_err());
-        assert!(OneHotEncoder::fit(&[]).is_err());
+        assert!(OneHotEncoder::from_categories([]).is_err());
     }
 
     #[test]

@@ -15,6 +15,12 @@ pub trait Classifier: Clone {
     /// Train on the dataset, replacing any previously learned state.
     fn fit(&mut self, data: &Dataset) -> Result<()>;
 
+    /// Canonical rendering of the hyper-parameters that decide what
+    /// [`Classifier::fit`] learns (e.g. `"knn(k=5)"`), never of learned
+    /// state: two templates with equal tags train identically on every
+    /// dataset, so resumable runs key their stored state on it.
+    fn config_tag(&self) -> String;
+
     /// Predict the class of a single feature vector.
     ///
     /// # Panics
@@ -148,6 +154,9 @@ mod tests {
     struct Always(usize, usize);
 
     impl Classifier for Always {
+        fn config_tag(&self) -> String {
+            format!("always({})", self.0)
+        }
         fn fit(&mut self, data: &Dataset) -> Result<()> {
             self.1 = data.n_classes;
             Ok(())

@@ -104,6 +104,10 @@ impl KnnClassifier {
 }
 
 impl Classifier for KnnClassifier {
+    fn config_tag(&self) -> String {
+        format!("knn(k={})", self.k)
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

@@ -145,6 +145,13 @@ impl LogisticRegression {
 }
 
 impl Classifier for LogisticRegression {
+    fn config_tag(&self) -> String {
+        format!(
+            "logreg(epochs={};learning_rate={};l2={};seed={})",
+            self.epochs, self.learning_rate, self.l2, self.seed
+        )
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         self.fit_impl(data, false).map(|_| ())
     }

@@ -20,6 +20,10 @@ impl MajorityClassifier {
 }
 
 impl Classifier for MajorityClassifier {
+    fn config_tag(&self) -> String {
+        "majority".into()
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

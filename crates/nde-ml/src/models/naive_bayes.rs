@@ -38,6 +38,10 @@ impl GaussianNb {
 }
 
 impl Classifier for GaussianNb {
+    fn config_tag(&self) -> String {
+        "gaussian-nb".into()
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

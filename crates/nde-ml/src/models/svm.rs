@@ -57,6 +57,13 @@ impl LinearSvm {
 }
 
 impl Classifier for LinearSvm {
+    fn config_tag(&self) -> String {
+        format!(
+            "linear-svm(epochs={};lambda={};seed={})",
+            self.epochs, self.lambda, self.seed
+        )
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

@@ -190,6 +190,13 @@ impl DecisionTree {
 }
 
 impl Classifier for DecisionTree {
+    fn config_tag(&self) -> String {
+        format!(
+            "decision-tree(max_depth={};min_split={})",
+            self.max_depth, self.min_split
+        )
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

@@ -126,6 +126,10 @@ impl UnlearnableGaussianNb {
 }
 
 impl Classifier for UnlearnableGaussianNb {
+    fn config_tag(&self) -> String {
+        "unlearnable-gaussian-nb".into()
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);

@@ -95,7 +95,8 @@ fn one_hot_outputs_are_one_hot_or_zero() {
             cats[0] = Some("a".into());
         }
         let query = random_string(&mut rng, "abcdefgh", 1);
-        let enc = OneHotEncoder::fit(&cats).expect("fits");
+        let enc = OneHotEncoder::from_categories(cats.iter().flatten().map(String::as_str))
+            .expect("fits");
         let v = enc.encode(&query);
         let sum: f64 = v.iter().sum();
         assert!(sum == 0.0 || sum == 1.0);
@@ -114,8 +115,12 @@ fn categorical_mode_fill_is_an_observed_category() {
         if !cats.iter().any(Option::is_some) {
             cats[0] = Some("a".into());
         }
+        let mut counts = std::collections::BTreeMap::new();
+        for c in cats.iter().flatten() {
+            *counts.entry(c.as_str()).or_insert(0) += 1;
+        }
         let mut imp = CategoricalImputer::mode();
-        imp.fit(&cats).expect("fits");
+        imp.fit_counts(counts).expect("fits");
         let fill = imp.fill_value().expect("fitted").to_owned();
         assert!(cats.iter().flatten().any(|c| c == &fill));
     }

@@ -3,14 +3,18 @@
 //! Long-running estimation loops (Monte-Carlo Shapley sweeps, interval
 //! gradient descent, prioritized cleaning) checkpoint their state as JSON,
 //! but an in-memory checkpoint dies with the process. [`RunStore`] gives
-//! those snapshots a durable home:
+//! those snapshots a home on disk:
 //!
 //! - **Atomic records.** Every checkpoint is written to a temp file and
 //!   atomically renamed into place, so a crash mid-write leaves at worst a
-//!   stray `.tmp` — never a half-written record under the real name.
-//! - **Checksummed, versioned envelopes.** Each record wraps its payload in
-//!   an envelope carrying a format version, the run fingerprint, the step
-//!   number, and an [`FxHasher`]-based checksum of the serialized payload.
+//!   stray `.tmp` — never a half-written record under the real name. No
+//!   file or directory is synced: a record survives a process crash, not
+//!   power loss or an OS crash.
+//! - **Checksummed, versioned envelopes.** Each record is one line of
+//!   compact JSON: an envelope carrying a format version, the run
+//!   fingerprint, the step number, and an [`FxHasher`]-based checksum of
+//!   the payload, with the payload last. The payload is serialized once and
+//!   the checksum covers exactly its bytes in the line.
 //!   [`RunStore::latest_valid`] walks records newest-first and skips any
 //!   that are truncated, corrupt, mis-fingerprinted, or from a different
 //!   format version — a torn write or bit-rot costs at most one
@@ -18,10 +22,15 @@
 //! - **Fingerprint keys.** Records are grouped by [`RunFingerprint`] —
 //!   method, seed, a config tag, and a 64-bit data fingerprint — so a
 //!   resumed process only ever picks up state written by an identical run.
-//! - **Cross-process memo persistence.** A coalition-utility [`MemoCache`]
-//!   serializes through the same envelope ([`RunStore::save_memo`] /
-//!   [`RunStore::load_memo`]), letting a restarted run re-serve utilities
-//!   evaluated before the crash.
+//! - **Cross-process memo log.** A coalition-utility [`MemoCache`] persists
+//!   as an append-only log, `memo.log`, one envelope per line:
+//!   [`RunStore::save_memo`] rewrites the log as one record holding every
+//!   entry (the compaction, atomic like a checkpoint), and
+//!   [`RunStore::append_memo`] appends one record holding only the entries
+//!   inserted since the previous save. [`RunStore::load_memo`] restores the
+//!   records up to the first bad one, so a torn tail loses only the last
+//!   append's entries — which a restarted run recomputes, since the cache
+//!   only accelerates.
 //!
 //! [`supervise`] ties it together: it runs a closure under
 //! `catch_unwind`, turning crashes into [`RetryPolicy`]-governed restarts,
@@ -41,10 +50,20 @@ use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 /// On-disk envelope format version; bumped on incompatible layout changes.
-/// Records from another version are skipped by [`RunStore::latest_valid`].
-pub const STORE_FORMAT_VERSION: u64 = 1;
+/// Records from another version are skipped by [`RunStore::latest_valid`]
+/// and end [`RunStore::load_memo`]. Version 1 wrote pretty-printed records
+/// and a whole-cache `memo.json`; version 2 writes one compact line per
+/// record and the `memo.log` append-only log.
+pub const STORE_FORMAT_VERSION: u64 = 2;
 
-/// FxHash-64 over a serialized payload — the record checksum.
+/// The memo log's file name inside a run directory.
+const MEMO_LOG: &str = "memo.log";
+
+/// What separates an envelope's header from its payload, which runs to the
+/// record's closing brace.
+const PAYLOAD_FIELD: &str = ",\"payload\":";
+
+/// FxHash-64 over a serialized payload's bytes — the record checksum.
 pub fn payload_checksum(text: &str) -> u64 {
     let mut h = FxHasher::default();
     h.write(text.as_bytes());
@@ -62,7 +81,8 @@ pub struct RunFingerprint {
     /// Base RNG seed of the run.
     pub seed: u64,
     /// Canonical rendering of every config knob that changes the
-    /// trajectory (sample counts, tolerances, batch policy, ...).
+    /// trajectory (sample counts, tolerances, the model's
+    /// hyper-parameters, ...).
     pub config: String,
     /// 64-bit fingerprint of the input data (e.g.
     /// `nde_ml::dataset::Dataset::fingerprint` folded over train + valid).
@@ -117,7 +137,7 @@ pub struct CheckpointRecord {
 /// Crash-safe checkpoint store rooted at a directory.
 ///
 /// Layout: one subdirectory per [`RunFingerprint::key`], holding
-/// `ckpt-<step>.json` records plus an optional `memo.json` utility cache.
+/// `ckpt-<step>.json` records plus an optional `memo.log` utility-cache log.
 #[derive(Debug, Clone)]
 pub struct RunStore {
     root: PathBuf,
@@ -148,20 +168,33 @@ impl RunStore {
             .join(format!("ckpt-{step:020}.json"))
     }
 
-    fn envelope(&self, fingerprint: &RunFingerprint, step: u64, payload: &Json) -> String {
-        Json::Obj(vec![
+    /// One record line: the compact envelope header, then the payload
+    /// serialized once, its bytes the checksum covers, then a newline.
+    fn envelope(fingerprint: &RunFingerprint, step: u64, payload: &Json) -> String {
+        let body = payload.to_string_compact();
+        let mut line = Json::Obj(vec![
             ("format_version".into(), Json::UInt(STORE_FORMAT_VERSION)),
             ("fingerprint".into(), Json::Str(fingerprint.key())),
             ("step".into(), Json::UInt(step)),
-            (
-                "checksum".into(),
-                Json::UInt(payload_checksum(&payload.to_string_pretty())),
-            ),
-            ("payload".into(), payload.clone()),
+            ("checksum".into(), Json::UInt(payload_checksum(&body))),
         ])
-        .to_string_pretty()
+        .to_string_compact();
+        line.pop(); // the header's closing brace
+        line.reserve(PAYLOAD_FIELD.len() + body.len() + 2);
+        line.push_str(PAYLOAD_FIELD);
+        line.push_str(&body);
+        line.push_str("}\n");
+        line
     }
 
+    fn create_run_dir(&self, fingerprint: &RunFingerprint) -> Result<PathBuf> {
+        let dir = self.run_dir(fingerprint);
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| RobustError::Io(format!("creating {}: {e}", dir.display())))?;
+        Ok(dir)
+    }
+
+    /// Write-temp-then-rename; no sync (see the module docs).
     fn write_atomic(path: &Path, text: &str) -> Result<()> {
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, text)
@@ -170,19 +203,18 @@ impl RunStore {
             .map_err(|e| RobustError::Io(format!("renaming {}: {e}", path.display())))
     }
 
-    /// Durably write one checkpoint record (write-temp-then-atomic-rename).
-    /// Returns the record's final path.
+    /// Write one checkpoint record atomically (write-temp-then-rename): it
+    /// survives a process crash, not power loss. Returns the record's final
+    /// path.
     pub fn save_checkpoint(
         &self,
         fingerprint: &RunFingerprint,
         step: u64,
         payload: &Json,
     ) -> Result<PathBuf> {
-        let dir = self.run_dir(fingerprint);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| RobustError::Io(format!("creating {}: {e}", dir.display())))?;
+        self.create_run_dir(fingerprint)?;
         let path = self.record_path(fingerprint, step);
-        RunStore::write_atomic(&path, &self.envelope(fingerprint, step, payload))?;
+        RunStore::write_atomic(&path, &RunStore::envelope(fingerprint, step, payload))?;
         Ok(path)
     }
 
@@ -219,46 +251,9 @@ impl RunStore {
     fn read_record(path: &Path, expected_key: &str) -> Result<CheckpointRecord> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| RobustError::Io(format!("reading {}: {e}", path.display())))?;
-        let doc = Json::parse(&text).map_err(|e| {
-            RobustError::Checkpoint(format!(
-                "truncated or corrupt record {}: {e}",
-                path.display()
-            ))
-        })?;
-        let version = doc.get("format_version").and_then(Json::as_u64);
-        if version != Some(STORE_FORMAT_VERSION) {
-            return Err(RobustError::Checkpoint(format!(
-                "record {} has format version {version:?}, expected {STORE_FORMAT_VERSION}",
-                path.display()
-            )));
-        }
-        let key = doc.get("fingerprint").and_then(Json::as_str);
-        if key != Some(expected_key) {
-            return Err(RobustError::Checkpoint(format!(
-                "record {} belongs to run {key:?}, expected {expected_key}",
-                path.display()
-            )));
-        }
-        let step = doc.get("step").and_then(Json::as_u64).ok_or_else(|| {
-            RobustError::Checkpoint(format!("record {} lacks a step", path.display()))
-        })?;
-        let stored = doc.get("checksum").and_then(Json::as_u64).ok_or_else(|| {
-            RobustError::Checkpoint(format!("record {} lacks a checksum", path.display()))
-        })?;
-        let payload = doc.get("payload").ok_or_else(|| {
-            RobustError::Checkpoint(format!("record {} lacks a payload", path.display()))
-        })?;
-        let actual = payload_checksum(&payload.to_string_pretty());
-        if stored != actual {
-            return Err(RobustError::Checkpoint(format!(
-                "record {} checksum mismatch: stored {stored}, computed {actual}",
-                path.display()
-            )));
-        }
-        Ok(CheckpointRecord {
-            step,
-            payload: payload.clone(),
-        })
+        let line = text.strip_suffix('\n').unwrap_or(&text);
+        parse_record(line, expected_key)
+            .map_err(|e| RobustError::Checkpoint(format!("record {}: {e}", path.display())))
     }
 
     /// The newest record that passes every validation layer (parse,
@@ -275,65 +270,143 @@ impl RunStore {
         Ok(None)
     }
 
-    /// Persist a [`MemoCache`] snapshot under this fingerprint (atomically,
-    /// same envelope + checksum as checkpoint records). Entries are sorted
-    /// by fingerprint, so the file is byte-deterministic for a given cache
-    /// content.
-    pub fn save_memo(&self, fingerprint: &RunFingerprint, cache: &MemoCache) -> Result<PathBuf> {
-        let entries = cache.entries();
-        let payload = Json::Obj(vec![(
-            "entries".into(),
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|&(k, v)| Json::Arr(vec![Json::UInt(k), Json::Float(v)]))
-                    .collect(),
-            ),
-        )]);
-        let dir = self.run_dir(fingerprint);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| RobustError::Io(format!("creating {}: {e}", dir.display())))?;
-        let path = dir.join("memo.json");
-        RunStore::write_atomic(
-            &path,
-            &self.envelope(fingerprint, entries.len() as u64, &payload),
-        )?;
-        Ok(path)
+    /// The path of this run's memo log (not created until the first save).
+    pub fn memo_path(&self, fingerprint: &RunFingerprint) -> PathBuf {
+        self.run_dir(fingerprint).join(MEMO_LOG)
     }
 
-    /// Load a persisted memo snapshot into `cache`, returning how many
-    /// entries were restored. A missing or invalid file restores nothing
-    /// (0) — the cache is an accelerator, so corruption degrades to a cold
-    /// start rather than an error.
-    pub fn load_memo(&self, fingerprint: &RunFingerprint, cache: &MemoCache) -> Result<usize> {
-        let path = self.run_dir(fingerprint).join("memo.json");
-        if !path.exists() {
-            return Ok(0);
-        }
-        let Ok(record) = RunStore::read_record(&path, &fingerprint.key()) else {
-            return Ok(0);
-        };
-        let Some(raw) = record.payload.get("entries").and_then(Json::as_arr) else {
-            return Ok(0);
-        };
-        let mut entries = Vec::with_capacity(raw.len());
-        for pair in raw {
-            let Some(items) = pair.as_arr() else {
-                return Ok(0);
-            };
-            let (Some(k), Some(v)) = (
-                items.first().and_then(Json::as_u64),
-                items.get(1).and_then(Json::as_f64),
-            ) else {
-                return Ok(0);
-            };
-            if !v.is_finite() {
-                return Ok(0);
-            }
-            entries.push((k, v));
-        }
-        Ok(cache.load_entries(&entries))
+    /// One memo record line holding `entries`.
+    fn memo_record(fingerprint: &RunFingerprint, entries: &[(u64, f64)]) -> String {
+        let pairs = entries
+            .iter()
+            .map(|&(k, v)| Json::Arr(vec![Json::UInt(k), Json::Float(v)]))
+            .collect();
+        let payload = Json::Obj(vec![("entries".into(), Json::Arr(pairs))]);
+        RunStore::envelope(fingerprint, entries.len() as u64, &payload)
     }
+
+    /// Compact the memo log: rewrite it atomically as one record holding
+    /// every entry of `cache`, sorted by fingerprint (byte-deterministic
+    /// for a given cache content). Returns the [`MemoCache::mark`] to pass
+    /// to the next [`RunStore::append_memo`].
+    pub fn save_memo(&self, fingerprint: &RunFingerprint, cache: &MemoCache) -> Result<u64> {
+        let mark = cache.mark();
+        self.create_run_dir(fingerprint)?;
+        let line = RunStore::memo_record(fingerprint, &cache.entries());
+        RunStore::write_atomic(&self.memo_path(fingerprint), &line)?;
+        Ok(mark)
+    }
+
+    /// Append to the memo log one record holding the entries `cache` gained
+    /// since `mark` (nothing when there are none). Returns the mark for the
+    /// next append. Not atomic: a crash mid-append leaves a torn last line,
+    /// which [`RunStore::load_memo`] stops at.
+    pub fn append_memo(
+        &self,
+        fingerprint: &RunFingerprint,
+        cache: &MemoCache,
+        mark: u64,
+    ) -> Result<u64> {
+        use std::io::Write;
+        let next = cache.mark();
+        let entries = cache.entries_since(mark);
+        if entries.is_empty() {
+            return Ok(next);
+        }
+        self.create_run_dir(fingerprint)?;
+        let path = self.memo_path(fingerprint);
+        let line = RunStore::memo_record(fingerprint, &entries);
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut file| file.write_all(line.as_bytes()))
+            .map_err(|e| RobustError::Io(format!("appending to {}: {e}", path.display())))?;
+        Ok(next)
+    }
+
+    /// Load this run's memo log into `cache`, returning how many entries
+    /// were restored: every record up to the first one that is torn,
+    /// corrupt, mis-fingerprinted or from another format version. A missing
+    /// log restores nothing (0) — the cache is an accelerator, so damage
+    /// degrades to recomputing, never to an error.
+    pub fn load_memo(&self, fingerprint: &RunFingerprint, cache: &MemoCache) -> Result<usize> {
+        let Ok(text) = std::fs::read_to_string(self.memo_path(fingerprint)) else {
+            return Ok(0);
+        };
+        let key = fingerprint.key();
+        let mut restored = 0;
+        for line in text.split_terminator('\n') {
+            let Some(entries) = parse_record(line, &key)
+                .ok()
+                .and_then(|record| memo_entries(&record.payload))
+            else {
+                break;
+            };
+            restored += cache.load_entries(&entries);
+        }
+        Ok(restored)
+    }
+}
+
+/// Parse and validate one record line (no trailing newline) against the
+/// expected fingerprint key.
+fn parse_record(line: &str, expected_key: &str) -> std::result::Result<CheckpointRecord, String> {
+    let doc = Json::parse(line).map_err(|e| format!("truncated or corrupt: {e}"))?;
+    let version = doc.get("format_version").and_then(Json::as_u64);
+    if version != Some(STORE_FORMAT_VERSION) {
+        return Err(format!(
+            "has format version {version:?}, expected {STORE_FORMAT_VERSION}"
+        ));
+    }
+    let key = doc.get("fingerprint").and_then(Json::as_str);
+    if key != Some(expected_key) {
+        return Err(format!("belongs to run {key:?}, expected {expected_key}"));
+    }
+    let step = doc
+        .get("step")
+        .and_then(Json::as_u64)
+        .ok_or("lacks a step")?;
+    let stored = doc
+        .get("checksum")
+        .and_then(Json::as_u64)
+        .ok_or("lacks a checksum")?;
+    // The header holds no `"payload":` text of its own, so the first match
+    // starts the payload, which runs to the closing brace.
+    let body = line
+        .find(PAYLOAD_FIELD)
+        .and_then(|at| line[at + PAYLOAD_FIELD.len()..].strip_suffix('}'))
+        .ok_or("lacks a compact payload")?;
+    let actual = payload_checksum(body);
+    if stored != actual {
+        return Err(format!(
+            "checksum mismatch: stored {stored}, computed {actual}"
+        ));
+    }
+    let Json::Obj(fields) = doc else {
+        return Err("is not an object".into());
+    };
+    let payload = fields
+        .into_iter()
+        .find_map(|(name, value)| (name == "payload").then_some(value))
+        .ok_or("lacks a payload")?;
+    Ok(CheckpointRecord { step, payload })
+}
+
+/// The `(fingerprint, utility)` pairs of a memo record's payload, or `None`
+/// if any is malformed or non-finite.
+fn memo_entries(payload: &Json) -> Option<Vec<(u64, f64)>> {
+    payload
+        .get("entries")?
+        .as_arr()?
+        .iter()
+        .map(|pair| {
+            let items = pair.as_arr()?;
+            let k = items.first()?.as_u64()?;
+            let v = items.get(1)?.as_f64()?;
+            v.is_finite().then_some((k, v))
+        })
+        .collect()
 }
 
 /// Handle a supervised closure uses to talk to its [`RunStore`].
@@ -365,7 +438,7 @@ impl SuperviseCtx<'_> {
         self.store.latest_valid(self.fingerprint)
     }
 
-    /// Durably write a checkpoint at `step`.
+    /// Write a checkpoint record at `step` ([`RunStore::save_checkpoint`]).
     pub fn checkpoint(&self, step: u64, payload: &Json) -> Result<PathBuf> {
         self.store.save_checkpoint(self.fingerprint, step, payload)
     }
@@ -513,13 +586,13 @@ mod tests {
         assert_eq!(store.latest_valid(&fp).unwrap().unwrap().step, 2);
         // Corrupt step 2's checksum: falls back to step 1.
         let text = std::fs::read_to_string(&paths[1].1).unwrap();
-        std::fs::write(&paths[1].1, text.replace("\"cursor\": 2", "\"cursor\": 20")).unwrap();
+        std::fs::write(&paths[1].1, text.replace("\"cursor\":2", "\"cursor\":20")).unwrap();
         assert_eq!(store.latest_valid(&fp).unwrap().unwrap().step, 1);
         // Stale format version on the last good record: nothing valid left.
         let text = std::fs::read_to_string(&paths[0].1).unwrap();
         std::fs::write(
             &paths[0].1,
-            text.replace("\"format_version\": 1", "\"format_version\": 0"),
+            text.replace("\"format_version\":2", "\"format_version\":0"),
         )
         .unwrap();
         assert_eq!(store.latest_valid(&fp).unwrap(), None);
@@ -542,12 +615,44 @@ mod tests {
         );
         assert_eq!(warmed.get(u64::MAX - 3), Some(0.875));
         // Corrupt memo degrades to a cold start, not an error.
-        let path = store.run_dir(&fp).join("memo.json");
+        let path = store.memo_path(&fp);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replace("0.875", "0.5")).unwrap();
         let cold = MemoCache::new();
         assert_eq!(store.load_memo(&fp, &cold).unwrap(), 0);
         assert!(cold.is_empty());
+    }
+
+    #[test]
+    fn memo_log_appends_new_entries_and_loads_up_to_the_first_bad_record() {
+        let store = temp_store("memo-log");
+        let fp = fp();
+        let cache = MemoCache::new();
+        cache.insert(1, 0.25);
+        let mark = store.save_memo(&fp, &cache).unwrap();
+        // Nothing new: nothing appended.
+        assert_eq!(store.append_memo(&fp, &cache, mark).unwrap(), mark);
+        cache.insert(2, 0.5);
+        cache.insert(1, 0.25);
+        let mark = store.append_memo(&fp, &cache, mark).unwrap();
+        cache.insert(3, 0.75);
+        store.append_memo(&fp, &cache, mark).unwrap();
+        let path = store.memo_path(&fp);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[1].contains("[[2,0.5]]"), "{}", lines[1]);
+        let warmed = MemoCache::new();
+        assert_eq!(store.load_memo(&fp, &warmed).unwrap(), 3);
+        assert_eq!(warmed.entries(), cache.entries());
+        // A bad middle record ends the load: the third is not read either.
+        std::fs::write(&path, text.replacen("0.5]", "0.4]", 1)).unwrap();
+        let partial = MemoCache::new();
+        assert_eq!(store.load_memo(&fp, &partial).unwrap(), 1);
+        assert_eq!(partial.entries(), vec![(1, 0.25)]);
+        // Compaction rewrites the log as one record.
+        store.save_memo(&fp, &cache).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   for flaky external dependencies (e.g. cleaning oracles).
 //! - [`durable`] — the crash-safe on-disk [`RunStore`]: checksummed,
 //!   versioned checkpoint records written atomically under run-fingerprint
-//!   keys, cross-process [`MemoCache`] persistence, and [`supervise`] to
+//!   keys, cross-process [`MemoCache`] persistence as an append-only log,
+//!   and [`supervise`] to
 //!   restart a crashed computation from its latest valid record.
 //! - [`par`] — the deterministic-parallelism substrate: seed-partitioned
 //!   worker pools, a subset-fingerprint memo cache for utility calls, and

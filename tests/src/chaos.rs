@@ -275,8 +275,9 @@ pub fn truncate_record(path: impl AsRef<Path>, keep: usize) -> Result<()> {
         .map_err(|e| RobustError::Io(format!("truncating {}: {e}", path.display())))
 }
 
-/// Rewrite one top-level field of a JSON record in place (shared plumbing
-/// for the corruption helpers below).
+/// Rewrite one top-level field of a JSON record in place, as one compact
+/// line like the store writes, so every other field keeps its bytes (shared
+/// plumbing for the corruption helpers below).
 fn rewrite_field(path: &Path, field: &str, value: Json) -> Result<()> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| RobustError::Io(format!("reading {}: {e}", path.display())))?;
@@ -292,7 +293,7 @@ fn rewrite_field(path: &Path, field: &str, value: Json) -> Result<()> {
         Some(slot) => slot.1 = value,
         None => fields.push((field.to_string(), value)),
     }
-    std::fs::write(path, Json::Obj(fields).to_string_pretty())
+    std::fs::write(path, Json::Obj(fields).to_string_compact() + "\n")
         .map_err(|e| RobustError::Io(format!("rewriting {}: {e}", path.display())))
 }
 

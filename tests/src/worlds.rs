@@ -14,6 +14,10 @@ use nde_uncertain::SymbolicMatrix;
 pub struct RefitKnn(pub KnnClassifier);
 
 impl Classifier for RefitKnn {
+    fn config_tag(&self) -> String {
+        format!("refit-{}", self.0.config_tag())
+    }
+
     fn fit(&mut self, data: &Dataset) -> Result<()> {
         self.0.fit(data)
     }

@@ -27,6 +27,10 @@ const WORLDS: usize = 12;
 struct VoterOnly(KnnClassifier);
 
 impl Classifier for VoterOnly {
+    fn config_tag(&self) -> String {
+        format!("voter-only-{}", self.0.config_tag())
+    }
+
     fn fit(&mut self, _data: &Dataset) -> Result<()> {
         Err(MlError::InvalidArgument("refit path taken".into()))
     }
