@@ -300,7 +300,8 @@ mod tests {
     use super::*;
     use nde_data::generate::hiring::HiringScenario;
     use nde_data::Value;
-    use nde_importance::coalition_utility;
+    use nde_importance::batch::UtilityBatcher;
+    use nde_importance::{coalition_utility, BatchPolicy};
     use nde_ml::models::knn::KnnClassifier;
 
     fn inputs(s: &HiringScenario) -> Vec<(&str, &Table)> {
@@ -309,6 +310,19 @@ mod tests {
             ("jobdetail_df", &s.job_details),
             ("social_df", &s.social),
         ]
+    }
+
+    /// The utility of `coal`, served from and stored in the session's memo.
+    fn memoized(
+        knn: &KnnClassifier,
+        session: &IncrementalDebugSession<KnnClassifier>,
+        valid: &Dataset,
+        coal: &[usize],
+    ) -> f64 {
+        let memo = Some(session.memo());
+        UtilityBatcher::new(knn, session.dataset(), valid, memo, BatchPolicy::Unbatched)
+            .eval_one(coal)
+            .unwrap()
     }
 
     fn valid_set(seed: u64) -> Dataset {
@@ -506,7 +520,7 @@ mod tests {
         let with_zero: Vec<usize> = (0..n.min(6)).collect();
         let without_zero: Vec<usize> = (1..n.min(7)).collect();
         for coal in [&with_zero, &without_zero] {
-            coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo())).unwrap();
+            memoized(&knn, &session, &valid, coal);
         }
         assert_eq!(session.memo().len(), 2);
 
@@ -535,10 +549,8 @@ mod tests {
         // Whatever survived must still be bit-correct: recompute every
         // memoized coalition from scratch and compare.
         for coal in [&with_zero, &without_zero] {
-            let cached =
-                coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo()))
-                    .unwrap();
-            let fresh = coalition_utility(&knn, session.dataset(), &valid, coal, None).unwrap();
+            let cached = memoized(&knn, &session, &valid, coal);
+            let fresh = coalition_utility(&knn, session.dataset(), &valid, coal).unwrap();
             assert_eq!(cached.to_bits(), fresh.to_bits());
         }
     }
@@ -651,7 +663,7 @@ mod tests {
         let head: Vec<usize> = (0..n.min(6)).collect();
         let tail: Vec<usize> = (n - 3..n).collect();
         for coal in [&head, &tail] {
-            coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo())).unwrap();
+            memoized(&knn, &session, &valid, coal);
         }
         // Re-inserting the letter of output row 0 appends one fresh row
         // at the end; every other row keeps its index.
@@ -682,10 +694,8 @@ mod tests {
         assert_eq!(report.cache_evictions, 0);
         assert_eq!(session.memo().len(), 2 - collides);
         for coal in [&head, &tail] {
-            let cached =
-                coalition_utility(&knn, session.dataset(), &valid, coal, Some(session.memo()))
-                    .unwrap();
-            let fresh = coalition_utility(&knn, session.dataset(), &valid, coal, None).unwrap();
+            let cached = memoized(&knn, &session, &valid, coal);
+            let fresh = coalition_utility(&knn, session.dataset(), &valid, coal).unwrap();
             assert_eq!(cached.to_bits(), fresh.to_bits());
         }
         // Deleting the first output row's letter renumbers every later row:

@@ -100,13 +100,12 @@ impl Estimator for BanzhafParams {
         clock: &mut BudgetClock,
     ) -> Result<(Vec<f64>, Option<f64>)> {
         let n = state.n;
-        let total = self.samples as u64;
         // Plan the segment deterministically before evaluating anything:
         // walk whole samples, charging each sample's replayed cost, until a
-        // limit trips or the run completes.
+        // limit trips or the segment ends.
         let start = state.cursor;
         let mut end = start;
-        while end < total && clock.exhausted().is_none() {
+        while end < seg.until && clock.exhausted().is_none() {
             clock.record_iteration();
             clock.record_utility_calls(sample_cost(seg.seed, end, n));
             end += 1;

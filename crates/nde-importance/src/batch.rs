@@ -227,7 +227,7 @@ impl<'a, C: Classifier> UtilityBatcher<'a, C> {
                     .fetch_add(misses.len() as u64, Ordering::Relaxed);
                 misses
                     .iter()
-                    .map(|c| coalition_utility(self.template, self.train, self.valid, c, None))
+                    .map(|c| coalition_utility(self.template, self.train, self.valid, c))
                     .collect::<Result<_, _>>()?
             }
         };
@@ -283,7 +283,7 @@ mod tests {
                 .eval_batch(&mut CoalitionChain::new(), &coalitions(14))
                 .unwrap();
             for (c, &g) in coalitions(14).iter().zip(&got) {
-                let want = coalition_utility(&knn, &train, &valid, c, None).unwrap();
+                let want = coalition_utility(&knn, &train, &valid, c).unwrap();
                 assert_eq!(g, want, "policy={policy:?} coalition={c:?}");
             }
         }
@@ -328,7 +328,7 @@ mod tests {
             .eval_batch(&mut CoalitionChain::new(), &coalitions(10))
             .unwrap();
         for (c, &g) in coalitions(10).iter().zip(&got) {
-            let want = coalition_utility(&majority, &train, &valid, c, None).unwrap();
+            let want = coalition_utility(&majority, &train, &valid, c).unwrap();
             assert_eq!(g, want);
         }
         assert_eq!(batcher.stats().fallback_evals, 5);
@@ -373,7 +373,7 @@ mod tests {
         let batcher = UtilityBatcher::new(&knn, &train, &valid, None, BatchPolicy::default());
         assert_eq!(batcher.eval_one(&[]).unwrap(), 0.0);
         let v = batcher.eval_one(&[0, 4, 8]).unwrap();
-        let want = coalition_utility(&knn, &train, &valid, &[0, 4, 8], None).unwrap();
+        let want = coalition_utility(&knn, &train, &valid, &[0, 4, 8]).unwrap();
         assert_eq!(v, want);
     }
 }

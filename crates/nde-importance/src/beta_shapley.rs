@@ -203,10 +203,10 @@ impl Estimator for BetaShapleyParams {
         }
         // Plan the segment deterministically before evaluating anything:
         // walk whole points, charging each point's replayed cost, until a
-        // limit trips or every point is scored.
+        // limit trips or the segment ends.
         let start = state.cursor;
         let mut end = start;
-        while end < n as u64 && clock.exhausted().is_none() {
+        while end < seg.until && clock.exhausted().is_none() {
             clock.record_iteration();
             clock.record_utility_calls(point_cost(spp, seg.seed, end, n, &cdf));
             end += 1;

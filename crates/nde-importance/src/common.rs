@@ -1,51 +1,35 @@
 //! Shared types: scores, rankings, detection-quality evaluation, and the
-//! memoized coalition-utility evaluator every estimator goes through.
+//! plain coalition-utility evaluator behind the batcher's fallback path.
 
 use nde_ml::dataset::Dataset;
 use nde_ml::model::{utility, Classifier};
-use nde_robust::par::{subset_fingerprint_sorted, MemoCache, WorkerFailure};
+use nde_robust::par::WorkerFailure;
 use std::fmt;
 
-/// Utility of the coalition named by a **sorted** index set, optionally
-/// served from a [`MemoCache`].
+/// Utility of the coalition named by a **sorted** index set, evaluated
+/// from scratch.
 ///
-/// The convention `U(∅) = 0` is applied without an evaluation. The cache is
-/// keyed by [`subset_fingerprint_sorted`], so the same coalition reached
-/// from a TMC permutation prefix, a Banzhaf subset sample, or a
-/// Beta-Shapley draw hits the same entry — which is only sound because the
-/// subset is always *evaluated* in sorted order too, making the utility a
-/// pure function of the index set. A cache must only ever see one
-/// `(template, train, valid)` triple (see [`MemoCache`]).
+/// The convention `U(∅) = 0` is applied without an evaluation. The subset
+/// is always evaluated in sorted order, so the utility is a pure function
+/// of the index set; that is what lets
+/// [`UtilityBatcher`](crate::batch::UtilityBatcher) serve the same
+/// coalition from its [`MemoCache`](nde_robust::par::MemoCache) whether a
+/// TMC permutation prefix, a Banzhaf subset sample or a Beta-Shapley draw
+/// reached it.
 pub fn coalition_utility<C: Classifier>(
     template: &C,
     train: &Dataset,
     valid: &Dataset,
     sorted: &[usize],
-    cache: Option<&MemoCache>,
 ) -> Result<f64, ImportanceError> {
     if sorted.is_empty() {
-        return Ok(0.0);
+        Ok(0.0)
+    } else if sorted.len() == train.len() {
+        // The full coalition: skip the subset materialization.
+        Ok(utility(template, train, valid)?)
+    } else {
+        Ok(utility(template, &train.subset(sorted), valid)?)
     }
-    let evaluate = || -> Result<f64, ImportanceError> {
-        if sorted.len() == train.len() {
-            // The full coalition: skip the subset materialization.
-            Ok(utility(template, train, valid)?)
-        } else {
-            Ok(utility(template, &train.subset(sorted), valid)?)
-        }
-    };
-    let Some(cache) = cache else {
-        return evaluate();
-    };
-    let key = subset_fingerprint_sorted(sorted);
-    if let Some(v) = cache.get(key) {
-        return Ok(v);
-    }
-    let v = evaluate()?;
-    // Tag the entry with its coalition so an accepted cleaning fix can
-    // evict exactly the utilities it stales (MemoCache::invalidate_members).
-    cache.insert_with_members(key, v, sorted);
-    Ok(v)
 }
 
 /// Errors from importance computations.

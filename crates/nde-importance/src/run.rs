@@ -75,12 +75,9 @@ use nde_data::fxhash::FxHasher;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::par::{MemoCache, WorkerPool};
-use nde_robust::{
-    BudgetClock, ConvergenceDiagnostics, Exhaustion, RunBudget, RunFingerprint, RunStore,
-};
+use nde_robust::{BudgetClock, ConvergenceDiagnostics, RunBudget, RunFingerprint, RunStore};
 use std::hash::Hasher;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 pub use crate::banzhaf::BanzhafParams;
 pub use crate::beta_shapley::BetaShapleyParams;
@@ -118,9 +115,10 @@ pub struct ImportanceRun<'a> {
     /// auto-resumes from the latest valid record (unless an explicit
     /// `resume` is given, which wins).
     pub store: Option<&'a RunStore>,
-    /// With a store attached: write a record every this-many estimator
-    /// steps (permutations / subset samples / points). `None` writes one
-    /// record when the run finishes or its budget trips.
+    /// Cut the run into segments of this-many estimator steps
+    /// (permutations / subset samples / points), with a store attached
+    /// writing a record after each. `None` runs one segment, whose record
+    /// is written when the run finishes or its budget trips.
     pub auto_checkpoint_every: Option<u64>,
     /// How coalition evaluations are grouped into batches. Purely physical:
     /// scores are bit-identical under every policy.
@@ -196,9 +194,12 @@ impl<'a> ImportanceRun<'a> {
         self
     }
 
-    /// Write a durable record every `every` estimator steps (clamped to at
-    /// least 1). Only meaningful together with
-    /// [`with_store`](ImportanceRun::with_store).
+    /// Cut the run into segments of `every` estimator steps (clamped to at
+    /// least 1) and, when a [`with_store`](ImportanceRun::with_store) is
+    /// attached, write a durable record after each. Without a store the
+    /// run is still cut. Each TMC-Shapley segment re-primes U(full), one
+    /// more logical utility call, so the cadence shows in TMC's
+    /// `utility_calls` (never in its scores).
     pub fn with_auto_checkpoint(mut self, every: u64) -> ImportanceRun<'a> {
         self.auto_checkpoint_every = Some(every.max(1));
         self
@@ -308,33 +309,6 @@ fn preload_memo(run: &ImportanceRun, fingerprint: Option<&RunFingerprint>) -> Re
     Ok(())
 }
 
-/// Which *base*-budget limit, if any, the run has hit — segment-clamped
-/// clocks can report a trip that only reflects the auto-checkpoint cadence,
-/// so the caller-visible exhaustion is recomputed against the caller's
-/// budget. Checks in the same order as `BudgetClock::exhausted`.
-fn base_exhaustion(
-    base: &RunBudget,
-    diagnostics: &ConvergenceDiagnostics,
-    elapsed: Duration,
-) -> Option<Exhaustion> {
-    if let Some(m) = base.max_iterations {
-        if diagnostics.iterations >= m {
-            return Some(Exhaustion::Iterations);
-        }
-    }
-    if let Some(m) = base.max_utility_calls {
-        if diagnostics.utility_calls >= m {
-            return Some(Exhaustion::UtilityCalls);
-        }
-    }
-    if let Some(w) = base.wall_clock {
-        if elapsed >= w {
-            return Some(Exhaustion::Deadline);
-        }
-    }
-    None
-}
-
 /// What one Monte-Carlo estimator supplies to the shared driver: its method
 /// tag, fingerprint config, step count, snapshot shape and segment loop.
 /// Implemented by each method's parameter struct, in the method's module.
@@ -355,9 +329,9 @@ pub(crate) trait Estimator {
     fn validate(&self, state: &Self::State, seed: u64, n: usize) -> Result<()>;
     /// The method's state, if `snapshot` was written by this method.
     fn state(snapshot: &mut EstimatorCheckpoint) -> Option<&mut Self::State>;
-    /// Advance `state` until `clock` trips or the run completes. Returns
-    /// the best-so-far values and, where the method tracks it, the largest
-    /// per-example marginal standard error.
+    /// Advance `state` until its step reaches `seg.until` or `clock` trips.
+    /// Returns the best-so-far values and, where the method tracks it, the
+    /// largest per-example marginal standard error.
     fn segment<C: Classifier + Send + Sync>(
         &self,
         seg: &Segment<'_, C>,
@@ -366,14 +340,17 @@ pub(crate) trait Estimator {
     ) -> Result<(Vec<f64>, Option<f64>)>;
 }
 
-/// What one segment runs against: the run's batcher and worker pool, the
-/// segment's budget, and the run's seed and thread count.
+/// What one segment runs against: the run's batcher and worker pool, its
+/// seed and thread count, and the step the segment stops at.
 pub(crate) struct Segment<'a, C: Classifier> {
     pub batcher: &'a UtilityBatcher<'a, C>,
-    pub budget: &'a RunBudget,
     pub pool: &'a WorkerPool,
     pub seed: u64,
     pub threads: usize,
+    /// The step at which the segment stops: the smallest of the method's
+    /// step count, the cursor plus the checkpoint cadence and the budget's
+    /// `max_iterations`.
+    pub until: u64,
 }
 
 /// The method's own state inside a snapshot the driver holds.
@@ -385,16 +362,17 @@ fn state_of<E: Estimator>(snapshot: &mut EstimatorCheckpoint) -> &mut E::State {
 ///
 /// Fingerprints the run (the model template's
 /// [`Classifier::config_tag`] included), resolves its resume snapshot and
-/// warms the memo cache, then runs the method in durable segments. Each
-/// segment runs under the caller's budget — clamped to
-/// `auto_checkpoint_every` additional steps — and its state is persisted to
-/// the store before the next starts: the memo log is compacted at the
-/// call's first save, and every later save appends only the new entries.
-/// Without a cadence one segment runs and its final state is persisted;
-/// without a store the segments merely bound how much work a budget
-/// overshoot can lose. Termination: every segment
-/// either advances the cursor by at least one step or trips a base-budget
-/// limit, and both paths exit the loop.
+/// warms the memo cache, then runs the method in durable segments. One
+/// [`BudgetClock`] over the caller's budget spans the whole call; each
+/// segment runs under it until its step reaches [`Segment::until`] (at most
+/// `auto_checkpoint_every` steps past the segment's start) or the clock
+/// trips, and its state is persisted to the store before the next starts:
+/// the memo log is compacted at the call's first save, and every later
+/// save appends only the new entries. Without a cadence one segment runs
+/// and its final state is persisted. The report's diagnostics are the
+/// clock's. Termination: each segment reaches its `until` or trips the
+/// clock, and `until` lies past the segment's start unless the run is
+/// complete or its iteration budget spent, both of which end the loop.
 fn estimate<E, C>(
     run: &ImportanceRun,
     template: &C,
@@ -433,31 +411,24 @@ where
     let batcher = UtilityBatcher::new(template, train, valid, run.cache, run.batch);
     let pool = run.pool_handle();
     let total = params.steps(n);
-    let unlimited = RunBudget::unlimited();
-    let base = run.budget.as_ref().unwrap_or(&unlimited);
-    let started = Instant::now();
+    let budget = run.budget.clone().unwrap_or_default();
+    let mut clock = budget.resume(snapshot.step(), snapshot.utility_calls());
     // The memo log's mark after this call's last save; `None` before the
     // first, which compacts the log.
     let mut memo_mark = None;
     loop {
-        let mut budget = base.clone();
+        let mut until = total.min(budget.max_iterations.unwrap_or(u64::MAX));
         if let Some(every) = run.auto_checkpoint_every {
-            let cap = snapshot.step().saturating_add(every.max(1));
-            budget.max_iterations = Some(base.max_iterations.map_or(cap, |m| m.min(cap)));
+            until = until.min(snapshot.step().saturating_add(every.max(1)));
         }
-        if let Some(wall) = base.wall_clock {
-            budget.wall_clock = Some(wall.saturating_sub(started.elapsed()));
-        }
-        let mut clock = budget.resume(snapshot.step(), snapshot.utility_calls());
         let seg = Segment {
             batcher: &batcher,
-            budget: &budget,
             pool: &pool,
             seed: run.seed,
             threads: run.threads,
+            until,
         };
         let (values, max_se) = params.segment(&seg, state_of::<E>(&mut snapshot), &mut clock)?;
-        let mut diagnostics = clock.diagnostics(max_se);
         if let (Some(store), Some(fp)) = (run.store, fp.as_ref()) {
             store.save_checkpoint(fp, snapshot.step(), &snapshot.to_payload())?;
             if let Some(cache) = run.cache {
@@ -467,14 +438,11 @@ where
                 });
             }
         }
-        let tripped = base_exhaustion(base, &diagnostics, started.elapsed());
-        if snapshot.step() >= total || tripped.is_some() || run.auto_checkpoint_every.is_none() {
-            if run.auto_checkpoint_every.is_some() {
-                // The last segment's clock saw a clamped budget and only its
-                // own slice of wall time; report against the caller's budget.
-                diagnostics.exhausted = tripped;
-                diagnostics.elapsed = started.elapsed();
-            }
+        let diagnostics = clock.diagnostics(max_se);
+        if snapshot.step() >= total
+            || diagnostics.exhausted.is_some()
+            || run.auto_checkpoint_every.is_none()
+        {
             let stats = batcher.stats();
             let report = RunReport {
                 utility_calls: diagnostics.utility_calls,
@@ -574,6 +542,8 @@ mod tests {
     use crate::shapley_mc::TMC_METHOD;
     use crate::snapshot::McCheckpoint;
     use nde_ml::models::knn::KnnClassifier;
+    use nde_robust::Exhaustion;
+    use std::time::Duration;
 
     fn toy() -> (Dataset, Dataset) {
         let train = Dataset::from_rows(
@@ -886,6 +856,68 @@ mod tests {
         );
 
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn a_zero_deadline_stops_every_estimator_cleanly() {
+        let (train, valid) = toy();
+        let knn = KnnClassifier::new(1);
+        let tmc = TmcParams {
+            permutations: 6,
+            truncation_tolerance: 0.0,
+        };
+        let samples = BanzhafParams { samples: 30 };
+        let beta = BetaShapleyParams {
+            samples_per_point: 4,
+            ..BetaShapleyParams::default()
+        };
+        type Method<'m> = &'m dyn Fn(&ImportanceRun) -> Result<ImportanceOutcome>;
+        let methods: [(&str, Method); 3] = [
+            ("tmc", &|run| tmc_shapley(run, &knn, &train, &valid, &tmc)),
+            ("banzhaf", &|run| {
+                banzhaf(run, &knn, &train, &valid, &samples)
+            }),
+            ("beta", &|run| {
+                beta_shapley(run, &knn, &train, &valid, &beta)
+            }),
+        ];
+        let bits = |out: &ImportanceOutcome| -> Vec<u64> {
+            out.scores.values.iter().map(|v| v.to_bits()).collect()
+        };
+        let zero = RunBudget::unlimited().with_wall_clock(Duration::ZERO);
+        for (name, method) in methods {
+            let whole = method(&ImportanceRun::new(13)).unwrap();
+            for threads in [1, 2, 4, 7] {
+                for (stored, every) in [
+                    (false, None),
+                    (false, Some(2)),
+                    (true, None),
+                    (true, Some(2)),
+                ] {
+                    let store = temp_store(&format!("deadline-{name}-{threads}-{every:?}"));
+                    let mut run = ImportanceRun::new(13)
+                        .with_threads(threads)
+                        .with_budget(zero.clone());
+                    run.store = stored.then_some(&store);
+                    run.auto_checkpoint_every = every;
+                    let case =
+                        format!("{name}, {threads} threads, store {stored}, every {every:?}");
+                    let cut = method(&run).unwrap();
+                    let d = cut.report.diagnostics.as_ref().unwrap();
+                    assert_eq!(d.exhausted, Some(Exhaustion::Deadline), "{case}");
+                    assert_eq!(d.iterations, 0, "{case}");
+                    let snapshot = cut.report.snapshot.unwrap();
+                    let resumed = method(
+                        &ImportanceRun::new(13)
+                            .with_threads(threads)
+                            .with_resume(&snapshot),
+                    )
+                    .unwrap();
+                    assert_eq!(bits(&resumed), bits(&whole), "{case}");
+                    std::fs::remove_dir_all(store.root()).ok();
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,31 @@
 //!
 //! Permutation `p` depends only on `child_seed(seed, p)`, and every
 //! coalition is evaluated in **sorted index order**, so its utility is a
-//! pure function of the index set. Parallel runs go through the
-//! speculative-execution + sequential-settlement scheme of
-//! [`nde_robust::par`]: workers evaluate permutations out of order, then
-//! the results are folded front-to-back under the authoritative
-//! [`BudgetClock`]. The folded scores, diagnostics counters, and
-//! checkpoints are therefore bit-identical for every thread count,
+//! pure function of the index set. The folded scores, diagnostics
+//! counters, and checkpoints are bit-identical for every thread count,
 //! with or without a tripped budget, and across checkpoint/resume cycles.
+//!
+//! # Speculative rounds, sequential settlement
+//!
+//! Budgets and parallelism pull in opposite directions: a budget wants a
+//! deterministic stopping point, a worker pool finishes items in arbitrary
+//! order. A segment reconciles them in rounds:
+//!
+//! 1. Workers claim permutation indices `cursor..until`, up to the step
+//!    the segment ends at, and walk them without a clock. They stop claiming
+//!    once the round's walks have spent the calls the budget has left, or
+//!    the clock's [`deadline`](BudgetClock::deadline) has passed. This
+//!    only bounds overshoot; it decides nothing.
+//! 2. The segment then folds the index-sorted results front-to-back through
+//!    the run's one [`BudgetClock`], applying exactly the stopping rule a
+//!    single-threaded run would. A permutation the utility budget cuts is
+//!    walked again under the clock; results past the stopping point, or
+//!    after a gap an early stop left, are discarded (the next round claims
+//!    the gap again).
+//!
+//! Without a utility or wall-clock budget no worker stops early, so every
+//! permutation of the segment is walked exactly once, whatever the thread
+//! count.
 //!
 //! # Batched waves
 //!
@@ -57,9 +75,9 @@ use nde_data::rng::{child_seed, seeded};
 use nde_ml::batch::CoalitionChain;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
-use nde_robust::par::AtomicBudgetClock;
 use nde_robust::BudgetClock;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Method parameters for TMC-Shapley (run-wide knobs live on
 /// [`ImportanceRun`](crate::run::ImportanceRun)).
@@ -150,7 +168,6 @@ impl Estimator for TmcParams {
         clock: &mut BudgetClock,
     ) -> Result<(Vec<f64>, Option<f64>)> {
         let n = state.n;
-        let total = self.permutations as u64;
         if clock.exhausted().is_none() {
             // Re-prime the full-data utility (one honestly-accounted call; a
             // cache hit on resume still counts).
@@ -176,31 +193,33 @@ impl Estimator for TmcParams {
             }
 
             // Speculative parallel rounds + authoritative sequential
-            // settlement.
-            while state.inflight.is_none() && state.cursor < total && clock.exhausted().is_none() {
-                let shared = AtomicBudgetClock::resume(
-                    seg.budget,
-                    clock.iterations(),
-                    clock.utility_calls(),
-                );
+            // settlement (see the module docs).
+            let deadline = clock.deadline();
+            while state.inflight.is_none()
+                && state.cursor < seg.until
+                && clock.exhausted().is_none()
+            {
+                let affordable = clock.remaining_utility_calls();
+                let spent = AtomicU64::new(0);
                 let stop = AtomicBool::new(false);
                 let round = seg.pool.map_indexed_scratch(
                     seg.threads,
-                    state.cursor..total,
+                    state.cursor..seg.until,
                     &stop,
                     || WalkScratch::new(n),
                     |ws, p| -> Result<(Vec<f64>, u64)> {
-                        match walk_permutation(seg, self, full_utility, p, ws, None, None, None)? {
-                            WalkOutcome::Complete { marginals, calls } => {
-                                shared.record_iteration();
-                                shared.record_utility_calls(calls);
-                                shared.arm_stop(&stop);
-                                Ok((marginals, calls))
-                            }
-                            WalkOutcome::Tripped { .. } => {
-                                unreachable!("speculative walks run without a clock")
-                            }
+                        let WalkOutcome::Complete { marginals, calls } =
+                            walk_permutation(seg, self, full_utility, p, ws, None, None, None)?
+                        else {
+                            unreachable!("speculative walks run without a clock")
+                        };
+                        let spent = spent.fetch_add(calls, Ordering::Relaxed) + calls;
+                        if affordable.is_some_and(|a| spent >= a)
+                            || deadline.is_some_and(|d| Instant::now() >= d)
+                        {
+                            stop.store(true, Ordering::Relaxed);
                         }
+                        Ok((marginals, calls))
                     },
                 )?;
 

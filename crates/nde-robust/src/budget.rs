@@ -126,6 +126,15 @@ impl BudgetClock {
         self.started.elapsed()
     }
 
+    /// The instant the wall-clock budget runs out, or `None` without one
+    /// (or when it lies beyond what an `Instant` can hold). Parallel workers
+    /// read it to stop claiming work once it passes.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.budget
+            .wall_clock
+            .and_then(|limit| self.started.checked_add(limit))
+    }
+
     /// The first limit that has tripped, if any. Checked in a fixed order
     /// (iterations, utility calls, deadline) so tests are deterministic.
     pub fn exhausted(&self) -> Option<Exhaustion> {
@@ -139,8 +148,8 @@ impl BudgetClock {
                 return Some(Exhaustion::UtilityCalls);
             }
         }
-        if let Some(limit) = self.budget.wall_clock {
-            if self.started.elapsed() >= limit {
+        if let Some(deadline) = self.deadline() {
+            if Instant::now() >= deadline {
                 return Some(Exhaustion::Deadline);
             }
         }
@@ -258,6 +267,13 @@ mod tests {
             .with_wall_clock(Duration::ZERO)
             .start();
         assert_eq!(clock.exhausted(), Some(Exhaustion::Deadline));
+        assert!(clock.deadline().is_some_and(|d| d <= Instant::now()));
+        assert_eq!(RunBudget::unlimited().start().deadline(), None);
+        // A deadline past what an `Instant` can hold never trips.
+        let far = RunBudget::unlimited()
+            .with_wall_clock(Duration::MAX)
+            .start();
+        assert_eq!((far.deadline(), far.exhausted()), (None, None));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   and [`supervise`] to
 //!   restart a crashed computation from its latest valid record.
 //! - [`par`] — the deterministic-parallelism substrate: seed-partitioned
-//!   worker pools, a subset-fingerprint memo cache for utility calls, and
-//!   [`par::AtomicBudgetClock`] so budgets can be shared across workers
-//!   while the fold stays bit-identical to a sequential run.
+//!   worker pools and a subset-fingerprint memo cache for utility calls.
+//!   A budgeted parallel run folds its workers' results in index order
+//!   through one [`BudgetClock`], so it stops where a sequential run would.
 //!
 //! The fault-injection harness that proves each workflow survives these
 //! faults is test code and lives in the `nde-tests` crate.
@@ -36,7 +36,7 @@ pub use durable::{
     supervise, CheckpointRecord, RunFingerprint, RunStore, SuperviseCtx, Supervised,
 };
 pub use error::RobustError;
-pub use par::{AtomicBudgetClock, MemoCache};
+pub use par::MemoCache;
 pub use retry::{retry_with_backoff, RetryPolicy};
 
 /// Crate-wide result alias.

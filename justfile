@@ -20,7 +20,6 @@ verify:
     cargo test -q --release --offline -p nde-tests --test prop_semiring
     cargo test -q --release --offline -p nde-tests --test durability
     cargo test -q --release --offline -p nde-tests --test tmc_chain
-    cargo test -q --release --offline -p nde-tests --test durability memo
     cargo test -q --release --offline -p nde-tests --test incremental_delta
     cargo test -q --release --offline -p nde-pipeline
     cargo test -q --release --offline -p nde-cleaning

@@ -4,7 +4,9 @@
 //! the one-coalition-at-a-time `BatchPolicy::Unbatched` run bit for bit at
 //! every wave width (1, 16, 32, n, n + 1), every thread count (1, 2, 4, 7),
 //! with and without a memo cache, and through a utility-call budget that
-//! trips mid-permutation followed by a resume.
+//! trips mid-permutation followed by a resume. A checkpointed run's
+//! physical work (coalition lookups, memo entries) is the same at every
+//! thread count.
 
 use nde_data::generate::blobs::two_gaussians;
 use nde_data::rng::SliceRandom;
@@ -16,7 +18,7 @@ use nde_ml::dataset::Dataset;
 use nde_ml::model::utility;
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
-use nde_robust::RunBudget;
+use nde_robust::{RunBudget, RunStore};
 
 const N: usize = 40;
 const K: usize = 3;
@@ -140,6 +142,53 @@ fn tmc_chain_grid_is_bit_identical_to_unbatched() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Coalitions a run looked up: scored by the batched scorer or the
+/// per-coalition fallback, or served from the memo cache.
+fn lookups(out: &ImportanceOutcome) -> u64 {
+    let r = &out.report;
+    r.batched_evals + r.fallback_evals + r.cache_hits
+}
+
+#[test]
+fn physical_work_is_thread_invariant() {
+    // A checkpointed, cached run (whole, and cut at 20 of 48 permutations)
+    // walks each permutation once at every thread count: no worker walks
+    // past its segment's end. The scored/served split is not pinned, since
+    // two workers may race to score the same coalition.
+    let (train, valid) = workload();
+    let params = TmcParams {
+        permutations: 48,
+        truncation_tolerance: 0.0,
+    };
+    for budget in [None, Some(RunBudget::unlimited().with_max_iterations(20))] {
+        let mut want = None;
+        for threads in [1, 2, 4, 7] {
+            let dir = std::env::temp_dir().join(format!(
+                "nde-tmc-chain-work-{threads}-{}-{}",
+                budget.is_some(),
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let store = RunStore::open(&dir).unwrap();
+            let cache = MemoCache::new();
+            let mut run = ImportanceRun::new(3)
+                .with_threads(threads)
+                .with_batch(BatchPolicy::Grouped { size: 16 })
+                .with_cache(&cache)
+                .with_store(&store)
+                .with_auto_checkpoint(8);
+            run.budget = budget.clone();
+            let out = tmc_shapley(&run, &KnnClassifier::new(K), &train, &valid, &params).unwrap();
+            let case = format!("{threads} threads, budget {budget:?}");
+            // With no truncation every lookup is a logical utility call.
+            assert_eq!(lookups(&out), out.report.utility_calls, "{case}");
+            let got = (lookups(&out), cache.len());
+            assert_eq!(*want.get_or_insert(got), got, "{case}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
