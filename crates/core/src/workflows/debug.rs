@@ -8,12 +8,12 @@
 
 use crate::scenario::LettersScenario;
 use crate::Result;
-use nde_importance::datascope::datascope_importance;
-use nde_importance::ImportanceScores;
+use nde_importance::{datascope, ImportanceRun};
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::feature::FeaturePipeline;
 use nde_pipeline::render::render_plan;
+use nde_robust::par::WorkerPool;
 
 /// Configuration of the Fig. 3 workflow.
 #[derive(Debug, Clone)]
@@ -71,15 +71,18 @@ pub fn run(scenario: &LettersScenario, config: &DebugConfig) -> Result<DebugOutc
     };
     let acc_before = eval(&train_out.dataset)?;
 
-    // Datascope: importance of the source letters via provenance pushback.
-    let scores = datascope_importance(
+    // Datascope: importance of the source letters via provenance pushback,
+    // at the shared pool's full width.
+    let run = ImportanceRun::new(0).with_threads(WorkerPool::shared().workers() + 1);
+    let scores = datascope(
+        &run,
         &train_out,
         &valid_out.dataset,
         "train_df",
         scenario.train.n_rows(),
         config.k,
-    )?;
-    let scores = ImportanceScores::new("datascope", scores.values);
+    )?
+    .scores;
     let removed_rows = scores.bottom_k(config.remove_count);
 
     // Remove those source tuples and re-run the pipeline end to end.

@@ -16,7 +16,7 @@
 //! * [`aum`] — area-under-the-margin mislabel detection (Pleiss et al. '20);
 //! * [`confident`] — confident learning (Northcutt et al. '21);
 //! * [`group`] — group Shapley over data partitions;
-//! * [`datascope`] — KNN-Shapley over ML pipelines, pushed back to pipeline
+//! * [`mod@datascope`] — KNN-Shapley over ML pipelines, pushed back to pipeline
 //!   *source* tuples via provenance (Karlaš et al. '23);
 //! * [`fairness_debug`] — Gopher-style interpretable fairness explanations
 //!   (Pradhan et al. '22).
@@ -31,7 +31,8 @@
 //! options (seed, threads, budget, memo cache, resume checkpoint, batch
 //! policy), then call [`tmc_shapley`], [`banzhaf()`](run::banzhaf),
 //! [`beta_shapley()`](run::beta_shapley) or
-//! [`knn_shapley()`](run::knn_shapley) with the method-specific
+//! [`knn_shapley()`](run::knn_shapley) (or, over a pipeline's source
+//! tuples, [`datascope()`](run::datascope)) with the method-specific
 //! parameters. Each returns [`ImportanceOutcome`]: scores plus a uniform
 //! [`RunReport`]. The run API is the only entry point — the legacy free
 //! functions (`tmc_shapley_budgeted`, `banzhaf_msr`, `knn_shapley_par`, …)
@@ -66,7 +67,7 @@ pub use common::{
     bottom_k, coalition_utility, detection_precision_at_k, ImportanceError, ImportanceScores,
 };
 pub use run::{
-    banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
+    banzhaf, beta_shapley, datascope, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
     ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
 };
 pub use snapshot::{
@@ -82,8 +83,8 @@ pub mod prelude {
     };
     pub use crate::loo::loo_importance;
     pub use crate::run::{
-        banzhaf, beta_shapley, knn_shapley, tmc_shapley, BanzhafParams, BetaShapleyParams,
-        ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
+        banzhaf, beta_shapley, datascope, knn_shapley, tmc_shapley, BanzhafParams,
+        BetaShapleyParams, ImportanceOutcome, ImportanceRun, RunReport, TmcParams,
     };
     pub use crate::snapshot::{EstimatorCheckpoint, McCheckpoint};
     pub use crate::Result;

@@ -37,6 +37,10 @@
 //! assert!(mc.report.utility_calls > 0);
 //! ```
 //!
+//! The entry points are [`tmc_shapley`], [`banzhaf`] and [`beta_shapley`]
+//! (Monte-Carlo), and [`knn_shapley`] and [`datascope`] (closed-form; the
+//! latter scores a pipeline's source tuples through provenance).
+//!
 //! All entry points return an [`ImportanceOutcome`]: the scores plus a
 //! [`RunReport`] with uniform accounting (logical utility calls, cache
 //! hits, batches formed, convergence diagnostics and a resume snapshot
@@ -74,6 +78,7 @@ use crate::{ImportanceError, Result};
 use nde_data::fxhash::FxHasher;
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
+use nde_pipeline::feature::FeatureOutput;
 use nde_robust::par::{MemoCache, WorkerPool};
 use nde_robust::{BudgetClock, ConvergenceDiagnostics, RunBudget, RunFingerprint, RunStore};
 use std::hash::Hasher;
@@ -91,8 +96,8 @@ pub use crate::shapley_mc::TmcParams;
 ///
 /// Methods that cannot honor an option reject the run with
 /// [`ImportanceError::Unsupported`] instead of silently ignoring it; the
-/// only such method is the closed-form `knn_shapley`, which has no
-/// Monte-Carlo state to budget, checkpoint, or persist.
+/// only such methods are the closed-form `knn_shapley` and `datascope`,
+/// which have no Monte-Carlo state to budget, checkpoint, or persist.
 #[derive(Debug, Clone, Default)]
 pub struct ImportanceRun<'a> {
     /// Base seed; methods derive per-permutation/per-sample child seeds.
@@ -528,6 +533,87 @@ pub fn knn_shapley(
 ) -> Result<ImportanceOutcome> {
     run.reject_resumability("knn_shapley")?;
     let scores = knn_engine(train, valid, k, run.threads.max(1), &run.pool_handle())?;
+    Ok(ImportanceOutcome {
+        scores,
+        report: RunReport::default(),
+    })
+}
+
+/// Datascope: closed-form KNN-Shapley over a pipeline's output, pushed back
+/// to the rows of source table `source_name` through the output's lineage
+/// (see [`mod@crate::datascope`]).
+///
+/// * `train_output` — the training-side pipeline output **with lineage**
+///   (run the pipeline with provenance tracking enabled);
+/// * `valid` — encoded validation data (same feature space);
+/// * `source_name` — which source table to attribute to (e.g. `"train_df"`);
+/// * `source_len` — number of rows in that source table;
+/// * `k` — the KNN-Shapley neighborhood size.
+///
+/// Source rows that never reach the pipeline output (dropped by filters or
+/// unmatched joins) score `-0.0`: removing them cannot change the model.
+/// A source tuple's score is the sum over the output rows it reaches, which
+/// is its Shapley value only when it reaches at most one (as `train_df`
+/// does in the hiring pipeline; see the module docs for sources that fan
+/// out). Like [`knn_shapley`], it runs at `run.threads` (at least 1) on the run's
+/// pool, is the same bits at every thread count, and rejects budgets,
+/// resume state and durable stores with [`ImportanceError::Unsupported`].
+/// A missing lineage or source, a lineage that does not cover exactly the
+/// dataset's rows, or a lineage row at or past `source_len` is
+/// [`ImportanceError::InvalidArgument`].
+pub fn datascope(
+    run: &ImportanceRun,
+    train_output: &FeatureOutput,
+    valid: &Dataset,
+    source_name: &str,
+    source_len: usize,
+    k: usize,
+) -> Result<ImportanceOutcome> {
+    run.reject_resumability("datascope")?;
+    let lineage = train_output.lineage.as_ref().ok_or_else(|| {
+        ImportanceError::InvalidArgument(
+            "pipeline output has no lineage; run with provenance tracking".into(),
+        )
+    })?;
+    let source_idx = lineage.source_index(source_name).ok_or_else(|| {
+        ImportanceError::InvalidArgument(format!(
+            "source `{source_name}` not found in lineage (sources: {:?})",
+            lineage.sources
+        ))
+    })?;
+    if lineage.rows.len() != train_output.dataset.len() {
+        return Err(ImportanceError::InvalidArgument(format!(
+            "lineage covers {} output rows but the dataset has {}",
+            lineage.rows.len(),
+            train_output.dataset.len()
+        )));
+    }
+    let output_scores = knn_engine(
+        &train_output.dataset,
+        valid,
+        k,
+        run.threads.max(1),
+        &run.pool_handle(),
+    )?;
+
+    // One pass over the output rows, ascending: each row's score goes to
+    // every tuple of the source it depends on. `-0.0` is the neutral
+    // element of `f64` addition, so unreached rows score `-0.0`.
+    let index = lineage.tuple_index();
+    let mut values = vec![-0.0_f64; source_len];
+    for (&id, &score) in lineage.rows.iter().zip(&output_scores.values) {
+        for t in index.of(id).iter().filter(|t| t.source == source_idx) {
+            let value = values.get_mut(t.row as usize).ok_or_else(|| {
+                ImportanceError::InvalidArgument(format!(
+                    "source `{source_name}` row {} is referenced by the lineage \
+                     but source_len is {source_len}",
+                    t.row
+                ))
+            })?;
+            *value += score;
+        }
+    }
+    let scores = ImportanceScores::new("datascope", values);
     Ok(ImportanceOutcome {
         scores,
         report: RunReport::default(),

@@ -4,8 +4,7 @@
 use nde::api::inject_label_errors;
 use nde::scenario::load_recommendation_letters;
 use nde_cleaning::oracle::TableOracle;
-use nde_importance::datascope::datascope_importance;
-use nde_importance::ImportanceScores;
+use nde_importance::{datascope, ImportanceRun};
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
 use nde_pipeline::feature::FeaturePipeline;
@@ -84,15 +83,16 @@ fn datascope_guided_source_cleaning_improves_pipeline_model() {
 
     // Clean the 30 lowest-importance SOURCE tuples with the oracle, then
     // re-run the pipeline from the repaired sources.
-    let scores = datascope_importance(
+    let scores = datascope(
+        &ImportanceRun::new(0).with_threads(2),
         &train_out,
         &valid_out.dataset,
         "train_df",
         s.train.n_rows(),
         5,
     )
-    .expect("datascope");
-    let scores = ImportanceScores::new("datascope", scores.values);
+    .expect("datascope")
+    .scores;
     let picks = scores.bottom_k(30);
     let oracle = TableOracle::new(clean.train.clone());
     let mut repaired = s.train.clone();

@@ -4,8 +4,7 @@
 
 use nde::api::inject_label_errors;
 use nde::scenario::load_recommendation_letters;
-use nde_importance::datascope::datascope_importance;
-use nde_importance::{knn_shapley, ImportanceRun, ImportanceScores};
+use nde_importance::{datascope, knn_shapley, ImportanceRun};
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
 use nde_ml::models::unlearn::Unlearn;
@@ -28,15 +27,16 @@ fn whatif_predicts_the_effect_of_datascope_removal() {
     let valid_out = fp
         .transform_run(&s.pipeline_inputs(&s.valid), false)
         .expect("pipeline transforms");
-    let scores = datascope_importance(
+    let scores = datascope(
+        &ImportanceRun::new(0).with_threads(2),
         &train_out,
         &valid_out.dataset,
         "train_df",
         s.train.n_rows(),
         5,
     )
-    .expect("datascope");
-    let scores = ImportanceScores::new("datascope", scores.values);
+    .expect("datascope")
+    .scores;
     let removed = scores.bottom_k(25);
 
     // Prediction via provenance.
