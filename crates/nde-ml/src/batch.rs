@@ -280,8 +280,12 @@ impl DistanceTable {
 /// rows, and each varying row's [`squared_distance`] fold over its columns
 /// `0..c0`, are world-invariant, so [`KnnWorldVoter::new`] computes them
 /// once, in one pooled pass over the test points: a [`PrefixSplit`]'s
-/// blocked pass up to the first column `w` any row varies in, continued
-/// per varying row to its own `c0`. Per test point the voter keeps only the
+/// exact pass up to the first column `w` any row varies in, continued
+/// per varying row to its own `c0`. That pass reads the rows as 8-row
+/// column-interleaved panels and folds each panel's rows in SIMD lanes
+/// (AVX2 where the CPU reports it); each lane adds its own row's terms in
+/// column order from `-0.0`, so every distance and prefix has
+/// [`squared_distance`]'s bits. Per test point the voter keeps only the
 /// `k` nearest fixed rows and the varying rows' prefixes; no test × train
 /// table stays resident. A world then costs the varying rows' remaining
 /// columns: [`KnnWorldVoter::vote`] continues each prefix with

@@ -173,6 +173,13 @@ pub(crate) fn continue_squared_distance(acc: f64, a: &[f64], b: &[f64]) -> f64 {
 /// order, starting from `-0.0` like `f64`'s `Sum` (so a zero-width row
 /// gives `-0.0` too). The trailing `rows % 4` rows call `squared_distance`.
 ///
+/// Its callers (the distance tables, neighbour orders and
+/// `KnnClassifier`) read a data set's `x` in place: they hold no gathered
+/// copy that could be laid out in [`PrefixSplit`]'s 8-row panels, and
+/// copying `rows` into panels on every call gave no resolved end-to-end
+/// gain on the Identify or Debug workflows, so this kernel keeps the
+/// row-major layout.
+///
 /// # Panics
 ///
 /// If `x.len() != rows.cols()` or `out.len() != rows.rows()`: the blocked
@@ -209,19 +216,121 @@ pub fn squared_distances(rows: &Matrix, x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// The rows of a row-major plane, split so that one blocked
-/// [`squared_distances`] pass covers every column that all rows hold fixed.
+/// Rows per panel of [`Panels`]: one lane each.
+const LANES: usize = 8;
+
+/// Rows of `cols` cells, 8 to a panel: panel `p` holds rows `8p..8p + 8`
+/// column-interleaved, `panels[p * cols + j][l]` being column `j` of row
+/// `8p + l`. The last `rows % 8` rows are kept row-major in `tail`.
+#[derive(Debug, Clone)]
+struct Panels {
+    panels: Vec<[f64; LANES]>,
+    tail: Vec<f64>,
+    rows: usize,
+    cols: usize,
+}
+
+impl Panels {
+    /// Columns `0..cols` of the plane rows `rows`, in that order.
+    fn gather(plane: &[f64], width: usize, rows: &[usize], cols: usize) -> Panels {
+        let mut groups = rows.chunks_exact(LANES);
+        let mut panels = Vec::with_capacity(rows.len() / LANES * cols);
+        for group in &mut groups {
+            panels.extend((0..cols).map(|j| std::array::from_fn(|l| plane[group[l] * width + j])));
+        }
+        let mut tail = Vec::with_capacity(groups.remainder().len() * cols);
+        for &r in groups.remainder() {
+            tail.extend_from_slice(&plane[r * width..r * width + cols]);
+        }
+        Panels {
+            panels,
+            tail,
+            rows: rows.len(),
+            cols,
+        }
+    }
+
+    /// The [`squared_distance`] from `x` to each row, in row order.
+    fn distances(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "point and rows differ in width");
+        assert_eq!(out.len(), self.rows, "one output per row");
+        let (full, tail) = out.split_at_mut(self.rows - self.rows % LANES);
+        fold_panels(&self.panels, x, full);
+        for (i, cell) in tail.iter_mut().enumerate() {
+            *cell = squared_distance(&self.tail[i * self.cols..][..self.cols], x);
+        }
+    }
+}
+
+/// The distances from `x` to every row of `panels` (panels of `x.len()`
+/// columns), 8 to each chunk of `out`: the baseline instantiation.
+///
+/// Each lane folds its own row in column order from `-0.0` as
+/// `t = c[l] - x[j]; s[l] += t * t`, which is `squared_distance`'s float
+/// sequence for that row, so the lanes are independent IEEE operations
+/// that the compiler may run side by side in SIMD registers without
+/// changing a bit. This body and its AVX2 instantiation
+/// [`fold_panels_avx2`] are therefore bit-identical.
+#[inline(always)]
+fn fold_panels_portable(panels: &[[f64; LANES]], x: &[f64], out: &mut [f64]) {
+    let cols = x.len();
+    for (p, cell) in out.chunks_exact_mut(LANES).enumerate() {
+        let mut s = [-0.0f64; LANES];
+        for (c, &xj) in panels[p * cols..][..cols].iter().zip(x) {
+            for l in 0..LANES {
+                let t = c[l] - xj;
+                s[l] += t * t;
+            }
+        }
+        cell.copy_from_slice(&s);
+    }
+}
+
+/// [`fold_panels_portable`] with AVX2's 4-wide registers. Only `avx2` is
+/// enabled, not `fma`, and the loop has no `mul_add`: a fused multiply-add
+/// would round `s + t * t` once instead of twice.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_panels_avx2(panels: &[[f64; LANES]], x: &[f64], out: &mut [f64]) {
+    fold_panels_portable(panels, x, out);
+}
+
+/// [`fold_panels_portable`] in the widest instantiation the CPU runs.
+fn fold_panels(panels: &[[f64; LANES]], x: &[f64], out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reports AVX2, the one target feature
+        // `fold_panels_avx2` is compiled with.
+        return unsafe { fold_panels_avx2(panels, x, out) };
+    }
+    fold_panels_portable(panels, x, out);
+}
+
+/// The rows of a row-major plane, split so that one exact distance pass
+/// covers every column that all rows hold fixed.
 ///
 /// Row `r` is fixed before column `open_from[r]`: *complete* when that is
 /// the width, *open* otherwise. With `w` the smallest `open_from` over the
 /// open rows (the width when none is), complete rows are kept whole and
 /// open rows' columns `0..w` apart, so no cell is stored twice.
+///
+/// # Panel layout
+///
+/// Each part is gathered into panels of 8 rows stored column by column
+/// (`[[f64; 8]; cols]`, one lane per row), with the last `rows % 8` rows
+/// kept row-major. [`PrefixSplit::distances`] folds a panel's 8 rows side
+/// by side: each lane adds its own row's squared differences in column
+/// order from `-0.0`, exactly the float sequence of [`squared_distance`],
+/// and the tail rows call `squared_distance` itself, so every distance
+/// has its bits. The lanes run in SIMD registers, through an AVX2
+/// instantiation of the same loop where the CPU reports AVX2 (never FMA,
+/// which would round `s + t * t` once instead of twice).
 #[derive(Debug, Clone)]
 pub struct PrefixSplit {
-    complete: Matrix,
+    complete: Panels,
     complete_rows: Vec<usize>,
     /// Columns `0..w` of each open row.
-    prefixes: Matrix,
+    prefixes: Panels,
     open_rows: Vec<usize>,
 }
 
@@ -238,16 +347,9 @@ impl PrefixSplit {
         let (complete_rows, open_rows): (Vec<usize>, Vec<usize>) =
             (0..open_from.len()).partition(|&r| open_from[r] == width);
         let w = open_rows.iter().map(|&r| open_from[r]).min();
-        let gather = |rows: &[usize], cols| {
-            let mut cells = Vec::with_capacity(rows.len() * cols);
-            for &r in rows {
-                cells.extend_from_slice(&plane[r * width..r * width + cols]);
-            }
-            Matrix::from_vec(cells, rows.len(), cols).expect("rows × cols cells")
-        };
         PrefixSplit {
-            complete: gather(&complete_rows, width),
-            prefixes: gather(&open_rows, w.unwrap_or(width)),
+            complete: Panels::gather(plane, width, &complete_rows, width),
+            prefixes: Panels::gather(plane, width, &open_rows, w.unwrap_or(width)),
             complete_rows,
             open_rows,
         }
@@ -281,8 +383,8 @@ impl PrefixSplit {
     /// If `x` is not as wide as a row, or `out` is not one entry per row.
     pub fn distances(&self, x: &[f64], out: &mut [f64]) {
         let (complete, prefixes) = out.split_at_mut(self.complete_rows.len());
-        squared_distances(&self.complete, x, complete);
-        squared_distances(&self.prefixes, &x[..self.shared_width()], prefixes);
+        self.complete.distances(x, complete);
+        self.prefixes.distances(&x[..self.shared_width()], prefixes);
     }
 }
 
@@ -481,31 +583,125 @@ mod tests {
         }
     }
 
+    /// Cells that stress the fold: signed zeros, a subnormal, ±1e150 and
+    /// terms whose sum rounds differently in another order.
+    fn awkward_plane(n: usize, d: usize) -> Vec<f64> {
+        let cell = |i: usize, j: usize| match (3 * i + j) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::MIN_POSITIVE / 4.0,
+            3 => 1e150,
+            4 => -1e150,
+            5 => 1e16 + (i * j) as f64,
+            _ => 0.1 * (i as f64 - j as f64),
+        };
+        (0..n)
+            .flat_map(|i| (0..d).map(move |j| cell(i, j)))
+            .collect()
+    }
+
+    /// `panels` read back row by row, after checking that it holds each
+    /// cell of its rows exactly once.
+    fn read_back(panels: &Panels) -> Matrix {
+        let (n, d) = (panels.rows, panels.cols);
+        let full = n - n % LANES;
+        assert_eq!(panels.panels.len(), full / LANES * d);
+        assert_eq!(panels.tail.len(), (n - full) * d);
+        let cells = (0..n)
+            .flat_map(|i| {
+                (0..d).map(move |j| {
+                    if i < full {
+                        panels.panels[i / LANES * d + j][i % LANES]
+                    } else {
+                        panels.tail[(i - full) * d + j]
+                    }
+                })
+            })
+            .collect();
+        Matrix::from_vec(cells, n, d).unwrap()
+    }
+
     #[test]
     fn a_prefix_split_stores_each_cell_once_and_folds_like_squared_distance() {
-        let (n, d) = (7, 5);
-        let rows = awkward_rows(n, d);
-        let plane: Vec<f64> = rows.iter_rows().flatten().copied().collect();
-        let x = awkward_rows(2, d);
-        for (open_from, w) in [
-            (vec![5, 2, 5, 4, 5, 3, 5], 2),
-            (vec![0, 5, 3, 5, 5, 5, 1], 0),
-            (vec![5; 7], 5),
-            (vec![4; 7], 4),
-        ] {
-            let split = PrefixSplit::new(&plane, d, &open_from);
-            let complete: Vec<usize> = (0..n).filter(|&r| open_from[r] == d).collect();
-            let open: Vec<usize> = (0..n).filter(|&r| open_from[r] < d).collect();
-            assert_eq!(split.complete_rows(), complete);
-            assert_eq!(split.open_rows(), open);
-            assert_eq!(split.complete, rows.take_rows(&complete));
-            assert_eq!((split.width(), split.shared_width()), (d, w));
-            let mut out = vec![f64::NAN; n];
-            split.distances(x.row(1), &mut out);
-            for (&r, got) in complete.iter().chain(&open).zip(&out) {
-                let e = if open_from[r] == d { d } else { w };
-                let want = squared_distance(&rows.row(r)[..e], &x.row(1)[..e]);
-                assert_eq!(got.to_bits(), want.to_bits(), "row {r}");
+        // Row `r`'s first open column, `None` for a complete row.
+        let patterns: [fn(usize) -> Option<usize>; 5] = [
+            |_| None,
+            |_| Some(3),
+            |r| (r % 2 == 1).then_some(1 + r % 3),
+            |r| (r % 3 != 0).then_some(r % 4),
+            |r| (r % 3 == 1).then_some(r % 2 * 2),
+        ];
+        let mut w_zero = 0;
+        // Every row count up to two panels and one tail row, so each part
+        // has 0, 1 or 2 panels and a tail of every length.
+        for n in 0..=2 * LANES + 1 {
+            for d in [0, 5] {
+                let plane = awkward_plane(n, d);
+                let rows = Matrix::from_vec(plane.clone(), n, d).unwrap();
+                // A query off the plane, and queries equal to its first and
+                // last rows.
+                let mut points = vec![awkward_plane(n + 2, d)[(n + 1) * d..].to_vec()];
+                if n > 0 {
+                    points.extend([rows.row(0).to_vec(), rows.row(n - 1).to_vec()]);
+                }
+                for pattern in patterns {
+                    let open_from: Vec<usize> =
+                        (0..n).map(|r| pattern(r).map_or(d, |c| c.min(d))).collect();
+                    let complete: Vec<usize> = (0..n).filter(|&r| open_from[r] == d).collect();
+                    let open: Vec<usize> = (0..n).filter(|&r| open_from[r] < d).collect();
+                    let w = open.iter().map(|&r| open_from[r]).min().unwrap_or(d);
+                    w_zero += usize::from(w == 0 && d > 0);
+                    let split = PrefixSplit::new(&plane, d, &open_from);
+                    assert_eq!(split.complete_rows(), complete);
+                    assert_eq!(split.open_rows(), open);
+                    assert_eq!((split.width(), split.shared_width()), (d, w));
+                    assert_eq!(read_back(&split.complete), rows.take_rows(&complete));
+                    let prefixes = read_back(&split.prefixes);
+                    for (i, &r) in open.iter().enumerate() {
+                        assert_eq!(prefixes.row(i), &rows.row(r)[..w], "n={n} open row {r}");
+                    }
+                    for x in &points {
+                        let mut out = vec![f64::NAN; n];
+                        split.distances(x, &mut out);
+                        for (&r, got) in complete.iter().chain(&open).zip(&out) {
+                            let e = if open_from[r] == d { d } else { w };
+                            let want = squared_distance(&rows.row(r)[..e], &x[..e]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} row {r}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(w_zero > 0, "no split with an empty shared prefix");
+    }
+
+    /// The baseline instantiation of the panel kernel and the one the CPU
+    /// runs (AVX2 where it reports AVX2) give the same bits, and those of
+    /// `squared_distance`.
+    #[test]
+    fn both_panel_instantiations_give_the_same_bits() {
+        for n in [0, LANES, 3 * LANES] {
+            for d in [0, 1, 7, 69] {
+                let plane = awkward_plane(n, d);
+                let all: Vec<usize> = (0..n).collect();
+                let panels = Panels::gather(&plane, d, &all, d);
+                assert!(panels.tail.is_empty());
+                let points = awkward_plane(3, d + 1);
+                for x in points.chunks_exact(d + 1).map(|p| &p[1..]) {
+                    let mut baseline = vec![f64::NAN; n];
+                    let mut dispatched = vec![f64::NAN; n];
+                    fold_panels_portable(&panels.panels, x, &mut baseline);
+                    fold_panels(&panels.panels, x, &mut dispatched);
+                    for (i, (a, b)) in baseline.iter().zip(&dispatched).enumerate() {
+                        let want = squared_distance(&plane[i * d..][..d], x);
+                        assert_eq!(a.to_bits(), want.to_bits(), "baseline n={n} d={d} row {i}");
+                        assert_eq!(
+                            b.to_bits(),
+                            want.to_bits(),
+                            "dispatched n={n} d={d} row {i}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -168,12 +168,15 @@ pub fn check_distribution_shift(
 }
 
 /// Provenance coverage: how much of source `source_name` (with `source_len`
-/// rows) actually reaches the pipeline output. Uses the lineage's memoized
-/// inverted index ([`Lineage::outputs_per_source_row`]), so the cost is one
-/// arena pass regardless of how many output rows reference the source.
+/// rows) actually reaches the pipeline output. Reads the lineage's memoized
+/// `(source row, output row)` pairs, sorted by source row, so the cost is
+/// one arena pass regardless of how many output rows reference the source.
 /// Warns when more than `max_unused_fraction` of the source's rows
 /// contribute to no output row — the typical symptom of an over-selective
 /// filter or a join dropping data.
+///
+/// Fails if the lineage references a row at or past `source_len`: the
+/// caller's source is shorter than the one the pipeline ran on.
 pub fn check_provenance_coverage(
     lineage: &Lineage,
     source_name: &str,
@@ -186,12 +189,22 @@ pub fn check_provenance_coverage(
             lineage.sources
         ))
     })?;
+    let pairs = lineage
+        .inverted_pairs()
+        .get(src as usize)
+        .map_or(&[][..], Vec::as_slice);
+    if let Some(&(row, _)) = pairs.last().filter(|&&(row, _)| row as usize >= source_len) {
+        return Err(crate::PipelineError::InvalidPlan(format!(
+            "source `{source_name}` row {row} is referenced by the lineage \
+             but source_len is {source_len}"
+        )));
+    }
     let mut findings = Vec::new();
     if source_len == 0 {
         return Ok(findings);
     }
-    let inv = lineage.outputs_per_source_row(src, source_len);
-    let unused = inv.iter().filter(|outs| outs.is_empty()).count();
+    let used = pairs.chunk_by(|a, b| a.0 == b.0).count();
+    let unused = source_len - used;
     let frac = unused as f64 / source_len as f64;
     if frac > max_unused_fraction {
         findings.push(Finding {
@@ -315,6 +328,50 @@ mod tests {
         assert!(lax.is_empty());
         // Unknown sources are rejected.
         assert!(check_provenance_coverage(&lineage, "nope", 10, 0.5).is_err());
+    }
+
+    /// A source shorter than the rows its lineage references is an error
+    /// naming the row, not a count of the rows under `source_len`.
+    #[test]
+    fn provenance_coverage_rejects_a_source_len_below_a_referenced_row() {
+        use crate::exec::Executor;
+        use crate::plan::Plan;
+        let s = HiringScenario::generate(200, 5);
+        let (plan, root) = Plan::hiring_pipeline();
+        let out = Executor::new()
+            .with_provenance(true)
+            .run(
+                &plan,
+                root,
+                &[
+                    ("train_df", &s.letters),
+                    ("jobdetail_df", &s.job_details),
+                    ("social_df", &s.social),
+                ],
+            )
+            .unwrap();
+        let lineage = out.provenance.unwrap();
+        let src = lineage.source_index("train_df").unwrap();
+        let last = (0..lineage.n_rows())
+            .flat_map(|row| lineage.row_tuples(row))
+            .filter(|t| t.source == src)
+            .map(|t| t.row)
+            .max()
+            .unwrap();
+        assert_eq!(last, 197);
+        for source_len in [0, 10, 197] {
+            match check_provenance_coverage(&lineage, "train_df", source_len, 0.5) {
+                Err(crate::PipelineError::InvalidPlan(msg)) => {
+                    assert!(msg.contains("row 197"), "{msg}")
+                }
+                other => panic!("source_len {source_len}: {other:?}"),
+            }
+        }
+        let full = check_provenance_coverage(&lineage, "train_df", 198, 0.0).unwrap();
+        assert_eq!(full.len(), 1, "{full:?}");
+        assert!(check_provenance_coverage(&lineage, "train_df", 200, 1.0)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

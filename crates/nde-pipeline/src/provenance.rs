@@ -556,7 +556,7 @@ impl Lineage {
     /// `(source_row, output_row)` dependency pairs sorted by source row.
     /// Built with one arena pass on first use; every later
     /// [`Lineage::outputs_per_source_row`] call is a cheap per-source scan.
-    fn inverted_pairs(&self) -> &Vec<Vec<(u32, u32)>> {
+    pub(crate) fn inverted_pairs(&self) -> &Vec<Vec<(u32, u32)>> {
         self.inverted_cache.get_or_init(|| {
             let index = self.tuple_index();
             let mut inv: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.sources.len()];

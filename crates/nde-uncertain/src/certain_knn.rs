@@ -57,12 +57,17 @@ impl CertainOutcome {
 /// [`SymbolicMatrix::first_open_column`]) and *open* otherwise; every
 /// row's columns before `w`, the smallest first open column of an open
 /// row, are points. A [`PrefixSplit`] of the `lo` plane holds the exact
-/// rows and the open rows' columns `0..w`, and a smaller [`SymbolicMatrix`]
+/// rows and the open rows' columns `0..w`, each part in 8-row
+/// column-interleaved panels, and a smaller [`SymbolicMatrix`]
 /// ([`SymbolicMatrix::take`]) the open rows' columns `w..`.
 ///
 /// Per query, [`CertainKnnIndex::classify`] computes every exact row's
-/// distance and every open row's prefix over `0..w` in one blocked pass,
-/// then scans the open rows with **candidate pruning**: an open row whose
+/// distance and every open row's prefix over `0..w` in one pass of the
+/// panel kernel, which folds a panel's 8 rows in SIMD lanes (AVX2 where
+/// the CPU reports it). Each lane adds its own row's terms in column order
+/// from `-0.0`, the float sequence of `squared_distance`, so the buffered
+/// distances have `squared_distance`'s bits. It then scans the open rows
+/// with **candidate pruning**: an open row whose
 /// running distance *lower* bound, prefix included, exceeds the best
 /// distance *upper* bound seen so far is abandoned
 /// ([`soa::sq_dist_bounds_pruned`], continued from the prefix). The open

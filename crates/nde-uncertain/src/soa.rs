@@ -264,7 +264,7 @@ mod tests {
 
     /// On point rows both interval bounds are `squared_distance`'s bits:
     /// the certain-KNN index relies on this to take complete rows'
-    /// distances from the blocked exact kernel.
+    /// distances from the exact panel kernel.
     #[test]
     fn point_row_bounds_are_squared_distance_bits() {
         use nde_ml::linalg::squared_distance;
@@ -311,7 +311,7 @@ mod tests {
     /// row's leading point cells gives the one-pass fold's bits at every
     /// split `e`, and the pruned kernel prunes exactly when the unsplit
     /// one does: the certain-KNN index takes open rows' point prefixes
-    /// from the blocked exact kernel.
+    /// from the exact panel kernel.
     #[test]
     fn a_fold_continued_from_an_exact_prefix_is_the_one_pass_fold() {
         use nde_ml::linalg::squared_distance;

@@ -1,6 +1,11 @@
 # Developer shortcuts. `just verify` is the tier-1 gate CI enforces.
 
-# Build + test exactly as CI's test steps do.
+# Build + test exactly as CI's test steps do. The release runs of `-p nde-ml`
+# (KNN kernel and selection), `uncertain_soa` with the `certain_knn` lib
+# tests (SoA interval kernel oracles) and `-p nde-uncertain` with
+# `possible_worlds` (possible worlds) check that the exact panel kernel's
+# baseline and AVX2 instantiations give bit-identical distances: the debug
+# `cargo test` does not vectorize.
 verify:
     cargo build --release --offline
     cargo test -q --offline

@@ -220,6 +220,30 @@ fn mixed_first_varying_columns() {
     }
 }
 
+/// Rows across the exact pass's 8-row panels: 29 fixed rows (three panels
+/// and a tail of 5) and 11 varying rows (one panel and a tail of 3) whose
+/// first varying columns differ.
+#[test]
+fn rows_across_panel_boundaries() {
+    let (rows, cols) = (40, 9);
+    let missing: Vec<(usize, usize)> = (0..rows)
+        .filter(|r| r % 4 == 1)
+        .flat_map(|r| [(r, 2 + r % 3), (r, 7)])
+        .chain([(38, 8)])
+        .collect();
+    for mask in 0..3u64 {
+        let data = case(rows, cols, 3, &missing, 16, 1400 + mask);
+        let sym = &data.0;
+        let varying = (0..rows)
+            .filter(|&r| sym.first_open_column(r) < cols)
+            .count();
+        assert_eq!(varying, 11, "mask {mask}");
+        for k in [1, 3, 5] {
+            assert_voter_equals_refit(&format!("panels, mask {mask}"), k, &data, 3, mask);
+        }
+    }
+}
+
 /// The voter reads the training plane in place: a plane that is not one
 /// row of `width` cells per row makes it decline, as does a width other
 /// than the test points'.

@@ -309,3 +309,40 @@ fn knn_mixed_first_open_columns_match_oracle() {
         "{certain} certain, {uncertain} uncertain"
     );
 }
+
+/// Certain-KNN across the exact pass's 8-row panels: 29 exact rows (three
+/// panels and a tail of 5) and 11 open rows (one panel and a tail of 3)
+/// whose first open columns differ. Verdicts equal the oracle at 1/2/4/7
+/// threads.
+#[test]
+fn knn_rows_across_panel_boundaries_match_oracle() {
+    let (rows, cols) = (40, 9);
+    let open: OpenColumns = |r| match r {
+        38 => vec![8],
+        _ if r % 4 == 1 => vec![2 + r % 3, 7],
+        _ => vec![],
+    };
+    let (mut certain, mut uncertain) = (0, 0);
+    for seed in 0..4u64 {
+        let (sym, labels, queries) = open_at(seed ^ 0x8a, rows, cols, open);
+        let open_rows = (0..rows)
+            .filter(|&r| sym.first_open_column(r) < cols)
+            .count();
+        assert_eq!(open_rows, 11, "seed {seed}");
+        let expect: Vec<CertainOutcome> = queries
+            .iter_rows()
+            .map(|q| certain_prediction_1nn(&sym, &labels, q).expect("oracle"))
+            .collect();
+        let index = CertainKnnIndex::new(&sym, &labels).expect("index");
+        for threads in [1usize, 2, 4, 7] {
+            let batch = index.classify_batch(&queries, threads).expect("batch");
+            assert_eq!(batch, expect, "seed {seed}, {threads} threads");
+        }
+        certain += expect.iter().filter(|o| o.is_certain()).count();
+        uncertain += expect.iter().filter(|o| !o.is_certain()).count();
+    }
+    assert!(
+        certain > 20 && uncertain > 20,
+        "{certain} certain, {uncertain} uncertain"
+    );
+}
