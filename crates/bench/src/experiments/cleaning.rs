@@ -10,7 +10,6 @@ use nde::cleaning::challenge::DebugChallenge;
 use nde::cleaning::iterative::prioritized_cleaning;
 use nde::cleaning::oracle::LabelOracle;
 use nde::cleaning::strategy::Strategy;
-use nde::cleaning::MaintenanceMode;
 use nde::importance::aum::AumConfig;
 use nde::importance::confident::ConfidentConfig;
 use nde::ml::models::knn::KnnClassifier;
@@ -72,15 +71,7 @@ pub fn run(n_train: usize, error_fraction: f64, seed: u64) -> Result<CleaningRep
     let mut curves = Vec::new();
     for strategy in strategies() {
         let run = prioritized_cleaning(
-            &template,
-            &train,
-            &oracle,
-            &valid,
-            &strategy,
-            batch,
-            5,
-            false,
-            MaintenanceMode::Incremental,
+            &template, &train, &oracle, &valid, &strategy, batch, 5, false,
         )?;
         curves.push(CleaningCurve {
             strategy: run.strategy.to_string(),

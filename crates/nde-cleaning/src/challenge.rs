@@ -3,7 +3,6 @@
 //! set**, and a live leaderboard.
 
 use crate::oracle::LabelOracle;
-use crate::MaintenanceMode;
 use crate::{CleaningError, Result};
 use nde_data::json::{Json, ToJson};
 use nde_ml::batch::IncrementalLabelEval;
@@ -116,6 +115,13 @@ fn rank_order(a: &LeaderboardEntry, b: &LeaderboardEntry) -> std::cmp::Ordering 
 /// The challenge harness: owns the dirty data, the hidden test set, the
 /// ground-truth oracle and the budget. Participants see only validation data
 /// and submission feedback.
+///
+/// Submissions are scored through the template's [`IncrementalLabelEval`]
+/// hook when the model offers one: one evaluator over the dirty labels,
+/// patched with each submission's repairs, read and reverted. By the hook's
+/// contract the score is **bit-identical** to refitting, which is what a
+/// model without a hook does per submission. A hook that rejects the data
+/// (a non-finite feature) fails each submission with its `InvalidArgument`.
 pub struct DebugChallenge<C: Classifier> {
     template: C,
     dirty: Dataset,
@@ -123,10 +129,9 @@ pub struct DebugChallenge<C: Classifier> {
     oracle: LabelOracle,
     budget: usize,
     leaderboard: Leaderboard,
-    maintenance: MaintenanceMode,
     /// Lazily-built incremental evaluator over the *pristine* dirty labels;
     /// every submission applies its fixes, reads the score, and reverts
-    /// them, so submissions stay independent exactly as in rerun mode.
+    /// them, so submissions stay independent exactly as refits would.
     evaluator: Option<Box<dyn IncrementalLabelEval>>,
 }
 
@@ -139,7 +144,6 @@ impl<C: Classifier + fmt::Debug> fmt::Debug for DebugChallenge<C> {
             .field("oracle", &self.oracle)
             .field("budget", &self.budget)
             .field("leaderboard", &self.leaderboard)
-            .field("maintenance", &self.maintenance)
             .field("evaluator", &self.evaluator.as_ref().map(|_| "<built>"))
             .finish()
     }
@@ -154,7 +158,6 @@ impl<C: Classifier> Clone for DebugChallenge<C> {
             oracle: self.oracle.clone(),
             budget: self.budget,
             leaderboard: self.leaderboard.clone(),
-            maintenance: self.maintenance,
             // The evaluator is a cache; the clone rebuilds it on demand.
             evaluator: None,
         }
@@ -185,26 +188,8 @@ impl<C: Classifier> DebugChallenge<C> {
             oracle,
             budget,
             leaderboard: Leaderboard::default(),
-            maintenance: MaintenanceMode::Rerun,
             evaluator: None,
         })
-    }
-
-    /// Select how submissions are scored: [`MaintenanceMode::Rerun`] refits
-    /// the template per submission; [`MaintenanceMode::Incremental`] keeps
-    /// one incremental evaluator and patches only the submitted labels
-    /// (apply → score → revert). Scores are **bit-identical** either way;
-    /// models without an incremental hook silently fall back to refitting,
-    /// and a hook that rejects the data (a non-finite feature) fails each
-    /// submission with its `InvalidArgument`.
-    pub fn with_maintenance(mut self, mode: MaintenanceMode) -> DebugChallenge<C> {
-        self.maintenance = mode;
-        self
-    }
-
-    /// The active maintenance mode.
-    pub fn maintenance(&self) -> MaintenanceMode {
-        self.maintenance
     }
 
     /// The cleaning budget per submission.
@@ -226,9 +211,10 @@ impl<C: Classifier> DebugChallenge<C> {
     }
 
     /// Submit up to `budget` row ids to clean. The oracle repairs them, the
-    /// model is retrained on the partially-cleaned data, and the hidden-test
-    /// accuracy is returned and recorded on the leaderboard. The challenge's
-    /// own dirty data is *not* mutated — every submission starts fresh.
+    /// model is rescored on the partially-cleaned data (through its hook, or
+    /// refitted), and the hidden-test accuracy is returned and recorded on
+    /// the leaderboard. The challenge's own dirty data is *not* mutated —
+    /// every submission starts fresh.
     pub fn submit(&mut self, name: &str, rows: &[usize]) -> Result<f64> {
         if rows.len() > self.budget {
             return Err(CleaningError::BudgetExceeded {
@@ -258,11 +244,8 @@ impl<C: Classifier> DebugChallenge<C> {
 
     /// Score a submission through the incremental evaluator: apply the
     /// changed labels, read the accuracy, revert. Returns `None` when the
-    /// rerun path must be used (mode off, or no hook for this model).
+    /// model offers no hook and must be refitted.
     fn incremental_score(&mut self, repaired_y: &[usize], rows: &[usize]) -> Result<Option<f64>> {
-        if self.maintenance != MaintenanceMode::Incremental {
-            return Ok(None);
-        }
         if self.evaluator.is_none() {
             self.evaluator = self
                 .template
@@ -311,7 +294,7 @@ mod tests {
     use nde_importance::{knn_shapley, ImportanceRun};
     use nde_ml::models::knn::KnnClassifier;
 
-    fn challenge() -> (DebugChallenge<KnnClassifier>, Vec<usize>, Dataset) {
+    fn challenge() -> (DebugChallenge<KnnClassifier>, Dataset) {
         let nd = two_gaussians(260, 3, 5.0, 51);
         let all = Dataset::try_from(&nd).unwrap();
         let mut train = all.subset(&(0..180).collect::<Vec<_>>());
@@ -332,12 +315,12 @@ mod tests {
             25,
         )
         .unwrap();
-        (ch, flips, valid)
+        (ch, valid)
     }
 
     #[test]
     fn good_submission_beats_baseline_and_random() {
-        let (mut ch, _flips, valid) = challenge();
+        let (mut ch, valid) = challenge();
         let baseline = ch.baseline().unwrap();
         // Importance-guided submission within budget.
         let scores = knn_shapley(&ImportanceRun::new(0), ch.dirty_data(), &valid, 3)
@@ -358,7 +341,7 @@ mod tests {
 
     #[test]
     fn budget_enforced_and_submissions_independent() {
-        let (mut ch, _, _) = challenge();
+        let (mut ch, _) = challenge();
         let too_many: Vec<usize> = (0..26).collect();
         assert!(matches!(
             ch.submit("greedy", &too_many),
@@ -369,36 +352,6 @@ mod tests {
         let a = ch.submit("a", &picks).unwrap();
         let b = ch.submit("b", &picks).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn incremental_submissions_match_rerun_bit_for_bit() {
-        let (ch, flips, valid) = challenge();
-        let mut rerun = ch.clone();
-        let mut inc = ch.with_maintenance(MaintenanceMode::Incremental);
-        assert_eq!(inc.maintenance(), MaintenanceMode::Incremental);
-        let scores = knn_shapley(&ImportanceRun::new(0), inc.dirty_data(), &valid, 3)
-            .unwrap()
-            .scores;
-        let submissions: Vec<Vec<usize>> = vec![
-            scores.bottom_k(25),
-            (0..25).map(|i| i * 7 % 180).collect(),
-            flips.iter().copied().take(20).collect(),
-            vec![],              // empty submission
-            scores.bottom_k(25), // repeat: must be independent
-            vec![3, 3, 3],       // duplicate rows
-        ];
-        for (s, rows) in submissions.iter().enumerate() {
-            let a = rerun.submit(&format!("s{s}"), rows).unwrap();
-            let b = inc.submit(&format!("s{s}"), rows).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "submission {s}");
-        }
-        assert_eq!(rerun.leaderboard(), inc.leaderboard());
-        // Cloning resets the cached evaluator but not the semantics.
-        let mut cloned = inc.clone();
-        let a = cloned.submit("clone", &submissions[0]).unwrap();
-        let b = inc.submit("clone", &submissions[0]).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -320,7 +320,7 @@ mod tests {
         coal: &[usize],
     ) -> f64 {
         let memo = Some(session.memo());
-        UtilityBatcher::new(knn, session.dataset(), valid, memo, BatchPolicy::Unbatched)
+        UtilityBatcher::new(knn, session.dataset(), valid, memo, BatchPolicy::default())
             .eval_one(coal)
             .unwrap()
     }

@@ -5,6 +5,12 @@
 //! the simple loop, and [`prioritized_cleaning_robust`] additionally threads
 //! a [`RunBudget`] (graceful stop with [`ConvergenceDiagnostics`]) and a
 //! [`RetryPolicy`] (bounded backoff against flaky oracles) through it.
+//!
+//! Every round's accuracy comes from the template's
+//! [`IncrementalLabelEval`] hook when the model offers one, patched with
+//! the labels the round repaired; a model without a hook is refitted. The
+//! hook is bit-identical to refitting, so traces and checkpoints do not
+//! depend on which path ran.
 
 use crate::oracle::{CleaningOracle, LabelOracle};
 use crate::strategy::Strategy;
@@ -15,16 +21,17 @@ use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_robust::{retry_with_backoff, ConvergenceDiagnostics, RetryPolicy, RunBudget};
 
-/// How the model's accuracy is kept up to date as label fixes are accepted,
-/// in the cleaning loop and in [`crate::DebugChallenge`]. Both modes give
-/// bit-identical accuracies.
+/// The maintenance argument of [`prioritized_cleaning_resumable`]. It
+/// selects nothing: every cleaning loop scores its rounds through the
+/// template's [`IncrementalLabelEval`] hook when the model offers one and
+/// refits only when it offers none. The type stays only because the
+/// workflow benchmark (`wfbench`) still names it; it goes once that
+/// harness stops doing so (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MaintenanceMode {
-    /// Refit the model template from scratch after every fix.
+    /// The only behavior: patch the hook per repaired label, refit models
+    /// without one.
     #[default]
-    Rerun,
-    /// Build the model's [`IncrementalLabelEval`] once and patch only the
-    /// fixed labels. Models without that hook fall back to refitting.
     Incremental,
 }
 
@@ -238,14 +245,12 @@ pub struct RobustCleaningRun {
 /// strategy is re-ranked after every round (scores change as data is
 /// repaired); otherwise the initial ranking is consumed front to back.
 ///
-/// `mode` selects how the post-round accuracy is maintained:
-/// [`MaintenanceMode::Rerun`] refits `template` from scratch every round;
-/// [`MaintenanceMode::Incremental`] asks the template for an
-/// [`IncrementalLabelEval`] hook once and then patches only the labels each
-/// round actually repaired. The two modes are **bit-identical** (the hook's
-/// contract); models without a hook silently fall back to refitting, and a
-/// hook that rejects the data (a non-finite feature) fails with its
-/// `InvalidArgument`.
+/// The post-round accuracy comes from the template's
+/// [`IncrementalLabelEval`] hook, built once and patched with only the
+/// labels each round actually repaired; by the hook's contract it is
+/// **bit-identical** to refitting. A model that offers no hook is refitted
+/// from scratch every round, and a hook that rejects the data (a non-finite
+/// feature) fails the run with its `InvalidArgument`.
 #[allow(clippy::too_many_arguments)] // the loop’s knobs are individually meaningful
 pub fn prioritized_cleaning<C: Classifier>(
     template: &C,
@@ -256,7 +261,6 @@ pub fn prioritized_cleaning<C: Classifier>(
     batch: usize,
     rounds: usize,
     rescore: bool,
-    mode: MaintenanceMode,
 ) -> Result<CleaningRun> {
     prioritized_cleaning_robust(
         template,
@@ -267,7 +271,6 @@ pub fn prioritized_cleaning<C: Classifier>(
         batch,
         rounds,
         rescore,
-        mode,
         &RunBudget::unlimited(),
         &RetryPolicy::none(),
     )
@@ -296,12 +299,22 @@ pub fn prioritized_cleaning_robust<C: Classifier>(
     batch: usize,
     rounds: usize,
     rescore: bool,
-    mode: MaintenanceMode,
     budget: &RunBudget,
     retry: &RetryPolicy,
 ) -> Result<RobustCleaningRun> {
     prioritized_cleaning_resumable(
-        template, dirty, oracle, valid, strategy, batch, rounds, rescore, mode, budget, retry, None,
+        template,
+        dirty,
+        oracle,
+        valid,
+        strategy,
+        batch,
+        rounds,
+        rescore,
+        MaintenanceMode::Incremental,
+        budget,
+        retry,
+        None,
     )
     .map(|(run, _)| run)
 }
@@ -313,7 +326,8 @@ pub fn prioritized_cleaning_robust<C: Classifier>(
 /// picks — exactly as if the run had never stopped. A snapshot from a
 /// different strategy or dataset shape is rejected with
 /// [`CleaningError::Checkpoint`]. Always pass the *original* dirty
-/// dataset; the snapshot carries the repairs.
+/// dataset; the snapshot carries the repairs. The [`MaintenanceMode`]
+/// argument selects nothing (see its doc).
 #[allow(clippy::too_many_arguments)] // the loop’s knobs are individually meaningful
 pub fn prioritized_cleaning_resumable<C: Classifier>(
     template: &C,
@@ -324,7 +338,7 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
     batch: usize,
     rounds: usize,
     rescore: bool,
-    mode: MaintenanceMode,
+    _mode: MaintenanceMode,
     budget: &RunBudget,
     retry: &RetryPolicy,
     resume: Option<&CleaningCheckpoint>,
@@ -379,17 +393,15 @@ pub fn prioritized_cleaning_resumable<C: Classifier>(
         }
     }
 
-    // Incremental maintenance: build the hook once over the working labels
-    // (after any resumed repairs are applied) and patch it per round. The
-    // hook's contract is that its accuracy is always bit-identical to
-    // refitting `template` on the same labels, so checkpoints written by
-    // either mode resume interchangeably in the other. A `None` hook
-    // (model without incremental support) falls back to refitting; a hook
-    // that rejects the data (a non-finite feature) fails the run.
-    let mut incremental: Option<Box<dyn IncrementalLabelEval>> = match mode {
-        MaintenanceMode::Rerun => None,
-        MaintenanceMode::Incremental => template.try_incremental_eval(&current, valid)?,
-    };
+    // Build the hook once over the working labels (after any resumed
+    // repairs are applied) and patch it per round. The hook's contract is
+    // that its accuracy is always bit-identical to refitting `template` on
+    // the same labels, so checkpoints do not record whether a hook was
+    // used. A `None` hook (model without incremental support) falls back to
+    // refitting; a hook that rejects the data (a non-finite feature) fails
+    // the run.
+    let mut incremental: Option<Box<dyn IncrementalLabelEval>> =
+        template.try_incremental_eval(&current, valid)?;
     if run.accuracy.is_empty() {
         // Fresh run: record the dirty baseline.
         clock.record_utility_calls(1);
@@ -511,7 +523,6 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
         )
         .unwrap();
         assert_eq!(run.cleaned, vec![0, 5, 10, 15, 20]);
@@ -539,7 +550,6 @@ mod tests {
             10,
             2,
             false,
-            MaintenanceMode::Rerun,
         )
         .unwrap();
         // Average random over seeds to dodge luck.
@@ -554,7 +564,6 @@ mod tests {
                 10,
                 2,
                 false,
-                MaintenanceMode::Rerun,
             )
             .unwrap();
             random_final += run.final_accuracy();
@@ -579,7 +588,6 @@ mod tests {
             100,
             10,
             false,
-            MaintenanceMode::Rerun,
         )
         .unwrap();
         // 150 rows / batch 100 ⇒ two rounds, then exhaustion.
@@ -598,7 +606,6 @@ mod tests {
             5,
             2,
             true,
-            MaintenanceMode::Rerun,
         )
         .unwrap();
         assert_eq!(run.cleaned.last(), Some(&10));
@@ -609,18 +616,8 @@ mod tests {
         let (dirty, valid, oracle) = setup();
         let knn = KnnClassifier::new(3);
         let strategy = Strategy::KnnShapley { k: 3 };
-        let plain = prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &strategy,
-            5,
-            4,
-            false,
-            MaintenanceMode::Rerun,
-        )
-        .unwrap();
+        let plain =
+            prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, false).unwrap();
         let robust = prioritized_cleaning_robust(
             &knn,
             &dirty,
@@ -630,7 +627,6 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
             &RunBudget::unlimited(),
             &RetryPolicy::none(),
         )
@@ -655,7 +651,6 @@ mod tests {
             5,
             10,
             false,
-            MaintenanceMode::Rerun,
             &RunBudget::unlimited().with_max_iterations(2),
             &RetryPolicy::none(),
         )
@@ -673,18 +668,8 @@ mod tests {
         let (dirty, valid, oracle) = setup();
         let knn = KnnClassifier::new(3);
         let strategy = Strategy::KnnShapley { k: 3 };
-        let plain = prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &strategy,
-            5,
-            4,
-            false,
-            MaintenanceMode::Rerun,
-        )
-        .unwrap();
+        let plain =
+            prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, false).unwrap();
 
         // Cut the loop after 2 of 4 rounds.
         let (partial, snap) = prioritized_cleaning_resumable(
@@ -696,7 +681,7 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
+            MaintenanceMode::Incremental,
             &RunBudget::unlimited().with_max_iterations(2),
             &RetryPolicy::none(),
             None,
@@ -721,7 +706,7 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
+            MaintenanceMode::Incremental,
             &RunBudget::unlimited(),
             &RetryPolicy::none(),
             Some(&snap),
@@ -744,7 +729,7 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
+            MaintenanceMode::Incremental,
             &RunBudget::unlimited(),
             &RetryPolicy::none(),
             Some(&done),
@@ -767,7 +752,7 @@ mod tests {
             5,
             4,
             false,
-            MaintenanceMode::Rerun,
+            MaintenanceMode::Incremental,
             &RunBudget::unlimited().with_max_iterations(2),
             &RetryPolicy::none(),
             None,
@@ -784,7 +769,7 @@ mod tests {
                 5,
                 4,
                 false,
-                MaintenanceMode::Rerun,
+                MaintenanceMode::Incremental,
                 &RunBudget::unlimited(),
                 &RetryPolicy::none(),
                 Some(snap),
@@ -835,120 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_mode_is_bit_identical_to_rerun() {
-        let (dirty, valid, oracle) = setup();
-        let knn = KnnClassifier::new(3);
-        for (strategy, rescore) in [
-            (Strategy::KnnShapley { k: 3 }, false),
-            (Strategy::KnnShapley { k: 3 }, true),
-            (Strategy::Random { seed: 7 }, false),
-        ] {
-            let args = |mode| {
-                prioritized_cleaning(
-                    &knn, &dirty, &oracle, &valid, &strategy, 5, 4, rescore, mode,
-                )
-                .unwrap()
-            };
-            let rerun = args(MaintenanceMode::Rerun);
-            let inc = args(MaintenanceMode::Incremental);
-            assert_eq!(rerun.cleaned, inc.cleaned);
-            for (a, b) in rerun.accuracy.iter().zip(&inc.accuracy) {
-                assert_eq!(a.to_bits(), b.to_bits(), "rescore={rescore} {rerun:?}");
-            }
-        }
-    }
-
-    /// A non-finite feature fails both incremental entry points with the
-    /// evaluator's error instead of falling back to refitting; refitting
-    /// itself (`Rerun`) still runs.
-    #[test]
-    fn incremental_mode_rejects_a_non_finite_feature() {
-        use crate::challenge::DebugChallenge;
-        let (mut dirty, valid, oracle) = setup();
-        dirty.x.set(7, 1, f64::INFINITY);
-        let knn = KnnClassifier::new(3);
-        let strategy = Strategy::Random { seed: 7 };
-        let run = |mode| {
-            prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, false, mode)
-        };
-        let non_finite = |e: &CleaningError| matches!(e, CleaningError::Ml(m) if m.contains("non-finite feature"));
-        assert!(run(MaintenanceMode::Rerun).is_ok());
-        let err = run(MaintenanceMode::Incremental).unwrap_err();
-        assert!(non_finite(&err), "{err}");
-
-        let challenge = |mode| {
-            DebugChallenge::new(knn.clone(), dirty.clone(), oracle.clone(), valid.clone(), 5)
-                .unwrap()
-                .with_maintenance(mode)
-        };
-        assert!(challenge(MaintenanceMode::Rerun)
-            .submit("r", &[5, 17])
-            .is_ok());
-        let mut inc = challenge(MaintenanceMode::Incremental);
-        let err = inc.submit("i", &[5, 17]).unwrap_err();
-        assert!(non_finite(&err), "{err}");
-        assert!(inc.leaderboard().entries().is_empty());
-    }
-
-    #[test]
-    fn checkpoints_resume_across_maintenance_modes() {
-        // A snapshot written by one mode must resume in the other and still
-        // land bit-identical to the uncut Rerun loop: the hook's accuracy
-        // contract makes the modes indistinguishable on disk.
-        let (dirty, valid, oracle) = setup();
-        let knn = KnnClassifier::new(3);
-        let strategy = Strategy::KnnShapley { k: 3 };
-        let uncut = prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &strategy,
-            5,
-            4,
-            false,
-            MaintenanceMode::Rerun,
-        )
-        .unwrap();
-        for (cut_mode, resume_mode) in [
-            (MaintenanceMode::Incremental, MaintenanceMode::Rerun),
-            (MaintenanceMode::Rerun, MaintenanceMode::Incremental),
-        ] {
-            let (_, snap) = prioritized_cleaning_resumable(
-                &knn,
-                &dirty,
-                &oracle,
-                &valid,
-                &strategy,
-                5,
-                4,
-                false,
-                cut_mode,
-                &RunBudget::unlimited().with_max_iterations(2),
-                &RetryPolicy::none(),
-                None,
-            )
-            .unwrap();
-            let (resumed, _) = prioritized_cleaning_resumable(
-                &knn,
-                &dirty,
-                &oracle,
-                &valid,
-                &strategy,
-                5,
-                4,
-                false,
-                resume_mode,
-                &RunBudget::unlimited(),
-                &RetryPolicy::none(),
-                Some(&snap),
-            )
-            .unwrap();
-            assert_eq!(resumed.run, uncut, "{cut_mode:?} -> {resume_mode:?}");
-        }
-    }
-
-    #[test]
     fn empty_traces_report_nan_instead_of_panicking() {
         let empty = CleaningRun {
             strategy: "hand-built",
@@ -964,42 +835,11 @@ mod tests {
         let (dirty, valid, oracle) = setup();
         let knn = KnnClassifier::new(1);
         let s = Strategy::Random { seed: 0 };
-        assert!(prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &s,
-            0,
-            1,
-            false,
-            MaintenanceMode::Rerun
-        )
-        .is_err());
-        assert!(prioritized_cleaning(
-            &knn,
-            &dirty,
-            &oracle,
-            &valid,
-            &s,
-            1,
-            0,
-            false,
-            MaintenanceMode::Rerun
-        )
-        .is_err());
+        assert!(prioritized_cleaning(&knn, &dirty, &oracle, &valid, &s, 0, 1, false).is_err());
+        assert!(prioritized_cleaning(&knn, &dirty, &oracle, &valid, &s, 1, 0, false).is_err());
         let wrong_oracle = LabelOracle::new(vec![0; 3]);
-        assert!(prioritized_cleaning(
-            &knn,
-            &dirty,
-            &wrong_oracle,
-            &valid,
-            &s,
-            1,
-            1,
-            false,
-            MaintenanceMode::Rerun
-        )
-        .is_err());
+        assert!(
+            prioritized_cleaning(&knn, &dirty, &wrong_oracle, &valid, &s, 1, 1, false).is_err()
+        );
     }
 }

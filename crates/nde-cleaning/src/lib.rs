@@ -4,6 +4,11 @@
 //! **data debugging challenge** (§3.2): cleaning oracles, importance-ranked
 //! cleaning strategies, the iterative cleaning loop, and a challenge harness
 //! with a hidden test set and a live leaderboard.
+//!
+//! The cleaning loop and the challenge rescore through the model's
+//! [`IncrementalLabelEval`](nde_ml::batch::IncrementalLabelEval) hook
+//! whenever the model offers one, and refit only when it offers none; the
+//! hook is bit-identical to refitting, so no option selects between them.
 
 pub mod challenge;
 pub mod error;

@@ -172,12 +172,13 @@ mod tests {
     use nde_robust::RunBudget;
 
     // The behavioral suite pins the estimator through the public entry
-    // point, scoring one coalition at a time unless a test sets another
-    // batch policy.
+    // point, one coalition per wave unless a test sets another batch
+    // policy. The comparisons against a model without a batched scorer
+    // live in `tests/tests/batched_utility.rs`.
     fn run(seed: u64, threads: usize) -> ImportanceRun<'static> {
         ImportanceRun::new(seed)
             .with_threads(threads)
-            .with_batch(BatchPolicy::Unbatched)
+            .with_batch(BatchPolicy::Grouped { size: 1 })
     }
 
     fn estimate(
@@ -251,39 +252,6 @@ mod tests {
         assert_eq!(a, b);
         let c = scores(&run(7, 4), &train, &valid, 100);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn batched_blocks_are_bit_identical_to_unbatched() {
-        let (train, valid) = toy();
-        for threads in [1, 4] {
-            let plain = scores(&run(5, threads), &train, &valid, 150);
-            for size in [1, 2, 7, 32, 1000] {
-                let batched = estimate(
-                    &run(5, threads).with_batch(BatchPolicy::Grouped { size }),
-                    &train,
-                    &valid,
-                    150,
-                );
-                assert_eq!(batched.scores, plain, "threads={threads} size={size}");
-                let report = &batched.report;
-                assert!(report.batched_evals > 0);
-                // Every non-empty sample is answered exactly once.
-                assert_eq!(
-                    report.batched_evals + report.fallback_evals + report.cache_hits,
-                    150 - empty_samples(5, 150)
-                );
-            }
-        }
-    }
-
-    fn empty_samples(seed: u64, samples: u64) -> u64 {
-        (0..samples)
-            .filter(|&s| {
-                let mut rng = seeded(child_seed(seed, s));
-                (0..5).all(|_| !rng.gen::<bool>())
-            })
-            .count() as u64
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! draws in Beta-Shapley) and evaluates the whole group against the
 //! validation set in **one pass** when the model offers a batched scorer
 //! ([`nde_ml::batch::CoalitionScorer`] — the KNN utility does, via its
-//! shared train→valid distance matrix). Generic classifiers fall back to
-//! per-coalition retraining behind the same interface.
+//! shared train→valid distance matrix). The batcher asks every model for
+//! that scorer and retrains per coalition only when the model offers none;
+//! no option selects the retraining path for a model that has a scorer.
 //!
 //! # Contract
 //!
@@ -15,7 +16,8 @@
 //!
 //! - **Values** — for every coalition, the batcher returns exactly the
 //!   `f64` that [`coalition_utility`] would (`U(∅) = 0` included), so an
-//!   estimator's scores are bit-identical for every [`BatchPolicy`].
+//!   estimator's scores are bit-identical for every wave width and equal
+//!   to a model's that offers no scorer.
 //! - **Cache first** — batch lookups consult the [`MemoCache`] before
 //!   evaluating; hits still count as logical budget calls (the caller's
 //!   clock accounting never consults the cache), so budget trip points are
@@ -38,16 +40,14 @@ use nde_ml::model::Classifier;
 use nde_robust::par::{subset_fingerprint_sorted, MemoCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How an estimator groups coalition evaluations.
+/// How many coalitions an estimator queues per wave. The width is purely
+/// physical: whether a wave is scored in one pass or retrained coalition by
+/// coalition depends only on the model (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Evaluate coalitions one at a time (the legacy physical behavior).
-    Unbatched,
-    /// Group up to `size` pending coalitions and score them in one
-    /// validation pass when the model supports it.
+    /// Queue up to `size` pending coalitions per wave.
     Grouped {
-        /// Maximum coalitions per batch (≥ 1; 1 behaves like `Unbatched`
-        /// scheduling but still uses the shared-state scorer).
+        /// Maximum coalitions per wave (clamped to ≥ 1).
         size: usize,
     },
 }
@@ -59,15 +59,8 @@ impl BatchPolicy {
 
     /// Maximum number of coalitions an estimator should queue per wave.
     pub fn width(&self) -> usize {
-        match self {
-            BatchPolicy::Unbatched => 1,
-            BatchPolicy::Grouped { size } => (*size).max(1),
-        }
-    }
-
-    /// Whether the shared-state batched scorer may be used at all.
-    pub fn batched(&self) -> bool {
-        matches!(self, BatchPolicy::Grouped { .. })
+        let BatchPolicy::Grouped { size } = self;
+        (*size).max(1)
     }
 }
 
@@ -124,9 +117,8 @@ pub struct UtilityBatcher<'a, C: Classifier> {
 impl<'a, C: Classifier> UtilityBatcher<'a, C> {
     /// Prepare a batcher for one `(template, train, valid)` triple.
     ///
-    /// Under a [`BatchPolicy::Grouped`] policy this asks the model for its
-    /// batched scorer once — for KNN that computes the shared distance
-    /// matrix here, up front.
+    /// Asks the model for its batched scorer once — for KNN that computes
+    /// the shared distance matrix here, up front.
     pub fn new(
         template: &'a C,
         train: &'a Dataset,
@@ -134,17 +126,12 @@ impl<'a, C: Classifier> UtilityBatcher<'a, C> {
         cache: Option<&'a MemoCache>,
         policy: BatchPolicy,
     ) -> UtilityBatcher<'a, C> {
-        let scorer = if policy.batched() {
-            template.coalition_scorer(train, valid)
-        } else {
-            None
-        };
         UtilityBatcher {
             template,
             train,
             valid,
             cache,
-            scorer,
+            scorer: template.coalition_scorer(train, valid),
             policy,
             batches_formed: AtomicU64::new(0),
             batched_evals: AtomicU64::new(0),
@@ -274,7 +261,7 @@ mod tests {
         let (train, valid) = workload(14, 7, 1);
         let knn = KnnClassifier::new(3);
         for policy in [
-            BatchPolicy::Unbatched,
+            BatchPolicy::Grouped { size: 1 },
             BatchPolicy::Grouped { size: 4 },
             BatchPolicy::default(),
         ] {
@@ -302,21 +289,6 @@ mod tests {
         assert_eq!(stats.batches_formed, 1);
         assert_eq!(stats.batched_evals, 5, "empty coalition never evaluated");
         assert_eq!(stats.fallback_evals, 0);
-    }
-
-    #[test]
-    fn unbatched_policy_never_builds_a_scorer() {
-        let (train, valid) = workload(10, 5, 2);
-        let knn = KnnClassifier::new(1);
-        let batcher = UtilityBatcher::new(&knn, &train, &valid, None, BatchPolicy::Unbatched);
-        batcher
-            .eval_batch(&mut CoalitionChain::new(), &coalitions(10))
-            .unwrap();
-        let stats = batcher.stats();
-        assert_eq!(stats.batches_formed, 0);
-        assert_eq!(stats.batched_evals, 0);
-        assert_eq!(stats.fallback_evals, 5);
-        assert_eq!(batcher.width(), 1);
     }
 
     #[test]

@@ -41,10 +41,12 @@
 //! Coalition evaluations funnel through the batched utility engine
 //! ([`batch::UtilityBatcher`]): with the KNN utility the train→valid
 //! distance matrix is computed once per run and whole waves of coalitions
-//! are scored against it in one validation pass. Batching is purely
-//! physical — scores, budget trip points and checkpoints are bit-identical
-//! under every [`BatchPolicy`], every thread count, and across
-//! checkpoint/resume cycles.
+//! are scored against it in one validation pass. The batcher uses a
+//! model's batched scorer whenever the model offers one and retrains per
+//! coalition only when it offers none. Batching is purely physical —
+//! scores, budget trip points and checkpoints are bit-identical to
+//! retraining, at every [`BatchPolicy`] wave width, every thread count,
+//! and across checkpoint/resume cycles.
 
 pub mod aum;
 pub mod banzhaf;

@@ -62,6 +62,7 @@ pub(crate) fn loo_engine<C: Classifier + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::coalition_utility;
     use nde_ml::models::knn::KnnClassifier;
 
     /// A tiny dataset where one training point is clearly mislabelled.
@@ -116,11 +117,21 @@ mod tests {
         assert!(scores.values.iter().all(|v| v.is_finite()));
     }
 
+    /// The batched scorer against the definition: every coalition refitted
+    /// through [`coalition_utility`].
     #[test]
     fn batched_matches_unbatched_bit_for_bit() {
         let (train, valid) = toy_with_error();
         let knn = KnnClassifier::new(1);
-        let (plain, _) = loo_engine(&knn, &train, &valid, None, BatchPolicy::Unbatched).unwrap();
+        let all: Vec<usize> = (0..train.len()).collect();
+        let full = coalition_utility(&knn, &train, &valid, &all).unwrap();
+        let values = (0..train.len())
+            .map(|i| {
+                let without: Vec<usize> = all.iter().copied().filter(|&j| j != i).collect();
+                full - coalition_utility(&knn, &train, &valid, &without).unwrap()
+            })
+            .collect();
+        let plain = ImportanceScores::new("loo", values);
         for size in [1, 2, 4, 100] {
             let (batched, stats) =
                 loo_engine(&knn, &train, &valid, None, BatchPolicy::Grouped { size }).unwrap();

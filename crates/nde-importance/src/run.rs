@@ -82,7 +82,7 @@ use nde_pipeline::feature::FeatureOutput;
 use nde_robust::par::{MemoCache, WorkerPool};
 use nde_robust::{BudgetClock, ConvergenceDiagnostics, RunBudget, RunFingerprint, RunStore};
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::banzhaf::BanzhafParams;
 pub use crate::beta_shapley::BetaShapleyParams;
@@ -125,8 +125,8 @@ pub struct ImportanceRun<'a> {
     /// writing a record after each. `None` runs one segment, whose record
     /// is written when the run finishes or its budget trips.
     pub auto_checkpoint_every: Option<u64>,
-    /// How coalition evaluations are grouped into batches. Purely physical:
-    /// scores are bit-identical under every policy.
+    /// How many coalitions an estimator queues per wave. Purely physical:
+    /// scores are bit-identical at every width.
     pub batch: BatchPolicy,
     /// Worker pool the engines run on; `None` uses the resident
     /// process-wide pool ([`WorkerPool::shared`]). Purely physical:
@@ -202,16 +202,15 @@ impl<'a> ImportanceRun<'a> {
     /// Cut the run into segments of `every` estimator steps (clamped to at
     /// least 1) and, when a [`with_store`](ImportanceRun::with_store) is
     /// attached, write a durable record after each. Without a store the
-    /// run is still cut. Each TMC-Shapley segment re-primes U(full), one
-    /// more logical utility call, so the cadence shows in TMC's
-    /// `utility_calls` (never in its scores).
+    /// run is still cut. The cadence is durability only: scores,
+    /// `utility_calls` and budget trip points are the same for every
+    /// cadence.
     pub fn with_auto_checkpoint(mut self, every: u64) -> ImportanceRun<'a> {
         self.auto_checkpoint_every = Some(every.max(1));
         self
     }
 
-    /// Set the batch policy ([`BatchPolicy::Unbatched`] restores the
-    /// legacy one-coalition-at-a-time physical behavior).
+    /// Set the batch policy (the wave width; purely physical).
     pub fn with_batch(mut self, batch: BatchPolicy) -> ImportanceRun<'a> {
         self.batch = batch;
         self
@@ -356,6 +355,10 @@ pub(crate) struct Segment<'a, C: Classifier> {
     /// step count, the cursor plus the checkpoint cadence and the budget's
     /// `max_iterations`.
     pub until: u64,
+    /// The full-data utility U(full), evaluated by the call's first segment
+    /// that needs it and reused by every later one, so the call pays for it
+    /// once whatever its checkpoint cadence.
+    pub full_utility: &'a OnceLock<f64>,
 }
 
 /// The method's own state inside a snapshot the driver holds.
@@ -421,6 +424,7 @@ where
     // The memo log's mark after this call's last save; `None` before the
     // first, which compacts the log.
     let mut memo_mark = None;
+    let full_utility = OnceLock::new();
     loop {
         let mut until = total.min(budget.max_iterations.unwrap_or(u64::MAX));
         if let Some(every) = run.auto_checkpoint_every {
@@ -432,6 +436,7 @@ where
             seed: run.seed,
             threads: run.threads,
             until,
+            full_utility: &full_utility,
         };
         let (values, max_se) = params.segment(&seg, state_of::<E>(&mut snapshot), &mut clock)?;
         if let (Some(store), Some(fp)) = (run.store, fp.as_ref()) {
@@ -622,8 +627,10 @@ pub fn datascope(
 
 #[cfg(test)]
 mod tests {
-    // The equivalence tests pin the default (batched, multi-threaded) run
-    // against the one-coalition-at-a-time reference path bit-for-bit.
+    // The equivalence tests pin the default (wide-wave, multi-threaded) run
+    // against a one-thread, one-coalition-per-wave run bit-for-bit; the
+    // comparisons with a model that offers no batched scorer live in
+    // `tests/tests/batched_utility.rs`.
     use super::*;
     use crate::shapley_mc::TMC_METHOD;
     use crate::snapshot::McCheckpoint;
@@ -667,10 +674,8 @@ mod tests {
             permutations: 40,
             truncation_tolerance: 0.0,
         };
-        let legacy = tmc_shapley(
-            &ImportanceRun::new(9)
-                .with_threads(4)
-                .with_batch(BatchPolicy::Unbatched),
+        let narrow = tmc_shapley(
+            &ImportanceRun::new(9).with_batch(BatchPolicy::Grouped { size: 1 }),
             &knn,
             &train,
             &valid,
@@ -679,9 +684,9 @@ mod tests {
         .unwrap();
         let run = ImportanceRun::new(9).with_threads(4);
         let unified = tmc_shapley(&run, &knn, &train, &valid, &params).unwrap();
-        assert_eq!(unified.scores, legacy.scores);
-        assert_eq!(unified.report.utility_calls, legacy.report.utility_calls);
-        assert_eq!(unified.report.snapshot, legacy.report.snapshot);
+        assert_eq!(unified.scores, narrow.scores);
+        assert_eq!(unified.report.utility_calls, narrow.report.utility_calls);
+        assert_eq!(unified.report.snapshot, narrow.report.snapshot);
     }
 
     #[test]
@@ -721,13 +726,13 @@ mod tests {
         let knn = KnnClassifier::new(1);
         let run = ImportanceRun::new(7).with_threads(2);
 
-        let unbatched = run.clone().with_batch(BatchPolicy::Unbatched);
+        let narrow = ImportanceRun::new(7).with_batch(BatchPolicy::Grouped { size: 1 });
         let params = BanzhafParams { samples: 100 };
-        let legacy = banzhaf(&unbatched, &knn, &train, &valid, &params)
+        let reference = banzhaf(&narrow, &knn, &train, &valid, &params)
             .unwrap()
             .scores;
         let full = banzhaf(&run, &knn, &train, &valid, &params).unwrap();
-        assert_eq!(full.scores, legacy);
+        assert_eq!(full.scores, reference);
         assert!(full.report.utility_calls > 0);
         // Budget cut: Banzhaf's unit cost is 0/1 per sample, so the trip
         // point is exact; resuming from the snapshot is bit-identical.
@@ -757,11 +762,11 @@ mod tests {
             samples_per_point: 20,
             ..BetaShapleyParams::default()
         };
-        let legacy = beta_shapley(&unbatched, &knn, &train, &valid, &params)
+        let reference = beta_shapley(&narrow, &knn, &train, &valid, &params)
             .unwrap()
             .scores;
         let full = beta_shapley(&run, &knn, &train, &valid, &params).unwrap();
-        assert_eq!(full.scores, legacy);
+        assert_eq!(full.scores, reference);
         // Point-granular cut after 2 of 5 points, then a bit-identical
         // resume through the method-erased snapshot.
         let cut = beta_shapley(

@@ -169,11 +169,17 @@ impl Estimator for TmcParams {
     ) -> Result<(Vec<f64>, Option<f64>)> {
         let n = state.n;
         if clock.exhausted().is_none() {
-            // Re-prime the full-data utility (one honestly-accounted call; a
-            // cache hit on resume still counts).
-            let all: Vec<usize> = (0..n).collect();
-            let full_utility = seg.batcher.eval_one(&all)?;
-            clock.record_utility_calls(1);
+            // Prime the full-data utility once per call (one honestly
+            // accounted call; a cache hit on resume still counts).
+            let full_utility = match seg.full_utility.get() {
+                Some(&u) => u,
+                None => {
+                    let all: Vec<usize> = (0..n).collect();
+                    let u = seg.batcher.eval_one(&all)?;
+                    clock.record_utility_calls(1);
+                    *seg.full_utility.get_or_init(|| u)
+                }
+            };
             let mut scratch = WalkScratch::new(n);
 
             // Finish an interrupted permutation walk before anything else.
@@ -455,10 +461,11 @@ mod tests {
     use nde_robust::RunBudget;
 
     // The behavioral suite pins the estimator through the public entry
-    // point, scoring one coalition at a time unless a test sets another
-    // batch policy.
+    // point, one coalition per wave unless a test sets another batch
+    // policy. The comparisons against a model without a batched scorer
+    // live in `tests/tests/batched_utility.rs`.
     fn run(seed: u64) -> ImportanceRun<'static> {
-        ImportanceRun::new(seed).with_batch(BatchPolicy::Unbatched)
+        ImportanceRun::new(seed).with_batch(BatchPolicy::Grouped { size: 1 })
     }
 
     fn params(permutations: usize, truncation_tolerance: f64) -> TmcParams {
@@ -552,32 +559,6 @@ mod tests {
         // and settled in index order).
         let c = tmc(&run(3).with_threads(4), &train, &valid, &p).scores;
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn batched_waves_are_bit_identical_to_unbatched() {
-        let (train, valid) = toy();
-        let p = params(40, 0.02); // exercise mid-wave truncation
-        let plain = tmc(&run(9), &train, &valid, &p);
-        assert_eq!(plain.report.batched_evals, 0);
-        for size in [1, 2, 3, 8, 64] {
-            let batched = tmc(
-                &run(9).with_batch(BatchPolicy::Grouped { size }),
-                &train,
-                &valid,
-                &p,
-            );
-            assert_eq!(batched.scores, plain.scores, "size={size}");
-            assert_eq!(state(&batched), state(&plain), "size={size}");
-            assert_eq!(
-                batched.report.utility_calls, plain.report.utility_calls,
-                "size={size}"
-            );
-            assert!(
-                batched.report.batched_evals > 0,
-                "size={size} must use the scorer"
-            );
-        }
     }
 
     #[test]
@@ -709,30 +690,31 @@ mod tests {
     }
 
     #[test]
-    fn batched_budget_trips_at_the_same_call_counts() {
-        // The wave walk must reproduce the unbatched trip points exactly:
-        // same checkpoint cursor, same in-flight position, same floats.
+    fn checkpoint_cadence_leaves_budgeted_runs_unchanged() {
+        // U(full) is primed once per call, so the cadence, a durability
+        // setting, moves neither the scores nor the utility calls nor the
+        // budget's trip point.
         let (train, valid) = toy();
-        let p = params(6, 0.0);
-        let uninterrupted = tmc(&run(7), &train, &valid, &p);
-        let full_calls = state(&uninterrupted).utility_calls;
-        for max_calls in 2..full_calls {
-            let budget = RunBudget::unlimited().with_max_utility_calls(max_calls);
-            let plain = tmc(&run(7).with_budget(budget.clone()), &train, &valid, &p);
-            let batched = tmc(
-                &run(7)
-                    .with_budget(budget)
-                    .with_batch(BatchPolicy::Grouped { size: 4 }),
-                &train,
-                &valid,
-                &p,
-            );
+        let p = params(12, 0.0);
+        let outcome = |every: Option<u64>| {
+            let mut run = run(7).with_budget(RunBudget::unlimited().with_max_utility_calls(33));
+            run.auto_checkpoint_every = every;
+            tmc(&run, &train, &valid, &p)
+        };
+        let want = outcome(None);
+        // 1 (full) + 6 permutations of 5 + 2: the trip lands mid-permutation.
+        assert_eq!(state(&want).utility_calls, 33);
+        assert_eq!(state(&want).cursor, 6);
+        assert!(state(&want).inflight.is_some());
+        for every in [1, 3, 8] {
+            let got = outcome(Some(every));
+            assert_eq!(got.scores, want.scores, "every={every}");
             assert_eq!(
-                state(&batched),
-                state(&plain),
-                "trip state at max_calls={max_calls}"
+                got.report.utility_calls, want.report.utility_calls,
+                "every={every}"
             );
-            assert_eq!(batched.scores, plain.scores);
+            assert_eq!(state(&got).cursor, state(&want).cursor, "every={every}");
+            assert_eq!(state(&got), state(&want), "every={every}");
         }
     }
 

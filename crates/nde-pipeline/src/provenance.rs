@@ -553,9 +553,9 @@ impl Lineage {
     }
 
     /// The memoized inverted index over *all* sources: for each source, the
-    /// `(source_row, output_row)` dependency pairs sorted by source row.
-    /// Built with one arena pass on first use; every later
-    /// [`Lineage::outputs_per_source_row`] call is a cheap per-source scan.
+    /// `(source_row, output_row)` dependency pairs sorted by source row, so
+    /// the output rows of one source row are one contiguous run. Built with
+    /// one arena pass on first use and kept for the lineage's lifetime.
     pub(crate) fn inverted_pairs(&self) -> &Vec<Vec<(u32, u32)>> {
         self.inverted_cache.get_or_init(|| {
             let index = self.tuple_index();
@@ -569,45 +569,12 @@ impl Lineage {
             }
             // Pairs arrive in output-row order; sorting by (source_row,
             // output_row) groups each source row while keeping its output
-            // list ascending — exactly the uncached construction order.
+            // rows ascending.
             for pairs in &mut inv {
                 pairs.sort_unstable();
             }
             inv
         })
-    }
-
-    /// For each output row, the rows of source `source_idx` it depends on.
-    pub fn rows_from_source(&self, source_idx: u32) -> Vec<Vec<u32>> {
-        let index = self.tuple_index();
-        self.rows
-            .iter()
-            .map(|id| {
-                index
-                    .of(*id)
-                    .iter()
-                    .filter(|t| t.source == source_idx)
-                    .map(|t| t.row)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Inverted index: for each row of source `source_idx` (up to
-    /// `source_len`), the output rows that depend on it. The underlying
-    /// source→output pairs are memoized on the lineage, so repeated calls
-    /// (inspections, DataScope grouping, delta propagation) pay one arena
-    /// pass total instead of one per call.
-    pub fn outputs_per_source_row(&self, source_idx: u32, source_len: usize) -> Vec<Vec<usize>> {
-        let mut inv = vec![Vec::new(); source_len];
-        if let Some(pairs) = self.inverted_pairs().get(source_idx as usize) {
-            for &(row, out) in pairs {
-                if (row as usize) < source_len {
-                    inv[row as usize].push(out as usize);
-                }
-            }
-        }
-        inv
     }
 }
 

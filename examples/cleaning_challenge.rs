@@ -3,20 +3,20 @@
 //! live leaderboard. Three "participants" compete: random cleaning,
 //! AUM-guided cleaning, and KNN-Shapley-guided cleaning.
 //!
-//! The challenge runs under `MaintenanceMode::Incremental`: each submission
+//! The KNN model offers an incremental evaluator, so each submission
 //! patches only the labels it changes into a cached evaluator instead of
 //! refitting from scratch — bit-identical scores (verified against a
-//! rerun-mode replay at the end), just faster.
+//! refit of every submission at the end), just faster.
 //!
 //! Run with: `cargo run --release --example cleaning_challenge`
 
 use nde::cleaning::challenge::DebugChallenge;
 use nde::cleaning::oracle::LabelOracle;
 use nde::cleaning::strategy::Strategy;
-use nde::cleaning::MaintenanceMode;
 use nde::data::generate::blobs::two_gaussians;
 use nde::importance::aum::AumConfig;
 use nde::ml::dataset::Dataset;
+use nde::ml::model::Classifier;
 use nde::ml::models::knn::KnnClassifier;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,8 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LabelOracle::new(truth.clone()),
         test.clone(),
         budget,
-    )?
-    .with_maintenance(MaintenanceMode::Incremental);
+    )?;
     println!(
         "Challenge: {} dirty training points, budget {} repairs, hidden test set.",
         train.len(),
@@ -57,30 +56,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("aum-ahmed", Strategy::Aum(AumConfig::default())),
         ("shapley-shen", Strategy::KnnShapley { k: 3 }),
     ];
-    let mut picks_by_name: Vec<(&str, Vec<usize>)> = Vec::new();
+    let oracle = LabelOracle::new(truth);
     for (name, strategy) in participants {
         let order = strategy.rank(challenge.dirty_data(), &valid)?;
         let picks: Vec<usize> = order.into_iter().take(budget).collect();
         let score = challenge.submit(name, &picks)?;
         println!("{name:<14} cleaned {budget} tuples -> hidden-test accuracy {score:.4}");
-        picks_by_name.push((name, picks));
-    }
 
-    // Incremental scoring is an optimization, never a different answer:
-    // replay every submission under rerun-mode maintenance and check the
-    // scores agree bit for bit.
-    let mut replay = DebugChallenge::new(
-        KnnClassifier::new(3),
-        train.clone(),
-        LabelOracle::new(truth),
-        test,
-        budget,
-    )?;
-    for (name, picks) in &picks_by_name {
-        replay.submit(name, picks)?;
+        // Incremental scoring is an optimization, never a different answer:
+        // refit the submission from scratch and check the score bit for bit.
+        let mut repaired = train.clone();
+        oracle.repair(&mut repaired.y, &picks)?;
+        let mut model = KnnClassifier::new(3);
+        model.fit(&repaired)?;
+        assert_eq!(model.accuracy(&test).to_bits(), score.to_bits(), "{name}");
     }
-    assert_eq!(challenge.leaderboard(), replay.leaderboard());
-    println!("\n(incremental scores verified bit-identical to rerun-mode replay)");
+    println!("\n(incremental scores verified bit-identical to refitting)");
 
     println!("\nFinal leaderboard:\n{}", challenge.leaderboard().render());
     println!("Leaderboard JSON:\n{}", challenge.leaderboard().to_json()?);

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p nde-tests --example fault_tolerance`
 
-use nde_cleaning::{prioritized_cleaning_robust, LabelOracle, MaintenanceMode, Strategy};
+use nde_cleaning::{prioritized_cleaning_robust, LabelOracle, Strategy};
 use nde_data::generate::blobs::two_gaussians;
 use nde_importance::{tmc_shapley, EstimatorCheckpoint, ImportanceRun, TmcParams};
 use nde_ml::dataset::Dataset;
@@ -142,7 +142,6 @@ fn main() {
         10,
         3,
         false,
-        MaintenanceMode::Rerun,
         &RunBudget::unlimited(),
         &RetryPolicy::immediate(3),
     )

@@ -11,6 +11,7 @@ verify:
     cargo test -q --offline
     cargo test -q --release --offline -p nde-ml
     cargo test -q --release --offline -p nde-importance
+    cargo test -q --release --offline -p nde-tests --test batched_utility
     cargo test -q --release --offline -p nde-tests --test knn_shapley_exact
     cargo test -q --release --offline -p nde-tests --test parallel_substrate
     cargo test -q --release --offline -p nde-data

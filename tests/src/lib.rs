@@ -8,9 +8,10 @@
 //! production code against: the scoped-spawn worker map below, the
 //! `Value`-per-cell [`table::RefTable`], the recursive provenance tree
 //! [`provenance::ProvExpr`], the per-query 1-NN certain-prediction check
-//! [`certain_knn::certain_prediction_1nn`], and the refit-per-world KNN
-//! template [`worlds::RefitKnn`]. The scalar-`Interval` references read a
-//! symbolic matrix through [`interval_rows`].
+//! [`certain_knn::certain_prediction_1nn`], the plain possible-worlds
+//! ensemble [`worlds::refit_shares`], and the hookless KNN template
+//! [`RefitKnn`]. The scalar-`Interval` references read a symbolic matrix
+//! through [`interval_rows`].
 
 pub mod certain_knn;
 pub mod chaos;
@@ -19,11 +20,45 @@ pub mod table;
 pub mod worlds;
 
 use nde_data::par::{panic_message, WorkerFailure};
+use nde_ml::models::knn::KnnClassifier;
+use nde_ml::{Classifier, Dataset};
 use nde_uncertain::{Interval, SymbolicMatrix};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// [`KnnClassifier`] without any of its model hooks: it offers none of
+/// [`Classifier::coalition_scorer`], [`Classifier::try_incremental_eval`]
+/// and [`Classifier::world_voter`], so every computation run with it takes
+/// the refit path — one fit per coalition, per cleaning round, per
+/// submission or per possible world. It is the one reference every hook is
+/// checked against; it must keep no delegating hook, or the reference
+/// would become the code it checks.
+#[derive(Debug, Clone)]
+pub struct RefitKnn(pub KnnClassifier);
+
+impl Classifier for RefitKnn {
+    fn config_tag(&self) -> String {
+        format!("refit-{}", self.0.config_tag())
+    }
+
+    fn fit(&mut self, data: &Dataset) -> nde_ml::Result<()> {
+        self.0.fit(data)
+    }
+
+    fn predict_one(&self, x: &[f64]) -> usize {
+        self.0.predict_one(x)
+    }
+
+    fn n_classes(&self) -> usize {
+        self.0.n_classes()
+    }
+
+    fn is_fitted(&self) -> bool {
+        self.0.is_fitted()
+    }
+}
 
 /// The cells of `x` as one `Vec<Interval>` per row: the array-of-structs
 /// layout the scalar-[`Interval`] references compute over.
@@ -131,4 +166,44 @@ where
     F: Fn(u64) -> Result<T, E> + Sync,
 {
     par_map_indexed_scratch_scoped(threads, range, stop, || (), |(), i| f(i))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nde_ml::linalg::Matrix;
+
+    /// The reference offers no hook, while the KNN it wraps offers all
+    /// three on the same inputs.
+    #[test]
+    fn refit_knn_offers_no_hooks() {
+        let rows = vec![
+            vec![0.0, 1.0],
+            vec![1.0, 0.0],
+            vec![2.0, 2.0],
+            vec![3.0, 1.0],
+        ];
+        let fixed: Vec<f64> = rows.concat();
+        let train = Dataset::from_rows(rows, vec![0, 1, 0, 1], 2).unwrap();
+        let test = Matrix::from_rows(vec![vec![0.5, 0.5], vec![2.5, 1.5]]).unwrap();
+        let valid =
+            Dataset::from_rows(vec![vec![0.5, 0.5], vec![2.5, 1.5]], vec![0, 1], 2).unwrap();
+        let varying = vec![2; train.len()];
+        let knn = KnnClassifier::new(1);
+        let refit = RefitKnn(knn.clone());
+
+        assert!(knn.coalition_scorer(&train, &valid).is_some());
+        assert!(refit.coalition_scorer(&train, &valid).is_none());
+        assert!(knn.try_incremental_eval(&train, &valid).unwrap().is_some());
+        assert!(refit
+            .try_incremental_eval(&train, &valid)
+            .unwrap()
+            .is_none());
+        assert!(knn
+            .world_voter(&fixed, 2, &train.y, 2, &varying, &test, 1)
+            .is_some());
+        assert!(refit
+            .world_voter(&fixed, 2, &train.y, 2, &varying, &test, 1)
+            .is_none());
+    }
 }

@@ -257,48 +257,10 @@ mod tests {
         );
         assert_eq!(lineage.source_index("b"), Some(1));
         assert_eq!(lineage.source_index("z"), None);
-        let per_out = lineage.rows_from_source(0);
-        assert_eq!(per_out, vec![vec![2], vec![2], vec![]]);
-        let inv = lineage.outputs_per_source_row(0, 3);
-        assert_eq!(inv[2], vec![0, 1]);
-        assert!(inv[0].is_empty());
         assert_eq!(lineage.row_tuples(1), vec![t(0, 2)]);
         assert_eq!(row_expr(&lineage, 2), ProvExpr::Var(t(1, 1)));
         // Shared var node `a2` is interned once across rows 0 and 1.
         assert_eq!(lineage.arena.len(), 4);
-    }
-
-    #[test]
-    fn inverted_index_cache_matches_uncached_semantics() {
-        let lineage = lineage_of(
-            vec!["a".into(), "b".into()],
-            &[
-                ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
-                ProvExpr::Var(t(0, 2)),
-                ProvExpr::Var(t(1, 1)),
-            ],
-        );
-        let first = lineage.outputs_per_source_row(0, 3);
-        assert_eq!(first[2], vec![0, 1]);
-        // Repeated calls hit the memoized pairs and agree exactly.
-        assert_eq!(lineage.outputs_per_source_row(0, 3), first);
-        // A longer source view reuses the same cache, padding with empties.
-        let longer = lineage.outputs_per_source_row(0, 5);
-        assert_eq!(&longer[..3], &first[..]);
-        assert!(longer[3].is_empty() && longer[4].is_empty());
-        // A shorter view truncates out-of-range source rows.
-        let shorter = lineage.outputs_per_source_row(0, 2);
-        assert!(shorter.iter().all(Vec::is_empty));
-        // Equality ignores whether the cache has been built.
-        let fresh = lineage_of(
-            vec!["a".into(), "b".into()],
-            &[
-                ProvExpr::times(ProvExpr::Var(t(0, 2)), ProvExpr::Var(t(1, 0))),
-                ProvExpr::Var(t(0, 2)),
-                ProvExpr::Var(t(1, 1)),
-            ],
-        );
-        assert_eq!(lineage, fresh);
     }
 
     /// A lineage interned from reference trees.

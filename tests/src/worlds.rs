@@ -1,39 +1,10 @@
-//! References for possible-worlds sampling: a KNN template that refits on
-//! every world, and the plain sequential definition of the ensemble.
+//! The reference for possible-worlds sampling: the plain sequential
+//! definition of the ensemble, whose KNN template is [`crate::RefitKnn`].
 
 use nde_data::rng::{child_seed, seeded, Rng};
 use nde_ml::linalg::Matrix;
-use nde_ml::models::knn::KnnClassifier;
-use nde_ml::{Classifier, Dataset, Result};
+use nde_ml::{Classifier, Dataset};
 use nde_uncertain::SymbolicMatrix;
-
-/// [`KnnClassifier`] without its [`Classifier::world_voter`]: possible
-/// worlds sampled with this template take the refit-per-world path, the
-/// reference the world voter is checked against.
-#[derive(Debug, Clone)]
-pub struct RefitKnn(pub KnnClassifier);
-
-impl Classifier for RefitKnn {
-    fn config_tag(&self) -> String {
-        format!("refit-{}", self.0.config_tag())
-    }
-
-    fn fit(&mut self, data: &Dataset) -> Result<()> {
-        self.0.fit(data)
-    }
-
-    fn predict_one(&self, x: &[f64]) -> usize {
-        self.0.predict_one(x)
-    }
-
-    fn n_classes(&self) -> usize {
-        self.0.n_classes()
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.0.is_fitted()
-    }
-}
 
 /// World shares by definition, one world after another: world `w` draws
 /// every non-point cell uniformly, row-major, from `child_seed(seed, w)`,

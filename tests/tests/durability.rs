@@ -29,6 +29,7 @@ use nde_tests::chaos::{
     corrupt_record_checksum, stale_record_version, truncate_record, CheckpointKillSwitch,
     FaultSchedule, CHAOS_PANIC_PREFIX,
 };
+use nde_tests::RefitKnn;
 use nde_uncertain::symbolic::column_bounds_from_observed;
 use nde_uncertain::zorro::{ZorroCheckpoint, ZorroConfig, ZorroRegressor};
 use nde_uncertain::{Interval, SymbolicMatrix, UncertainError};
@@ -327,7 +328,8 @@ fn supervised_zorro_fit_resumes_bit_identically_after_a_kill() {
 
 /// A supervised prioritized-cleaning loop killed between rounds resumes at
 /// accepted-fix granularity: same repairs, same trace, bit-identical
-/// accuracies.
+/// accuracies. The template is [`RefitKnn`], so this is the refit path; the
+/// KNN hook's kill/resume test is in `incremental_delta.rs`.
 #[test]
 fn supervised_cleaning_loop_resumes_bit_identically_after_kills() {
     const ROUNDS: u64 = 4;
@@ -340,7 +342,7 @@ fn supervised_cleaning_loop_resumes_bit_identically_after_kills() {
         train.y[f] = 1 - train.y[f];
     }
     let oracle = LabelOracle::new(truth);
-    let knn = KnnClassifier::new(3);
+    let knn = RefitKnn(KnnClassifier::new(3));
     let strategy = Strategy::KnnShapley { k: 3 };
     let reference = prioritized_cleaning(
         &knn,
@@ -351,7 +353,6 @@ fn supervised_cleaning_loop_resumes_bit_identically_after_kills() {
         5,
         ROUNDS as usize,
         false,
-        MaintenanceMode::Rerun,
     )
     .unwrap();
 
@@ -380,7 +381,7 @@ fn supervised_cleaning_loop_resumes_bit_identically_after_kills() {
                     5,
                     ROUNDS as usize,
                     false,
-                    MaintenanceMode::Rerun,
+                    MaintenanceMode::Incremental,
                     &budget,
                     &RetryPolicy::none(),
                     resume.as_ref(),
@@ -417,7 +418,7 @@ fn supervised_cleaning_loop_resumes_bit_identically_after_kills() {
         5,
         ROUNDS as usize,
         false,
-        MaintenanceMode::Rerun,
+        MaintenanceMode::Incremental,
         &RunBudget::unlimited(),
         &RetryPolicy::none(),
         None,

@@ -160,9 +160,15 @@ fn fuzzy_join_pipeline_supports_datascope() {
         let sector = companies.get(company_row.row as usize, "sector").unwrap();
         assert_eq!(sector, Value::Str("healthcare".into()));
     }
-    // The inverted index attributes output rows per company.
-    let per_company = lineage.outputs_per_source_row(company_src, companies.n_rows());
-    assert_eq!(per_company[0].len(), 10); // acme
-    assert_eq!(per_company[1].len(), 0); // globex filtered out
-    assert_eq!(per_company[2].len(), 10); // initech
+    // Output rows per company, counted from each row's source tuples.
+    let mut per_company = vec![0; companies.n_rows()];
+    for row in 0..lineage.n_rows() {
+        for t in lineage.row_tuples(row) {
+            if t.source == company_src {
+                per_company[t.row as usize] += 1;
+            }
+        }
+    }
+    // Acme and Initech are healthcare; Globex and Umbrella are filtered out.
+    assert_eq!(per_company, [10, 0, 10, 0]);
 }

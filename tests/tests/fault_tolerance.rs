@@ -5,7 +5,7 @@
 
 use nde_cleaning::{
     prioritized_cleaning, prioritized_cleaning_robust, CleaningError, CleaningOracle, LabelOracle,
-    MaintenanceMode, Strategy,
+    Strategy,
 };
 use nde_data::generate::blobs::two_gaussians;
 use nde_data::generate::hiring::HiringScenario;
@@ -207,18 +207,8 @@ fn cleaning_rides_out_a_flaky_oracle_and_types_a_dead_one() {
     let strategy = Strategy::Random { seed: 3 };
     let knn = KnnClassifier::new(3);
 
-    let healthy = prioritized_cleaning(
-        &knn,
-        &train,
-        &oracle,
-        &valid,
-        &strategy,
-        10,
-        3,
-        false,
-        MaintenanceMode::Rerun,
-    )
-    .unwrap();
+    let healthy =
+        prioritized_cleaning(&knn, &train, &oracle, &valid, &strategy, 10, 3, false).unwrap();
 
     // A 1-in-2 outage schedule with retries: same trace, nonzero retries.
     let flaky = FlakyOracle::new(oracle.clone(), FaultSchedule::every_nth(2));
@@ -231,7 +221,6 @@ fn cleaning_rides_out_a_flaky_oracle_and_types_a_dead_one() {
         10,
         3,
         false,
-        MaintenanceMode::Rerun,
         &RunBudget::unlimited(),
         &RetryPolicy::immediate(3),
     )
@@ -251,7 +240,6 @@ fn cleaning_rides_out_a_flaky_oracle_and_types_a_dead_one() {
         10,
         3,
         false,
-        MaintenanceMode::Rerun,
         &RunBudget::unlimited(),
         &RetryPolicy::immediate(3),
     )
@@ -313,18 +301,8 @@ fn flaky_oracle_is_ridden_out_by_retries() {
     let (dirty, valid, oracle) = label_noise_setup();
     let strategy = Strategy::Random { seed: 1 };
     let knn = KnnClassifier::new(3);
-    let healthy = prioritized_cleaning(
-        &knn,
-        &dirty,
-        &oracle,
-        &valid,
-        &strategy,
-        5,
-        3,
-        false,
-        MaintenanceMode::Rerun,
-    )
-    .unwrap();
+    let healthy =
+        prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 3, false).unwrap();
     // Every other oracle call fails once; one retry rides it out.
     let flaky = FlakyOracle::new(oracle.clone(), FaultSchedule::every_nth(2));
     let robust = prioritized_cleaning_robust(
@@ -336,7 +314,6 @@ fn flaky_oracle_is_ridden_out_by_retries() {
         5,
         3,
         false,
-        MaintenanceMode::Rerun,
         &RunBudget::unlimited(),
         &RetryPolicy::immediate(3),
     )
@@ -358,7 +335,6 @@ fn persistent_oracle_outage_is_a_typed_error() {
         5,
         3,
         false,
-        MaintenanceMode::Rerun,
         &RunBudget::unlimited(),
         &RetryPolicy::immediate(4),
     )

@@ -1,16 +1,19 @@
 //! Differential property suite for incremental maintenance: both fix paths — cell patch and rerun — must be
 //! **bit-identical** to full re-execution (table *and* lineage) at every
-//! thread count; incremental cleaning must produce the same scores and
-//! challenge verdicts as refitting; and a chaos-killed incremental cleaning
-//! loop must resume through a durable [`RunStore`] to the same trace.
+//! thread count; cleaning and challenge scoring through the KNN hook must
+//! produce the same scores, checkpoints and verdicts as [`RefitKnn`], which
+//! offers no hook and refits; and a chaos-killed incremental cleaning loop
+//! must resume through a durable [`RunStore`] to the same trace.
 
 use nde_cleaning::{
     prioritized_cleaning, prioritized_cleaning_resumable, CleaningCheckpoint, CleaningError,
-    DebugChallenge, FixReport, IncrementalDebugSession, LabelOracle, MaintenanceMode, Strategy,
+    CleaningRun, DebugChallenge, FixReport, IncrementalDebugSession, LabelOracle, MaintenanceMode,
+    Strategy,
 };
 use nde_data::generate::blobs::two_gaussians;
 use nde_data::generate::hiring::HiringScenario;
 use nde_data::{Table, Value};
+use nde_importance::{knn_shapley, ImportanceRun};
 use nde_ml::dataset::Dataset;
 use nde_ml::model::Classifier;
 use nde_ml::models::knn::KnnClassifier;
@@ -19,6 +22,7 @@ use nde_pipeline::feature::FeaturePipeline;
 use nde_pipeline::{Delta, DeltaPath, PipelineSession, Plan};
 use nde_robust::{supervise, RetryPolicy, RunBudget, RunFingerprint, RunStore, SuperviseCtx};
 use nde_tests::chaos::{CheckpointKillSwitch, FaultSchedule, CHAOS_PANIC_PREFIX};
+use nde_tests::RefitKnn;
 
 fn hiring_inputs(s: &HiringScenario) -> Vec<(&str, &Table)> {
     vec![
@@ -140,17 +144,25 @@ fn blob_workload() -> (Dataset, Dataset, LabelOracle) {
 }
 
 /// The cleaning loop's scores and the challenge's leaderboard verdicts are
-/// bit-identical between `Rerun` and `Incremental` maintenance.
+/// bit-identical between the KNN hook and [`RefitKnn`], which offers no
+/// hook and so refits every round and every submission.
 #[test]
 fn incremental_scores_and_verdicts_match_rerun() {
     let (dirty, valid, oracle) = blob_workload();
     let knn = KnnClassifier::new(3);
     let strategy = Strategy::KnnShapley { k: 3 };
-    let run = |mode| {
-        prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 6, 4, false, mode).unwrap()
-    };
-    let rerun = run(MaintenanceMode::Rerun);
-    let inc = run(MaintenanceMode::Incremental);
+    let rerun = prioritized_cleaning(
+        &RefitKnn(knn.clone()),
+        &dirty,
+        &oracle,
+        &valid,
+        &strategy,
+        6,
+        4,
+        false,
+    )
+    .unwrap();
+    let inc = prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 6, 4, false).unwrap();
     assert_eq!(rerun.cleaned, inc.cleaned);
     for (a, b) in rerun.accuracy.iter().zip(&inc.accuracy) {
         assert_eq!(a.to_bits(), b.to_bits(), "{rerun:?} vs {inc:?}");
@@ -158,18 +170,15 @@ fn incremental_scores_and_verdicts_match_rerun() {
 
     // Challenge verdicts: identical scores, identical leaderboard order.
     let hidden = valid.clone();
-    let make = || {
-        DebugChallenge::new(
-            knn.clone(),
-            dirty.clone(),
-            oracle.clone(),
-            hidden.clone(),
-            20,
-        )
-        .unwrap()
-    };
-    let mut by_rerun = make();
-    let mut by_inc = make().with_maintenance(MaintenanceMode::Incremental);
+    let mut by_rerun = DebugChallenge::new(
+        RefitKnn(knn.clone()),
+        dirty.clone(),
+        oracle.clone(),
+        hidden.clone(),
+        20,
+    )
+    .unwrap();
+    let mut by_inc = DebugChallenge::new(knn, dirty, oracle, hidden, 20).unwrap();
     let submissions: Vec<Vec<usize>> = vec![
         (0..20).collect(),
         vec![4, 16, 28, 39, 52, 67, 83, 98, 112, 121],
@@ -182,6 +191,189 @@ fn incremental_scores_and_verdicts_match_rerun() {
         assert_eq!(a.to_bits(), b.to_bits(), "submission {i}");
     }
     assert_eq!(by_rerun.leaderboard(), by_inc.leaderboard());
+}
+
+/// 150 blob points with 10% label errors, for the cleaning-loop checks.
+fn cleaning_workload() -> (Dataset, Dataset, LabelOracle) {
+    let nd = two_gaussians(200, 3, 2.0, 43);
+    let all = Dataset::try_from(&nd).unwrap();
+    let mut train = all.subset(&(0..150).collect::<Vec<_>>());
+    let valid = all.subset(&(150..200).collect::<Vec<_>>());
+    let truth = train.y.clone();
+    for f in [
+        5, 17, 29, 38, 51, 66, 84, 99, 111, 120, 133, 140, 147, 148, 149,
+    ] {
+        train.y[f] = 1 - train.y[f];
+    }
+    (train, valid, LabelOracle::new(truth))
+}
+
+/// The cleaning loop through the KNN hook equals the loop of [`RefitKnn`]
+/// bit for bit, with and without re-ranking.
+#[test]
+fn cleaning_loop_is_bit_identical_to_refit() {
+    let (dirty, valid, oracle) = cleaning_workload();
+    let knn = KnnClassifier::new(3);
+    for (strategy, rescore) in [
+        (Strategy::KnnShapley { k: 3 }, false),
+        (Strategy::KnnShapley { k: 3 }, true),
+        (Strategy::Random { seed: 7 }, false),
+    ] {
+        let rerun = prioritized_cleaning(
+            &RefitKnn(knn.clone()),
+            &dirty,
+            &oracle,
+            &valid,
+            &strategy,
+            5,
+            4,
+            rescore,
+        )
+        .unwrap();
+        let inc =
+            prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, rescore).unwrap();
+        assert_eq!(rerun.cleaned, inc.cleaned);
+        for (a, b) in rerun.accuracy.iter().zip(&inc.accuracy) {
+            assert_eq!(a.to_bits(), b.to_bits(), "rescore={rescore} {rerun:?}");
+        }
+    }
+}
+
+/// Cleaning rounds 1..=2 of `template` (cut by an iteration budget), or
+/// the rest of them resumed from `resume`.
+fn cleaning_segment<C: Classifier>(
+    template: &C,
+    (dirty, valid, oracle): &(Dataset, Dataset, LabelOracle),
+    resume: Option<&CleaningCheckpoint>,
+) -> (CleaningRun, CleaningCheckpoint) {
+    let budget = match resume {
+        Some(_) => RunBudget::unlimited(),
+        None => RunBudget::unlimited().with_max_iterations(2),
+    };
+    let (run, snap) = prioritized_cleaning_resumable(
+        template,
+        dirty,
+        oracle,
+        valid,
+        &Strategy::KnnShapley { k: 3 },
+        5,
+        4,
+        false,
+        MaintenanceMode::Incremental,
+        &budget,
+        &RetryPolicy::none(),
+        resume,
+    )
+    .unwrap();
+    (run.run, snap)
+}
+
+/// A snapshot written through the hook resumes in [`RefitKnn`] and the
+/// other way round, landing bit-identical to the uncut loop: the hook's
+/// accuracy contract makes the two paths indistinguishable on disk.
+#[test]
+fn cleaning_checkpoints_resume_across_refit_and_hook() {
+    let data = cleaning_workload();
+    let (dirty, valid, oracle) = &data;
+    let knn = KnnClassifier::new(3);
+    let refit = RefitKnn(knn.clone());
+    let uncut = prioritized_cleaning(
+        &knn,
+        dirty,
+        oracle,
+        valid,
+        &Strategy::KnnShapley { k: 3 },
+        5,
+        4,
+        false,
+    )
+    .unwrap();
+    let (_, by_hook) = cleaning_segment(&knn, &data, None);
+    let (_, by_refit) = cleaning_segment(&refit, &data, None);
+    assert_eq!(by_hook, by_refit, "the snapshots themselves agree");
+    assert_eq!(cleaning_segment(&refit, &data, Some(&by_hook)).0, uncut);
+    assert_eq!(cleaning_segment(&knn, &data, Some(&by_refit)).0, uncut);
+}
+
+/// Challenge submissions scored through the KNN hook (apply, score,
+/// revert) equal refitting [`RefitKnn`] per submission, bit for bit and in
+/// leaderboard order, across empty, repeated and duplicate-row
+/// submissions and a clone of the challenge.
+#[test]
+fn challenge_submissions_match_refit_bit_for_bit() {
+    let nd = two_gaussians(260, 3, 5.0, 51);
+    let all = Dataset::try_from(&nd).unwrap();
+    let mut train = all.subset(&(0..180).collect::<Vec<_>>());
+    let valid = all.subset(&(180..220).collect::<Vec<_>>());
+    let test = all.subset(&(220..260).collect::<Vec<_>>());
+    let oracle = LabelOracle::new(train.y.clone());
+    let flips = [
+        2, 9, 25, 31, 47, 58, 72, 88, 95, 104, 119, 127, 142, 155, 166, 171, 13, 64, 99, 150,
+    ];
+    for f in flips {
+        train.y[f] = 1 - train.y[f];
+    }
+    let knn = KnnClassifier::new(3);
+    let mut rerun = DebugChallenge::new(
+        RefitKnn(knn.clone()),
+        train.clone(),
+        oracle.clone(),
+        test.clone(),
+        25,
+    )
+    .unwrap();
+    let mut inc = DebugChallenge::new(knn, train, oracle, test, 25).unwrap();
+    let scores = knn_shapley(&ImportanceRun::new(0), inc.dirty_data(), &valid, 3)
+        .unwrap()
+        .scores;
+    let submissions: Vec<Vec<usize>> = vec![
+        scores.bottom_k(25),
+        (0..25).map(|i| i * 7 % 180).collect(),
+        flips[..20].to_vec(),
+        vec![],              // empty submission
+        scores.bottom_k(25), // repeat: must be independent
+        vec![3, 3, 3],       // duplicate rows
+    ];
+    for (s, rows) in submissions.iter().enumerate() {
+        let a = rerun.submit(&format!("s{s}"), rows).unwrap();
+        let b = inc.submit(&format!("s{s}"), rows).unwrap();
+        assert_eq!(a.to_bits(), b.to_bits(), "submission {s}");
+    }
+    assert_eq!(rerun.leaderboard(), inc.leaderboard());
+    // Cloning resets the cached evaluator but not the semantics.
+    let mut cloned = inc.clone();
+    let a = cloned.submit("clone", &submissions[0]).unwrap();
+    let b = inc.submit("clone", &submissions[0]).unwrap();
+    assert_eq!(a.to_bits(), b.to_bits());
+}
+
+/// A non-finite feature makes the KNN hook refuse the data: the cleaning
+/// loop and every challenge submission fail with its error instead of
+/// falling back to refitting, and no entry reaches the leaderboard. A model
+/// without a hook ([`RefitKnn`]) still refits and runs.
+#[test]
+fn a_non_finite_feature_fails_the_hook_instead_of_refitting() {
+    let (mut dirty, valid, oracle) = cleaning_workload();
+    dirty.x.set(7, 1, f64::INFINITY);
+    let knn = KnnClassifier::new(3);
+    let refit = RefitKnn(knn.clone());
+    let strategy = Strategy::Random { seed: 7 };
+    let non_finite =
+        |e: &CleaningError| matches!(e, CleaningError::Ml(m) if m.contains("non-finite feature"));
+    assert!(prioritized_cleaning(&refit, &dirty, &oracle, &valid, &strategy, 5, 4, false).is_ok());
+    let err =
+        prioritized_cleaning(&knn, &dirty, &oracle, &valid, &strategy, 5, 4, false).unwrap_err();
+    assert!(non_finite(&err), "{err}");
+
+    let mut by_refit =
+        DebugChallenge::new(refit, dirty.clone(), oracle.clone(), valid.clone(), 5).unwrap();
+    assert!(by_refit.submit("r", &[5, 17]).is_ok());
+    let mut by_hook = DebugChallenge::new(knn, dirty, oracle, valid, 5).unwrap();
+    for attempt in 0..2 {
+        let err = by_hook.submit("i", &[5, 17]).unwrap_err();
+        assert!(non_finite(&err), "attempt {attempt}: {err}");
+    }
+    assert!(by_hook.leaderboard().entries().is_empty());
 }
 
 /// End-to-end: source-level fixes through an [`IncrementalDebugSession`]
@@ -229,7 +421,7 @@ fn debug_session_fixes_match_transform_rerun() {
 
 /// An incremental cleaning loop killed at chaos-scheduled checkpoint saves
 /// resumes through a durable [`RunStore`] and finishes bit-identical to an
-/// uninterrupted rerun-mode loop.
+/// uninterrupted loop of [`RefitKnn`].
 #[test]
 fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
     const ROUNDS: u64 = 4;
@@ -237,7 +429,7 @@ fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
     let knn = KnnClassifier::new(3);
     let strategy = Strategy::KnnShapley { k: 3 };
     let reference = prioritized_cleaning(
-        &knn,
+        &RefitKnn(knn.clone()),
         &train,
         &oracle,
         &valid,
@@ -245,7 +437,6 @@ fn chaos_killed_incremental_cleaning_resumes_bit_identically() {
         5,
         ROUNDS as usize,
         false,
-        MaintenanceMode::Rerun,
     )
     .unwrap();
 

@@ -13,8 +13,8 @@ use nde_ml::linalg::Matrix;
 use nde_ml::models::knn::KnnClassifier;
 use nde_ml::models::naive_bayes::GaussianNb;
 use nde_ml::{Classifier, Dataset, MlError, Result};
-use nde_tests::interval_rows;
-use nde_tests::worlds::{refit_shares, RefitKnn};
+use nde_tests::worlds::refit_shares;
+use nde_tests::{interval_rows, RefitKnn};
 use nde_uncertain::worlds::sample_worlds_par;
 use nde_uncertain::{Interval, SymbolicMatrix};
 

@@ -150,26 +150,6 @@ fn remove_tuple_drops_every_node_holding_the_tuple() {
 }
 
 #[test]
-fn inverted_index_agrees_with_per_row_tuple_sets() {
-    let (_, lineage) = run_hiring(300, 4);
-    let src = lineage.source_index("train_df").expect("primary source");
-    let source_len = 300;
-    let inv = lineage.outputs_per_source_row(src, source_len);
-
-    // Rebuild the inverted index from the per-row tuple sets and compare.
-    let mut expect = vec![Vec::new(); source_len];
-    for row in 0..lineage.n_rows() {
-        for t in lineage.row_tuples(row) {
-            if t.source == src && (t.row as usize) < source_len {
-                expect[t.row as usize].push(row);
-            }
-        }
-    }
-    assert_eq!(inv, expect);
-    assert!(inv.iter().any(|outs| !outs.is_empty()));
-}
-
-#[test]
 fn batched_deletion_prediction_matches_single_scenario_path() {
     // 70 scenarios cross the 64-lane boundary, so the batch path must
     // stitch two bitset passes together and still reproduce the one-at-a-

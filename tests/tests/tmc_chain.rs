@@ -1,8 +1,8 @@
 //! The TMC chain grid: a permutation walk carries each validation point's
 //! k nearest from wave to wave in a `CoalitionChain`, and that must never
 //! show. Scores, diagnostics and checkpoint payloads of TMC-Shapley equal
-//! the one-coalition-at-a-time `BatchPolicy::Unbatched` run bit for bit at
-//! every wave width (1, 16, 32, n, n + 1), every thread count (1, 2, 4, 7),
+//! the one-coalition-at-a-time run of `RefitKnn`, which offers no scorer
+//! and so refits every coalition, bit for bit at every wave width (1, 16, 32, n, n + 1), every thread count (1, 2, 4, 7),
 //! with and without a memo cache, and through a utility-call budget that
 //! trips mid-permutation followed by a resume. A checkpointed run's
 //! physical work (coalition lookups, memo entries) is the same at every
@@ -15,10 +15,11 @@ use nde_importance::{
 };
 use nde_ml::batch::{CoalitionChain, CoalitionScorer, KnnCoalitionScorer};
 use nde_ml::dataset::Dataset;
-use nde_ml::model::utility;
+use nde_ml::model::{utility, Classifier};
 use nde_ml::models::knn::KnnClassifier;
 use nde_robust::par::MemoCache;
 use nde_robust::{RunBudget, RunStore};
+use nde_tests::RefitKnn;
 
 const N: usize = 40;
 const K: usize = 3;
@@ -65,9 +66,11 @@ fn digest(out: &ImportanceOutcome) -> (Vec<u64>, String, String) {
     )
 }
 
-/// Run `tmc_shapley` under `batch`, `threads` and an optional cache: the
-/// whole run, then a run cut by `budget` and its resume.
-fn runs(
+/// Run `tmc_shapley` of `template` under `batch`, `threads` and an
+/// optional cache: the whole run, then a run cut by `budget` and its
+/// resume.
+fn runs<C: Classifier + Send + Sync>(
+    template: &C,
     train: &Dataset,
     valid: &Dataset,
     batch: BatchPolicy,
@@ -75,29 +78,15 @@ fn runs(
     cache: Option<&MemoCache>,
     budget: &RunBudget,
 ) -> [ImportanceOutcome; 3] {
-    let knn = KnnClassifier::new(K);
     let mut run = ImportanceRun::new(3)
         .with_batch(batch)
         .with_threads(threads);
     run.cache = cache;
-    let whole = tmc_shapley(&run, &knn, train, valid, &params()).unwrap();
-    let cut = tmc_shapley(
-        &run.clone().with_budget(budget.clone()),
-        &knn,
-        train,
-        valid,
-        &params(),
-    )
-    .unwrap();
+    let tmc = |run: &ImportanceRun| tmc_shapley(run, template, train, valid, &params()).unwrap();
+    let whole = tmc(&run);
+    let cut = tmc(&run.clone().with_budget(budget.clone()));
     let snapshot = cut.report.snapshot.clone().unwrap();
-    let resumed = tmc_shapley(
-        &run.clone().with_resume(&snapshot),
-        &knn,
-        train,
-        valid,
-        &params(),
-    )
-    .unwrap();
+    let resumed = tmc(&run.clone().with_resume(&snapshot));
     [whole, cut, resumed]
 }
 
@@ -106,7 +95,10 @@ fn tmc_chain_grid_is_bit_identical_to_unbatched() {
     let (train, valid) = workload();
     // One full call, 2 permutations and 17 prefixes of the third.
     let budget = RunBudget::unlimited().with_max_utility_calls(1 + 2 * N as u64 + 17);
-    let want = runs(&train, &valid, BatchPolicy::Unbatched, 1, None, &budget);
+    let refit = RefitKnn(KnnClassifier::new(K));
+    let one = BatchPolicy::Grouped { size: 1 };
+    let want = runs(&refit, &train, &valid, one, 1, None, &budget);
+    assert_eq!(want[0].report.batched_evals, 0, "the reference refits");
     let EstimatorCheckpoint::Tmc(cut) = want[1].report.snapshot.as_ref().unwrap() else {
         panic!("TMC runs snapshot TMC state");
     };
@@ -118,6 +110,7 @@ fn tmc_chain_grid_is_bit_identical_to_unbatched() {
             for cached in [false, true] {
                 let cache = MemoCache::new();
                 let got = runs(
+                    &KnnClassifier::new(K),
                     &train,
                     &valid,
                     BatchPolicy::Grouped { size },
